@@ -35,10 +35,9 @@ class CurveAut:
     b: int
 
     def __post_init__(self):
-        ctx = self.curve.ctx
         if self.b == 0:
             raise ValueError("scaling part must be nonzero")
-        if ctx.trace_rel(self.a, self.curve.q, self.curve.r) != 0:
+        if self.a not in self.curve.trace_zero:
             raise ValueError(f"translation part {self.a} has nonzero trace")
 
     @property
@@ -88,10 +87,8 @@ def apply_place(s: CurveAut, P: Place) -> Place:
 
 def enumerate_group(curve: NormTraceCurve) -> list[CurveAut]:
     """All q^{r-1} (q^r - 1) automorphisms, sorted by (a, b)."""
-    ctx = curve.ctx
-    zeros = [a for a in ctx.elements()
-             if ctx.trace_rel(a, curve.q, curve.r) == 0]
-    return [CurveAut(curve, a, b) for a in zeros for b in ctx.nonzero()]
+    return [CurveAut(curve, a, b) for a in sorted(curve.trace_zero)
+            for b in curve.ctx.nonzero()]
 
 
 def orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
@@ -110,10 +107,12 @@ def orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
     return out
 
 
-def short_orbits(curve: NormTraceCurve) -> list[list[Place]]:
-    """Orbits strictly smaller than the group: the fixed place at
-    infinity and the q^{r-1} zeros of x."""
-    group = enumerate_group(curve)
+def short_orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
+    """Orbits strictly smaller than the group (default: the full
+    automorphism group): the fixed place at infinity and the q^{r-1}
+    zeros of x."""
+    if group is None:
+        group = enumerate_group(curve)
     return [orb for orb in orbits(curve, group) if len(orb) < len(group)]
 
 
@@ -122,8 +121,27 @@ def orbit_report(orbit_list: list[list[Place]]) -> list[list[dict]]:
     return [[P.to_dict() for P in orb] for orb in orbit_list]
 
 
+def _coordinate_maps(s: CurveAut, frob: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Tables over all Q elements of the coordinate maps of s followed
+    by the Frobenius x -> x^{p^frob}: x -> (b x)^{p^frob} and
+    y -> (b^c y + a)^{p^frob}."""
+    curve = s.curve
+    ctx = curve.ctx
+    elems = np.arange(ctx.order, dtype=np.int64)
+    frob_map = ctx.vpow(elems, ctx.p ** frob)
+    x_map = frob_map[ctx.vscale(s.b, elems)]
+    y_map = frob_map[ctx.add_table(s.a)[
+        ctx.vscale(ctx.pow(s.b, curve.c), elems)]]
+    return x_map, y_map
+
+
 def fixed_places(s: CurveAut) -> list[Place]:
-    return [P for P in s.curve.rational_places() if apply_place(s, P) == P]
+    places = s.curve.rational_places()
+    pos, xs, ys = s.curve.place_coords
+    x_map, y_map = _coordinate_maps(s)
+    fixed = np.ones(len(places), dtype=bool)  # P_inf is always fixed
+    fixed[pos] = (x_map[xs] == xs) & (y_map[ys] == ys)
+    return [places[i] for i in np.flatnonzero(fixed)]
 
 
 # ----------------------------------------------------------------------
@@ -158,28 +176,47 @@ def frobenius_place(curve: NormTraceCurve, P: Place, e: int) -> Place:
     return Place("affine", ctx.frobenius(P.x, e), ctx.frobenius(P.y, e))
 
 
-def code_action(code: AGCode, g: CodeAut, word: np.ndarray) -> np.ndarray:
-    """Transform a codeword: push coordinates forward along the place
-    permutation (curve automorphism then coordinate Frobenius), apply
-    the Frobenius to every entry, and scale."""
-    curve = code.curve
-    if g.aut.curve != curve:
+def _place_permutation(code: AGCode, g: CodeAut) -> np.ndarray:
+    """perm[i] is the column of the image of the code's i-th place
+    under the curve automorphism then the coordinate Frobenius.
+
+    Raises ValueError if an image is not a place of the code (only a
+    map doctored past CurveAut's checks can do that).
+    """
+    if g.aut.curve != code.curve:
         raise ValueError("automorphism curve does not match the code")
-    ctx = curve.ctx
-    pos = code.place_position()
-    out = np.zeros_like(word)
-    for i, P in enumerate(code.places):
-        img = frobenius_place(curve, apply_place(g.aut, P), g.frob)
-        out[pos[img]] = ctx.mul(g.scalar,
-                                ctx.frobenius(int(word[i]), g.frob))
+    order = code.curve.ctx.order
+    pos, xs, ys = code.place_coords
+    x_map, y_map = _coordinate_maps(g.aut, g.frob)
+    keys = xs * order + ys  # ascending, by affine_coords
+    img = x_map[xs] * order + y_map[ys]
+    at = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+    if not np.array_equal(keys[at], img):
+        raise ValueError("the map sends a place outside the code's places")
+    perm = np.arange(code.n)  # P_inf is fixed
+    perm[pos] = pos[at]
+    return perm
+
+
+def code_action(code: AGCode, g: CodeAut, word: np.ndarray) -> np.ndarray:
+    """Transform one codeword, or every row of a stack of them: push
+    coordinates forward along the place permutation (curve automorphism
+    then coordinate Frobenius), apply the Frobenius to every entry, and
+    scale."""
+    perm = _place_permutation(code, g)
+    ctx = code.curve.ctx
+    elems = np.arange(ctx.order, dtype=np.int64)
+    entry_map = ctx.vscale(g.scalar, ctx.vpow(elems, ctx.p ** g.frob))
+    word = np.asarray(word)
+    out = np.empty_like(word)
+    out[..., perm] = entry_map[word]
     return out
 
 
 def is_code_automorphism(code: AGCode, g: CodeAut) -> bool:
-    """True iff the transform maps the code onto itself, checked by
-    membership of every transformed generator row in the row space."""
-    ctx = code.curve.ctx
+    """True iff the transform maps the code onto itself: the whole
+    generator matrix is transformed at once, and its rows are reduced
+    against the row space as one stack."""
     R, pivots = code.row_space()
-    return all(
-        linalg.in_row_space(ctx, R, pivots, code_action(code, g, row))
-        for row in code.matrix)
+    return linalg.in_row_space(code.curve.ctx, R, pivots,
+                               code_action(code, g, code.matrix))

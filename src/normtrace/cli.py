@@ -193,7 +193,8 @@ def cmd_aut_verify(cfg: RunConfig):
     checks.append(("closure/associativity", closed, how))
     checks.append(("inverses", all(autgroup.inverse(s) in elems for s in group), ""))
 
-    orbit_sizes = sorted(len(o) for o in autgroup.short_orbits(curve))
+    short = autgroup.short_orbits(curve, group)
+    orbit_sizes = sorted(len(o) for o in short)
     checks.append(("short orbits", orbit_sizes == [1, curve.h],
                    f"sizes {orbit_sizes}"))
 
@@ -223,7 +224,7 @@ def cmd_aut_verify(cfg: RunConfig):
     if cfg.fmt == "json":
         rec = {"q": cfg.q, "r": cfg.r, "ell": cfg.ell,
                "group_order": len(group), "short_orbit_sizes": orbit_sizes,
-               "short_orbits": autgroup.orbit_report(autgroup.short_orbits(curve)),
+               "short_orbits": autgroup.orbit_report(short),
                "checks": [{"name": nm, "pass": bool(ps), "detail": dt}
                           for nm, ps, dt in checks]}
         return (0 if ok else 1), json.dumps(rec, indent=2) + "\n"

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .curve import NormTraceCurve, Place, P_INFINITY
+from .curve import NormTraceCurve, Place, P_INFINITY, affine_coords
 from .rrspace import (FunctionElem, MonomialTerm, basis_multipoint,
                       basis_one_point, constant_one, evaluate,
                       extended_evaluate, local_parameter_at_infinity,
@@ -71,8 +72,10 @@ class AGCode:
         R, pivots = self.row_space()
         return linalg.in_row_space(self.curve.ctx, R, pivots, word)
 
-    def place_position(self) -> dict[Place, int]:
-        return {P: i for i, P in enumerate(self.places)}
+    @cached_property
+    def place_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """affine_coords of the code's places (column positions)."""
+        return affine_coords(self.places)
 
     def to_report(self, include_matrix: bool = True) -> dict:
         rep = {

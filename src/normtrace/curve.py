@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+import numpy as np
+
 from .gf import FieldCtx, build_field, prime_power, MAX_ORDER
 
 INFINITY = "infinity"
@@ -51,6 +53,16 @@ class Place:
 
 
 P_INFINITY = Place(INFINITY)
+
+
+def affine_coords(places) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the affine places in the sequence, with their x and
+    y indices, sorted by the key x * Q + y for any field order Q."""
+    pos = [i for i, P in enumerate(places) if not P.is_infinity]
+    pos.sort(key=lambda i: (places[i].x, places[i].y))
+    return (np.array(pos, dtype=np.int64),
+            np.array([places[i].x for i in pos], dtype=np.int64),
+            np.array([places[i].y for i in pos], dtype=np.int64))
 
 
 def place_from_dict(d: dict) -> Place:
@@ -161,6 +173,11 @@ class NormTraceCurve:
             fibers.setdefault(self.ctx.trace_rel(y, self.q, self.r), []).append(y)
         return fibers
 
+    @cached_property
+    def trace_zero(self) -> frozenset[int]:
+        """Elements of trace zero: the translation parts of the group."""
+        return frozenset(self._trace_fibers.get(0, ()))
+
     def x_fiber(self, x: int) -> list[Place]:
         """Affine places with the given x coordinate, in canonical order."""
         t = self.ctx.norm_rel(x, self.q, self.r)
@@ -176,6 +193,11 @@ class NormTraceCurve:
     def rational_places(self) -> tuple[Place, ...]:
         """All q^{2r-1} + 1 rational places, infinity first."""
         return self.places
+
+    @cached_property
+    def place_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """affine_coords of the rational places."""
+        return affine_coords(self.places)
 
     @cached_property
     def omega(self) -> tuple[Place, ...]:

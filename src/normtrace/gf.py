@@ -401,6 +401,19 @@ class FieldCtx:
                                     dtype=np.int64)
         return self._neg_np
 
+    def add_table(self, a: int) -> np.ndarray:
+        """The table v -> v + a over all elements, by base-p digit
+        arithmetic: no Q x Q table, so it works at every order."""
+        idx = np.arange(self.order, dtype=np.int64)
+        if self.p == 2:
+            return idx ^ a
+        out = np.zeros_like(idx)
+        mult = 1
+        for _ in range(self.k):
+            out += (idx // mult + a // mult) % self.p * mult
+            mult *= self.p
+        return out
+
     def vadd(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return u ^ v
@@ -410,9 +423,6 @@ class FieldCtx:
         if self.p == 2:
             return u
         return self.neg_np[u]
-
-    def vsub(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.vadd(u, self.vneg(v))
 
     def vscale(self, s: int, u: np.ndarray) -> np.ndarray:
         """Scalar times vector of element indices."""

@@ -14,10 +14,6 @@ import numpy as np
 from .gf import FieldCtx
 
 
-def as_matrix(rows) -> np.ndarray:
-    return np.array(rows, dtype=np.int64)
-
-
 def rref(ctx: FieldCtx, mat: np.ndarray):
     """Reduced row echelon form.
 
@@ -58,16 +54,24 @@ def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
 
 
 def reduce_vector(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> np.ndarray:
-    """Residual of vec after elimination against the RREF rows."""
-    v = np.array(vec, dtype=np.int64)
+    """Residual of vec after elimination against the RREF rows.
+
+    vec is one vector or a stack of rows (2-D); every row is reduced in
+    the same pass over the pivots, and the residual has vec's shape.
+    """
+    out = np.array(vec, dtype=np.int64)
+    rows = out.reshape(-1, out.shape[-1])  # a view: rows alias out
     for r, col in enumerate(pivots):
-        f = int(v[col])
-        if f:
-            v = ctx.vadd(v, ctx.vneg(ctx.vscale(f, R[r])))
-    return v
+        hit = np.nonzero(rows[:, col])[0]
+        if len(hit):
+            prod = ctx.vmul_outer(rows[hit, col], R[r])
+            rows[hit] = ctx.vadd(rows[hit], ctx.vneg(prod))
+    return out
 
 
 def in_row_space(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> bool:
+    """True iff vec (one vector, or every row of a stack) lies in the
+    row space of the RREF rows."""
     return not reduce_vector(ctx, R, pivots, vec).any()
 
 
@@ -83,4 +87,4 @@ def row_space_equal(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> bool:
 def row_space_contains(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> bool:
     """True iff every row of B lies in the row space of A."""
     RA, pa = rref(ctx, A)
-    return all(in_row_space(ctx, RA, pa, b) for b in B)
+    return in_row_space(ctx, RA, pa, B)

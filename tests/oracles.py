@@ -2,8 +2,15 @@
 
 These deliberately avoid the library's own code paths: the lattice
 count enumerates pairs directly, irreducibility is tested by trial
-factorization, and semigroup membership by double loop.
+factorization, and semigroup membership by double loop.  The code
+action, fixed places and row reduction are computed one place or one
+entry at a time with the scalar field operations, where the library
+works on whole arrays.
 """
+
+import numpy as np
+
+from normtrace.autgroup import apply_place, frobenius_place
 
 
 def lattice_dimension(q: int, r: int, ell: int) -> int:
@@ -69,3 +76,32 @@ def _poly_divides(g, f, p):
         while f and f[-1] == 0:
             f.pop()
     return not any(f)
+
+
+def code_action_by_places(code, g, word):
+    """The code action on one word, place by place: the image place of
+    each coordinate, and the scaled Frobenius of each entry."""
+    curve = code.curve
+    ctx = curve.ctx
+    pos = {P: i for i, P in enumerate(code.places)}
+    out = np.zeros_like(word)
+    for i, P in enumerate(code.places):
+        img = frobenius_place(curve, apply_place(g.aut, P), g.frob)
+        out[pos[img]] = ctx.mul(g.scalar,
+                                ctx.frobenius(int(word[i]), g.frob))
+    return out
+
+
+def fixed_places_by_places(s):
+    return [P for P in s.curve.rational_places() if apply_place(s, P) == P]
+
+
+def reduce_row_by_entries(ctx, R, pivots, vec):
+    """Residual of one vector against unit-pivot RREF rows, entry by
+    entry with the scalar field operations."""
+    v = [int(c) for c in vec]
+    for r, col in enumerate(pivots):
+        f = v[col]
+        if f:
+            v = [ctx.sub(c, ctx.mul(f, int(rc))) for c, rc in zip(v, R[r])]
+    return v

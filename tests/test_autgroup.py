@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -9,7 +10,8 @@ from normtrace.autgroup import (CodeAut, CurveAut, apply_place, code_action,
                                 frobenius_place, identity_aut, inverse,
                                 is_code_automorphism, orbits, short_orbits)
 from normtrace.codes import build_code
-from normtrace.curve import P_INFINITY
+from normtrace.curve import P_INFINITY, build_curve
+from oracles import code_action_by_places, fixed_places_by_places
 
 
 def test_group_order(curve23, curve33):
@@ -131,6 +133,12 @@ def test_fixed_place_bound(curve23, curve33):
         assert worst <= bound
 
 
+def test_fixed_places_match_oracle(curve23, curve33):
+    for cv in (curve23, curve33):
+        for s in enumerate_group(cv):
+            assert fixed_places(s) == fixed_places_by_places(s)
+
+
 def test_divisor_invariance(curve23):
     # sigma(G) = G and sigma(D) = D for every group element
     from normtrace.curve import Divisor
@@ -179,6 +187,26 @@ def test_frobenius_and_scalar_action(curve23):
             assert curve23.on_curve(img.x, img.y)
 
 
+@pytest.mark.parametrize("q, r, ell", [(2, 3, 2), (3, 3, 2), (2, 4, 2),
+                                        (4, 3, 1)])
+def test_code_action_matches_oracle(q, r, ell):
+    curve = build_curve(q, r)
+    code = build_code(curve, ell)
+    group = enumerate_group(curve)
+    rng = random.Random(q * 10 + r)
+    words = np.random.default_rng(q * 10 + r)
+    for _ in range(4):
+        g = CodeAut(rng.choice(group), frob=rng.randrange(curve.ctx.k),
+                    scalar=rng.randrange(1, curve.ctx.order))
+        word = words.integers(0, curve.ctx.order, code.n)
+        assert np.array_equal(code_action(code, g, word),
+                              code_action_by_places(code, g, word))
+        assert np.array_equal(
+            code_action(code, g, code.matrix),
+            np.vstack([code_action_by_places(code, g, row)
+                       for row in code.matrix]))
+
+
 def test_membership_check_has_teeth(curve23):
     # an arbitrary transposition of two Theta coordinates is not an
     # automorphism of this code: some generator row must leave the space
@@ -188,6 +216,32 @@ def test_membership_check_has_teeth(curve23):
     swapped = code.matrix.copy()
     swapped[:, [1, 2]] = swapped[:, [2, 1]]
     assert not all(linalg.in_row_space(ctx, R, pivots, row) for row in swapped)
+    # the batched path rejects the whole stack
+    assert linalg.reduce_vector(ctx, R, pivots, swapped).any()
+    assert not linalg.in_row_space(ctx, R, pivots, swapped)
+    assert not linalg.row_space_contains(ctx, code.matrix, swapped)
+    # and the swapped code is not preserved by every curve automorphism
+    swapped_code = dataclasses.replace(code, matrix=swapped, _rref=None)
+    assert not all(is_code_automorphism(swapped_code, CodeAut(s))
+                   for s in enumerate_group(curve23))
+
+
+def test_doctored_translation_is_rejected(curve23):
+    # a CurveAut forced past validation to a nonzero-trace translation
+    # moves places off the curve: the action must raise, not permute
+    code = build_code(curve23, 2)
+    ctx = curve23.ctx
+    bad_a = next(a for a in ctx.elements() if ctx.trace_rel(a, 2, 3) != 0)
+    for b in (1, 3):
+        s = CurveAut(curve23, 0, b)
+        object.__setattr__(s, "a", bad_a)
+        for g in (CodeAut(s), CodeAut(s, frob=1, scalar=5)):
+            with pytest.raises(ValueError):
+                code_action(code, g, code.matrix[0])
+            with pytest.raises(ValueError):
+                code_action(code, g, code.matrix)
+            with pytest.raises(ValueError):
+                is_code_automorphism(code, g)
 
 
 def test_curve_mismatch(curve23, curve33):

@@ -65,6 +65,17 @@ def test_x_fibers(curve23):
         assert len(curve23.x_fiber(x)) == curve23.h
 
 
+def test_trace_zero_and_place_coords_are_lazy():
+    cv = build_curve(3, 3)
+    assert "trace_zero" not in vars(cv) and "place_coords" not in vars(cv)
+    assert cv.trace_zero == {a for a in cv.ctx.elements()
+                             if cv.ctx.trace_rel(a, 3, 3) == 0}
+    pos, xs, ys = cv.place_coords
+    assert [cv.places[i] for i in pos] == [
+        Place("affine", x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert pos.tolist() == list(range(1, len(cv.places)))
+
+
 def test_omega_theta(curve23, curve33):
     assert len(curve23.omega) == 4 and len(curve23.theta) == 29
     assert len(curve33.omega) == 9 and len(curve33.theta) == 235

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from normtrace import gf
 from normtrace.gf import (FieldElement, arith, build_field, field_from_dict,
                           frobenius, norm_rel, subfield_elements, trace_rel)
 from oracles import irreducible_by_trial
@@ -144,6 +146,16 @@ def test_trace_linearity_and_fibers():
             for a in range(0, ctx.order, 7):
                 assert (ctx.trace_rel(ctx.mul(lam, a), q, r)
                         == ctx.mul(lam, ctx.trace_rel(a, q, r)))
+
+
+def test_add_table_matches_scalar_add(f8):
+    f3_8 = build_field(3, 8)
+    assert f3_8.order > gf._ADD_TABLE_MAX_ORDER  # no Q x Q table here
+    rng = random.Random(11)
+    for ctx in (f8, f3_8):
+        for a in {0, 1, ctx.order - 1, rng.randrange(ctx.order)}:
+            assert (ctx.add_table(a).tolist()
+                    == [ctx.add(v, a) for v in ctx.elements()])
 
 
 def test_norm_values(f8, f27):

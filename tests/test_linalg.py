@@ -5,6 +5,7 @@ import pytest
 
 from normtrace import linalg
 from normtrace.gf import build_field
+from oracles import reduce_row_by_entries
 
 
 def test_rref_gf2():
@@ -48,6 +49,27 @@ def test_membership(f8):
     outsider = np.array([1, 0, 0, 1])
     assert not linalg.in_row_space(f8, R, pivots, outsider)
     assert not linalg.reduce_vector(f8, R, pivots, member).any()
+
+
+@pytest.mark.parametrize("field", ["f8", "f27"])
+def test_reduce_vector_stack_matches_rows(field, request):
+    ctx = request.getfixturevalue(field)
+    rng = np.random.default_rng(7)
+    M = rng.integers(0, ctx.order, (4, 9))
+    M[3] = ctx.vadd(M[0], ctx.vscale(2, M[1]))  # rank 3
+    R, pivots = linalg.rref(ctx, M)
+    V = rng.integers(0, ctx.order, (6, 9))
+    V[0] = 0
+    V[1] = ctx.vadd(ctx.vscale(5, M[0]), M[2])  # a member
+    V[2] = R[0]
+    res = linalg.reduce_vector(ctx, R, pivots, V)
+    assert res.shape == V.shape
+    assert res.tolist() == [reduce_row_by_entries(ctx, R, pivots, v)
+                            for v in V]
+    assert not res[:3].any() and res[3:].any()
+    assert np.array_equal(linalg.reduce_vector(ctx, R, pivots, V[4]), res[4])
+    assert not linalg.in_row_space(ctx, R, pivots, V)
+    assert linalg.in_row_space(ctx, R, pivots, V[:3])
 
 
 def test_row_space_equal_detects_difference(f8):
