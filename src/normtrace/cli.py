@@ -23,7 +23,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import autgroup, codes, sepcurve
 from .curve import build_curve
@@ -33,67 +32,50 @@ from .rrspace import semigroup_nongaps
 DEFAULT_BUDGET = 1 << 20
 
 
-@dataclass
-class RunConfig:
-    command: str
-    q: int | None = None
-    r: int | None = None
-    ell: int | None = None
-    ell_max: int | None = None
-    spec_path: str | None = None
-    search_field: int | None = None
-    fmt: str = "text"
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-
-
 def _field_of_order(order: int):
     p, k = prime_power(order)
     return build_field(p, k)
 
 
 # ----------------------------------------------------------------------
-# Commands: each returns (exit_code, data_string)
+# Commands: each takes the parsed arguments (with --format resolved to
+# the command's default) and returns (exit_code, data_string)
 # ----------------------------------------------------------------------
 
-def cmd_field_info(cfg: RunConfig):
-    ctx = _field_of_order(cfg.q)
+def cmd_field_info(args):
+    ctx = _field_of_order(args.q)
     rec = ctx.to_dict()
-    if cfg.fmt == "json":
+    if args.format == "json":
         return 0, json.dumps(rec, indent=2) + "\n"
-    lines = [f"GF({cfg.q}) = GF({rec['p']}^{rec['k']})",
+    lines = [f"GF({args.q}) = GF({rec['p']}^{rec['k']})",
              f"modulus coefficients (low to high): {rec['modulus']}",
              f"generator index: {rec['generator_index']}"]
     return 0, "\n".join(lines) + "\n"
 
 
-def cmd_curve_info(cfg: RunConfig):
-    curve = build_curve(cfg.q, cfg.r)
+def cmd_curve_info(args):
+    curve = build_curve(args.q, args.r)
     places = curve.rational_places()
+    n_theta = len(places) - len(curve.omega)
     info = {
         "q": curve.q,
         "r": curve.r,
         "genus": curve.genus,
         "n_places": len(places),
         "n_omega": len(curve.omega),
-        "n_theta": len(curve.theta),
+        "n_theta": n_theta,
         "div_x": curve.principal_divisor_x().to_dict(),
         "div_y": curve.principal_divisor_y().to_dict(),
         "nongaps_up_to_2g": semigroup_nongaps(curve, 2 * curve.genus),
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         return 0, json.dumps(info, indent=2) + "\n"
     lines = [
         f"norm-trace curve q={curve.q} r={curve.r} over GF({curve.q ** curve.r})",
         f"genus: {curve.genus}",
         f"rational places: {len(places)}",
         f"|Omega| (zeros of x): {len(curve.omega)}",
-        f"|Theta|: {len(curve.theta)}",
+        f"|Theta|: {n_theta}",
         f"(x) = sum(Omega) - {curve.h} * P_inf",
         f"(y) = {curve.c} * P(0,0) - {curve.c} * P_inf",
         f"semigroup non-gaps up to 2g: {info['nongaps_up_to_2g']}",
@@ -101,20 +83,22 @@ def cmd_curve_info(cfg: RunConfig):
     return 0, "\n".join(lines) + "\n"
 
 
-def _table_rows(cfg: RunConfig):
-    curve = build_curve(cfg.q, cfg.r)
-    lo = cfg.ell if cfg.ell else 1
-    hi = cfg.ell_max if cfg.ell_max else (cfg.ell if cfg.ell else cfg.q ** cfg.r - 1)
-    if lo > hi:
-        raise ValueError(f"empty ell range {lo}..{hi}")
+def _table_rows(args):
+    curve = build_curve(args.q, args.r)
+    top = args.q ** args.r - 1
+    lo = 1 if args.ell is None else args.ell
+    hi = args.ell_max if args.ell_max is not None else (
+        top if args.ell is None else lo)
+    if not 1 <= lo <= hi <= top:
+        raise ValueError(f"ell range {lo}..{hi} is empty or not within 1..{top}")
     rows = []
     all_agree = True
     for ell in range(lo, hi + 1):
         code = codes.build_code(curve, ell)
-        k_formula = codes.dimension_closed_form(cfg.q, cfg.r, ell)
+        k_formula = codes.dimension_closed_form(args.q, args.r, ell)
         d_exact = ""
-        if curve.ctx.order ** code.k <= cfg.budget:
-            d_exact = codes.min_distance_exhaustive(code, cfg.budget,
+        if curve.ctx.order ** code.k <= args.budget:
+            d_exact = codes.min_distance_exhaustive(code, args.budget,
                                                     stop_at=code.d_star)
         agree = code.k == k_formula
         all_agree = all_agree and agree
@@ -124,10 +108,10 @@ def _table_rows(cfg: RunConfig):
     return rows, all_agree
 
 
-def cmd_code_table(cfg: RunConfig):
-    rows, all_agree = _table_rows(cfg)
+def cmd_code_table(args):
+    rows, all_agree = _table_rows(args)
     status = 0 if all_agree else 1
-    if cfg.fmt == "json":
+    if args.format == "json":
         return status, json.dumps(rows, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -136,10 +120,10 @@ def cmd_code_table(cfg: RunConfig):
     return status, buf.getvalue()
 
 
-def cmd_code_build(cfg: RunConfig):
-    curve = build_curve(cfg.q, cfg.r)
-    code = codes.build_code(curve, cfg.ell)
-    if cfg.fmt == "csv":
+def cmd_code_build(args):
+    curve = build_curve(args.q, args.r)
+    code = codes.build_code(curve, args.ell)
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in code.matrix.tolist():
@@ -148,24 +132,24 @@ def cmd_code_build(cfg: RunConfig):
     return 0, json.dumps(code.to_report(), indent=2) + "\n"
 
 
-def cmd_min_dist(cfg: RunConfig):
-    curve = build_curve(cfg.q, cfg.r)
-    code = codes.build_code(curve, cfg.ell)
+def cmd_min_dist(args):
+    curve = build_curve(args.q, args.r)
+    code = codes.build_code(curve, args.ell)
     space = curve.ctx.order ** code.k
     if space > 1 << 22:
         print(f"enumerating {space} messages ...", file=sys.stderr)
-    d = codes.min_distance_exhaustive(code, cfg.budget, stop_at=code.d_star)
-    rec = {"q": cfg.q, "r": cfg.r, "ell": cfg.ell, "n": code.n, "k": code.k,
+    d = codes.min_distance_exhaustive(code, args.budget, stop_at=code.d_star)
+    rec = {"q": args.q, "r": args.r, "ell": args.ell, "n": code.n, "k": code.k,
            "d_star": code.d_star, "d_exact": d,
            "attains_designed": d == code.d_star}
-    if cfg.fmt == "json":
+    if args.format == "json":
         return 0, json.dumps(rec, indent=2) + "\n"
     return 0, (f"[n={code.n}, k={code.k}] d* = {code.d_star}, "
                f"exhaustive d = {d}\n")
 
 
-def cmd_aut_verify(cfg: RunConfig):
-    curve = build_curve(cfg.q, cfg.r)
+def cmd_aut_verify(args):
+    curve = build_curve(args.q, args.r)
     group = autgroup.enumerate_group(curve)
     checks = []
 
@@ -179,7 +163,7 @@ def cmd_aut_verify(cfg: RunConfig):
                      for s1 in group for s2 in group)
         how = "exhaustive"
     else:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         closed = True
         for _ in range(10_000):
             s1, s2, s3 = (rng.choice(group) for _ in range(3))
@@ -203,12 +187,12 @@ def cmd_aut_verify(cfg: RunConfig):
                 if not s.is_identity)
     checks.append((f"fixed places <= {bound}", worst <= bound, f"max {worst}"))
 
-    code = codes.build_code(curve, cfg.ell)
+    code = codes.build_code(curve, args.ell)
     ident = autgroup.identity_aut(curve)
     inv_curve = all(autgroup.is_code_automorphism(code, autgroup.CodeAut(s))
                     for s in group)
     checks.append((f"code invariance: {len(group)} curve automorphisms",
-                   inv_curve, f"ell={cfg.ell}"))
+                   inv_curve, f"ell={args.ell}"))
     inv_frob = all(
         autgroup.is_code_automorphism(code, autgroup.CodeAut(ident, frob=e))
         for e in range(curve.ctx.k))
@@ -221,25 +205,25 @@ def cmd_aut_verify(cfg: RunConfig):
                    inv_scal, ""))
 
     ok = all(passed for _, passed, _ in checks)
-    if cfg.fmt == "json":
-        rec = {"q": cfg.q, "r": cfg.r, "ell": cfg.ell,
+    if args.format == "json":
+        rec = {"q": args.q, "r": args.r, "ell": args.ell,
                "group_order": len(group), "short_orbit_sizes": orbit_sizes,
                "short_orbits": autgroup.orbit_report(short),
                "checks": [{"name": nm, "pass": bool(ps), "detail": dt}
                           for nm, ps, dt in checks]}
         return (0 if ok else 1), json.dumps(rec, indent=2) + "\n"
-    lines = [f"automorphism group of N_{{{cfg.q},{cfg.r}}}: order {len(group)}"]
+    lines = [f"automorphism group of N_{{{args.q},{args.r}}}: order {len(group)}"]
     lines += [f"{'PASS' if ps else 'FAIL'}  {nm}" + (f"  [{dt}]" if dt else "")
               for nm, ps, dt in checks]
     return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def cmd_classify(cfg: RunConfig):
+def cmd_classify(args):
     try:
-        with open(cfg.spec_path) as fh:
+        with open(args.spec) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise RuntimeError(f"cannot read spec file {cfg.spec_path}: {exc}")
+        raise RuntimeError(f"cannot read spec file {args.spec}: {exc}")
     spec = sepcurve.spec_from_dict(raw)
     sepcurve.validate(spec)
     result = sepcurve.classify(spec)
@@ -249,11 +233,11 @@ def cmd_classify(cfg: RunConfig):
     rec["m"] = spec.m
     rec["genus"] = sepcurve.genus(spec)
     status = 0
-    if cfg.search_field:
-        field = _field_of_order(cfg.search_field)
+    if args.search_field is not None:
+        field = _field_of_order(args.search_field)
         maps = sepcurve.brute_force_stabilizer_search(spec, field,
-                                                      budget=cfg.budget)
-        rec["search_field"] = cfg.search_field
+                                                      budget=args.budget)
+        rec["search_field"] = args.search_field
         rec["search_count"] = len(maps)
         predicted = result.predicted_stabilizer_order
         if result.case != sepcurve.NON_MONOMIAL and len(maps) != predicted:
@@ -261,7 +245,7 @@ def cmd_classify(cfg: RunConfig):
         rec["search_matches_prediction"] = (
             len(maps) == predicted if result.case != sepcurve.NON_MONOMIAL
             else None)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return status, json.dumps(rec, indent=2) + "\n"
     lines = [f"separated curve: p={spec.p}, n={spec.n}, m={spec.m}, "
              f"genus {rec['genus']}",
@@ -274,7 +258,7 @@ def cmd_classify(cfg: RunConfig):
     for gen in result.generators:
         lines.append(f"generators [{gen.kind} x{gen.count}]: {gen.description}")
     if "search_count" in rec:
-        lines.append(f"stabilizer search over GF({cfg.search_field}): "
+        lines.append(f"stabilizer search over GF({args.search_field}): "
                      f"{rec['search_count']} maps found")
     for note in result.notes:
         lines.append(f"note: {note}")
@@ -311,11 +295,10 @@ def _build_parser():
     sp.add_argument("--q", type=int, required=True, help="field order")
     common(sp)
 
-    for name in ("curve-info",):
-        sp = sub.add_parser(name, help="curve invariants and divisors")
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--r", type=int, required=True)
-        common(sp)
+    sp = sub.add_parser("curve-info", help="curve invariants and divisors")
+    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--r", type=int, required=True)
+    common(sp)
 
     sp = sub.add_parser("code-table", help="code parameters over an ell range")
     sp.add_argument("--q", type=int, required=True)
@@ -325,12 +308,11 @@ def _build_parser():
                     help="last ell (default q^r - 1)")
     common(sp)
 
-    for name, need_ell in (("code-build", True), ("min-dist", True),
-                           ("aut-verify", True)):
+    for name in ("code-build", "min-dist", "aut-verify"):
         sp = sub.add_parser(name)
         sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--r", type=int, required=True)
-        sp.add_argument("--ell", type=int, required=need_ell)
+        sp.add_argument("--ell", type=int, required=True)
         common(sp)
 
     sp = sub.add_parser("classify", help="separated-curve classification")
@@ -345,26 +327,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     fn, default_fmt = _COMMANDS[args.command]
+    args.format = args.format or default_fmt
     try:
-        cfg = RunConfig(
-            command=args.command,
-            q=getattr(args, "q", None),
-            r=getattr(args, "r", None),
-            ell=getattr(args, "ell", None),
-            ell_max=getattr(args, "ell_max", None),
-            spec_path=getattr(args, "spec", None),
-            search_field=getattr(args, "search_field", None),
-            fmt=args.format or default_fmt,
-            budget=args.budget,
-            seed=args.seed,
-            out=args.out,
-        )
-        status, data = fn(cfg)
+        if args.budget <= 0:
+            raise ValueError("budget must be positive")
+        status, data = fn(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data)

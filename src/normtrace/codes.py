@@ -60,7 +60,6 @@ class AGCode:
     k: int
     d_star: int
     d_exact: int | None = None
-    local_param: MonomialTerm | None = None
     _rref: tuple | None = field(default=None, repr=False)
 
     def row_space(self):
@@ -94,33 +93,13 @@ class AGCode:
         return rep
 
 
-def _affine_columns(curve: NormTraceCurve, places) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([P.x for P in places if not P.is_infinity], dtype=np.int64)
-    ys = np.array([P.y for P in places if not P.is_infinity], dtype=np.int64)
-    return xs, ys
-
-
 def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
     """The multi-point code: evaluate the L(ell * Omega) monomial basis
     over Theta.  The evaluation map is injective (n > deg G), so the
     matrix rank equals the basis size; this is checked."""
     _check_ell(curve, ell)
-    places = curve.theta
-    basis = tuple(basis_multipoint(curve, ell))
-    xs, ys = _affine_columns(curve, places)
-    ctx = curve.ctx
-    rows = []
-    for t in basis:
-        col_inf = evaluate(monomial(curve, 1, t.i, t.j), P_INFINITY)
-        vals = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
-        rows.append(np.concatenate(([col_inf], vals)))
-    matrix = np.vstack(rows)
-    code = AGCode(curve, ell, MULTIPOINT, places, basis, matrix,
-                  n=len(places), k=len(basis),
-                  d_star=designed_distance(curve, ell))
-    if len(code.row_space()[1]) != code.k:
-        raise AssertionError("evaluation matrix rank dropped below basis size")
-    return code
+    return _evaluation_code(curve, ell, MULTIPOINT,
+                            basis_multipoint(curve, ell), 0)
 
 
 def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
@@ -128,23 +107,30 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
     over Theta, with the P_inf entry taken through t^{ell*h} for the
     canonical local parameter t."""
     _check_ell(curve, ell)
+    return _evaluation_code(curve, ell, EXTENDED_ONE_POINT,
+                            basis_one_point(curve, ell * curve.h),
+                            ell * curve.h)
+
+
+def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
+                     n_inf: int) -> AGCode:
+    """Evaluate the monomials x^i y^j of basis over Theta; P_inf carries
+    weight n_inf in the divisor, so its entry is the value of
+    t^{n_inf} x^i y^j there (plain evaluation at n_inf = 0)."""
     places = curve.theta
-    basis = tuple(basis_one_point(curve, ell * curve.h))
-    t_loc = local_parameter_at_infinity(curve)
-    n_inf = ell * curve.h
-    xs, ys = _affine_columns(curve, places)
-    ctx = curve.ctx
-    rows = []
-    for t in basis:
-        f = monomial(curve, 1, t.i, t.j)
-        col_inf = extended_evaluate(f, P_INFINITY, n_inf, t_loc)
-        vals = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
-        rows.append(np.concatenate(([col_inf], vals)))
-    matrix = np.vstack(rows)
-    code = AGCode(curve, ell, EXTENDED_ONE_POINT, places, basis, matrix,
+    basis = tuple(basis)
+    code = AGCode(curve, ell, kind, places, basis,
+                  np.empty((len(basis), len(places)), dtype=np.int64),
                   n=len(places), k=len(basis),
-                  d_star=designed_distance(curve, ell),
-                  local_param=t_loc)
+                  d_star=designed_distance(curve, ell))
+    pos, xs, ys = code.place_coords
+    inf = places.index(P_INFINITY)
+    t_loc = local_parameter_at_infinity(curve)
+    ctx = curve.ctx
+    for row, t in zip(code.matrix, basis):
+        row[inf] = extended_evaluate(monomial(curve, 1, t.i, t.j),
+                                     P_INFINITY, n_inf, t_loc)
+        row[pos] = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
     if len(code.row_space()[1]) != code.k:
         raise AssertionError("evaluation matrix rank dropped below basis size")
     return code
@@ -299,15 +285,12 @@ def equivalence_diagonal(curve: NormTraceCurve, ell: int,
     """The explicit diagonal tying the multi-point code to the extended
     one-point code: x(P)^ell at affine places, and the extended value of
     t^{ell*h} x^ell at P_inf."""
-    ctx = curve.ctx
-    t_loc = local_parameter_at_infinity(curve)
-    out = np.empty(len(places), dtype=np.int64)
-    for idx, P in enumerate(places):
-        if P.is_infinity:
-            out[idx] = extended_evaluate(monomial(curve, 1, ell, 0),
-                                         P_INFINITY, ell * curve.h, t_loc)
-        else:
-            out[idx] = ctx.pow(P.x, ell)
+    at_inf = extended_evaluate(monomial(curve, 1, ell, 0), P_INFINITY,
+                               ell * curve.h,
+                               local_parameter_at_infinity(curve))
+    out = np.full(len(places), at_inf, dtype=np.int64)
+    pos, xs, _ = affine_coords(places)
+    out[pos] = curve.ctx.vpow(xs, ell)
     return out
 
 

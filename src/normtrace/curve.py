@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, build_field, prime_power, MAX_ORDER
+from .gf import FieldCtx, build_field, check_order, prime_power
 
 INFINITY = "infinity"
 AFFINE = "affine"
@@ -140,8 +140,7 @@ class NormTraceCurve:
         p, e = prime_power(q)
         if r < 2:
             raise ValueError(f"r = {r} must be >= 2")
-        if q ** r > MAX_ORDER:
-            raise ValueError(f"field order {q**r} exceeds limit {MAX_ORDER}")
+        check_order(q, r)
         self.q = q
         self.r = r
         self.p = p

@@ -44,10 +44,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_order(p: int, e: int):
+    """Raise ValueError if p^e exceeds MAX_ORDER (for p >= 2), without
+    forming p^e for a huge e: 2^e alone exceeds it once e reaches
+    MAX_ORDER's bit length."""
+    if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+        order = f"{p}^{e}" if e > 1 else p
+        raise ValueError(f"field order {order} exceeds limit {MAX_ORDER}")
+
+
 def prime_power(n: int) -> tuple[int, int]:
-    """Write n = p^e with p prime, or raise ValueError."""
+    """Write n = p^e with p prime, or raise ValueError.  n must not
+    exceed MAX_ORDER, which is checked before any trial division."""
     if n < 2:
         raise ValueError(f"{n} is not a prime power")
+    check_order(n, 1)
     for p in range(2, n + 1):
         if p * p > n:
             return n, 1  # n itself prime (no divisor <= sqrt)
@@ -189,13 +200,13 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, k: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError(f"extension degree k = {k} must be >= 1")
+        if p >= 2:
+            check_order(p, k)
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         order = p ** k
-        if order > MAX_ORDER:
-            raise ValueError(f"field order {order} exceeds limit {MAX_ORDER}")
         if modulus is None:
             modulus = smallest_irreducible(p, k)
         else:

@@ -500,8 +500,7 @@ def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
 
 def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
                                   search_field: FieldCtx,
-                                  budget: int | None = None,
-                                  check_group: bool = True) -> list[AffineAut]:
+                                  budget: int | None = None) -> list[AffineAut]:
     """All affine maps x -> b x + c0, y -> a y + Q(x) (deg Q * p^n < m)
     whose pullback of A(Y) - B(X) is a constant multiple of itself.
 
@@ -518,8 +517,7 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     p, n, m = spec_f.p, spec_f.n, spec_f.m
     max_qdeg = (m - 1) // (p ** n)
     # a must scale every A-term the same way: a^{p^j} = a for all j
-    survivors = [a for a in ctx.nonzero()
-                 if all(ctx.pow(a, p ** j) == a for j in spec_f.a_coeffs)]
+    survivors = mu_fixers(spec_f)
     cost = len(survivors) * (ctx.order - 1) * ctx.order
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
@@ -539,8 +537,7 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
                                                   preimages):
                     found.append(AffineAut(ctx, a, b, c0, q))
     found.sort(key=AffineAut.sort_key)
-    if check_group:
-        assert_group(found)
+    assert_group(found)
     return found
 
 

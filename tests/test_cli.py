@@ -1,11 +1,17 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
 from normtrace.cli import main
 from normtrace.gf import field_from_dict
+
+CASE_II_SPEC = {"p": 2, "field": {"p": 2, "k": 1},
+                "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1},
+                      {"j": 2, "a_j_index": 1}],
+                "B": [0, 0, 0, 1]}
 
 
 def run(capsys, *argv):
@@ -101,12 +107,8 @@ def test_aut_verify_json_orbits(capsys):
 
 
 def test_classify(capsys, tmp_path):
-    spec = {"p": 2, "field": {"p": 2, "k": 1},
-            "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1},
-                  {"j": 2, "a_j_index": 1}],
-            "B": [0, 0, 0, 1]}
     path = tmp_path / "case_ii.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(CASE_II_SPEC))
     rc, out, _ = run(capsys, "classify", "--spec", str(path),
                      "--search-field", "64")
     assert rc == 0
@@ -118,6 +120,15 @@ def test_classify(capsys, tmp_path):
     assert rec["search_count"] == 12
     assert rec["predicted_stabilizer_order"] == 12
     assert rec["search_matches_prediction"] is True
+
+
+def test_classify_rejects_search_field_zero(capsys, tmp_path):
+    path = tmp_path / "case_ii.json"
+    path.write_text(json.dumps(CASE_II_SPEC))
+    rc, out, err = run(capsys, "classify", "--spec", str(path),
+                       "--search-field", "0")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_classify_missing_file(capsys):
@@ -153,3 +164,45 @@ def test_budget_flag_controls_exhaustive_column(capsys):
                      "--ell", "3", "--budget", "1000")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["d_exact"] == ""  # 8^6 exceeds the budget
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--q", "2305843009213693951"],
+    ["curve-info", "--q", "2305843009213693951", "--r", "2"],
+    ["curve-info", "--q", "3", "--r", "100000000"],
+    ["classify", "--spec", "{big_spec}"],
+    ["classify", "--spec", "{small_spec}",
+     "--search-field", "2305843009213693951"],
+])
+def test_oversized_orders_refused_before_factoring(capsys, tmp_path, argv):
+    # 2^61 - 1 is prime: trial division to its square root, or forming
+    # 3^100000000, would run for far longer than the limit check.
+    big, small = tmp_path / "big.json", tmp_path / "small.json"
+    p = 2305843009213693951
+    big.write_text(json.dumps({"p": p, "field": {"p": p, "k": 1},
+                               "A": [{"j": 0, "a_j_index": 1}],
+                               "B": [0, 0, 1]}))
+    small.write_text(json.dumps(CASE_II_SPEC))
+    argv = [a.format(big_spec=big, small_spec=small) for a in argv]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "exceeds limit" in err
+
+
+@pytest.mark.parametrize("bounds", [["--ell", "0"], ["--ell-max", "0"],
+                                    ["--ell", "3", "--ell-max", "0"],
+                                    ["--ell", "8"], ["--ell-max", "8"]])
+def test_code_table_rejects_ell_out_of_range(capsys, bounds):
+    rc, out, err = run(capsys, "code-table", "--q", "2", "--r", "3", *bounds)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_must_be_positive(capsys, budget):
+    rc, out, err = run(capsys, "code-table", "--q", "2", "--r", "3",
+                       "--budget", budget)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "budget must be positive" in err

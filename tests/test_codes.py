@@ -11,7 +11,8 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
 from normtrace.curve import P_INFINITY
-from normtrace.rrspace import evaluate
+from normtrace.rrspace import (evaluate, extended_evaluate,
+                               local_parameter_at_infinity, monomial)
 from oracles import lattice_dimension
 
 
@@ -32,12 +33,21 @@ def test_build_code_range_errors(curve23):
         build_code(curve23, 8)
 
 
-def test_rows_are_basis_evaluations(curve23):
-    code = build_code(curve23, 3)
-    from normtrace.rrspace import monomial
-    for row, term in zip(code.matrix, code.basis):
-        f = monomial(curve23, 1, term.i, term.j)
-        assert row.tolist() == [evaluate(f, P) for P in code.places]
+def test_rows_are_basis_evaluations(curve23, curve33):
+    # Scalar evaluation at every place is the oracle for both codes; the
+    # extended code's P_inf entry is the value of t^{ell*h} f there.
+    for curve, ell in [(curve23, 3), (curve33, 4)]:
+        t_loc = local_parameter_at_infinity(curve)
+        for code, n_inf in [(build_code(curve, ell), 0),
+                            (extended_one_point_code(curve, ell),
+                             ell * curve.h)]:
+            assert code.places == curve.theta
+            for row, term in zip(code.matrix, code.basis):
+                f = monomial(curve, 1, term.i, term.j)
+                want = [extended_evaluate(f, P, n_inf, t_loc)
+                        if P.is_infinity and n_inf else evaluate(f, P)
+                        for P in code.places]
+                assert row.tolist() == want
 
 
 def test_dimension_closed_form_23(curve23):
