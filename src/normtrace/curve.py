@@ -26,6 +26,10 @@ from .gf import FieldCtx, build_field, check_order, prime_power
 INFINITY = "infinity"
 AFFINE = "affine"
 
+# Twice the q^{2r-1} + 1 places of N_{16,3}; larger curves are refused
+# before any table is built.
+MAX_PLACES = 1 << 21
+
 
 @dataclass(frozen=True)
 class Place:
@@ -141,6 +145,9 @@ class NormTraceCurve:
         if r < 2:
             raise ValueError(f"r = {r} must be >= 2")
         check_order(q, r)
+        if q ** (2 * r - 1) + 1 > MAX_PLACES:
+            raise ValueError(f"N_{{{q},{r}}} has {q}^{2 * r - 1} + 1 places, "
+                             f"above the limit {MAX_PLACES}")
         self.q = q
         self.r = r
         self.p = p

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poly
+
 MAX_ORDER = 1 << 20
 
 # Odd-characteristic vector addition goes through a full Q x Q table;
@@ -90,79 +92,18 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ----------------------------------------------------------------------
-# Polynomials over the prime field GF(p), as little-endian coefficient
-# tuples.  Only what modulus handling needs: product, remainder, gcd,
-# and an irreducibility test.
-# ----------------------------------------------------------------------
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(f, m, p):
-    # m monic
-    f = list(f)
-    dm = len(m) - 1
-    while len(f) - 1 >= dm and f:
-        lead = f[-1]
-        if lead:
-            shift = len(f) - 1 - dm
-            for i in range(dm + 1):
-                f[shift + i] = (f[shift + i] - lead * m[i]) % p
-        f.pop()
-    return _poly_trim(f)
-
-
-def _poly_gcd(f, g, p):
-    while g:
-        lead_inv = pow(g[-1], p - 2, p) if g[-1] != 1 else 1
-        gm = tuple((c * lead_inv) % p for c in g)
-        f, g = g, _poly_mod(f, gm, p)
-    return f
-
-
-def _poly_powmod(f, e, m, p):
-    result = (1,)
-    f = _poly_mod(f, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, f, p), m, p)
-        f = _poly_mod(_poly_mul(f, f, p), m, p)
-        e >>= 1
-    return result
-
-
-def poly_is_irreducible(poly, p: int) -> bool:
-    """Monic poly of degree k is irreducible over GF(p) iff it has no
-    factor of degree <= k/2; detected via gcd(X^{p^i} - X, poly)."""
-    k = len(poly) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    x = (0, 1)
-    xp = x
-    for i in range(1, k // 2 + 1):
-        xp = _poly_powmod(xp, p, poly, p)
-        diff = list(xp) + [0] * (2 - len(xp))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(poly, _poly_trim(diff), p)
-        if len(g) > 1:
+def poly_is_irreducible(f, p: int, F: "FieldCtx | None" = None) -> bool:
+    """A monic f (little-endian) of degree k >= 2 is irreducible over
+    GF(p) iff it has no factor of degree <= k/2, detected via
+    gcd(X^{p^i} - X, f).  F is FieldCtx(p, 1), built here if not given."""
+    k = len(f) - 1
+    if k < 2:
+        return k == 1  # before building F, whose modulus has degree 1
+    F = F or FieldCtx(p, 1)
+    xp = [0, 1]
+    for _ in range(k // 2):
+        xp = poly.powmod(F, xp, p, f)
+        if len(poly.gcd(F, f, poly.sub(F, xp, [0, 1]))) > 1:
             return False
     return True
 
@@ -185,9 +126,12 @@ def _coeffs_to_index(coeffs, p: int) -> int:
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible polynomial of degree k over GF(p) with the
     smallest integer encoding (coefficients read as a base-p integer)."""
+    if k == 1:
+        return (0, 1)  # before FieldCtx(p, 1), which asks for this
+    F = FieldCtx(p, 1)
     for t in range(p ** k):
         cand = _index_to_coeffs(t, p, k) + (1,)
-        if poly_is_irreducible(cand, p):
+        if poly_is_irreducible(cand, p, F):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -243,10 +187,21 @@ class FieldCtx:
                     a ^= m
                 b >>= 1
             return r
-        fa = _index_to_coeffs(a, p, k)
-        fb = _index_to_coeffs(b, p, k)
-        prod = _poly_mod(_poly_mul(fa, fb, p), self.modulus, p)
-        return _coeffs_to_index(prod, p)
+        # the same shift-and-add on base-p digit lists: r += digit * a,
+        # then a *= X, reducing X^k by the monic modulus
+        low = self.modulus[:k]
+        fa = list(_index_to_coeffs(a, p, k))
+        r = [0] * k
+        while b:
+            b, d = divmod(b, p)
+            if d:
+                r = [(x + d * y) % p for x, y in zip(r, fa)]
+            if b:
+                top = fa.pop()
+                fa.insert(0, 0)
+                if top:
+                    fa = [(x - top * y) % p for x, y in zip(fa, low)]
+        return _coeffs_to_index(r, p)
 
     def _pow_raw(self, a: int, e: int) -> int:
         r = 1

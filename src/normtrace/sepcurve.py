@@ -29,95 +29,14 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
+from . import poly
 from .codes import BudgetExceeded
 from .gf import FieldCtx, build_field, field_from_dict
-
-MAX_EXTENSION_ORDER = 1 << 20
 
 
 class SearchFieldTooSmall(ValueError):
     """The found map set is not closed under composition, so the search
     field misses roots of unity or kernel elements."""
-
-
-# ----------------------------------------------------------------------
-# Dense polynomials over a FieldCtx (little-endian index lists)
-# ----------------------------------------------------------------------
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_add(ctx, f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] = ctx.add(out[i], b)
-    return _trim(out)
-
-
-def poly_neg(ctx, f):
-    return [ctx.neg(a) for a in f]
-
-
-def poly_sub(ctx, f, g):
-    return poly_add(ctx, f, poly_neg(ctx, g))
-
-
-def poly_scale(ctx, s, f):
-    return _trim([ctx.mul(s, a) for a in f])
-
-
-def poly_mul(ctx, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return _trim(out)
-
-
-def poly_pow(ctx, f, e):
-    out = [1]
-    while e:
-        if e & 1:
-            out = poly_mul(ctx, out, f)
-        f = poly_mul(ctx, f, f)
-        e >>= 1
-    return out
-
-
-def poly_eval(ctx, f, x):
-    out = 0
-    for a in reversed(f):
-        out = ctx.add(ctx.mul(out, x), a)
-    return out
-
-
-def compose_linear(ctx, f, b, c0):
-    """f(b*X + c0) by Horner."""
-    out = []
-    lin = [c0, b]
-    for a in reversed(f):
-        out = poly_add(ctx, poly_mul(ctx, out, lin), [a])
-    return _trim(out)
-
-
-def poly_frobenius(ctx, f, e):
-    """f(X)^{p^e} = sum a_i^{p^e} X^{i p^e} (freshman's dream)."""
-    pe = ctx.p ** e
-    out = [0] * (pe * (len(f) - 1) + 1) if f else []
-    for i, a in enumerate(f):
-        if a:
-            out[i * pe] = ctx.pow(a, pe)
-    return _trim(out)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +87,8 @@ class SeparatedCurveSpec:
         ctx = self.ctx
         out = []
         for j, c in self.a_coeffs.items():
-            out = poly_add(ctx, out, poly_scale(ctx, c, poly_frobenius(ctx, Q, j)))
+            out = poly.add(ctx, out,
+                           poly.scale(ctx, c, poly.frobenius(ctx, Q, j)))
         return out
 
     def map_coefficients(self, dst: FieldCtx) -> "SeparatedCurveSpec":
@@ -266,15 +186,12 @@ def kernel_elements(spec: SeparatedCurveSpec, ctx: FieldCtx | None = None) -> li
 
 
 def mu_fixers(spec: SeparatedCurveSpec) -> list[int]:
-    """All mu with A(mu Y) = mu A(Y) as polynomials, i.e. mu preserving
-    the kernel of A; equals the nonzero part of the subfield of order
-    p^d (intersected with the host field)."""
+    """All mu with A(mu Y) = mu A(Y) as polynomials, i.e. mu fixed by
+    every x -> x^{p^j} of A: the nonzero part of the host field's
+    subfield of order p^gcd(k, j's)."""
     ctx = spec.ctx
-    out = []
-    for mu in ctx.nonzero():
-        if all(ctx.pow(mu, ctx.p ** j) == mu for j in spec.a_coeffs):
-            out.append(mu)
-    return out
+    return [mu for mu in ctx.subfield_indices(gcd(ctx.k, *spec.a_coeffs))
+            if mu]
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +242,7 @@ def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
     bm = spec.b_coeffs[-1]
     bm1 = spec.b_coeffs[-2] if m >= 1 else 0
     s = ctx.div(bm1, ctx.mul(m % ctx.p, bm))
-    expanded = poly_scale(ctx, bm, poly_pow(ctx, [s, 1], m))
+    expanded = poly.scale(ctx, bm, poly.power(ctx, [s, 1], m))
     expanded += [0] * (m + 1 - len(expanded))
     return s if tuple(expanded) == spec.b_coeffs else None
 
@@ -431,7 +348,7 @@ class AffineAut:
         ctx = self.ctx
         return (ctx.add(ctx.mul(self.b, x), self.c0),
                 ctx.add(ctx.mul(self.a, y),
-                        poly_eval(ctx, list(self.q_coeffs), x)))
+                        poly.evaluate(ctx, list(self.q_coeffs), x)))
 
     def sort_key(self):
         return (self.a, self.b, self.c0, self.q_coeffs)
@@ -445,8 +362,8 @@ def compose_affine(s1: AffineAut, s2: AffineAut) -> AffineAut:
     b = ctx.mul(s1.b, s2.b)
     c0 = ctx.add(ctx.mul(s1.b, s2.c0), s1.c0)
     a = ctx.mul(s1.a, s2.a)
-    q = poly_add(ctx, poly_scale(ctx, s1.a, list(s2.q_coeffs)),
-                 compose_linear(ctx, list(s1.q_coeffs), s2.b, s2.c0))
+    q = poly.add(ctx, poly.scale(ctx, s1.a, list(s2.q_coeffs)),
+                 poly.compose_linear(ctx, list(s1.q_coeffs), s2.b, s2.c0))
     return AffineAut(ctx, a, b, c0, tuple(q))
 
 
@@ -455,7 +372,8 @@ def inverse_affine(s: AffineAut) -> AffineAut:
     b = ctx.inv(s.b)
     c0 = ctx.neg(ctx.mul(b, s.c0))
     a = ctx.inv(s.a)
-    q = poly_scale(ctx, ctx.neg(a), compose_linear(ctx, list(s.q_coeffs), b, c0))
+    q = poly.scale(ctx, ctx.neg(a),
+                   poly.compose_linear(ctx, list(s.q_coeffs), b, c0))
     return AffineAut(ctx, a, b, c0, tuple(q))
 
 
@@ -486,7 +404,7 @@ def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
             return []
         coeffs[e] = q_e
         mono = [0] * e + [q_e]
-        rest = poly_sub(ctx, rest, spec_f.a_apply_poly(mono))
+        rest = poly.sub(ctx, rest, spec_f.a_apply_poly(mono))
         if len(rest) - 1 >= 1 and len(rest) - 1 >= deg:
             return []
     r0 = rest[0] if rest else 0
@@ -494,7 +412,7 @@ def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
     for w in preimages.get(r0, ()):
         q = list(coeffs)
         q[0] = w
-        out.append(tuple(_trim(q)))
+        out.append(tuple(poly.trim(q)))
     return out
 
 
@@ -527,12 +445,12 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     b_poly = list(spec_f.b_coeffs)
     found = []
     for a in survivors:
-        a_b = poly_scale(ctx, a, b_poly)
+        a_b = poly.scale(ctx, a, b_poly)
         for b in ctx.nonzero():
             if ctx.pow(b, m) != a:  # X^m coefficients force k1 = b^m
                 continue
             for c0 in ctx.elements():
-                R = poly_sub(ctx, compose_linear(ctx, b_poly, b, c0), a_b)
+                R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
                 for q in _solve_additive_preimage(spec_f, R, max_qdeg,
                                                   preimages):
                     found.append(AffineAut(ctx, a, b, c0, q))
@@ -562,14 +480,11 @@ def condiz_check(spec: SeparatedCurveSpec, aut: AffineAut) -> bool:
     ctx = aut.ctx
     spec_f = spec if ctx == spec.ctx else spec.map_coefficients(ctx)
     b_poly = list(spec_f.b_coeffs)
-    lhs = compose_linear(ctx, b_poly, aut.b, aut.c0)
-    d = linearization_gcd(spec)
-    for a in ctx.nonzero():
-        if ctx.pow(a, ctx.p ** d - 1) != 1:
-            continue
-        if lhs == poly_scale(ctx, a, b_poly):
-            return True
-    return False
+    lhs = poly.compose_linear(ctx, b_poly, aut.b, aut.c0)
+    # a^{p^d - 1} = 1 exactly on the subfield of order p^gcd(d, k)
+    d = gcd(linearization_gcd(spec), ctx.k)
+    return any(lhs == poly.scale(ctx, a, b_poly)
+               for a in ctx.subfield_indices(d) if a)
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +501,7 @@ def embed_field(src: FieldCtx, dst: FieldCtx) -> list[int]:
         raise ValueError(f"no embedding of GF({src.p}^{src.k}) "
                          f"into GF({dst.p}^{dst.k})")
     modulus = list(src.modulus)  # prime-field coefficients
-    rho = next(e for e in dst.elements() if poly_eval(dst, modulus, e) == 0)
+    rho = next(e for e in dst.elements() if poly.evaluate(dst, modulus, e) == 0)
     table = []
     p = src.p
     for idx in range(src.order):
@@ -601,13 +516,6 @@ def embed_field(src: FieldCtx, dst: FieldCtx) -> list[int]:
     return table
 
 
-def extension_field(ctx: FieldCtx, t: int) -> FieldCtx:
-    order = ctx.p ** (ctx.k * t)
-    if order > MAX_EXTENSION_ORDER:
-        raise ValueError(f"extension order {order} exceeds desk bounds")
-    return build_field(ctx.p, ctx.k * t)
-
-
 def b_roots(spec: SeparatedCurveSpec):
     """Roots of B with multiplicities over its splitting field.
 
@@ -615,34 +523,24 @@ def b_roots(spec: SeparatedCurveSpec):
     smallest extension of the host field where B splits completely.
     """
     for t in range(1, 64):
-        E = extension_field(spec.ctx, t)
+        E = build_field(spec.ctx.p, spec.ctx.k * t)
         emb = embed_field(spec.ctx, E)
-        poly = [emb[c] for c in spec.b_coeffs]
+        b_poly = [emb[c] for c in spec.b_coeffs]
         roots = []
         total = 0
         for e in E.elements():
-            if poly_eval(E, poly, e) != 0:
+            if poly.evaluate(E, b_poly, e) != 0:
                 continue
             mult = 0
-            rest = poly
-            while poly_eval(E, rest, e) == 0:
-                rest = _synth_div(E, rest, e)
+            rest = b_poly
+            while poly.evaluate(E, rest, e) == 0:
+                rest = poly.synth_div(E, rest, e)
                 mult += 1
             roots.append((e, mult))
             total += mult
         if total == spec.m:
             return E, roots
     raise ValueError("B does not split within desk-scale extensions")
-
-
-def _synth_div(ctx, f, e):
-    """f / (X - e) for a known root e."""
-    out = [0] * (len(f) - 1)
-    acc = 0
-    for i in range(len(f) - 1, 0, -1):
-        acc = ctx.add(ctx.mul(acc, e), f[i])
-        out[i - 1] = acc
-    return out
 
 
 @dataclass(frozen=True)
@@ -690,7 +588,7 @@ def recommended_search_field(spec: SeparatedCurveSpec) -> FieldCtx:
     unity = m * (p ** (n if two_term else d) - 1)
     t_a = None
     for t in range(1, 64):
-        E = extension_field(spec.ctx, t)
+        E = build_field(spec.ctx.p, spec.ctx.k * t)
         if len(kernel_elements(spec, E)) == p ** n:
             t_a = t
             break
@@ -699,7 +597,7 @@ def recommended_search_field(spec: SeparatedCurveSpec) -> FieldCtx:
     t_u = next(t for t in range(1, 64)
                if (spec.ctx.order ** t - 1) % unity == 0)
     t = t_a * t_u // gcd(t_a, t_u)
-    return extension_field(spec.ctx, t)
+    return build_field(spec.ctx.p, spec.ctx.k * t)
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +629,7 @@ def to_standard_qm(spec: SeparatedCurveSpec) -> StandardizationResult:
         raise ValueError("B(X) is not b_m (X + s)^m")
     p, n, m = spec.p, spec.n, spec.m
     for t in range(1, 64):
-        E = extension_field(spec.ctx, t)
+        E = build_field(spec.ctx.p, spec.ctx.k * t)
         emb = embed_field(spec.ctx, E)
         a0, an = emb[spec.a_coeffs[0]], emb[spec.a_coeffs[n]]
         bm = emb[spec.b_coeffs[-1]]
@@ -757,8 +655,8 @@ def _verify_standardization(spec, E, emb, gamma, delta, shift):
     a0, an = emb[spec.a_coeffs[0]], emb[spec.a_coeffs[n]]
     bm = emb[spec.b_coeffs[-1]]
     k = E.div(E.pow(gamma, m), bm)
-    lhs_x = poly_scale(E, E.pow(gamma, m), poly_pow(E, [shift, 1], m))
-    rhs_x = poly_scale(E, k, [emb[c] for c in spec.b_coeffs])
+    lhs_x = poly.scale(E, E.pow(gamma, m), poly.power(E, [shift, 1], m))
+    rhs_x = poly.scale(E, k, [emb[c] for c in spec.b_coeffs])
     if lhs_x != rhs_x:
         raise AssertionError("x-side of the standardization failed")
     if E.pow(delta, p ** n) != E.mul(k, an) or delta != E.mul(k, a0):

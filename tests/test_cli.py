@@ -191,6 +191,21 @@ def test_oversized_orders_refused_before_factoring(capsys, tmp_path, argv):
     assert err.startswith("error:") and "exceeds limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve-info", "--q", "2", "--r", "12"],
+    ["aut-verify", "--q", "1024", "--r", "2", "--ell", "1"],
+    ["code-table", "--q", "256", "--r", "2"],
+])
+def test_oversized_curves_refused_before_building(capsys, argv):
+    # each field is within the order limit, but the curve has more than
+    # 2^21 places: enumerating them would hang or exhaust memory
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "places, above the limit" in err
+
+
 @pytest.mark.parametrize("bounds", [["--ell", "0"], ["--ell-max", "0"],
                                     ["--ell", "3", "--ell-max", "0"],
                                     ["--ell", "8"], ["--ell-max", "8"]])

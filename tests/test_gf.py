@@ -38,6 +38,10 @@ def test_build_field_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_field(2, 3, modulus=[0, 0, 0, 1])  # X^3, reducible
     with pytest.raises(ValueError):
+        # (X^2 + 1)^2: reducible without a root in GF(3), so only the
+        # gcd with X^9 - X can refuse it
+        build_field(3, 4, modulus=[1, 0, 2, 0, 1])
+    with pytest.raises(ValueError):
         build_field(2, 3, modulus=[1, 1, 1])  # wrong degree
     with pytest.raises(ValueError):
         build_field(3, 2, modulus=[1, 0, 2])  # not monic

@@ -1,0 +1,115 @@
+"""Property tests for normtrace.poly over random small fields GF(p^k),
+p^k <= 2^8."""
+
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from normtrace import poly  # noqa: E402
+from normtrace.gf import build_field, is_prime  # noqa: E402
+
+FIELDS = [(p, k) for p in range(2, 257) if is_prime(p)
+          for k in range(1, 9) if p ** k <= 256]
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+@lru_cache(maxsize=None)
+def field(p, k):
+    return build_field(p, k)
+
+
+@st.composite
+def ctx_polys(draw, count):
+    """A random field, `count` random polynomials and a random element."""
+    ctx = field(*draw(st.sampled_from(FIELDS)))
+    elem = st.integers(0, ctx.order - 1)
+    polys = [poly.trim(draw(st.lists(elem, max_size=7)))
+             for _ in range(count)]
+    return ctx, polys, draw(elem)
+
+
+@SETTINGS
+@given(ctx_polys(2))
+def test_division_identity(case):
+    ctx, (f, g), _ = case
+    assume(g)
+    q, r = poly.div_rem(ctx, f, g)
+    assert len(r) < len(g)
+    assert poly.add(ctx, poly.mul(ctx, q, g), r) == f
+    assert poly.rem(ctx, f, g) == r
+
+
+@SETTINGS
+@given(ctx_polys(3))
+def test_gcd_is_monic_common_divisor(case):
+    ctx, (f, g, h), _ = case
+    f, g = poly.mul(ctx, f, h), poly.mul(ctx, g, h)  # make factors common
+    d = poly.gcd(ctx, f, g)
+    if not f and not g:
+        assert d == []
+        return
+    assert d and d[-1] == 1
+    assert poly.rem(ctx, f, d) == [] and poly.rem(ctx, g, d) == []
+    if h:
+        assert poly.rem(ctx, d, h) == []  # h divides f and g, so h | d
+
+
+@SETTINGS
+@given(ctx_polys(2))
+def test_evaluation_is_a_ring_map(case):
+    ctx, (f, g), x = case
+    fx, gx = poly.evaluate(ctx, f, x), poly.evaluate(ctx, g, x)
+    assert poly.evaluate(ctx, poly.mul(ctx, f, g), x) == ctx.mul(fx, gx)
+    assert poly.evaluate(ctx, poly.add(ctx, f, g), x) == ctx.add(fx, gx)
+    assert poly.evaluate(ctx, poly.sub(ctx, f, g), x) == ctx.sub(fx, gx)
+    assert poly.evaluate(ctx, poly.power(ctx, f, 3), x) == ctx.pow(fx, 3)
+
+
+@SETTINGS
+@given(ctx_polys(1), st.data())
+def test_compose_linear(case, data):
+    ctx, (f,), x = case
+    b, c = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(2))
+    composed = poly.compose_linear(ctx, f, b, c)
+    assert (poly.evaluate(ctx, composed, x)
+            == poly.evaluate(ctx, f, ctx.add(ctx.mul(b, x), c)))
+
+
+@SETTINGS
+@given(ctx_polys(1), st.data())
+def test_frobenius(case, data):
+    ctx, (f,), x = case
+    e = data.draw(st.integers(0, ctx.k))
+    pe = ctx.p ** e
+    image = poly.frobenius(ctx, f, e)
+    assert poly.evaluate(ctx, image, x) == ctx.pow(poly.evaluate(ctx, f, x), pe)
+    # over the prime field the coefficients are fixed: f(X)^{p^e} = f(X^{p^e})
+    prime = ctx.subfield_indices(1)
+    g = poly.trim(prime[a % len(prime)] for a in f)
+    assert (poly.evaluate(ctx, poly.frobenius(ctx, g, e), x)
+            == poly.evaluate(ctx, g, ctx.pow(x, pe)))
+
+
+@SETTINGS
+@given(ctx_polys(1))
+def test_synth_div_undoes_a_linear_factor(case):
+    ctx, (f,), x = case
+    assume(f)
+    multiple = poly.mul(ctx, f, [ctx.neg(x), 1])
+    assert poly.synth_div(ctx, multiple, x) == f
+
+
+@SETTINGS
+@given(ctx_polys(2), st.integers(0, 12))
+def test_powmod(case, e):
+    ctx, (f, m), _ = case
+    assert poly.powmod(ctx, f, 0, [1]) == []  # everything is 0 mod 1
+    assume(m)
+    assert (poly.powmod(ctx, f, e, m)
+            == poly.rem(ctx, poly.power(ctx, f, e), m))

@@ -1,0 +1,62 @@
+"""normtrace.poly and the modulus search against sympy's galoistools,
+an independent implementation of polynomials over GF(p)."""
+
+import itertools
+import random
+
+import pytest
+
+galoistools = pytest.importorskip("sympy.polys.galoistools")
+from sympy.polys.domains import ZZ  # noqa: E402
+
+from normtrace import poly  # noqa: E402
+from normtrace.gf import (build_field, poly_is_irreducible,  # noqa: E402
+                          prime_power, smallest_irreducible)
+
+
+def big_endian(f):
+    return list(reversed(f))
+
+
+def sympy_irreducible(f, p):
+    return galoistools.gf_irreducible_p(big_endian(f), p, ZZ)
+
+
+def test_smallest_irreducible_is_first_sympy_irreducible():
+    for n in range(2, 2 ** 12 + 1):
+        try:
+            p, k = prime_power(n)
+        except ValueError:
+            continue
+        for t in range(p ** k):
+            cand = [t // p ** i % p for i in range(k)] + [1]
+            if sympy_irreducible(cand, p):
+                break
+        assert smallest_irreducible(p, k) == tuple(cand), (p, k)
+
+
+@pytest.mark.parametrize("p,max_k", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_irreducibility_matches_sympy(p, max_k):
+    for k in range(1, max_k + 1):
+        for low in itertools.product(range(p), repeat=k):
+            f = list(low) + [1]
+            assert poly_is_irreducible(f, p) == sympy_irreducible(f, p), f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 251])
+def test_rem_gcd_mul_match_sympy(p):
+    F = build_field(p, 1)  # element indices are the residues mod p
+    rng = random.Random(p)
+    for _ in range(150):
+        f = poly.trim(rng.randrange(p) for _ in range(rng.randrange(10)))
+        g = poly.trim(rng.randrange(p) for _ in range(rng.randrange(1, 7)))
+        if rng.random() < 0.3:  # force a nontrivial common factor
+            h = [rng.randrange(p), 1]
+            f, g = poly.mul(F, f, h), poly.mul(F, g, h)
+        assert (big_endian(poly.mul(F, f, g))
+                == galoistools.gf_mul(big_endian(f), big_endian(g), p, ZZ))
+        assert (big_endian(poly.gcd(F, f, g))
+                == galoistools.gf_gcd(big_endian(f), big_endian(g), p, ZZ))
+        if g:
+            assert (big_endian(poly.rem(F, f, g))
+                    == galoistools.gf_rem(big_endian(f), big_endian(g), p, ZZ))

@@ -274,6 +274,14 @@ def test_embedding_is_homomorphism():
         embed_field(f4, build_field(3, 2))
 
 
+def test_extensions_above_the_field_limit_are_refused():
+    # X^3 + X + 1 splits over GF(8), so over GF(2^11) only GF(2^33) holds
+    # its roots; GF(2^22), the first extension tried, is already too big
+    spec = SeparatedCurveSpec(build_field(2, 11), {0: 1, 2: 1}, (1, 1, 0, 1))
+    with pytest.raises(ValueError, match="field order 2\\^22 exceeds limit"):
+        b_roots(spec)
+
+
 def test_recommended_search_field():
     # kernel of Y^4 + Y^2 + Y = Y (Y^3 + Y + 1) needs GF(8); the cube
     # roots of unity need GF(4); the compositum is GF(64)
