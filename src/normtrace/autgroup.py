@@ -16,7 +16,9 @@ of codewords.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,15 +54,20 @@ def identity_aut(curve: NormTraceCurve) -> CurveAut:
     return CurveAut(curve, 0, 1)
 
 
+def _compose_ab(curve: NormTraceCurve, ab1: tuple[int, int],
+                ab2: tuple[int, int]) -> tuple[int, int]:
+    """The (a, b) pair of ab1 after ab2: b = b1 b2, a = a1 + b1^c a2."""
+    ctx = curve.ctx
+    (a1, b1), (a2, b2) = ab1, ab2
+    return ctx.add(a1, ctx.mul(ctx.pow(b1, curve.c), a2)), ctx.mul(b1, b2)
+
+
 def compose(s1: CurveAut, s2: CurveAut) -> CurveAut:
     """Apply s2 first, then s1."""
     if s1.curve != s2.curve:
         raise ValueError("automorphisms of different curves")
-    curve = s1.curve
-    ctx = curve.ctx
-    b = ctx.mul(s1.b, s2.b)
-    a = ctx.add(s1.a, ctx.mul(ctx.pow(s1.b, curve.c), s2.a))
-    return CurveAut(curve, a, b)
+    return CurveAut(s1.curve, *_compose_ab(s1.curve, (s1.a, s1.b),
+                                           (s2.a, s2.b)))
 
 
 def inverse(s: CurveAut) -> CurveAut:
@@ -71,18 +78,13 @@ def inverse(s: CurveAut) -> CurveAut:
     return CurveAut(curve, a_inv, b_inv)
 
 
-def apply_xy(s: CurveAut, x: int, y: int) -> tuple[int, int]:
-    ctx = s.curve.ctx
-    return (ctx.mul(s.b, x),
-            ctx.add(ctx.mul(ctx.pow(s.b, s.curve.c), y), s.a))
-
-
 def apply_place(s: CurveAut, P: Place) -> Place:
     """Image of a place; fixes P_inf and stays on the curve."""
     if P.is_infinity:
         return P_INFINITY
-    x, y = apply_xy(s, P.x, P.y)
-    return Place("affine", x, y)
+    ctx = s.curve.ctx
+    return Place("affine", ctx.mul(s.b, P.x),
+                 ctx.add(ctx.mul(ctx.pow(s.b, s.curve.c), P.y), s.a))
 
 
 def enumerate_group(curve: NormTraceCurve) -> list[CurveAut]:
@@ -142,6 +144,39 @@ def fixed_places(s: CurveAut) -> list[Place]:
     fixed = np.ones(len(places), dtype=bool)  # P_inf is always fixed
     fixed[pos] = (x_map[xs] == xs) & (y_map[ys] == ys)
     return [places[i] for i in np.flatnonzero(fixed)]
+
+
+def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int
+                 ) -> tuple[list[tuple[str, bool, str]], list[list[Place]]]:
+    """(name, passed, detail) records for the group: its order, closure
+    and associativity (every pair up to 64 elements, else 10,000 triples
+    drawn by random.Random(seed)), inverses, the short orbits and the
+    fixed-place bound.  Also returns the short orbits it computed."""
+    want = curve.h * (curve.q ** curve.r - 1)
+    checks = [("group order", len(group) == want,
+               f"{len(group)} (expected {want})")]
+    law = partial(_compose_ab, curve)
+    pairs = [(s.a, s.b) for s in group]
+    elems = set(pairs)
+    if len(pairs) <= 64:
+        closed = all(law(u, v) in elems for u in pairs for v in pairs)
+        how = "exhaustive"
+    else:
+        rng = random.Random(seed)
+        triples = ([rng.choice(pairs) for _ in range(3)] for _ in range(10_000))
+        closed = all((uv := law(u, v)) in elems
+                     and law(uv, w) == law(u, law(v, w)) for u, v, w in triples)
+        how = "sampled 10000 triples"
+    checks.append(("closure/associativity", closed, how))
+    checks.append(("inverses", all((t.a, t.b) in elems
+                                   for t in map(inverse, group)), ""))
+    short = short_orbits(curve, group)
+    sizes = sorted(len(o) for o in short)
+    checks.append(("short orbits", sizes == [1, curve.h], f"sizes {sizes}"))
+    bound = curve.h + 1
+    worst = max(len(fixed_places(s)) for s in group if not s.is_identity)
+    checks.append((f"fixed places <= {bound}", worst <= bound, f"max {worst}"))
+    return checks, short
 
 
 # ----------------------------------------------------------------------
@@ -220,3 +255,22 @@ def is_code_automorphism(code: AGCode, g: CodeAut) -> bool:
     R, pivots = code.row_space()
     return linalg.in_row_space(code.curve.ctx, R, pivots,
                                code_action(code, g, code.matrix))
+
+
+def code_checks(code: AGCode, group: list[CurveAut]
+                ) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) records for the invariance of the code
+    under every curve automorphism in the group, every Frobenius power
+    and every nonzero scalar."""
+    ctx = code.curve.ctx
+    ident = identity_aut(code.curve)
+    families = [
+        (f"code invariance: {len(group)} curve automorphisms",
+         (CodeAut(s) for s in group), f"ell={code.ell}"),
+        (f"code invariance: {ctx.k} Frobenius powers",
+         (CodeAut(ident, frob=e) for e in range(ctx.k)), ""),
+        (f"code invariance: {ctx.order - 1} scalars",
+         (CodeAut(ident, scalar=c) for c in ctx.nonzero()), ""),
+    ]
+    return [(name, all(is_code_automorphism(code, g) for g in maps), detail)
+            for name, maps, detail in families]

@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 
 from . import autgroup, codes, sepcurve
@@ -151,63 +150,14 @@ def cmd_min_dist(args):
 def cmd_aut_verify(args):
     curve = build_curve(args.q, args.r)
     group = autgroup.enumerate_group(curve)
-    checks = []
-
-    want = curve.h * (curve.q ** curve.r - 1)
-    checks.append(("group order", len(group) == want,
-                   f"{len(group)} (expected {want})"))
-
-    elems = set(group)
-    if len(group) <= 64:
-        closed = all(autgroup.compose(s1, s2) in elems
-                     for s1 in group for s2 in group)
-        how = "exhaustive"
-    else:
-        rng = random.Random(args.seed)
-        closed = True
-        for _ in range(10_000):
-            s1, s2, s3 = (rng.choice(group) for _ in range(3))
-            c12 = autgroup.compose(s1, s2)
-            if c12 not in elems or (
-                    autgroup.compose(c12, s3)
-                    != autgroup.compose(s1, autgroup.compose(s2, s3))):
-                closed = False
-                break
-        how = "sampled 10000 triples"
-    checks.append(("closure/associativity", closed, how))
-    checks.append(("inverses", all(autgroup.inverse(s) in elems for s in group), ""))
-
-    short = autgroup.short_orbits(curve, group)
-    orbit_sizes = sorted(len(o) for o in short)
-    checks.append(("short orbits", orbit_sizes == [1, curve.h],
-                   f"sizes {orbit_sizes}"))
-
-    bound = curve.h + 1
-    worst = max(len(autgroup.fixed_places(s)) for s in group
-                if not s.is_identity)
-    checks.append((f"fixed places <= {bound}", worst <= bound, f"max {worst}"))
-
-    code = codes.build_code(curve, args.ell)
-    ident = autgroup.identity_aut(curve)
-    inv_curve = all(autgroup.is_code_automorphism(code, autgroup.CodeAut(s))
-                    for s in group)
-    checks.append((f"code invariance: {len(group)} curve automorphisms",
-                   inv_curve, f"ell={args.ell}"))
-    inv_frob = all(
-        autgroup.is_code_automorphism(code, autgroup.CodeAut(ident, frob=e))
-        for e in range(curve.ctx.k))
-    checks.append((f"code invariance: {curve.ctx.k} Frobenius powers",
-                   inv_frob, ""))
-    inv_scal = all(
-        autgroup.is_code_automorphism(code, autgroup.CodeAut(ident, scalar=s))
-        for s in curve.ctx.nonzero())
-    checks.append((f"code invariance: {curve.ctx.order - 1} scalars",
-                   inv_scal, ""))
+    checks, short = autgroup.group_checks(curve, group, args.seed)
+    checks += autgroup.code_checks(codes.build_code(curve, args.ell), group)
 
     ok = all(passed for _, passed, _ in checks)
     if args.format == "json":
         rec = {"q": args.q, "r": args.r, "ell": args.ell,
-               "group_order": len(group), "short_orbit_sizes": orbit_sizes,
+               "group_order": len(group),
+               "short_orbit_sizes": sorted(len(o) for o in short),
                "short_orbits": autgroup.orbit_report(short),
                "checks": [{"name": nm, "pass": bool(ps), "detail": dt}
                           for nm, ps, dt in checks]}

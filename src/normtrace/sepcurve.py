@@ -269,7 +269,10 @@ def classify_monomial(spec: SeparatedCurveSpec) -> ClassificationResult:
     PGL(2, p^n) above the stabilizer.  Case (ii): the stabilizer is the
     whole group, of order p^n * m * (p^d - 1).
     """
-    validate(spec)
+    return _classify_monomial(validate(spec))
+
+
+def _classify_monomial(spec: SeparatedCurveSpec) -> ClassificationResult:
     p, n, m = spec.p, spec.n, spec.m
     if m % (p ** n) == 1:
         raise ValueError(
@@ -308,7 +311,7 @@ def classify(spec: SeparatedCurveSpec) -> ClassificationResult:
     multiplicities of B."""
     validate(spec)
     if monomial_shift(spec) is not None:
-        return classify_monomial(spec)
+        return _classify_monomial(spec)
     d = linearization_gcd(spec)
     bound = h_bound_from_roots(spec)
     return ClassificationResult(

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from normtrace import linalg
+from normtrace import autgroup, linalg
 from normtrace.autgroup import (CodeAut, CurveAut, apply_place, code_action,
-                                compose, enumerate_group, fixed_places,
-                                frobenius_place, identity_aut, inverse,
-                                is_code_automorphism, orbits, short_orbits)
+                                code_checks, compose, enumerate_group,
+                                fixed_places, frobenius_place, group_checks,
+                                identity_aut, inverse, is_code_automorphism,
+                                orbits, short_orbits)
 from normtrace.codes import build_code
 from normtrace.curve import P_INFINITY, build_curve
 from oracles import code_action_by_places, fixed_places_by_places
@@ -133,6 +134,37 @@ def test_fixed_place_bound(curve23, curve33):
         assert worst <= bound
 
 
+def _failed(checks):
+    return {name for name, passed, _ in checks if not passed}
+
+
+def test_group_checks_have_teeth(curve23, curve33):
+    group = enumerate_group(curve23)
+    dropped = next(s for s in group if inverse(s) != s)
+    checks, _ = group_checks(curve23, [s for s in group if s != dropped], 0)
+    assert checks[1][2] == "exhaustive"
+    assert _failed(checks) == {"group order", "closure/associativity",
+                               "inverses"}
+
+    checks, _ = group_checks(curve33, enumerate_group(curve33)[:-1], 0)
+    assert checks[1][2] == "sampled 10000 triples"
+    assert "closure/associativity" in _failed(checks)
+
+    translations = [s for s in group if s.b == 1]
+    checks, short = group_checks(curve23, translations, 0)
+    assert sorted(len(o) for o in short) == [1]
+    assert _failed(checks) == {"group order", "short orbits"}
+
+
+def test_fixed_place_check_has_teeth(curve23, monkeypatch):
+    # no map of the (a, b) form fixes more than h + 1 places, so the
+    # bound can only fail through a doctored fixed_places
+    places = curve23.rational_places()
+    monkeypatch.setattr(autgroup, "fixed_places", lambda s: list(places))
+    checks, _ = group_checks(curve23, enumerate_group(curve23), 0)
+    assert _failed(checks) == {"fixed places <= 5"}
+
+
 def test_fixed_places_match_oracle(curve23, curve33):
     for cv in (curve23, curve33):
         for s in enumerate_group(cv):
@@ -224,6 +256,8 @@ def test_membership_check_has_teeth(curve23):
     swapped_code = dataclasses.replace(code, matrix=swapped, _rref=None)
     assert not all(is_code_automorphism(swapped_code, CodeAut(s))
                    for s in enumerate_group(curve23))
+    assert "code invariance: 28 curve automorphisms" in _failed(
+        code_checks(swapped_code, enumerate_group(curve23)))
 
 
 def test_doctored_translation_is_rejected(curve23):

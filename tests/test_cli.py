@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import time
 
 import pytest
 
+from normtrace import autgroup
 from normtrace.cli import main
 from normtrace.gf import field_from_dict
 
@@ -104,6 +106,37 @@ def test_aut_verify_json_orbits(capsys):
     assert rec["short_orbit_sizes"] == [1, 4]
     assert sorted(len(o) for o in rec["short_orbits"]) == [1, 4]
     assert all(c["pass"] for c in rec["checks"])
+
+
+@pytest.mark.parametrize("q, r, fmt, digest", [
+    ("2", "3", "text",
+     "af9cddb9fa38d6557731835480f0e01611b602b796fa21a3d68efe28c0120882"),
+    ("3", "3", "text",
+     "c4070bf9b85dc17019ccdf5c766adb3b6147df6da9e21422a19ffcef8be0ba4b"),
+    ("2", "4", "text",
+     "6ec69fc0580635b84c7ae3df1ce9c51882992bed1b92f58158915d6a61d83688"),
+    ("2", "3", "json",
+     "b5e947c1b86315713542b395d505fcbb10da0bf8ea28cd2040a08e0495a1805b"),
+    ("3", "3", "json",
+     "22b96b7ed6362139eed7278fe4cf25bdb88899d04c356a22acdbdef117f02a4f"),
+])
+def test_aut_verify_stdout_is_pinned(capsys, q, r, fmt, digest):
+    rc, out, _ = run(capsys, "aut-verify", "--q", q, "--r", r, "--ell", "2",
+                     "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_aut_verify_fails_on_a_doctored_group(capsys, monkeypatch):
+    full = autgroup.enumerate_group
+    monkeypatch.setattr(autgroup, "enumerate_group",
+                        lambda curve: full(curve)[:-1])
+    rc, out, _ = run(capsys, "aut-verify", "--q", "2", "--r", "3", "--ell", "2")
+    assert rc == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL  group order  [27 (expected 28)]",
+                      "FAIL  closure/associativity  [exhaustive]",
+                      "FAIL  inverses"]
 
 
 def test_classify(capsys, tmp_path):

@@ -38,18 +38,36 @@ def test_validate_norm_trace():
 
 
 def test_validate_rejections():
-    with pytest.raises(ValueError, match="divisible by p"):
-        validate(SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 0, 0, 0, 1)))  # m = 4
-    with pytest.raises(ValueError, match="b_m"):
-        validate(SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 1, 0, 0)))
-    with pytest.raises(ValueError, match="a_0"):
-        validate(SeparatedCurveSpec(F2, {1: 1, 2: 1}, (0, 0, 0, 1)))
-    with pytest.raises(ValueError, match="degree"):
-        validate(SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 0, 0, 1)))  # deg 3
-    with pytest.raises(ValueError, match=">= 2"):
-        validate(SeparatedCurveSpec(F5, {0: 1, 1: 1}, (1, 1)))
-    with pytest.raises(ValueError, match="n >= 1"):
-        validate(SeparatedCurveSpec(F5, {0: 1}, (0, 0, 0, 1)))
+    cases = [
+        # m = 4
+        (SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 0, 0, 0, 1)), "divisible by p"),
+        (SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 1, 0, 0)), "b_m"),
+        (SeparatedCurveSpec(F2, {1: 1, 2: 1}, (0, 0, 0, 1)), "a_0"),
+        (SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 0, 0, 1)), "degree"),  # 3
+        (SeparatedCurveSpec(F5, {0: 1, 1: 1}, (1, 1)), ">= 2"),
+        (SeparatedCurveSpec(F5, {0: 1}, (0, 0, 0, 1)), "n >= 1"),
+    ]
+    # the classifications report the same errors as validate
+    for check in (validate, classify, classify_monomial):
+        for spec, match in cases:
+            with pytest.raises(ValueError, match=match):
+                check(spec)
+
+
+def test_classify_validates_once(monkeypatch):
+    import normtrace.sepcurve as sepcurve
+    calls = []
+    real = sepcurve.validate
+    monkeypatch.setattr(sepcurve, "validate",
+                        lambda spec: calls.append(spec) or real(spec))
+    non_monomial = SeparatedCurveSpec(F2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1))
+    for spec in (spec_a422_b3(), spec_a51_b3(), non_monomial):
+        calls.clear()
+        classify(spec)
+        assert calls == [spec]
+    calls.clear()
+    classify_monomial(spec_a422_b3())
+    assert len(calls) == 1
 
 
 def test_additivity_holds_by_construction():
@@ -129,9 +147,9 @@ def test_classify_rejects_out_of_scope():
     with pytest.raises(ValueError, match="single root"):
         classify_monomial(SeparatedCurveSpec(F2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1)))
     # m = 5 is 1 mod p^n = 4
-    with pytest.raises(ValueError, match="outside the classification"):
-        classify_monomial(SeparatedCurveSpec(F2, {0: 1, 2: 1},
-                                             (0, 0, 0, 0, 0, 1)))
+    for check in (classify_monomial, classify):
+        with pytest.raises(ValueError, match="outside the classification"):
+            check(SeparatedCurveSpec(F2, {0: 1, 2: 1}, (0, 0, 0, 0, 0, 1)))
 
 
 def test_classify_norm_trace_matches_group_order():
