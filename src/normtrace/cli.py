@@ -149,9 +149,10 @@ def cmd_min_dist(args):
 
 def cmd_aut_verify(args):
     curve = build_curve(args.q, args.r)
+    code = codes.build_code(curve, args.ell)  # refuses what it cannot build
     group = autgroup.enumerate_group(curve)
     checks, short = autgroup.group_checks(curve, group, args.seed)
-    checks += autgroup.code_checks(codes.build_code(curve, args.ell), group)
+    checks += autgroup.code_checks(code, group)
 
     ok = all(passed for _, passed, _ in checks)
     if args.format == "json":

@@ -41,6 +41,13 @@ def _check_ell(curve: NormTraceCurve, ell: int):
         raise ValueError(f"ell = {ell} out of range 1..{top}")
 
 
+def _check_code(curve: NormTraceCurve, ell: int):
+    """Refuse a code before any place is enumerated: ell out of range,
+    or a field too large for the linear algebra (the rank check)."""
+    _check_ell(curve, ell)
+    curve.ctx.check_table_order()
+
+
 @dataclass(eq=False)
 class AGCode:
     """An evaluation code with its generator matrix and parameters.
@@ -97,7 +104,7 @@ def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
     """The multi-point code: evaluate the L(ell * Omega) monomial basis
     over Theta.  The evaluation map is injective (n > deg G), so the
     matrix rank equals the basis size; this is checked."""
-    _check_ell(curve, ell)
+    _check_code(curve, ell)
     return _evaluation_code(curve, ell, MULTIPOINT,
                             basis_multipoint(curve, ell), 0)
 
@@ -106,7 +113,7 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
     """The extended one-point code: evaluate the L(ell*h * P_inf) basis
     over Theta, with the P_inf entry taken through t^{ell*h} for the
     canonical local parameter t."""
-    _check_ell(curve, ell)
+    _check_code(curve, ell)
     return _evaluation_code(curve, ell, EXTENDED_ONE_POINT,
                             basis_one_point(curve, ell * curve.h),
                             ell * curve.h)

@@ -1,10 +1,16 @@
 """Exact dense linear algebra over a finite field.
 
-Matrices are numpy int64 arrays of element indices; all row operations
-go through the FieldCtx vector helpers, so everything is exact.  The
-reduced row echelon form is fully normalized (unit pivots, eliminated
-above and below, pivot search in index order), hence canonical: two
-matrices have equal row spaces iff their RREFs are equal arrays.
+Matrices are numpy arrays of element indices; every array this module
+returns is int64.  Inside, rref and reduce_vector work on a copy in the
+field's narrow element dtype, and each row update is one call of
+FieldCtx.vmul_outer (a gather from the Q x Q product table) plus
+vadd/vneg, so everything is exact.  They therefore need the field order
+to be at most gf.TABLE_MAX_ORDER, in every characteristic.
+
+The reduced row echelon form is fully normalized (unit pivots,
+eliminated above and below, pivot search in index order), hence
+canonical: two matrices have equal row spaces iff their RREFs are equal
+arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ def rref(ctx: FieldCtx, mat: np.ndarray):
     all-zero rows at the bottom, and pivot_cols lists the pivot column
     of each nonzero row (its length is the rank).
     """
-    R = np.array(mat, dtype=np.int64)
+    R = np.array(mat, dtype=ctx.dtype)
     if R.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
     m, n = R.shape
@@ -36,17 +42,19 @@ def rref(ctx: FieldCtx, mat: np.ndarray):
         pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
+        # the pivot row is zero left of col, so only col: onwards changes
         pivot = int(R[row, col])
         if pivot != 1:
-            R[row] = ctx.vscale(ctx.inv(pivot), R[row])
+            R[row, col:] = ctx.vscale(ctx.inv(pivot), R[row, col:])
         others = np.nonzero(R[:, col])[0]
         others = others[others != row]
         if len(others):
-            prod = ctx.vmul_outer(R[others, col], R[row])
-            R[others] = ctx.vadd(R[others], ctx.vneg(prod))
+            R[others, col:] = ctx.vadd(
+                R[others, col:],
+                ctx.vmul_outer(ctx.vneg(R[others, col]), R[row, col:]))
         pivots.append(col)
         row += 1
-    return R, tuple(pivots)
+    return R.astype(np.int64), tuple(pivots)
 
 
 def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
@@ -59,14 +67,16 @@ def reduce_vector(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> np.n
     vec is one vector or a stack of rows (2-D); every row is reduced in
     the same pass over the pivots, and the residual has vec's shape.
     """
-    out = np.array(vec, dtype=np.int64)
+    out = np.array(vec, dtype=ctx.dtype)
     rows = out.reshape(-1, out.shape[-1])  # a view: rows alias out
     for r, col in enumerate(pivots):
         hit = np.nonzero(rows[:, col])[0]
         if len(hit):
-            prod = ctx.vmul_outer(rows[hit, col], R[r])
-            rows[hit] = ctx.vadd(rows[hit], ctx.vneg(prod))
-    return out
+            # RREF row r is zero left of its pivot
+            rows[hit, col:] = ctx.vadd(
+                rows[hit, col:],
+                ctx.vmul_outer(ctx.vneg(rows[hit, col]), R[r, col:]))
+    return out.astype(np.int64)
 
 
 def in_row_space(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> bool:

@@ -107,12 +107,53 @@ class SeparatedCurveSpec:
         }
 
 
-def spec_from_dict(d: dict) -> SeparatedCurveSpec:
-    ctx = field_from_dict(d["field"])
-    if ctx.p != d["p"]:
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no integer
+
+
+def _entry(d, key, kind, where="spec"):
+    """d[key], which must be present and of the JSON kind given;
+    ValueError otherwise."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object")
+    if key not in d:
+        raise ValueError(f"{where} has no {key!r} entry")
+    v = d[key]
+    if not (_is_int(v) if kind is int else isinstance(v, kind)):
+        raise ValueError(f"{where} entry {key!r} must be {_JSON_KINDS[kind]}")
+    return v
+
+
+def _element(ctx: FieldCtx, v, where: str) -> int:
+    if not _is_int(v) or not 0 <= v < ctx.order:
+        raise ValueError(f"{where} {v!r} is not an element index of "
+                         f"GF({ctx.order})")
+    return v
+
+
+def spec_from_dict(d) -> SeparatedCurveSpec:
+    """The spec of a record in the form to_dict writes.  Every malformed
+    record raises ValueError: not an object, a missing key, a value of
+    the wrong type, or a coefficient index outside the field."""
+    field = _entry(d, "field", dict)
+    _entry(field, "p", int, "field")
+    _entry(field, "k", int, "field")
+    if field.get("modulus") is not None:
+        if not all(map(_is_int, _entry(field, "modulus", list, "field"))):
+            raise ValueError("field modulus must list integers")
+    if field.get("generator_index") is not None:
+        _entry(field, "generator_index", int, "field")
+    ctx = field_from_dict(field)
+    if ctx.p != _entry(d, "p", int):
         raise ValueError("spec p does not match field characteristic")
-    a = {int(e["j"]): int(e["a_j_index"]) for e in d["A"]}
-    return SeparatedCurveSpec(ctx, a, tuple(int(b) for b in d["B"]))
+    a = {_entry(e, "j", int, "A term"):
+         _element(ctx, _entry(e, "a_j_index", int, "A term"), "a_j_index")
+         for e in _entry(d, "A", list)}
+    return SeparatedCurveSpec(ctx, a, tuple(_element(ctx, b, "B coefficient")
+                                            for b in _entry(d, "B", list)))
 
 
 def norm_trace_spec(q: int, r: int, ctx: FieldCtx | None = None) -> SeparatedCurveSpec:

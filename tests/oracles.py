@@ -5,7 +5,8 @@ count enumerates pairs directly, irreducibility is tested by trial
 factorization, and semigroup membership by double loop.  The code
 action, fixed places and row reduction are computed one place or one
 entry at a time with the scalar field operations, where the library
-works on whole arrays.
+works on whole arrays; field addition and negation digit by digit, where
+the library uses Zech logarithms.
 """
 
 import numpy as np
@@ -105,3 +106,51 @@ def reduce_row_by_entries(ctx, R, pivots, vec):
         if f:
             v = [ctx.sub(c, ctx.mul(f, int(rc))) for c, rc in zip(v, R[r])]
     return v
+
+
+def add_by_digits(ctx, a, b):
+    """a + b in GF(p^k), adding the base-p digits of the indices mod p."""
+    p = ctx.p
+    out, mult = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + db) % p * mult
+        mult *= p
+    return out
+
+
+def neg_by_digits(ctx, a):
+    """-a in GF(p^k), negating the base-p digits of the index mod p."""
+    p = ctx.p
+    out, mult = 0, 1
+    while a:
+        a, da = divmod(a, p)
+        out += -da % p * mult
+        mult *= p
+    return out
+
+
+def rref_by_entries(ctx, mat):
+    """Gauss-Jordan elimination entry by entry with ctx.add, ctx.mul and
+    ctx.inv only: unit pivots found in index order, eliminated above and
+    below.  Returns (rows as lists, pivot columns)."""
+    M = [[int(c) for c in row] for row in mat]
+    m, n = len(M), len(M[0]) if M else 0
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if M[i][col]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        s = ctx.inv(M[r][col])
+        M[r] = [ctx.mul(s, c) for c in M[r]]
+        for i in range(m):
+            if i != r and M[i][col]:
+                f = ctx.mul(ctx.p - 1, M[i][col])  # index p - 1 is -1
+                M[i] = [ctx.add(a, ctx.mul(f, c)) for a, c in zip(M[i], M[r])]
+        pivots.append(col)
+        if len(pivots) == m:
+            break
+    return M, tuple(pivots)

@@ -239,6 +239,35 @@ def test_oversized_curves_refused_before_building(capsys, argv):
     assert err.startswith("error:") and "places, above the limit" in err
 
 
+@pytest.mark.parametrize("command", ["code-build", "code-table", "min-dist",
+                                     "aut-verify"])
+@pytest.mark.parametrize("q,r", [(81, 2), (17, 3)])
+def test_fields_above_the_table_limit_refused_before_places(capsys, command,
+                                                            q, r):
+    # within the place limit, but GF(q^r) is above the 4096 limit of the
+    # linear algebra: refused before 531,441 (or 1,419,857) places
+    start = time.perf_counter()
+    rc, out, err = run(capsys, command, "--q", str(q), "--r", str(r),
+                       "--ell", "1")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "table limit 4096" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"p": 2},
+    [CASE_II_SPEC],
+    {**CASE_II_SPEC, "A": [{"j": 0}]},
+    {**CASE_II_SPEC, "B": [0, 0, 0, 2]},
+], ids=["no-field", "a-list", "no-a_j_index", "index-outside-GF2"])
+def test_malformed_spec_is_an_error(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bounds", [["--ell", "0"], ["--ell-max", "0"],
                                     ["--ell", "3", "--ell-max", "0"],
                                     ["--ell", "8"], ["--ell-max", "8"]])

@@ -6,7 +6,7 @@ import pytest
 from normtrace import gf
 from normtrace.gf import (FieldElement, arith, build_field, field_from_dict,
                           frobenius, norm_rel, subfield_elements, trace_rel)
-from oracles import irreducible_by_trial
+from oracles import add_by_digits, irreducible_by_trial, neg_by_digits
 
 
 def test_default_modulus_gf8(f8):
@@ -154,12 +154,42 @@ def test_trace_linearity_and_fibers():
 
 def test_add_table_matches_scalar_add(f8):
     f3_8 = build_field(3, 8)
-    assert f3_8.order > gf._ADD_TABLE_MAX_ORDER  # no Q x Q table here
+    assert f3_8.order > gf.TABLE_MAX_ORDER  # no Q x Q table here
     rng = random.Random(11)
     for ctx in (f8, f3_8):
         for a in {0, 1, ctx.order - 1, rng.randrange(ctx.order)}:
             assert (ctx.add_table(a).tolist()
                     == [ctx.add(v, a) for v in ctx.elements()])
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (3, 3), (3, 4)])
+def test_zech_add_matches_digit_oracle_on_all_pairs(p, k):
+    ctx = build_field(p, k)
+    for a in ctx.elements():
+        assert ctx.neg(a) == neg_by_digits(ctx, a)
+        for b in ctx.elements():
+            assert ctx.add(a, b) == add_by_digits(ctx, a, b)
+
+
+def test_zech_add_matches_digit_oracle_on_random_pairs():
+    ctx = build_field(3, 10)
+    rng = random.Random(5)
+    for _ in range(3000):
+        a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+        assert ctx.add(a, b) == add_by_digits(ctx, a, b)
+        assert ctx.sub(a, b) == add_by_digits(ctx, a, neg_by_digits(ctx, b))
+    assert ctx.add(1, ctx.order - 1) == add_by_digits(ctx, 1, ctx.order - 1)
+    assert ctx.add(2, 1) == 0  # the Zech sentinel: 1 + (-1) = 0
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (3, 3), (2, 8), (7, 3)])
+def test_vector_tables_match_scalar_ops(p, k):
+    ctx = build_field(p, k)
+    elems = list(ctx.elements())
+    assert ctx.mul_np.tolist() == [[ctx.mul(a, b) for b in elems] for a in elems]
+    assert ctx.add_np.tolist() == [[add_by_digits(ctx, a, b) for b in elems]
+                                   for a in elems]
+    assert ctx.neg_np.tolist() == [neg_by_digits(ctx, a) for a in elems]
 
 
 def test_norm_values(f8, f27):

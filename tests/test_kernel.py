@@ -1,0 +1,154 @@
+"""The product-table elimination kernel (FieldCtx.mul_np, add_np and
+vmul_outer under linalg.rref and reduce_vector) against the scalar
+oracles, over random fields of order at most 2^12."""
+
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from normtrace import linalg  # noqa: E402
+from normtrace.gf import build_field, is_prime  # noqa: E402
+from oracles import reduce_row_by_entries, rref_by_entries  # noqa: E402
+
+FIELDS = [(p, k) for p in range(2, 4097) if is_prime(p)
+          for k in range(1, 13) if p ** k <= 4096 and (k > 1 or p < 64)]
+FIELDS.append((4093, 1))  # the largest prime below the table cap
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+@lru_cache(maxsize=4)  # a field's tables reach 32 MB each near the cap
+def field(p, k):
+    return build_field(p, k)
+
+
+def random_matrix(draw, ctx, m, n):
+    """A random m x n matrix whose last rows are random combinations of
+    the first ones, so its rank is usually below min(m, n)."""
+    elem = st.integers(0, ctx.order - 1)
+    free = draw(st.integers(1, m))
+    rows = [[draw(elem) for _ in range(n)] for _ in range(free)]
+    for _ in range(m - free):
+        row = [0] * n
+        for src in rows[:free]:
+            c = draw(elem)
+            row = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(row, src)]
+        rows.append(row)
+    order = draw(st.permutations(range(m)))
+    return np.array([rows[i] for i in order], dtype=np.int64)
+
+
+def assert_kernel_matches_oracles(ctx, M, V):
+    """rref, reduce_vector and vmul_outer equal the scalar oracles."""
+    R, pivots = linalg.rref(ctx, M)
+    want_R, want_pivots = rref_by_entries(ctx, M)
+    assert R.dtype == np.int64
+    assert pivots == want_pivots
+    assert R.tolist() == want_R
+    res = linalg.reduce_vector(ctx, R, pivots, V)
+    assert res.dtype == np.int64
+    assert res.tolist() == [reduce_row_by_entries(ctx, R, pivots, v)
+                            for v in V]
+    col, row = M[:, 0], M[0]
+    for c, r in ((col, row), (col.astype(ctx.dtype), row.astype(ctx.dtype))):
+        assert ctx.vmul_outer(c, r).tolist() == [
+            [ctx.mul(int(a), int(b)) for b in row] for a in col]
+
+
+@st.composite
+def kernel_case(draw, fields=FIELDS):
+    ctx = field(*draw(st.sampled_from(fields)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    M = random_matrix(draw, ctx, m, n)
+    # members of the row space (the rows themselves) and random vectors
+    V = np.vstack([M, random_matrix(draw, ctx, draw(st.integers(1, 3)), n)])
+    return ctx, M, V
+
+
+@SETTINGS
+@given(kernel_case())
+def test_kernel_matches_oracles(case):
+    assert_kernel_matches_oracles(*case)
+
+
+@pytest.mark.parametrize("pk", [(2, 8), (7, 3), (2, 9)],
+                         ids=["GF256-uint8", "GF343-uint16", "GF512-uint16"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_matches_oracles_at_the_dtype_boundary(pk, data):
+    ctx, M, V = data.draw(kernel_case([pk]))
+    assert ctx.dtype == (np.uint8 if ctx.order <= 256 else np.uint16)
+    assert_kernel_matches_oracles(ctx, M, V)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_rref_is_canonical_under_random_row_operations(data):
+    ctx, M, _ = data.draw(kernel_case())
+    R, pivots = linalg.rref(ctx, M)
+    S = [list(map(int, row)) for row in M]
+    nonzero = st.integers(1, ctx.order - 1)
+    for _ in range(data.draw(st.integers(1, 12))):
+        i, j = data.draw(st.integers(0, len(S) - 1)), data.draw(
+            st.integers(0, len(S) - 1))
+        kind = data.draw(st.sampled_from(["swap", "scale", "add"]))
+        if kind == "swap":
+            S[i], S[j] = S[j], S[i]
+        elif kind == "scale":
+            s = data.draw(nonzero)
+            S[i] = [ctx.mul(s, a) for a in S[i]]
+        elif i != j:
+            s = data.draw(nonzero)
+            S[i] = [ctx.add(a, ctx.mul(s, b)) for a, b in zip(S[i], S[j])]
+    R2, pivots2 = linalg.rref(ctx, np.array(S))
+    assert pivots2 == pivots
+    assert np.array_equal(R2, R)
+
+
+@pytest.mark.parametrize("table", ["_mul_np", "_add_np"])
+def test_oracle_comparison_has_teeth(table, monkeypatch):
+    """One wrong entry in a product or sum table must show."""
+    ctx = build_field(3, 3)  # a fresh context: its tables are patched
+    x, c, y = 5, 7, 11
+    M = np.array([[1, x, 3], [c, y, 2]])  # RREF entry (2 - 3c)/(y - cx)
+    bad = getattr(ctx, table[1:]).copy()
+    if table == "_mul_np":
+        a, b = ctx.neg(c), x        # eliminating c uses (-c) * x
+    else:
+        a, b = y, ctx.mul(ctx.neg(c), x)  # ... and y + (-c) * x
+    bad[a, b] = ctx.add(int(bad[a, b]), 1)
+    assert_kernel_matches_oracles(ctx, M, M)  # the true tables pass
+    monkeypatch.setattr(ctx, table, bad)
+    with pytest.raises(AssertionError):
+        assert_kernel_matches_oracles(ctx, M, M)
+
+
+def test_tables_are_narrow_and_capped():
+    for (p, k), dtype in [((2, 8), np.uint8), ((7, 3), np.uint16),
+                          ((3, 7), np.uint16), ((2, 12), np.uint16)]:
+        ctx = build_field(p, k)
+        assert ctx.dtype == dtype
+        for tbl in (ctx.mul_np, ctx.add_np, ctx.neg_np):
+            assert tbl.dtype == dtype
+    # no Q x Q int64 temporary while building: it alone would take 8 Q^2
+    ctx = build_field(3, 7)
+    for name in ("mul_np", "add_np"):
+        tracemalloc.start()
+        getattr(ctx, name)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 5 * ctx.order ** 2, name
+    big = build_field(3, 8)
+    with pytest.raises(ValueError, match="table limit 4096"):
+        big.mul_np
+    with pytest.raises(ValueError, match="table limit 4096"):
+        linalg.rref(big, np.array([[1, 2], [3, 4]]))
+    char2 = build_field(2, 13)  # the cap holds in characteristic 2 as well
+    with pytest.raises(ValueError, match="table limit 4096"):
+        linalg.rref(char2, np.array([[1, 2], [3, 4]]))
