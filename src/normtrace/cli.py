@@ -134,9 +134,10 @@ def cmd_code_build(args):
 def cmd_min_dist(args):
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)
-    space = curve.ctx.order ** code.k
-    if space > 1 << 22:
-        print(f"enumerating {space} messages ...", file=sys.stderr)
+    Q = curve.ctx.order
+    messages = (Q ** code.k - 1) // (Q - 1)  # one per line through 0
+    if messages > 1 << 22:
+        print(f"enumerating {messages} messages ...", file=sys.stderr)
     d = codes.min_distance_exhaustive(code, args.budget, stop_at=code.d_star)
     rec = {"q": args.q, "r": args.r, "ell": args.ell, "n": code.n, "k": code.k,
            "d_star": code.d_star, "d_exact": d,

@@ -229,13 +229,21 @@ def min_distance_exhaustive(code: AGCode, budget: int,
                             stop_at: int | None = None,
                             table_limit: int = 1 << 16) -> int:
     """Minimum weight over all nonzero messages, by exhaustive
-    enumeration of the message space.
+    enumeration of the projective message space.
 
     Raises BudgetExceeded when the field-order^k message count exceeds
     the budget.  If stop_at is given (a proven lower bound such as d*),
     the search stops as soon as a word of that weight has been found.
-    The enumeration tabulates all combinations of the trailing rows up
-    to table_limit words and sweeps prefixes over the table.
+
+    Every nonzero message is a scalar multiple of exactly one message
+    whose highest nonzero digit is 1, and scaling keeps the weight, so
+    only those (Q^k - 1)/(Q - 1) messages are enumerated.  All
+    combinations of the trailing rows, up to table_limit words and
+    leaving the first row out when k > 1, are tabulated.  The zero
+    prefix takes the table's leading-one words; every leading-one
+    prefix, in increasing order, sweeps the whole table.  The table is
+    closed under negation, so the least weight of prefix + table equals
+    the least Hamming distance from the prefix word to the table.
     """
     ctx = code.curve.ctx
     Q = ctx.order
@@ -243,35 +251,79 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     if Q ** k > budget:
         raise BudgetExceeded(
             f"message space {Q}^{k} exceeds budget {budget}")
-    rows = [code.matrix[i] for i in range(k)]
+    # k2 < k unless k = 1: the zero prefix alone would use only the
+    # table's leading-one words, a (Q - 1)-th of it
     k2 = 1
-    while k2 < k and Q ** (k2 + 1) <= table_limit:
+    while k2 + 1 < k and Q ** (k2 + 1) <= table_limit:
         k2 += 1
-    k2 = min(k2, k)
     k1 = k - k2
-    table = np.zeros((1, n), dtype=np.int64)
-    for row in rows[k1:]:
-        blocks = [ctx.vadd(table, ctx.vscale(s, row)[None, :])
-                  for s in range(Q)]
-        table = np.vstack(blocks)
+    encode, add, distance = _word_kernel(ctx, n)
+    # multiples[i][:, s] is the word s * (row i), encoded
+    digits = np.arange(Q)
+    multiples = [encode(ctx.vmul_outer(digits, row)) for row in code.matrix]
+    zero = multiples[0][:, :1]
+    table = zero
+    for mult in multiples[k1:]:
+        table = add(table[:, None], mult[:, :, None]).reshape(
+            len(zero), -1, zero.shape[-1])
+
+    def sweeps():
+        yield table[:, _leading_one(Q, k2)], zero  # the zero prefix
+        for m in _leading_one(Q, k1):
+            word = zero
+            for mult in multiples[:k1]:
+                m, digit = divmod(m, Q)
+                if digit:
+                    word = add(word, mult[:, digit:digit + 1])
+            yield table, word
+
     best = n + 1
-    for m in range(Q ** k1):
-        prefix = np.zeros(n, dtype=np.int64)
-        mm = m
-        for i in range(k1):
-            mm, digit = divmod(mm, Q)
-            if digit:
-                prefix = ctx.vadd(prefix, ctx.vscale(digit, rows[i]))
-        block = ctx.vadd(table, prefix[None, :])
-        weights = (block != 0).sum(axis=1)
-        if m == 0:
-            weights[0] = n + 1  # exclude the zero message
-        w = int(weights.min())
+    for words, word in sweeps():
+        w = int(distance(words, word).min())
         if w < best:
             best = w
             if stop_at is not None and best <= stop_at:
                 break
     return best
+
+
+def _leading_one(Q: int, digits: int) -> np.ndarray:
+    """The numbers below Q^digits whose highest nonzero base-Q digit is
+    1, in increasing order."""
+    return np.concatenate([np.arange(Q ** i, 2 * Q ** i)
+                           for i in range(digits)] + [np.arange(0)])
+
+
+def _word_kernel(ctx, n: int):
+    """(encode, add, distance) for words of length n over ctx.
+
+    A stack of words is a (planes, words, length) array.  In
+    characteristic 2 a word is its k bit planes, each packed into
+    uint64, and words add by XOR; in odd characteristic it is one plane
+    of element indices in the field's narrow dtype, added by
+    FieldCtx.vadd.  encode packs a (words, n) array of element indices;
+    distance gives the Hamming distance of each word of a stack to one
+    word.
+    """
+    if ctx.p != 2:
+        def distance(words, word):
+            return np.count_nonzero(words[0] != word[0], axis=-1)
+        return ((lambda idx: np.ascontiguousarray(idx[None], ctx.dtype)),
+                ctx.vadd, distance)
+
+    planes = np.arange(ctx.k, dtype=ctx.dtype)[:, None, None]
+
+    def encode(idx):
+        idx = np.ascontiguousarray(idx, ctx.dtype)
+        bits = ((idx >> planes) & 1).astype(np.uint8)
+        bits = np.pad(bits, [(0, 0), (0, 0), (0, -n % 64)])
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+    def distance(words, word):
+        return np.bitwise_count(
+            np.bitwise_or.reduce(words ^ word, axis=0)).sum(axis=-1)
+
+    return encode, np.bitwise_xor, distance
 
 
 # ----------------------------------------------------------------------

@@ -53,13 +53,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_order(p: int, e: int):
+def check_order(p: int, e: int, what: str = "field order"):
     """Raise ValueError if p^e exceeds MAX_ORDER (for p >= 2), without
     forming p^e for a huge e: 2^e alone exceeds it once e reaches
     MAX_ORDER's bit length."""
     if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
         order = f"{p}^{e}" if e > 1 else p
-        raise ValueError(f"field order {order} exceeds limit {MAX_ORDER}")
+        raise ValueError(f"{what} {order} exceeds limit {MAX_ORDER}")
 
 
 def prime_power(n: int) -> tuple[int, int]:

@@ -31,7 +31,7 @@ from math import gcd
 
 from . import poly
 from .codes import BudgetExceeded
-from .gf import FieldCtx, build_field, field_from_dict
+from .gf import FieldCtx, build_field, check_order, field_from_dict
 
 
 class SearchFieldTooSmall(ValueError):
@@ -171,7 +171,8 @@ def norm_trace_spec(q: int, r: int, ctx: FieldCtx | None = None) -> SeparatedCur
 def validate(spec: SeparatedCurveSpec) -> SeparatedCurveSpec:
     """Check the five defining conditions; report each violation
     distinctly.  Additivity of A is structural (only p^j exponents can
-    be stored) and is re-checked on sampled pairs."""
+    be stored) and is re-checked on sampled pairs.  A degree p^n above
+    gf.MAX_ORDER is refused before p^n is formed."""
     ctx = spec.ctx
     if not spec.a_coeffs:
         raise ValueError("A(Y) is zero")
@@ -182,6 +183,7 @@ def validate(spec: SeparatedCurveSpec) -> SeparatedCurveSpec:
     n = spec.n
     if n < 1:
         raise ValueError("A(Y) must have degree p^n with n >= 1")
+    check_order(ctx.p, n, "A(Y) degree")
     if not spec.b_coeffs or spec.b_coeffs[-1] == 0:
         raise ValueError("b_m must be nonzero")
     m = spec.m

@@ -6,12 +6,15 @@ factorization, and semigroup membership by double loop.  The code
 action, fixed places and row reduction are computed one place or one
 entry at a time with the scalar field operations, where the library
 works on whole arrays; field addition and negation digit by digit, where
-the library uses Zech logarithms.
+the library uses Zech logarithms.  The minimum distance is found over
+every nonzero message, where the library enumerates one message per
+line through 0 in packed words.
 """
 
 import numpy as np
 
 from normtrace.autgroup import apply_place, frobenius_place
+from normtrace.codes import BudgetExceeded
 
 
 def lattice_dimension(q: int, r: int, ell: int) -> int:
@@ -154,3 +157,64 @@ def rref_by_entries(ctx, mat):
         if len(pivots) == m:
             break
     return M, tuple(pivots)
+
+
+def min_distance_full_enumeration(code, budget, stop_at=None,
+                                  table_limit=1 << 16):
+    """Minimum weight over all Q^k - 1 nonzero messages in element-index
+    arrays: the trailing rows are tabulated up to table_limit words and
+    every prefix, the zero one included, sweeps the table.  Same budget
+    and stop_at contract as codes.min_distance_exhaustive."""
+    ctx = code.curve.ctx
+    Q = ctx.order
+    k, n = code.k, code.n
+    if Q ** k > budget:
+        raise BudgetExceeded(
+            f"message space {Q}^{k} exceeds budget {budget}")
+    rows = [code.matrix[i] for i in range(k)]
+    k2 = 1
+    while k2 < k and Q ** (k2 + 1) <= table_limit:
+        k2 += 1
+    k2 = min(k2, k)
+    k1 = k - k2
+    table = np.zeros((1, n), dtype=np.int64)
+    for row in rows[k1:]:
+        blocks = [ctx.vadd(table, ctx.vscale(s, row)[None, :])
+                  for s in range(Q)]
+        table = np.vstack(blocks)
+    best = n + 1
+    for m in range(Q ** k1):
+        prefix = np.zeros(n, dtype=np.int64)
+        mm = m
+        for i in range(k1):
+            mm, digit = divmod(mm, Q)
+            if digit:
+                prefix = ctx.vadd(prefix, ctx.vscale(digit, rows[i]))
+        block = ctx.vadd(table, prefix[None, :])
+        weights = (block != 0).sum(axis=1)
+        if m == 0:
+            weights[0] = n + 1  # exclude the zero message
+        w = int(weights.min())
+        if w < best:
+            best = w
+            if stop_at is not None and best <= stop_at:
+                break
+    return best
+
+
+def naive_min_weight(code):
+    """Scalar-arithmetic walk over the full message space."""
+    ctx = code.curve.ctx
+    Q, k, n = ctx.order, code.k, code.n
+    best = n + 1
+    for m in range(1, Q ** k):
+        word = [0] * n
+        mm = m
+        for i in range(k):
+            mm, digit = divmod(mm, Q)
+            if digit:
+                row = code.matrix[i]
+                word = [ctx.add(w, ctx.mul(digit, int(r)))
+                        for w, r in zip(word, row)]
+        best = min(best, sum(1 for w in word if w))
+    return best

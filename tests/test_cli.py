@@ -224,6 +224,28 @@ def test_oversized_orders_refused_before_factoring(capsys, tmp_path, argv):
     assert err.startswith("error:") and "exceeds limit" in err
 
 
+def test_min_dist_notice_counts_projective_messages(capsys):
+    rc, out, err = run(capsys, "min-dist", "--q", "2", "--r", "3",
+                       "--ell", "4", "--budget", str(8 ** 9))
+    assert rc == 0
+    assert out == "[n=29, k=9] d* = 13, exhaustive d = 13\n"
+    assert err == f"enumerating {(8 ** 9 - 1) // 7} messages ...\n"
+
+
+@pytest.mark.parametrize("j", [100000, 10 ** 9])
+def test_oversized_a_degree_refused_before_forming_it(capsys, tmp_path, j):
+    # 2^100000 has over 4300 digits and 2^(10^9) takes minutes to form
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {**CASE_II_SPEC, "A": [{"j": 0, "a_j_index": 1},
+                               {"j": j, "a_j_index": 1}]}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: A(Y) degree 2^{j} exceeds limit")
+
+
 @pytest.mark.parametrize("argv", [
     ["curve-info", "--q", "2", "--r", "12"],
     ["aut-verify", "--q", "1024", "--r", "2", "--ell", "1"],

@@ -13,7 +13,7 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
 from normtrace.curve import P_INFINITY
 from normtrace.rrspace import (evaluate, extended_evaluate,
                                local_parameter_at_infinity, monomial)
-from oracles import lattice_dimension
+from oracles import lattice_dimension, naive_min_weight
 
 
 def test_build_code_23(curve23):
@@ -126,29 +126,11 @@ def test_min_distance_small(curve23):
     assert min_distance_exhaustive(build_code(curve23, 3), 10 ** 6) == 17
 
 
-def _naive_min_weight(code):
-    # independent oracle: scalar-arithmetic walk over the full message space
-    ctx = code.curve.ctx
-    Q, k, n = ctx.order, code.k, code.n
-    best = n + 1
-    for m in range(1, Q ** k):
-        word = [0] * n
-        mm = m
-        for i in range(k):
-            mm, digit = divmod(mm, Q)
-            if digit:
-                row = code.matrix[i]
-                word = [ctx.add(w, ctx.mul(digit, int(r)))
-                        for w, r in zip(word, row)]
-        best = min(best, sum(1 for w in word if w))
-    return best
-
-
 def test_min_distance_matches_naive_oracle(curve23, curve33):
     code = build_code(curve23, 2)  # 8^4 = 4096 messages, characteristic 2
-    assert min_distance_exhaustive(code, 10 ** 6) == _naive_min_weight(code)
+    assert min_distance_exhaustive(code, 10 ** 6) == naive_min_weight(code)
     code33 = build_code(curve33, 1)  # 27^2 = 729 messages, odd characteristic
-    naive = _naive_min_weight(code33)
+    naive = naive_min_weight(code33)
     assert min_distance_exhaustive(code33, 10 ** 6) == naive == code33.d_star
     # force the prefix-sweep split in both characteristics
     assert min_distance_exhaustive(code, 10 ** 6, table_limit=64) == 21

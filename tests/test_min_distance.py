@@ -1,0 +1,152 @@
+"""The projective minimum-distance kernel (codes.min_distance_exhaustive)
+against the full-enumeration oracle, over random generator matrices in
+both characteristics, plus codes built so that one missing part of the
+enumeration changes the answer."""
+
+import tracemalloc
+from functools import lru_cache
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from normtrace.codes import BudgetExceeded, min_distance_exhaustive  # noqa: E402
+from normtrace.gf import build_field, is_prime  # noqa: E402
+from oracles import min_distance_full_enumeration  # noqa: E402
+
+FIELDS = [(p, k) for p in range(2, 64) if is_prime(p)
+          for k in range(1, 7) if p ** k <= 64]
+MAX_MESSAGES = 1 << 12
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@lru_cache(maxsize=None)
+def field(p, k):
+    return build_field(p, k)
+
+
+def as_code(ctx, rows):
+    """The attributes min_distance_exhaustive reads from an AGCode."""
+    matrix = np.array(rows, dtype=np.int64)
+    k, n = matrix.shape
+    return SimpleNamespace(curve=SimpleNamespace(ctx=ctx), matrix=matrix,
+                           k=k, n=n)
+
+
+@st.composite
+def random_codes(draw):
+    """A k x n generator matrix with Q^k <= MAX_MESSAGES; n crosses the
+    64-bit word boundaries of the packed planes.  Some rows are zero or
+    a scalar multiple of an earlier row, and some are sparse, so low
+    and zero weights occur."""
+    ctx = field(*draw(st.sampled_from(FIELDS)))
+    Q = ctx.order
+    k_max = max(1, max(k for k in range(1, 13) if Q ** k <= MAX_MESSAGES))
+    k = draw(st.integers(1, k_max))
+    n = draw(st.integers(1, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["dense", "sparse", "zero", "repeat"]))
+        if kind == "repeat" and rows:
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(ctx.vscale(draw(st.integers(1, Q - 1)), src))
+            continue
+        row = rng.integers(0, Q, size=n)
+        if kind == "sparse":
+            row[rng.random(n) > 0.1] = 0
+        elif kind == "zero":
+            row[:] = 0
+        rows.append(row)
+    return as_code(ctx, rows)
+
+
+@SETTINGS
+@given(code=random_codes(), data=st.data())
+def test_kernel_matches_full_enumeration(code, data):
+    Q = code.curve.ctx.order
+    budget = Q ** code.k
+    # Q and Q^2 force a prefix split; 1 << 16 is the default table
+    table_limit = data.draw(st.sampled_from([Q, Q ** 2, Q ** 3, 1 << 16]))
+    stop_at = data.draw(st.none() | st.integers(0, code.n))
+    d = min_distance_full_enumeration(code, budget,
+                                      table_limit=table_limit)
+    got = min_distance_exhaustive(code, budget, stop_at=stop_at,
+                                  table_limit=table_limit)
+    if stop_at is None or d > stop_at:
+        assert got == d
+    else:
+        # stopped at the first word of weight <= stop_at, in either order
+        assert d <= got <= stop_at
+    with pytest.raises(BudgetExceeded):
+        min_distance_exhaustive(code, budget - 1, stop_at=stop_at,
+                                table_limit=table_limit)
+
+
+def heavy(n, lo, hi):
+    """A row of ones on positions lo..hi-1 of n."""
+    row = [0] * n
+    row[lo:hi] = [1] * (hi - lo)
+    return row
+
+
+def unit(n, i):
+    return heavy(n, i, i + 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_minimum_only_under_the_zero_prefix(p, k):
+    # Every word with a nonzero digit on row 0 (the prefix) has weight
+    # >= 8; the only weight-1 words are the multiples of row 2, the top
+    # row of the tail table.
+    ctx = field(p, k)
+    Q = ctx.order
+    code = as_code(ctx, [heavy(20, 0, 8), heavy(20, 8, 16), unit(20, 16)])
+    assert min_distance_exhaustive(code, Q ** 3, table_limit=Q ** 2) == 1
+    assert min_distance_full_enumeration(code, Q ** 3) == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_minimum_needs_the_last_prefix_row(p, k):
+    # A table of one row (row 2) leaves rows 0 and 1 to the prefixes; the
+    # only weight-1 words are the multiples of row 1, the highest digit.
+    ctx = field(p, k)
+    Q = ctx.order
+    code = as_code(ctx, [heavy(20, 0, 8), unit(20, 16), heavy(20, 8, 16)])
+    assert min_distance_exhaustive(code, Q ** 3, table_limit=Q) == 1
+    assert min_distance_exhaustive(code, Q ** 3, stop_at=1,
+                                   table_limit=Q) == 1
+
+
+@pytest.mark.parametrize("p,k,top", [(2, 3, 4), (2, 6, 32)])
+def test_top_bit_plane_counts(p, k, top):
+    # Entries that set only the top bit plane, in the first and the last
+    # packed word: the word has weight 2 only if that plane is in the OR.
+    ctx = field(p, k)
+    row = [0] * 70
+    row[0] = row[69] = top
+    code = as_code(ctx, [row, heavy(70, 1, 60)])
+    assert min_distance_exhaustive(code, ctx.order ** 2) == 2
+    assert min_distance_exhaustive(as_code(ctx, [row]), ctx.order) == 2
+
+
+def test_table_leaves_the_first_row_out():
+    # k = 2 over GF(256): Q^2 words fit table_limit, but the Q + 1
+    # projective messages need a table of Q words, not one of Q^2
+    # (42 MB of packed planes at n = 600)
+    ctx = field(2, 8)
+    rng = np.random.default_rng(1)
+    code = as_code(ctx, rng.integers(1, 256, size=(2, 600)))
+    tracemalloc.start()
+    try:
+        d = min_distance_exhaustive(code, 256 ** 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == min_distance_full_enumeration(code, 256 ** 2, table_limit=256)
+    assert peak < 4 << 20
