@@ -54,13 +54,13 @@ def cmd_field_info(args):
 
 def cmd_curve_info(args):
     curve = build_curve(args.q, args.r)
-    places = curve.rational_places()
-    n_theta = len(places) - len(curve.omega)
+    n_places = curve.n_places
+    n_theta = n_places - len(curve.omega)
     info = {
         "q": curve.q,
         "r": curve.r,
         "genus": curve.genus,
-        "n_places": len(places),
+        "n_places": n_places,
         "n_omega": len(curve.omega),
         "n_theta": n_theta,
         "div_x": curve.principal_divisor_x().to_dict(),
@@ -72,7 +72,7 @@ def cmd_curve_info(args):
     lines = [
         f"norm-trace curve q={curve.q} r={curve.r} over GF({curve.q ** curve.r})",
         f"genus: {curve.genus}",
-        f"rational places: {len(places)}",
+        f"rational places: {n_places}",
         f"|Omega| (zeros of x): {len(curve.omega)}",
         f"|Theta|: {n_theta}",
         f"(x) = sum(Omega) - {curve.h} * P_inf",

@@ -173,28 +173,51 @@ class NormTraceCurve:
         return Place(AFFINE, x, y)
 
     @cached_property
-    def _trace_fibers(self) -> dict[int, list[int]]:
-        fibers: dict[int, list[int]] = {}
-        for y in self.ctx.elements():
-            fibers.setdefault(self.ctx.trace_rel(y, self.q, self.r), []).append(y)
-        return fibers
+    def affine_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y indices of the affine places, sorted by (x, y).
+
+        The trace is GF(p)-linear, so the traces of all y follow from
+        the traces of the basis X^j; the norm of x is x^c.  The trace is
+        onto GF(q), where every norm lies, so each x has h points: the
+        fibre of norm(x), which a stable argsort lists by ascending y."""
+        ctx, Q = self.ctx, self.ctx.order
+        traces = ctx.linear_map(
+            [ctx.trace_rel(ctx.p ** j, self.q, self.r) for j in range(ctx.k)],
+            np.arange(Q))
+        norms = np.zeros(Q, dtype=np.int64)
+        norms[1:] = ctx.exp_np[ctx.log_np[1:] * self.c % (Q - 1)]
+        sizes = np.bincount(traces, minlength=Q)
+        assert (sizes[norms] == self.h).all()
+        starts = np.cumsum(sizes) - sizes
+        by_trace = np.argsort(traces, kind="stable")
+        ys = by_trace[(starts[norms][:, None] + np.arange(self.h)).ravel()]
+        xs = np.repeat(np.arange(Q), self.h)
+        xs.flags.writeable = ys.flags.writeable = False
+        return xs, ys
+
+    @property
+    def n_places(self) -> int:
+        """The number of rational places, counted without building them."""
+        return 1 + len(self.affine_xy[0])
 
     @cached_property
     def trace_zero(self) -> frozenset[int]:
-        """Elements of trace zero: the translation parts of the group."""
-        return frozenset(self._trace_fibers.get(0, ()))
+        """Elements of trace zero: the translation parts of the group,
+        which are the y of the places over x = 0."""
+        return frozenset(self.affine_xy[1][:self.h].tolist())
 
     def x_fiber(self, x: int) -> list[Place]:
         """Affine places with the given x coordinate, in canonical order."""
-        t = self.ctx.norm_rel(x, self.q, self.r)
-        return [Place(AFFINE, x, y) for y in self._trace_fibers.get(t, [])]
+        if not 0 <= x < self.ctx.order:
+            raise ValueError(f"x = {x} is not in GF({self.ctx.order})")
+        ys = self.affine_xy[1][x * self.h:(x + 1) * self.h]
+        return [Place(AFFINE, x, y) for y in ys.tolist()]
 
     @cached_property
     def places(self) -> tuple[Place, ...]:
-        out = [P_INFINITY]
-        for x in self.ctx.elements():
-            out.extend(self.x_fiber(x))
-        return tuple(out)
+        xs, ys = self.affine_xy
+        return (P_INFINITY,) + tuple([
+            Place(AFFINE, x, y) for x, y in zip(xs.tolist(), ys.tolist())])
 
     def rational_places(self) -> tuple[Place, ...]:
         """All q^{2r-1} + 1 rational places, infinity first."""
@@ -203,7 +226,8 @@ class NormTraceCurve:
     @cached_property
     def place_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """affine_coords of the rational places."""
-        return affine_coords(self.places)
+        xs, ys = self.affine_xy
+        return np.arange(1, len(xs) + 1), xs, ys
 
     @cached_property
     def omega(self) -> tuple[Place, ...]:

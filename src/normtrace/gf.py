@@ -170,13 +170,13 @@ class FieldCtx:
         self.k = k
         self.order = order
         self.modulus = modulus
+        # the modulus as a bit mask, for the characteristic-2 _mul_raw
+        self._modulus_bits = _coeffs_to_index(modulus, 2) if p == 2 else None
         # narrowest unsigned dtype holding every element index
         self.dtype = np.min_scalar_type(order - 1)
         self._build_tables()
         # lazy tables
         self._zech = None
-        self._exp_np = None
-        self._log_np = None
         self._mul_np = None
         self._add_np = None
         self._neg_np = None
@@ -187,7 +187,7 @@ class FieldCtx:
         """Multiply without tables (used to bootstrap them)."""
         p, k = self.p, self.k
         if p == 2:
-            m = _coeffs_to_index(self.modulus, 2)
+            m = self._modulus_bits
             r = 0
             top = 1 << k
             while b:
@@ -224,6 +224,10 @@ class FieldCtx:
         return r
 
     def _build_tables(self):
+        """Find the generator by scalar search, then build exp by
+        doubling: exp[L:2L] is exp[0:L] times g^L, a GF(p)-linear map
+        applied to the whole block at once.  log is the inverse
+        permutation."""
         n = self.order - 1
         gen = None
         primes = prime_factors(n) if n > 1 else []
@@ -233,17 +237,43 @@ class FieldCtx:
                 break
         assert gen is not None
         self.generator = gen
-        exp = [0] * n
-        log = [-1] * self.order
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, gen)
-        self._exp = exp
-        self._log = log
+        # doubled so log sums index directly
+        exp = np.empty(2 * n, dtype=np.int64)
+        exp[0] = 1
+        size = 1
+        while size < n:
+            g_size = self._mul_raw(int(exp[size - 1]), gen)
+            end = min(2 * size, n)
+            exp[size:end] = self.linear_map(
+                [self._mul_raw(self.p ** j, g_size) for j in range(self.k)],
+                exp[:end - size])
+            size = end
+        exp[n:] = exp[:n]
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp[:n]] = np.arange(n)
+        exp.flags.writeable = log.flags.writeable = False
+        self.exp_np = exp
+        self.log_np = log
+        self._exp = exp[:n].tolist()
+        self._log = log.tolist()
         # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
         self._neg_shift = n // 2 if self.p > 2 else 0
+
+    def linear_map(self, images, v: np.ndarray) -> np.ndarray:
+        """Apply to every index in v the GF(p)-linear map that sends the
+        basis element X^j to images[j]: in characteristic 2 the XOR of
+        the images selected by the bits of v, else the base-p digits of
+        v times the digit matrix of the images, mod p."""
+        v = np.asarray(v, dtype=np.int64)
+        if self.p == 2:
+            out = np.zeros_like(v)
+            for j, image in enumerate(images):
+                out ^= ((v >> j) & 1) * image
+            return out
+        powers = self.p ** np.arange(self.k, dtype=np.int64)
+        cols = np.array(images, dtype=np.int64)[:, None] // powers % self.p
+        digits = v[..., None] // powers % self.p
+        return (digits @ cols % self.p) @ powers
 
     def _zech_table(self) -> list[int]:
         """Build the Zech logarithms: entry d is log(1 + g^d), or -1
@@ -338,22 +368,6 @@ class FieldCtx:
         return range(1, self.order)
 
     # -- vectorized arithmetic on numpy index arrays ----------------------
-
-    @property
-    def exp_np(self) -> np.ndarray:
-        if self._exp_np is None:
-            n = max(self.order - 1, 1)
-            tbl = np.empty(2 * n, dtype=np.int64)
-            tbl[:n] = self._exp
-            tbl[n:] = self._exp  # doubled so log sums index directly
-            self._exp_np = tbl
-        return self._exp_np
-
-    @property
-    def log_np(self) -> np.ndarray:
-        if self._log_np is None:
-            self._log_np = np.array(self._log, dtype=np.int64)
-        return self._log_np
 
     def check_table_order(self):
         """Raise ValueError if the order is above TABLE_MAX_ORDER, the

@@ -17,7 +17,8 @@ local expansions are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+
+import numpy as np
 
 from .curve import NormTraceCurve, Place
 
@@ -117,19 +118,15 @@ def constant_one(curve: NormTraceCurve) -> FunctionElem:
 # ----------------------------------------------------------------------
 
 def semigroup_nongaps(curve: NormTraceCurve, bound: int) -> list[int]:
-    """Non-gaps a*h + b*c <= bound of the semigroup <h, c>, ascending."""
+    """Non-gaps a*h + b*c <= bound of the semigroup <h, c>, ascending.
+    As gcd(h, c) = 1, each has exactly one such form with b < h, so they
+    are the progressions b*c + h*i for b < h, merged."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     h, c = curve.h, curve.c
-    out = set()
-    b = 0
-    while b * c <= bound:
-        v = b * c
-        while v <= bound:
-            out.add(v)
-            v += h
-        b += 1
-    return sorted(out)
+    runs = [np.arange(b * c, bound + 1, h)
+            for b in range(min(h - 1, bound // c) + 1)]
+    return np.sort(np.concatenate(runs)).tolist()
 
 
 def semigroup_gaps(curve: NormTraceCurve) -> list[int]:

@@ -8,13 +8,17 @@ entry at a time with the scalar field operations, where the library
 works on whole arrays; field addition and negation digit by digit, where
 the library uses Zech logarithms.  The minimum distance is found over
 every nonzero message, where the library enumerates one message per
-line through 0 in packed words.
+line through 0 in packed words.  The exp table is built one product per
+element, where the library doubles whole blocks by a GF(p)-linear map,
+and the rational places by testing every (x, y) with the scalar norm and
+trace, where the library forms all traces and norms as arrays.
 """
 
 import numpy as np
 
 from normtrace.autgroup import apply_place, frobenius_place
 from normtrace.codes import BudgetExceeded
+from normtrace.curve import AFFINE, P_INFINITY, Place
 
 
 def lattice_dimension(q: int, r: int, ell: int) -> int:
@@ -38,6 +42,30 @@ def semigroup_by_force(h: int, c: int, bound: int) -> list[int]:
             if v <= bound:
                 out.add(v)
     return sorted(out)
+
+
+def exp_log_by_powers(ctx):
+    """exp and log tables from sequential powers of the generator, one
+    table-free product per element."""
+    n = ctx.order - 1
+    exp, log = [0] * n, [-1] * ctx.order
+    v = 1
+    for i in range(n):
+        exp[i] = v
+        log[v] = i
+        v = ctx._mul_raw(v, ctx.generator)
+    return exp, log
+
+
+def places_by_search(curve):
+    """The rational places, infinity first, by testing every (x, y) in
+    GF(Q)^2 for norm(x) = trace(y) with the scalar relative norm and
+    trace."""
+    ctx, q, r = curve.ctx, curve.q, curve.r
+    norms = [ctx.norm_rel(x, q, r) for x in ctx.elements()]
+    traces = [ctx.trace_rel(y, q, r) for y in ctx.elements()]
+    return [P_INFINITY] + [Place(AFFINE, x, y) for x in ctx.elements()
+                           for y in ctx.elements() if norms[x] == traces[y]]
 
 
 def poly_eval_mod(coeffs, x, p):

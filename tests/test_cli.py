@@ -3,11 +3,13 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 
-from normtrace import autgroup
+from normtrace import autgroup, cli
 from normtrace.cli import main
+from normtrace.curve import build_curve
 from normtrace.gf import field_from_dict
 
 CASE_II_SPEC = {"p": 2, "field": {"p": 2, "k": 1},
@@ -125,6 +127,49 @@ def test_aut_verify_stdout_is_pinned(capsys, q, r, fmt, digest):
                      "--format", fmt)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("field-info --q 65536",
+     "52cf0d58574fceda37bbd9b5bc10e56d39d430aa859844bdf1048b8bfdfeb713"),
+    ("field-info --q 59049",
+     "9b9305d6abee487c7903fde29191cc39c8ce20645e35a645698fc7a89c16d888"),
+    ("field-info --q 262144",
+     "79d304e618ee514e61e6a6c46beb106f861f791f84bc9b5007dc19ebbda69ac7"),
+    ("curve-info --q 4 --r 5",
+     "3522a8e6d054ed9b5b615a5086e114501f6db00f711570dbe074ffd2ea0a28c1"),
+    ("curve-info --q 16 --r 3",
+     "a0b2d8dcb68f1adb9e4a023d1ae9a2940d31a6a8aac6061d7d845f90d6eaaf5d"),
+])
+def test_large_field_and_curve_stdout_is_pinned(capsys, argv, digest):
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_curve_info_memory_is_bounded(capsys):
+    # the 1,048,577 Place objects of N_{16,3} alone take over 100 MB
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, "curve-info", "--q", "16", "--r", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and "rational places: 1048577" in out
+    assert peak < 64 << 20
+
+
+def test_curve_info_counts_places_without_building_them(capsys, monkeypatch):
+    built = []
+
+    def record(q, r):
+        built.append(build_curve(q, r))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_curve", record)
+    rc, out, _ = run(capsys, "curve-info", "--q", "16", "--r", "3")
+    assert rc == 0 and "rational places: 1048577" in out
+    assert "places" not in vars(built[0])
 
 
 def test_aut_verify_fails_on_a_doctored_group(capsys, monkeypatch):

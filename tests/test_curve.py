@@ -4,6 +4,7 @@ import pytest
 
 from normtrace.curve import (P_INFINITY, Divisor, Place, build_curve,
                              place_from_dict)
+from oracles import places_by_search
 
 
 def test_invariants_23(curve23):
@@ -63,6 +64,9 @@ def test_serialization_roundtrip_is_stable(curve23):
 def test_x_fibers(curve23):
     for x in curve23.ctx.elements():
         assert len(curve23.x_fiber(x)) == curve23.h
+    for x in (-1, curve23.ctx.order):
+        with pytest.raises(ValueError):
+            curve23.x_fiber(x)
 
 
 def test_trace_zero_and_place_coords_are_lazy():
@@ -74,6 +78,22 @@ def test_trace_zero_and_place_coords_are_lazy():
     assert [cv.places[i] for i in pos] == [
         Place("affine", x, y) for x, y in zip(xs.tolist(), ys.tolist())]
     assert pos.tolist() == list(range(1, len(cv.places)))
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4), (4, 3), (5, 2),
+                                  (9, 2), (3, 4)])
+def test_places_equal_brute_force_search(q, r):
+    cv = build_curve(q, r)
+    want = places_by_search(cv)
+    assert list(cv.places) == want
+    for x in cv.ctx.elements():
+        assert cv.x_fiber(x) == [P for P in want[1:] if P.x == x]
+    assert cv.trace_zero == {P.y for P in want[1:] if P.x == 0}
+    pos, xs, ys = cv.place_coords
+    assert pos.tolist() == list(range(1, len(want)))
+    assert xs.tolist() == [P.x for P in want[1:]]
+    assert ys.tolist() == [P.y for P in want[1:]]
+    assert cv.n_places == len(want) == q ** (2 * r - 1) + 1
 
 
 def test_omega_theta(curve23, curve33):

@@ -6,7 +6,15 @@ import pytest
 from normtrace import gf
 from normtrace.gf import (FieldElement, arith, build_field, field_from_dict,
                           frobenius, norm_rel, subfield_elements, trace_rel)
-from oracles import add_by_digits, irreducible_by_trial, neg_by_digits
+from oracles import (add_by_digits, exp_log_by_powers, irreducible_by_trial,
+                     neg_by_digits)
+
+# every p^k <= 2^12 with k >= 2, a sample of prime fields, and two
+# fields past the product-table limit
+BOOTSTRAP_FIELDS = ([(p, k) for p in range(2, 65) if gf.is_prime(p)
+                     for k in range(2, 13) if p ** k <= 1 << 12]
+                    + [(p, 1) for p in (2, 3, 5, 7, 101, 257, 4099)]
+                    + [(2, 16), (3, 9)])
 
 
 def test_default_modulus_gf8(f8):
@@ -99,6 +107,23 @@ def test_exp_log_roundtrip(f27):
         assert f27._exp[f27._log[a]] == a
     # log is a bijection onto 0..order-2
     assert sorted(f27._log[a] for a in f27.nonzero()) == list(range(26))
+
+
+@pytest.mark.parametrize("p, k", BOOTSTRAP_FIELDS)
+def test_exp_log_equal_sequential_powers(p, k):
+    ctx = build_field(p, k)
+    exp, log = exp_log_by_powers(ctx)
+    assert ctx._exp == exp and ctx._log == log
+    assert ctx.exp_np.tolist() == exp * 2 and ctx.log_np.tolist() == log
+
+
+def test_linear_map_applies_the_images(f8, f27):
+    # x -> x * g in GF(8) and x -> x^3 (GF(3)-linear) in GF(27)
+    for ctx, image in ((f8, lambda a: ctx.mul(a, ctx.generator)),
+                       (f27, lambda a: ctx.pow(a, 3))):
+        images = [image(ctx.p ** j) for j in range(ctx.k)]
+        got = ctx.linear_map(images, list(ctx.elements()))
+        assert got.tolist() == [image(a) for a in ctx.elements()]
 
 
 def test_element_wrapper_and_ctx_mixing(f8, f27):

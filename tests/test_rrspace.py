@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,18 @@ def test_nongaps_match_brute_force(curve23, curve33):
     for cv in (curve23, curve33):
         bound = 3 * cv.genus
         assert semigroup_nongaps(cv, bound) == semigroup_by_force(cv.h, cv.c, bound)
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3),
+                                  (4, 2), (4, 3), (5, 2), (7, 2), (8, 2),
+                                  (9, 2), (2, 7)])
+def test_nongaps_match_brute_force_over_a_grid(q, r):
+    # semigroup_nongaps reads only h and c
+    h, c = q ** (r - 1), (q ** r - 1) // (q - 1)
+    genus = (h - 1) * (c - 1) // 2
+    cv = SimpleNamespace(h=h, c=c)
+    for bound in (0, 1, h, c - 1, h * c, 2 * genus, 3 * genus + 1):
+        assert semigroup_nongaps(cv, bound) == semigroup_by_force(h, c, bound)
 
 
 def test_gap_count_equals_genus(curve23, curve33, curve24):
