@@ -221,9 +221,9 @@ def _place_permutation(code: AGCode, g: CodeAut) -> np.ndarray:
     if g.aut.curve != code.curve:
         raise ValueError("automorphism curve does not match the code")
     order = code.curve.ctx.order
-    pos, xs, ys = code.place_coords
+    pos, xs, ys = code.curve.theta_coords
     x_map, y_map = _coordinate_maps(g.aut, g.frob)
-    keys = xs * order + ys  # ascending, by affine_coords
+    keys = xs * order + ys  # ascending, as affine_xy is sorted by (x, y)
     img = x_map[xs] * order + y_map[ys]
     at = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
     if not np.array_equal(keys[at], img):

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .curve import NormTraceCurve, Place, P_INFINITY, affine_coords
+from .curve import NormTraceCurve, Place
 from .rrspace import (FunctionElem, MonomialTerm, basis_multipoint,
-                      basis_one_point, constant_one, evaluate,
-                      extended_evaluate, local_parameter_at_infinity,
-                      monomial)
+                      basis_one_point, constant_one, evaluate)
 
 MULTIPOINT = "multipoint"
 EXTENDED_ONE_POINT = "extended-one-point"
@@ -53,14 +50,13 @@ class AGCode:
     """An evaluation code with its generator matrix and parameters.
 
     The matrix rows are evaluation vectors of the basis elements over
-    the ordered places; the column order is the canonical place order.
-    d_exact stays None until an exhaustive search fills it in.
+    Theta, in the column layout of curve.theta_coords.  d_exact stays
+    None: min_distance_exhaustive returns the distance and stores nothing.
     """
 
     curve: NormTraceCurve
     ell: int
     kind: str
-    places: tuple[Place, ...]
     basis: tuple[MonomialTerm, ...]
     matrix: np.ndarray
     n: int
@@ -78,10 +74,10 @@ class AGCode:
         R, pivots = self.row_space()
         return linalg.in_row_space(self.curve.ctx, R, pivots, word)
 
-    @cached_property
-    def place_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """affine_coords of the code's places (column positions)."""
-        return affine_coords(self.places)
+    @property
+    def places(self) -> tuple[Place, ...]:
+        """The place of each column, built only when asked for."""
+        return self.curve.theta
 
     def to_report(self, include_matrix: bool = True) -> dict:
         rep = {
@@ -121,23 +117,19 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
 
 def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
                      n_inf: int) -> AGCode:
-    """Evaluate the monomials x^i y^j of basis over Theta; P_inf carries
-    weight n_inf in the divisor, so its entry is the value of
-    t^{n_inf} x^i y^j there (plain evaluation at n_inf = 0)."""
-    places = curve.theta
+    """Evaluate the monomials x^i y^j of basis in the column layout of
+    curve.theta_coords.  P_inf has weight n_inf in the divisor, and
+    t^{n_inf} x^i y^j has valuation n_inf - (i*h + j*c) >= 0 there: the
+    entry is 1 at valuation 0 and 0 above, as in rrspace.evaluate."""
     basis = tuple(basis)
-    code = AGCode(curve, ell, kind, places, basis,
-                  np.empty((len(basis), len(places)), dtype=np.int64),
-                  n=len(places), k=len(basis),
-                  d_star=designed_distance(curve, ell))
-    pos, xs, ys = code.place_coords
-    inf = places.index(P_INFINITY)
-    t_loc = local_parameter_at_infinity(curve)
+    pos, xs, ys = curve.theta_coords
     ctx = curve.ctx
-    for row, t in zip(code.matrix, basis):
-        row[inf] = extended_evaluate(monomial(curve, 1, t.i, t.j),
-                                     P_INFINITY, n_inf, t_loc)
+    matrix = np.empty((len(basis), len(pos) + 1), dtype=np.int64)
+    for row, t in zip(matrix, basis):
+        row[0] = n_inf + curve.val_infinity(t.i, t.j) == 0
         row[pos] = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
+    code = AGCode(curve, ell, kind, basis, matrix, n=matrix.shape[1],
+                  k=len(basis), d_star=designed_distance(curve, ell))
     if len(code.row_space()[1]) != code.k:
         raise AssertionError("evaluation matrix rank dropped below basis size")
     return code
@@ -342,15 +334,11 @@ class EquivalenceWitness:
 def equivalence_diagonal(curve: NormTraceCurve, ell: int,
                          places) -> np.ndarray:
     """The explicit diagonal tying the multi-point code to the extended
-    one-point code: x(P)^ell at affine places, and the extended value of
-    t^{ell*h} x^ell at P_inf."""
-    at_inf = extended_evaluate(monomial(curve, 1, ell, 0), P_INFINITY,
-                               ell * curve.h,
-                               local_parameter_at_infinity(curve))
-    out = np.full(len(places), at_inf, dtype=np.int64)
-    pos, xs, _ = affine_coords(places)
-    out[pos] = curve.ctx.vpow(xs, ell)
-    return out
+    one-point code: x(P)^ell at affine places, and 1 at P_inf, where
+    t^{ell*h} x^ell has valuation 0."""
+    ctx = curve.ctx
+    return np.array([1 if P.is_infinity else ctx.pow(P.x, ell)
+                     for P in places], dtype=np.int64)
 
 
 def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):

@@ -9,8 +9,8 @@ For r = 2 this is the Hermitian curve.  Places are the degree-one
 rational places: the affine points plus the single place at infinity.
 
 Canonical ordering everywhere: the place at infinity first, then affine
-places sorted by (x index, y index).  Generator matrices downstream
-inherit their column order from this.
+places sorted by (x index, y index).  Code columns follow it with the
+zeros of x left out; NormTraceCurve.theta_coords states that layout.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class Place:
 
 
 P_INFINITY = Place(INFINITY)
-
-
-def affine_coords(places) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of the affine places in the sequence, with their x and
-    y indices, sorted by the key x * Q + y for any field order Q."""
-    pos = [i for i, P in enumerate(places) if not P.is_infinity]
-    pos.sort(key=lambda i: (places[i].x, places[i].y))
-    return (np.array(pos, dtype=np.int64),
-            np.array([places[i].x for i in pos], dtype=np.int64),
-            np.array([places[i].y for i in pos], dtype=np.int64))
 
 
 def place_from_dict(d: dict) -> Place:
@@ -225,7 +215,7 @@ class NormTraceCurve:
 
     @cached_property
     def place_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """affine_coords of the rational places."""
+        """Positions of the affine places in places, with x and y indices."""
         xs, ys = self.affine_xy
         return np.arange(1, len(xs) + 1), xs, ys
 
@@ -236,8 +226,16 @@ class NormTraceCurve:
 
     @cached_property
     def theta(self) -> tuple[Place, ...]:
-        """Complement of omega among all rational places; includes P_inf."""
-        return tuple(P for P in self.places if P.is_infinity or P.x != 0)
+        """Complement of omega, P_inf first: the places of code columns."""
+        return (P_INFINITY,) + self.places[self.h + 1:]
+
+    @cached_property
+    def theta_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The column layout of every code: P_inf is column 0, then the
+        affine places past the h zeros of x (which sort first), in
+        affine_xy order.  Returns columns 1..n-1 with their x and y."""
+        xs, ys = self.affine_xy
+        return np.arange(1, len(xs) - self.h + 1), xs[self.h:], ys[self.h:]
 
     # -- divisors ----------------------------------------------------------
 

@@ -64,6 +64,11 @@ def evaluate(ctx, f, x):
     return out
 
 
+def derivative(ctx, f):
+    """f', with the integer i read as the prime-field element i mod p."""
+    return trim([ctx.mul(i % ctx.p, a) for i, a in enumerate(f)][1:])
+
+
 def compose_linear(ctx, f, b, c0):
     """f(b*X + c0) by Horner."""
     out = []

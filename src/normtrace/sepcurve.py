@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from itertools import count
+from math import gcd, lcm
+
+import numpy as np
 
 from . import poly
 from .codes import BudgetExceeded
@@ -81,6 +84,13 @@ class SeparatedCurveSpec:
         for j, c in self.a_coeffs.items():
             out = ctx.add(out, ctx.mul(c, ctx.pow(v, ctx.p ** j)))
         return out
+
+    def a_values(self) -> np.ndarray:
+        """A at every element of the field: A is GF(p)-linear, so this is
+        one linear map of its values at the basis X^j."""
+        ctx = self.ctx
+        return ctx.linear_map([self.a_eval(ctx.p ** j) for j in range(ctx.k)],
+                              np.arange(ctx.order))
 
     def a_apply_poly(self, Q) -> list[int]:
         """A(Q(X)) as a polynomial, via additivity of A."""
@@ -225,7 +235,7 @@ def linearization_gcd(spec: SeparatedCurveSpec) -> int:
 def kernel_elements(spec: SeparatedCurveSpec, ctx: FieldCtx | None = None) -> list[int]:
     """Roots of A in the given field (all translations (x, y+a))."""
     target = spec if ctx is None or ctx == spec.ctx else spec.map_coefficients(ctx)
-    return [w for w in target.ctx.elements() if target.a_eval(w) == 0]
+    return np.flatnonzero(target.a_values() == 0).tolist()
 
 
 def mu_fixers(spec: SeparatedCurveSpec) -> list[int]:
@@ -486,8 +496,8 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
     preimages: dict[int, list[int]] = {}
-    for w in ctx.elements():
-        preimages.setdefault(spec_f.a_eval(w), []).append(w)
+    for w, v in enumerate(spec_f.a_values().tolist()):
+        preimages.setdefault(v, []).append(w)
     b_poly = list(spec_f.b_coeffs)
     found = []
     for a in survivors:
@@ -548,18 +558,17 @@ def embed_field(src: FieldCtx, dst: FieldCtx) -> list[int]:
                          f"into GF({dst.p}^{dst.k})")
     modulus = list(src.modulus)  # prime-field coefficients
     rho = next(e for e in dst.elements() if poly.evaluate(dst, modulus, e) == 0)
-    table = []
-    p = src.p
-    for idx in range(src.order):
-        acc = 0
-        power = 1
-        rem = idx
-        while rem:
-            rem, digit = divmod(rem, p)
-            acc = dst.add(acc, dst.mul(digit, power))
-            power = dst.mul(power, rho)
-        table.append(acc)
-    return table
+    # the embedding is GF(p)-linear: X^j goes to rho^j
+    images = [dst.pow(rho, j) for j in range(src.k)] + [0] * (dst.k - src.k)
+    return dst.linear_map(images, np.arange(src.order)).tolist()
+
+
+def _extension_degrees(ctx: FieldCtx):
+    """t = 1, 2, ... for the extensions GF(Q^t) of the field; raises
+    gf.check_order's ValueError once p^{k t} passes gf.MAX_ORDER."""
+    for t in count(1):
+        check_order(ctx.p, ctx.k * t)
+        yield t
 
 
 def b_roots(spec: SeparatedCurveSpec):
@@ -567,26 +576,30 @@ def b_roots(spec: SeparatedCurveSpec):
 
     Returns (field, [(root_index, multiplicity), ...]); the field is the
     smallest extension of the host field where B splits completely.
+    GF(Q^t) is built and scanned only if rad = B / gcd(B, B') divides
+    X^{Q^t} - X, decided in the host field (a factor of B whose
+    multiplicity p divides is missing from rad, so a scan may fall short).
     """
-    for t in range(1, 64):
-        E = build_field(spec.ctx.p, spec.ctx.k * t)
-        emb = embed_field(spec.ctx, E)
-        b_poly = [emb[c] for c in spec.b_coeffs]
+    ctx = spec.ctx
+    b = list(spec.b_coeffs)
+    rad = poly.div_rem(ctx, b, poly.gcd(ctx, b, poly.derivative(ctx, b)))[0]
+    x_power = x = poly.rem(ctx, [0, 1], rad)  # X^{Q^t} mod rad, at t = 0
+    for t in _extension_degrees(ctx):
+        x_power = poly.powmod(ctx, x_power, ctx.order, rad)
+        if x_power != x:
+            continue
+        E = build_field(ctx.p, ctx.k * t)
+        emb = embed_field(ctx, E)
+        b_poly = [emb[c] for c in b]
         roots = []
-        total = 0
         for e in E.elements():
-            if poly.evaluate(E, b_poly, e) != 0:
-                continue
-            mult = 0
-            rest = b_poly
+            mult, rest = 0, b_poly
             while poly.evaluate(E, rest, e) == 0:
-                rest = poly.synth_div(E, rest, e)
-                mult += 1
-            roots.append((e, mult))
-            total += mult
-        if total == spec.m:
+                mult, rest = mult + 1, poly.synth_div(E, rest, e)
+            if mult:
+                roots.append((e, mult))
+        if sum(mult for _, mult in roots) == spec.m:
             return E, roots
-    raise ValueError("B does not split within desk-scale extensions")
 
 
 @dataclass(frozen=True)
@@ -632,18 +645,12 @@ def recommended_search_field(spec: SeparatedCurveSpec) -> FieldCtx:
     d = linearization_gcd(spec)
     two_term = set(spec.a_coeffs) == {0, n}
     unity = m * (p ** (n if two_term else d) - 1)
-    t_a = None
-    for t in range(1, 64):
-        E = build_field(spec.ctx.p, spec.ctx.k * t)
-        if len(kernel_elements(spec, E)) == p ** n:
-            t_a = t
-            break
-    if t_a is None:
-        raise ValueError("A does not split within desk-scale extensions")
-    t_u = next(t for t in range(1, 64)
+    t_a = next(t for t in _extension_degrees(spec.ctx)
+               if len(kernel_elements(
+                   spec, build_field(p, spec.ctx.k * t))) == p ** n)
+    t_u = next(t for t in _extension_degrees(spec.ctx)
                if (spec.ctx.order ** t - 1) % unity == 0)
-    t = t_a * t_u // gcd(t_a, t_u)
-    return build_field(spec.ctx.p, spec.ctx.k * t)
+    return build_field(p, spec.ctx.k * lcm(t_a, t_u))
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +681,7 @@ def to_standard_qm(spec: SeparatedCurveSpec) -> StandardizationResult:
     if shift is None:
         raise ValueError("B(X) is not b_m (X + s)^m")
     p, n, m = spec.p, spec.n, spec.m
-    for t in range(1, 64):
+    for t in _extension_degrees(spec.ctx):
         E = build_field(spec.ctx.p, spec.ctx.k * t)
         emb = embed_field(spec.ctx, E)
         a0, an = emb[spec.a_coeffs[0]], emb[spec.a_coeffs[n]]
@@ -690,7 +697,6 @@ def to_standard_qm(spec: SeparatedCurveSpec) -> StandardizationResult:
                 continue
             _verify_standardization(spec, E, emb, gamma, delta, emb[shift])
             return StandardizationResult(E, gamma, delta, emb[shift], t)
-    raise ValueError("no substitution constants within desk-scale extensions")
 
 
 def _verify_standardization(spec, E, emb, gamma, delta, shift):

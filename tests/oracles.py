@@ -11,7 +11,10 @@ every nonzero message, where the library enumerates one message per
 line through 0 in packed words.  The exp table is built one product per
 element, where the library doubles whole blocks by a GF(p)-linear map,
 and the rational places by testing every (x, y) with the scalar norm and
-trace, where the library forms all traces and norms as arrays.
+trace, where the library forms all traces and norms as arrays.  A
+separated curve's A is evaluated element by element, and a field is
+embedded digit by digit, where the library applies each as one
+GF(p)-linear map.
 """
 
 import numpy as np
@@ -246,3 +249,31 @@ def naive_min_weight(code):
                         for w, r in zip(word, row)]
         best = min(best, sum(1 for w in word if w))
     return best
+
+
+def a_values_by_eval(spec):
+    """A at every element of the spec's field, one scalar evaluation
+    each."""
+    return [spec.a_eval(w) for w in spec.ctx.elements()]
+
+
+def embedding_by_digits(src, dst):
+    """The embedding of src into dst sending X to the smallest root rho
+    of src's modulus, one element at a time: the base-p digits of each
+    index times the powers of rho."""
+    def modulus_at(e):
+        acc = 0
+        for i, c in enumerate(src.modulus):
+            acc = dst.add(acc, dst.mul(c, dst.pow(e, i)))
+        return acc
+
+    rho = next(e for e in dst.elements() if modulus_at(e) == 0)
+    table = []
+    for idx in range(src.order):
+        acc, power = 0, 1
+        while idx:
+            idx, digit = divmod(idx, src.p)
+            acc = dst.add(acc, dst.mul(digit, power))
+            power = dst.mul(power, rho)
+        table.append(acc)
+    return table

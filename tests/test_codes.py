@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from normtrace import linalg
+from normtrace.autgroup import code_checks, enumerate_group
 from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              dimension_closed_form, equivalence_diagonal,
                              extended_one_point_code,
                              min_distance_exhaustive,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
-from normtrace.curve import P_INFINITY
+from normtrace.curve import P_INFINITY, build_curve
 from normtrace.rrspace import (evaluate, extended_evaluate,
                                local_parameter_at_infinity, monomial)
 from oracles import lattice_dimension, naive_min_weight
@@ -48,6 +50,47 @@ def test_rows_are_basis_evaluations(curve23, curve33):
                         if P.is_infinity and n_inf else evaluate(f, P)
                         for P in code.places]
                 assert row.tolist() == want
+
+
+def test_p_inf_column_is_the_extended_value(curve23, curve33, curve24):
+    # column 0 is P_inf; its entries come from the valuation rule, the
+    # scalar extended evaluation is the oracle
+    for curve in (curve23, curve33, curve24):
+        t_loc = local_parameter_at_infinity(curve)
+        for ell in range(1, curve.q ** curve.r):
+            for code, n_inf in [(build_code(curve, ell), 0),
+                                (extended_one_point_code(curve, ell),
+                                 ell * curve.h)]:
+                want = [extended_evaluate(monomial(curve, 1, t.i, t.j),
+                                          P_INFINITY, n_inf, t_loc)
+                        for t in code.basis]
+                assert code.matrix[:, 0].tolist() == want
+
+
+@pytest.mark.parametrize("q, r, ell", [(2, 3, 2), (3, 3, 1)])
+def test_code_construction_leaves_places_unbuilt(q, r, ell):
+    # codes read the curve's place arrays; the Place tuples stay unbuilt
+    curve = build_curve(q, r)
+    ca = build_code(curve, ell)
+    cb = extended_one_point_code(curve, ell)
+    assert all(ok for _, ok, _ in code_checks(ca, enumerate_group(curve)))
+    assert monomial_equivalence_check(ca, cb) is not None
+    assert min_distance_exhaustive(ca, 1 << 20) == ca.d_star
+    assert "places" not in vars(curve) and "theta" not in vars(curve)
+    assert ca.places == curve.theta  # built on request
+
+
+def test_build_code_memory_is_bounded():
+    # N_{16,3}: the Place tuple of its 1,048,577 places alone takes over
+    # 100 MB
+    tracemalloc.start()
+    try:
+        code = build_code(build_curve(16, 3), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code.n, code.k) == (16 ** 5 + 1 - 16 ** 2, 2)
+    assert peak < 200 << 20
 
 
 def test_dimension_closed_form_23(curve23):

@@ -93,6 +93,12 @@ def test_places_equal_brute_force_search(q, r):
     assert pos.tolist() == list(range(1, len(want)))
     assert xs.tolist() == [P.x for P in want[1:]]
     assert ys.tolist() == [P.y for P in want[1:]]
+    theta = [P for P in want if P.is_infinity or P.x != 0]
+    assert list(cv.theta) == theta
+    pos, xs, ys = cv.theta_coords
+    assert pos.tolist() == list(range(1, len(theta)))
+    assert xs.tolist() == [P.x for P in theta[1:]]
+    assert ys.tolist() == [P.y for P in theta[1:]]
     assert cv.n_places == len(want) == q ** (2 * r - 1) + 1
 
 

@@ -1,7 +1,7 @@
 """Property tests for normtrace.poly over random small fields GF(p^k),
 p^k <= 2^8."""
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -113,3 +113,15 @@ def test_powmod(case, e):
     assume(m)
     assert (poly.powmod(ctx, f, e, m)
             == poly.rem(ctx, poly.power(ctx, f, e), m))
+
+
+@SETTINGS
+@given(ctx_polys(2))
+def test_derivative_is_a_derivation(case):
+    # linear, Leibniz and d(X) = 1 fix the derivative; X^p is a constant
+    ctx, (f, g), _ = case
+    d = partial(poly.derivative, ctx)
+    assert d(poly.add(ctx, f, g)) == poly.add(ctx, d(f), d(g))
+    assert d(poly.mul(ctx, f, g)) == poly.add(ctx, poly.mul(ctx, d(f), g),
+                                              poly.mul(ctx, f, d(g)))
+    assert d([0, 1]) == [1] and d([0] * ctx.p + [1]) == []

@@ -15,6 +15,7 @@ from normtrace.sepcurve import (AffineAut, MONOMIAL_CASE_I, MONOMIAL_CASE_II,
                                 monomial_shift, mu_fixers, norm_trace_spec,
                                 recommended_search_field, spec_from_dict,
                                 to_standard_qm, validate)
+from oracles import a_values_by_eval, embedding_by_digits
 
 F2 = build_field(2, 1)
 F5 = build_field(5, 1)
@@ -298,6 +299,61 @@ def test_extensions_above_the_field_limit_are_refused():
     spec = SeparatedCurveSpec(build_field(2, 11), {0: 1, 2: 1}, (1, 1, 0, 1))
     with pytest.raises(ValueError, match="field order 2\\^22 exceeds limit"):
         b_roots(spec)
+
+
+def test_b_roots_builds_only_the_splitting_field(monkeypatch):
+    # B = (X^4 + X + 2)(X^7 + X^2 + 2) over GF(3) splits only over
+    # GF(3^28): whether B splits in GF(3^t) is decided in GF(3), so the
+    # search reaches the limit at t = 13 without building any extension
+    import normtrace.sepcurve as sepcurve
+    built = []
+    real = sepcurve.build_field
+    monkeypatch.setattr(sepcurve, "build_field",
+                        lambda p, k: built.append((p, k)) or real(p, k))
+    spec = SeparatedCurveSpec(build_field(3, 1), {0: 1, 1: 1},
+                              (1, 2, 2, 1, 2, 0, 1, 2, 1, 0, 0, 1))
+    with pytest.raises(ValueError,
+                       match="field order 3\\^13 exceeds limit 1048576"):
+        classify(spec)
+    assert built == []
+    # where B splits, that field alone is built: X^3 + X + 1 over GF(8)
+    spec = SeparatedCurveSpec(F2, {0: 1, 2: 1}, (1, 1, 0, 1))
+    field, roots = b_roots(spec)
+    assert built == [(2, 3)] and field.order == 8
+    assert sorted(m for _, m in roots) == [1, 1, 1]
+
+
+def test_unity_search_stops_at_the_field_limit():
+    # the 67th roots of unity need GF(2^66), as 2 has order 66 mod 67
+    spec = SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0,) * 67 + (1,))
+    with pytest.raises(ValueError, match="field order 2\\^21 exceeds limit"):
+        recommended_search_field(spec)
+
+
+def test_standardization_stops_at_the_field_limit():
+    # delta^(2^11 - 1) = 2 has no solution in GF(2^11), where every
+    # nonzero delta^2047 is 1, and GF(2^22) is too big to try
+    spec = SeparatedCurveSpec(build_field(2, 11), {0: 1, 11: 2}, (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="field order 2\\^22 exceeds limit"):
+        to_standard_qm(spec)
+
+
+@pytest.mark.parametrize("src, dst", [((2, 1), (2, 12)), ((2, 2), (2, 4)),
+                                      ((5, 1), (5, 4)), ((3, 1), (3, 6))])
+def test_embedding_equals_digit_oracle(src, dst):
+    src, dst = build_field(*src), build_field(*dst)
+    assert embed_field(src, dst) == embedding_by_digits(src, dst)
+
+
+@pytest.mark.parametrize("p, k, a", [(2, 6, {0: 7, 1: 1, 2: 33}),
+                                     (2, 12, {0: 1, 2: 100, 5: 4000}),
+                                     (5, 2, {0: 3, 1: 1}),
+                                     (5, 4, {0: 2, 1: 17, 3: 1})])
+def test_a_values_equal_scalar_evaluation(p, k, a):
+    spec = SeparatedCurveSpec(build_field(p, k), a, (0, 0, 0, 1))
+    want = a_values_by_eval(spec)
+    assert spec.a_values().tolist() == want
+    assert kernel_elements(spec) == [w for w, v in enumerate(want) if v == 0]
 
 
 def test_recommended_search_field():
