@@ -138,12 +138,13 @@ def _coordinate_maps(s: CurveAut, frob: int = 0) -> tuple[np.ndarray, np.ndarray
 
 
 def fixed_places(s: CurveAut) -> list[Place]:
-    places = s.curve.rational_places()
-    pos, xs, ys = s.curve.place_coords
+    """The places s fixes in canonical order: P_inf, then the affine
+    places picked from curve.affine_xy; only these become Place objects."""
+    xs, ys = s.curve.affine_xy
     x_map, y_map = _coordinate_maps(s)
-    fixed = np.ones(len(places), dtype=bool)  # P_inf is always fixed
-    fixed[pos] = (x_map[xs] == xs) & (y_map[ys] == ys)
-    return [places[i] for i in np.flatnonzero(fixed)]
+    fixed = (x_map[xs] == xs) & (y_map[ys] == ys)
+    return [P_INFINITY] + [Place("affine", x, y) for x, y
+                           in zip(xs[fixed].tolist(), ys[fixed].tolist())]
 
 
 def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int

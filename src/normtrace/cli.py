@@ -23,6 +23,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import autgroup, codes, sepcurve
 from .curve import build_curve
 from .gf import build_field, prime_power
@@ -119,16 +121,34 @@ def cmd_code_table(args):
     return status, buf.getvalue()
 
 
+def _matrix_text(matrix, order: int, entry: str, last: str,
+                 row_head: str = "", row_sep: str = "") -> str:
+    """Print a matrix of field-element indices by one gather from a
+    table of order ready-made strings: entry.format(v) within a row and
+    last.format(v) at its end.  Each row's text starts with row_head and
+    the rows are joined by row_sep.  Every entry must lie in 0..order-1;
+    a negative index would otherwise wrap round and print a wrong value."""
+    if not 0 <= matrix.min() <= matrix.max() < order:
+        raise ValueError(f"matrix entries must lie in 0..{order - 1}")
+    table = np.array([entry.format(v) for v in range(order)], dtype=object)
+    ends = [last.format(v) for v in range(order)]
+    return row_sep.join(row_head + "".join(table[row[:-1]].tolist())
+                        + ends[row[-1]] for row in matrix)
+
+
 def cmd_code_build(args):
+    """The code's report as JSON, or its matrix as CSV; both print the
+    matrix byte for byte as json.dumps(indent=2) and csv.writer would."""
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)
+    order = curve.ctx.order
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in code.matrix.tolist():
-            writer.writerow(row)
-        return 0, buf.getvalue()
-    return 0, json.dumps(code.to_report(), indent=2) + "\n"
+        return 0, _matrix_text(code.matrix, order, "{},", "{}\r\n")
+    rows = _matrix_text(code.matrix, order, "      {},\n", "      {}\n    ]",
+                        "    [\n", ",\n")
+    # the report without its matrix ends "\n}"; the matrix is its last key
+    head = json.dumps(code.to_report(include_matrix=False), indent=2)[:-2]
+    return 0, f'{head},\n  "matrix": [\n{rows}\n  ]\n}}\n'
 
 
 def cmd_min_dist(args):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .curve import NormTraceCurve, Place
+from .curve import P_INFINITY, NormTraceCurve, Place
 from .rrspace import (FunctionElem, MonomialTerm, basis_multipoint,
                       basis_one_point, constant_one, evaluate)
 
@@ -211,10 +211,20 @@ def witness_function(curve: NormTraceCurve, ell: int,
 
 
 def witness_codeword(code: AGCode, c_list=None) -> np.ndarray:
-    """Evaluation vector of the witness function over the code places;
-    its Hamming weight equals d* exactly."""
-    f = witness_function(code.curve, code.ell, c_list)
-    return np.array([evaluate(f, P) for P in code.places], dtype=np.int64)
+    """Evaluation vector of the witness function in the column layout
+    of curve.theta_coords; its Hamming weight equals d* exactly.  Its
+    terms are powers of x, which is nonzero on Theta, so each term is
+    one array power; P_inf takes the valuation rule of rrspace.evaluate."""
+    curve = code.curve
+    ctx = curve.ctx
+    f = witness_function(curve, code.ell, c_list)
+    pos, xs, ys = curve.theta_coords
+    word = np.zeros(code.n, dtype=np.int64)
+    word[0] = evaluate(f, P_INFINITY)
+    for coeff, t in f.terms:
+        term = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
+        word[pos] = ctx.vadd(word[pos], ctx.vscale(coeff, term))
+    return word
 
 
 def min_distance_exhaustive(code: AGCode, budget: int,

@@ -214,12 +214,6 @@ class NormTraceCurve:
         return self.places
 
     @cached_property
-    def place_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions of the affine places in places, with x and y indices."""
-        xs, ys = self.affine_xy
-        return np.arange(1, len(xs) + 1), xs, ys
-
-    @cached_property
     def omega(self) -> tuple[Place, ...]:
         """The q^{r-1} zeros of x (affine places with x = 0)."""
         return tuple(self.x_fiber(0))

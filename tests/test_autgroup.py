@@ -171,6 +171,14 @@ def test_fixed_places_match_oracle(curve23, curve33):
             assert fixed_places(s) == fixed_places_by_places(s)
 
 
+def test_fixed_places_leave_places_unbuilt():
+    cv = build_curve(4, 3)
+    fixed = [fixed_places(s) for s in enumerate_group(cv)[:64]]
+    assert "places" not in vars(cv)
+    assert fixed == [fixed_places_by_places(s)
+                     for s in enumerate_group(cv)[:64]]
+
+
 def test_divisor_invariance(curve23):
     # sigma(G) = G and sigma(D) = D for every group element
     from normtrace.curve import Divisor

@@ -146,6 +146,26 @@ def test_witness_codeword(curve23):
     assert evaluate(f, P_INFINITY) == 1
 
 
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4)])
+def test_witness_codeword_matches_scalar_evaluation(q, r):
+    curve = build_curve(q, r)
+    for ell in range(1, q ** r):
+        code = build_code(curve, ell)
+        c_list = random.Random(ell).sample(range(1, curve.ctx.order), ell)
+        for cs in (None, c_list):
+            f = witness_function(curve, ell, cs)
+            want = [evaluate(f, P) for P in code.places]
+            assert witness_codeword(code, cs).tolist() == want
+
+
+@pytest.mark.parametrize("q, r, ell", [(2, 3, 2), (3, 3, 1), (4, 5, 1)])
+def test_witness_codeword_leaves_places_unbuilt(q, r, ell):
+    curve = build_curve(q, r)
+    w = witness_codeword(build_code(curve, ell))
+    assert int(np.count_nonzero(w)) == designed_distance(curve, ell)
+    assert "places" not in vars(curve) and "theta" not in vars(curve)
+
+
 def test_witness_attains_on_33(curve33):
     for ell in (1, 5, 13):
         code = build_code(curve33, ell)

@@ -69,15 +69,14 @@ def test_x_fibers(curve23):
             curve23.x_fiber(x)
 
 
-def test_trace_zero_and_place_coords_are_lazy():
+def test_trace_zero_and_affine_xy_are_lazy():
     cv = build_curve(3, 3)
-    assert "trace_zero" not in vars(cv) and "place_coords" not in vars(cv)
+    assert "trace_zero" not in vars(cv) and "affine_xy" not in vars(cv)
     assert cv.trace_zero == {a for a in cv.ctx.elements()
                              if cv.ctx.trace_rel(a, 3, 3) == 0}
-    pos, xs, ys = cv.place_coords
-    assert [cv.places[i] for i in pos] == [
+    xs, ys = cv.affine_xy
+    assert list(cv.places[1:]) == [
         Place("affine", x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-    assert pos.tolist() == list(range(1, len(cv.places)))
 
 
 @pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4), (4, 3), (5, 2),
@@ -89,8 +88,7 @@ def test_places_equal_brute_force_search(q, r):
     for x in cv.ctx.elements():
         assert cv.x_fiber(x) == [P for P in want[1:] if P.x == x]
     assert cv.trace_zero == {P.y for P in want[1:] if P.x == 0}
-    pos, xs, ys = cv.place_coords
-    assert pos.tolist() == list(range(1, len(want)))
+    xs, ys = cv.affine_xy
     assert xs.tolist() == [P.x for P in want[1:]]
     assert ys.tolist() == [P.y for P in want[1:]]
     theta = [P for P in want if P.is_infinity or P.x != 0]
