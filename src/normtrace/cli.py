@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -247,7 +248,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="normtrace",
         description="norm-trace curves, their automorphisms, and AG codes")

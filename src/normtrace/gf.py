@@ -358,8 +358,8 @@ class FieldCtx:
         """Elements of the subfield of order p^d, i.e. fixed by x -> x^{p^d}."""
         if self.k % d != 0:
             raise ValueError(f"d = {d} does not divide k = {self.k}")
-        pd = self.p ** d
-        return [a for a in range(self.order) if self.pow(a, pd) == a]
+        idx = np.arange(self.order)
+        return np.flatnonzero(self.vpow(idx, self.p ** d) == idx).tolist()
 
     def elements(self) -> range:
         return range(self.order)

@@ -6,6 +6,8 @@ Only the context's methods are used, so this module never imports gf.
 
 from __future__ import annotations
 
+from math import comb
+
 
 def trim(c):
     c = list(c)
@@ -64,9 +66,26 @@ def evaluate(ctx, f, x):
     return out
 
 
+def evaluate_array(ctx, f, xs):
+    """f at every index of the array xs, by Horner on arrays: ctx.vmul
+    for the products and the table v -> v + a for each coefficient, so
+    no Q x Q table is built at any order."""
+    out = ctx.vscale(0, xs)
+    for a in reversed(f):
+        out = ctx.add_table(a)[ctx.vmul(out, xs)]
+    return out
+
+
+def hasse_derivative(ctx, f, j):
+    """The j-th Hasse derivative sum_{i >= j} C(i, j) f_i X^{i - j}, with
+    the integer C(i, j) read as a prime-field element: the coefficient of
+    X^j in f(b X + t) is b^j times its value at t."""
+    return trim([ctx.mul(comb(i, j) % ctx.p, f[i]) for i in range(j, len(f))])
+
+
 def derivative(ctx, f):
-    """f', with the integer i read as the prime-field element i mod p."""
-    return trim([ctx.mul(i % ctx.p, a) for i, a in enumerate(f)][1:])
+    """f', the first Hasse derivative."""
+    return hasse_derivative(ctx, f, 1)
 
 
 def compose_linear(ctx, f, b, c0):

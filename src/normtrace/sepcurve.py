@@ -480,9 +480,14 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
 
     The identity is tested exactly: additivity splits it into
     A(a Y) = k1 A(Y) (forcing k1 = a and a in the p^d-subfield) and
-    B(b X + c0) = a B(X) + A(Q(X)), solved coefficientwise for Q.  The
-    found set must form a group; if it is not closed, the search field
-    is missing conjugates and SearchFieldTooSmall is raised.
+    B(b X + c0) = a B(X) + A(Q(X)), solved coefficientwise for Q.  Every
+    c0 is first filtered at once: at a degree j that A(Q(X)) cannot
+    reach, the X^j coefficients force b^j H_j(c0) = a b_j, with H_j the
+    j-th Hasse derivative of B evaluated over the whole field.  Only the
+    c0 that pass are solved exactly.  The found set must form a group;
+    if it is not closed, the search field is missing conjugates and
+    SearchFieldTooSmall is raised.  The budget counts the (a, b, c0)
+    triples the filter covers.
     """
     validate(spec)
     F = search_field
@@ -499,17 +504,27 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     for w, v in enumerate(spec_f.a_values().tolist()):
         preimages.setdefault(v, []).append(w)
     b_poly = list(spec_f.b_coeffs)
+    # A(Q(X)) = sum a_t Q^{p^t} only reaches the degrees e p^t
+    reachable = {e * p ** t for t in spec_f.a_coeffs
+                 for e in range(max_qdeg + 1)}
+    free = [j for j in range(m - 1, 0, -1) if j not in reachable]
+    elements = np.arange(ctx.order)
+    hasse = [poly.evaluate_array(ctx, poly.hasse_derivative(ctx, b_poly, j),
+                                 elements) for j in free]
+    # the X^m coefficients force b^m = a
+    bs = np.arange(1, ctx.order)
+    b_pow_m = ctx.vpow(bs, m)
+    keep = np.isin(b_pow_m, survivors)
     found = []
-    for a in survivors:
+    for b, a in zip(bs[keep].tolist(), b_pow_m[keep].tolist()):
+        c0s = elements
+        for j, h in zip(free, hasse):
+            c0s = c0s[h[c0s] == ctx.div(ctx.mul(a, b_poly[j]), ctx.pow(b, j))]
         a_b = poly.scale(ctx, a, b_poly)
-        for b in ctx.nonzero():
-            if ctx.pow(b, m) != a:  # X^m coefficients force k1 = b^m
-                continue
-            for c0 in ctx.elements():
-                R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
-                for q in _solve_additive_preimage(spec_f, R, max_qdeg,
-                                                  preimages):
-                    found.append(AffineAut(ctx, a, b, c0, q))
+        for c0 in c0s.tolist():
+            R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
+            for q in _solve_additive_preimage(spec_f, R, max_qdeg, preimages):
+                found.append(AffineAut(ctx, a, b, c0, q))
     found.sort(key=AffineAut.sort_key)
     assert_group(found)
     return found
@@ -517,17 +532,42 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
 
 def assert_group(maps: list[AffineAut]):
     """Raise SearchFieldTooSmall unless the maps are closed under
-    inversion and composition (the identity then comes for free)."""
+    inversion and composition.
+
+    Closure is proved from generators: walking the maps in order, each
+    one not yet reached becomes a generator, and the reached set (the
+    identity at first) is closed under right multiplication by every
+    generator; a product outside the maps raises.  In the end every map
+    is reached, so the maps are the group the generators generate.  Each
+    new generator at least doubles the reached subgroup, so there are at
+    most log2 N of them and at most N log2 N compositions, not N^2.
+    """
+    def not_closed(under):
+        return SearchFieldTooSmall(f"found maps are not closed under {under}")
+
     elems = set(maps)
+    if any(inverse_affine(s) not in elems for s in maps):
+        raise not_closed("inversion")
+    if not maps:
+        return
+    identity = AffineAut(maps[0].ctx, 1, 1, 0, ())
+    if identity not in elems:  # s composed with its inverse
+        raise not_closed("composition")
+    reached, seen, gens = [identity], {identity}, []
     for s in maps:
-        if inverse_affine(s) not in elems:
-            raise SearchFieldTooSmall(
-                "found maps are not closed under inversion")
-    for s1 in maps:
-        for s2 in maps:
-            if compose_affine(s1, s2) not in elems:
-                raise SearchFieldTooSmall(
-                    "found maps are not closed under composition")
+        if s in seen:
+            continue
+        gens.append(s)
+        # the elements reached before s have met every earlier generator
+        old = len(reached)
+        for i, x in enumerate(reached):  # also visits the y appended below
+            for g in (gens[-1:] if i < old else gens):
+                y = compose_affine(x, g)
+                if y not in seen:
+                    if y not in elems:
+                        raise not_closed("composition")
+                    seen.add(y)
+                    reached.append(y)
 
 
 def condiz_check(spec: SeparatedCurveSpec, aut: AffineAut) -> bool:

@@ -14,14 +14,21 @@ and the rational places by testing every (x, y) with the scalar norm and
 trace, where the library forms all traces and norms as arrays.  A
 separated curve's A is evaluated element by element, and a field is
 embedded digit by digit, where the library applies each as one
-GF(p)-linear map.
+GF(p)-linear map.  The stabilizer search tries every (a, b, c0) with
+the exact identity, where the library filters all c0 at once by the
+Hasse derivatives of B, and the group check composes every pair of
+maps, where the library closes the set from generators.
 """
 
 import numpy as np
 
+from normtrace import poly
 from normtrace.autgroup import apply_place, frobenius_place
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
+from normtrace.sepcurve import (AffineAut, SearchFieldTooSmall,
+                                _solve_additive_preimage, compose_affine,
+                                inverse_affine, mu_fixers, validate)
 
 
 def lattice_dimension(q: int, r: int, ell: int) -> int:
@@ -277,3 +284,56 @@ def embedding_by_digits(src, dst):
             power = dst.mul(power, rho)
         table.append(acc)
     return table
+
+
+def stabilizer_maps_by_loop(spec, search_field, budget=None):
+    """The stabilizer search with no filter, sorted and unchecked: every
+    (a, b, c0) with b^m = a composes B(b X + c0) one at a time and
+    solves A(Q) for the rest."""
+    validate(spec)
+    ctx = search_field
+    spec_f = spec if ctx == spec.ctx else spec.map_coefficients(ctx)
+    m = spec_f.m
+    max_qdeg = (m - 1) // (spec_f.p ** spec_f.n)
+    survivors = mu_fixers(spec_f)
+    cost = len(survivors) * (ctx.order - 1) * ctx.order
+    if budget is not None and cost > budget:
+        raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
+    preimages = {}
+    for w in ctx.elements():
+        preimages.setdefault(spec_f.a_eval(w), []).append(w)
+    b_poly = list(spec_f.b_coeffs)
+    found = []
+    for a in survivors:
+        a_b = poly.scale(ctx, a, b_poly)
+        for b in ctx.nonzero():
+            if ctx.pow(b, m) != a:
+                continue
+            for c0 in ctx.elements():
+                R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
+                for q in _solve_additive_preimage(spec_f, R, max_qdeg,
+                                                  preimages):
+                    found.append(AffineAut(ctx, a, b, c0, q))
+    return sorted(found, key=AffineAut.sort_key)
+
+
+def stabilizer_search_by_loop(spec, search_field, budget=None):
+    """The scalar loop's maps, checked by composing every pair."""
+    found = stabilizer_maps_by_loop(spec, search_field, budget)
+    closed_by_pairs(found)
+    return found
+
+
+def closed_by_pairs(maps):
+    """Raise SearchFieldTooSmall unless the maps are closed under
+    inversion and under the composition of every pair."""
+    elems = set(maps)
+    for s in maps:
+        if inverse_affine(s) not in elems:
+            raise SearchFieldTooSmall(
+                "found maps are not closed under inversion")
+    for s1 in maps:
+        for s2 in maps:
+            if compose_affine(s1, s2) not in elems:
+                raise SearchFieldTooSmall(
+                    "found maps are not closed under composition")

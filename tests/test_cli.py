@@ -200,6 +200,35 @@ def test_classify(capsys, tmp_path):
     assert rec["search_matches_prediction"] is True
 
 
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    # two subcommands, an argparse error (exit 2), then the erring
+    # subcommand again: each prints what a freshly built parser prints
+    path = tmp_path / "case_ii.json"
+    path.write_text(json.dumps(CASE_II_SPEC))
+    argvs = [["field-info", "--q", "27"],
+             ["classify", "--spec", str(path), "--search-field", "64"],
+             ["code-table", "--q", "2", "--r", "three"],
+             ["code-table", "--q", "2", "--r", "3", "--ell-max", "2"]]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in argvs] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert fresh[2][0] == ("exit", 2) and "invalid int value" in fresh[2][2]
+    assert all(rc == 0 and out for rc, out, _ in fresh[:2] + fresh[3:])
+
+
 def test_classify_rejects_search_field_zero(capsys, tmp_path):
     path = tmp_path / "case_ii.json"
     path.write_text(json.dumps(CASE_II_SPEC))

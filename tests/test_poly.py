@@ -3,6 +3,7 @@ p^k <= 2^8."""
 
 from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -125,3 +126,24 @@ def test_derivative_is_a_derivation(case):
     assert d(poly.mul(ctx, f, g)) == poly.add(ctx, poly.mul(ctx, d(f), g),
                                               poly.mul(ctx, f, d(g)))
     assert d([0, 1]) == [1] and d([0] * ctx.p + [1]) == []
+
+
+@SETTINGS
+@given(ctx_polys(1))
+def test_evaluate_array_equals_scalar_evaluation(case):
+    ctx, (f,), _ = case
+    values = poly.evaluate_array(ctx, f, np.arange(ctx.order))
+    assert values.tolist() == [poly.evaluate(ctx, f, x) for x in ctx.elements()]
+
+
+@SETTINGS
+@given(ctx_polys(1), st.data())
+def test_hasse_derivatives_are_the_taylor_coefficients(case, data):
+    # the X^j coefficient of f(b X + t) is b^j H_j(t)
+    ctx, (f,), t = case
+    b = data.draw(st.integers(0, ctx.order - 1))
+    composed = poly.compose_linear(ctx, f, b, t)
+    composed += [0] * (len(f) - len(composed))
+    hasse = [poly.hasse_derivative(ctx, f, j) for j in range(len(f))]
+    assert composed == [ctx.mul(ctx.pow(b, j), poly.evaluate(ctx, h, t))
+                        for j, h in enumerate(hasse)]

@@ -1,0 +1,128 @@
+"""The stabilizer search and its group check against the scalar loop and
+the pairwise closure of tests/oracles.py."""
+
+import functools
+import math
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from normtrace import poly, sepcurve  # noqa: E402
+from normtrace.codes import BudgetExceeded  # noqa: E402
+from normtrace.gf import TABLE_MAX_ORDER, build_field  # noqa: E402
+from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
+                                SeparatedCurveSpec, assert_group,
+                                brute_force_stabilizer_search,
+                                inverse_affine)
+from oracles import (closed_by_pairs, stabilizer_maps_by_loop,  # noqa: E402
+                     stabilizer_search_by_loop)
+
+field = functools.cache(build_field)
+
+# the largest extension degree with a search field of order <= 128
+MAX_K = {2: 7, 3: 4, 5: 3}
+# the pairwise oracle composes N^2 pairs; larger found sets are left out
+MAX_PAIRWISE = 100
+
+
+def outcome(search, *args):
+    """The found maps, or the text of the SearchFieldTooSmall raised."""
+    try:
+        return search(*args)
+    except SearchFieldTooSmall as exc:
+        return str(exc)
+
+
+@st.composite
+def searches(draw):
+    """A valid spec over GF(p^h) with p in {2, 3, 5}, m <= 10 and B either
+    b_m (X + s)^m or random, and a search field GF(p^K) of order <= 128
+    that contains the host field."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    K = draw(st.integers(1, MAX_K[p]))
+    host = field(p, draw(st.sampled_from(
+        [h for h in range(1, K + 1) if K % h == 0 and p ** h <= 16])))
+    n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[p]))
+    m = draw(st.sampled_from([m for m in range(2, 11)
+                              if m % p and max(p ** n, m) >= 4]))
+    element = st.integers(0, host.order - 1)
+    unit = st.integers(1, host.order - 1)
+    a = {j: draw(element) for j in range(1, n)}
+    a[0], a[n] = draw(unit), draw(unit)
+    if draw(st.booleans()):
+        b = poly.scale(host, draw(unit), poly.power(host, [draw(element), 1], m))
+    else:
+        b = [draw(element) for _ in range(m)] + [draw(unit)]
+    return SeparatedCurveSpec(host, a, tuple(b)), field(p, K)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(searches())
+def test_search_equals_scalar_loop(case):
+    spec, F = case
+    want = stabilizer_maps_by_loop(spec, F)
+    assume(len(want) <= MAX_PAIRWISE)
+    assert (outcome(brute_force_stabilizer_search, spec, F)
+            == outcome(lambda: closed_by_pairs(want) or want))
+
+
+def test_search_with_quadratic_q_equals_scalar_loop():
+    # Y^2 + Y = X^5 over GF(16): deg Q * 2 < 5 lets Q reach degree 2, so
+    # the X^2 and X^4 coefficients are matched by A(Q), not filtered
+    spec = SeparatedCurveSpec(field(2, 1), {0: 1, 1: 1}, (0, 0, 0, 0, 0, 1))
+    maps = brute_force_stabilizer_search(spec, field(2, 4))
+    assert maps == stabilizer_search_by_loop(spec, field(2, 4))
+    assert len(maps) == 160
+    assert max(len(s.q_coeffs) for s in maps) == 3
+
+
+def test_budget_rule_equals_scalar_loop():
+    spec = SeparatedCurveSpec(field(2, 1), {0: 1, 1: 1, 2: 1}, (0, 0, 0, 1))
+    messages = []
+    for search in (brute_force_stabilizer_search, stabilizer_maps_by_loop):
+        with pytest.raises(BudgetExceeded) as exc:
+            search(spec, field(2, 6), 100)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        "search loop size 4032 exceeds budget 100")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_assert_group_rejects_a_set_missing_one_map_and_its_inverse(seed):
+    # case (i) Y^5 + Y = X^3 over GF(25): 60 maps
+    spec = SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1))
+    maps = brute_force_stabilizer_search(spec, field(5, 2))
+    assert len(maps) == 60
+    drop = random.Random(seed).choice([s for s in maps if not s.is_identity])
+    doctored = [s for s in maps if s not in (drop, inverse_affine(drop))]
+    assert all(inverse_affine(s) in doctored for s in doctored)
+    for check in (assert_group, closed_by_pairs):
+        with pytest.raises(SearchFieldTooSmall, match="composition"):
+            check(doctored)
+
+
+def test_assert_group_composes_n_log_n_pairs(monkeypatch):
+    # the Hermitian curve Y^4 + Y = X^5 over GF(16): 960 maps
+    calls = []
+    compose = sepcurve.compose_affine
+    monkeypatch.setattr(sepcurve, "compose_affine",
+                        lambda s1, s2: calls.append(1) or compose(s1, s2))
+    spec = SeparatedCurveSpec(field(2, 1), {0: 1, 2: 1}, (0, 0, 0, 0, 0, 1))
+    maps = brute_force_stabilizer_search(spec, field(2, 4))
+    N = len(maps)
+    assert N == 960
+    assert 0 < len(calls) <= 2 * N * math.ceil(math.log2(N))
+
+
+def test_search_builds_no_table_above_the_cap():
+    # Y^5 + Y = X^3 over GF(5^6), an order the Q x Q tables refuse
+    F = build_field(5, 6)
+    assert F.order > TABLE_MAX_ORDER
+    spec = SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1))
+    maps = brute_force_stabilizer_search(spec, F, budget=10 ** 9)
+    assert len(maps) == 60
+    assert F._add_np is None and F._mul_np is None
