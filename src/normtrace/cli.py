@@ -160,13 +160,14 @@ def cmd_min_dist(args):
     if messages > 1 << 22:
         print(f"enumerating {messages} messages ...", file=sys.stderr)
     d = codes.min_distance_exhaustive(code, args.budget, stop_at=code.d_star)
+    attains = d == code.d_star
     rec = {"q": args.q, "r": args.r, "ell": args.ell, "n": code.n, "k": code.k,
-           "d_star": code.d_star, "d_exact": d,
-           "attains_designed": d == code.d_star}
+           "d_star": code.d_star, "d_exact": d, "attains_designed": attains}
+    status = 0 if attains else 1
     if args.format == "json":
-        return 0, json.dumps(rec, indent=2) + "\n"
-    return 0, (f"[n={code.n}, k={code.k}] d* = {code.d_star}, "
-               f"exhaustive d = {d}\n")
+        return status, json.dumps(rec, indent=2) + "\n"
+    return status, (f"[n={code.n}, k={code.k}] d* = {code.d_star}, "
+                    f"exhaustive d = {d}\n")
 
 
 def cmd_aut_verify(args):
@@ -211,12 +212,10 @@ def cmd_classify(args):
                                                       budget=args.budget)
         rec["search_field"] = args.search_field
         rec["search_count"] = len(maps)
-        predicted = result.predicted_stabilizer_order
-        if result.case != sepcurve.NON_MONOMIAL and len(maps) != predicted:
-            status = 1
-        rec["search_matches_prediction"] = (
-            len(maps) == predicted if result.case != sepcurve.NON_MONOMIAL
-            else None)
+        match = (None if result.case == sepcurve.NON_MONOMIAL
+                 else len(maps) == result.predicted_stabilizer_order)
+        rec["search_matches_prediction"] = match
+        status = 1 if match is False else 0
     if args.format == "json":
         return status, json.dumps(rec, indent=2) + "\n"
     lines = [f"separated curve: p={spec.p}, n={spec.n}, m={spec.m}, "

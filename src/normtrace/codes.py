@@ -50,8 +50,8 @@ class AGCode:
     """An evaluation code with its generator matrix and parameters.
 
     The matrix rows are evaluation vectors of the basis elements over
-    Theta, in the column layout of curve.theta_coords.  d_exact stays
-    None: min_distance_exhaustive returns the distance and stores nothing.
+    Theta, in the column layout of curve.theta_coords.  The report's
+    d_exact is None: min_distance_exhaustive returns the distance.
     """
 
     curve: NormTraceCurve
@@ -62,7 +62,6 @@ class AGCode:
     n: int
     k: int
     d_star: int
-    d_exact: int | None = None
     _rref: tuple | None = field(default=None, repr=False)
 
     def row_space(self):
@@ -88,7 +87,7 @@ class AGCode:
             "n": self.n,
             "k": self.k,
             "d_star": self.d_star,
-            "d_exact": self.d_exact,
+            "d_exact": None,
             "basis": [t.to_dict() for t in self.basis],
         }
         if include_matrix:

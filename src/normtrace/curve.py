@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf import FieldCtx, build_field, check_order, prime_power
+from .gf import build_field, check_order, prime_power
 
 INFINITY = "infinity"
 AFFINE = "affine"
@@ -130,7 +130,7 @@ class NormTraceCurve:
         genus: (h - 1)(c - 1)/2.
     """
 
-    def __init__(self, q: int, r: int, ctx: FieldCtx | None = None):
+    def __init__(self, q: int, r: int):
         p, e = prime_power(q)
         if r < 2:
             raise ValueError(f"r = {r} must be >= 2")
@@ -142,9 +142,7 @@ class NormTraceCurve:
         self.r = r
         self.p = p
         self.e = e
-        self.ctx = ctx if ctx is not None else build_field(p, e * r)
-        if self.ctx.order != q ** r:
-            raise ValueError("field context does not match q^r")
+        self.ctx = build_field(p, e * r)
         self.c = (q ** r - 1) // (q - 1)
         self.h = q ** (r - 1)
         self.genus = (self.h - 1) * (self.c - 1) // 2

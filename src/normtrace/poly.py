@@ -83,11 +83,6 @@ def hasse_derivative(ctx, f, j):
     return trim([ctx.mul(comb(i, j) % ctx.p, f[i]) for i in range(j, len(f))])
 
 
-def derivative(ctx, f):
-    """f', the first Hasse derivative."""
-    return hasse_derivative(ctx, f, 1)
-
-
 def compose_linear(ctx, f, b, c0):
     """f(b*X + c0) by Horner."""
     out = []
@@ -105,16 +100,6 @@ def frobenius(ctx, f, e):
         if a:
             out[i * pe] = ctx.pow(a, pe)
     return trim(out)
-
-
-def synth_div(ctx, f, e):
-    """f / (X - e) for a known root e."""
-    out = [0] * (len(f) - 1)
-    acc = 0
-    for i in range(len(f) - 1, 0, -1):
-        acc = ctx.add(ctx.mul(acc, e), f[i])
-        out[i - 1] = acc
-    return out
 
 
 def div_rem(ctx, f, g):

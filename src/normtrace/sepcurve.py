@@ -78,6 +78,11 @@ class SeparatedCurveSpec:
     def degree(self) -> int:
         return max(self.p ** self.n, self.m)
 
+    @property
+    def two_term(self) -> bool:
+        """A(Y) = a_n Y^{p^n} + a_0 Y."""
+        return set(self.a_coeffs) == {0, self.n}
+
     def a_eval(self, v: int) -> int:
         ctx = self.ctx
         out = 0
@@ -102,6 +107,10 @@ class SeparatedCurveSpec:
         return out
 
     def map_coefficients(self, dst: FieldCtx) -> "SeparatedCurveSpec":
+        """The spec over dst, its coefficients carried by embed_field;
+        the spec itself when dst is already its field."""
+        if dst == self.ctx:
+            return self
         emb = embed_field(self.ctx, dst)
         return SeparatedCurveSpec(dst,
                                   {j: emb[c] for j, c in self.a_coeffs.items()},
@@ -226,15 +235,12 @@ def linearization_gcd(spec: SeparatedCurveSpec) -> int:
     js = [j for j in spec.a_coeffs if j >= 1]
     if not js:
         raise ValueError("A(Y) has no term of positive degree")
-    out = 0
-    for j in js:
-        out = gcd(out, j)
-    return out
+    return gcd(*js)
 
 
 def kernel_elements(spec: SeparatedCurveSpec, ctx: FieldCtx | None = None) -> list[int]:
     """Roots of A in the given field (all translations (x, y+a))."""
-    target = spec if ctx is None or ctx == spec.ctx else spec.map_coefficients(ctx)
+    target = spec.map_coefficients(ctx or spec.ctx)
     return np.flatnonzero(target.a_values() == 0).tolist()
 
 
@@ -293,8 +299,7 @@ def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
     ctx = spec.ctx
     m = spec.m
     bm = spec.b_coeffs[-1]
-    bm1 = spec.b_coeffs[-2] if m >= 1 else 0
-    s = ctx.div(bm1, ctx.mul(m % ctx.p, bm))
+    s = ctx.div(spec.b_coeffs[-2], ctx.mul(m % ctx.p, bm))
     expanded = poly.scale(ctx, bm, poly.power(ctx, [s, 1], m))
     expanded += [0] * (m + 1 - len(expanded))
     return s if tuple(expanded) == spec.b_coeffs else None
@@ -334,8 +339,7 @@ def _classify_monomial(spec: SeparatedCurveSpec) -> ClassificationResult:
     if shift is None:
         raise ValueError("B(X) is not b_m (X + s)^m: no single root")
     d = linearization_gcd(spec)
-    two_term = set(spec.a_coeffs) == {0, n}
-    if (p ** n + 1) % m == 0 and two_term:
+    if (p ** n + 1) % m == 0 and spec.two_term:
         pn = p ** n
         return ClassificationResult(
             case=MONOMIAL_CASE_I,
@@ -366,16 +370,13 @@ def classify(spec: SeparatedCurveSpec) -> ClassificationResult:
     if monomial_shift(spec) is not None:
         return _classify_monomial(spec)
     d = linearization_gcd(spec)
-    bound = h_bound_from_roots(spec)
     return ClassificationResult(
         case=NON_MONOMIAL,
         d=d,
         predicted_full_order=None,
         predicted_stabilizer_order=spec.p ** spec.n,
-        generators=(GeneratorFamily(
-            "translation", spec.p ** spec.n,
-            "(x, y) -> (x, y + a) for the p^n roots a of A"),),
-        h_bound=bound,
+        generators=_generator_families(spec, d, None)[:1],
+        h_bound=h_bound_from_roots(spec),
         notes=("stabilizer order counts the guaranteed translations only; "
                "the prime-to-p part is bounded, not predicted",),
     )
@@ -434,13 +435,13 @@ def inverse_affine(s: AffineAut) -> AffineAut:
 
 
 def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
-                             preimages) -> list[tuple[int, ...]]:
+                             a_values) -> list[tuple[int, ...]]:
     """All polynomials Q with A(Q(X)) = R(X) and deg Q <= max_qdeg.
 
     Nonconstant coefficients are forced one by one from the top degree
     (the leading term of A(q X^e) is a_n q^{p^n} X^{e p^n} and the
     Frobenius is bijective); the constant term ranges over the
-    A-preimages of what remains.
+    A-preimages of what remains in a_values (A at every element).
     """
     ctx = spec_f.ctx
     p, n = ctx.p, spec_f.n
@@ -465,7 +466,7 @@ def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
             return []
     r0 = rest[0] if rest else 0
     out = []
-    for w in preimages.get(r0, ()):
+    for w in np.flatnonzero(a_values == r0).tolist():
         q = list(coeffs)
         q[0] = w
         out.append(tuple(poly.trim(q)))
@@ -490,9 +491,8 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     triples the filter covers.
     """
     validate(spec)
-    F = search_field
-    spec_f = spec if F == spec.ctx else spec.map_coefficients(F)
-    ctx = F
+    spec_f = spec.map_coefficients(search_field)
+    ctx = search_field
     p, n, m = spec_f.p, spec_f.n, spec_f.m
     max_qdeg = (m - 1) // (p ** n)
     # a must scale every A-term the same way: a^{p^j} = a for all j
@@ -500,9 +500,7 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     cost = len(survivors) * (ctx.order - 1) * ctx.order
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
-    preimages: dict[int, list[int]] = {}
-    for w, v in enumerate(spec_f.a_values().tolist()):
-        preimages.setdefault(v, []).append(w)
+    a_values = spec_f.a_values()
     b_poly = list(spec_f.b_coeffs)
     # A(Q(X)) = sum a_t Q^{p^t} only reaches the degrees e p^t
     reachable = {e * p ** t for t in spec_f.a_coeffs
@@ -523,7 +521,7 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
         a_b = poly.scale(ctx, a, b_poly)
         for c0 in c0s.tolist():
             R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
-            for q in _solve_additive_preimage(spec_f, R, max_qdeg, preimages):
+            for q in _solve_additive_preimage(spec_f, R, max_qdeg, a_values):
                 found.append(AffineAut(ctx, a, b, c0, q))
     found.sort(key=AffineAut.sort_key)
     assert_group(found)
@@ -574,7 +572,7 @@ def condiz_check(spec: SeparatedCurveSpec, aut: AffineAut) -> bool:
     """True iff B(b X + c0) = a B(X) with a in the p^d-subfield, the
     scaling law every stabilizer complement generator satisfies."""
     ctx = aut.ctx
-    spec_f = spec if ctx == spec.ctx else spec.map_coefficients(ctx)
+    spec_f = spec.map_coefficients(ctx)
     b_poly = list(spec_f.b_coeffs)
     lhs = poly.compose_linear(ctx, b_poly, aut.b, aut.c0)
     # a^{p^d - 1} = 1 exactly on the subfield of order p^gcd(d, k)
@@ -619,27 +617,31 @@ def b_roots(spec: SeparatedCurveSpec):
     GF(Q^t) is built and scanned only if rad = B / gcd(B, B') divides
     X^{Q^t} - X, decided in the host field (a factor of B whose
     multiplicity p divides is missing from rad, so a scan may fall short).
+    B is evaluated over the whole field at once; a root's multiplicity is
+    the number of leading Hasse derivatives H_0, H_1, .. of B vanishing
+    there, each H_j evaluated only where H_0 .. H_{j-1} vanish.
     """
     ctx = spec.ctx
     b = list(spec.b_coeffs)
-    rad = poly.div_rem(ctx, b, poly.gcd(ctx, b, poly.derivative(ctx, b)))[0]
+    rad = poly.div_rem(ctx, b, poly.gcd(ctx, b,
+                                        poly.hasse_derivative(ctx, b, 1)))[0]
     x_power = x = poly.rem(ctx, [0, 1], rad)  # X^{Q^t} mod rad, at t = 0
     for t in _extension_degrees(ctx):
         x_power = poly.powmod(ctx, x_power, ctx.order, rad)
         if x_power != x:
             continue
         E = build_field(ctx.p, ctx.k * t)
-        emb = embed_field(ctx, E)
-        b_poly = [emb[c] for c in b]
-        roots = []
-        for e in E.elements():
-            mult, rest = 0, b_poly
-            while poly.evaluate(E, rest, e) == 0:
-                mult, rest = mult + 1, poly.synth_div(E, rest, e)
-            if mult:
-                roots.append((e, mult))
-        if sum(mult for _, mult in roots) == spec.m:
-            return E, roots
+        b_poly = list(spec.map_coefficients(E).b_coeffs)
+        mult = np.zeros(E.order, dtype=np.int64)
+        alive, j = np.arange(E.order), 0
+        while alive.size:  # H_m = b_m is never zero, so this ends by j = m
+            h = poly.hasse_derivative(E, b_poly, j)
+            alive = alive[poly.evaluate_array(E, h, alive) == 0]
+            mult[alive] += 1
+            j += 1
+        roots = np.flatnonzero(mult)
+        if mult.sum() == spec.m:
+            return E, list(zip(roots.tolist(), mult[roots].tolist()))
 
 
 @dataclass(frozen=True)
@@ -683,8 +685,7 @@ def recommended_search_field(spec: SeparatedCurveSpec) -> FieldCtx:
     unity, by lcm of extension degrees over the host field."""
     p, n, m = spec.p, spec.n, spec.m
     d = linearization_gcd(spec)
-    two_term = set(spec.a_coeffs) == {0, n}
-    unity = m * (p ** (n if two_term else d) - 1)
+    unity = m * (p ** (n if spec.two_term else d) - 1)
     t_a = next(t for t in _extension_degrees(spec.ctx)
                if len(kernel_elements(
                    spec, build_field(p, spec.ctx.k * t))) == p ** n)
@@ -713,42 +714,43 @@ class StandardizationResult:
 def to_standard_qm(spec: SeparatedCurveSpec) -> StandardizationResult:
     """Solve delta^{p^n - 1} = a_n / a_0 and gamma^m = delta b_m / a_0
     in the smallest extension containing both, then verify symbolically
-    that the substitution lands exactly on X^m = Y^{p^n} + Y."""
+    that the substitution lands exactly on X^m = Y^{p^n} + Y.  Each
+    extension is scanned as arrays; the pair taken is the smallest delta
+    whose delta b_m / a_0 is an m-th power, with its smallest gamma."""
     validate(spec)
-    if set(spec.a_coeffs) != {0, spec.n}:
+    if not spec.two_term:
         raise ValueError("A(Y) is not two-term a_n Y^{p^n} + a_0 Y")
-    shift = monomial_shift(spec)
-    if shift is None:
+    if monomial_shift(spec) is None:
         raise ValueError("B(X) is not b_m (X + s)^m")
     p, n, m = spec.p, spec.n, spec.m
     for t in _extension_degrees(spec.ctx):
         E = build_field(spec.ctx.p, spec.ctx.k * t)
-        emb = embed_field(spec.ctx, E)
-        a0, an = emb[spec.a_coeffs[0]], emb[spec.a_coeffs[n]]
-        bm = emb[spec.b_coeffs[-1]]
-        target_d = E.div(an, a0)
-        for delta in E.nonzero():
-            if E.pow(delta, p ** n - 1) != target_d:
-                continue
-            target_g = E.div(E.mul(delta, bm), a0)
-            gamma = next((g for g in E.nonzero()
-                          if E.pow(g, m) == target_g), None)
-            if gamma is None:
-                continue
-            _verify_standardization(spec, E, emb, gamma, delta, emb[shift])
-            return StandardizationResult(E, gamma, delta, emb[shift], t)
+        spec_e = spec.map_coefficients(E)
+        a0, an = spec_e.a_coeffs[0], spec_e.a_coeffs[n]
+        units = np.arange(1, E.order)
+        deltas = units[E.vpow(units, p ** n - 1) == E.div(an, a0)]
+        targets = E.vscale(E.div(spec_e.b_coeffs[-1], a0), deltas)
+        gamma_m = E.vpow(units, m)
+        solvable = np.flatnonzero(np.isin(targets, gamma_m))
+        if not solvable.size:
+            continue
+        i = solvable[0]
+        gamma = int(units[np.argmax(gamma_m == targets[i])])
+        delta, shift = int(deltas[i]), monomial_shift(spec_e)
+        _verify_standardization(spec_e, gamma, delta, shift)
+        return StandardizationResult(E, gamma, delta, shift, t)
 
 
-def _verify_standardization(spec, E, emb, gamma, delta, shift):
-    """Expand both sides: gamma^m (X + shift)^m must equal
-    (gamma^m / b_m) B(X), and the Y-coefficients must match
+def _verify_standardization(spec, gamma, delta, shift):
+    """Expand both sides over the spec's field E: gamma^m (X + shift)^m
+    must equal (gamma^m / b_m) B(X), and the Y-coefficients must match
     delta^{p^n} = k a_n, delta = k a_0 with k = gamma^m / b_m."""
-    p, n, m = spec.p, spec.n, spec.m
-    a0, an = emb[spec.a_coeffs[0]], emb[spec.a_coeffs[n]]
-    bm = emb[spec.b_coeffs[-1]]
+    E, p, n, m = spec.ctx, spec.p, spec.n, spec.m
+    a0, an = spec.a_coeffs[0], spec.a_coeffs[n]
+    bm = spec.b_coeffs[-1]
     k = E.div(E.pow(gamma, m), bm)
     lhs_x = poly.scale(E, E.pow(gamma, m), poly.power(E, [shift, 1], m))
-    rhs_x = poly.scale(E, k, [emb[c] for c in spec.b_coeffs])
+    rhs_x = poly.scale(E, k, list(spec.b_coeffs))
     if lhs_x != rhs_x:
         raise AssertionError("x-side of the standardization failed")
     if E.pow(delta, p ** n) != E.mul(k, an) or delta != E.mul(k, a0):

@@ -17,7 +17,11 @@ embedded digit by digit, where the library applies each as one
 GF(p)-linear map.  The stabilizer search tries every (a, b, c0) with
 the exact identity, where the library filters all c0 at once by the
 Hasse derivatives of B, and the group check composes every pair of
-maps, where the library closes the set from generators.
+maps, where the library closes the set from generators.  The roots of B
+are found element by element and their multiplicities by repeated
+division by X - e, and the standard model's constants by a nested scan
+of every delta and gamma, where the library evaluates B, its Hasse
+derivatives and the powers over whole arrays.
 """
 
 import numpy as np
@@ -26,9 +30,11 @@ from normtrace import poly
 from normtrace.autgroup import apply_place, frobenius_place
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
+from normtrace.gf import build_field
 from normtrace.sepcurve import (AffineAut, SearchFieldTooSmall,
                                 _solve_additive_preimage, compose_affine,
-                                inverse_affine, mu_fixers, validate)
+                                inverse_affine, monomial_shift, mu_fixers,
+                                validate)
 
 
 def lattice_dimension(q: int, r: int, ell: int) -> int:
@@ -292,16 +298,14 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
     solves A(Q) for the rest."""
     validate(spec)
     ctx = search_field
-    spec_f = spec if ctx == spec.ctx else spec.map_coefficients(ctx)
+    spec_f = spec.map_coefficients(ctx)
     m = spec_f.m
     max_qdeg = (m - 1) // (spec_f.p ** spec_f.n)
     survivors = mu_fixers(spec_f)
     cost = len(survivors) * (ctx.order - 1) * ctx.order
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
-    preimages = {}
-    for w in ctx.elements():
-        preimages.setdefault(spec_f.a_eval(w), []).append(w)
+    a_values = np.array([spec_f.a_eval(w) for w in ctx.elements()])
     b_poly = list(spec_f.b_coeffs)
     found = []
     for a in survivors:
@@ -312,7 +316,7 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
             for c0 in ctx.elements():
                 R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
                 for q in _solve_additive_preimage(spec_f, R, max_qdeg,
-                                                  preimages):
+                                                  a_values):
                     found.append(AffineAut(ctx, a, b, c0, q))
     return sorted(found, key=AffineAut.sort_key)
 
@@ -337,3 +341,54 @@ def closed_by_pairs(maps):
             if compose_affine(s1, s2) not in elems:
                 raise SearchFieldTooSmall(
                     "found maps are not closed under composition")
+
+
+def _extensions(ctx, max_order):
+    """(t, GF(Q^t), the digit embedding into it) for t = 1, 2, ... while
+    the order stays within max_order."""
+    t = 1
+    while ctx.order ** t <= max_order:
+        E = build_field(ctx.p, ctx.k * t)
+        yield t, E, embedding_by_digits(ctx, E)
+        t += 1
+
+
+def b_roots_by_division(spec, max_order=1 << 12):
+    """(field, [(root, multiplicity), ...]) in the first extension where
+    the multiplicities of B's roots sum to m: each element is tested by a
+    scalar evaluation, and a root's multiplicity is the number of times
+    X - e divides B.  None when no extension within max_order splits B."""
+    for _, E, emb in _extensions(spec.ctx, max_order):
+        b_poly = [emb[c] for c in spec.b_coeffs]
+        roots = []
+        for e in E.elements():
+            mult, rest = 0, b_poly
+            while poly.evaluate(E, rest, e) == 0:
+                rest = poly.div_rem(E, rest, [E.neg(e), 1])[0]
+                mult += 1
+            if mult:
+                roots.append((e, mult))
+        if sum(mult for _, mult in roots) == spec.m:
+            return E, roots
+    return None
+
+
+def standardization_by_scan(spec, max_order=1 << 10):
+    """(field, gamma, delta, shift, extension degree) of the standard
+    model by a nested scan: in each extension, the first delta with
+    delta^{p^n - 1} = a_n / a_0 for which some gamma has
+    gamma^m = delta b_m / a_0, and the first such gamma.  None when no
+    extension within max_order has one."""
+    p, n, m = spec.p, spec.n, spec.m
+    for t, E, emb in _extensions(spec.ctx, max_order):
+        a0, an = emb[spec.a_coeffs[0]], emb[spec.a_coeffs[n]]
+        bm = emb[spec.b_coeffs[-1]]
+        for delta in E.nonzero():
+            if E.pow(delta, p ** n - 1) != E.div(an, a0):
+                continue
+            target = E.div(E.mul(delta, bm), a0)
+            gamma = next((g for g in E.nonzero() if E.pow(g, m) == target),
+                         None)
+            if gamma is not None:
+                return E, gamma, delta, emb[monomial_shift(spec)], t
+    return None

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from normtrace import autgroup, cli
+from normtrace import autgroup, cli, codes
 from normtrace.cli import main
 from normtrace.curve import build_curve
 from normtrace.gf import field_from_dict
@@ -89,6 +89,16 @@ def test_min_dist(capsys):
     assert rc == 0
     rec = json.loads(out)
     assert rec["d_exact"] == 25 and rec["attains_designed"]
+
+
+def test_min_dist_fails_when_the_distance_misses_d_star(capsys, monkeypatch):
+    monkeypatch.setattr(codes, "min_distance_exhaustive",
+                        lambda code, budget, stop_at: code.d_star + 1)
+    rc, out, _ = run(capsys, "min-dist", "--q", "2", "--r", "3",
+                     "--ell", "1", "--format", "json")
+    assert rc == 1 and json.loads(out)["attains_designed"] is False
+    rc, out, _ = run(capsys, "min-dist", "--q", "2", "--r", "3", "--ell", "1")
+    assert rc == 1 and "exhaustive d = 26" in out
 
 
 def test_aut_verify(capsys):
