@@ -2,12 +2,10 @@
 groups, and multi-point algebraic-geometric codes, plus the general
 separated-polynomial curve classification machinery."""
 
-from .gf import (FieldCtx, FieldElement, build_field, field_from_dict,
-                 frobenius, norm_rel, subfield_elements, trace_rel)
+from .gf import FieldCtx, build_field, field_from_dict
 from .curve import (Divisor, NormTraceCurve, P_INFINITY, Place, build_curve)
 from .rrspace import (FunctionElem, MonomialTerm, PoleError, basis_multipoint,
-                      basis_one_point, evaluate, extended_evaluate,
-                      local_parameter_at_infinity, semigroup_gaps,
+                      basis_one_point, evaluate, semigroup_gaps,
                       semigroup_nongaps)
 from .codes import (AGCode, BudgetExceeded, build_code, designed_distance,
                     dimension_closed_form, extended_one_point_code,

@@ -37,8 +37,9 @@ class CurveAut:
     b: int
 
     def __post_init__(self):
-        if self.b == 0:
-            raise ValueError("scaling part must be nonzero")
+        if not 0 < self.b < self.curve.ctx.order:
+            raise ValueError(f"scaling part {self.b} is not a nonzero "
+                             f"element of GF({self.curve.ctx.order})")
         if self.a not in self.curve.trace_zero:
             raise ValueError(f"translation part {self.a} has nonzero trace")
 
@@ -132,8 +133,8 @@ def _coordinate_maps(s: CurveAut, frob: int = 0) -> tuple[np.ndarray, np.ndarray
     elems = np.arange(ctx.order, dtype=np.int64)
     frob_map = ctx.vpow(elems, ctx.p ** frob)
     x_map = frob_map[ctx.vscale(s.b, elems)]
-    y_map = frob_map[ctx.add_table(s.a)[
-        ctx.vscale(ctx.pow(s.b, curve.c), elems)]]
+    y_map = frob_map[ctx.vadd_scalar(
+        ctx.vscale(ctx.pow(s.b, curve.c), elems), s.a)]
     return x_map, y_map
 
 
@@ -194,22 +195,16 @@ class CodeAut:
     scalar: int = 1
 
     def __post_init__(self):
-        k = self.aut.curve.ctx.k
-        if not 0 <= self.frob < k:
-            raise ValueError(f"Frobenius exponent must lie in 0..{k - 1}")
-        if self.scalar == 0:
-            raise ValueError("scalar must be nonzero")
+        ctx = self.aut.curve.ctx
+        if not 0 <= self.frob < ctx.k:
+            raise ValueError(f"Frobenius exponent must lie in 0..{ctx.k - 1}")
+        if not 0 < self.scalar < ctx.order:
+            raise ValueError(f"scalar {self.scalar} is not a nonzero "
+                             f"element of GF({ctx.order})")
 
     def to_dict(self) -> dict:
         return {"a_index": self.aut.a, "b_index": self.aut.b,
                 "frob": self.frob, "scalar_index": self.scalar}
-
-
-def frobenius_place(curve: NormTraceCurve, P: Place, e: int) -> Place:
-    if P.is_infinity:
-        return P_INFINITY
-    ctx = curve.ctx
-    return Place("affine", ctx.frobenius(P.x, e), ctx.frobenius(P.y, e))
 
 
 def _place_permutation(code: AGCode, g: CodeAut) -> np.ndarray:

@@ -310,8 +310,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(data)
     return status

@@ -199,9 +199,10 @@ def witness_function(curve: NormTraceCurve, ell: int,
         c_list = list(range(1, ell + 1))
     if len(c_list) != ell:
         raise ValueError(f"need exactly {ell} elements, got {len(c_list)}")
-    if 0 in c_list or len(set(c_list)) != ell:
-        raise ValueError("witness elements must be distinct and nonzero")
     ctx = curve.ctx
+    if not all(0 < ci < ctx.order for ci in c_list) or len(set(c_list)) != ell:
+        raise ValueError(f"witness elements must be distinct nonzero "
+                         f"elements of GF({ctx.order})")
     f = constant_one(curve)
     for ci in c_list:
         # multiply by (1 - ci * x^{-1})
@@ -340,14 +341,15 @@ class EquivalenceWitness:
     permutation: tuple[int, ...]
 
 
-def equivalence_diagonal(curve: NormTraceCurve, ell: int,
-                         places) -> np.ndarray:
+def equivalence_diagonal(curve: NormTraceCurve, ell: int) -> np.ndarray:
     """The explicit diagonal tying the multi-point code to the extended
-    one-point code: x(P)^ell at affine places, and 1 at P_inf, where
-    t^{ell*h} x^ell has valuation 0."""
-    ctx = curve.ctx
-    return np.array([1 if P.is_infinity else ctx.pow(P.x, ell)
-                     for P in places], dtype=np.int64)
+    one-point code, in the column layout of curve.theta_coords: x(P)^ell
+    at affine places, and 1 at P_inf, where t^{ell*h} x^ell has
+    valuation 0."""
+    pos, xs, _ = curve.theta_coords
+    diag = np.ones(len(pos) + 1, dtype=np.int64)
+    diag[pos] = curve.ctx.vpow(xs, ell)
+    return diag
 
 
 def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
@@ -378,18 +380,19 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
 
 
 def _entrywise_diagonal(ctx, A: np.ndarray, B: np.ndarray):
-    if not np.array_equal(A == 0, B == 0):
+    """The column scaling that carries A onto B entry by entry, or None.
+    A and B must share their zero pattern, and every nonzero ratio
+    B / A in a column must equal the column's first one; a column of
+    zeros takes 1."""
+    nz = A != 0
+    if not np.array_equal(nz, B != 0):
         return None
-    n = A.shape[1]
-    diag = np.ones(n, dtype=np.int64)
-    for col in range(n):
-        rows = np.nonzero(A[:, col])[0]
-        if len(rows) == 0:
-            continue
-        ratios = {ctx.div(int(B[r, col]), int(A[r, col])) for r in rows}
-        if len(ratios) != 1:
-            return None
-        diag[col] = ratios.pop()
+    ratios = np.zeros(A.shape, dtype=np.int64)
+    ratios[nz] = ctx.vmul(B[nz], ctx.vpow(A[nz], -1))
+    diag = ratios[nz.argmax(axis=0), np.arange(A.shape[1])]
+    if not ((ratios == diag) | ~nz).all():
+        return None
+    diag[~nz.any(axis=0)] = 1
     return diag
 
 

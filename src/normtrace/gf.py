@@ -24,8 +24,6 @@ desk-scale any more).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import poly
@@ -419,16 +417,16 @@ class FieldCtx:
             self._neg_np = tbl
         return self._neg_np
 
-    def add_table(self, a: int) -> np.ndarray:
-        """The table v -> v + a over all elements, by base-p digit
-        arithmetic: no Q x Q table, so it works at every order."""
-        idx = np.arange(self.order, dtype=np.int64)
+    def vadd_scalar(self, u: np.ndarray, a: int) -> np.ndarray:
+        """Elementwise u + a for one element a, by base-p digit
+        arithmetic: no table is built, so the cost follows the size of u."""
+        u = np.asarray(u, dtype=np.int64)
         if self.p == 2:
-            return idx ^ a
-        out = np.zeros_like(idx)
+            return u ^ a
+        out = np.zeros_like(u)
         mult = 1
         for _ in range(self.k):
-            out += (idx // mult + a // mult) % self.p * mult
+            out += (u // mult + a // mult) % self.p * mult
             mult *= self.p
         return out
 
@@ -481,22 +479,7 @@ class FieldCtx:
         entries for row."""
         return self.mul_np[col][:, row]
 
-    # -- elements, equality, serialization --------------------------------
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        return FieldElement(self, self.generator)
+    # -- equality, serialization ------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)
@@ -527,75 +510,3 @@ def field_from_dict(d: dict) -> FieldCtx:
             f"record generator {want} differs from canonical {ctx.generator}")
     return ctx
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldCtx; a thin operator wrapper over the index."""
-
-    ctx: FieldCtx
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.ctx.order:
-            raise ValueError(f"index {self.index} out of range for {self.ctx}")
-
-    def _same(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other)}")
-        if other.ctx != self.ctx:
-            raise ValueError("elements come from different field contexts")
-        return other.index
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add(self.index, self._same(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self.index, self._same(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul(self.index, self._same(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx, self.ctx.div(self.index, self._same(other)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __repr__(self):
-        return f"<{self.index} in GF({self.ctx.p}^{self.ctx.k})>"
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of the binary operations: op in add/sub/mul/div."""
-    try:
-        fn = {"add": FieldElement.__add__, "sub": FieldElement.__sub__,
-              "mul": FieldElement.__mul__, "div": FieldElement.__truediv__}[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}")
-    return fn(a, b)
-
-
-def frobenius(a: FieldElement, e: int) -> FieldElement:
-    """a^(p^e), the e-th power of the absolute Frobenius."""
-    return FieldElement(a.ctx, a.ctx.frobenius(a.index, e))
-
-
-def trace_rel(a: FieldElement, q: int, r: int) -> FieldElement:
-    return FieldElement(a.ctx, a.ctx.trace_rel(a.index, q, r))
-
-
-def norm_rel(a: FieldElement, q: int, r: int) -> FieldElement:
-    return FieldElement(a.ctx, a.ctx.norm_rel(a.index, q, r))
-
-
-def subfield_elements(ctx: FieldCtx, d: int) -> list[FieldElement]:
-    return [FieldElement(ctx, i) for i in ctx.subfield_indices(d)]

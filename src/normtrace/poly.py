@@ -68,11 +68,11 @@ def evaluate(ctx, f, x):
 
 def evaluate_array(ctx, f, xs):
     """f at every index of the array xs, by Horner on arrays: ctx.vmul
-    for the products and the table v -> v + a for each coefficient, so
-    no Q x Q table is built at any order."""
+    for the products and ctx.vadd_scalar for each coefficient, so no
+    table over the field is built and the cost follows len(xs)."""
     out = ctx.vscale(0, xs)
     for a in reversed(f):
-        out = ctx.add_table(a)[ctx.vmul(out, xs)]
+        out = ctx.vadd_scalar(ctx.vmul(out, xs), a)
     return out
 
 

@@ -55,10 +55,6 @@ def mul_terms(a: MonomialTerm, b: MonomialTerm) -> MonomialTerm:
     return MonomialTerm(a.i + b.i, a.j + b.j)
 
 
-def pow_term(t: MonomialTerm, e: int) -> MonomialTerm:
-    return MonomialTerm(t.i * e, t.j * e)
-
-
 class FunctionElem:
     """A linear combination of monomials x^i y^j with nonzero field
     coefficients, terms pairwise distinct and sorted by pole order."""
@@ -195,43 +191,3 @@ def evaluate(f: FunctionElem, P: Place) -> int:
     for coeff, term in f.terms:
         out = ctx.add(out, ctx.mul(coeff, _eval_term_affine(curve, term, P)))
     return out
-
-
-def local_parameter_at_infinity(curve: NormTraceCurve) -> MonomialTerm:
-    """A monomial x^u y^v with valuation exactly 1 at P_inf, from the
-    extended Euclid relation u*h + v*c = -1; the (u, v) with minimal
-    |u| + |v| is chosen, ties broken by smaller u."""
-    h, c = curve.h, curve.c
-    g, u0, v0 = _ext_gcd(h, c)
-    assert g == 1
-    u0, v0 = -u0, -v0  # now u0*h + v0*c = -1
-    # All solutions are (u0 + t*c, v0 - t*h); |u| + |v| is convex in t
-    # with its real minimum at t = -u0/c, so scanning around the floor
-    # covers the integer minimum and its ties.
-    t0 = -u0 // c
-    best = None
-    for t in range(t0 - 1, t0 + 3):
-        u, v = u0 + t * c, v0 - t * h
-        key = (abs(u) + abs(v), u)
-        if best is None or key < best[0]:
-            best = (key, MonomialTerm(u, v))
-    return best[1]
-
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def extended_evaluate(f: FunctionElem, P: Place, n_P: int,
-                      t: MonomialTerm) -> int:
-    """Value of t^{n_P} * f at P, where t is a local parameter at P.
-
-    This realizes evaluation codes whose divisor has weight n_P at an
-    evaluation place: multiplying by t^{n_P} cancels the pole there.
-    The product is formed exactly by exponent addition (the y exponent
-    is kept unreduced) and evaluated with the same valuation rule."""
-    shifted = f.mul_term(pow_term(t, n_P))
-    return evaluate(shifted, P)

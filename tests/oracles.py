@@ -21,16 +21,24 @@ maps, where the library closes the set from generators.  The roots of B
 are found element by element and their multiplicities by repeated
 division by X - e, and the standard model's constants by a nested scan
 of every delta and gamma, where the library evaluates B, its Hasse
-derivatives and the powers over whole arrays.
+derivatives and the powers over whole arrays.  Two codes are compared
+column by column with scalar divisions, where the library forms every
+ratio as one array.
+
+Some helpers live here because only the tests use them: the local
+parameter at P_inf and the extended evaluation through it, which the
+library replaces by a valuation rule, and the Frobenius image of one
+place.
 """
 
 import numpy as np
 
 from normtrace import poly
-from normtrace.autgroup import apply_place, frobenius_place
+from normtrace.autgroup import apply_place
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
+from normtrace.rrspace import MonomialTerm, evaluate
 from normtrace.sepcurve import (AffineAut, SearchFieldTooSmall,
                                 _solve_additive_preimage, compose_affine,
                                 inverse_affine, monomial_shift, mu_fixers,
@@ -124,6 +132,14 @@ def _poly_divides(g, f, p):
         while f and f[-1] == 0:
             f.pop()
     return not any(f)
+
+
+def frobenius_place(curve, P, e):
+    """The image of P under the coordinate Frobenius x -> x^{p^e}."""
+    if P.is_infinity:
+        return P_INFINITY
+    ctx = curve.ctx
+    return Place(AFFINE, ctx.frobenius(P.x, e), ctx.frobenius(P.y, e))
 
 
 def code_action_by_places(code, g, word):
@@ -392,3 +408,64 @@ def standardization_by_scan(spec, max_order=1 << 10):
             if gamma is not None:
                 return E, gamma, delta, emb[monomial_shift(spec)], t
     return None
+
+
+def entrywise_diagonal_by_columns(ctx, A, B):
+    """The column scaling carrying A onto B entry by entry, or None, one
+    column at a time: every nonzero entry's ratio B / A by a scalar
+    division, 1 for a column of zeros."""
+    if not np.array_equal(A == 0, B == 0):
+        return None
+    n = A.shape[1]
+    diag = np.ones(n, dtype=np.int64)
+    for col in range(n):
+        rows = np.nonzero(A[:, col])[0]
+        if len(rows) == 0:
+            continue
+        ratios = {ctx.div(int(B[r, col]), int(A[r, col])) for r in rows}
+        if len(ratios) != 1:
+            return None
+        diag[col] = ratios.pop()
+    return diag
+
+
+def pow_term(t, e):
+    return MonomialTerm(t.i * e, t.j * e)
+
+
+def _ext_gcd(a, b):
+    if b == 0:
+        return a, 1, 0
+    g, x, y = _ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def local_parameter_at_infinity(curve):
+    """A monomial x^u y^v with valuation exactly 1 at P_inf, from the
+    extended Euclid relation u*h + v*c = -1; the (u, v) with minimal
+    |u| + |v| is chosen, ties broken by smaller u."""
+    h, c = curve.h, curve.c
+    g, u0, v0 = _ext_gcd(h, c)
+    assert g == 1
+    u0, v0 = -u0, -v0  # now u0*h + v0*c = -1
+    # All solutions are (u0 + t*c, v0 - t*h); |u| + |v| is convex in t
+    # with its real minimum at t = -u0/c, so scanning around the floor
+    # covers the integer minimum and its ties.
+    t0 = -u0 // c
+    best = None
+    for t in range(t0 - 1, t0 + 3):
+        u, v = u0 + t * c, v0 - t * h
+        key = (abs(u) + abs(v), u)
+        if best is None or key < best[0]:
+            best = (key, MonomialTerm(u, v))
+    return best[1]
+
+
+def extended_evaluate(f, P, n_P, t):
+    """Value of t^{n_P} * f at P, where t is a local parameter at P.
+
+    This realizes evaluation codes whose divisor has weight n_P at an
+    evaluation place: multiplying by t^{n_P} cancels the pole there.
+    The product is formed exactly by exponent addition (the y exponent
+    is kept unreduced) and evaluated with the same valuation rule."""
+    return evaluate(f.mul_term(pow_term(t, n_P)), P)

@@ -95,7 +95,7 @@ def test_c05_monomial_equivalence():
             assert (ca.n, ca.k) == (cb.n, cb.k)
             wit = codes.monomial_equivalence_check(ca, cb)
             assert wit is not None
-            diag = codes.equivalence_diagonal(cv, ell, ca.places)
+            diag = codes.equivalence_diagonal(cv, ell)
             assert np.array_equal(wit.diagonal, diag)
             for pos, P in enumerate(ca.places):
                 if not P.is_infinity:

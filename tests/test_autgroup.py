@@ -7,12 +7,13 @@ import pytest
 from normtrace import autgroup, linalg
 from normtrace.autgroup import (CodeAut, CurveAut, apply_place, code_action,
                                 code_checks, compose, enumerate_group,
-                                fixed_places, frobenius_place, group_checks,
+                                fixed_places, group_checks,
                                 identity_aut, inverse, is_code_automorphism,
                                 orbits, short_orbits)
 from normtrace.codes import build_code
 from normtrace.curve import P_INFINITY, build_curve
-from oracles import code_action_by_places, fixed_places_by_places
+from oracles import (code_action_by_places, fixed_places_by_places,
+                     frobenius_place)
 
 
 def test_group_order(curve23, curve33):
@@ -32,6 +33,10 @@ def test_constructor_validates(curve23):
                  if curve23.ctx.trace_rel(a, 2, 3) != 0)
     with pytest.raises(ValueError):
         CurveAut(curve23, bad_a, 1)      # translation with nonzero trace
+    # scalings outside GF(8) would only fail later, in is_code_automorphism
+    for b in (-1, 8, 100):
+        with pytest.raises(ValueError, match="nonzero element of GF\\(8\\)"):
+            CurveAut(curve23, 0, b)
 
 
 def test_closure_and_inverses_exhaustive(curve23):
@@ -196,6 +201,9 @@ def test_code_aut_validation(curve23):
         CodeAut(ident, frob=3)
     with pytest.raises(ValueError):
         CodeAut(ident, scalar=0)
+    for scalar in (-1, 8, 100):
+        with pytest.raises(ValueError, match="nonzero element of GF\\(8\\)"):
+            CodeAut(ident, scalar=scalar)
 
 
 def test_identity_code_aut(curve23):

@@ -276,6 +276,15 @@ def test_out_file(capsys, tmp_path):
     assert target.read_text().startswith("ell,")
 
 
+def test_out_file_that_cannot_be_written(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, "field-info", "--q", "8", "--out", str(target))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}:")
+    assert "Traceback" not in err
+
+
 def test_budget_flag_controls_exhaustive_column(capsys):
     rc, out, _ = run(capsys, "code-table", "--q", "2", "--r", "3",
                      "--ell", "3", "--budget", "1000")

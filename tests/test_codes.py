@@ -13,9 +13,10 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
 from normtrace.curve import P_INFINITY, build_curve
-from normtrace.rrspace import (evaluate, extended_evaluate,
-                               local_parameter_at_infinity, monomial)
-from oracles import lattice_dimension, naive_min_weight
+from normtrace.rrspace import evaluate, monomial
+from oracles import (entrywise_diagonal_by_columns, extended_evaluate,
+                     lattice_dimension, local_parameter_at_infinity,
+                     naive_min_weight)
 
 
 def test_build_code_23(curve23):
@@ -158,6 +159,13 @@ def test_witness_codeword_matches_scalar_evaluation(q, r):
             assert witness_codeword(code, cs).tolist() == want
 
 
+@pytest.mark.parametrize("c_list", [[-1], [8], [0], [100]])
+def test_witness_refuses_an_element_outside_the_field(curve23, c_list):
+    # -1 would wrap round to element 7 in the index lists
+    with pytest.raises(ValueError, match="distinct nonzero elements of GF\\(8\\)"):
+        witness_function(curve23, 1, c_list)
+
+
 @pytest.mark.parametrize("q, r, ell", [(2, 3, 2), (3, 3, 1), (4, 5, 1)])
 def test_witness_codeword_leaves_places_unbuilt(q, r, ell):
     curve = build_curve(q, r)
@@ -248,7 +256,7 @@ def test_monomial_equivalence_canonical_pairs(curve23):
         wit = monomial_equivalence_check(ca, cb)
         assert wit is not None
         assert wit.permutation == tuple(range(29))
-        proof = equivalence_diagonal(curve23, ell, ca.places)
+        proof = equivalence_diagonal(curve23, ell)
         assert np.array_equal(wit.diagonal, proof)
         # proof diagonal: x(P)^ell at affine places, extended value at P_inf
         ctx = curve23.ctx
@@ -266,7 +274,25 @@ def test_monomial_equivalence_other_curves(curve33, curve24):
         cb = extended_one_point_code(cv, ell)
         wit = monomial_equivalence_check(ca, cb)
         assert wit is not None
-        assert np.array_equal(wit.diagonal, equivalence_diagonal(cv, ell, ca.places))
+        assert np.array_equal(wit.diagonal, equivalence_diagonal(cv, ell))
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4)])
+def test_equivalence_diagonal_is_x_to_the_ell(q, r):
+    # the scalar powers over the code's places are the oracle, and the
+    # entrywise search recovers the same diagonal column by column
+    curve = build_curve(q, r)
+    ctx = curve.ctx
+    for ell in (1, 2, q ** r - 1):
+        ca = build_code(curve, ell)
+        cb = extended_one_point_code(curve, ell)
+        diag = equivalence_diagonal(curve, ell)
+        assert diag.tolist() == [1 if P.is_infinity else ctx.pow(P.x, ell)
+                                 for P in ca.places]
+        assert np.array_equal(
+            entrywise_diagonal_by_columns(ctx, ca.matrix, cb.matrix), diag)
+        assert np.array_equal(monomial_equivalence_check(ca, cb).diagonal,
+                              diag)
 
 
 def test_monomial_equivalence_self_and_failure(curve23):

@@ -1,6 +1,8 @@
 """Property tests for normtrace.poly over random small fields GF(p^k),
 p^k <= 2^8."""
 
+import random
+import tracemalloc
 from functools import lru_cache, partial
 
 import numpy as np
@@ -125,6 +127,25 @@ def test_evaluate_array_equals_scalar_evaluation(case):
     ctx, (f,), _ = case
     values = poly.evaluate_array(ctx, f, np.arange(ctx.order))
     assert values.tolist() == [poly.evaluate(ctx, f, x) for x in ctx.elements()]
+
+
+@pytest.mark.parametrize("p, k", [(2, 20), (3, 12)])
+def test_evaluate_array_at_a_few_points_of_a_large_field(p, k):
+    # the cost follows the points: one int64 array over GF(2^20) alone
+    # takes 8 MB
+    ctx = build_field(p, k)
+    rng = random.Random(k)
+    f = [rng.randrange(ctx.order) for _ in range(9)]
+    xs = np.array([0, 1, ctx.order - 1]
+                  + [rng.randrange(ctx.order) for _ in range(6)])
+    tracemalloc.start()
+    try:
+        values = poly.evaluate_array(ctx, f, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == [poly.evaluate(ctx, f, x) for x in xs.tolist()]
+    assert peak < 2 << 20
 
 
 @SETTINGS

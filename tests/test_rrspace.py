@@ -6,11 +6,11 @@ import pytest
 from normtrace.curve import P_INFINITY, Place, build_curve
 from normtrace.rrspace import (FunctionElem, MonomialTerm, PoleError,
                                basis_multipoint, basis_one_point,
-                               constant_one, evaluate, extended_evaluate,
-                               local_parameter_at_infinity, monomial,
+                               constant_one, evaluate, monomial,
                                mul_terms, semigroup_gaps, semigroup_nongaps,
                                val_infinity)
-from oracles import semigroup_by_force
+from oracles import (extended_evaluate, local_parameter_at_infinity,
+                     semigroup_by_force)
 
 
 def test_nongaps_23(curve23):
