@@ -11,7 +11,7 @@ print(curve)
 print("equation: x^%d = y^%d + y^%d + y over GF(%d)"
       % (curve.c, curve.q ** 2, curve.q, curve.q ** curve.r))
 
-places = curve.rational_places()
+places = curve.places
 print("\nrational places:", len(places), "= q^(2r-1) + 1")
 print("first few:", list(places[:6]))
 

@@ -101,7 +101,7 @@ def orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
         group = enumerate_group(curve)
     seen: set[Place] = set()
     out = []
-    for P in curve.rational_places():
+    for P in curve.places:
         if P in seen:
             continue
         orb = {apply_place(s, P) for s in group}

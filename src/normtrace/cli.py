@@ -35,8 +35,7 @@ DEFAULT_BUDGET = 1 << 20
 
 
 def _field_of_order(order: int):
-    p, k = prime_power(order)
-    return build_field(p, k)
+    return build_field(*prime_power(order))
 
 
 # ----------------------------------------------------------------------
@@ -98,10 +97,11 @@ def _table_rows(args):
     for ell in range(lo, hi + 1):
         code = codes.build_code(curve, ell)
         k_formula = codes.dimension_closed_form(args.q, args.r, ell)
-        d_exact = ""
-        if curve.ctx.order ** code.k <= args.budget:
+        try:
             d_exact = codes.min_distance_exhaustive(code, args.budget,
                                                     stop_at=code.d_star)
+        except codes.BudgetExceeded:  # over budget or the table limit
+            d_exact = ""
         agree = code.k == k_formula
         all_agree = all_agree and agree
         rows.append({"ell": ell, "n": code.n, "k_rank": code.k,
@@ -148,7 +148,7 @@ def cmd_code_build(args):
     rows = _matrix_text(code.matrix, order, "      {},\n", "      {}\n    ]",
                         "    [\n", ",\n")
     # the report without its matrix ends "\n}"; the matrix is its last key
-    head = json.dumps(code.to_report(include_matrix=False), indent=2)[:-2]
+    head = json.dumps(code.to_report(), indent=2)[:-2]
     return 0, f'{head},\n  "matrix": [\n{rows}\n  ]\n}}\n'
 
 
@@ -201,10 +201,7 @@ def cmd_classify(args):
     spec = sepcurve.spec_from_dict(raw)
     result = sepcurve.classify(spec)
     rec = result.to_dict()
-    rec["p"] = spec.p
-    rec["n"] = spec.n
-    rec["m"] = spec.m
-    rec["genus"] = sepcurve.genus(spec)
+    rec.update(p=spec.p, n=spec.n, m=spec.m, genus=sepcurve.genus(spec))
     status = 0
     if args.search_field is not None:
         field = _field_of_order(args.search_field)
@@ -256,14 +253,13 @@ def _build_parser():
         description="norm-trace curves, their automorphisms, and AG codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, budget=False):
         sp.add_argument("--format", choices=["csv", "json", "text"],
                         default=None)
         sp.add_argument("--out", default=None, help="write data to this file")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max enumeration count for searches")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks")
+        if budget:
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                            help="max enumeration count for searches")
 
     sp = sub.add_parser("field-info", help="canonical GF(q) description")
     sp.add_argument("--q", type=int, required=True, help="field order")
@@ -280,20 +276,23 @@ def _build_parser():
     sp.add_argument("--ell", type=int, default=None, help="first ell (default 1)")
     sp.add_argument("--ell-max", type=int, default=None,
                     help="last ell (default q^r - 1)")
-    common(sp)
+    common(sp, budget=True)
 
     for name in ("code-build", "min-dist", "aut-verify"):
         sp = sub.add_parser(name)
         sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--r", type=int, required=True)
         sp.add_argument("--ell", type=int, required=True)
-        common(sp)
+        common(sp, budget=name == "min-dist")
+        if name == "aut-verify":
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed for sampled checks")
 
     sp = sub.add_parser("classify", help="separated-curve classification")
     sp.add_argument("--spec", required=True, help="path to a spec JSON file")
     sp.add_argument("--search-field", type=int, default=None,
                     help="order of the stabilizer search field")
-    common(sp)
+    common(sp, budget=True)
     return parser
 
 
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
     fn, default_fmt = _COMMANDS[args.command]
     args.format = args.format or default_fmt
     try:
-        if args.budget <= 0:
+        if getattr(args, "budget", 1) <= 0:
             raise ValueError("budget must be positive")
         status, data = fn(args)
     except (ValueError, RuntimeError) as exc:

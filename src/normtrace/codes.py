@@ -27,6 +27,11 @@ MULTIPOINT = "multipoint"
 EXTENDED_ONE_POINT = "extended-one-point"
 
 
+# Largest peak, in bytes, that min_distance_exhaustive's word tables may
+# reach; larger codes are refused before any table is built.
+TABLE_MAX_BYTES = 1 << 30
+
+
 class BudgetExceeded(ValueError):
     """Enumeration would exceed the caller's budget; fall back to the
     witness codeword plus the designed-distance bound."""
@@ -78,8 +83,9 @@ class AGCode:
         """The place of each column, built only when asked for."""
         return self.curve.theta
 
-    def to_report(self, include_matrix: bool = True) -> dict:
-        rep = {
+    def to_report(self) -> dict:
+        """Parameters and basis; code-build prints the matrix after them."""
+        return {
             "q": self.curve.q,
             "r": self.curve.r,
             "ell": self.ell,
@@ -90,9 +96,6 @@ class AGCode:
             "d_exact": None,
             "basis": [t.to_dict() for t in self.basis],
         }
-        if include_matrix:
-            rep["matrix"] = self.matrix.tolist()
-        return rep
 
 
 def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
@@ -234,8 +237,10 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     enumeration of the projective message space.
 
     Raises BudgetExceeded when the field-order^k message count exceeds
-    the budget.  If stop_at is given (a proven lower bound such as d*),
-    the search stops as soon as a word of that weight has been found.
+    the budget, or when the word tables would need more than
+    TABLE_MAX_BYTES at their peak, estimated before any is built.  If
+    stop_at is given (a proven lower bound such as d*), the search
+    stops as soon as a word of that weight has been found.
 
     Every nonzero message is a scalar multiple of exactly one message
     whose highest nonzero digit is 1, and scaling keeps the weight, so
@@ -258,6 +263,10 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     k2 = 1
     while k2 + 1 < k and Q ** (k2 + 1) <= table_limit:
         k2 += 1
+    need = _table_bytes(ctx, k, k2, n)
+    if need > TABLE_MAX_BYTES:
+        raise BudgetExceeded(f"word tables need about {need} bytes, above "
+                             f"the limit {TABLE_MAX_BYTES}")
     k1 = k - k2
     encode, add, distance = _word_kernel(ctx, n)
     # multiples[i][:, s] is the word s * (row i), encoded
@@ -287,6 +296,18 @@ def min_distance_exhaustive(code: AGCode, budget: int,
             if stop_at is not None and best <= stop_at:
                 break
     return best
+
+
+def _table_bytes(ctx, k: int, k2: int, n: int) -> int:
+    """Upper estimate of min_distance_exhaustive's peak bytes: k * Q row
+    multiples, the Q^k2 table and two sweep copies, plus encode's bit
+    shift (p = 2) or FieldCtx.vadd's intp flat index (p odd)."""
+    Q, size = ctx.order, ctx.dtype.itemsize
+    if ctx.p == 2:  # k bit planes of packed uint64 words
+        word, temp = ctx.k * -(-n // 64) * 8, (2 * ctx.k + 1) * Q * n * size
+    else:  # one plane of element indices
+        word, temp = n * size, (Q ** k2 + Q) * n * np.dtype(np.intp).itemsize
+    return word * (k * Q + 3 * Q ** k2) + temp
 
 
 def _leading_one(Q: int, digits: int) -> np.ndarray:

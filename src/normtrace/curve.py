@@ -172,8 +172,7 @@ class NormTraceCurve:
         traces = ctx.linear_map(
             [ctx.trace_rel(ctx.p ** j, self.q, self.r) for j in range(ctx.k)],
             np.arange(Q))
-        norms = np.zeros(Q, dtype=np.int64)
-        norms[1:] = ctx.exp_np[ctx.log_np[1:] * self.c % (Q - 1)]
+        norms = ctx.vpow(np.arange(Q), self.c)
         sizes = np.bincount(traces, minlength=Q)
         assert (sizes[norms] == self.h).all()
         starts = np.cumsum(sizes) - sizes
@@ -203,13 +202,10 @@ class NormTraceCurve:
 
     @cached_property
     def places(self) -> tuple[Place, ...]:
+        """All q^{2r-1} + 1 rational places, infinity first."""
         xs, ys = self.affine_xy
         return (P_INFINITY,) + tuple([
             Place(AFFINE, x, y) for x, y in zip(xs.tolist(), ys.tolist())])
-
-    def rational_places(self) -> tuple[Place, ...]:
-        """All q^{2r-1} + 1 rational places, infinity first."""
-        return self.places
 
     @cached_property
     def omega(self) -> tuple[Place, ...]:

@@ -36,19 +36,8 @@ TABLE_MAX_ORDER = 1 << 12
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (desk scale: n <= 2^20)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by trial division (desk scale: n <= 2^20)."""
+    return prime_factors(n) == [n]
 
 
 def check_order(p: int, e: int, what: str = "field order"):
@@ -63,23 +52,12 @@ def check_order(p: int, e: int, what: str = "field order"):
 def prime_power(n: int) -> tuple[int, int]:
     """Write n = p^e with p prime, or raise ValueError.  n must not
     exceed MAX_ORDER, which is checked before any trial division."""
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
     check_order(n, 1)
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n, 1  # n itself prime (no divisor <= sqrt)
-        if n % p:
-            continue
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m != 1:
-            raise ValueError(f"{n} is not a prime power")
-        return p, e
-    raise ValueError(f"{n} is not a prime power")
+    factors = prime_factors(n)  # [] for n < 2
+    if len(factors) != 1:
+        raise ValueError(f"{n} is not a prime power")
+    p = factors[0]
+    return p, next(e for e in range(1, n) if p ** e == n)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -353,11 +331,11 @@ class FieldCtx:
             raise ValueError(f"GF({self.order}) is not GF({q}^{r})")
 
     def subfield_indices(self, d: int) -> list[int]:
-        """Elements of the subfield of order p^d, i.e. fixed by x -> x^{p^d}."""
+        """Elements of the subfield of order p^d, ascending: 0 and the
+        powers of g^s for the generator g and s = (Q - 1)/(p^d - 1)."""
         if self.k % d != 0:
             raise ValueError(f"d = {d} does not divide k = {self.k}")
-        idx = np.arange(self.order)
-        return np.flatnonzero(self.vpow(idx, self.p ** d) == idx).tolist()
+        return sorted([0] + self._exp[::(self.order - 1) // (self.p ** d - 1)])
 
     def elements(self) -> range:
         return range(self.order)

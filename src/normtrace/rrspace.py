@@ -47,10 +47,6 @@ class MonomialTerm:
         return {"i": self.i, "j": self.j}
 
 
-def val_infinity(curve: NormTraceCurve, term: MonomialTerm) -> int:
-    return curve.val_infinity(term.i, term.j)
-
-
 def mul_terms(a: MonomialTerm, b: MonomialTerm) -> MonomialTerm:
     return MonomialTerm(a.i + b.i, a.j + b.j)
 
@@ -72,7 +68,8 @@ class FunctionElem:
                     del merged[term]
         self.terms = tuple(sorted(
             ((c, t) for t, c in merged.items()),
-            key=lambda ct: (-val_infinity(curve, ct[1]), ct[1].i, ct[1].j)))
+            key=lambda ct: (-curve.val_infinity(ct[1].i, ct[1].j),
+                            ct[1].i, ct[1].j)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -182,7 +179,7 @@ def evaluate(f: FunctionElem, P: Place) -> int:
     out = 0
     if P.is_infinity:
         for coeff, term in f.terms:
-            v = val_infinity(curve, term)
+            v = curve.val_infinity(term.i, term.j)
             if v < 0:
                 raise PoleError(f"{term} has a pole at P_inf")
             if v == 0:

@@ -26,7 +26,7 @@ All coefficients are integer-encoded field elements of a FieldCtx.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import count
 from math import gcd, lcm
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import poly
 from .codes import BudgetExceeded
-from .gf import FieldCtx, build_field, check_order, field_from_dict
+from .gf import FieldCtx, build_field, check_order, field_from_dict, prime_power
 
 
 class SearchFieldTooSmall(ValueError):
@@ -178,7 +178,6 @@ def spec_from_dict(d) -> SeparatedCurveSpec:
 def norm_trace_spec(q: int, r: int, ctx: FieldCtx | None = None) -> SeparatedCurveSpec:
     """The norm-trace curve as a separated-polynomial spec:
     A = Y^{q^{r-1}} + ... + Y, B = X^{(q^r-1)/(q-1)} over GF(q^r)."""
-    from .gf import prime_power
     p, e = prime_power(q)
     if ctx is None:
         ctx = build_field(p, e * r)
@@ -248,9 +247,7 @@ def mu_fixers(spec: SeparatedCurveSpec) -> list[int]:
     """All mu with A(mu Y) = mu A(Y) as polynomials, i.e. mu fixed by
     every x -> x^{p^j} of A: the nonzero part of the host field's
     subfield of order p^gcd(k, j's)."""
-    ctx = spec.ctx
-    return [mu for mu in ctx.subfield_indices(gcd(ctx.k, *spec.a_coeffs))
-            if mu]
+    return spec.ctx.subfield_indices(gcd(spec.ctx.k, *spec.a_coeffs))[1:]
 
 
 # ----------------------------------------------------------------------
@@ -280,17 +277,7 @@ class ClassificationResult:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "d": self.d,
-            "predicted_full_order": self.predicted_full_order,
-            "predicted_stabilizer_order": self.predicted_stabilizer_order,
-            "generators": [{"kind": g.kind, "count": g.count,
-                            "description": g.description}
-                           for g in self.generators],
-            "h_bound": self.h_bound.to_dict() if self.h_bound else None,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
@@ -569,16 +556,14 @@ def assert_group(maps: list[AffineAut]):
 
 
 def condiz_check(spec: SeparatedCurveSpec, aut: AffineAut) -> bool:
-    """True iff B(b X + c0) = a B(X) with a in the p^d-subfield, the
-    scaling law every stabilizer complement generator satisfies."""
+    """True iff B(b X + c0) = a B(X) with a in the p^d-subfield (the
+    mu_fixers of the spec over the map's field), the scaling law every
+    stabilizer complement generator satisfies."""
     ctx = aut.ctx
     spec_f = spec.map_coefficients(ctx)
     b_poly = list(spec_f.b_coeffs)
     lhs = poly.compose_linear(ctx, b_poly, aut.b, aut.c0)
-    # a^{p^d - 1} = 1 exactly on the subfield of order p^gcd(d, k)
-    d = gcd(linearization_gcd(spec), ctx.k)
-    return any(lhs == poly.scale(ctx, a, b_poly)
-               for a in ctx.subfield_indices(d) if a)
+    return any(lhs == poly.scale(ctx, a, b_poly) for a in mu_fixers(spec_f))
 
 
 # ----------------------------------------------------------------------
@@ -594,8 +579,9 @@ def embed_field(src: FieldCtx, dst: FieldCtx) -> list[int]:
     if dst.p != src.p or dst.k % src.k != 0:
         raise ValueError(f"no embedding of GF({src.p}^{src.k}) "
                          f"into GF({dst.p}^{dst.k})")
-    modulus = list(src.modulus)  # prime-field coefficients
-    rho = next(e for e in dst.elements() if poly.evaluate(dst, modulus, e) == 0)
+    # every root of the modulus lies in the subfield of order p^k
+    sub = np.array(dst.subfield_indices(src.k))
+    rho = int(sub[poly.evaluate_array(dst, src.modulus, sub) == 0][0])
     # the embedding is GF(p)-linear: X^j goes to rho^j
     images = [dst.pow(rho, j) for j in range(src.k)] + [0] * (dst.k - src.k)
     return dst.linear_map(images, np.arange(src.order)).tolist()
@@ -654,9 +640,6 @@ class HBound:
 
     def satisfied_by(self, h_order: int) -> bool:
         return any(d % h_order == 0 for d in self.divisors)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "divisors": list(self.divisors)}
 
 
 def h_bound_from_roots(spec: SeparatedCurveSpec) -> HBound:

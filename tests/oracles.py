@@ -157,7 +157,7 @@ def code_action_by_places(code, g, word):
 
 
 def fixed_places_by_places(s):
-    return [P for P in s.curve.rational_places() if apply_place(s, P) == P]
+    return [P for P in s.curve.places if apply_place(s, P) == P]
 
 
 def reduce_row_by_entries(ctx, R, pivots, vec):

@@ -51,7 +51,7 @@ def test_closure_and_inverses_exhaustive(curve23):
 def test_compose_matches_pointwise_action(curve23):
     rng = random.Random(5)
     group = enumerate_group(curve23)
-    places = curve23.rational_places()
+    places = curve23.places
     for _ in range(100):
         s1, s2 = rng.choice(group), rng.choice(group)
         P = rng.choice(places)
@@ -99,7 +99,7 @@ def test_apply_place(curve23):
     for s in group[:10]:
         assert {apply_place(s, P) for P in omega} == omega
         assert {apply_place(s, P) for P in theta} == theta
-        for P in curve23.rational_places():
+        for P in curve23.places:
             img = apply_place(s, P)
             if not img.is_infinity:
                 assert curve23.on_curve(img.x, img.y)
@@ -164,7 +164,7 @@ def test_group_checks_have_teeth(curve23, curve33):
 def test_fixed_place_check_has_teeth(curve23, monkeypatch):
     # no map of the (a, b) form fixes more than h + 1 places, so the
     # bound can only fail through a doctored fixed_places
-    places = curve23.rational_places()
+    places = curve23.places
     monkeypatch.setattr(autgroup, "fixed_places", lambda s: list(places))
     checks, _ = group_checks(curve23, enumerate_group(curve23), 0)
     assert _failed(checks) == {"fixed places <= 5"}
@@ -229,7 +229,7 @@ def test_frobenius_and_scalar_action(curve23):
         for sc in curve23.ctx.nonzero():
             assert is_code_automorphism(code, CodeAut(ident, frob=e, scalar=sc))
     # frobenius_place keeps places on the curve
-    for P in curve23.rational_places():
+    for P in curve23.places:
         img = frobenius_place(curve23, P, 1)
         if not img.is_infinity:
             assert curve23.on_curve(img.x, img.y)

@@ -2,8 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +402,119 @@ def test_budget_must_be_positive(capsys, budget):
                        "--budget", budget)
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "budget must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["min-dist", "classify"])
+def test_budget_must_be_positive_where_it_is_read(capsys, tmp_path, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(CASE_II_SPEC))
+    args = (["--spec", str(path)] if command == "classify"
+            else ["--q", "2", "--r", "3", "--ell", "1"])
+    rc, out, err = run(capsys, command, *args, "--budget", "0")
+    assert rc == 1 and out == ""
+    assert err == "error: budget must be positive\n"
+
+
+SUBCOMMAND_ARGS = {
+    "field-info": ["--q", "8"],
+    "curve-info": ["--q", "2", "--r", "3"],
+    "code-table": ["--q", "2", "--r", "3", "--ell", "1"],
+    "code-build": ["--q", "2", "--r", "3", "--ell", "1"],
+    "min-dist": ["--q", "2", "--r", "3", "--ell", "1"],
+    "aut-verify": ["--q", "2", "--r", "3", "--ell", "1"],
+    "classify": ["--spec", "{spec}"],
+}
+READERS = {"--budget": {"code-table", "min-dist", "classify"},
+           "--seed": {"aut-verify"}}
+
+
+@pytest.mark.parametrize("flag", sorted(READERS))
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_subcommands_take_only_the_flags_they_read(capsys, tmp_path,
+                                                    command, flag):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(CASE_II_SPEC))
+    argv = ([command] + [a.format(spec=path) for a in SUBCOMMAND_ARGS[command]]
+            + [flag, "1000"])
+    if command in READERS[flag]:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and out and err == ""
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q,r", [(2, 10), (4, 5)])
+def test_min_dist_refuses_word_tables_over_the_limit(capsys, q, r):
+    # Q^k = 2^20 passes the default budget, but the word tables of these
+    # codes would take 26 and 13 GB: refused before any is built
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "min-dist", "--q", str(q), "--r", str(r),
+                           "--ell", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: word tables need about")
+    assert f"above the limit {codes.TABLE_MAX_BYTES}" in err
+    assert "Traceback" not in err
+    assert peak < 200 << 20
+
+
+@pytest.mark.parametrize("q,r", [(2, 10), (4, 5)])
+def test_code_table_leaves_d_exact_empty_over_the_table_limit(capsys, q, r):
+    rc, out, err = run(capsys, "code-table", "--q", str(q), "--r", str(r),
+                       "--ell", "1")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rc == 0 and err == ""
+    assert len(rows) == 1 and rows[0]["d_exact"] == ""
+    assert rows[0]["k_rank"] == rows[0]["k_formula"] == "2"
+
+
+def _spec(p, a, b):
+    return {"p": p, "field": {"p": p, "k": 1},
+            "A": [{"j": j, "a_j_index": c} for j, c in sorted(a.items())],
+            "B": list(b)}
+
+
+# Text digests as in perfbench/expected.json; the JSON digests were
+# recorded with the hand-written ClassificationResult.to_dict that
+# dataclasses.asdict replaced.
+@pytest.mark.parametrize("spec, field, fmt, digest", [
+    (CASE_II_SPEC, 64, "text",
+     "ff40f066d2ccb5a64c35d1cf065f1b67331859909171f664c3176ec276c7a547"),
+    (CASE_II_SPEC, 64, "json",
+     "af14b6eab38f4646028d4d8b6c4a223b042c38f4397b91594ef644705c327479"),
+    (_spec(5, {0: 1, 1: 1}, (0, 0, 0, 1)), 25, "text",
+     "fdadf3b8f6415eb7db31a8f1fb73ee491fc917da4c4877d15172e897868847e7"),
+    (_spec(5, {0: 1, 1: 1}, (0, 0, 0, 1)), 25, "json",
+     "34841bc7b43f851a480434ae27d13f2cb0e85dc4d90f841a241f28ec90770eaf"),
+    (_spec(2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1)), 64, "text",
+     "02277f10ee4dc44d586e6b870f3e0cf310f1e7aea3e4cf97cfaf60e94d6f1880"),
+    (_spec(2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1)), 64, "json",
+     "a931e8bf20c5d017c3a7a5d9edc9747780c76b0953c9bddca2a79307bc0e2564"),
+], ids=["c08-case-ii-text", "c08-case-ii-json", "c08-case-i-text",
+        "c08-case-i-json", "c10-text", "c10-json"])
+def test_classify_output_is_pinned(capsys, tmp_path, spec, field, fmt, digest):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run(capsys, "classify", "--spec", str(path),
+                     "--search-field", str(field), "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_m_entry_point_prints_what_main_prints(capsys, tmp_path):
+    rc, want, _ = run(capsys, "field-info", "--q", "8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    ok = subprocess.run([sys.executable, "-m", "normtrace", "field-info",
+                         "--q", "8"], capture_output=True, text=True, env=env)
+    bad = subprocess.run([sys.executable, "-m", "normtrace", "field-info",
+                          "--q", "8", "--seed", "1"], capture_output=True,
+                         text=True, env=env)
+    assert (rc, ok.returncode, ok.stdout) == (0, 0, want)
+    assert bad.returncode == 2 and bad.stdout == ""

@@ -29,9 +29,9 @@ def test_build_rejects_bad_parameters():
 
 
 def test_place_counts(curve23, curve33, curve24):
-    assert len(curve23.rational_places()) == 33
-    assert len(curve33.rational_places()) == 244
-    assert len(curve24.rational_places()) == 129
+    assert len(curve23.places) == 33
+    assert len(curve33.places) == 244
+    assert len(curve24.places) == 129
 
 
 def test_gcd_invariant():
@@ -41,7 +41,7 @@ def test_gcd_invariant():
 
 
 def test_canonical_order_and_membership(curve23):
-    places = curve23.rational_places()
+    places = curve23.places
     assert places[0] is P_INFINITY
     affine = places[1:]
     assert all(not P.is_infinity for P in affine)
@@ -56,7 +56,7 @@ def test_canonical_order_and_membership(curve23):
 
 
 def test_serialization_roundtrip_is_stable(curve23):
-    places = curve23.rational_places()
+    places = curve23.places
     again = [place_from_dict(P.to_dict()) for P in places]
     assert list(places) == again
 

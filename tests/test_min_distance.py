@@ -3,6 +3,7 @@ against the full-enumeration oracle, over random generator matrices in
 both characteristics, plus codes built so that one missing part of the
 enumeration changes the answer."""
 
+import re
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
@@ -14,7 +15,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace.codes import BudgetExceeded, min_distance_exhaustive  # noqa: E402
+from normtrace import codes  # noqa: E402
+from normtrace.codes import (BudgetExceeded, build_code,  # noqa: E402
+                             min_distance_exhaustive)
+from normtrace.curve import build_curve  # noqa: E402
 from normtrace.gf import build_field, is_prime  # noqa: E402
 from oracles import min_distance_full_enumeration  # noqa: E402
 
@@ -150,3 +154,38 @@ def test_table_leaves_the_first_row_out():
         tracemalloc.stop()
     assert d == min_distance_full_enumeration(code, 256 ** 2, table_limit=256)
     assert peak < 4 << 20
+
+
+def table_estimate(code, monkeypatch):
+    """The peak bytes min_distance_exhaustive estimates for code, read
+    from its refusal under a table limit of zero."""
+    monkeypatch.setattr(codes, "TABLE_MAX_BYTES", 0)
+    with pytest.raises(BudgetExceeded, match="word tables need") as info:
+        min_distance_exhaustive(code, code.curve.ctx.order ** code.k)
+    monkeypatch.undo()
+    return int(re.search(r"about (\d+) bytes", str(info.value))[1])
+
+
+@pytest.mark.parametrize("q,r,ell", [(3, 3, 2), (4, 3, 2), (2, 7, 1),
+                                     (16, 2, 1), (5, 2, 2)])
+def test_table_estimate_bounds_the_measured_peak(q, r, ell, monkeypatch):
+    code = build_code(build_curve(q, r), ell)
+    budget = code.curve.ctx.order ** code.k
+    want = min_distance_exhaustive(code, budget)  # builds the cached tables
+    estimate = table_estimate(code, monkeypatch)
+    tracemalloc.start()
+    try:
+        assert min_distance_exhaustive(code, budget) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate < codes.TABLE_MAX_BYTES
+
+
+@pytest.mark.parametrize("q,r,ell", [(2, 3, 4), (3, 3, 2), (2, 4, 3),
+                                     (4, 3, 2)])
+def test_benchmark_codes_fit_the_table_limit(q, r, ell, monkeypatch):
+    # the largest codes that perfbench's min-dist, code-table and sweep
+    # jobs enumerate
+    code = build_code(build_curve(q, r), ell)
+    assert table_estimate(code, monkeypatch) < codes.TABLE_MAX_BYTES

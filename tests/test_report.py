@@ -83,8 +83,8 @@ def csv_writer_rows(matrix):
 @SETTINGS
 @given(fake_codes())
 def test_writer_equals_json_dumps_and_csv_writer(code):
-    assert code_build(code, "json") == json.dumps(code.to_report(),
-                                                  indent=2) + "\n"
+    report = {**code.to_report(), "matrix": code.matrix.tolist()}
+    assert code_build(code, "json") == json.dumps(report, indent=2) + "\n"
     assert code_build(code, "text") == code_build(code, "json")
     assert code_build(code, "csv") == csv_writer_rows(code.matrix)
 

@@ -7,8 +7,7 @@ from normtrace.curve import P_INFINITY, Place, build_curve
 from normtrace.rrspace import (FunctionElem, MonomialTerm, PoleError,
                                basis_multipoint, basis_one_point,
                                constant_one, evaluate, monomial,
-                               mul_terms, semigroup_gaps, semigroup_nongaps,
-                               val_infinity)
+                               mul_terms, semigroup_gaps, semigroup_nongaps)
 from oracles import (extended_evaluate, local_parameter_at_infinity,
                      semigroup_by_force)
 
@@ -52,7 +51,7 @@ def test_basis_one_point_23(curve23):
 def test_basis_pole_orders_distinct(curve23, curve33):
     for cv in (curve23, curve33):
         terms = basis_one_point(cv, 4 * cv.genus)
-        orders = [-val_infinity(cv, t) for t in terms]
+        orders = [-cv.val_infinity(t.i, t.j) for t in terms]
         assert len(set(orders)) == len(orders)
         assert orders == sorted(orders)
 
@@ -83,7 +82,7 @@ def test_basis_multipoint_23(curve23):
 
 def test_evaluate_constant(curve23):
     one = constant_one(curve23)
-    for P in curve23.rational_places():
+    for P in curve23.places:
         assert evaluate(one, P) == 1
 
 
@@ -138,7 +137,7 @@ def test_local_parameter(curve23, curve33, curve24):
     assert local_parameter_at_infinity(curve23) == MonomialTerm(-2, 1)
     for cv in (curve23, curve33, curve24):
         t = local_parameter_at_infinity(cv)
-        assert val_infinity(cv, t) == 1
+        assert cv.val_infinity(t.i, t.j) == 1
         assert (t.i, t.j) == _local_param_oracle(cv.h, cv.c)
 
 

@@ -1,3 +1,7 @@
+import hashlib
+import time
+
+import numpy as np
 import pytest
 
 from normtrace.autgroup import enumerate_group
@@ -339,10 +343,25 @@ def test_standardization_stops_at_the_field_limit():
 
 
 @pytest.mark.parametrize("src, dst", [((2, 1), (2, 12)), ((2, 2), (2, 4)),
-                                      ((5, 1), (5, 4)), ((3, 1), (3, 6))])
+                                      ((5, 1), (5, 4)), ((3, 1), (3, 6)),
+                                      ((7, 1), (7, 3)), ((2, 1), (2, 2)),
+                                      ((2, 3), (2, 12)), ((3, 2), (3, 6)),
+                                      ((3, 3), (3, 6)), ((5, 2), (5, 4)),
+                                      ((13, 1), (13, 2))])
 def test_embedding_equals_digit_oracle(src, dst):
     src, dst = build_field(*src), build_field(*dst)
     assert embed_field(src, dst) == embedding_by_digits(src, dst)
+
+
+def test_embedding_into_the_largest_field_reads_only_the_subfield():
+    # the table as the scan over all of GF(2^20) gave it, one element at
+    # a time, in about 1 s of CPU
+    src, dst = build_field(2, 4), build_field(2, 20)
+    start = time.process_time()
+    table = embed_field(src, dst)
+    assert time.process_time() - start < 0.25
+    assert hashlib.sha256(np.asarray(table, dtype="<i8").tobytes()).hexdigest() \
+        == "e6530edc2a2d1aad171f126b50ab96899ef8afcefb26d8ef42b0e07ee001b812"
 
 
 @pytest.mark.parametrize("p, k, a", [(2, 6, {0: 7, 1: 1, 2: 33}),
