@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -157,19 +156,10 @@ def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int
     want = curve.h * (curve.q ** curve.r - 1)
     checks = [("group order", len(group) == want,
                f"{len(group)} (expected {want})")]
-    law = partial(_compose_ab, curve)
     pairs = [(s.a, s.b) for s in group]
-    elems = set(pairs)
-    if len(pairs) <= 64:
-        closed = all(law(u, v) in elems for u in pairs for v in pairs)
-        how = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        triples = ([rng.choice(pairs) for _ in range(3)] for _ in range(10_000))
-        closed = all((uv := law(u, v)) in elems
-                     and law(uv, w) == law(u, law(v, w)) for u, v, w in triples)
-        how = "sampled 10000 triples"
+    closed, how = _closure(curve, pairs, seed)
     checks.append(("closure/associativity", closed, how))
+    elems = set(pairs)
     checks.append(("inverses", all((t.a, t.b) in elems
                                    for t in map(inverse, group)), ""))
     short = short_orbits(curve, group)
@@ -179,6 +169,41 @@ def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int
     worst = max(len(fixed_places(s)) for s in group if not s.is_identity)
     checks.append((f"fixed places <= {bound}", worst <= bound, f"max {worst}"))
     return checks, short
+
+
+def _closure(curve: NormTraceCurve, pairs: list[tuple[int, int]], seed: int
+             ) -> tuple[bool, str]:
+    """(passed, detail) for the closure of the (a, b) pairs: every
+    product of two up to 64 pairs, else 10,000 triples drawn by
+    random.Random(seed) (randrange reads the stream of rng.choice), each
+    product in the set and associative.  Pairs are composed as index
+    arrays and looked up among the sorted keys a * Q + b; odd
+    characteristic needs the order within gf.TABLE_MAX_ORDER."""
+    ctx, n = curve.ctx, len(pairs)
+    elems = np.array(pairs, dtype=np.int64).T
+    if n <= 64:
+        (u, v), w, how = np.divmod(np.arange(n * n), n), None, "exhaustive"
+    else:
+        rng = random.Random(seed)
+        u, v, w = np.array([rng.randrange(n) for _ in range(30_000)]
+                           ).reshape(-1, 3).T
+        how = "sampled 10000 triples"
+
+    def law(ab1, ab2):  # _compose_ab on arrays
+        (a1, b1), (a2, b2) = ab1, ab2
+        return np.stack([ctx.vadd(a1, ctx.vmul(ctx.vpow(b1, curve.c), a2)),
+                         ctx.vmul(b1, b2)]).astype(np.int64)
+
+    x, y = elems[:, u], elems[:, v]
+    xy = law(x, y)
+    keys = np.sort(elems[0] * ctx.order + elems[1])
+    key = xy[0] * ctx.order + xy[1]
+    at = np.minimum(np.searchsorted(keys, key), n - 1)
+    closed = bool((keys[at] == key).all())
+    if closed and w is not None:
+        z = elems[:, w]
+        closed = np.array_equal(law(xy, z), law(x, law(y, z)))
+    return closed, how
 
 
 # ----------------------------------------------------------------------

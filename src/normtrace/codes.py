@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .curve import P_INFINITY, NormTraceCurve, Place
+from .curve import P_INFINITY, NormTraceCurve
 from .rrspace import (FunctionElem, MonomialTerm, basis_multipoint,
                       basis_one_point, constant_one, evaluate)
 
@@ -70,6 +70,7 @@ class AGCode:
     _rref: tuple | None = field(default=None, repr=False)
 
     def row_space(self):
+        """The canonical RREF of the matrix, computed on first use."""
         if self._rref is None:
             self._rref = linalg.rref(self.curve.ctx, self.matrix)
         return self._rref
@@ -77,11 +78,6 @@ class AGCode:
     def contains(self, word: np.ndarray) -> bool:
         R, pivots = self.row_space()
         return linalg.in_row_space(self.curve.ctx, R, pivots, word)
-
-    @property
-    def places(self) -> tuple[Place, ...]:
-        """The place of each column, built only when asked for."""
-        return self.curve.theta
 
     def to_report(self) -> dict:
         """Parameters and basis; code-build prints the matrix after them."""
@@ -122,17 +118,36 @@ def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
     """Evaluate the monomials x^i y^j of basis in the column layout of
     curve.theta_coords.  P_inf has weight n_inf in the divisor, and
     t^{n_inf} x^i y^j has valuation n_inf - (i*h + j*c) >= 0 there: the
-    entry is 1 at valuation 0 and 0 above, as in rrspace.evaluate."""
+    entry is 1 at valuation 0 and 0 above, as in rrspace.evaluate.
+
+    The affine entries are one gather from the exp table at
+    i log x + j log y mod Q - 1: x is nonzero on Theta, and so is y,
+    since y = 0 forces norm(x) = trace(y) = 0.  Both terms stay below
+    Q^2 <= 2^24 in absolute value (|i| <= ell < Q, j < h, Q within
+    gf.TABLE_MAX_ORDER), so int32 holds the exponents.
+
+    The rank check reads the first W = 1 + h * (most terms sharing one
+    j) columns: P_inf and whole x-fibres.  The j = 0 terms alone number
+    ell + 1, so these are more than deg G = ell * h places, and a
+    nonzero function of L(G) vanishes on at most deg G of them.  Rank
+    is at most k, so a prefix of rank k proves it; the full matrix is
+    checked only if the prefix falls short."""
     basis = tuple(basis)
     pos, xs, ys = curve.theta_coords
     ctx = curve.ctx
+    logs = ctx.log_np.astype(np.int32)
+    i, j = np.array([(t.i, t.j) for t in basis], dtype=np.int32).T[:, :, None]
+    expo = i * logs[xs]
+    expo += j * logs[ys]
+    expo %= ctx.order - 1
     matrix = np.empty((len(basis), len(pos) + 1), dtype=np.int64)
-    for row, t in zip(matrix, basis):
-        row[0] = n_inf + curve.val_infinity(t.i, t.j) == 0
-        row[pos] = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
+    matrix[:, 0] = [n_inf + curve.val_infinity(t.i, t.j) == 0 for t in basis]
+    matrix[:, pos] = ctx.exp_np.astype(ctx.dtype)[expo]
     code = AGCode(curve, ell, kind, basis, matrix, n=matrix.shape[1],
                   k=len(basis), d_star=designed_distance(curve, ell))
-    if len(code.row_space()[1]) != code.k:
+    width = 1 + curve.h * int(np.bincount(j.ravel()).max())
+    if (linalg.rank(ctx, matrix[:, :width]) != code.k
+            and linalg.rank(ctx, matrix) != code.k):
         raise AssertionError("evaluation matrix rank dropped below basis size")
     return code
 

@@ -10,7 +10,8 @@ to be at most gf.TABLE_MAX_ORDER, in every characteristic.
 The reduced row echelon form is fully normalized (unit pivots,
 eliminated above and below, pivot search in index order), hence
 canonical: two matrices have equal row spaces iff their RREFs are equal
-arrays.
+arrays.  rank needs no canonical form: it eliminates below each pivot
+only, in the same loop.
 """
 
 from __future__ import annotations
@@ -26,6 +27,24 @@ def rref(ctx: FieldCtx, mat: np.ndarray):
     Returns (R, pivot_cols) where R has the same shape as mat with
     all-zero rows at the bottom, and pivot_cols lists the pivot column
     of each nonzero row (its length is the rank).
+    """
+    R, pivots = _eliminate(ctx, mat, reduced=True)
+    return R.astype(np.int64), pivots
+
+
+def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
+    """Rank by forward elimination: rows below each pivot only, with the
+    stored pivot rows left unscaled."""
+    return len(_eliminate(ctx, mat, reduced=False)[1])
+
+
+def _eliminate(ctx: FieldCtx, mat: np.ndarray, reduced: bool):
+    """Gaussian elimination on a copy of mat in the element dtype.
+
+    Each pivot clears its column in the rows below it, and with reduced
+    also in the rows above, after the pivot row is scaled to a unit
+    pivot: the result is then the RREF, else a row echelon form.
+    Returns (R, pivot_cols).
     """
     R = np.array(mat, dtype=ctx.dtype)
     if R.ndim != 2:
@@ -43,22 +62,22 @@ def rref(ctx: FieldCtx, mat: np.ndarray):
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
         # the pivot row is zero left of col, so only col: onwards changes
-        pivot = int(R[row, col])
+        unit = R[row, col:]
+        pivot = int(unit[0])
         if pivot != 1:
-            R[row, col:] = ctx.vscale(ctx.inv(pivot), R[row, col:])
-        others = np.nonzero(R[:, col])[0]
+            unit = ctx.vscale(ctx.inv(pivot), unit)
+            if reduced:
+                R[row, col:] = unit
+        start = 0 if reduced else row + 1
+        others = start + np.nonzero(R[start:, col])[0]
         others = others[others != row]
         if len(others):
             R[others, col:] = ctx.vadd(
                 R[others, col:],
-                ctx.vmul_outer(ctx.vneg(R[others, col]), R[row, col:]))
+                ctx.vmul_outer(ctx.vneg(R[others, col]), unit))
         pivots.append(col)
         row += 1
-    return R.astype(np.int64), tuple(pivots)
-
-
-def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
-    return len(rref(ctx, mat)[1])
+    return R, tuple(pivots)
 
 
 def reduce_vector(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> np.ndarray:

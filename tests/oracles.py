@@ -17,13 +17,15 @@ embedded digit by digit, where the library applies each as one
 GF(p)-linear map.  The stabilizer search tries every (a, b, c0) with
 the exact identity, where the library filters all c0 at once by the
 Hasse derivatives of B, and the group check composes every pair of
-maps, where the library closes the set from generators.  The roots of B
-are found element by element and their multiplicities by repeated
-division by X - e, and the standard model's constants by a nested scan
-of every delta and gamma, where the library evaluates B, its Hasse
-derivatives and the powers over whole arrays.  Two codes are compared
-column by column with scalar divisions, where the library forms every
-ratio as one array.
+maps, where the library closes the set from generators.  The curve
+group's closure is checked one scalar composition at a time, where the
+library composes every pair or sampled triple as index arrays.  The
+roots of B are found element by element and their multiplicities by
+repeated division by X - e, and the standard model's constants by a
+nested scan of every delta and gamma, where the library evaluates B,
+its Hasse derivatives and the powers over whole arrays.  Two codes are
+compared column by column with scalar divisions, where the library
+forms every ratio as one array.
 
 Some helpers live here because only the tests use them: the local
 parameter at P_inf and the extended evaluation through it, which the
@@ -31,10 +33,13 @@ library replaces by a valuation rule, and the Frobenius image of one
 place.
 """
 
+import random
+from functools import partial
+
 import numpy as np
 
 from normtrace import poly
-from normtrace.autgroup import apply_place
+from normtrace.autgroup import _compose_ab, apply_place
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
@@ -147,9 +152,9 @@ def code_action_by_places(code, g, word):
     each coordinate, and the scaled Frobenius of each entry."""
     curve = code.curve
     ctx = curve.ctx
-    pos = {P: i for i, P in enumerate(code.places)}
+    pos = {P: i for i, P in enumerate(curve.theta)}
     out = np.zeros_like(word)
-    for i, P in enumerate(code.places):
+    for i, P in enumerate(curve.theta):
         img = frobenius_place(curve, apply_place(g.aut, P), g.frob)
         out[pos[img]] = ctx.mul(g.scalar,
                                 ctx.frobenius(int(word[i]), g.frob))
@@ -158,6 +163,20 @@ def code_action_by_places(code, g, word):
 
 def fixed_places_by_places(s):
     return [P for P in s.curve.places if apply_place(s, P) == P]
+
+
+def closure_by_compositions(curve, pairs, seed):
+    """group_checks' closure verdict with the scalar law: every product
+    of two (a, b) pairs up to 64 of them, else 10,000 triples drawn by
+    rng.choice, each product in the set and associative."""
+    law = partial(_compose_ab, curve)
+    elems = set(pairs)
+    if len(pairs) <= 64:
+        return all(law(u, v) in elems for u in pairs for v in pairs)
+    rng = random.Random(seed)
+    triples = ([rng.choice(pairs) for _ in range(3)] for _ in range(10_000))
+    return all((uv := law(u, v)) in elems
+               and law(uv, w) == law(u, law(v, w)) for u, v, w in triples)
 
 
 def reduce_row_by_entries(ctx, R, pivots, vec):

@@ -97,7 +97,7 @@ def test_c05_monomial_equivalence():
             assert wit is not None
             diag = codes.equivalence_diagonal(cv, ell)
             assert np.array_equal(wit.diagonal, diag)
-            for pos, P in enumerate(ca.places):
+            for pos, P in enumerate(ca.curve.theta):
                 if not P.is_infinity:
                     assert diag[pos] == ctx.pow(P.x, ell)
             scaled = ctx.vmul(ca.matrix, diag[None, :])

@@ -12,8 +12,8 @@ from normtrace.autgroup import (CodeAut, CurveAut, apply_place, code_action,
                                 orbits, short_orbits)
 from normtrace.codes import build_code
 from normtrace.curve import P_INFINITY, build_curve
-from oracles import (code_action_by_places, fixed_places_by_places,
-                     frobenius_place)
+from oracles import (closure_by_compositions, code_action_by_places,
+                     fixed_places_by_places, frobenius_place)
 
 
 def test_group_order(curve23, curve33):
@@ -159,6 +159,28 @@ def test_group_checks_have_teeth(curve23, curve33):
     checks, short = group_checks(curve23, translations, 0)
     assert sorted(len(o) for o in short) == [1]
     assert _failed(checks) == {"group order", "short orbits"}
+
+
+def test_closure_matches_scalar_oracle(curve23, curve33):
+    for cv in (curve23, curve33):
+        pairs = [(s.a, s.b) for s in enumerate_group(cv)]
+        for doctored in (pairs, pairs[:-1], pairs[1:]):
+            for seed in (0, 1, 7):
+                closed, _ = autgroup._closure(cv, doctored, seed)
+                assert closed == closure_by_compositions(cv, doctored, seed)
+
+
+def test_closure_rejects_a_pair_outside_the_group(curve23, curve33):
+    # a translation part of nonzero trace puts (a, b) outside the group
+    for cv, how in [(curve23, "exhaustive"),
+                    (curve33, "sampled 10000 triples")]:
+        pairs = [(s.a, s.b) for s in enumerate_group(cv)]
+        outside = next(a for a in cv.ctx.elements()
+                       if a not in cv.trace_zero)
+        assert autgroup._closure(cv, pairs, 0) == (True, how)
+        pairs[5] = (outside, pairs[5][1])
+        assert autgroup._closure(cv, pairs, 0) == (False, how)
+        assert not closure_by_compositions(cv, pairs, 0)
 
 
 def test_fixed_place_check_has_teeth(curve23, monkeypatch):

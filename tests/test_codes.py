@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normtrace import linalg
+from normtrace import codes, linalg
 from normtrace.autgroup import code_checks, enumerate_group
 from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              dimension_closed_form, equivalence_diagonal,
@@ -44,12 +44,11 @@ def test_rows_are_basis_evaluations(curve23, curve33):
         for code, n_inf in [(build_code(curve, ell), 0),
                             (extended_one_point_code(curve, ell),
                              ell * curve.h)]:
-            assert code.places == curve.theta
             for row, term in zip(code.matrix, code.basis):
                 f = monomial(curve, 1, term.i, term.j)
                 want = [extended_evaluate(f, P, n_inf, t_loc)
                         if P.is_infinity and n_inf else evaluate(f, P)
-                        for P in code.places]
+                        for P in code.curve.theta]
                 assert row.tolist() == want
 
 
@@ -78,7 +77,62 @@ def test_code_construction_leaves_places_unbuilt(q, r, ell):
     assert monomial_equivalence_check(ca, cb) is not None
     assert min_distance_exhaustive(ca, 1 << 20) == ca.d_star
     assert "places" not in vars(curve) and "theta" not in vars(curve)
-    assert ca.places == curve.theta  # built on request
+
+
+def _rank_widths(monkeypatch):
+    """Record the column count of every matrix linalg.rank is given."""
+    widths, rank = [], linalg.rank
+
+    def spy(ctx, mat):
+        widths.append(mat.shape[1])
+        return rank(ctx, mat)
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    return widths
+
+
+def test_rank_check_reads_the_fibre_prefix(monkeypatch):
+    widths = _rank_widths(monkeypatch)
+    for q, r, ell in [(2, 3, 1), (3, 3, 4), (2, 4, 9)]:
+        curve = build_curve(q, r)
+        for build in (build_code, extended_one_point_code):
+            widths.clear()
+            code = build(curve, ell)
+            # the j = 0 terms x^i, ell + 1 of them, are the most for one j
+            assert widths == [1 + curve.h * (ell + 1)]
+            assert widths[0] < code.n
+
+
+def test_rank_check_rejects_a_repeated_monomial(curve33, monkeypatch):
+    basis = codes.basis_multipoint
+    monkeypatch.setattr(codes, "basis_multipoint",
+                        lambda curve, ell: (b := basis(curve, ell)) + b[-1:])
+    widths = _rank_widths(monkeypatch)
+    with pytest.raises(AssertionError, match="rank dropped"):
+        build_code(curve33, 4)
+    assert len(widths) == 2 and widths[1] == 235  # then the full matrix
+
+
+def test_rank_check_falls_back_to_the_full_matrix(monkeypatch):
+    # more than deg G = ell*h distinct places always carry rank k, so no
+    # permutation of Theta starves the prefix: this layout puts the first
+    # fibre ell + 1 times in front of all of Theta
+    ell = 4
+    want = build_code(build_curve(3, 3), ell)
+    curve = build_curve(3, 3)
+    _, xs, ys = curve.theta_coords
+    order = np.concatenate([np.tile(np.arange(curve.h), ell + 1),
+                            np.arange(len(xs))])
+    curve.__dict__["theta_coords"] = (np.arange(1, len(order) + 1),
+                                      xs[order], ys[order])
+    widths = _rank_widths(monkeypatch)
+    code = build_code(curve, ell)
+    prefix = 1 + curve.h * (ell + 1)
+    assert widths == [prefix, code.n]
+    assert linalg.rank(curve.ctx, code.matrix[:, :prefix]) < code.k
+    assert code.k == want.k
+    assert np.array_equal(code.matrix[:, 0], want.matrix[:, 0])
+    assert np.array_equal(code.matrix[:, 1:], want.matrix[:, 1 + order])
 
 
 def test_build_code_memory_is_bounded():
@@ -142,7 +196,7 @@ def test_witness_codeword(curve23):
         w = witness_codeword(c)
         assert int((w != 0).sum()) == c.d_star
         assert c.contains(w)
-        assert w[0] == 1 and c.places[0] is P_INFINITY
+        assert w[0] == 1 and c.curve.theta[0] is P_INFINITY
     f = witness_function(curve23, 3)
     assert evaluate(f, P_INFINITY) == 1
 
@@ -155,7 +209,7 @@ def test_witness_codeword_matches_scalar_evaluation(q, r):
         c_list = random.Random(ell).sample(range(1, curve.ctx.order), ell)
         for cs in (None, c_list):
             f = witness_function(curve, ell, cs)
-            want = [evaluate(f, P) for P in code.places]
+            want = [evaluate(f, P) for P in code.curve.theta]
             assert witness_codeword(code, cs).tolist() == want
 
 
@@ -260,7 +314,7 @@ def test_monomial_equivalence_canonical_pairs(curve23):
         assert np.array_equal(wit.diagonal, proof)
         # proof diagonal: x(P)^ell at affine places, extended value at P_inf
         ctx = curve23.ctx
-        for pos, P in enumerate(ca.places):
+        for pos, P in enumerate(ca.curve.theta):
             if not P.is_infinity:
                 assert proof[pos] == ctx.pow(P.x, ell)
         scaled = ctx.vmul(ca.matrix, proof[None, :])
@@ -288,7 +342,7 @@ def test_equivalence_diagonal_is_x_to_the_ell(q, r):
         cb = extended_one_point_code(curve, ell)
         diag = equivalence_diagonal(curve, ell)
         assert diag.tolist() == [1 if P.is_infinity else ctx.pow(P.x, ell)
-                                 for P in ca.places]
+                                 for P in ca.curve.theta]
         assert np.array_equal(
             entrywise_diagonal_by_columns(ctx, ca.matrix, cb.matrix), diag)
         assert np.array_equal(monomial_equivalence_check(ca, cb).diagonal,

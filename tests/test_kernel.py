@@ -1,6 +1,6 @@
 """The product-table elimination kernel (FieldCtx.mul_np, add_np and
-vmul_outer under linalg.rref and reduce_vector) against the scalar
-oracles, over random fields of order at most 2^12."""
+vmul_outer under linalg.rref, rank and reduce_vector) against the
+scalar oracles, over random fields of order at most 2^12."""
 
 import tracemalloc
 from functools import lru_cache
@@ -75,6 +75,39 @@ def kernel_case(draw, fields=FIELDS):
 @given(kernel_case())
 def test_kernel_matches_oracles(case):
     assert_kernel_matches_oracles(*case)
+
+
+SMALL_FIELDS = [(p, k) for p, k in FIELDS if p ** k <= 256]
+
+
+@st.composite
+def product_case(draw):
+    """A random m x r times r x n product over a field of order at most
+    2^8, formed with the scalar operations: rank at most r."""
+    ctx = field(*draw(st.sampled_from(SMALL_FIELDS)))
+    m, r, n = (draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+               draw(st.integers(1, 10)))
+    elem = st.integers(0, ctx.order - 1)
+    A = [[draw(elem) for _ in range(r)] for _ in range(m)]
+    B = [[draw(elem) for _ in range(n)] for _ in range(r)]
+    M = []
+    for row in A:
+        out = [0] * n
+        for a, brow in zip(row, B):
+            out = [ctx.add(o, ctx.mul(a, b)) for o, b in zip(out, brow)]
+        M.append(out)
+    return ctx, np.array(M, dtype=np.int64), r
+
+
+@SETTINGS
+@given(data=st.data())
+def test_rank_matches_oracle(data):
+    ctx, M, _ = data.draw(kernel_case(SMALL_FIELDS))
+    assert linalg.rank(ctx, M) == len(rref_by_entries(ctx, M)[1])
+    ctx, M, r = data.draw(product_case())
+    rank = linalg.rank(ctx, M)
+    assert rank == len(rref_by_entries(ctx, M)[1])
+    assert rank <= r
 
 
 @pytest.mark.parametrize("pk", [(2, 8), (7, 3), (2, 9)],
