@@ -2,12 +2,12 @@
 groups, and multi-point algebraic-geometric codes, plus the general
 separated-polynomial curve classification machinery."""
 
-from .gf import FieldCtx, build_field, field_from_dict
+from .gf import BudgetExceeded, FieldCtx, build_field, field_from_dict
 from .curve import (Divisor, NormTraceCurve, P_INFINITY, Place, build_curve)
 from .rrspace import (FunctionElem, MonomialTerm, PoleError, basis_multipoint,
                       basis_one_point, evaluate, semigroup_gaps,
                       semigroup_nongaps)
-from .codes import (AGCode, BudgetExceeded, build_code, designed_distance,
+from .codes import (AGCode, build_code, designed_distance,
                     dimension_closed_form, extended_one_point_code,
                     min_distance_exhaustive, monomial_equivalence_check,
                     witness_codeword, witness_function)
@@ -16,8 +16,7 @@ from .autgroup import (CodeAut, CurveAut, apply_place, code_action, compose,
                        short_orbits)
 from .sepcurve import (AffineAut, ClassificationResult, HBound,
                        SeparatedCurveSpec, brute_force_stabilizer_search,
-                       classify, classify_monomial, condiz_check,
-                       h_bound_from_roots, linearization_gcd,
+                       classify, h_bound_from_roots, linearization_gcd,
                        norm_trace_spec, spec_from_dict, to_standard_qm,
                        validate)
 

@@ -207,12 +207,15 @@ def cmd_classify(args):
         field = _field_of_order(args.search_field)
         maps = sepcurve.brute_force_stabilizer_search(spec, field,
                                                       budget=args.budget)
+        records = sepcurve.checks(spec, result, maps)
         rec["search_field"] = args.search_field
         rec["search_count"] = len(maps)
-        match = (None if result.case == sepcurve.NON_MONOMIAL
-                 else len(maps) == result.predicted_stabilizer_order)
-        rec["search_matches_prediction"] = match
-        status = 1 if match is False else 0
+        rec["search_matches_prediction"] = {
+            nm: ps for nm, ps, _ in records}.get("stabilizer order")
+        for nm, ps, dt in records:
+            if not ps:
+                print(f"FAIL  {nm}  [{dt}]", file=sys.stderr)
+        status = 0 if all(ps for _, ps, _ in records) else 1
     if args.format == "json":
         return status, json.dumps(rec, indent=2) + "\n"
     lines = [f"separated curve: p={spec.p}, n={spec.n}, m={spec.m}, "

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .curve import P_INFINITY, NormTraceCurve
+from .gf import BudgetExceeded
 from .rrspace import (FunctionElem, MonomialTerm, basis_multipoint,
                       basis_one_point, constant_one, evaluate)
 
@@ -30,11 +31,6 @@ EXTENDED_ONE_POINT = "extended-one-point"
 # Largest peak, in bytes, that min_distance_exhaustive's word tables may
 # reach; larger codes are refused before any table is built.
 TABLE_MAX_BYTES = 1 << 30
-
-
-class BudgetExceeded(ValueError):
-    """Enumeration would exceed the caller's budget; fall back to the
-    witness codeword plus the designed-distance bound."""
 
 
 def _check_ell(curve: NormTraceCurve, ell: int):
@@ -315,11 +311,11 @@ def min_distance_exhaustive(code: AGCode, budget: int,
 
 def _table_bytes(ctx, k: int, k2: int, n: int) -> int:
     """Upper estimate of min_distance_exhaustive's peak bytes: k * Q row
-    multiples, the Q^k2 table and two sweep copies, plus encode's bit
-    shift (p = 2) or FieldCtx.vadd's intp flat index (p odd)."""
+    multiples, the Q^k2 table and two sweep copies, plus encode's input
+    and one bit plane (p = 2) or FieldCtx.vadd's intp flat index (p odd)."""
     Q, size = ctx.order, ctx.dtype.itemsize
     if ctx.p == 2:  # k bit planes of packed uint64 words
-        word, temp = ctx.k * -(-n // 64) * 8, (2 * ctx.k + 1) * Q * n * size
+        word, temp = ctx.k * -(-n // 64) * 8, Q * (2 * n * size + -(-n // 8))
     else:  # one plane of element indices
         word, temp = n * size, (Q ** k2 + Q) * n * np.dtype(np.intp).itemsize
     return word * (k * Q + 3 * Q ** k2) + temp
@@ -349,13 +345,13 @@ def _word_kernel(ctx, n: int):
         return ((lambda idx: np.ascontiguousarray(idx[None], ctx.dtype)),
                 ctx.vadd, distance)
 
-    planes = np.arange(ctx.k, dtype=ctx.dtype)[:, None, None]
-
     def encode(idx):
         idx = np.ascontiguousarray(idx, ctx.dtype)
-        bits = ((idx >> planes) & 1).astype(np.uint8)
-        bits = np.pad(bits, [(0, 0), (0, 0), (0, -n % 64)])
-        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+        out = np.zeros((ctx.k, len(idx), -(-n // 64) * 8), np.uint8)
+        for j, plane in enumerate(out):  # one (Q, n) bit plane at a time
+            plane[:, :-(-n // 8)] = np.packbits(idx & (1 << j), axis=-1,
+                                                bitorder="little")
+        return out.view(np.uint64)
 
     def distance(words, word):
         return np.bitwise_count(

@@ -40,6 +40,10 @@ def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 
 
+class BudgetExceeded(ValueError):
+    """An enumeration would exceed the caller's budget or table limit."""
+
+
 def check_order(p: int, e: int, what: str = "field order"):
     """Raise ValueError if p^e exceeds MAX_ORDER (for p >= 2), without
     forming p^e for a huge e: 2^e alone exceeds it once e reaches

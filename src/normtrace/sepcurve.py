@@ -8,13 +8,14 @@ A = trace, B = X^c.
 Provided here:
   * validation of the defining conditions and the genus formula;
   * the largest d with A(Y) p^d-linearized (gcd of the exponents);
-  * classification when B has a single root and m is not 1 mod p^n:
+  * classification when m is not 1 mod p^n; when B has a single root:
     either the curve straightens to X^m = Y^{p^n} + Y (small m dividing
     p^n + 1, A two-term), or the automorphism group is the explicit
     translations-by-kernel extended by m(p^d - 1) scalings;
   * an exhaustive search for the stabilizer of the infinite place as
     affine maps x -> b x + c0, y -> a y + Q(x), checked against the
-    exact polynomial identity the automorphism condition imposes;
+    exact polynomial identity the automorphism condition imposes, and
+    the checks of what it found against the classification;
   * divisibility bounds on the prime-to-p stabilizer part read off the
     root multiplicities of B;
   * the explicit substitution carrying a two-term curve with monomial
@@ -33,8 +34,8 @@ from math import gcd, lcm
 import numpy as np
 
 from . import poly
-from .codes import BudgetExceeded
-from .gf import FieldCtx, build_field, check_order, field_from_dict, prime_power
+from .gf import (BudgetExceeded, FieldCtx, build_field, check_order,
+                 field_from_dict, prime_power)
 
 
 class SearchFieldTooSmall(ValueError):
@@ -251,7 +252,7 @@ def mu_fixers(spec: SeparatedCurveSpec) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Classification (single-root B)
+# Classification
 # ----------------------------------------------------------------------
 
 MONOMIAL_CASE_I = "monomial-case-i"
@@ -292,81 +293,46 @@ def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
     return s if tuple(expanded) == spec.b_coeffs else None
 
 
-def _generator_families(spec, d, shift):
-    p, n, m = spec.p, spec.n, spec.m
-    order_c = m * (p ** d - 1)
-    return (
-        GeneratorFamily(
-            "translation", p ** n,
-            "(x, y) -> (x, y + a) for the p^n roots a of A"),
-        GeneratorFamily(
-            "scaling", order_c,
-            f"(x, y) -> (b x + (b - 1)*s, b^m y) with s = element {shift} "
-            f"and b ranging over the roots of unity of order dividing {order_c}"),
-    )
-
-
-def classify_monomial(spec: SeparatedCurveSpec) -> ClassificationResult:
-    """Classification when B has a single root; requires m != 1 mod p^n.
-
-    Case (i): m | p^n + 1 and A two-term; the curve straightens to
-    X^m = Y^{p^n} + Y, whose full group has the m-fold cover of
-    PGL(2, p^n) above the stabilizer.  Case (ii): the stabilizer is the
-    whole group, of order p^n * m * (p^d - 1).
-    """
-    return _classify_monomial(validate(spec))
-
-
-def _classify_monomial(spec: SeparatedCurveSpec) -> ClassificationResult:
-    p, n, m = spec.p, spec.n, spec.m
-    if m % (p ** n) == 1:
-        raise ValueError(
-            f"m = {m} is 1 mod p^n = {p ** n}: outside the classification")
-    shift = monomial_shift(spec)
-    if shift is None:
-        raise ValueError("B(X) is not b_m (X + s)^m: no single root")
-    d = linearization_gcd(spec)
-    if (p ** n + 1) % m == 0 and spec.two_term:
-        pn = p ** n
-        return ClassificationResult(
-            case=MONOMIAL_CASE_I,
-            d=d,
-            predicted_full_order=m * pn * (pn * pn - 1),
-            predicted_stabilizer_order=pn * m * (pn - 1),
-            generators=_generator_families(spec, d, shift),
-            notes=(
-                "full order composes the m-fold central quotient with "
-                "|PGL(2,p^n)| = p^n (p^{2n} - 1); inferred, flagged",
-            ),
-        )
-    return ClassificationResult(
-        case=MONOMIAL_CASE_II,
-        d=d,
-        predicted_full_order=p ** n * m * (p ** d - 1),
-        predicted_stabilizer_order=p ** n * m * (p ** d - 1),
-        generators=_generator_families(spec, d, shift),
-    )
-
-
 def classify(spec: SeparatedCurveSpec) -> ClassificationResult:
-    """Like classify_monomial, but falls back to a bounds-only report
-    when B has several roots: the translations are the only predicted
-    subgroup and the prime-to-p part is constrained by the root
-    multiplicities of B."""
+    """Classification of the stabilizer of the infinite place; requires
+    m != 1 mod p^n.
+
+    When B = b_m (X + s)^m has a single root: case (i), m | p^n + 1 and
+    A two-term, straightens to X^m = Y^{p^n} + Y, whose full group has
+    the m-fold cover of PGL(2, p^n) above the stabilizer; in case (ii)
+    the stabilizer is the whole group, of order p^n * m * (p^d - 1).
+    When B has several roots the report is bounds only: the translations
+    are the only predicted subgroup and the prime-to-p part is
+    constrained by the root multiplicities of B.
+    """
     validate(spec)
-    if monomial_shift(spec) is not None:
-        return _classify_monomial(spec)
+    p, n, m = spec.p, spec.n, spec.m
+    pn = p ** n
+    if m % pn == 1:
+        raise ValueError(
+            f"m = {m} is 1 mod p^n = {pn}: outside the classification")
     d = linearization_gcd(spec)
-    return ClassificationResult(
-        case=NON_MONOMIAL,
-        d=d,
-        predicted_full_order=None,
-        predicted_stabilizer_order=spec.p ** spec.n,
-        generators=_generator_families(spec, d, None)[:1],
-        h_bound=h_bound_from_roots(spec),
-        notes=("stabilizer order counts the guaranteed translations only; "
-               "the prime-to-p part is bounded, not predicted",),
-    )
+    shift = monomial_shift(spec)
+    families = (GeneratorFamily(
+        "translation", pn, "(x, y) -> (x, y + a) for the p^n roots a of A"),)
+    if shift is None:
+        return ClassificationResult(
+            NON_MONOMIAL, d, None, pn, families, h_bound_from_roots(spec),
+            ("stabilizer order counts the guaranteed translations only; "
+             "the prime-to-p part is bounded, not predicted",))
+    order_c = m * (p ** d - 1)
+    families += (GeneratorFamily(
+        "scaling", order_c,
+        f"(x, y) -> (b x + (b - 1)*s, b^m y) with s = element {shift} "
+        f"and b ranging over the roots of unity of order dividing {order_c}"),)
+    if (pn + 1) % m == 0 and spec.two_term:
+        return ClassificationResult(
+            MONOMIAL_CASE_I, d, m * pn * (pn * pn - 1), pn * m * (pn - 1),
+            families, notes=("full order composes the m-fold central quotient "
+                             "with |PGL(2,p^n)| = p^n (p^{2n} - 1); inferred, "
+                             "flagged",))
+    return ClassificationResult(MONOMIAL_CASE_II, d, pn * order_c,
+                                pn * order_c, families)
 
 
 # ----------------------------------------------------------------------
@@ -555,15 +521,38 @@ def assert_group(maps: list[AffineAut]):
                     reached.append(y)
 
 
-def condiz_check(spec: SeparatedCurveSpec, aut: AffineAut) -> bool:
-    """True iff B(b X + c0) = a B(X) with a in the p^d-subfield (the
-    mu_fixers of the spec over the map's field), the scaling law every
-    stabilizer complement generator satisfies."""
-    ctx = aut.ctx
-    spec_f = spec.map_coefficients(ctx)
-    b_poly = list(spec_f.b_coeffs)
-    lhs = poly.compose_linear(ctx, b_poly, aut.b, aut.c0)
-    return any(lhs == poly.scale(ctx, a, b_poly) for a in mu_fixers(spec_f))
+def checks(spec: SeparatedCurveSpec, result: ClassificationResult,
+           maps: list[AffineAut]) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) records for the maps a stabilizer search
+    found, read against classify's result: the p^n translations
+    (a, b, c0) = (1, 1, 0); when B has one root, the predicted order and
+    the scaling law B(b X + c0) = a B(X) with a in the p^d-subfield;
+    when B has several roots, |H| = (maps / translations) dividing one
+    of the h_bound divisors."""
+    pn = spec.p ** spec.n
+    found = len(maps)
+    t = sum((s.a, s.b, s.c0) == (1, 1, 0) for s in maps)
+    records = [("translations", t == pn, f"{t} (expected {pn})")]
+    if result.case != NON_MONOMIAL:
+        want = result.predicted_stabilizer_order
+        records.append(("stabilizer order", found == want,
+                        f"{found} (expected {want})"))
+        spec_f = spec.map_coefficients(maps[0].ctx) if maps else spec
+        ctx, b_poly = spec_f.ctx, list(spec_f.b_coeffs)
+        fixers = set(mu_fixers(spec_f))
+        # maps differing only in Q share (a, b, c0): compose B once each
+        law = {(a, b, c0): a in fixers and poly.scale(ctx, a, b_poly)
+               == poly.compose_linear(ctx, b_poly, b, c0)
+               for a, b, c0 in {(s.a, s.b, s.c0) for s in maps}}
+        bad = sum(not law[s.a, s.b, s.c0] for s in maps)
+        records.append(("scaling law", not bad, f"{bad} of {found} maps fail"))
+        return records
+    divisors = result.h_bound.divisors
+    h, rem = divmod(found, max(t, 1))
+    records.append((f"|H| divides one of {list(divisors)}",
+                    t > 0 and rem == 0 and any(d % h == 0 for d in divisors),
+                    f"|H| = {h}" if rem == 0 else f"|H| = {found}/{t}"))
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -637,9 +626,6 @@ class HBound:
 
     kind: str
     divisors: tuple[int, ...]
-
-    def satisfied_by(self, h_order: int) -> bool:
-        return any(d % h_order == 0 for d in self.divisors)
 
 
 def h_bound_from_roots(spec: SeparatedCurveSpec) -> HBound:

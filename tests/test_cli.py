@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from normtrace import autgroup, cli, codes
+from normtrace import autgroup, cli, codes, sepcurve
 from normtrace.cli import main
 from normtrace.curve import build_curve
 from normtrace.gf import field_from_dict
@@ -212,6 +212,39 @@ def test_classify(capsys, tmp_path):
     assert rec["search_count"] == 12
     assert rec["predicted_stabilizer_order"] == 12
     assert rec["search_matches_prediction"] is True
+
+
+def test_classify_exits_1_on_a_failing_record(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "case_ii.json"
+    path.write_text(json.dumps(CASE_II_SPEC))
+    rc, want, err = run(capsys, "classify", "--spec", str(path),
+                        "--search-field", "64")
+    assert rc == 0 and err == ""
+    search = sepcurve.brute_force_stabilizer_search
+    monkeypatch.setattr(sepcurve, "brute_force_stabilizer_search",
+                        lambda *args, **kw: [s for s in search(*args, **kw)
+                                             if not s.is_identity])
+    rc, out, err = run(capsys, "classify", "--spec", str(path),
+                       "--search-field", "64")
+    assert rc == 1
+    assert out == want.replace("12 maps found", "11 maps found")
+    assert err.splitlines() == ["FAIL  translations  [3 (expected 4)]",
+                                "FAIL  stabilizer order  [11 (expected 12)]"]
+
+
+def test_classify_refuses_m_1_mod_pn_with_several_roots(capsys, tmp_path):
+    # Y^2 + Y = X^5 + X^3 + X^2: m = 5 is 1 mod 2, and its search over
+    # GF(16) would find |H| = 4, which divides neither of [2, 1]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**CASE_II_SPEC,
+                                "A": [{"j": 0, "a_j_index": 1},
+                                      {"j": 1, "a_j_index": 1}],
+                                "B": [0, 0, 1, 1, 0, 1]}))
+    rc, out, err = run(capsys, "classify", "--spec", str(path),
+                       "--search-field", "16")
+    assert rc == 1 and out == ""
+    assert err == ("error: m = 5 is 1 mod p^n = 2: outside the "
+                   "classification\n")
 
 
 def test_parser_is_built_once_and_reused(capsys, tmp_path):
@@ -449,7 +482,7 @@ def test_subcommands_take_only_the_flags_they_read(capsys, tmp_path,
 @pytest.mark.parametrize("q,r", [(2, 10), (4, 5)])
 def test_min_dist_refuses_word_tables_over_the_limit(capsys, q, r):
     # Q^k = 2^20 passes the default budget, but the word tables of these
-    # codes would take 26 and 13 GB: refused before any is built
+    # codes would take 5.6 and 2.8 GB: refused before any is built
     tracemalloc.start()
     try:
         rc, out, err = run(capsys, "min-dist", "--q", str(q), "--r", str(r),

@@ -156,6 +156,21 @@ def test_table_leaves_the_first_row_out():
     assert peak < 4 << 20
 
 
+def test_char2_words_are_encoded_one_bit_plane_at_a_time():
+    # (2,8) ell=1: k = 2, n = 32641 over GF(256); the 25 MB of packed
+    # row multiples stay, but encoding all 8 planes at once peaked at
+    # 150.6 MB under tracemalloc
+    code = build_code(build_curve(2, 8), 1)
+    tracemalloc.start()
+    try:
+        d = min_distance_exhaustive(code, 256 ** 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == code.d_star
+    assert peak <= 75 * 10 ** 6
+
+
 def table_estimate(code, monkeypatch):
     """The peak bytes min_distance_exhaustive estimates for code, read
     from its refusal under a table limit of zero."""

@@ -1,19 +1,21 @@
+import ast
 import hashlib
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from normtrace.autgroup import enumerate_group
-from normtrace.codes import BudgetExceeded
 from normtrace.curve import build_curve
-from normtrace.gf import build_field
-from normtrace.sepcurve import (AffineAut, MONOMIAL_CASE_I, MONOMIAL_CASE_II,
-                                NON_MONOMIAL, SearchFieldTooSmall,
+from normtrace.gf import BudgetExceeded, build_field
+from normtrace.sepcurve import (AffineAut, HBound, MONOMIAL_CASE_I,
+                                MONOMIAL_CASE_II, NON_MONOMIAL,
+                                SearchFieldTooSmall,
                                 SeparatedCurveSpec, assert_group, b_roots,
-                                brute_force_stabilizer_search, classify,
-                                classify_monomial, compose_affine,
-                                condiz_check, embed_field, genus,
+                                brute_force_stabilizer_search, checks,
+                                classify, compose_affine, embed_field, genus,
                                 h_bound_from_roots, inverse_affine,
                                 kernel_elements, linearization_gcd,
                                 monomial_shift, mu_fixers, norm_trace_spec,
@@ -35,6 +37,17 @@ def spec_a51_b3():
     return SeparatedCurveSpec(F5, {0: 1, 1: 1}, (0, 0, 0, 1))
 
 
+def test_sepcurve_imports_only_gf_and_poly():
+    # so that a curve module may import sepcurve without a cycle
+    # through codes
+    import normtrace.sepcurve as sepcurve
+    tree = ast.parse(Path(sepcurve.__file__).read_text())
+    local = {node.module or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names}
+    assert local == {"gf", "poly"}
+
+
 def test_validate_norm_trace():
     spec = norm_trace_spec(2, 3)
     validate(spec)
@@ -52,27 +65,26 @@ def test_validate_rejections():
         (SeparatedCurveSpec(F5, {0: 1, 1: 1}, (1, 1)), ">= 2"),
         (SeparatedCurveSpec(F5, {0: 1}, (0, 0, 0, 1)), "n >= 1"),
     ]
-    # the classifications report the same errors as validate
-    for check in (validate, classify, classify_monomial):
+    # classify reports the same errors as validate
+    for check in (validate, classify):
         for spec, match in cases:
             with pytest.raises(ValueError, match=match):
                 check(spec)
 
 
 def test_classify_validates_once(monkeypatch):
+    # and calls monomial_shift once
     import normtrace.sepcurve as sepcurve
     calls = []
-    real = sepcurve.validate
-    monkeypatch.setattr(sepcurve, "validate",
-                        lambda spec: calls.append(spec) or real(spec))
+    for name in ("validate", "monomial_shift"):
+        real = getattr(sepcurve, name)
+        monkeypatch.setattr(sepcurve, name, lambda spec, name=name, real=real:
+                            calls.append((name, spec)) or real(spec))
     non_monomial = SeparatedCurveSpec(F2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1))
     for spec in (spec_a422_b3(), spec_a51_b3(), non_monomial):
         calls.clear()
         classify(spec)
-        assert calls == [spec]
-    calls.clear()
-    classify_monomial(spec_a422_b3())
-    assert len(calls) == 1
+        assert calls == [("validate", spec), ("monomial_shift", spec)]
 
 
 def test_additivity_holds_by_construction():
@@ -130,7 +142,7 @@ def test_monomial_shift():
 
 
 def test_classify_case_ii():
-    res = classify_monomial(spec_a422_b3())
+    res = classify(spec_a422_b3())
     assert res.case == MONOMIAL_CASE_II
     assert res.d == 1
     assert res.predicted_full_order == 4 * 3 * 1 == 12
@@ -140,7 +152,7 @@ def test_classify_case_ii():
 
 
 def test_classify_case_i():
-    res = classify_monomial(spec_a51_b3())
+    res = classify(spec_a51_b3())
     assert res.case == MONOMIAL_CASE_I
     # m * |PGL(2, 5)| = 3 * 120 = 360; stabilizer = 360 / (p^n + 1)
     assert res.predicted_full_order == 360
@@ -149,17 +161,20 @@ def test_classify_case_i():
 
 
 def test_classify_rejects_out_of_scope():
-    with pytest.raises(ValueError, match="single root"):
-        classify_monomial(SeparatedCurveSpec(F2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1)))
-    # m = 5 is 1 mod p^n = 4
-    for check in (classify_monomial, classify):
-        with pytest.raises(ValueError, match="outside the classification"):
-            check(SeparatedCurveSpec(F2, {0: 1, 2: 1}, (0, 0, 0, 0, 0, 1)))
+    for spec in [
+        # m = 5 is 1 mod p^n = 4, B = X^5 with one root
+        SeparatedCurveSpec(F2, {0: 1, 2: 1}, (0, 0, 0, 0, 0, 1)),
+        # m = 5 is 1 mod p^n = 2, B = X^5 + X^3 + X^2 with several roots
+        SeparatedCurveSpec(F2, {0: 1, 1: 1}, (0, 0, 1, 1, 0, 1)),
+    ]:
+        with pytest.raises(ValueError, match="m = 5 is 1 mod p\\^n = "
+                                             f"{spec.p ** spec.n}: outside"):
+            classify(spec)
 
 
 def test_classify_norm_trace_matches_group_order():
     for q, r in [(2, 3), (3, 3), (2, 4)]:
-        res = classify_monomial(norm_trace_spec(q, r))
+        res = classify(norm_trace_spec(q, r))
         assert res.case == MONOMIAL_CASE_II
         want = q ** (r - 1) * (q ** r - 1)
         assert res.predicted_full_order == want
@@ -183,17 +198,25 @@ def test_search_on_norm_trace_spec_reproduces_group():
     assert found == grp
 
 
+def passing(spec, maps, result=None):
+    """The names of the records that pass on maps, and those that fail."""
+    records = checks(spec, result or classify(spec), maps)
+    return ([nm for nm, ok, _ in records if ok],
+            [nm for nm, ok, _ in records if not ok])
+
+
 def test_search_case_ii_gf64():
     maps = brute_force_stabilizer_search(spec_a422_b3(), build_field(2, 6))
     assert len(maps) == 12
     assert sum(1 for s in maps if s.is_identity) == 1
-    assert all(condiz_check(spec_a422_b3(), s) for s in maps)
+    assert passing(spec_a422_b3(), maps) == (
+        ["translations", "stabilizer order", "scaling law"], [])
 
 
 def test_search_case_i_gf25():
     maps = brute_force_stabilizer_search(spec_a51_b3(), build_field(5, 2))
     assert len(maps) == 60
-    assert all(condiz_check(spec_a51_b3(), s) for s in maps)
+    assert passing(spec_a51_b3(), maps)[1] == []
 
 
 def test_search_respects_budget():
@@ -210,7 +233,8 @@ def test_search_non_monomial_b():
         h_order = len(maps) // 4  # p-part is the p^n translations
         assert len(maps) == 4 and h_order == 1
         assert h_order < 3  # strictly below m (p^d - 1)
-        assert h_bound_from_roots(spec).satisfied_by(h_order)
+        assert passing(spec, maps) == (
+            ["translations", "|H| divides one of [2, 1]"], [])
 
 
 def test_group_structure_of_search_results():
@@ -236,12 +260,33 @@ def test_assert_group_detects_doctored_sets():
         assert_group(maps[1:])   # drop the identity
 
 
-def test_condiz_negative():
+def test_each_record_rejects_its_doctored_input():
+    # case (ii): 12 maps over GF(64), 4 of them translations
+    spec = spec_a422_b3()
     f64 = build_field(2, 6)
-    # b with b^3 != 1 violates the scaling law for B = X^3
+    maps = brute_force_stabilizer_search(spec, f64)
+    s = next(s for s in maps if s.b != 1)
+    assert passing(spec, [t for t in maps if t != s])[1] == ["stabilizer order"]
+    # b with b^3 != 1 breaks b^m = a in mu_fixers = {1}
     b = next(b for b in f64.nonzero() if f64.pow(b, 3) != 1)
-    bad = AffineAut(f64, 1, b, 0, ())
-    assert not condiz_check(spec_a422_b3(), bad)
+    doctored = [AffineAut(f64, t.a, b, t.c0, t.q_coeffs) if t == s else t
+                for t in maps]
+    assert passing(spec, doctored)[1] == ["scaling law"]
+    # several roots: X^3 + X over GF(64) has only its 4 translations
+    spec = SeparatedCurveSpec(F2, {0: 1, 1: 1, 2: 1}, (0, 1, 0, 1))
+    maps = brute_force_stabilizer_search(spec, f64)
+    assert passing(spec, maps[1:])[1] == ["translations"]
+    # X^5 + X^3 over GF(81): |H| = 2 divides 2 of [3, 2], and no divisor
+    # of [3, 5]
+    spec = SeparatedCurveSpec(build_field(3, 1), {0: 1, 1: 1},
+                              (0, 0, 0, 1, 0, 1))
+    maps = brute_force_stabilizer_search(spec, build_field(3, 4))
+    result = classify(spec)
+    assert result.h_bound.divisors == (3, 2) and len(maps) == 6
+    assert passing(spec, maps, result)[1] == []
+    result = replace(result, h_bound=HBound(result.h_bound.kind, (3, 5)))
+    assert passing(spec, maps, result) == (["translations"],
+                                           ["|H| divides one of [3, 5]"])
 
 
 def test_h_bound_examples():
@@ -252,7 +297,6 @@ def test_h_bound_examples():
     hb = h_bound_from_roots(spec)
     assert hb.kind == "unique-multiple-root"
     assert hb.divisors == (3, 2)
-    assert hb.satisfied_by(3) and hb.satisfied_by(2) and not hb.satisfied_by(4)
     # all roots of one multiplicity M > 1: X^2 (X + 1)^2 over GF(3)
     f3 = build_field(3, 1)
     spec2 = SeparatedCurveSpec(f3, {0: 1, 1: 1}, (0, 0, 1, 2, 1))

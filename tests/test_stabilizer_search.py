@@ -1,19 +1,21 @@
 """The stabilizer search and its group check against the scalar loop and
-the pairwise closure of tests/oracles.py."""
+the pairwise closure of tests/oracles.py, and the records of
+sepcurve.checks on random searches."""
 
 import functools
 import math
 import random
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import poly, sepcurve  # noqa: E402
-from normtrace.codes import BudgetExceeded  # noqa: E402
-from normtrace.gf import TABLE_MAX_ORDER, build_field  # noqa: E402
+from normtrace.gf import (TABLE_MAX_ORDER, BudgetExceeded,  # noqa: E402
+                          build_field)
 from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
                                 SeparatedCurveSpec, assert_group,
                                 brute_force_stabilizer_search,
@@ -68,6 +70,29 @@ def test_search_equals_scalar_loop(case):
     assume(len(want) <= MAX_PAIRWISE)
     assert (outcome(brute_force_stabilizer_search, spec, F)
             == outcome(lambda: closed_by_pairs(want) or want))
+
+
+def small_field(p, k):
+    """build_field for the recommended search field, refusing any field
+    of order above 2^8 before it is built."""
+    assume(p ** k <= 1 << 8)
+    return field(p, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(searches())
+def test_every_record_passes_over_the_recommended_field(case):
+    spec, _ = case
+    assume(spec.m % spec.p ** spec.n != 1)
+    try:
+        with mock.patch.object(sepcurve, "build_field", small_field):
+            F = sepcurve.recommended_search_field(spec)
+        result = sepcurve.classify(spec)
+    except ValueError:  # B or the roots of unity split only above 2^20
+        reject()
+    maps = brute_force_stabilizer_search(spec, F)
+    records = sepcurve.checks(spec, result, maps)
+    assert all(ok for _, ok, _ in records), records
 
 
 def test_search_with_quadratic_q_equals_scalar_loop():
