@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .codes import AGCode
 from .curve import NormTraceCurve, P_INFINITY, Place
 
@@ -271,11 +270,8 @@ def code_action(code: AGCode, g: CodeAut, word: np.ndarray) -> np.ndarray:
 
 def is_code_automorphism(code: AGCode, g: CodeAut) -> bool:
     """True iff the transform maps the code onto itself: the whole
-    generator matrix is transformed at once, and its rows are reduced
-    against the row space as one stack."""
-    R, pivots = code.row_space()
-    return linalg.in_row_space(code.curve.ctx, R, pivots,
-                               code_action(code, g, code.matrix))
+    generator matrix is transformed at once and tested as one stack."""
+    return code.contains(code_action(code, g, code.matrix))
 
 
 def code_checks(code: AGCode, group: list[CurveAut]

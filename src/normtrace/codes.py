@@ -72,8 +72,9 @@ class AGCode:
         return self._rref
 
     def contains(self, word: np.ndarray) -> bool:
+        """True iff word, one vector or a stack of rows, is in the code."""
         R, pivots = self.row_space()
-        return linalg.in_row_space(self.curve.ctx, R, pivots, word)
+        return not linalg.reduce_vector(self.curve.ctx, R, pivots, word).any()
 
     def to_report(self) -> dict:
         """Parameters and basis; code-build prints the matrix after them."""
@@ -388,11 +389,13 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     """Search for a diagonal scaling (identity permutation) carrying
     code_a onto code_b; returns an EquivalenceWitness or None.
 
-    The search first tries entrywise column ratios of the generator
-    matrices (which recovers the explicit x(P)^ell diagonal when the
-    codes are the canonical multi-point / extended one-point pair), then
-    falls back to column ratios of the reduced echelon forms.  Only the
-    identity permutation is searched.
+    The diagonal D comes from entrywise column ratios of the generator
+    matrices, which recover the explicit x(P)^ell diagonal of the
+    canonical multi-point / extended one-point pair and give A D = B
+    entry by entry, so no RREF is computed; else from column ratios of
+    the reduced echelon forms, with equal pivot lists.  D must have no
+    zero entry, and then the fallback's A D must lie in B's cached row
+    space: a nonzero column scaling keeps the rank, so that is equality.
     """
     if code_a.n != code_b.n:
         raise ValueError("codes have different lengths")
@@ -400,12 +403,14 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
         return None
     ctx = code_a.curve.ctx
     diag = _entrywise_diagonal(ctx, code_a.matrix, code_b.matrix)
-    if diag is None:
+    entrywise = diag is not None
+    if not entrywise:
         diag = _rref_diagonal(ctx, code_a, code_b)
-    if diag is None:
+    if diag is None or not diag.all():
         return None
     scaled = ctx.vmul(code_a.matrix, diag[None, :])
-    if not linalg.row_space_equal(ctx, scaled, code_b.matrix):
+    if not (np.array_equal(scaled, code_b.matrix) if entrywise
+            else code_b.contains(scaled)):
         return None
     return EquivalenceWitness(diagonal=diag,
                               permutation=tuple(range(code_a.n)))

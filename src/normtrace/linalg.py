@@ -11,7 +11,8 @@ The reduced row echelon form is fully normalized (unit pivots,
 eliminated above and below, pivot search in index order), hence
 canonical: two matrices have equal row spaces iff their RREFs are equal
 arrays.  rank needs no canonical form: it eliminates below each pivot
-only, in the same loop.
+only, in the same loop.  Row-space questions such as membership belong
+to codes.AGCode, which caches its RREF: this module only eliminates.
 """
 
 from __future__ import annotations
@@ -96,24 +97,3 @@ def reduce_vector(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> np.n
                 rows[hit, col:],
                 ctx.vmul_outer(ctx.vneg(rows[hit, col]), R[r, col:]))
     return out.astype(np.int64)
-
-
-def in_row_space(ctx: FieldCtx, R: np.ndarray, pivots, vec: np.ndarray) -> bool:
-    """True iff vec (one vector, or every row of a stack) lies in the
-    row space of the RREF rows."""
-    return not reduce_vector(ctx, R, pivots, vec).any()
-
-
-def row_space_equal(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> bool:
-    RA, pa = rref(ctx, A)
-    RB, pb = rref(ctx, B)
-    if pa != pb:
-        return False
-    ra = len(pa)
-    return bool(np.array_equal(RA[:ra], RB[:ra]))
-
-
-def row_space_contains(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> bool:
-    """True iff every row of B lies in the row space of A."""
-    RA, pa = rref(ctx, A)
-    return in_row_space(ctx, RA, pa, B)

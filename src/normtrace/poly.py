@@ -134,6 +134,21 @@ def gcd(ctx, f, g):
     return scale(ctx, ctx.inv(f[-1]), f) if f else []
 
 
+def radical(ctx, f):
+    """The product of the distinct irreducible factors of a nonzero f, up
+    to a unit.  f / gcd(f, f') has those whose multiplicity p does not
+    divide and gcd(f, f') the others; if f' = 0, f is a p-th power."""
+    f = trim(f)
+    if len(f) < 2:
+        return [1]
+    d = hasse_derivative(ctx, f, 1)
+    if not d:
+        return radical(ctx, [ctx.pow(a, ctx.order // ctx.p) for a in f[::ctx.p]])
+    g = gcd(ctx, f, d)
+    s, r = div_rem(ctx, f, g)[0], radical(ctx, g)
+    return div_rem(ctx, mul(ctx, s, r), gcd(ctx, s, r))[0]  # their lcm
+
+
 def powmod(ctx, f, e, m):
     """f^e mod m by square-and-multiply."""
     out = rem(ctx, [1], m)

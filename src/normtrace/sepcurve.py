@@ -157,7 +157,7 @@ def _element(ctx: FieldCtx, v, where: str) -> int:
 def spec_from_dict(d) -> SeparatedCurveSpec:
     """The spec of a record in the form to_dict writes.  Every malformed
     record raises ValueError: not an object, a missing key, a value of
-    the wrong type, or a coefficient index outside the field."""
+    the wrong type, an index outside the field, or a repeated A term j."""
     field = _entry(d, "field", dict)
     _entry(field, "p", int, "field")
     _entry(field, "k", int, "field")
@@ -169,9 +169,12 @@ def spec_from_dict(d) -> SeparatedCurveSpec:
     ctx = field_from_dict(field)
     if ctx.p != _entry(d, "p", int):
         raise ValueError("spec p does not match field characteristic")
-    a = {_entry(e, "j", int, "A term"):
-         _element(ctx, _entry(e, "a_j_index", int, "A term"), "a_j_index")
-         for e in _entry(d, "A", list)}
+    a = {}
+    for e in _entry(d, "A", list):
+        j = _entry(e, "j", int, "A term")
+        if j in a:
+            raise ValueError(f"A term j = {j} is listed twice")
+        a[j] = _element(ctx, _entry(e, "a_j_index", int, "A term"), "a_j_index")
     return SeparatedCurveSpec(ctx, a, tuple(_element(ctx, b, "B coefficient")
                                             for b in _entry(d, "B", list)))
 
@@ -588,18 +591,15 @@ def b_roots(spec: SeparatedCurveSpec):
     """Roots of B with multiplicities over its splitting field.
 
     Returns (field, [(root_index, multiplicity), ...]); the field is the
-    smallest extension of the host field where B splits completely.
-    GF(Q^t) is built and scanned only if rad = B / gcd(B, B') divides
-    X^{Q^t} - X, decided in the host field (a factor of B whose
-    multiplicity p divides is missing from rad, so a scan may fall short).
+    smallest extension of the host field where B splits completely:
+    the first t where poly.radical(B) divides X^{Q^t} - X, decided in
+    the host field, so only that one GF(Q^t) is built and scanned.
     B is evaluated over the whole field at once; a root's multiplicity is
     the number of leading Hasse derivatives H_0, H_1, .. of B vanishing
     there, each H_j evaluated only where H_0 .. H_{j-1} vanish.
     """
     ctx = spec.ctx
-    b = list(spec.b_coeffs)
-    rad = poly.div_rem(ctx, b, poly.gcd(ctx, b,
-                                        poly.hasse_derivative(ctx, b, 1)))[0]
+    rad = poly.radical(ctx, spec.b_coeffs)
     x_power = x = poly.rem(ctx, [0, 1], rad)  # X^{Q^t} mod rad, at t = 0
     for t in _extension_degrees(ctx):
         x_power = poly.powmod(ctx, x_power, ctx.order, rad)
@@ -614,9 +614,10 @@ def b_roots(spec: SeparatedCurveSpec):
             alive = alive[poly.evaluate_array(E, h, alive) == 0]
             mult[alive] += 1
             j += 1
+        if mult.sum() != spec.m:
+            raise AssertionError("B does not split where its radical does")
         roots = np.flatnonzero(mult)
-        if mult.sum() == spec.m:
-            return E, list(zip(roots.tolist(), mult[roots].tolist()))
+        return E, list(zip(roots.tolist(), mult[roots].tolist()))
 
 
 @dataclass(frozen=True)

@@ -411,13 +411,29 @@ def test_fields_above_the_table_limit_refused_before_places(capsys, command,
     [CASE_II_SPEC],
     {**CASE_II_SPEC, "A": [{"j": 0}]},
     {**CASE_II_SPEC, "B": [0, 0, 0, 2]},
-], ids=["no-field", "a-list", "no-a_j_index", "index-outside-GF2"])
+    # a later j = 0 term must not silently replace the zero a_0
+    {**CASE_II_SPEC, "A": [{"j": 0, "a_j_index": 0}, {"j": 2, "a_j_index": 1},
+                           {"j": 1, "a_j_index": 1}, {"j": 0, "a_j_index": 1}]},
+], ids=["no-field", "a-list", "no-a_j_index", "index-outside-GF2",
+        "repeated-j"])
 def test_malformed_spec_is_an_error(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     rc, out, err = run(capsys, "classify", "--spec", str(path))
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_classify_refuses_a_b_without_splitting_field_at_once(capsys, tmp_path):
+    # B = X^59 + X = X (X^29 + 1)^2 over GF(2) splits first over GF(2^28);
+    # the radical of B rules out each smaller extension without building it
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**CASE_II_SPEC, "B": [0, 1] + [0] * 57 + [1]}))
+    start = time.process_time()
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert time.process_time() - start < 1
+    assert rc == 1 and out == ""
+    assert err == "error: field order 2^21 exceeds limit 1048576\n"
 
 
 @pytest.mark.parametrize("bounds", [["--ell", "0"], ["--ell-max", "0"],

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -318,7 +319,8 @@ def test_monomial_equivalence_canonical_pairs(curve23):
             if not P.is_infinity:
                 assert proof[pos] == ctx.pow(P.x, ell)
         scaled = ctx.vmul(ca.matrix, proof[None, :])
-        assert linalg.row_space_equal(ctx, scaled, cb.matrix)
+        assert np.array_equal(linalg.rref(ctx, scaled)[0],
+                              linalg.rref(ctx, cb.matrix)[0])
 
 
 def test_monomial_equivalence_other_curves(curve33, curve24):
@@ -371,7 +373,62 @@ def test_monomial_equivalence_rref_fallback(curve23):
     wit = monomial_equivalence_check(code, other)
     assert wit is not None
     scaled = ctx.vmul(code.matrix, wit.diagonal[None, :])
-    assert linalg.row_space_equal(ctx, scaled, other.matrix)
+    assert np.array_equal(linalg.rref(ctx, scaled)[0],
+                          linalg.rref(ctx, other.matrix)[0])
+
+
+@pytest.mark.parametrize("stage", ["entrywise", "echelon"])
+def test_monomial_equivalence_rejects_a_doctored_diagonal(curve23, monkeypatch,
+                                                         stage):
+    # the witness is proved, not trusted: the right diagonal passes, one
+    # with an entry changed or zeroed under a nonzero column does not
+    ctx = curve23.ctx
+    ca, cb = build_code(curve23, 2), extended_one_point_code(curve23, 2)
+    good = equivalence_diagonal(curve23, 2)
+    col = 5
+    assert ca.matrix[:, col].any()
+    for value, verdict in [(good[col], True), (ctx.mul(good[col], 2), False),
+                           (0, False)]:
+        diag = good.copy()
+        diag[col] = value
+        if stage == "entrywise":
+            monkeypatch.setattr(codes, "_entrywise_diagonal",
+                                lambda *args, d=diag: d.copy())
+        else:
+            monkeypatch.setattr(codes, "_entrywise_diagonal", lambda *args: None)
+            monkeypatch.setattr(codes, "_rref_diagonal",
+                                lambda *args, d=diag: d.copy())
+        assert (monomial_equivalence_check(ca, cb) is not None) == verdict
+
+
+def test_monomial_equivalence_refuses_a_zero_entry_under_a_zero_column(
+        curve23, monkeypatch):
+    # A D = B holds entry by entry here, so only the nonzero-diagonal
+    # check stands between this D and a witness
+    code = build_code(curve23, 2)
+    matrix = code.matrix.copy()
+    matrix[:, 3] = 0
+    zeroed = dataclasses.replace(code, matrix=matrix, _rref=None)
+    diag = np.ones(code.n, dtype=np.int64)
+    diag[3] = 0
+    monkeypatch.setattr(codes, "_entrywise_diagonal", lambda *args: diag.copy())
+    assert monomial_equivalence_check(zeroed, zeroed) is None
+
+
+def test_monomial_equivalence_of_canonical_pairs_eliminates_nothing(
+        curve23, curve33, monkeypatch):
+    # the entrywise diagonal gives A D = B as arrays: no RREF, no reduction
+    pairs = [(build_code(cv, ell), extended_one_point_code(cv, ell))
+             for cv, ell in [(curve23, ell) for ell in range(1, 6)]
+             + [(curve33, 13)]]
+    calls = []
+    for name in ("rref", "reduce_vector"):
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, f=getattr(linalg, name), name=name:
+                            calls.append(name) or f(*args))
+    for ca, cb in pairs:
+        assert monomial_equivalence_check(ca, cb) is not None
+    assert calls == []
 
 
 def test_length_mismatch_raises(curve23, curve33):

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace import poly  # noqa: E402
+from normtrace import poly, sepcurve  # noqa: E402
 from normtrace.gf import build_field  # noqa: E402
 from normtrace.sepcurve import (SeparatedCurveSpec, b_roots,  # noqa: E402
                                 to_standard_qm)
@@ -53,15 +53,36 @@ def test_b_roots_equals_division_oracle(spec):
     assert b_roots(spec) == want
 
 
-def test_b_roots_finds_a_factor_of_multiplicity_p():
-    # B = X (X^2 + 1)^3 over GF(3): B' = (X^2 + 1)^3, so rad = X and the
-    # scan of GF(3) falls short; the roots +-i of multiplicity 3 are in GF(9)
+def _count_builds(monkeypatch):
+    built = []
+    monkeypatch.setattr(sepcurve, "build_field",
+                        lambda p, k: built.append((p, k)) or field(p, k))
+    return built
+
+
+def test_b_roots_finds_a_factor_of_multiplicity_p(monkeypatch):
+    # B = X (X^2 + 1)^3 over GF(3): B' = (X^2 + 1)^3, so B / gcd(B, B') = X
+    # alone would pass GF(3); the radical X (X^2 + 1) keeps the factor of
+    # multiplicity 3, so GF(9), where the roots +-i lie, is the one built
+    built = _count_builds(monkeypatch)
     f3 = field(3, 1)
     b = poly.mul(f3, [0, 1], poly.power(f3, [1, 0, 1], 3))
     spec = SeparatedCurveSpec(f3, {0: 1, 1: 1}, tuple(b))
     E, roots = b_roots(spec)
+    assert built == [(3, 2)]
     assert E.order == 9 and sorted(m for _, m in roots) == [1, 3, 3]
     assert (E, roots) == b_roots_by_division(spec)
+
+
+def test_b_roots_builds_no_field_when_b_splits_beyond_the_limit(monkeypatch):
+    # B = X^59 + X = X (X^29 + 1)^2 over GF(2) splits first over GF(2^28):
+    # the radical rules out GF(2^t) up to the order limit, none is built
+    built = _count_builds(monkeypatch)
+    spec = SeparatedCurveSpec(field(2, 1), {0: 1, 1: 1, 2: 1},
+                              tuple([0, 1] + [0] * 57 + [1]))
+    with pytest.raises(ValueError, match="exceeds limit"):
+        b_roots(spec)
+    assert built == []
 
 
 @st.composite

@@ -159,3 +159,22 @@ def test_hasse_derivatives_are_the_taylor_coefficients(case, data):
     hasse = [poly.hasse_derivative(ctx, f, j) for j in range(len(f))]
     assert composed == [ctx.mul(ctx.pow(b, j), poly.evaluate(ctx, h, t))
                         for j, h in enumerate(hasse)]
+
+
+@SETTINGS
+@given(st.data())
+def test_radical_is_the_squarefree_kernel(data):
+    # f = u g^e h^e' with multiplicities p divides among them: rad(f) must
+    # divide f, f must divide rad(f)^deg f, and rad(f) is squarefree
+    ctx = field(*data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1),
+                                             (3, 2), (5, 1)])))
+    elem = st.integers(0, ctx.order - 1)
+    f = [data.draw(st.integers(1, ctx.order - 1))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        g = data.draw(st.lists(elem, min_size=1, max_size=3)) + [1]
+        e = data.draw(st.sampled_from([1, 2, ctx.p, ctx.p + 1, 2 * ctx.p]))
+        f = poly.mul(ctx, f, poly.power(ctx, g, e))
+    rad = poly.radical(ctx, f)
+    assert poly.rem(ctx, f, rad) == []
+    assert poly.rem(ctx, poly.power(ctx, rad, len(f) - 1), f) == []
+    assert poly.gcd(ctx, rad, poly.hasse_derivative(ctx, rad, 1)) == [1]

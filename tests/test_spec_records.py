@@ -44,7 +44,7 @@ def _mutate(path, change):
 @st.composite
 def malformed_records(draw):
     kind = draw(st.sampled_from(["missing", "wrong-type", "outside-field",
-                                 "not-an-object"]))
+                                 "repeated-j", "not-an-object"]))
     if kind == "missing":
         return _mutate(draw(st.sampled_from(REQUIRED)),
                        lambda node, key: node.pop(key))
@@ -58,12 +58,23 @@ def malformed_records(draw):
         v = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=8)))
         path = draw(st.sampled_from([("A", 1, "a_j_index"), ("B", 7)]))
         return _mutate(path, lambda node, key: node.__setitem__(key, v))
+    if kind == "repeated-j":
+        term = {"j": draw(st.integers(0, 2)), "a_j_index": draw(st.integers(0, 7))}
+        at = draw(st.integers(0, 3))
+        return _mutate(("A",), lambda node, key: node[key].insert(at, term))
     return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
 
 
 def test_good_record_parses():
     spec = spec_from_dict(GOOD_RECORD)
     assert spec.a_coeffs == {0: 1, 1: 1, 2: 1} and spec.m == 7
+
+
+def test_repeated_j_is_named():
+    rec = json.loads(json.dumps(GOOD_RECORD))
+    rec["A"].append({"j": 1, "a_j_index": 3})
+    with pytest.raises(ValueError, match="A term j = 1 is listed twice"):
+        spec_from_dict(rec)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
