@@ -173,9 +173,15 @@ def cmd_min_dist(args):
 def cmd_aut_verify(args):
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)  # refuses what it cannot build
+    work = curve.h * (curve.ctx.order - 1) * code.n
+    if work > autgroup.GROUP_WORK_MAX:
+        raise ValueError(f"group order times code length is {work}, above "
+                         f"the limit {autgroup.GROUP_WORK_MAX} of the group "
+                         f"checks")
     group = autgroup.enumerate_group(curve)
     checks, short = autgroup.group_checks(curve, group, args.seed)
-    checks += autgroup.code_checks(code, group)
+    if all(passed for _, passed, _ in checks):  # code checks need the group
+        checks += autgroup.code_checks(code, group)
 
     ok = all(passed for _, passed, _ in checks)
     if args.format == "json":

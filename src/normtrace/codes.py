@@ -64,12 +64,23 @@ class AGCode:
     k: int
     d_star: int
     _rref: tuple | None = field(default=None, repr=False)
+    _lowering: tuple | None = field(default=None, repr=False)
 
     def row_space(self):
         """The canonical RREF of the matrix, computed on first use."""
         if self._rref is None:
             self._rref = linalg.rref(self.curve.ctx, self.matrix)
         return self._rref
+
+    def lowering(self):
+        """The basis lowered in y, computed on first use: for each d, a
+        pass (d, rows, src, binom) naming the rows x^i y^j with C(j, d)
+        nonzero mod p, the rows src of x^i y^{j-d}, and C(j, d) mod p.
+        Pass d = 0 covers every row in order.  None if some such
+        x^i y^{j-d} is not in the basis."""
+        if self._lowering is None:
+            self._lowering = _lowering(self.curve.p, self.basis) or ()
+        return self._lowering or None
 
     def contains(self, word: np.ndarray) -> bool:
         """True iff word, one vector or a stack of rows, is in the code."""
@@ -89,6 +100,28 @@ class AGCode:
             "d_exact": None,
             "basis": [t.to_dict() for t in self.basis],
         }
+
+
+def _lowering(p: int, basis) -> tuple | None:
+    """AGCode.lowering's passes, from Pascal's triangle mod p."""
+    index = {(t.i, t.j): row for row, t in enumerate(basis)}
+    i, j = np.array([(t.i, t.j) for t in basis],
+                    dtype=np.int64).reshape(-1, 2).T
+    top = int(j.max(initial=0)) + 1
+    binom = np.zeros((top, top), dtype=np.int64)
+    binom[:, 0] = 1
+    for jj in range(1, top):
+        binom[jj, 1:] = (binom[jj - 1, 1:] + binom[jj - 1, :-1]) % p
+    passes = []
+    for d in range(top):
+        rows = np.flatnonzero(binom[j, d])
+        src = [index.get(key) for key in zip(i[rows].tolist(),
+                                             (j[rows] - d).tolist())]
+        if None in src:
+            return None
+        passes.append((d, rows, np.array(src, dtype=np.int64),
+                       binom[j[rows], d]))
+    return tuple(passes)
 
 
 def build_code(curve: NormTraceCurve, ell: int) -> AGCode:

@@ -19,7 +19,11 @@ the exact identity, where the library filters all c0 at once by the
 Hasse derivatives of B, and the group check composes every pair of
 maps, where the library closes the set from generators.  The curve
 group's closure is checked one scalar composition at a time, where the
-library composes every pair or sampled triple as index arrays.  The
+library composes every pair or sampled triple as index arrays.  Code
+invariance is decided for every map of a family by row-space
+membership, where the library checks generators by transfer matrices,
+and a curve automorphism's inverse is found by scanning, where the
+library solves for it.  The
 roots of B are found element by element and their multiplicities by
 repeated division by X - e, and the standard model's constants by a
 nested scan of every delta and gamma, where the library evaluates B,
@@ -39,7 +43,8 @@ from functools import partial
 import numpy as np
 
 from normtrace import poly
-from normtrace.autgroup import _compose_ab, apply_place
+from normtrace.autgroup import (CodeAut, CurveAut, _compose_ab, apply_place,
+                                code_action, identity_aut)
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
@@ -159,6 +164,45 @@ def code_action_by_places(code, g, word):
         out[pos[img]] = ctx.mul(g.scalar,
                                 ctx.frobenius(int(word[i]), g.frob))
     return out
+
+
+def is_code_automorphism_by_membership(code, g):
+    """The code-automorphism verdict by row-space membership of the
+    whole transformed generator matrix, with no transfer matrix."""
+    return code.contains(code_action(code, g, code.matrix))
+
+
+def code_checks_by_elements(code, group):
+    """code_checks' records with every map of each family tested by
+    membership, where the library tests generators by their transfer
+    matrices."""
+    ctx = code.curve.ctx
+    ident = identity_aut(code.curve)
+    families = [
+        (f"code invariance: {len(group)} curve automorphisms",
+         (CodeAut(s) for s in group), f"ell={code.ell}"),
+        (f"code invariance: {ctx.k} Frobenius powers",
+         (CodeAut(ident, frob=e) for e in range(ctx.k)), ""),
+        (f"code invariance: {ctx.order - 1} scalars",
+         (CodeAut(ident, scalar=c) for c in ctx.nonzero()), ""),
+    ]
+    return [(name, all(is_code_automorphism_by_membership(code, g)
+                       for g in maps), detail)
+            for name, maps, detail in families]
+
+
+def inverse_by_search(s):
+    """The inverse of s found by scanning, where the library solves for
+    it: b' is the nonzero element with b b' = 1, and a' the trace-zero
+    element for which (a', b') sends the image of the place (0, 0)
+    under s back to (0, 0)."""
+    curve, ctx = s.curve, s.curve.ctx
+    b = next(v for v in ctx.nonzero() if ctx.mul(s.b, v) == 1)
+    origin = Place(AFFINE, 0, 0)
+    image = apply_place(s, origin)
+    a = next(t for t in sorted(curve.trace_zero)
+             if apply_place(CurveAut(curve, t, b), image) == origin)
+    return CurveAut(curve, a, b)
 
 
 def fixed_places_by_places(s):

@@ -7,13 +7,14 @@ import pytest
 from normtrace import autgroup, linalg
 from normtrace.autgroup import (CodeAut, CurveAut, apply_place, code_action,
                                 code_checks, compose, enumerate_group,
-                                fixed_places, group_checks,
-                                identity_aut, inverse, is_code_automorphism,
-                                orbits, short_orbits)
-from normtrace.codes import build_code
+                                fixed_places, generates, generators,
+                                group_checks, identity_aut, inverse,
+                                is_code_automorphism, orbits, short_orbits)
+from normtrace.codes import AGCode, build_code, extended_one_point_code
 from normtrace.curve import P_INFINITY, build_curve
 from oracles import (closure_by_compositions, code_action_by_places,
-                     fixed_places_by_places, frobenius_place)
+                     code_checks_by_elements, fixed_places_by_places,
+                     frobenius_place, is_code_automorphism_by_membership)
 
 
 def test_group_order(curve23, curve33):
@@ -183,6 +184,19 @@ def test_closure_rejects_a_pair_outside_the_group(curve23, curve33):
         assert not closure_by_compositions(cv, pairs, 0)
 
 
+@pytest.mark.parametrize("group", [[], "identity"])
+def test_group_checks_fail_the_order_of_a_degenerate_group(curve23, group):
+    if group == "identity":
+        group = [identity_aut(curve23)]
+    checks, short = group_checks(curve23, group, 0)
+    assert [name for name, _, _ in checks] == [
+        "group order", "closure/associativity", "inverses", "short orbits",
+        "fixed places <= 5"]
+    assert checks[0] == ("group order", False,
+                         f"{len(group)} (expected 28)")
+    assert short == []
+
+
 def test_fixed_place_check_has_teeth(curve23, monkeypatch):
     # no map of the (a, b) form fixes more than h + 1 places, so the
     # bound can only fail through a doctored fixed_places
@@ -292,11 +306,178 @@ def test_membership_check_has_teeth(curve23):
     assert not code.contains(swapped)
     assert not build_code(curve23, 2).contains(swapped)
     # and the swapped code is not preserved by every curve automorphism
-    swapped_code = dataclasses.replace(code, matrix=swapped, _rref=None)
+    swapped_code = _swapped(code)
     assert not all(is_code_automorphism(swapped_code, CodeAut(s))
                    for s in enumerate_group(curve23))
     assert "code invariance: 28 curve automorphisms" in _failed(
         code_checks(swapped_code, enumerate_group(curve23)))
+
+
+def _swapped(code):
+    """The code with Theta columns 1 and 2 exchanged in its matrix."""
+    swapped = code.matrix.copy()
+    swapped[:, [1, 2]] = swapped[:, [2, 1]]
+    return dataclasses.replace(code, matrix=swapped, _rref=None)
+
+
+def test_certificate_decides_every_curve_automorphism_of_23(curve23,
+                                                            monkeypatch):
+    # no RREF: the transfer matrix proves every verdict on (2,3)
+    group = enumerate_group(curve23)
+    codes = [build_code(curve23, ell) for ell in range(1, 8)]
+    monkeypatch.setattr(AGCode, "row_space", _no_rref)
+    for code in codes:
+        assert all(is_code_automorphism(code, CodeAut(s)) for s in group)
+    monkeypatch.undo()
+    for code in codes:
+        assert all(is_code_automorphism_by_membership(code, CodeAut(s))
+                   for s in group)
+
+
+def _no_rref(code):
+    raise AssertionError("row_space was computed")
+
+
+@pytest.mark.parametrize("q, r", [(3, 3), (2, 4)])
+def test_certificate_matches_membership_with_frobenius_and_scalars(q, r):
+    curve = build_curve(q, r)
+    ctx = curve.ctx
+    group = enumerate_group(curve)
+    rng = random.Random(q * 10 + r)
+    for ell in range(1, ctx.order):
+        code = build_code(curve, ell)
+        images = []
+        for _ in range(3):
+            g = CodeAut(rng.choice(group), frob=rng.randrange(1, ctx.k),
+                        scalar=rng.randrange(2, ctx.order))
+            images.append(code_action(code, g, code.matrix))
+            assert np.array_equal(autgroup._transfer_image(code, g),
+                                  images[-1])
+            assert is_code_automorphism(code, g)
+        # the membership verdict on all three images at once
+        assert code.contains(np.vstack(images))
+
+
+def test_membership_decides_where_the_certificate_fails(curve23):
+    # the swapped code's rows are not the basis evaluations, and a
+    # scaling moves the local parameter under the extended one-point
+    # code's P_inf entries: there the certificate fails, and membership
+    # decides
+    group = enumerate_group(curve23)
+    swapped = _swapped(build_code(curve23, 2))
+    for code in (swapped, extended_one_point_code(curve23, 2)):
+        failed = 0
+        for s in group:
+            g = CodeAut(s, frob=1, scalar=3)
+            assert (is_code_automorphism(code, g)
+                    == is_code_automorphism_by_membership(code, g))
+            failed += not np.array_equal(autgroup._transfer_image(code, g),
+                                         code_action(code, g, code.matrix))
+        assert failed >= len(group) // 2
+    assert not all(is_code_automorphism(swapped, CodeAut(s)) for s in group)
+
+
+def test_transfer_image_with_one_entry_changed_fails(curve23, monkeypatch):
+    code = build_code(curve23, 3)
+    s = enumerate_group(curve23)[9]
+    g = CodeAut(s, frob=2, scalar=5)
+    moved = autgroup._transfer_image(code, g)
+    image = code_action(code, g, code.matrix)
+    assert np.array_equal(moved, image)
+    moved[2, 7] ^= 1
+    assert not np.array_equal(moved, image)
+    # the doctored certificate fails, and membership gives the verdict
+    monkeypatch.setattr(autgroup, "_transfer_image", lambda code, g: moved)
+    assert is_code_automorphism(code, g)
+    assert code._rref is not None
+
+
+def test_lowering_missing_a_term_leaves_membership(curve23):
+    # without x^-2 the row of x^-2 y cannot be lowered: no table, and
+    # membership decides
+    code = build_code(curve23, 2)
+    keep = [(t.i, t.j) != (-2, 0) for t in code.basis]
+    assert not all(keep)
+    part = dataclasses.replace(
+        code, basis=tuple(t for t, kept in zip(code.basis, keep) if kept),
+        matrix=code.matrix[keep], k=sum(keep), _rref=None)
+    assert part.lowering() is None
+    g = CodeAut(enumerate_group(curve23)[5])
+    assert autgroup._transfer_image(part, g) is None
+    assert is_code_automorphism(part, g) == \
+        is_code_automorphism_by_membership(part, g)
+
+
+@pytest.mark.parametrize("q, r, count", [(2, 3, 3), (3, 3, 3), (2, 4, 4),
+                                         (4, 3, 5), (16, 2, 5)])
+def test_generators_generate_the_group(q, r, count):
+    curve = build_curve(q, r)
+    gens = generators(curve)
+    assert len(gens) == count == 1 + curve.e * (curve.r - 1)
+    assert gens[0] == CurveAut(curve, 0, curve.ctx.generator)
+    assert all(t.b == 1 for t in gens[1:])
+    assert generates(curve, gens)
+
+
+def test_generation_proof_has_teeth(curve33):
+    gens = generators(curve33)
+    ctx = curve33.ctx
+    # one trace-zero basis vector missing, or repeated in its place
+    assert not generates(curve33, gens[:-1])
+    assert not generates(curve33, gens[:-1] + [gens[1]])
+    # a translation replaced by a multiple of another: rank drops
+    twice = CurveAut(curve33, ctx.mul(2, gens[1].a), 1)
+    assert not generates(curve33, gens[:-1] + [twice])
+    # a scaling of order below Q - 1, or a scaling that translates
+    square = CurveAut(curve33, 0, ctx.mul(ctx.generator, ctx.generator))
+    assert not generates(curve33, [square] + gens[1:])
+    assert not generates(curve33, [CurveAut(curve33, gens[1].a,
+                                            ctx.generator)] + gens[1:])
+    assert not generates(curve33, gens[1:])
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4)])
+def test_code_checks_match_the_per_element_oracle(q, r):
+    curve = build_curve(q, r)
+    group = enumerate_group(curve)
+    code = build_code(curve, 2)
+    assert code_checks(code, group) == code_checks_by_elements(code, group)
+    swapped = _swapped(code)
+    assert code_checks(swapped, group) == code_checks_by_elements(
+        swapped, group)
+
+
+def test_code_checks_test_only_generators(curve33, monkeypatch):
+    code = build_code(curve33, 2)
+    seen = []
+    check = autgroup.is_code_automorphism
+    monkeypatch.setattr(autgroup, "is_code_automorphism",
+                        lambda code, g: seen.append(g) or check(code, g))
+    assert all(ok for _, ok, _ in code_checks(code, enumerate_group(curve33)))
+    assert len(seen) == 5 and code._rref is None
+
+
+def test_code_checks_fail_without_a_primitive_generator():
+    # a scaling and a scalar of order 13 < 26 pass as maps but generate
+    # only half of their families
+    curve = build_curve(3, 3)
+    ctx = curve.ctx
+    code = build_code(curve, 2)
+    group = enumerate_group(curve)
+    ctx.generator = ctx.mul(ctx.generator, ctx.generator)
+    assert not generates(curve, generators(curve))
+    assert [ok for _, ok, _ in code_checks(code, group)] == [False, True,
+                                                             False]
+
+
+def test_code_checks_refuse_any_other_group(curve23, curve33):
+    code = build_code(curve23, 2)
+    group = enumerate_group(curve23)
+    for other in (group[:-1], group[:-1] + group[:1], group + group[:1],
+                  enumerate_group(curve33)[:28]):
+        with pytest.raises(ValueError, match="whole group of 28"):
+            code_checks(code, other)
+    assert code_checks(code, group[::-1]) == code_checks(code, group)
 
 
 def test_doctored_translation_is_rejected(curve23):

@@ -196,6 +196,37 @@ def test_aut_verify_fails_on_a_doctored_group(capsys, monkeypatch):
     assert failed == ["FAIL  group order  [27 (expected 28)]",
                       "FAIL  closure/associativity  [exhaustive]",
                       "FAIL  inverses"]
+    # the code checks read generators of the whole group: not run
+    assert "code invariance" not in out
+
+
+def test_aut_verify_proves_invariance_without_the_rref(capsys, monkeypatch):
+    # the transfer matrices decide every generator: no row space is built
+    def no_rref(code):
+        raise AssertionError("row_space was computed")
+
+    monkeypatch.setattr(codes.AGCode, "row_space", no_rref)
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "aut-verify", "--q", "4", "--r", "3",
+                     "--ell", "31")
+    assert time.perf_counter() - start < 5.0
+    assert rc == 0
+    assert out.count("PASS") == 8 and "code invariance: 1008" in out
+
+
+@pytest.mark.parametrize("q,r", [(4, 5), (16, 3)])
+def test_aut_verify_refuses_group_checks_over_the_limit(capsys, monkeypatch,
+                                                        q, r):
+    # |G| n is about 6.9e10 and 1.1e12: the group checks would run for
+    # hours, so the command stops before the group is enumerated
+    monkeypatch.setattr(autgroup, "enumerate_group", None)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "aut-verify", "--q", str(q), "--r", str(r),
+                       "--ell", "1")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("error: group order times code length is")
+    assert f"above the limit {autgroup.GROUP_WORK_MAX}" in err
 
 
 def test_classify(capsys, tmp_path):
