@@ -17,7 +17,6 @@ of codewords.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +157,9 @@ def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int
                  ) -> tuple[list[tuple[str, bool, str]], list[list[Place]]]:
     """(name, passed, detail) records for the group: its order, closure
     and associativity (every pair up to 64 elements, else 10,000 triples
-    drawn by random.Random(seed)), inverses, the short orbits and the
-    fixed-place bound.  Also returns the short orbits it computed."""
+    drawn by numpy.random.default_rng(seed)), inverses, the short
+    orbits and the fixed-place bound.  Also returns the short orbits it
+    computed."""
     want = curve.h * (curve.q ** curve.r - 1)
     checks = [("group order", len(group) == want,
                f"{len(group)} (expected {want})")]
@@ -183,8 +183,8 @@ def _closure(curve: NormTraceCurve, pairs: list[tuple[int, int]], seed: int
              ) -> tuple[bool, str]:
     """(passed, detail) for the closure of the (a, b) pairs: every
     product of two up to 64 pairs, else 10,000 triples drawn by
-    random.Random(seed) (randrange reads the stream of rng.choice), each
-    product in the set and associative.  Pairs are composed as index
+    numpy.random.default_rng(seed) as one (3, 10000) array, each product
+    in the set and associative.  Pairs are composed as index
     arrays and looked up among the sorted keys a * Q + b; odd
     characteristic needs the order within gf.TABLE_MAX_ORDER."""
     ctx, n = curve.ctx, len(pairs)
@@ -192,9 +192,7 @@ def _closure(curve: NormTraceCurve, pairs: list[tuple[int, int]], seed: int
     if n <= 64:
         (u, v), w, how = np.divmod(np.arange(n * n), n), None, "exhaustive"
     else:
-        rng = random.Random(seed)
-        u, v, w = np.array([rng.randrange(n) for _ in range(30_000)]
-                           ).reshape(-1, 3).T
+        u, v, w = np.random.default_rng(seed).integers(n, size=(3, 10_000))
         how = "sampled 10000 triples"
 
     def law(ab1, ab2):  # _compose_ab on arrays
@@ -298,9 +296,8 @@ def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
     the scalar, g turns x^i y^j into s (beta x)^i (beta^c y + alpha)^j,
     so row (i, j) of T M is the sum over d <= j of
     s C(j, d) beta^{i + c (j - d)} alpha^d times row (i, j - d) of M:
-    one pass of AGCode.lowering per d, scaled in the log domain.  The
-    log of 0 is sent past the doubled exp table, into zeros, so no
-    entry needs a mask."""
+    one pass of AGCode.lowering per d, scaled in the log domain of
+    FieldCtx.zero_log, where no entry needs a mask."""
     passes = code.lowering()
     if passes is None:
         return None
@@ -308,9 +305,7 @@ def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
     n1 = ctx.order - 1
     inv = inverse(g.aut)
     alpha, beta = (ctx.frobenius(v, g.frob) for v in (inv.a, inv.b))
-    log = ctx.log_np.copy()
-    log[0] = 2 * n1
-    exp = np.concatenate([ctx.exp_np, np.zeros(n1, dtype=np.int64)])
+    log, exp = ctx.zero_log
     logs = log[code.matrix]
     weights = np.array([t.i + c * t.j for t in code.basis], dtype=np.int64)
     weights = weights * log[beta] + log[g.scalar]

@@ -145,6 +145,40 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
 
 def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
                      n_inf: int) -> AGCode:
+    """The code of the monomials x^i y^j of basis over Theta, with
+    weight n_inf at P_inf (see _evaluation_matrix).
+
+    The evaluation map is injective, so the matrix M has rank k, the
+    basis size; this is proved on the built matrix, class by class.
+    The scalings (x, y) -> (bx, b^c y) act freely on the affine places;
+    the orbit of (x, y) meets the fibre x = 1 once, at (1, y_u) with
+    y_u = y x^{-c}, and the row of x^i y^j reads
+    M[r, (x, y)] = M[r, (1, y_u)] x^{e_r}, e_r = (i + c j) mod (Q - 1).
+    The DFT of an orbit, sum over nonzero x of x^{-e} M[:, (x, y)], is
+    an invertible column operation: the sum of x^{e_r - e} is Q - 1 =
+    -1 if e_r = e, else 0.  It leaves column (u, e) equal to
+    -M[:, (1, y_u)] on the rows of class e and zero elsewhere.  If the
+    P_inf column is nonzero in one class at most, M therefore splits:
+    rank M is the sum over e of rank B_e, B_e the rows of class e
+    restricted to P_inf and the fibre x = 1 (at most h + 1 columns),
+    and rank M = k iff every B_e has full row rank.  The P_inf column
+    is what tells x^0 from x^{-(Q-1)} at ell = Q - 1: they agree at
+    every affine place and both fall in class 0.
+
+    _rank_by_classes checks the split on the entries of M and the
+    blocks by linalg.ranks; if the split does not hold or a block falls
+    short, the rank of the whole matrix decides."""
+    basis = tuple(basis)
+    matrix = _evaluation_matrix(curve, basis, n_inf)
+    code = AGCode(curve, ell, kind, basis, matrix, n=matrix.shape[1],
+                  k=len(basis), d_star=designed_distance(curve, ell))
+    if not (_rank_by_classes(curve, basis, matrix)
+            or linalg.rank(curve.ctx, matrix) == code.k):
+        raise AssertionError("evaluation matrix rank dropped below basis size")
+    return code
+
+
+def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     """Evaluate the monomials x^i y^j of basis in the column layout of
     curve.theta_coords.  P_inf has weight n_inf in the divisor, and
     t^{n_inf} x^i y^j has valuation n_inf - (i*h + j*c) >= 0 there: the
@@ -154,15 +188,7 @@ def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
     i log x + j log y mod Q - 1: x is nonzero on Theta, and so is y,
     since y = 0 forces norm(x) = trace(y) = 0.  Both terms stay below
     Q^2 <= 2^24 in absolute value (|i| <= ell < Q, j < h, Q within
-    gf.TABLE_MAX_ORDER), so int32 holds the exponents.
-
-    The rank check reads the first W = 1 + h * (most terms sharing one
-    j) columns: P_inf and whole x-fibres.  The j = 0 terms alone number
-    ell + 1, so these are more than deg G = ell * h places, and a
-    nonzero function of L(G) vanishes on at most deg G of them.  Rank
-    is at most k, so a prefix of rank k proves it; the full matrix is
-    checked only if the prefix falls short."""
-    basis = tuple(basis)
+    gf.TABLE_MAX_ORDER), so int32 holds the exponents."""
     pos, xs, ys = curve.theta_coords
     ctx = curve.ctx
     logs = ctx.log_np.astype(np.int32)
@@ -173,13 +199,53 @@ def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
     matrix = np.empty((len(basis), len(pos) + 1), dtype=np.int64)
     matrix[:, 0] = [n_inf + curve.val_infinity(t.i, t.j) == 0 for t in basis]
     matrix[:, pos] = ctx.exp_np.astype(ctx.dtype)[expo]
-    code = AGCode(curve, ell, kind, basis, matrix, n=matrix.shape[1],
-                  k=len(basis), d_star=designed_distance(curve, ell))
-    width = 1 + curve.h * int(np.bincount(j.ravel()).max())
-    if (linalg.rank(ctx, matrix[:, :width]) != code.k
-            and linalg.rank(ctx, matrix) != code.k):
-        raise AssertionError("evaluation matrix rank dropped below basis size")
-    return code
+    return matrix
+
+
+# Entries of the split check's log-domain pass per chunk of rows.
+SPLIT_CHUNK = 1 << 20
+
+
+def _rank_by_classes(curve: NormTraceCurve, basis, matrix: np.ndarray):
+    """True if matrix, the evaluation of basis in the column layout of
+    curve.theta_coords, has full row rank by the class-wise proof of
+    _evaluation_code; False if a class block falls short; None if the
+    split does not hold.  It holds if
+    - the affine columns are whole orbits, each column once
+      (curve.theta_orbits lists orbit u at x = g^0, ..., g^{Q-2});
+    - every affine entry is nonzero and, along each orbit, log M[r, .]
+      steps by e_r mod Q - 1: one log-domain pass over the matrix;
+    - the P_inf column is nonzero in the rows of one class at most.
+    The layout only proposes the orbits: the proof reads the entries.
+    linalg.ranks eliminates all the blocks in lockstep."""
+    ctx, orbits = curve.ctx, curve.theta_orbits
+    q1 = ctx.order - 1
+    e = np.array([t.i + curve.c * t.j for t in basis], dtype=np.int64) % q1
+    at_inf = e[matrix[:, 0] != 0]
+    if orbits is None or (at_inf != at_inf[:1]).any():
+        return None
+    # (Q - 1, h) matrix columns: row l is the fibre x = g^l, which the
+    # layout keeps together, so the gather stays local
+    cols = curve.theta_coords[0][orbits.T]
+    logs = ctx.log_np.astype(np.int32)  # log 0 = -1
+    step = max(1, SPLIT_CHUNK // cols.size)
+    for lo in range(0, len(e), step):
+        log_m = logs[matrix[lo:lo + step].take(cols, axis=1)]
+        steps = np.diff(log_m, axis=1)
+        e_r = e[lo:lo + step, None, None].astype(np.int32)
+        if log_m.min() < 0 or not ((steps == e_r) | (steps == e_r - q1)).all():
+            return None
+    # the fibre, then P_inf: the fibre has no zero entry, so the first
+    # elimination step finds a pivot in every block
+    cols = np.append(cols[0], 0)
+    order = np.argsort(e, kind="stable")
+    counts = np.bincount(e)
+    counts = counts[counts > 0]  # rows per class, by ascending e
+    block = np.repeat(np.arange(len(counts)), counts)
+    at = np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)
+    blocks = np.zeros((len(counts), counts.max(), len(cols)), ctx.dtype)
+    blocks[block, at] = matrix[order][:, cols]
+    return bool((linalg.ranks(ctx, blocks) == counts).all())
 
 
 def designed_distance(curve: NormTraceCurve, ell: int) -> int:

@@ -160,6 +160,7 @@ class FieldCtx:
         self._mul_np = None
         self._add_np = None
         self._neg_np = None
+        self._zero_log = None
 
     # -- construction ---------------------------------------------------
 
@@ -398,6 +399,21 @@ class FieldCtx:
             tbl[1:] = self.exp_np[self.log_np[1:] + self._neg_shift]
             self._neg_np = tbl
         return self._neg_np
+
+    @property
+    def zero_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp) that multiply arrays holding zeros with no mask:
+        log 0 is 2(Q - 1), past the doubled exp table, which goes on
+        with zeros up to index 4(Q - 1).  So exp[log u + log v] = u v,
+        and exp[log u + t] = u g^t for 0 <= t < Q - 1."""
+        if self._zero_log is None:
+            n = self.order - 1
+            log = self.log_np.copy()
+            log[0] = 2 * n
+            exp = np.concatenate([self.exp_np, np.zeros(2 * n + 1, np.int64)])
+            log.flags.writeable = exp.flags.writeable = False
+            self._zero_log = log, exp
+        return self._zero_log
 
     def vadd_scalar(self, u: np.ndarray, a: int) -> np.ndarray:
         """Elementwise u + a for one element a, by base-p digit

@@ -13,6 +13,14 @@ canonical: two matrices have equal row spaces iff their RREFs are equal
 arrays.  rank needs no canonical form: it eliminates below each pivot
 only, in the same loop.  Row-space questions such as membership belong
 to codes.AGCode, which caches its RREF: this module only eliminates.
+
+ranks eliminates a stack of small matrices in lockstep, one numpy step
+per column for the whole stack.  It serves the class-wise rank proof of
+codes._evaluation_code: when the scalings (x, y) -> (bx, b^c y) act
+freely on the affine columns, an invertible DFT on each orbit turns
+the generator matrix into blocks, one per character class
+e = (i + c j) mod (Q - 1), each at most h + 1 columns wide, and the
+rank of the matrix is the sum of the ranks of the blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +45,39 @@ def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
     """Rank by forward elimination: rows below each pivot only, with the
     stored pivot rows left unscaled."""
     return len(_eliminate(ctx, mat, reduced=False)[1])
+
+
+def ranks(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """The rank of each matrix of a 3-D stack, by forward elimination
+    on all of them at once: column by column, each matrix takes as
+    pivot its first row that is nonzero there and not yet a pivot row,
+    and clears the column in its other such rows.  Zero rows, such as
+    the padding of a shorter matrix, add no rank."""
+    R = np.array(stack, dtype=ctx.dtype)
+    if R.ndim != 3:
+        raise ValueError("stack must be 3-dimensional")
+    count, m, n = R.shape
+    free = R.any(axis=2)  # nonzero and not yet a pivot row
+    out = np.zeros(count, dtype=np.int64)
+    at = np.arange(count)
+    log, exp = ctx.zero_log
+    inv = ctx.exp_np[-ctx.log_np % (ctx.order - 1)]  # 1/a by index
+    for col in range(n):
+        if not free.any():
+            break
+        hit = free & (R[:, :, col] != 0)
+        has = hit.any(axis=1)
+        row = hit.argmax(axis=1)
+        free[at[has], row[has]] = False
+        out += has
+        # a matrix with no pivot here gets a junk unit row, but it is
+        # zero at col on its free rows, so every factor is zero
+        unit = exp[log[inv[R[at, row, col]]][:, None]
+                   + log[R[at, row, col + 1:]]]
+        factor = ctx.vneg(np.where(free, R[:, :, col], 0))
+        R[:, :, col + 1:] = ctx.vadd(
+            R[:, :, col + 1:], exp[log[factor][:, :, None] + log[unit][:, None]])
+    return out
 
 
 def _eliminate(ctx: FieldCtx, mat: np.ndarray, reduced: bool):

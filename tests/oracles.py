@@ -37,7 +37,6 @@ library replaces by a valuation rule, and the Frobenius image of one
 place.
 """
 
-import random
 from functools import partial
 
 import numpy as np
@@ -211,14 +210,14 @@ def fixed_places_by_places(s):
 
 def closure_by_compositions(curve, pairs, seed):
     """group_checks' closure verdict with the scalar law: every product
-    of two (a, b) pairs up to 64 of them, else 10,000 triples drawn by
-    rng.choice, each product in the set and associative."""
+    of two (a, b) pairs up to 64 of them, else the 10,000 triples that
+    group_checks draws, each product in the set and associative."""
     law = partial(_compose_ab, curve)
     elems = set(pairs)
     if len(pairs) <= 64:
         return all(law(u, v) in elems for u in pairs for v in pairs)
-    rng = random.Random(seed)
-    triples = ([rng.choice(pairs) for _ in range(3)] for _ in range(10_000))
+    draws = np.random.default_rng(seed).integers(len(pairs), size=(3, 10_000))
+    triples = ([pairs[i] for i in col] for col in draws.T.tolist())
     return all((uv := law(u, v)) in elems
                and law(uv, w) == law(u, law(v, w)) for u, v, w in triples)
 

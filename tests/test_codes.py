@@ -14,7 +14,7 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
 from normtrace.curve import P_INFINITY, build_curve
-from normtrace.rrspace import evaluate, monomial
+from normtrace.rrspace import MonomialTerm, evaluate, monomial
 from oracles import (entrywise_diagonal_by_columns, extended_evaluate,
                      lattice_dimension, local_parameter_at_infinity,
                      naive_min_weight)
@@ -92,48 +92,185 @@ def _rank_widths(monkeypatch):
     return widths
 
 
-def test_rank_check_reads_the_fibre_prefix(monkeypatch):
-    widths = _rank_widths(monkeypatch)
-    for q, r, ell in [(2, 3, 1), (3, 3, 4), (2, 4, 9)]:
-        curve = build_curve(q, r)
-        for build in (build_code, extended_one_point_code):
-            widths.clear()
+BUILDS = (build_code, extended_one_point_code)
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3),
+                                  (2, 4)])
+def test_class_proof_agrees_with_the_full_rank(q, r):
+    # the split is found at every ell, and the verdict of the class
+    # blocks is the verdict of the full matrix
+    curve = build_curve(q, r)
+    assert curve.theta_orbits is not None
+    for ell in range(1, q ** r):
+        for build in BUILDS:
             code = build(curve, ell)
-            # the j = 0 terms x^i, ell + 1 of them, are the most for one j
-            assert widths == [1 + curve.h * (ell + 1)]
-            assert widths[0] < code.n
+            verdict = codes._rank_by_classes(curve, code.basis, code.matrix)
+            assert verdict is not None
+            assert verdict == (linalg.rank(curve.ctx, code.matrix) == code.k)
 
 
-def test_rank_check_rejects_a_repeated_monomial(curve33, monkeypatch):
+# every code the benchmark builds: code-table over (2,3), (3,3) and
+# (2,4), code-build, min-dist, aut-verify and the library fixtures
+LADDER = ([(2, 3, ell) for ell in range(1, 8)]
+          + [(3, 3, ell) for ell in range(1, 27)]
+          + [(2, 4, ell) for ell in range(1, 16)]
+          + [(4, 3, ell) for ell in (1, 2, 8, 16, 24, 31)]
+          + [(3, 4, 10), (3, 4, 20), (16, 2, 8), (16, 2, 16)])
+
+
+def test_ladder_builds_call_no_rank(monkeypatch):
+    def refuse(ctx, mat):
+        raise AssertionError("linalg.rank called")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    curves = {}
+    for q, r, ell in LADDER:
+        curve = curves.setdefault((q, r), build_curve(q, r))
+        for build in BUILDS:
+            assert build(curve, ell).k == dimension_closed_form(q, r, ell)
+
+
+def _doctored(monkeypatch, doctor):
+    """Make _evaluation_matrix hand its matrix to doctor first."""
+    matrix = codes._evaluation_matrix
+
+    def built(curve, basis, n_inf):
+        out = matrix(curve, basis, n_inf)
+        doctor(curve, basis, out)
+        return out
+
+    monkeypatch.setattr(codes, "_evaluation_matrix", built)
+
+
+@pytest.mark.parametrize("value", ["zero", "scaled"])
+@pytest.mark.parametrize("on_fibre", [True, False])
+def test_class_proof_refuses_one_changed_entry(curve33, monkeypatch, value,
+                                               on_fibre):
+    # a zeroed entry of value g^{-1} has log -1 = Q - 2 mod Q - 1, so
+    # its steps along the orbit still read e_r: only its sign tells
+    ctx = curve33.ctx
+    g_inv = ctx.inv(ctx.generator)
+    refused = []
+
+    def doctor(curve, basis, matrix):
+        fibre = np.concatenate([[False], curve.theta_coords[1] == 1])
+        row, col = np.argwhere((matrix == g_inv) & (fibre == on_fibre))[0]
+        matrix[row, col] = 0 if value == "zero" else ctx.mul(
+            g_inv, ctx.generator)
+        refused.append(codes._rank_by_classes(curve, basis, matrix))
+
+    _doctored(monkeypatch, doctor)
+    widths = _rank_widths(monkeypatch)
+    code = build_code(curve33, 4)
+    assert refused == [None]
+    assert widths == [code.n]  # the full matrix decides
+    assert code.k == dimension_closed_form(3, 3, 4)
+
+
+def test_class_proof_refuses_p_inf_in_two_classes(curve33, monkeypatch):
+    # only the constant, of class 0, is nonzero at P_inf; x^{-3} is of
+    # class -3 mod 26
+    refused = []
+
+    def doctor(curve, basis, matrix):
+        matrix[basis.index(MonomialTerm(-3, 0)), 0] = 1
+        refused.append(codes._rank_by_classes(curve, basis, matrix))
+
+    _doctored(monkeypatch, doctor)
+    widths = _rank_widths(monkeypatch)
+    code = build_code(curve33, 4)
+    assert refused == [None]
+    assert widths == [code.n]
+
+
+def test_class_proof_needs_p_inf_at_the_top_ell(curve23):
+    # at ell = Q - 1, x^0 and x^{-(Q-1)} agree at every affine place and
+    # fall in class 0: only P_inf tells them apart
+    top = curve23.ctx.order - 1
+    code = build_code(curve23, top)
+    assert codes._rank_by_classes(curve23, code.basis, code.matrix) is True
+    zeroed = code.matrix.copy()
+    zeroed[:, 0] = 0
+    assert codes._rank_by_classes(curve23, code.basis, zeroed) is False
+    assert linalg.rank(curve23.ctx, zeroed) == code.k - 1
+
+
+def test_class_proof_rejects_a_repeated_monomial(curve33, monkeypatch):
     basis = codes.basis_multipoint
     monkeypatch.setattr(codes, "basis_multipoint",
                         lambda curve, ell: (b := basis(curve, ell)) + b[-1:])
+    verdicts = []
+    _doctored(monkeypatch, lambda curve, basis, matrix: verdicts.append(
+        codes._rank_by_classes(curve, basis, matrix)))
     widths = _rank_widths(monkeypatch)
     with pytest.raises(AssertionError, match="rank dropped"):
         build_code(curve33, 4)
-    assert len(widths) == 2 and widths[1] == 235  # then the full matrix
+    assert verdicts == [False]  # a class falls short
+    assert widths == [235]  # then the full matrix
 
 
-def test_rank_check_falls_back_to_the_full_matrix(monkeypatch):
-    # more than deg G = ell*h distinct places always carry rank k, so no
-    # permutation of Theta starves the prefix: this layout puts the first
-    # fibre ell + 1 times in front of all of Theta
-    ell = 4
-    want = build_code(build_curve(3, 3), ell)
-    curve = build_curve(3, 3)
+def _relaid(q, r, order):
+    """N_{q,r} with its affine columns taken in the given order."""
+    curve = build_curve(q, r)
     _, xs, ys = curve.theta_coords
-    order = np.concatenate([np.tile(np.arange(curve.h), ell + 1),
-                            np.arange(len(xs))])
     curve.__dict__["theta_coords"] = (np.arange(1, len(order) + 1),
                                       xs[order], ys[order])
+    return curve
+
+
+def test_class_proof_falls_back_without_the_unit_fibre(monkeypatch):
+    # more than deg G = ell*h places remain, so the rank is still k
+    ell = 4
+    want = build_code(build_curve(3, 3), ell)
+    kept = np.flatnonzero(build_curve(3, 3).theta_coords[1] != 1)
+    curve = _relaid(3, 3, kept)
+    assert curve.theta_orbits is None
     widths = _rank_widths(monkeypatch)
     code = build_code(curve, ell)
-    prefix = 1 + curve.h * (ell + 1)
-    assert widths == [prefix, code.n]
-    assert linalg.rank(curve.ctx, code.matrix[:, :prefix]) < code.k
+    assert widths == [code.n] == [want.n - curve.h]
     assert code.k == want.k
     assert np.array_equal(code.matrix[:, 0], want.matrix[:, 0])
+    assert np.array_equal(code.matrix[:, 1:], want.matrix[:, 1 + kept])
+
+
+def test_theta_orbits_need_whole_orbits_each_place_once():
+    curve = build_curve(2, 3)
+    order = np.arange(len(curve.theta_coords[1]))
+    assert _relaid(2, 3, np.append(order, 5)).theta_orbits is None
+    assert _relaid(2, 3, np.delete(order, 5)).theta_orbits is None
+    # whole orbits are enough: the proof needs no particular orbit
+    fewer = _relaid(2, 3, np.setdiff1d(order, curve.theta_orbits[2]))
+    assert fewer.theta_orbits.shape == (curve.h - 1, curve.ctx.order - 1)
+
+
+def test_class_proof_finds_the_fibre_anywhere(monkeypatch):
+    # the orbits are found in any order of the affine columns
+    ell = 5
+    want = build_code(build_curve(3, 3), ell)
+    order = np.random.default_rng(3).permutation(want.n - 1)
+    curve = _relaid(3, 3, order)
+    assert curve.theta_orbits is not None
+    widths = _rank_widths(monkeypatch)
+    code = build_code(curve, ell)
+    assert widths == []
+    assert code.k == want.k
     assert np.array_equal(code.matrix[:, 1:], want.matrix[:, 1 + order])
+
+
+def test_theta_orbits_are_scaling_orbits(curve23, curve33, curve24):
+    # row u runs through (1, y_u) at x = g^l, y = y_u g^{lc}
+    for curve in (curve23, curve33, curve24):
+        ctx = curve.ctx
+        _, xs, ys = curve.theta_coords
+        orbits = curve.theta_orbits
+        assert orbits.shape == (curve.h, ctx.order - 1)
+        assert sorted(orbits.ravel().tolist()) == list(range(len(xs)))
+        g = [ctx.pow(ctx.generator, l) for l in range(ctx.order - 1)]
+        for row in orbits.tolist():
+            y_u = int(ys[row[0]])
+            assert [(int(xs[a]), int(ys[a])) for a in row] == [
+                (b, ctx.mul(y_u, ctx.pow(b, curve.c))) for b in g]
 
 
 def test_build_code_memory_is_bounded():
