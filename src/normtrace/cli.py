@@ -211,9 +211,11 @@ def cmd_classify(args):
     status = 0
     if args.search_field is not None:
         field = _field_of_order(args.search_field)
-        maps = sepcurve.brute_force_stabilizer_search(spec, field,
-                                                      budget=args.budget)
-        records = sepcurve.checks(spec, result, maps)
+        # classify has validated spec: map it once for search and checks
+        spec_f = spec.map_coefficients(field)
+        maps = sepcurve.brute_force_stabilizer_search(
+            spec_f, field, budget=args.budget, validated=True)
+        records = sepcurve.checks(spec_f, result, maps)
         rec["search_field"] = args.search_field
         rec["search_count"] = len(maps)
         rec["search_matches_prediction"] = {

@@ -7,6 +7,13 @@ residue polynomial modulo a fixed monic irreducible polynomial.  A
 tables, so multiplication, inversion and powering are table lookups;
 odd-characteristic addition and negation go through Zech logarithms.
 
+The exp table (``exp_np``) is built by doubling whole blocks with
+integer array operations: per-byte XOR tables in characteristic 2,
+base-p digit matrices otherwise (see ``FieldCtx._build_tables``), so
+GF(2^20) takes tens of milliseconds.  The Python lists the scalar
+methods index are made from the arrays on the first scalar call; a
+field used only through arrays never holds them.
+
 The vector operations work on numpy arrays of indices.  The Q x Q
 product and sum tables that the elimination kernel gathers from
 (``mul_np``, ``add_np``) are built on first use, in the narrowest
@@ -23,6 +30,8 @@ desk-scale any more).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -123,6 +132,48 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _byte_tables(images) -> list[np.ndarray]:
+    """XOR tables of the GF(2)-linear map sending bit j to images[j]:
+    entry x of table b is the XOR of the images of the bits set in
+    x << 8b, so one table serves each byte of an index."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        table = np.zeros(1, dtype=np.int64)
+        for image in images[lo:lo + 8]:
+            table = np.concatenate([table, table ^ image])
+        tables.append(table)
+    return tables
+
+
+def _xor_images(tables: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The map of _byte_tables at every index of v: one lookup per byte."""
+    out = tables[0][v & 0xFF]
+    for b in range(1, len(tables)):
+        out ^= tables[b][(v >> 8 * b) & 0xFF]
+    return out
+
+
+class _ListOnFirstUse:
+    """Stands for FieldCtx._exp or _log until a scalar method first
+    indexes it; then both Python lists are built from the arrays and put
+    on the field in place of both stand-ins.  A field used only through
+    its arrays never holds the lists (80 MB for GF(2^20)).  A plain
+    attribute replaced once keeps CPython's attribute loads specialized
+    in the scalar methods, which a property or __getattr__ would not."""
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field: "FieldCtx", name: str):
+        self.field = weakref.ref(field)  # no cycle: the field frees at once
+        self.name = name
+
+    def __getitem__(self, i):
+        field = self.field()
+        field._exp = field.exp_np[:field.order - 1].tolist()
+        field._log = field.log_np.tolist()
+        return getattr(field, self.name)[i]
+
+
 class FieldCtx:
     """The finite field GF(p^k), operating on integer-encoded elements.
 
@@ -152,6 +203,9 @@ class FieldCtx:
         self.modulus = modulus
         # the modulus as a bit mask, for the characteristic-2 _mul_raw
         self._modulus_bits = _coeffs_to_index(modulus, 2) if p == 2 else None
+        self._powers = p ** np.arange(k, dtype=np.int64)
+        # holds a sum of k products of digits: see _mul_matrices
+        self._digit_dtype = np.min_scalar_type(k * (p - 1) ** 2)
         # narrowest unsigned dtype holding every element index
         self.dtype = np.min_scalar_type(order - 1)
         self._build_tables()
@@ -165,35 +219,19 @@ class FieldCtx:
     # -- construction ---------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Multiply without tables (used to bootstrap them)."""
-        p, k = self.p, self.k
-        if p == 2:
-            m = self._modulus_bits
-            r = 0
-            top = 1 << k
-            while b:
-                if b & 1:
-                    r ^= a
-                a <<= 1
-                if a & top:
-                    a ^= m
-                b >>= 1
-            return r
-        # the same shift-and-add on base-p digit lists: r += digit * a,
-        # then a *= X, reducing X^k by the monic modulus
-        low = self.modulus[:k]
-        fa = list(_index_to_coeffs(a, p, k))
-        r = [0] * k
+        """Multiply in characteristic 2 without tables: shift and add on
+        bit masks, reducing X^k by the modulus."""
+        m = self._modulus_bits
+        r = 0
+        top = 1 << self.k
         while b:
-            b, d = divmod(b, p)
-            if d:
-                r = [(x + d * y) % p for x, y in zip(r, fa)]
-            if b:
-                top = fa.pop()
-                fa.insert(0, 0)
-                if top:
-                    fa = [(x - top * y) % p for x, y in zip(fa, low)]
-        return _coeffs_to_index(r, p)
+            if b & 1:
+                r ^= a
+            a <<= 1
+            if a & top:
+                a ^= m
+            b >>= 1
+        return r
 
     def _pow_raw(self, a: int, e: int) -> int:
         r = 1
@@ -205,53 +243,146 @@ class FieldCtx:
         return r
 
     def _build_tables(self):
-        """Find the generator by scalar search, then build exp by
-        doubling: exp[L:2L] is exp[0:L] times g^L, a GF(p)-linear map
-        applied to the whole block at once.  log is the inverse
-        permutation."""
+        """Find the generator g, then build exp by doubling: exp[L:2L]
+        is exp[0:L] times g^L, a GF(p)-linear map applied to the whole
+        block at once, and the map of g^2L is the map of g^L applied to
+        itself.  No step does work per element in Python or reads base-p
+        digits out of indices.
+
+        In characteristic 2 the generator is found by scalar search on
+        bit masks, and the map is a list of per-byte XOR tables (see
+        _byte_tables), squared by applying it to its own tables.  In odd
+        characteristic the generator is found by batched
+        square-and-multiply on digit matrices (_odd_generator); exp is
+        kept as a k x n matrix of base-p digits, each block is the one
+        before times the k x k digit matrix of g^L, that matrix is
+        squared each step, and the indices are formed once at the end.
+        log is the inverse permutation.  The scalar methods' Python
+        lists are built on first use (_ListOnFirstUse)."""
         n = self.order - 1
-        gen = None
         primes = prime_factors(n) if n > 1 else []
-        for cand in range(1, self.order):
-            if all(self._pow_raw(cand, n // ell) != 1 for ell in primes):
-                gen = cand
-                break
-        assert gen is not None
-        self.generator = gen
         # doubled so log sums index directly
         exp = np.empty(2 * n, dtype=np.int64)
-        exp[0] = 1
-        size = 1
-        while size < n:
-            g_size = self._mul_raw(int(exp[size - 1]), gen)
-            end = min(2 * size, n)
-            exp[size:end] = self.linear_map(
-                [self._mul_raw(self.p ** j, g_size) for j in range(self.k)],
-                exp[:end - size])
-            size = end
+        if self.p == 2:
+            self.generator = next(
+                c for c in range(1, self.order)
+                if all(self._pow_raw(c, n // ell) != 1 for ell in primes))
+            self._powers_char2(exp[:n])
+        else:
+            self.generator, g_matrix = self._odd_generator(primes)
+            self._powers_odd(exp[:n], g_matrix)
         exp[n:] = exp[:n]
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
         exp.flags.writeable = log.flags.writeable = False
         self.exp_np = exp
         self.log_np = log
-        self._exp = exp[:n].tolist()
-        self._log = log.tolist()
+        self._exp = _ListOnFirstUse(self, "_exp")
+        self._log = _ListOnFirstUse(self, "_log")
         # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
         self._neg_shift = n // 2 if self.p > 2 else 0
 
+    def _powers_char2(self, out: np.ndarray):
+        """Fill out with g^0, g^1, ... by doubling on byte tables."""
+        n = len(out)
+        tables = _byte_tables([self._mul_raw(1 << j, self.generator)
+                               for j in range(self.k)])
+        out[0] = 1
+        size = 1
+        while size < n:
+            end = min(2 * size, n)
+            out[size:end] = _xor_images(tables, out[:end - size])
+            if end < n:
+                tables = [_xor_images(tables, t) for t in tables]
+            size = end
+
+    def _mul_matrices(self, elems: np.ndarray) -> np.ndarray:
+        """Digit matrices of x -> c x for the odd-characteristic elements
+        c: row j of the matrix of c is the base-p digits of c X^j, so a
+        row of digits times it is the digits of the product, mod p.
+        Entries have _digit_dtype, which holds k (p - 1)^2, so a product
+        of two of these matrices sums exactly."""
+        p, k = self.p, self.k
+        # digits of X^0 .. X^(2k - 2); X^k is minus the modulus' low terms
+        neg_low = [-c % p for c in self.modulus[:k]]
+        rows = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(k - 1):
+            top = rows[-1][-1]
+            rows.append([(a + top * b) % p
+                         for a, b in zip([0] + rows[-1][:-1], neg_low)])
+        # windows[j, i] is the digit row of X^(j + i)
+        windows = np.array([rows[j:j + k] for j in range(k)],
+                           dtype=self._digit_dtype)
+        digits = (elems[:, None] // self._powers % p).astype(self._digit_dtype)
+        return np.einsum("bi,jic->bjc", digits, windows) % p
+
+    def _odd_generator(self, primes) -> tuple[int, np.ndarray]:
+        """The smallest index of full order, and its digit matrix.
+        Candidates are tried in batches of doubling size: for each prime
+        l of n = Q - 1, c^(n / l) comes from square-and-multiply on the
+        batch's digit matrices, and c has full order if none is 1."""
+        p, n = self.p, self.order - 1
+        exps = [n // ell for ell in primes]
+        start, size = 1, 8
+        while True:
+            cands = np.arange(start, min(start + size, self.order))
+            square = mats = self._mul_matrices(cands)
+            one = np.zeros_like(mats[:, :1])
+            one[..., 0] = 1
+            # digit rows of c^e, one per exponent e, bit by bit
+            rows = [one] * len(exps)
+            for bit in range(max(exps).bit_length()):
+                if bit:
+                    square = square @ square % p
+                rows = [row @ square % p if e >> bit & 1 else row
+                        for row, e in zip(rows, exps)]
+            full = np.logical_and.reduce(
+                [(row != one).any(axis=(1, 2)) for row in rows])
+            if full.any():
+                i = int(np.argmax(full))
+                return int(cands[i]), mats[i]
+            start, size = start + size, 2 * size
+
+    def _powers_odd(self, out: np.ndarray, g_matrix: np.ndarray):
+        """Fill out with g^0, g^1, ... by doubling on digit matrices.
+        Column i of the k x n digit matrix holds the digits of g^i, so
+        each row is contiguous, and a block times the digit matrix of
+        g^L is k scaled rows summed: about 3x faster than np.matmul,
+        which has no vectorized integer kernel."""
+        n, p = len(out), self.p
+        digits = np.zeros((self.k, n), dtype=self._digit_dtype)
+        digits[0, 0] = 1
+        spare = np.empty((self.k, n // 2 + 1), dtype=self._digit_dtype)
+        step = g_matrix  # the digit matrix of g^size
+        size = 1
+        while size < n:
+            end = min(2 * size, n)
+            src, block = digits[:, :end - size], digits[:, size:end]
+            term = spare[:, :end - size]
+            np.multiply(step[0][:, None], src[0], out=block)
+            for i in range(1, self.k):
+                np.multiply(step[i][:, None], src[i], out=term)
+                block += term
+            block %= p
+            if end < n:
+                step = step @ step % p
+            size = end
+        # the indices, reading each column of digits as a base-p number
+        out[:] = digits[-1]
+        for j in range(self.k - 2, -1, -1):
+            out *= p
+            out += digits[j]
+
     def linear_map(self, images, v: np.ndarray) -> np.ndarray:
         """Apply to every index in v the GF(p)-linear map that sends the
-        basis element X^j to images[j]: in characteristic 2 the XOR of
-        the images selected by the bits of v, else the base-p digits of
-        v times the digit matrix of the images, mod p."""
+        basis element X^j to images[j]: in characteristic 2 one lookup
+        per byte of v in the XOR tables of the images (_byte_tables),
+        else the base-p digits of v times the digit matrix of the
+        images, mod p."""
         v = np.asarray(v, dtype=np.int64)
         if self.p == 2:
-            out = np.zeros_like(v)
-            for j, image in enumerate(images):
-                out ^= ((v >> j) & 1) * image
-            return out
-        powers = self.p ** np.arange(self.k, dtype=np.int64)
+            return _xor_images(_byte_tables(images), v)
+        powers = self._powers
         cols = np.array(images, dtype=np.int64)[:, None] // powers % self.p
         digits = v[..., None] // powers % self.p
         return (digits @ cols % self.p) @ powers
@@ -340,7 +471,8 @@ class FieldCtx:
         powers of g^s for the generator g and s = (Q - 1)/(p^d - 1)."""
         if self.k % d != 0:
             raise ValueError(f"d = {d} does not divide k = {self.k}")
-        return sorted([0] + self._exp[::(self.order - 1) // (self.p ** d - 1)])
+        n = self.order - 1
+        return sorted([0] + self.exp_np[:n:n // (self.p ** d - 1)].tolist())
 
     def elements(self) -> range:
         return range(self.order)
@@ -450,7 +582,7 @@ class FieldCtx:
             return u.copy()
         out = np.zeros_like(u)
         nz = u != 0
-        out[nz] = self.exp_np[self.log_np[u[nz]] + self._log[s]]
+        out[nz] = self.exp_np[self.log_np[u[nz]] + self.log_np[s]]
         return out
 
     def vmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -431,7 +431,8 @@ def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
 
 def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
                                   search_field: FieldCtx,
-                                  budget: int | None = None) -> list[AffineAut]:
+                                  budget: int | None = None,
+                                  validated: bool = False) -> list[AffineAut]:
     """All affine maps x -> b x + c0, y -> a y + Q(x) (deg Q * p^n < m)
     whose pullback of A(Y) - B(X) is a constant multiple of itself.
 
@@ -444,9 +445,11 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     c0 that pass are solved exactly.  The found set must form a group;
     if it is not closed, the search field is missing conjugates and
     SearchFieldTooSmall is raised.  The budget counts the (a, b, c0)
-    triples the filter covers.
+    triples the filter covers.  validated=True skips validate for a spec
+    the caller has already validated (classify does).
     """
-    validate(spec)
+    if not validated:
+        validate(spec)
     spec_f = spec.map_coefficients(search_field)
     ctx = search_field
     p, n, m = spec_f.p, spec_f.n, spec_f.m
@@ -531,7 +534,8 @@ def checks(spec: SeparatedCurveSpec, result: ClassificationResult,
     (a, b, c0) = (1, 1, 0); when B has one root, the predicted order and
     the scaling law B(b X + c0) = a B(X) with a in the p^d-subfield;
     when B has several roots, |H| = (maps / translations) dividing one
-    of the h_bound divisors."""
+    of the h_bound divisors.  spec may be over the maps' field already
+    (as the CLI passes it) or over a subfield of it."""
     pn = spec.p ** spec.n
     found = len(maps)
     t = sum((s.a, s.b, s.c0) == (1, 1, 0) for s in maps)

@@ -9,7 +9,9 @@ works on whole arrays; field addition and negation digit by digit, where
 the library uses Zech logarithms.  The minimum distance is found over
 every nonzero message, where the library enumerates one message per
 line through 0 in packed words.  The exp table is built one product per
-element, where the library doubles whole blocks by a GF(p)-linear map,
+element and the generator by a scalar search, both with a table-free
+product on bit masks or digit lists, where the library doubles whole
+blocks by a GF(p)-linear map and searches batches of digit matrices,
 and the rational places by testing every (x, y) with the scalar norm and
 trace, where the library forms all traces and norms as arrays.  A
 separated curve's A is evaluated element by element, and a field is
@@ -77,16 +79,76 @@ def semigroup_by_force(h: int, c: int, bound: int) -> list[int]:
     return sorted(out)
 
 
+def mul_by_digits(ctx, a, b):
+    """a b in GF(p^k) without tables, by shift and add: r += digit * a,
+    then a *= X, reducing X^k by the monic modulus.  In characteristic 2
+    on bit masks, else on lists of base-p digits."""
+    p, k = ctx.p, ctx.k
+    if p == 2:
+        mask = sum(c << i for i, c in enumerate(ctx.modulus))
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            a <<= 1
+            if a >> k:
+                a ^= mask
+            b >>= 1
+        return r
+    low = ctx.modulus[:k]
+    fa = [a // p ** i % p for i in range(k)]
+    r = [0] * k
+    while b:
+        b, d = divmod(b, p)
+        if d:
+            r = [(x + d * y) % p for x, y in zip(r, fa)]
+        if b:
+            top = fa.pop()
+            fa.insert(0, 0)
+            if top:
+                fa = [(x - top * y) % p for x, y in zip(fa, low)]
+    return sum(c * p ** i for i, c in enumerate(r))
+
+
+def pow_by_digits(ctx, a, e):
+    """a^e by square-and-multiply with mul_by_digits."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mul_by_digits(ctx, r, a)
+        a = mul_by_digits(ctx, a, a)
+        e >>= 1
+    return r
+
+
+def generator_by_search(ctx):
+    """The smallest nonzero index of full multiplicative order under
+    mul_by_digits: c^(n / l) != 1 for every prime l dividing n = Q - 1,
+    the primes found by trial division."""
+    n = ctx.order - 1
+    primes, m, d = [], n, 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    return next(c for c in range(1, ctx.order)
+                if all(pow_by_digits(ctx, c, n // ell) != 1 for ell in primes))
+
+
 def exp_log_by_powers(ctx):
     """exp and log tables from sequential powers of the generator, one
-    table-free product per element."""
+    mul_by_digits product per element."""
     n = ctx.order - 1
     exp, log = [0] * n, [-1] * ctx.order
     v = 1
     for i in range(n):
         exp[i] = v
         log[v] = i
-        v = ctx._mul_raw(v, ctx.generator)
+        v = mul_by_digits(ctx, v, ctx.generator)
     return exp, log
 
 

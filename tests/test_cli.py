@@ -150,6 +150,20 @@ def test_aut_verify_stdout_is_pinned(capsys, q, r, fmt, digest):
      "9b9305d6abee487c7903fde29191cc39c8ce20645e35a645698fc7a89c16d888"),
     ("field-info --q 262144",
      "79d304e618ee514e61e6a6c46beb106f861f791f84bc9b5007dc19ebbda69ac7"),
+    # the largest field of each shape: 2^20, 3^12, 5^8, 7^7, 1021^2 and
+    # the prime 1048573 (digests recorded before the array bootstrap)
+    ("field-info --q 1048576 --format json",
+     "c35be169594f61896083445fdd472fcf7f6c675b170c105554173c7b1c4d6407"),
+    ("field-info --q 531441 --format json",
+     "e14727474976f03443e60a3f3a3fcd0121b16810ef04afba5aa5c504799109ed"),
+    ("field-info --q 390625 --format json",
+     "ce0d0114995d6d200a3bae0434666094d54ddb51afbe84b4dff66948c53bbc06"),
+    ("field-info --q 823543 --format json",
+     "9329c024dc8260e99434137281b000a48d830ded3cc62c595741e82d14e07125"),
+    ("field-info --q 1042441 --format json",
+     "f7a327d7619a15ca215426c0c81b5d142e98d54326582874f1b18ec385fb85fb"),
+    ("field-info --q 1048573 --format json",
+     "e1321b4c74a809cbb5a62b03bd9ec88b7cb677d1325d9c21b5947b6351111452"),
     ("curve-info --q 4 --r 5",
      "3522a8e6d054ed9b5b615a5086e114501f6db00f711570dbe074ffd2ea0a28c1"),
     ("curve-info --q 16 --r 3",
@@ -171,6 +185,32 @@ def test_curve_info_memory_is_bounded(capsys):
         tracemalloc.stop()
     assert rc == 0 and "rational places: 1048577" in out
     assert peak < 64 << 20
+
+
+def test_field_info_keeps_no_list_copies(capsys, monkeypatch):
+    # GF(2^20): the exp and log arrays take 24 MB; the Python lists the
+    # scalar methods read would add 80 MB, and field-info never needs them
+    built, field_of_order = [], cli._field_of_order
+
+    def record(q):
+        built.append(field_of_order(q))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_field_of_order", record)
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, "field-info", "--q", "1048576")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and "GF(1048576) = GF(2^20)" in out
+    assert kept < 48 << 20 and peak < 48 << 20
+    ctx = built[0]
+    assert not isinstance(ctx._exp, list) and not isinstance(ctx._log, list)
+    # the first scalar op puts both lists on the field
+    assert ctx.mul(2, 3) == 6
+    assert ctx._exp == ctx.exp_np[:ctx.order - 1].tolist()
+    assert ctx._log == ctx.log_np.tolist()
 
 
 def test_curve_info_counts_places_without_building_them(capsys, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 
 from normtrace import gf
 from normtrace.gf import build_field, field_from_dict
-from oracles import (add_by_digits, exp_log_by_powers, irreducible_by_trial,
-                     neg_by_digits)
+from oracles import (add_by_digits, exp_log_by_powers, generator_by_search,
+                     irreducible_by_trial, mul_by_digits, neg_by_digits)
 
 # every p^k <= 2^12 with k >= 2, a sample of prime fields, and two
 # fields past the product-table limit
@@ -102,9 +102,36 @@ def test_exp_log_roundtrip(f27):
 @pytest.mark.parametrize("p, k", BOOTSTRAP_FIELDS)
 def test_exp_log_equal_sequential_powers(p, k):
     ctx = build_field(p, k)
+    assert ctx.generator == generator_by_search(ctx)
     exp, log = exp_log_by_powers(ctx)
-    assert ctx._exp == exp and ctx._log == log
     assert ctx.exp_np.tolist() == exp * 2 and ctx.log_np.tolist() == log
+    # the scalar methods' lists exist once a scalar op has run
+    assert ctx.mul(1, 1) == 1
+    assert ctx._exp == exp and ctx._log == log
+
+
+@pytest.mark.parametrize("p, k", [(2, 18), (3, 10), (3, 12), (5, 8), (7, 7),
+                                  (1021, 2), (2, 20), (1048573, 1)])
+def test_largest_fields_match_oracle_powers(p, k):
+    # large fields up to the top orders, sampled: the oracle's product
+    # is too slow for every power, so the generator and 1,000 seeded
+    # powers are checked
+    ctx = build_field(p, k)
+    n = ctx.order - 1
+    assert ctx.generator == generator_by_search(ctx)
+    assert ctx.log_np[0] == -1
+    assert np.array_equal(ctx.log_np[ctx.exp_np[:n]], np.arange(n))
+    assert np.array_equal(ctx.exp_np[n:], ctx.exp_np[:n])
+    squares = [ctx.generator]  # g^(2^i)
+    while len(squares) < n.bit_length():
+        squares.append(mul_by_digits(ctx, squares[-1], squares[-1]))
+    rng = random.Random(p * 100 + k)
+    for e in (rng.randrange(n) for _ in range(1000)):
+        want = 1
+        for i, square in enumerate(squares):
+            if e >> i & 1:
+                want = mul_by_digits(ctx, want, square)
+        assert ctx.exp_np[e] == want
 
 
 def test_linear_map_applies_the_images(f8, f27):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -72,9 +73,10 @@ def test_validate_rejections():
                 check(spec)
 
 
-def test_classify_validates_once(monkeypatch):
+def test_classify_validates_once(monkeypatch, tmp_path, capsys):
     # and calls monomial_shift once
     import normtrace.sepcurve as sepcurve
+    from normtrace.cli import main
     calls = []
     for name in ("validate", "monomial_shift"):
         real = getattr(sepcurve, name)
@@ -85,6 +87,25 @@ def test_classify_validates_once(monkeypatch):
         calls.clear()
         classify(spec)
         assert calls == [("validate", spec), ("monomial_shift", spec)]
+    # classify --search-field validates once too, and embeds the spec in
+    # the search field once for both the search and its checks (a call
+    # on a spec already over dst returns the spec itself)
+    real_map = SeparatedCurveSpec.map_coefficients
+    monkeypatch.setattr(SeparatedCurveSpec, "map_coefficients",
+                        lambda spec, dst: calls.append(
+                            ("map", spec.ctx.order, dst.order))
+                        or real_map(spec, dst))
+    path = tmp_path / "spec.json"
+    for spec, field in ((spec_a422_b3(), 64), (spec_a51_b3(), 25),
+                        (non_monomial, 64)):
+        path.write_text(json.dumps(spec.to_dict()))
+        calls.clear()
+        assert main(["classify", "--spec", str(path),
+                     "--search-field", str(field)]) == 0
+        assert "maps found" in capsys.readouterr().out
+        names = [call[0] for call in calls]
+        assert names.count("validate") == 1
+        assert calls.count(("map", spec.ctx.order, field)) == 1
 
 
 def test_additivity_holds_by_construction():
