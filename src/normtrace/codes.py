@@ -41,30 +41,42 @@ def _check_ell(curve: NormTraceCurve, ell: int):
 
 def _check_code(curve: NormTraceCurve, ell: int):
     """Refuse a code before any place is enumerated: ell out of range,
-    or a field too large for the linear algebra (the rank check)."""
+    or a field too large for the table arithmetic that builds the matrix
+    and eliminates on it."""
     _check_ell(curve, ell)
     curve.ctx.check_table_order()
 
 
 @dataclass(eq=False)
 class AGCode:
-    """An evaluation code with its generator matrix and parameters.
+    """An evaluation code with its parameters; its generator matrix is
+    built on first read.
 
     The matrix rows are evaluation vectors of the basis elements over
-    Theta, in the column layout of curve.theta_coords.  The report's
-    d_exact is None: min_distance_exhaustive returns the distance.
+    Theta, in the column layout of curve.theta_coords, with weight n_inf
+    at P_inf (see _evaluation_matrix).  The report's d_exact is None:
+    min_distance_exhaustive returns the distance.
     """
 
     curve: NormTraceCurve
     ell: int
     kind: str
     basis: tuple[MonomialTerm, ...]
-    matrix: np.ndarray
     n: int
     k: int
     d_star: int
+    n_inf: int
+    _matrix: np.ndarray | None = field(default=None, repr=False)
     _rref: tuple | None = field(default=None, repr=False)
     _lowering: tuple | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The k x n generator matrix, built on first read."""
+        if self._matrix is None:
+            self._matrix = _evaluation_matrix(self.curve, self.basis,
+                                              self.n_inf)
+        return self._matrix
 
     def row_space(self):
         """The canonical RREF of the matrix, computed on first use."""
@@ -127,7 +139,7 @@ def _lowering(p: int, basis) -> tuple | None:
 def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
     """The multi-point code: evaluate the L(ell * Omega) monomial basis
     over Theta.  The evaluation map is injective (n > deg G), so the
-    matrix rank equals the basis size; this is checked."""
+    matrix rank equals the basis size; this is proved from the basis."""
     _check_code(curve, ell)
     return _evaluation_code(curve, ell, MULTIPOINT,
                             basis_multipoint(curve, ell), 0)
@@ -146,43 +158,76 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
 def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
                      n_inf: int) -> AGCode:
     """The code of the monomials x^i y^j of basis over Theta, with
-    weight n_inf at P_inf (see _evaluation_matrix).
+    weight n_inf at P_inf (see _evaluation_matrix).  Its length is
+    n = q^{2r-1} + 1 - h, and its matrix is built on first read.
 
     The evaluation map is injective, so the matrix M has rank k, the
-    basis size; this is proved on the built matrix, class by class.
-    The scalings (x, y) -> (bx, b^c y) act freely on the affine places;
-    the orbit of (x, y) meets the fibre x = 1 once, at (1, y_u) with
-    y_u = y x^{-c}, and the row of x^i y^j reads
-    M[r, (x, y)] = M[r, (1, y_u)] x^{e_r}, e_r = (i + c j) mod (Q - 1).
-    The DFT of an orbit, sum over nonzero x of x^{-e} M[:, (x, y)], is
-    an invertible column operation: the sum of x^{e_r - e} is Q - 1 =
-    -1 if e_r = e, else 0.  It leaves column (u, e) equal to
-    -M[:, (1, y_u)] on the rows of class e and zero elsewhere.  If the
-    P_inf column is nonzero in one class at most, M therefore splits:
-    rank M is the sum over e of rank B_e, B_e the rows of class e
-    restricted to P_inf and the fibre x = 1 (at most h + 1 columns),
-    and rank M = k iff every B_e has full row rank.  The P_inf column
-    is what tells x^0 from x^{-(Q-1)} at ell = Q - 1: they agree at
-    every affine place and both fall in class 0.
-
-    _rank_by_classes checks the split on the entries of M and the
-    blocks by linalg.ranks; if the split does not hold or a block falls
-    short, the rank of the whole matrix decides."""
+    basis size; this is proved from the basis alone, by its keys.
+    The scalings (x, y) -> (bx, b^c y) act freely on the affine places
+    of Theta (x != 0); the orbit of (x, y) meets the fibre x = 1 once,
+    at (1, y_u) with y_u = y x^{-c}, and the row of x^i y^j reads
+    M[r, (x, y)] = y_u^j x^{e_r}, e_r = (i + c j) mod (Q - 1).  The DFT
+    of an orbit, sum over nonzero x of x^{-e} M[:, (x, y)], is an
+    invertible column operation: the sum of x^{e_r - e} is Q - 1 = -1
+    if e_r = e, else 0.  It leaves column (u, e) equal to -y_u^j on the
+    rows of class e and zero elsewhere, so the affine columns split
+    into one block per class, on the h distinct y_u of the fibre x = 1
+    (curve.affine_xy asserts that every fibre holds h points).  In one
+    class, rows with distinct j < h are rows of an h x h Vandermonde
+    matrix, hence independent; two rows of one class share j iff they
+    share the key (i mod (Q - 1), j), and then they agree at every
+    affine place.  So rank M = k if
+    - every j lies in 0..h-1;
+    - the P_inf column is nonzero in the rows of one class at most, so
+      that it joins one block of the split;
+    - the keys are distinct, but for at most one shared pair whose
+      P_inf entries differ: their difference is then nonzero at P_inf
+      alone.  At ell = Q - 1 the multipoint basis holds such a pair,
+      x^0 and x^{-(Q-1)}.
+    _rank_by_keys checks this in O(k).  The class blocks and the rank
+    of the whole matrix are its oracles in the tests."""
     basis = tuple(basis)
-    matrix = _evaluation_matrix(curve, basis, n_inf)
-    code = AGCode(curve, ell, kind, basis, matrix, n=matrix.shape[1],
-                  k=len(basis), d_star=designed_distance(curve, ell))
-    if not (_rank_by_classes(curve, basis, matrix)
-            or linalg.rank(curve.ctx, matrix) == code.k):
-        raise AssertionError("evaluation matrix rank dropped below basis size")
-    return code
+    if not _rank_by_keys(curve, basis, n_inf):
+        raise AssertionError("the basis keys do not prove rank k")
+    return AGCode(curve, ell, kind, basis,
+                  n=curve.q ** (2 * curve.r - 1) + 1 - curve.h,
+                  k=len(basis), d_star=designed_distance(curve, ell),
+                  n_inf=n_inf)
+
+
+def _rank_by_keys(curve: NormTraceCurve, basis, n_inf: int) -> bool:
+    """True if the code of basis over Theta, with weight n_inf at
+    P_inf, has full row rank by the key proof of _evaluation_code."""
+    q1, h = curve.ctx.order - 1, curve.h
+    i, j = _exponents(basis)
+    at_inf = _at_infinity(curve, i, j, n_inf)
+    classes = (i + curve.c * j)[at_inf] % q1
+    if not ((0 <= j) & (j < h)).all() or (classes != classes[:1]).any():
+        return False
+    keys = i % q1 * h + j
+    order = np.argsort(keys, kind="stable")
+    shared = np.flatnonzero(np.diff(keys[order]) == 0)  # pairs in order
+    return len(shared) <= 1 and bool(
+        (at_inf[order[shared]] != at_inf[order[shared + 1]]).all())
+
+
+def _exponents(basis) -> np.ndarray:
+    """The (2, k) array of the exponents i and j of the monomials
+    x^i y^j of basis."""
+    return np.array([(t.i, t.j) for t in basis],
+                    dtype=np.int64).reshape(-1, 2).T
+
+
+def _at_infinity(curve: NormTraceCurve, i, j, n_inf: int) -> np.ndarray:
+    """The P_inf column of the code of the monomials x^i y^j: t^{n_inf}
+    x^i y^j has valuation n_inf - (i*h + j*c) >= 0 there, and the entry
+    is 1 at valuation 0 and 0 above, as in rrspace.evaluate."""
+    return n_inf + curve.val_infinity(i, j) == 0
 
 
 def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     """Evaluate the monomials x^i y^j of basis in the column layout of
-    curve.theta_coords.  P_inf has weight n_inf in the divisor, and
-    t^{n_inf} x^i y^j has valuation n_inf - (i*h + j*c) >= 0 there: the
-    entry is 1 at valuation 0 and 0 above, as in rrspace.evaluate.
+    curve.theta_coords, with weight n_inf at P_inf (see _at_infinity).
 
     The affine entries are one gather from the exp table at
     i log x + j log y mod Q - 1: x is nonzero on Theta, and so is y,
@@ -192,60 +237,14 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     pos, xs, ys = curve.theta_coords
     ctx = curve.ctx
     logs = ctx.log_np.astype(np.int32)
-    i, j = np.array([(t.i, t.j) for t in basis], dtype=np.int32).T[:, :, None]
-    expo = i * logs[xs]
-    expo += j * logs[ys]
+    i, j = _exponents(basis)
+    expo = i.astype(np.int32)[:, None] * logs[xs]
+    expo += j.astype(np.int32)[:, None] * logs[ys]
     expo %= ctx.order - 1
     matrix = np.empty((len(basis), len(pos) + 1), dtype=np.int64)
-    matrix[:, 0] = [n_inf + curve.val_infinity(t.i, t.j) == 0 for t in basis]
+    matrix[:, 0] = _at_infinity(curve, i, j, n_inf)
     matrix[:, pos] = ctx.exp_np.astype(ctx.dtype)[expo]
     return matrix
-
-
-# Entries of the split check's log-domain pass per chunk of rows.
-SPLIT_CHUNK = 1 << 20
-
-
-def _rank_by_classes(curve: NormTraceCurve, basis, matrix: np.ndarray):
-    """True if matrix, the evaluation of basis in the column layout of
-    curve.theta_coords, has full row rank by the class-wise proof of
-    _evaluation_code; False if a class block falls short; None if the
-    split does not hold.  It holds if
-    - the affine columns are whole orbits, each column once
-      (curve.theta_orbits lists orbit u at x = g^0, ..., g^{Q-2});
-    - every affine entry is nonzero and, along each orbit, log M[r, .]
-      steps by e_r mod Q - 1: one log-domain pass over the matrix;
-    - the P_inf column is nonzero in the rows of one class at most.
-    The layout only proposes the orbits: the proof reads the entries.
-    linalg.ranks eliminates all the blocks in lockstep."""
-    ctx, orbits = curve.ctx, curve.theta_orbits
-    q1 = ctx.order - 1
-    e = np.array([t.i + curve.c * t.j for t in basis], dtype=np.int64) % q1
-    at_inf = e[matrix[:, 0] != 0]
-    if orbits is None or (at_inf != at_inf[:1]).any():
-        return None
-    # (Q - 1, h) matrix columns: row l is the fibre x = g^l, which the
-    # layout keeps together, so the gather stays local
-    cols = curve.theta_coords[0][orbits.T]
-    logs = ctx.log_np.astype(np.int32)  # log 0 = -1
-    step = max(1, SPLIT_CHUNK // cols.size)
-    for lo in range(0, len(e), step):
-        log_m = logs[matrix[lo:lo + step].take(cols, axis=1)]
-        steps = np.diff(log_m, axis=1)
-        e_r = e[lo:lo + step, None, None].astype(np.int32)
-        if log_m.min() < 0 or not ((steps == e_r) | (steps == e_r - q1)).all():
-            return None
-    # the fibre, then P_inf: the fibre has no zero entry, so the first
-    # elimination step finds a pivot in every block
-    cols = np.append(cols[0], 0)
-    order = np.argsort(e, kind="stable")
-    counts = np.bincount(e)
-    counts = counts[counts > 0]  # rows per class, by ascending e
-    block = np.repeat(np.arange(len(counts)), counts)
-    at = np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)
-    blocks = np.zeros((len(counts), counts.max(), len(cols)), ctx.dtype)
-    blocks[block, at] = matrix[order][:, cols]
-    return bool((linalg.ranks(ctx, blocks) == counts).all())
 
 
 def designed_distance(curve: NormTraceCurve, ell: int) -> int:

@@ -225,31 +225,6 @@ class NormTraceCurve:
         xs, ys = self.affine_xy
         return np.arange(1, len(xs) - self.h + 1), xs[self.h:], ys[self.h:]
 
-    @cached_property
-    def theta_orbits(self) -> np.ndarray | None:
-        """The affine places of theta_coords as orbits of the scalings
-        (x, y) -> (bx, b^c y), by index into its arrays: row u of the
-        (h, Q - 1) array runs through (1, y_u) at x = g^0, ..., g^{Q-2},
-        g the field's generator.  The orbit of (x, y) meets the fibre
-        x = 1 at y_u = y x^{-c}, wherever that fibre lies in the layout.
-        None unless the affine places are exactly such orbits, each
-        place once."""
-        _, xs, ys = self.theta_coords
-        ctx, q1 = self.ctx, self.ctx.order - 1
-        lx, ly = ctx.log_np[xs], ctx.log_np[ys]
-        if min(lx.min(), ly.min()) < 0:
-            return None  # a zero coordinate
-        fibre = np.flatnonzero(xs == 1)
-        slot = np.full(ctx.order, -1)
-        slot[ys[fibre]] = np.arange(len(fibre))
-        inv_norm = (-self.c * np.arange(q1)) % q1  # log x^{-c} by log x
-        u = slot[ctx.exp_np[ly + inv_norm[lx]]]
-        if u.min() < 0 or len(xs) != len(fibre) * q1:
-            return None
-        orbits = np.full(len(xs), -1)
-        orbits[u * q1 + lx] = np.arange(len(xs))
-        return None if orbits.min() < 0 else orbits.reshape(-1, q1)
-
     # -- divisors ----------------------------------------------------------
 
     def principal_divisor_x(self) -> Divisor:

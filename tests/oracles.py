@@ -31,7 +31,11 @@ repeated division by X - e, and the standard model's constants by a
 nested scan of every delta and gamma, where the library evaluates B,
 its Hasse derivatives and the powers over whole arrays.  Two codes are
 compared column by column with scalar divisions, where the library
-forms every ratio as one array.
+forms every ratio as one array.  A code's rank is found by eliminating
+its whole matrix, or its class blocks in lockstep once one log-domain
+pass has checked the split, where the library proves it from the basis
+keys alone; and the matrix's entries by scalar evaluation at each
+place, where the library gathers them from the exp table.
 
 Some helpers live here because only the tests use them: the local
 parameter at P_inf and the extended evaluation through it, which the
@@ -49,7 +53,7 @@ from normtrace.autgroup import (CodeAut, CurveAut, _compose_ab, apply_place,
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
-from normtrace.rrspace import MonomialTerm, evaluate
+from normtrace.rrspace import MonomialTerm, evaluate, monomial
 from normtrace.sepcurve import (AffineAut, SearchFieldTooSmall,
                                 _solve_additive_preimage, compose_affine,
                                 inverse_affine, monomial_shift, mu_fixers,
@@ -341,6 +345,139 @@ def rref_by_entries(ctx, mat):
         if len(pivots) == m:
             break
     return M, tuple(pivots)
+
+
+def rank(ctx, mat):
+    """Rank by forward elimination on whole rows: each pivot clears its
+    column in the rows below it only."""
+    R = np.array(mat, dtype=ctx.dtype)
+    row = 0
+    for col in range(R.shape[1]):
+        if row == len(R):
+            break
+        nz = np.flatnonzero(R[row:, col])
+        if len(nz) == 0:
+            continue
+        pr = row + int(nz[0])
+        R[[row, pr]] = R[[pr, row]]
+        unit = ctx.vscale(ctx.inv(int(R[row, col])), R[row, col:])
+        below = row + 1 + np.flatnonzero(R[row + 1:, col])
+        R[below, col:] = ctx.vadd(
+            R[below, col:], ctx.vmul_outer(ctx.vneg(R[below, col]), unit))
+        row += 1
+    return row
+
+
+def ranks(ctx, stack):
+    """The rank of each matrix of a 3-D stack, by forward elimination
+    on all of them at once: column by column, each matrix takes as
+    pivot its first row that is nonzero there and not yet a pivot row,
+    and clears the column in its other such rows.  Zero rows, such as
+    the padding of a shorter matrix, add no rank."""
+    R = np.array(stack, dtype=ctx.dtype)
+    if R.ndim != 3:
+        raise ValueError("stack must be 3-dimensional")
+    count, m, n = R.shape
+    free = R.any(axis=2)  # nonzero and not yet a pivot row
+    out = np.zeros(count, dtype=np.int64)
+    at = np.arange(count)
+    log, exp = ctx.zero_log
+    inv = ctx.exp_np[-ctx.log_np % (ctx.order - 1)]  # 1/a by index
+    for col in range(n):
+        if not free.any():
+            break
+        hit = free & (R[:, :, col] != 0)
+        has = hit.any(axis=1)
+        row = hit.argmax(axis=1)
+        free[at[has], row[has]] = False
+        out += has
+        # a matrix with no pivot here gets a junk unit row, but it is
+        # zero at col on its free rows, so every factor is zero
+        unit = exp[log[inv[R[at, row, col]]][:, None]
+                   + log[R[at, row, col + 1:]]]
+        factor = ctx.vneg(np.where(free, R[:, :, col], 0))
+        R[:, :, col + 1:] = ctx.vadd(
+            R[:, :, col + 1:], exp[log[factor][:, :, None] + log[unit][:, None]])
+    return out
+
+
+def theta_orbits(curve):
+    """The affine places of curve.theta_coords as orbits of the
+    scalings (x, y) -> (bx, b^c y), by index into its arrays: row u of
+    the (h', Q - 1) array runs through (1, y_u) at x = g^0, ...,
+    g^{Q-2}, g the field's generator.  The orbit of (x, y) meets the
+    fibre x = 1 at y_u = y x^{-c}, wherever that fibre lies in the
+    layout.  None unless the affine places are exactly such orbits,
+    each place once."""
+    _, xs, ys = curve.theta_coords
+    ctx, q1 = curve.ctx, curve.ctx.order - 1
+    lx, ly = ctx.log_np[xs], ctx.log_np[ys]
+    if min(lx.min(), ly.min()) < 0:
+        return None  # a zero coordinate
+    fibre = np.flatnonzero(xs == 1)
+    slot = np.full(ctx.order, -1)
+    slot[ys[fibre]] = np.arange(len(fibre))
+    inv_norm = (-curve.c * np.arange(q1)) % q1  # log x^{-c} by log x
+    u = slot[ctx.exp_np[ly + inv_norm[lx]]]
+    if u.min() < 0 or len(xs) != len(fibre) * q1:
+        return None
+    orbits = np.full(len(xs), -1)
+    orbits[u * q1 + lx] = np.arange(len(xs))
+    return None if orbits.min() < 0 else orbits.reshape(-1, q1)
+
+
+# Entries of the split check's log-domain pass per chunk of rows.
+SPLIT_CHUNK = 1 << 20
+
+
+def rank_by_classes(curve, basis, matrix):
+    """True if matrix, the evaluation of basis in the column layout of
+    curve.theta_coords, has full row rank by the class blocks of the
+    DFT split (see codes._evaluation_code); False if a class block
+    falls short; None if the split does not hold.  It holds if
+    - the affine columns are whole orbits, each column once
+      (theta_orbits lists orbit u at x = g^0, ..., g^{Q-2});
+    - every affine entry is nonzero and, along each orbit, log M[r, .]
+      steps by e_r mod Q - 1: one log-domain pass over the matrix;
+    - the P_inf column is nonzero in the rows of one class at most.
+    The layout only proposes the orbits: the proof reads the entries.
+    ranks eliminates all the blocks, P_inf and the fibre x = 1, in
+    lockstep."""
+    ctx, orbits = curve.ctx, theta_orbits(curve)
+    q1 = ctx.order - 1
+    e = np.array([t.i + curve.c * t.j for t in basis], dtype=np.int64) % q1
+    at_inf = e[matrix[:, 0] != 0]
+    if orbits is None or (at_inf != at_inf[:1]).any():
+        return None
+    # (Q - 1, h) matrix columns: row l is the fibre x = g^l
+    cols = curve.theta_coords[0][orbits.T]
+    logs = ctx.log_np.astype(np.int32)  # log 0 = -1
+    step = max(1, SPLIT_CHUNK // cols.size)
+    for lo in range(0, len(e), step):
+        log_m = logs[matrix[lo:lo + step].take(cols, axis=1)]
+        steps = np.diff(log_m, axis=1)
+        e_r = e[lo:lo + step, None, None].astype(np.int32)
+        if log_m.min() < 0 or not ((steps == e_r) | (steps == e_r - q1)).all():
+            return None
+    cols = np.append(cols[0], 0)  # the fibre, then P_inf
+    order = np.argsort(e, kind="stable")
+    counts = np.bincount(e)
+    counts = counts[counts > 0]  # rows per class, by ascending e
+    block = np.repeat(np.arange(len(counts)), counts)
+    at = np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)
+    blocks = np.zeros((len(counts), counts.max(), len(cols)), ctx.dtype)
+    blocks[block, at] = matrix[order][:, cols]
+    return bool((ranks(ctx, blocks) == counts).all())
+
+
+def evaluation_by_places(curve, basis, cols):
+    """The affine columns cols of the code of basis (column layout of
+    curve.theta_coords), by scalar rrspace.evaluate at each place."""
+    _, xs, ys = curve.theta_coords
+    places = [Place(AFFINE, int(xs[c - 1]), int(ys[c - 1])) for c in cols]
+    funcs = [monomial(curve, 1, t.i, t.j) for t in basis]
+    return np.array([[evaluate(f, P) for P in places] for f in funcs],
+                    dtype=np.int64).reshape(len(basis), len(cols))
 
 
 def min_distance_full_enumeration(code, budget, stop_at=None,

@@ -317,7 +317,7 @@ def _swapped(code):
     """The code with Theta columns 1 and 2 exchanged in its matrix."""
     swapped = code.matrix.copy()
     swapped[:, [1, 2]] = swapped[:, [2, 1]]
-    return dataclasses.replace(code, matrix=swapped, _rref=None)
+    return dataclasses.replace(code, _matrix=swapped, _rref=None)
 
 
 def test_certificate_decides_every_curve_automorphism_of_23(curve23,
@@ -400,7 +400,7 @@ def test_lowering_missing_a_term_leaves_membership(curve23):
     assert not all(keep)
     part = dataclasses.replace(
         code, basis=tuple(t for t, kept in zip(code.basis, keep) if kept),
-        matrix=code.matrix[keep], k=sum(keep), _rref=None)
+        _matrix=code.matrix[keep], k=sum(keep), _rref=None)
     assert part.lowering() is None
     g = CodeAut(enumerate_group(curve23)[5])
     assert autgroup._transfer_image(part, g) is None

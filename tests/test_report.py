@@ -57,7 +57,8 @@ def fake_codes(draw):
     curve = SimpleNamespace(q=order, r=draw(st.integers(2, 5)),
                             ctx=SimpleNamespace(order=order))
     return AGCode(curve, draw(st.integers(1, 40)), codes.MULTIPOINT, basis,
-                  matrix, n=n, k=k, d_star=draw(st.integers(-5, 50)))
+                  n=n, k=k, d_star=draw(st.integers(-5, 50)), n_inf=0,
+                  _matrix=matrix)
 
 
 def code_build(code, fmt):
