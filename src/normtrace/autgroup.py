@@ -307,8 +307,7 @@ def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
     alpha, beta = (ctx.frobenius(v, g.frob) for v in (inv.a, inv.b))
     log, exp = ctx.zero_log
     logs = log[code.matrix]
-    weights = np.array([t.i + c * t.j for t in code.basis], dtype=np.int64)
-    weights = weights * log[beta] + log[g.scalar]
+    weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
     out = None
     for d, rows, src, binom in passes:
         if d and not alpha:
@@ -360,30 +359,21 @@ def generates(curve: NormTraceCurve, gens: list[CurveAut]) -> bool:
     return len(np.unique(span)) == curve.h
 
 
-def code_checks(code: AGCode, group: list[CurveAut]
-                ) -> list[tuple[str, bool, str]]:
+def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) records for the invariance of the code
-    under every curve automorphism in the group, every Frobenius power
-    and every nonzero scalar.
+    under all h (Q - 1) curve automorphisms, every Frobenius power and
+    every nonzero scalar.
 
     Code automorphisms form a group, so each family is checked on
     generators: the maps of generators(curve); Frobenius^1, whose e-th
     power is Frobenius^e by the definition of code_action; and the
     primitive scalar.  A family passes only if its generators pass and
-    they generate it (generates, and the scalar's order).  The group
-    must be the whole automorphism group, h (Q - 1) distinct (a, b)
-    pairs on the code's curve; any other list raises ValueError."""
+    they generate it (generates, and the scalar's order)."""
     curve, ctx = code.curve, code.curve.ctx
-    want = curve.h * (ctx.order - 1)
-    if (len(group) != want
-            or any(s.curve != curve for s in group)
-            or len({(s.a, s.b) for s in group}) != want):
-        raise ValueError(f"code checks need the whole group of {want} "
-                         f"automorphisms of the code's curve")
     gens = generators(curve)
     ident = identity_aut(curve)
     families = [
-        (f"code invariance: {len(group)} curve automorphisms",
+        (f"code invariance: {curve.h * (ctx.order - 1)} curve automorphisms",
          generates(curve, gens), [CodeAut(s) for s in gens],
          f"ell={code.ell}"),
         (f"code invariance: {ctx.k} Frobenius powers",

@@ -180,8 +180,8 @@ def cmd_aut_verify(args):
                          f"checks")
     group = autgroup.enumerate_group(curve)
     checks, short = autgroup.group_checks(curve, group, args.seed)
-    if all(passed for _, passed, _ in checks):  # code checks need the group
-        checks += autgroup.code_checks(code, group)
+    if all(passed for _, passed, _ in checks):  # once the group holds
+        checks += autgroup.code_checks(code)
 
     ok = all(passed for _, passed, _ in checks)
     if args.format == "json":

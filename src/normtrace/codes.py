@@ -49,26 +49,38 @@ def _check_code(curve: NormTraceCurve, ell: int):
 
 @dataclass(eq=False)
 class AGCode:
-    """An evaluation code with its parameters; its generator matrix is
-    built on first read.
+    """An evaluation code; its generator matrix is built on first read.
 
-    The matrix rows are evaluation vectors of the basis elements over
-    Theta, in the column layout of curve.theta_coords, with weight n_inf
-    at P_inf (see _evaluation_matrix).  The report's d_exact is None:
-    min_distance_exhaustive returns the distance.
-    """
+    basis is the (2, k) array [i; j] of the monomials x^i y^j, laid out
+    as by rrspace.basis_one_point.  The matrix rows are their evaluation
+    vectors over Theta, in the column layout of curve.theta_coords, with
+    weight n_inf at P_inf (see _evaluation_matrix).  kind, n, k and
+    d_star are read from these fields, so none can go stale.  The
+    report's d_exact is None: min_distance_exhaustive returns it."""
 
     curve: NormTraceCurve
     ell: int
-    kind: str
-    basis: tuple[MonomialTerm, ...]
-    n: int
-    k: int
-    d_star: int
+    basis: np.ndarray
     n_inf: int
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _rref: tuple | None = field(default=None, repr=False)
     _lowering: tuple | None = field(default=None, repr=False)
+
+    @property
+    def kind(self) -> str:
+        return EXTENDED_ONE_POINT if self.n_inf else MULTIPOINT
+
+    @property
+    def n(self) -> int:  # the places of Theta
+        return self.curve.q ** (2 * self.curve.r - 1) + 1 - self.curve.h
+
+    @property
+    def k(self) -> int:  # the rank, by _evaluation_code
+        return self.basis.shape[1]
+
+    @property
+    def d_star(self) -> int:
+        return designed_distance(self.curve, self.ell)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -110,15 +122,15 @@ class AGCode:
             "k": self.k,
             "d_star": self.d_star,
             "d_exact": None,
-            "basis": [t.to_dict() for t in self.basis],
+            "basis": [{"i": i, "j": j}
+                      for i, j in zip(*self.basis.tolist())],
         }
 
 
 def _lowering(p: int, basis) -> tuple | None:
     """AGCode.lowering's passes, from Pascal's triangle mod p."""
-    index = {(t.i, t.j): row for row, t in enumerate(basis)}
-    i, j = np.array([(t.i, t.j) for t in basis],
-                    dtype=np.int64).reshape(-1, 2).T
+    i, j = basis
+    index = {key: row for row, key in enumerate(zip(i.tolist(), j.tolist()))}
     top = int(j.max(initial=0)) + 1
     binom = np.zeros((top, top), dtype=np.int64)
     binom[:, 0] = 1
@@ -141,8 +153,7 @@ def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
     over Theta.  The evaluation map is injective (n > deg G), so the
     matrix rank equals the basis size; this is proved from the basis."""
     _check_code(curve, ell)
-    return _evaluation_code(curve, ell, MULTIPOINT,
-                            basis_multipoint(curve, ell), 0)
+    return _evaluation_code(curve, ell, basis_multipoint(curve, ell), 0)
 
 
 def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
@@ -150,16 +161,14 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
     over Theta, with the P_inf entry taken through t^{ell*h} for the
     canonical local parameter t."""
     _check_code(curve, ell)
-    return _evaluation_code(curve, ell, EXTENDED_ONE_POINT,
-                            basis_one_point(curve, ell * curve.h),
+    return _evaluation_code(curve, ell, basis_one_point(curve, ell * curve.h),
                             ell * curve.h)
 
 
-def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
+def _evaluation_code(curve: NormTraceCurve, ell: int, basis: np.ndarray,
                      n_inf: int) -> AGCode:
     """The code of the monomials x^i y^j of basis over Theta, with
-    weight n_inf at P_inf (see _evaluation_matrix).  Its length is
-    n = q^{2r-1} + 1 - h, and its matrix is built on first read.
+    weight n_inf at P_inf (see _evaluation_matrix and AGCode).
 
     The evaluation map is injective, so the matrix M has rank k, the
     basis size; this is proved from the basis alone, by its keys.
@@ -186,20 +195,16 @@ def _evaluation_code(curve: NormTraceCurve, ell: int, kind: str, basis,
       x^0 and x^{-(Q-1)}.
     _rank_by_keys checks this in O(k).  The class blocks and the rank
     of the whole matrix are its oracles in the tests."""
-    basis = tuple(basis)
     if not _rank_by_keys(curve, basis, n_inf):
         raise AssertionError("the basis keys do not prove rank k")
-    return AGCode(curve, ell, kind, basis,
-                  n=curve.q ** (2 * curve.r - 1) + 1 - curve.h,
-                  k=len(basis), d_star=designed_distance(curve, ell),
-                  n_inf=n_inf)
+    return AGCode(curve, ell, basis, n_inf)
 
 
 def _rank_by_keys(curve: NormTraceCurve, basis, n_inf: int) -> bool:
     """True if the code of basis over Theta, with weight n_inf at
     P_inf, has full row rank by the key proof of _evaluation_code."""
     q1, h = curve.ctx.order - 1, curve.h
-    i, j = _exponents(basis)
+    i, j = basis
     at_inf = _at_infinity(curve, i, j, n_inf)
     classes = (i + curve.c * j)[at_inf] % q1
     if not ((0 <= j) & (j < h)).all() or (classes != classes[:1]).any():
@@ -209,13 +214,6 @@ def _rank_by_keys(curve: NormTraceCurve, basis, n_inf: int) -> bool:
     shared = np.flatnonzero(np.diff(keys[order]) == 0)  # pairs in order
     return len(shared) <= 1 and bool(
         (at_inf[order[shared]] != at_inf[order[shared + 1]]).all())
-
-
-def _exponents(basis) -> np.ndarray:
-    """The (2, k) array of the exponents i and j of the monomials
-    x^i y^j of basis."""
-    return np.array([(t.i, t.j) for t in basis],
-                    dtype=np.int64).reshape(-1, 2).T
 
 
 def _at_infinity(curve: NormTraceCurve, i, j, n_inf: int) -> np.ndarray:
@@ -237,11 +235,11 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     pos, xs, ys = curve.theta_coords
     ctx = curve.ctx
     logs = ctx.log_np.astype(np.int32)
-    i, j = _exponents(basis)
+    i, j = basis
     expo = i.astype(np.int32)[:, None] * logs[xs]
     expo += j.astype(np.int32)[:, None] * logs[ys]
     expo %= ctx.order - 1
-    matrix = np.empty((len(basis), len(pos) + 1), dtype=np.int64)
+    matrix = np.empty((len(i), len(pos) + 1), dtype=np.int64)
     matrix[:, 0] = _at_infinity(curve, i, j, n_inf)
     matrix[:, pos] = ctx.exp_np.astype(ctx.dtype)[expo]
     return matrix

@@ -344,48 +344,56 @@ class FieldCtx:
             start, size = start + size, 2 * size
 
     def _powers_odd(self, out: np.ndarray, g_matrix: np.ndarray):
-        """Fill out with g^0, g^1, ... by doubling on digit matrices.
-        Column i of the k x n digit matrix holds the digits of g^i, so
-        each row is contiguous, and a block times the digit matrix of
-        g^L is k scaled rows summed: about 3x faster than np.matmul,
-        which has no vectorized integer kernel."""
-        n, p = len(out), self.p
+        """Fill out with g^0, g^1, ... by doubling on digit matrices:
+        column i of the k x n digit matrix holds the digits of g^i, and
+        each block is the one before times the digit matrix of g^L."""
+        n = len(out)
         digits = np.zeros((self.k, n), dtype=self._digit_dtype)
         digits[0, 0] = 1
-        spare = np.empty((self.k, n // 2 + 1), dtype=self._digit_dtype)
         step = g_matrix  # the digit matrix of g^size
         size = 1
         while size < n:
             end = min(2 * size, n)
-            src, block = digits[:, :end - size], digits[:, size:end]
-            term = spare[:, :end - size]
-            np.multiply(step[0][:, None], src[0], out=block)
-            for i in range(1, self.k):
-                np.multiply(step[i][:, None], src[i], out=term)
-                block += term
-            block %= p
+            self._times_digit_matrix(step, digits[:, :end - size],
+                                     digits[:, size:end])
             if end < n:
-                step = step @ step % p
+                step = step @ step % self.p
             size = end
-        # the indices, reading each column of digits as a base-p number
-        out[:] = digits[-1]
-        for j in range(self.k - 2, -1, -1):
-            out *= p
-            out += digits[j]
+        out[:] = self._read_digits(digits)
+
+    def _times_digit_matrix(self, matrix: np.ndarray, src: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+        """out = the k rows of digits src times the k x k digit matrix
+        mod p, as k scaled rows summed: 3x faster than integer matmul."""
+        np.multiply(matrix[0][:, None], src[0], out=out)
+        for i in range(1, self.k):
+            out += matrix[i][:, None] * src[i]
+        out %= self.p
+        return out
+
+    def _read_digits(self, digits: np.ndarray) -> np.ndarray:
+        """The indices whose base-p digits, lowest first, are columns."""
+        out = digits[-1].astype(np.int64)
+        for row in digits[-2::-1]:
+            out *= self.p
+            out += row
+        return out
 
     def linear_map(self, images, v: np.ndarray) -> np.ndarray:
-        """Apply to every index in v the GF(p)-linear map that sends the
-        basis element X^j to images[j]: in characteristic 2 one lookup
-        per byte of v in the XOR tables of the images (_byte_tables),
-        else the base-p digits of v times the digit matrix of the
-        images, mod p."""
+        """Apply to every index in v, of any shape, the GF(p)-linear map
+        that sends the basis element X^j to images[j]: in characteristic
+        2 by the XOR tables of the images (_byte_tables), else as the
+        digit rows of v times their digit matrix (_times_digit_matrix)."""
         v = np.asarray(v, dtype=np.int64)
         if self.p == 2:
             return _xor_images(_byte_tables(images), v)
-        powers = self._powers
-        cols = np.array(images, dtype=np.int64)[:, None] // powers % self.p
-        digits = v[..., None] // powers % self.p
-        return (digits @ cols % self.p) @ powers
+        matrix = np.array(images)[:, None] // self._powers % self.p
+        src, rest = np.empty((self.k, v.size), self._digit_dtype), v.ravel()
+        for row in src:
+            rest, row[:] = np.divmod(rest, self.p)
+        out = self._times_digit_matrix(matrix.astype(src.dtype), src,
+                                       np.empty_like(src))
+        return self._read_digits(out).reshape(v.shape)
 
     def _zech_table(self) -> list[int]:
         """Build the Zech logarithms: entry d is log(1 + g^d), or -1

@@ -5,7 +5,9 @@ c = (q^r - 1)/(q - 1), which are coprime.  Monomials x^i y^j with
 0 <= j < h have pairwise distinct pole orders i*h + j*c at P_inf and
 span the one-point spaces L(s * P_inf); dividing by x^ell turns the
 one-point basis into a basis of L(ell * Omega) with poles only at the
-zeros of x.
+zeros of x.  A basis is the read-only (2, k) int64 array [i; j] of its
+exponents in pole order (basis_one_point, basis_multipoint), read off
+the semigroup's non-gaps; the codes gather, prove and report from it.
 
 Evaluation at P_inf uses a closed valuation rule: a monomial x^i y^j
 with i*h + j*c = 0 is an integer power of x^c y^{-h}, which equals
@@ -29,8 +31,8 @@ class PoleError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialTerm:
-    """The monomial x^i y^j.  Basis terms keep 0 <= j < q^{r-1}; formal
-    products (local-parameter powers) may carry any integer exponents."""
+    """The monomial x^i y^j, a term of a FunctionElem; formal products
+    (local-parameter powers) may carry any integer exponents."""
 
     i: int
     j: int
@@ -42,9 +44,6 @@ class MonomialTerm:
             return sym if e == 1 else f"{sym}^{e}"
         body = fmt("x", self.i) + fmt("y", self.j)
         return body if body else "1"
-
-    def to_dict(self) -> dict:
-        return {"i": self.i, "j": self.j}
 
 
 def mul_terms(a: MonomialTerm, b: MonomialTerm) -> MonomialTerm:
@@ -110,46 +109,49 @@ def constant_one(curve: NormTraceCurve) -> FunctionElem:
 # Weierstrass semigroup and monomial bases
 # ----------------------------------------------------------------------
 
-def semigroup_nongaps(curve: NormTraceCurve, bound: int) -> list[int]:
-    """Non-gaps a*h + b*c <= bound of the semigroup <h, c>, ascending.
-    As gcd(h, c) = 1, each has exactly one such form with b < h, so they
-    are the progressions b*c + h*i for b < h, merged."""
+def _nongaps(curve: NormTraceCurve, bound: int) -> np.ndarray:
+    """The non-gaps <= bound of <h, c>, ascending: as gcd(h, c) = 1, the
+    progressions j*c + h*i for j < h, marked on 0..bound."""
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise ValueError(f"bound {bound} must be >= 0")
     h, c = curve.h, curve.c
-    runs = [np.arange(b * c, bound + 1, h)
-            for b in range(min(h - 1, bound // c) + 1)]
-    return np.sort(np.concatenate(runs)).tolist()
+    marked = np.zeros(bound + 1, dtype=bool)
+    for j in range(min(h - 1, bound // c) + 1):
+        marked[j * c::h] = True
+    return np.flatnonzero(marked)
+
+
+def semigroup_nongaps(curve: NormTraceCurve, bound: int) -> list[int]:
+    """Non-gaps a*h + b*c <= bound of the semigroup <h, c>, ascending."""
+    return _nongaps(curve, bound).tolist()
 
 
 def semigroup_gaps(curve: NormTraceCurve) -> list[int]:
     """Gaps of <h, c>; there are exactly genus of them, all < 2g."""
-    two_g = 2 * curve.genus
-    nongaps = set(semigroup_nongaps(curve, two_g))
-    return [s for s in range(two_g) if s not in nongaps]
+    top = 2 * curve.genus
+    return np.setdiff1d(np.arange(top), _nongaps(curve, top)).tolist()
 
 
-def basis_one_point(curve: NormTraceCurve, s: int) -> list[MonomialTerm]:
-    """Monomial basis of L(s * P_inf): x^i y^j with i >= 0, 0 <= j < h,
-    i*h + j*c <= s, sorted by pole order."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
+def basis_one_point(curve: NormTraceCurve, s: int) -> np.ndarray:
+    """Monomial basis of L(s * P_inf), x^i y^j with i >= 0, 0 <= j < h
+    and pole order v = i*h + j*c <= s: a read-only (2, k) int64 array
+    [i; j] in the order of v, the non-gaps <= s; j is v / c mod h."""
     h, c = curve.h, curve.c
-    out = []
-    for j in range(min(h - 1, s // c) + 1):
-        rem = s - j * c
-        out.extend(MonomialTerm(i, j) for i in range(rem // h + 1))
-    out.sort(key=lambda t: t.i * h + t.j * c)
-    return out
+    v = _nongaps(curve, s)
+    j = v * pow(c, -1, h) % h
+    basis = np.stack([(v - j * c) // h, j])
+    basis.flags.writeable = False
+    return basis
 
 
-def basis_multipoint(curve: NormTraceCurve, ell: int) -> list[MonomialTerm]:
-    """Monomial basis of L(ell * Omega): the one-point basis of
-    L(ell*h * P_inf) divided by x^ell."""
+def basis_multipoint(curve: NormTraceCurve, ell: int) -> np.ndarray:
+    """Monomial basis of L(ell * Omega), laid out as by basis_one_point:
+    the basis of L(ell*h * P_inf) divided by x^ell."""
     if ell < 1:
         raise ValueError(f"ell = {ell} must be >= 1")
-    return [MonomialTerm(t.i - ell, t.j)
-            for t in basis_one_point(curve, ell * curve.h)]
+    basis = basis_one_point(curve, ell * curve.h) - [[ell], [0]]
+    basis.flags.writeable = False
+    return basis
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: the lattice
 count enumerates pairs directly, irreducibility is tested by trial
-factorization, and semigroup membership by double loop.  The code
+factorization, and semigroup membership and the monomial bases by
+double loop, where the library marks the semigroup's runs on one
+array and reads the bases off it.  The code
 action, fixed places and row reduction are computed one place or one
 entry at a time with the scalar field operations, where the library
 works on whole arrays; field addition and negation digit by digit, where
@@ -81,6 +83,16 @@ def semigroup_by_force(h: int, c: int, bound: int) -> list[int]:
             if v <= bound:
                 out.add(v)
     return sorted(out)
+
+
+def basis_by_box(h: int, c: int, s: int) -> np.ndarray:
+    """The exponents [i; j] of the monomials x^i y^j with i >= 0,
+    0 <= j < h and i*h + j*c <= s, found by a loop over the whole box
+    and sorted by pole order, as a (2, k) array."""
+    terms = sorted((i * h + j * c, i, j) for j in range(h)
+                   for i in range(s // h + 1) if i * h + j * c <= s)
+    return np.array([(i, j) for _, i, j in terms],
+                    dtype=np.int64).reshape(-1, 2).T
 
 
 def mul_by_digits(ctx, a, b):
@@ -445,7 +457,7 @@ def rank_by_classes(curve, basis, matrix):
     lockstep."""
     ctx, orbits = curve.ctx, theta_orbits(curve)
     q1 = ctx.order - 1
-    e = np.array([t.i + curve.c * t.j for t in basis], dtype=np.int64) % q1
+    e = (basis[0] + curve.c * basis[1]) % q1
     at_inf = e[matrix[:, 0] != 0]
     if orbits is None or (at_inf != at_inf[:1]).any():
         return None
@@ -475,9 +487,9 @@ def evaluation_by_places(curve, basis, cols):
     curve.theta_coords), by scalar rrspace.evaluate at each place."""
     _, xs, ys = curve.theta_coords
     places = [Place(AFFINE, int(xs[c - 1]), int(ys[c - 1])) for c in cols]
-    funcs = [monomial(curve, 1, t.i, t.j) for t in basis]
+    funcs = [monomial(curve, 1, i, j) for i, j in basis.T.tolist()]
     return np.array([[evaluate(f, P) for P in places] for f in funcs],
-                    dtype=np.int64).reshape(len(basis), len(cols))
+                    dtype=np.int64).reshape(len(funcs), len(cols))
 
 
 def min_distance_full_enumeration(code, budget, stop_at=None,

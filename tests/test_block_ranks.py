@@ -104,8 +104,8 @@ def test_gather_equals_scalar_evaluation(data):
     n_inf = data.draw(st.sampled_from([0, ell * cv.h]))
     basis = (basis_one_point(cv, n_inf) if n_inf
              else basis_multipoint(cv, ell))
-    rows = data.draw(st.lists(st.sampled_from(basis), min_size=1,
-                              max_size=4))
+    rows = basis[:, data.draw(st.lists(st.integers(0, basis.shape[1] - 1),
+                                       min_size=1, max_size=4))]
     n = len(cv.theta_coords[0]) + 1
     cols = data.draw(st.lists(st.integers(1, n - 1), min_size=1,
                               max_size=12))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from normtrace import codes, linalg
-from normtrace.autgroup import code_checks, enumerate_group
+from normtrace.autgroup import code_checks
 from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              dimension_closed_form, equivalence_diagonal,
                              extended_one_point_code,
@@ -14,7 +14,7 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
 from normtrace.curve import P_INFINITY, build_curve
-from normtrace.rrspace import MonomialTerm, evaluate, monomial
+from normtrace.rrspace import evaluate, monomial
 from oracles import (entrywise_diagonal_by_columns, evaluation_by_places,
                      extended_evaluate, lattice_dimension,
                      local_parameter_at_infinity, naive_min_weight, rank,
@@ -46,8 +46,8 @@ def test_rows_are_basis_evaluations(curve23, curve33):
         for code, n_inf in [(build_code(curve, ell), 0),
                             (extended_one_point_code(curve, ell),
                              ell * curve.h)]:
-            for row, term in zip(code.matrix, code.basis):
-                f = monomial(curve, 1, term.i, term.j)
+            for row, (i, j) in zip(code.matrix, code.basis.T.tolist()):
+                f = monomial(curve, 1, i, j)
                 want = [extended_evaluate(f, P, n_inf, t_loc)
                         if P.is_infinity and n_inf else evaluate(f, P)
                         for P in code.curve.theta]
@@ -63,9 +63,9 @@ def test_p_inf_column_is_the_extended_value(curve23, curve33, curve24):
             for code, n_inf in [(build_code(curve, ell), 0),
                                 (extended_one_point_code(curve, ell),
                                  ell * curve.h)]:
-                want = [extended_evaluate(monomial(curve, 1, t.i, t.j),
+                want = [extended_evaluate(monomial(curve, 1, i, j),
                                           P_INFINITY, n_inf, t_loc)
-                        for t in code.basis]
+                        for i, j in code.basis.T.tolist()]
                 assert code.matrix[:, 0].tolist() == want
 
 
@@ -75,7 +75,7 @@ def test_code_construction_leaves_places_unbuilt(q, r, ell):
     curve = build_curve(q, r)
     ca = build_code(curve, ell)
     cb = extended_one_point_code(curve, ell)
-    assert all(ok for _, ok, _ in code_checks(ca, enumerate_group(curve)))
+    assert all(ok for _, ok, _ in code_checks(ca))
     assert monomial_equivalence_check(ca, cb) is not None
     assert min_distance_exhaustive(ca, 1 << 20) == ca.d_star
     assert "places" not in vars(curve) and "theta" not in vars(curve)
@@ -114,7 +114,7 @@ def _spy_matrix(monkeypatch):
     calls, matrix = [], codes._evaluation_matrix
 
     def spy(curve, basis, n_inf):
-        calls.append(len(basis))
+        calls.append(basis.shape[1])
         return matrix(curve, basis, n_inf)
 
     monkeypatch.setattr(codes, "_evaluation_matrix", spy)
@@ -215,21 +215,50 @@ def test_code_table_builds_the_matrices_it_enumerates(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 81
 
 
+def test_code_table_builds_no_monomial_term(monkeypatch, capsys):
+    # every basis is an exponent array read off the semigroup
+    from normtrace import cli, rrspace
+    made = []
+    init = rrspace.MonomialTerm.__init__
+    monkeypatch.setattr(rrspace.MonomialTerm, "__init__",
+                        lambda self, i, j: made.append(1) or init(self, i, j))
+    assert cli.main(["code-table", "--q", "3", "--r", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 81
+    assert made == []
+    assert repr(rrspace.MonomialTerm(2, 1)) == "x^2y" and made == [1]
+
+
+def test_parameters_follow_the_basis(curve33):
+    # k is the basis size, and no other field can go stale
+    code = build_code(curve33, 4)
+    keep = np.arange(code.k) % 3 != 0
+    part = dataclasses.replace(code, basis=code.basis[:, keep],
+                               _matrix=code.matrix[keep])
+    assert part.k == keep.sum() == part.to_report()["k"] < code.k
+    assert len(part.to_report()["basis"]) == part.k
+    assert (part.n, part.d_star, part.kind) == (code.n, code.d_star,
+                                                 codes.MULTIPOINT)
+    one_point = extended_one_point_code(curve33, 4)
+    assert one_point.kind == codes.EXTENDED_ONE_POINT
+    with pytest.raises(AttributeError):
+        code.k = 3
+
+
 def _with_basis(monkeypatch, *extra):
-    """Make basis_multipoint append the given terms."""
+    """Make basis_multipoint append the given exponents (i, j)."""
     basis = codes.basis_multipoint
-    monkeypatch.setattr(codes, "basis_multipoint",
-                        lambda curve, ell: basis(curve, ell) + list(extra))
+    monkeypatch.setattr(codes, "basis_multipoint", lambda curve, ell:
+                        np.column_stack([basis(curve, ell), *extra]))
 
 
 def _at_infinity_one(monkeypatch, *terms):
-    """Make the P_inf entry of the given terms read 1."""
+    """Make the P_inf entry of the given exponents (i, j) read 1."""
     at_infinity = codes._at_infinity
 
     def doctored(curve, i, j, n_inf):
         out = at_infinity(curve, i, j, n_inf)
-        for t in terms:
-            out |= (i == t.i) & (j == t.j)
+        for ti, tj in terms:
+            out |= (i == ti) & (j == tj)
         return out
 
     monkeypatch.setattr(codes, "_at_infinity", doctored)
@@ -241,13 +270,13 @@ def _refused(curve, ell):
     with pytest.raises(AssertionError, match="basis keys"):
         build_code(curve, ell)
     basis = codes.basis_multipoint(curve, ell)
-    return len(basis), rank(curve.ctx, codes._evaluation_matrix(curve,
-                                                                basis, 0))
+    matrix = codes._evaluation_matrix(curve, basis, 0)
+    return basis.shape[1], rank(curve.ctx, matrix)
 
 
 def test_key_proof_refuses_a_repeated_key(curve33, monkeypatch):
     # x^{Q-2} and x^{-1} agree at every affine place and are 0 at P_inf
-    _with_basis(monkeypatch, MonomialTerm(curve33.ctx.order - 2, 0))
+    _with_basis(monkeypatch, (curve33.ctx.order - 2, 0))
     k, got = _refused(curve33, 4)
     assert got == k - 1
 
@@ -256,7 +285,7 @@ def test_key_proof_refuses_a_shared_key_with_equal_p_inf_entries(
         curve23, monkeypatch):
     # at ell = Q - 1, x^0 and x^{-(Q-1)} are told apart by P_inf alone
     top = curve23.ctx.order - 1
-    _at_infinity_one(monkeypatch, MonomialTerm(-top, 0))
+    _at_infinity_one(monkeypatch, (-top, 0))
     k, got = _refused(curve23, top)
     assert got == k - 1
 
@@ -265,15 +294,15 @@ def test_key_proof_refuses_two_shared_keys(curve23, monkeypatch):
     # y and x^{-7} y share a key, as x^0 and x^{-7} do; all four are of
     # class 0 (c = Q - 1 = 7), and each pair differs at P_inf
     top = curve23.ctx.order - 1
-    _with_basis(monkeypatch, MonomialTerm(0, 1))
-    _at_infinity_one(monkeypatch, MonomialTerm(0, 1))
+    _with_basis(monkeypatch, (0, 1))
+    _at_infinity_one(monkeypatch, (0, 1))
     k, got = _refused(curve23, top)
     assert got == k - 1
 
 
 def test_key_proof_refuses_j_of_h(curve23, monkeypatch):
     # on the curve x^{-7} y^4 = 1 - x^{-7} (y^2 + y), three basis rows
-    _with_basis(monkeypatch, MonomialTerm(-7, curve23.h))
+    _with_basis(monkeypatch, (-7, curve23.h))
     k, got = _refused(curve23, 7)
     assert got == k - 1
 
@@ -281,7 +310,7 @@ def test_key_proof_refuses_j_of_h(curve23, monkeypatch):
 def test_key_proof_refuses_p_inf_in_two_classes(curve33, monkeypatch):
     # only the constant, of class 0, is nonzero at P_inf; x^{-3} is of
     # class -3 mod 26.  The refusal is conservative: the rank is still k
-    _at_infinity_one(monkeypatch, MonomialTerm(-3, 0))
+    _at_infinity_one(monkeypatch, (-3, 0))
     k, got = _refused(curve33, 4)
     assert got == k
 
@@ -307,7 +336,8 @@ def test_class_proof_refuses_p_inf_in_two_classes(curve33):
     # class -3 mod 26
     code = build_code(curve33, 4)
     matrix = code.matrix.copy()
-    matrix[code.basis.index(MonomialTerm(-3, 0)), 0] = 1
+    (row,) = np.flatnonzero((code.basis[0] == -3) & (code.basis[1] == 0))
+    matrix[row, 0] = 1
     assert rank_by_classes(curve33, code.basis, matrix) is None
     assert rank(curve33.ctx, matrix) == code.k
 
@@ -326,9 +356,9 @@ def test_class_proof_needs_p_inf_at_the_top_ell(curve23):
 
 def test_class_proof_rejects_a_repeated_monomial(curve33, monkeypatch):
     basis = codes.basis_multipoint(curve33, 4)
-    _with_basis(monkeypatch, basis[-1])
+    _with_basis(monkeypatch, basis[:, -1])
     k, got = _refused(curve33, 4)
-    assert (k, got) == (len(basis) + 1, len(basis))
+    assert (k, got) == (basis.shape[1] + 1, basis.shape[1])
     repeated = codes.basis_multipoint(curve33, 4)
     matrix = codes._evaluation_matrix(curve33, repeated, 0)
     assert rank_by_classes(curve33, repeated, matrix) is False  # a class falls short

@@ -141,6 +141,15 @@ def test_linear_map_applies_the_images(f8, f27):
         images = [image(ctx.p ** j) for j in range(ctx.k)]
         got = ctx.linear_map(images, list(ctx.elements()))
         assert got.tolist() == [image(a) for a in ctx.elements()]
+    # x -> x * g and the Frobenius x -> x^p over the largest odd fields,
+    # by the log tables, with the elements also as one 2-D array
+    for ctx in (build_field(3, 12), build_field(5, 8), build_field(7, 7)):
+        elems = np.arange(ctx.order)
+        for want in (ctx.vscale(ctx.generator, elems), ctx.vpow(elems, ctx.p)):
+            images = want[ctx.p ** np.arange(ctx.k)].tolist()
+            assert np.array_equal(ctx.linear_map(images, elems), want)
+            square = ctx.linear_map(images, elems.reshape(ctx.p, -1))
+            assert np.array_equal(square, want.reshape(ctx.p, -1))
 
 
 def test_frobenius(f8):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st  # noqa: E402
 from normtrace import cli, codes  # noqa: E402
 from normtrace.codes import AGCode  # noqa: E402
 from normtrace.gf import is_prime  # noqa: E402
-from normtrace.rrspace import MonomialTerm  # noqa: E402
 
 ORDERS = sorted({p ** k for p in range(2, 4097) if is_prime(p)
                  for k in range(1, 13) if p ** k <= 4096})
@@ -52,13 +51,12 @@ def fake_codes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dtype = draw(st.sampled_from([np.int64, np.uint16]))
     matrix = random_entries(rng, order, (k, n)).astype(dtype)
-    basis = tuple(MonomialTerm(int(i), int(j))
-                  for i, j in rng.integers(-9, 10, size=(k, 2)))
-    curve = SimpleNamespace(q=order, r=draw(st.integers(2, 5)),
+    basis = rng.integers(-9, 10, size=(2, k))
+    r = draw(st.integers(2, 5))
+    curve = SimpleNamespace(q=order, r=r, h=order ** (r - 1),
                             ctx=SimpleNamespace(order=order))
-    return AGCode(curve, draw(st.integers(1, 40)), codes.MULTIPOINT, basis,
-                  n=n, k=k, d_star=draw(st.integers(-5, 50)), n_inf=0,
-                  _matrix=matrix)
+    return AGCode(curve, draw(st.integers(1, 40)), basis,
+                  n_inf=draw(st.sampled_from([0, 1])), _matrix=matrix)
 
 
 def code_build(code, fmt):

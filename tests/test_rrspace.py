@@ -1,6 +1,7 @@
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from normtrace.curve import P_INFINITY, Place, build_curve
@@ -8,8 +9,8 @@ from normtrace.rrspace import (FunctionElem, MonomialTerm, PoleError,
                                basis_multipoint, basis_one_point,
                                constant_one, evaluate, monomial,
                                mul_terms, semigroup_gaps, semigroup_nongaps)
-from oracles import (extended_evaluate, local_parameter_at_infinity,
-                     semigroup_by_force)
+from oracles import (basis_by_box, extended_evaluate,
+                     local_parameter_at_infinity, semigroup_by_force)
 
 
 def test_nongaps_23(curve23):
@@ -43,22 +44,23 @@ def test_gap_count_equals_genus(curve23, curve33, curve24):
 
 
 def test_basis_one_point_23(curve23):
-    assert basis_one_point(curve23, 0) == [MonomialTerm(0, 0)]
-    assert basis_one_point(curve23, 4) == [MonomialTerm(0, 0), MonomialTerm(1, 0)]
-    assert len(basis_one_point(curve23, 16)) == 9
+    assert basis_one_point(curve23, 0).tolist() == [[0], [0]]
+    assert basis_one_point(curve23, 4).tolist() == [[0, 1], [0, 0]]
+    assert basis_one_point(curve23, 16).shape == (2, 9)
+    assert basis_one_point(curve23, 16).dtype == np.int64
 
 
 def test_basis_pole_orders_distinct(curve23, curve33):
     for cv in (curve23, curve33):
-        terms = basis_one_point(cv, 4 * cv.genus)
-        orders = [-cv.val_infinity(t.i, t.j) for t in terms]
-        assert len(set(orders)) == len(orders)
-        assert orders == sorted(orders)
+        orders = -cv.val_infinity(*basis_one_point(cv, 4 * cv.genus))
+        assert len(set(orders.tolist())) == len(orders)
+        assert (np.diff(orders) > 0).all()
 
 
 def test_basis_size_equals_nongap_count(curve23):
     for s in range(4 * curve23.genus + 1):
-        assert len(basis_one_point(curve23, s)) == len(semigroup_nongaps(curve23, s))
+        assert (basis_one_point(curve23, s).shape[1]
+                == len(semigroup_nongaps(curve23, s)))
 
 
 def test_dimension_floor_sum_identity(curve23, curve33):
@@ -66,18 +68,51 @@ def test_dimension_floor_sum_identity(curve23, curve33):
     for cv in (curve23, curve33):
         for ell in range(1, cv.c - 2):
             want = ell + 1 + sum(s * cv.h // cv.c for s in range(ell + 1))
-            assert len(basis_one_point(cv, ell * cv.h)) == want
+            assert basis_one_point(cv, ell * cv.h).shape[1] == want
 
 
 def test_basis_multipoint_23(curve23):
-    assert basis_multipoint(curve23, 1) == [MonomialTerm(-1, 0), MonomialTerm(0, 0)]
+    assert basis_multipoint(curve23, 1).tolist() == [[-1, 0], [0, 0]]
     terms = basis_multipoint(curve23, 4)
-    assert len(terms) == 9
-    assert MonomialTerm(0, 0) in terms
+    assert terms.shape == (2, 9)
+    assert (0, 0) in zip(*terms.tolist())
     # poles live only on Omega, of order at most ell
     for ell in range(1, 8):
-        for t in basis_multipoint(curve23, ell):
-            assert t.i >= -ell
+        assert basis_multipoint(curve23, ell)[0].min() >= -ell
+
+
+BASIS_LADDER = [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3), (2, 4), (3, 4),
+                (16, 2), (5, 2), (8, 2), (2, 8), (4, 4), (16, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("q, r", BASIS_LADDER)
+def test_bases_equal_the_box_enumeration(q, r):
+    # basis_one_point and basis_multipoint read only h and c
+    h, c = q ** (r - 1), (q ** r - 1) // (q - 1)
+    cv = SimpleNamespace(h=h, c=c)
+    ells = range(1, q ** r)
+    if h > 27:  # a long box: every 13th ell to 200, and c - 3, c - 2
+        ells = sorted({*range(1, 201, 13), 200, c - 3, c - 2} & {*ells})
+    for ell in ells:
+        want = basis_by_box(h, c, ell * h)
+        assert np.array_equal(basis_one_point(cv, ell * h), want)
+        assert np.array_equal(basis_multipoint(cv, ell), want - [[ell], [0]])
+    for s in range(0, min(3 * (h - 1) * (c - 1) // 2, 2000), 7):
+        assert np.array_equal(basis_one_point(cv, s), basis_by_box(h, c, s))
+
+
+def test_basis_comparison_has_teeth(curve33):
+    # the same monomials with two of them swapped are not the basis
+    want = basis_by_box(curve33.h, curve33.c, 4 * curve33.h)
+    got = basis_one_point(curve33, 4 * curve33.h)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got[:, [1, 0, *range(2, got.shape[1])]], want)
+
+
+def test_bases_are_read_only(curve23):
+    for basis in (basis_one_point(curve23, 16), basis_multipoint(curve23, 4)):
+        with pytest.raises(ValueError):
+            basis[0, 0] = 5
 
 
 def test_evaluate_constant(curve23):
