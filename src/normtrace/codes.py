@@ -353,12 +353,14 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     Every nonzero message is a scalar multiple of exactly one message
     whose highest nonzero digit is 1, and scaling keeps the weight, so
     only those (Q^k - 1)/(Q - 1) messages are enumerated.  All
-    combinations of the trailing rows, up to table_limit words and
-    leaving the first row out when k > 1, are tabulated.  The zero
-    prefix takes the table's leading-one words; every leading-one
-    prefix, in increasing order, sweeps the whole table.  The table is
-    closed under negation, so the least weight of prefix + table equals
-    the least Hamming distance from the prefix word to the table.
+    combinations of the trailing k2 rows are tabulated, leaving the
+    first row out when k > 1; _table_depth chooses k2 (at most
+    table_limit words).  The zero prefix takes the table's leading-one
+    words; every leading-one prefix, in increasing order, sweeps the
+    whole table.  Both are read off ranges, one digit length at a
+    time.  The table is closed under negation, so the least weight of
+    prefix + table equals the least Hamming distance from the prefix
+    word to the table.
     """
     ctx = code.curve.ctx
     Q = ctx.order
@@ -366,11 +368,7 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     if Q ** k > budget:
         raise BudgetExceeded(
             f"message space {Q}^{k} exceeds budget {budget}")
-    # k2 < k unless k = 1: the zero prefix alone would use only the
-    # table's leading-one words, a (Q - 1)-th of it
-    k2 = 1
-    while k2 + 1 < k and Q ** (k2 + 1) <= table_limit:
-        k2 += 1
+    k2 = _table_depth(Q, k, n, stop_at is not None, table_limit)
     need = _table_bytes(ctx, k, k2, n)
     if need > TABLE_MAX_BYTES:
         raise BudgetExceeded(f"word tables need about {need} bytes, above "
@@ -387,14 +385,16 @@ def min_distance_exhaustive(code: AGCode, budget: int,
             len(zero), -1, zero.shape[-1])
 
     def sweeps():
-        yield table[:, _leading_one(Q, k2)], zero  # the zero prefix
-        for m in _leading_one(Q, k1):
-            word = zero
-            for mult in multiples[:k1]:
-                m, digit = divmod(m, Q)
-                if digit:
-                    word = add(word, mult[:, digit:digit + 1])
-            yield table, word
+        for i in range(k2):  # the zero prefix
+            yield table[:, Q ** i:2 * Q ** i], zero
+        for i in range(k1):
+            for m in range(Q ** i, 2 * Q ** i):
+                word = zero
+                for mult in multiples[:i + 1]:
+                    m, digit = divmod(m, Q)
+                    if digit:
+                        word = add(word, mult[:, digit:digit + 1])
+                yield table, word
 
     best = n + 1
     for words, word in sweeps():
@@ -406,23 +406,47 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     return best
 
 
+# One sweep's fixed cost, in table entries built: about 25 us of Python
+# and numpy call overhead (2-core x86-64, Python 3.11, numpy 2.4).
+SWEEP_ENTRIES = 1 << 13
+
+
+def _table_depth(Q: int, k: int, n: int, early_stop: bool,
+                 table_limit: int) -> int:
+    """The number k2 of trailing rows min_distance_exhaustive tabulates.
+
+    A full sweep reads about Q^k * n / (Q - 1) entries at any depth, so
+    k2 minimises the table, Q^k2 * n entries, plus the fixed cost of
+    its (Q^(k-k2) - 1)/(Q - 1) + 1 sweeps.  A search that may stop early
+    takes the least k2 whose sweep reads at least SWEEP_ENTRIES: when it
+    stops in its first sweeps it has built the smallest table that is
+    not all overhead, and when it never stops it does at most about
+    twice a full sweep's work.  Either is capped at table_limit words
+    and at k - 1 rows; k2 is at least 1."""
+    depths = range(1, k)
+    if early_stop:
+        k2 = next((d for d in depths if Q ** d * n >= SWEEP_ENTRIES), k - 1)
+    else:
+        k2 = min(depths, default=1, key=lambda d: Q ** d * n + (
+            (Q ** (k - d) - 1) // (Q - 1) + 1) * SWEEP_ENTRIES)
+    cap = 1
+    while Q ** (cap + 1) <= table_limit:
+        cap += 1
+    return max(1, min(k2, cap, k - 1))
+
+
 def _table_bytes(ctx, k: int, k2: int, n: int) -> int:
-    """Upper estimate of min_distance_exhaustive's peak bytes: k * Q row
-    multiples, the Q^k2 table and two sweep copies, plus encode's input
-    and one bit plane (p = 2) or FieldCtx.vadd's intp flat index (p odd)."""
-    Q, size = ctx.order, ctx.dtype.itemsize
+    """Upper estimate of min_distance_exhaustive's peak bytes at table
+    depth k2: k * Q row multiples, the Q^k2 table and two more of its
+    size (the level before it and the sweep temporaries), plus encode's
+    input and one bit plane (p = 2) or FieldCtx.vadd's intp flat index
+    of the last two levels (p odd), plus numpy's casting buffers."""
+    Q, size, intp = ctx.order, ctx.dtype.itemsize, np.dtype(np.intp).itemsize
     if ctx.p == 2:  # k bit planes of packed uint64 words
         word, temp = ctx.k * -(-n // 64) * 8, Q * (2 * n * size + -(-n // 8))
     else:  # one plane of element indices
-        word, temp = n * size, (Q ** k2 + Q) * n * np.dtype(np.intp).itemsize
-    return word * (k * Q + 3 * Q ** k2) + temp
-
-
-def _leading_one(Q: int, digits: int) -> np.ndarray:
-    """The numbers below Q^digits whose highest nonzero base-Q digit is
-    1, in increasing order."""
-    return np.concatenate([np.arange(Q ** i, 2 * Q ** i)
-                           for i in range(digits)] + [np.arange(0)])
+        word, temp = n * size, (Q ** k2 + Q ** (k2 - 1) + Q) * n * intp
+    return word * (k * Q + 3 * Q ** k2) + temp + 2 * np.getbufsize() * intp
 
 
 def _word_kernel(ctx, n: int):
@@ -467,7 +491,6 @@ class EquivalenceWitness:
     scaling column p of code_a by diagonal[p] yields code_b's row space."""
 
     diagonal: np.ndarray
-    permutation: tuple[int, ...]
 
 
 def equivalence_diagonal(curve: NormTraceCurve, ell: int) -> np.ndarray:
@@ -508,8 +531,7 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     if not (np.array_equal(scaled, code_b.matrix) if entrywise
             else code_b.contains(scaled)):
         return None
-    return EquivalenceWitness(diagonal=diag,
-                              permutation=tuple(range(code_a.n)))
+    return EquivalenceWitness(diagonal=diag)
 
 
 def _entrywise_diagonal(ctx, A: np.ndarray, B: np.ndarray):

@@ -187,6 +187,20 @@ def test_curve_info_memory_is_bounded(capsys):
     assert peak < 64 << 20
 
 
+def test_min_dist_table_follows_the_search(capsys):
+    # (3,3) ell=2 stops in its first sweeps; a table of 27^3 words of
+    # length 235, built before the first sweep, peaked at 41.8 MB
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, "min-dist", "--q", "3", "--r", "3",
+                         "--ell", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and "exhaustive d = 217" in out
+    assert peak < 4 << 20
+
+
 def test_field_info_keeps_no_list_copies(capsys, monkeypatch):
     # GF(2^20): the exp and log arrays take 24 MB; the Python lists the
     # scalar methods read would add 80 MB, and field-info never needs them

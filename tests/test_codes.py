@@ -596,7 +596,6 @@ def test_monomial_equivalence_canonical_pairs(curve23):
         cb = extended_one_point_code(curve23, ell)
         wit = monomial_equivalence_check(ca, cb)
         assert wit is not None
-        assert wit.permutation == tuple(range(29))
         proof = equivalence_diagonal(curve23, ell)
         assert np.array_equal(wit.diagonal, proof)
         # proof diagonal: x(P)^ell at affine places, extended value at P_inf

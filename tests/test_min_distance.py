@@ -92,6 +92,21 @@ def test_kernel_matches_full_enumeration(code, data):
                                 table_limit=table_limit)
 
 
+@SETTINGS
+@given(Q=st.sampled_from([2, 3, 4, 8, 9, 25, 27, 64, 81, 256]),
+       k=st.integers(1, 12), n=st.integers(1, 1 << 15),
+       table_limit=st.sampled_from([1, 8, 81, 4096, 1 << 16]))
+def test_table_depth_stays_within_its_caps(Q, k, n, table_limit):
+    full = codes._table_depth(Q, k, n, False, table_limit)
+    early = codes._table_depth(Q, k, n, True, table_limit)
+    for k2 in (full, early):
+        assert 1 <= k2 <= max(1, k - 1)
+        assert k2 == 1 or Q ** k2 <= table_limit
+    # below the early depth a sweep is mostly overhead, so a full sweep
+    # never takes a shallower table than a search that may stop early
+    assert early <= full
+
+
 def heavy(n, lo, hi):
     """A row of ones on positions lo..hi-1 of n."""
     row = [0] * n
@@ -171,30 +186,53 @@ def test_char2_words_are_encoded_one_bit_plane_at_a_time():
     assert peak <= 75 * 10 ** 6
 
 
-def table_estimate(code, monkeypatch):
+def table_estimate(code, monkeypatch, stop_at=None):
     """The peak bytes min_distance_exhaustive estimates for code, read
     from its refusal under a table limit of zero."""
     monkeypatch.setattr(codes, "TABLE_MAX_BYTES", 0)
     with pytest.raises(BudgetExceeded, match="word tables need") as info:
-        min_distance_exhaustive(code, code.curve.ctx.order ** code.k)
+        min_distance_exhaustive(code, code.curve.ctx.order ** code.k,
+                                stop_at=stop_at)
     monkeypatch.undo()
     return int(re.search(r"about (\d+) bytes", str(info.value))[1])
 
 
-@pytest.mark.parametrize("q,r,ell", [(3, 3, 2), (4, 3, 2), (2, 7, 1),
-                                     (16, 2, 1), (5, 2, 2)])
-def test_table_estimate_bounds_the_measured_peak(q, r, ell, monkeypatch):
-    code = build_code(build_curve(q, r), ell)
+def traced_search(code, stop_at=None):
+    """(d, tracemalloc peak bytes) of one search, after a first search
+    has built the matrix and the field tables it reads."""
     budget = code.curve.ctx.order ** code.k
-    want = min_distance_exhaustive(code, budget)  # builds the cached tables
-    estimate = table_estimate(code, monkeypatch)
+    min_distance_exhaustive(code, budget, stop_at=code.d_star)
     tracemalloc.start()
     try:
-        assert min_distance_exhaustive(code, budget) == want
-        peak = tracemalloc.get_traced_memory()[1]
+        d = min_distance_exhaustive(code, budget, stop_at=stop_at)
+        return d, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= estimate < codes.TABLE_MAX_BYTES
+
+
+@pytest.mark.parametrize("q,r,ell", [(3, 3, 2), (4, 3, 2), (2, 7, 1),
+                                     (16, 2, 1), (5, 2, 2), (4, 3, 3)])
+def test_table_estimate_bounds_the_measured_peak(q, r, ell, monkeypatch):
+    # a full sweep and a stop_at = d* search build tables of different
+    # depths; the estimate must follow the depth each search uses.
+    # (4,3) ell=3 (64^7 messages) is searched only up to d*.
+    code = build_code(build_curve(q, r), ell)
+    full = code.curve.ctx.order ** code.k <= 1 << 24
+    for stop_at in [None] * full + [code.d_star]:
+        estimate = table_estimate(code, monkeypatch, stop_at)
+        d, peak = traced_search(code, stop_at)
+        assert d == code.d_star
+        assert peak <= estimate < codes.TABLE_MAX_BYTES
+
+
+def test_early_stop_iterates_prefixes_lazily():
+    # (4,3) ell=3: k = 7 over GF(64).  The search stops in its first
+    # sweeps; an array of all 64^6 / 63 leading-one prefix numbers
+    # peaked at 276 MB
+    code = build_code(build_curve(4, 3), 3)
+    d, peak = traced_search(code, stop_at=code.d_star)
+    assert d == code.d_star == 961
+    assert peak < 32 << 20
 
 
 @pytest.mark.parametrize("q,r,ell", [(2, 3, 4), (3, 3, 2), (2, 4, 3),
