@@ -5,7 +5,7 @@
 
 from normtrace import (build_code, build_curve, enumerate_group,
                        is_code_automorphism, short_orbits)
-from normtrace.autgroup import CodeAut, apply_place, compose, identity_aut, inverse
+from normtrace.autgroup import CodeAut, compose, identity_aut, inverse, orbits
 
 curve = build_curve(2, 3)
 group = enumerate_group(curve)
@@ -26,7 +26,7 @@ print("\nshort orbits:", [len(o) for o in short_orbits(curve)],
       "(P_inf alone, then the zeros of x)")
 P = curve.theta[3]
 print("a Theta place has full orbit:",
-      len({apply_place(g, P) for g in group}))
+      len(next(orb for orb in orbits(curve, group) if P in orb)))
 
 # Every combination (curve automorphism, Frobenius power, scalar)
 # preserves the code: 28 * 3 * 7 = 588 code automorphisms.

@@ -11,7 +11,7 @@ from .codes import (AGCode, build_code, designed_distance,
                     dimension_closed_form, extended_one_point_code,
                     min_distance_exhaustive, monomial_equivalence_check,
                     witness_codeword, witness_function)
-from .autgroup import (CodeAut, CurveAut, apply_place, code_action, compose,
+from .autgroup import (CodeAut, CurveAut, code_action, compose,
                        enumerate_group, inverse, is_code_automorphism,
                        short_orbits)
 from .sepcurve import (AffineAut, ClassificationResult, HBound,

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import AGCode
-from .curve import NormTraceCurve, P_INFINITY, Place
-
-
-# Largest |G| n that aut-verify takes on: group_checks still finds the
-# fixed places of every element, O(|G| n) work.  At 2^28 that is about
-# 2-3 s of CPU ((4,4) and (25,2), just below it); (7,3), (2,8), (4,5)
-# and (16,3) are refused.
-GROUP_WORK_MAX = 1 << 28
+from .curve import AFFINE, NormTraceCurve, P_INFINITY, Place
 
 
 @dataclass(frozen=True)
@@ -84,15 +77,6 @@ def inverse(s: CurveAut) -> CurveAut:
     return CurveAut(curve, a_inv, b_inv)
 
 
-def apply_place(s: CurveAut, P: Place) -> Place:
-    """Image of a place; fixes P_inf and stays on the curve."""
-    if P.is_infinity:
-        return P_INFINITY
-    ctx = s.curve.ctx
-    return Place("affine", ctx.mul(s.b, P.x),
-                 ctx.add(ctx.mul(ctx.pow(s.b, s.curve.c), P.y), s.a))
-
-
 def enumerate_group(curve: NormTraceCurve) -> list[CurveAut]:
     """All q^{r-1} (q^r - 1) automorphisms, sorted by (a, b)."""
     return [CurveAut(curve, a, b) for a in sorted(curve.trace_zero)
@@ -102,26 +86,39 @@ def enumerate_group(curve: NormTraceCurve) -> list[CurveAut]:
 def orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
     """Orbit decomposition of the rational places under the group
     (default: the full automorphism group), in canonical order."""
-    if group is None:
-        group = enumerate_group(curve)
-    seen: set[Place] = set()
-    out = []
-    for P in curve.places:
-        if P in seen:
-            continue
-        orb = {apply_place(s, P) for s in group}
-        seen |= orb
-        out.append(sorted(orb, key=Place.sort_key))
-    return out
+    return _orbits(curve, group, 1)
 
 
 def short_orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
     """Orbits strictly smaller than the group (default: the full
     automorphism group): the fixed place at infinity and the q^{r-1}
     zeros of x."""
-    if group is None:
-        group = enumerate_group(curve)
-    return [orb for orb in orbits(curve, group) if len(orb) < len(group)]
+    return _orbits(curve, group, 0)
+
+
+def _orbits(curve: NormTraceCurve, group, slack: int) -> list[list[Place]]:
+    """The orbits of fewer than |group| + slack places, in canonical
+    order: each unseen affine place (x, y) goes to (b x, b^c y + a) under
+    every (a, b) at once, looked up among the keys x Q + y of affine_xy."""
+    group = enumerate_group(curve) if group is None else group
+    ctx, Q, below = curve.ctx, curve.ctx.order, len(group) + slack
+    a, b = np.array([[s.a, s.b] for s in group], np.int64).reshape(-1, 2).T
+    xs, ys = curve.affine_xy
+    keys, bc = xs * Q + ys, ctx.vpow(b, curve.c)
+    seen = np.zeros(len(keys) + 1, dtype=bool)  # a last False stops argmin
+    out, i = [[P_INFINITY]] if below > 1 else [], 0
+    while i < len(keys):
+        img = np.unique(ctx.vscale(int(xs[i]), b) * Q
+                        + ctx.vadd_scalar(ctx.vscale(int(ys[i]), bc), a))
+        at = np.searchsorted(keys, img)
+        if not np.array_equal(keys.take(at, mode="clip"), img):
+            raise ValueError("a map sends a place off the curve")
+        seen[at] = True
+        if len(at) < below:
+            out.append([Place(AFFINE, u, v) for u, v
+                        in zip(xs[at].tolist(), ys[at].tolist())])
+        i += 1 + int(seen[i + 1:].argmin())
+    return out
 
 
 def orbit_report(orbit_list: list[list[Place]]) -> list[list[dict]]:
@@ -145,12 +142,17 @@ def _coordinate_maps(s: CurveAut, frob: int = 0) -> tuple[np.ndarray, np.ndarray
 
 def fixed_places(s: CurveAut) -> list[Place]:
     """The places s fixes in canonical order: P_inf, then the affine
-    places picked from curve.affine_xy; only these become Place objects."""
-    xs, ys = s.curve.affine_xy
-    x_map, y_map = _coordinate_maps(s)
-    fixed = (x_map[xs] == xs) & (y_map[ys] == ys)
-    return [P_INFINITY] + [Place("affine", x, y) for x, y
-                           in zip(xs[fixed].tolist(), ys[fixed].tolist())]
+    solutions of (b - 1) x = 0 and (1 - b^c) y = a.  Unless s is the
+    identity, x = 0 and y = a / (1 - b^c), of trace zero since the norm
+    b^c puts 1 - b^c in GF(q); if b^c = 1, every y if a = 0, else none."""
+    curve, ctx = s.curve, s.curve.ctx
+    if s.is_identity:
+        return [P_INFINITY] + [P for x in ctx.elements()
+                               for P in curve.x_fiber(x)]
+    unit = ctx.sub(1, ctx.pow(s.b, curve.c))
+    if unit:
+        return [P_INFINITY, Place(AFFINE, 0, ctx.div(s.a, unit))]
+    return [P_INFINITY] + ([] if s.a else list(curve.omega))
 
 
 def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int

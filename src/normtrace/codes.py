@@ -28,8 +28,7 @@ MULTIPOINT = "multipoint"
 EXTENDED_ONE_POINT = "extended-one-point"
 
 
-# Largest peak, in bytes, that min_distance_exhaustive's word tables may
-# reach; larger codes are refused before any table is built.
+# Largest peak, in bytes, of the matrix gather or the word tables of a code.
 TABLE_MAX_BYTES = 1 << 30
 
 
@@ -231,15 +230,21 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     i log x + j log y mod Q - 1: x is nonzero on Theta, and so is y,
     since y = 0 forces norm(x) = trace(y) = 0.  Both terms stay below
     Q^2 <= 2^24 in absolute value (|i| <= ell < Q, j < h, Q within
-    gf.TABLE_MAX_ORDER), so int32 holds the exponents."""
+    gf.TABLE_MAX_ORDER), so int32 holds the exponents.  ValueError if they
+    and the int64 matrix, gather and buffers would pass TABLE_MAX_BYTES."""
     pos, xs, ys = curve.theta_coords
-    ctx = curve.ctx
+    ctx, k, n = curve.ctx, basis.shape[1], len(pos) + 1
+    need = (k * n * (4 + 8 + ctx.dtype.itemsize)
+            + 2 * np.getbufsize() * np.dtype(np.intp).itemsize)
+    if need > TABLE_MAX_BYTES:
+        raise ValueError(f"the {k} x {n} generator matrix needs about {need} "
+                         f"bytes, above the limit {TABLE_MAX_BYTES}")
     logs = ctx.log_np.astype(np.int32)
     i, j = basis
     expo = i.astype(np.int32)[:, None] * logs[xs]
     expo += j.astype(np.int32)[:, None] * logs[ys]
     expo %= ctx.order - 1
-    matrix = np.empty((len(i), len(pos) + 1), dtype=np.int64)
+    matrix = np.empty((k, n), dtype=np.int64)
     matrix[:, 0] = _at_infinity(curve, i, j, n_inf)
     matrix[:, pos] = ctx.exp_np.astype(ctx.dtype)[expo]
     return matrix

@@ -555,9 +555,9 @@ class FieldCtx:
             self._zero_log = log, exp
         return self._zero_log
 
-    def vadd_scalar(self, u: np.ndarray, a: int) -> np.ndarray:
-        """Elementwise u + a for one element a, by base-p digit
-        arithmetic: no table is built, so the cost follows the size of u."""
+    def vadd_scalar(self, u: np.ndarray, a: int | np.ndarray) -> np.ndarray:
+        """Elementwise u + a, for one element a or an array, by base-p
+        digit arithmetic: no table is built, so the cost follows the arrays."""
         u = np.asarray(u, dtype=np.int64)
         if self.p == 2:
             return u ^ a

@@ -73,11 +73,6 @@ class FunctionElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, coeff: int) -> "FunctionElem":
-        ctx = self.curve.ctx
-        return FunctionElem(self.curve,
-                            [(ctx.mul(coeff, c), t) for c, t in self.terms])
-
     def mul_term(self, term: MonomialTerm, coeff: int = 1) -> "FunctionElem":
         ctx = self.curve.ctx
         return FunctionElem(self.curve,

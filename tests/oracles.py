@@ -27,7 +27,9 @@ library composes every pair or sampled triple as index arrays.  Code
 invariance is decided for every map of a family by row-space
 membership, where the library checks generators by transfer matrices,
 and a curve automorphism's inverse is found by scanning, where the
-library solves for it.  The
+library solves for it.  The group's orbits are walked one image place
+at a time, where the library moves each place by every element at once
+on the (a, b) arrays.  The
 roots of B are found element by element and their multiplicities by
 repeated division by X - e, and the standard model's constants by a
 nested scan of every delta and gamma, where the library evaluates B,
@@ -41,8 +43,9 @@ place, where the library gathers them from the exp table.
 
 Some helpers live here because only the tests use them: the local
 parameter at P_inf and the extended evaluation through it, which the
-library replaces by a valuation rule, and the Frobenius image of one
-place.
+library replaces by a valuation rule, and the images of one place under
+a curve automorphism and under the Frobenius, which the library forms
+for whole arrays of places or maps.
 """
 
 from functools import partial
@@ -50,8 +53,8 @@ from functools import partial
 import numpy as np
 
 from normtrace import poly
-from normtrace.autgroup import (CodeAut, CurveAut, _compose_ab, apply_place,
-                                code_action, identity_aut)
+from normtrace.autgroup import (CodeAut, CurveAut, _compose_ab, code_action,
+                                identity_aut)
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
@@ -221,6 +224,16 @@ def _poly_divides(g, f, p):
     return not any(f)
 
 
+def apply_place(s, P):
+    """The image of one place under s: P_inf is fixed, and (x, y) goes to
+    (b x, b^c y + a)."""
+    if P.is_infinity:
+        return P_INFINITY
+    ctx = s.curve.ctx
+    return Place(AFFINE, ctx.mul(s.b, P.x),
+                 ctx.add(ctx.mul(ctx.pow(s.b, s.curve.c), P.y), s.a))
+
+
 def frobenius_place(curve, P, e):
     """The image of P under the coordinate Frobenius x -> x^{p^e}."""
     if P.is_infinity:
@@ -284,6 +297,20 @@ def inverse_by_search(s):
 
 def fixed_places_by_places(s):
     return [P for P in s.curve.places if apply_place(s, P) == P]
+
+
+def orbits_by_places(curve, group):
+    """The orbits of the places under group, walked one apply_place
+    image at a time: each place not yet seen, in canonical order, gives
+    the sorted set of its images."""
+    seen, out = set(), []
+    for P in curve.places:
+        if P in seen:
+            continue
+        orb = {apply_place(s, P) for s in group}
+        seen |= orb
+        out.append(sorted(orb, key=Place.sort_key))
+    return out
 
 
 def closure_by_compositions(curve, pairs, seed):

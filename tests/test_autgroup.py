@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from normtrace import autgroup, linalg
-from normtrace.autgroup import (CodeAut, CurveAut, apply_place, code_action,
-                                code_checks, compose, enumerate_group,
-                                fixed_places, generates, generators,
-                                group_checks, identity_aut, inverse,
-                                is_code_automorphism, orbits, short_orbits)
+from normtrace.autgroup import (CodeAut, CurveAut, code_action, code_checks,
+                                compose, enumerate_group, fixed_places,
+                                generates, generators, group_checks,
+                                identity_aut, inverse, is_code_automorphism,
+                                orbits, short_orbits)
 from normtrace.codes import AGCode, build_code, extended_one_point_code
 from normtrace.curve import P_INFINITY, build_curve
-from oracles import (closure_by_compositions, code_action_by_places,
-                     code_checks_by_elements, fixed_places_by_places,
-                     frobenius_place, is_code_automorphism_by_membership)
+from oracles import (apply_place, closure_by_compositions,
+                     code_action_by_places, code_checks_by_elements,
+                     fixed_places_by_places, frobenius_place,
+                     is_code_automorphism_by_membership, orbits_by_places)
 
 
 def test_group_order(curve23, curve33):
@@ -132,6 +133,36 @@ def test_short_orbits(curve23, curve33):
     assert total == 33
 
 
+SUBGROUPS = {
+    "full": lambda group: group,
+    "translations": lambda group: [s for s in group if s.b == 1],
+    "scalings": lambda group: [s for s in group if s.a == 0],
+    "identity": lambda group: [s for s in group if s.is_identity],
+}
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4), (3, 2), (5, 2)])
+@pytest.mark.parametrize("subgroup", SUBGROUPS)
+def test_orbits_match_oracle(q, r, subgroup):
+    curve = build_curve(q, r)
+    group = SUBGROUPS[subgroup](enumerate_group(curve))
+    want = orbits_by_places(curve, group)
+    assert orbits(curve, group) == want
+    assert short_orbits(curve, group) == [o for o in want
+                                          if len(o) < len(group)]
+
+
+def test_orbits_reject_a_map_off_the_curve(curve23):
+    # a translation part of nonzero trace, forced past CurveAut's checks,
+    # sends places off the curve: no image key is found
+    group = enumerate_group(curve23)
+    bad_a = next(a for a in curve23.ctx.elements()
+                 if a not in curve23.trace_zero)
+    object.__setattr__(group[3], "a", bad_a)
+    with pytest.raises(ValueError, match="off the curve"):
+        orbits(curve23, group)
+
+
 def test_fixed_place_bound(curve23, curve33):
     for cv in (curve23, curve33):
         bound = cv.h + 1
@@ -206,9 +237,9 @@ def test_fixed_place_check_has_teeth(curve23, monkeypatch):
     assert _failed(checks) == {"fixed places <= 5"}
 
 
-def test_fixed_places_match_oracle(curve23, curve33):
-    for cv in (curve23, curve33):
-        for s in enumerate_group(cv):
+def test_fixed_places_match_oracle():
+    for q, r in [(2, 3), (3, 3), (2, 4), (3, 2), (4, 2), (5, 2)]:
+        for s in enumerate_group(build_curve(q, r)):
             assert fixed_places(s) == fixed_places_by_places(s)
 
 

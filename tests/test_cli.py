@@ -268,19 +268,39 @@ def test_aut_verify_proves_invariance_without_the_rref(capsys, monkeypatch):
     assert out.count("PASS") == 8 and "code invariance: 1008" in out
 
 
-@pytest.mark.parametrize("q,r", [(4, 5), (16, 3)])
-def test_aut_verify_refuses_group_checks_over_the_limit(capsys, monkeypatch,
-                                                        q, r):
-    # |G| n is about 6.9e10 and 1.1e12: the group checks would run for
-    # hours, so the command stops before the group is enumerated
-    monkeypatch.setattr(autgroup, "enumerate_group", None)
+@pytest.mark.parametrize("q,r", [(7, 3), (2, 8)])
+def test_aut_verify_checks_groups_in_order_of_the_group(capsys, q, r):
+    # |G| n is about 2.8e8 and 2.9e8: fixed places are solved and orbits
+    # walked on the (a, b) arrays, so the whole run takes well under 2 s
     start = time.perf_counter()
     rc, out, err = run(capsys, "aut-verify", "--q", str(q), "--r", str(r),
                        "--ell", "1")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0 and err == ""
+    assert out.count("PASS") == 8 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", ["code-build", "aut-verify"])
+def test_oversized_matrix_gather_is_refused_before_allocating(
+        capsys, monkeypatch, command):
+    # N_{16,3} at ell = 300: the 42121 x 1048321 matrix would take about
+    # 600 GB; refused before the gather, and before any group work
+    monkeypatch.setattr(autgroup, "enumerate_group", None)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rc, out, err = run(capsys, command, "--q", "16", "--r", "3",
+                           "--ell", "300")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert rc == 1 and out == ""
-    assert err.startswith("error: group order times code length is")
-    assert f"above the limit {autgroup.GROUP_WORK_MAX}" in err
+    assert err.startswith("error: the 42121 x 1048321 generator matrix "
+                          "needs about")
+    assert f"above the limit {codes.TABLE_MAX_BYTES}" in err
+    assert "Traceback" not in err
+    assert peak < 200 << 20
 
 
 def test_classify(capsys, tmp_path):
@@ -444,7 +464,8 @@ def test_min_dist_notice_counts_projective_messages(capsys):
                        "--ell", "4", "--budget", str(8 ** 9))
     assert rc == 0
     assert out == "[n=29, k=9] d* = 13, exhaustive d = 13\n"
-    assert err == f"enumerating {(8 ** 9 - 1) // 7} messages ...\n"
+    assert err == (f"enumerating up to {(8 ** 9 - 1) // 7} messages, "
+                   f"stopping at weight d* = 13 ...\n")
 
 
 @pytest.mark.parametrize("j", [100000, 10 ** 9])

@@ -185,6 +185,28 @@ def test_lazy_matrix_equals_the_eager_one(curve33):
             assert code.matrix is code.matrix
 
 
+def test_matrix_gather_is_checked_against_the_limit(monkeypatch):
+    # the largest code that the tests and the benchmark gather: its
+    # estimate (exponents, matrix, gathered uint8 entries and numpy's
+    # buffers) is about a tenth of the limit; a limit one byte below
+    # the estimate refuses it before any array is built
+    code = build_code(build_curve(16, 2), 127)
+    need = 1913 * 4081 * (4 + 8 + 1) + 2 * np.getbufsize() * 8
+    assert need < codes.TABLE_MAX_BYTES // 10
+    monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"1913 x 4081 generator matrix "
+                                             f"needs about {need} bytes"):
+            code.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code._matrix is None and peak < need // 10
+    monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need)
+    assert code.matrix.shape == (1913, 4081)
+
+
 @pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3),
                                   (16, 2)])
 def test_closed_form_length_is_the_column_count(q, r):

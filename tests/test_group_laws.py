@@ -9,12 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace.autgroup import (CurveAut, apply_place, compose,  # noqa: E402
+from normtrace.autgroup import (CurveAut, compose,  # noqa: E402
                                 identity_aut, inverse)
 from normtrace.curve import MAX_PLACES, P_INFINITY, Place  # noqa: E402
 from normtrace.curve import build_curve  # noqa: E402
 from normtrace.gf import prime_factors  # noqa: E402
-from oracles import inverse_by_search  # noqa: E402
+from oracles import apply_place, inverse_by_search  # noqa: E402
 
 curve = functools.cache(build_curve)
 

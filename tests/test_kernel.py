@@ -77,6 +77,22 @@ def test_kernel_matches_oracles(case):
     assert_kernel_matches_oracles(*case)
 
 
+@SETTINGS
+@given(data=st.data())
+def test_vadd_scalar_matches_vadd(data):
+    # the table-free digit add, for one element and for an array of
+    # them, against the add table of FieldCtx.vadd
+    ctx = field(*data.draw(st.sampled_from(FIELDS)))
+    elems = st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=20)
+    u = np.array(data.draw(elems), dtype=np.int64)
+    a = np.array(data.draw(st.lists(st.integers(0, ctx.order - 1),
+                                    min_size=len(u), max_size=len(u))))
+    assert ctx.vadd_scalar(u, a).tolist() == ctx.vadd(u, a).tolist()
+    one = int(a[0])
+    assert (ctx.vadd_scalar(u, one).tolist()
+            == ctx.vadd(u, np.full_like(u, one)).tolist())
+
+
 SMALL_FIELDS = [(p, k) for p, k in FIELDS if p ** k <= 256]
 
 
