@@ -108,8 +108,9 @@ def _orbits(curve: NormTraceCurve, group, slack: int) -> list[list[Place]]:
     seen = np.zeros(len(keys) + 1, dtype=bool)  # a last False stops argmin
     out, i = [[P_INFINITY]] if below > 1 else [], 0
     while i < len(keys):
-        img = np.unique(ctx.vscale(int(xs[i]), b) * Q
-                        + ctx.vadd_scalar(ctx.vscale(int(ys[i]), bc), a))
+        img = np.sort(ctx.vscale(int(xs[i]), b) * Q
+                      + ctx.vadd_scalar(ctx.vscale(int(ys[i]), bc), a))
+        img = img[np.diff(img, prepend=-1) != 0]  # distinct keys
         at = np.searchsorted(keys, img)
         if not np.array_equal(keys.take(at, mode="clip"), img):
             raise ValueError("a map sends a place off the curve")
@@ -357,8 +358,9 @@ def generates(curve: NormTraceCurve, gens: list[CurveAut]) -> bool:
     parts = [t.a for t in gens[1:] if t.b == 1]
     if len(parts) != m or len(gens) != m + 1:
         return False
-    span = ctx.linear_map(parts + [0] * (ctx.k - m), np.arange(ctx.p ** m))
-    return len(np.unique(span)) == curve.h
+    span = np.sort(ctx.linear_map(parts + [0] * (ctx.k - m),
+                                  np.arange(ctx.p ** m)))
+    return 1 + np.count_nonzero(span[1:] != span[:-1]) == curve.h
 
 
 def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:

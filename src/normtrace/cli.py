@@ -29,7 +29,7 @@ import numpy as np
 from . import autgroup, codes, sepcurve
 from .curve import build_curve
 from .gf import build_field, prime_power
-from .rrspace import semigroup_nongaps
+from .rrspace import nongaps
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -56,32 +56,86 @@ def cmd_field_info(args):
 
 def cmd_curve_info(args):
     curve = build_curve(args.q, args.r)
-    n_places = curve.n_places
-    n_theta = n_places - len(curve.omega)
-    info = {
-        "q": curve.q,
-        "r": curve.r,
-        "genus": curve.genus,
-        "n_places": n_places,
-        "n_omega": len(curve.omega),
-        "n_theta": n_theta,
-        "div_x": curve.principal_divisor_x().to_dict(),
-        "div_y": curve.principal_divisor_y().to_dict(),
-        "nongaps_up_to_2g": semigroup_nongaps(curve, 2 * curve.genus),
-    }
+    n_places, n_omega = curve.n_places, len(curve.omega)
+    semigroup = nongaps(curve, 2 * curve.genus)
     if args.format == "json":
-        return 0, json.dumps(info, indent=2) + "\n"
+        info = {
+            "q": curve.q,
+            "r": curve.r,
+            "genus": curve.genus,
+            "n_places": n_places,
+            "n_omega": n_omega,
+            "n_theta": n_places - n_omega,
+            "div_x": curve.principal_divisor_x().to_dict(),
+            "div_y": curve.principal_divisor_y().to_dict(),
+        }
+        # the record without its last key, the non-gaps, ends "\n}"
+        head = json.dumps(info, indent=2)[:-2]
+        return 0, (f'{head},\n  "nongaps_up_to_2g": '
+                   f'{_int_list(semigroup, depth=1)}\n}}\n')
     lines = [
         f"norm-trace curve q={curve.q} r={curve.r} over GF({curve.q ** curve.r})",
         f"genus: {curve.genus}",
         f"rational places: {n_places}",
-        f"|Omega| (zeros of x): {len(curve.omega)}",
-        f"|Theta|: {n_theta}",
+        f"|Omega| (zeros of x): {n_omega}",
+        f"|Theta|: {n_places - n_omega}",
         f"(x) = sum(Omega) - {curve.h} * P_inf",
         f"(y) = {curve.c} * P(0,0) - {curve.c} * P_inf",
-        f"semigroup non-gaps up to 2g: {info['nongaps_up_to_2g']}",
+        f"semigroup non-gaps up to 2g: {_int_list(semigroup)}",
     ]
     return 0, "\n".join(lines) + "\n"
+
+
+def _int_list(values: np.ndarray, depth: int | None = None) -> str:
+    """The ascending values, each below 2^32, as str(list) prints them,
+    or with depth as json.dumps(indent=2) prints a list nested depth
+    levels deep.  No Python int is made per value (_joined_digits)."""
+    if depth is None:
+        return f"[{_joined_digits(values, ', ')}]"
+    if not len(values):
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}{_joined_digits(values, ',' + pad)}\n{'  ' * depth}]"
+
+
+# the largest value of each decimal width 1..10 that uint32 holds
+_WIDTH_TOPS = np.array([10 ** w - 1 for w in range(1, 10)] + [2 ** 32 - 1],
+                       dtype=np.uint32)
+
+
+def _joined_digits(values: np.ndarray, sep: str) -> str:
+    """The decimal digits of the ascending values joined by sep.  In an
+    ascending array the values of one decimal width are a run, and each
+    run is written as one fixed-width uint8 block of the output, its
+    digits then sep, a column at a time in unsigned 32-bit arithmetic
+    (into reused buffers: a fresh array per step costs page faults)."""
+    values = np.asarray(values)
+    if len(values) and not (0 <= values[0] and values[-1] < 2 ** 32
+                            and (values[1:] >= values[:-1]).all()):
+        raise ValueError("values must be ascending and lie in 0..2^32-1")
+    sep_bytes = sep.encode()
+    ends = np.searchsorted(values, _WIDTH_TOPS, side="right").tolist()
+    runs = [(width, lo, hi) for width, lo, hi
+            in zip(range(1, 11), [0] + ends, ends) if hi > lo]
+    text = np.empty(sum((hi - lo) * (width + len(sep_bytes))
+                        for width, lo, hi in runs), dtype=np.uint8)
+    ten, at = np.uint32(10), 0
+    for width, lo, hi in runs:
+        block = text[at:at + (hi - lo) * (width + len(sep_bytes))].reshape(
+            hi - lo, -1)
+        at += block.size
+        rest = values[lo:hi].astype(np.uint32)
+        quot, digit = np.empty_like(rest), np.empty_like(rest)
+        for col in range(width - 1, -1, -1):
+            np.floor_divide(rest, ten, out=quot)
+            np.multiply(quot, ten, out=digit)
+            np.subtract(rest, digit, out=digit)
+            digit += ord("0")
+            block[:, col] = digit
+            rest, quot = quot, rest
+        for col, byte in enumerate(sep_bytes, start=width):
+            block[:, col] = byte
+    return text[:max(0, len(text) - len(sep_bytes))].tobytes().decode("ascii")
 
 
 def _table_rows(args):

@@ -466,8 +466,13 @@ def _word_kernel(ctx, n: int):
     word.
     """
     if ctx.p != 2:
+        count = np.min_scalar_type(n)  # holds every distance exactly
+
         def distance(words, word):
-            return np.count_nonzero(words[0] != word[0], axis=-1)
+            # summing the bool array's bytes in the narrowest dtype:
+            # count_nonzero with an axis casts it to intp first
+            return (words[0] != word[0]).view(np.uint8).sum(axis=-1,
+                                                             dtype=count)
         return ((lambda idx: np.ascontiguousarray(idx[None], ctx.dtype)),
                 ctx.vadd, distance)
 

@@ -161,13 +161,16 @@ class NormTraceCurve:
         return Place(AFFINE, x, y)
 
     @cached_property
-    def affine_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y indices of the affine places, sorted by (x, y).
+    def _fibres(self) -> tuple[np.ndarray, ...]:
+        """(norms, sizes, starts, by_trace): the norm of every x, and
+        the elements listed by trace (a stable argsort, so ascending
+        within a trace) with the size and start of each trace's run.
+        The places over x are the y in the run of norm(x).
 
         The trace is GF(p)-linear, so the traces of all y follow from
         the traces of the basis X^j; the norm of x is x^c.  The trace is
-        onto GF(q), where every norm lies, so each x has h points: the
-        fibre of norm(x), which a stable argsort lists by ascending y."""
+        onto GF(q), where every norm lies, so each norm's fibre has h
+        points.  All of this is O(Q), where the places are O(Q h)."""
         ctx, Q = self.ctx, self.ctx.order
         traces = ctx.linear_map(
             [ctx.trace_rel(ctx.p ** j, self.q, self.r) for j in range(ctx.k)],
@@ -175,30 +178,43 @@ class NormTraceCurve:
         norms = ctx.vpow(np.arange(Q), self.c)
         sizes = np.bincount(traces, minlength=Q)
         assert (sizes[norms] == self.h).all()
-        starts = np.cumsum(sizes) - sizes
-        by_trace = np.argsort(traces, kind="stable")
+        return (norms, sizes, np.cumsum(sizes) - sizes,
+                np.argsort(traces, kind="stable"))
+
+    def _fibre(self, x: int) -> np.ndarray:
+        """The y of the affine places over x, ascending."""
+        norms, _, starts, by_trace = self._fibres
+        start = starts[norms[x]]
+        return by_trace[start:start + self.h]
+
+    @cached_property
+    def affine_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y indices of the affine places, sorted by (x, y): each
+        x's fibre expanded from _fibres."""
+        norms, _, starts, by_trace = self._fibres
         ys = by_trace[(starts[norms][:, None] + np.arange(self.h)).ravel()]
-        xs = np.repeat(np.arange(Q), self.h)
+        xs = np.repeat(np.arange(self.ctx.order), self.h)
         xs.flags.writeable = ys.flags.writeable = False
         return xs, ys
 
     @property
     def n_places(self) -> int:
-        """The number of rational places, counted without building them."""
-        return 1 + len(self.affine_xy[0])
+        """The number of rational places, 1 + the sum over x of the size
+        of the fibre of norm(x), counted without building them."""
+        norms, sizes, _, _ = self._fibres
+        return 1 + int(sizes[norms].sum())
 
     @cached_property
     def trace_zero(self) -> frozenset[int]:
         """Elements of trace zero: the translation parts of the group,
         which are the y of the places over x = 0."""
-        return frozenset(self.affine_xy[1][:self.h].tolist())
+        return frozenset(self._fibre(0).tolist())
 
     def x_fiber(self, x: int) -> list[Place]:
         """Affine places with the given x coordinate, in canonical order."""
         if not 0 <= x < self.ctx.order:
             raise ValueError(f"x = {x} is not in GF({self.ctx.order})")
-        ys = self.affine_xy[1][x * self.h:(x + 1) * self.h]
-        return [Place(AFFINE, x, y) for y in ys.tolist()]
+        return [Place(AFFINE, x, y) for y in self._fibre(x).tolist()]
 
     @cached_property
     def places(self) -> tuple[Place, ...]:

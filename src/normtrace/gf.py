@@ -7,12 +7,13 @@ residue polynomial modulo a fixed monic irreducible polynomial.  A
 tables, so multiplication, inversion and powering are table lookups;
 odd-characteristic addition and negation go through Zech logarithms.
 
-The exp table (``exp_np``) is built by doubling whole blocks with
-integer array operations: per-byte XOR tables in characteristic 2,
-base-p digit matrices otherwise (see ``FieldCtx._build_tables``), so
-GF(2^20) takes tens of milliseconds.  The Python lists the scalar
-methods index are made from the arrays on the first scalar call; a
-field used only through arrays never holds them.
+Building a field finds only its modulus and generator.  The exp and
+log tables (``exp_np``, ``log_np``) are filled on first read, by
+doubling whole blocks with integer array operations: per-byte XOR
+tables in characteristic 2, base-p digit matrices otherwise (see
+``FieldCtx.exp_np``), so GF(2^20) takes tens of milliseconds.  The
+Python lists the scalar methods index are made from the arrays on the
+first scalar call; a field used only through arrays never holds them.
 
 The vector operations work on numpy arrays of indices.  The Q x Q
 product and sum tables that the elimination kernel gathers from
@@ -32,6 +33,7 @@ desk-scale any more).
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -208,7 +210,11 @@ class FieldCtx:
         self._digit_dtype = np.min_scalar_type(k * (p - 1) ** 2)
         # narrowest unsigned dtype holding every element index
         self.dtype = np.min_scalar_type(order - 1)
-        self._build_tables()
+        self._find_generator()
+        self._exp = _ListOnFirstUse(self, "_exp")
+        self._log = _ListOnFirstUse(self, "_log")
+        # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
+        self._neg_shift = (order - 1) // 2 if p > 2 else 0
         # lazy tables
         self._zech = None
         self._mul_np = None
@@ -242,45 +248,54 @@ class FieldCtx:
             e >>= 1
         return r
 
-    def _build_tables(self):
-        """Find the generator g, then build exp by doubling: exp[L:2L]
-        is exp[0:L] times g^L, a GF(p)-linear map applied to the whole
-        block at once, and the map of g^2L is the map of g^L applied to
-        itself.  No step does work per element in Python or reads base-p
-        digits out of indices.
-
-        In characteristic 2 the generator is found by scalar search on
-        bit masks, and the map is a list of per-byte XOR tables (see
-        _byte_tables), squared by applying it to its own tables.  In odd
-        characteristic the generator is found by batched
-        square-and-multiply on digit matrices (_odd_generator); exp is
-        kept as a k x n matrix of base-p digits, each block is the one
-        before times the k x k digit matrix of g^L, that matrix is
-        squared each step, and the indices are formed once at the end.
-        log is the inverse permutation.  The scalar methods' Python
-        lists are built on first use (_ListOnFirstUse)."""
+    def _find_generator(self):
+        """The canonical generator g: the smallest index of full order.
+        In characteristic 2 it is found by scalar search on bit masks;
+        in odd characteristic by batched square-and-multiply on digit
+        matrices (_odd_generator), whose matrix of g the exp fill keeps."""
         n = self.order - 1
         primes = prime_factors(n) if n > 1 else []
-        # doubled so log sums index directly
-        exp = np.empty(2 * n, dtype=np.int64)
         if self.p == 2:
             self.generator = next(
                 c for c in range(1, self.order)
                 if all(self._pow_raw(c, n // ell) != 1 for ell in primes))
+        else:
+            self.generator, self._g_matrix = self._odd_generator(primes)
+
+    @cached_property
+    def exp_np(self) -> np.ndarray:
+        """g^0, g^1, ..., doubled so log sums index directly; filled on
+        first read by doubling: exp[L:2L] is exp[0:L] times g^L, a
+        GF(p)-linear map applied to the whole block at once, and the map
+        of g^2L is the map of g^L applied to itself.  No step does work
+        per element in Python or reads base-p digits out of indices.
+
+        In characteristic 2 the map is a list of per-byte XOR tables
+        (see _byte_tables), squared by applying it to its own tables.  In
+        odd characteristic exp is kept as a k x n matrix of base-p
+        digits, each block is the one before times the k x k digit
+        matrix of g^L, that matrix is squared each step, and the indices
+        are formed once at the end.  cached_property stores the array on
+        the instance, so later reads are plain attribute loads."""
+        n = self.order - 1
+        exp = np.empty(2 * n, dtype=np.int64)
+        if self.p == 2:
             self._powers_char2(exp[:n])
         else:
-            self.generator, g_matrix = self._odd_generator(primes)
-            self._powers_odd(exp[:n], g_matrix)
+            self._powers_odd(exp[:n], self._g_matrix)
         exp[n:] = exp[:n]
+        exp.flags.writeable = False
+        return exp
+
+    @cached_property
+    def log_np(self) -> np.ndarray:
+        """The inverse permutation of exp_np, with log 0 = -1; filled on
+        first read."""
+        n = self.order - 1
         log = np.full(self.order, -1, dtype=np.int64)
-        log[exp[:n]] = np.arange(n)
-        exp.flags.writeable = log.flags.writeable = False
-        self.exp_np = exp
-        self.log_np = log
-        self._exp = _ListOnFirstUse(self, "_exp")
-        self._log = _ListOnFirstUse(self, "_log")
-        # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
-        self._neg_shift = n // 2 if self.p > 2 else 0
+        log[self.exp_np[:n]] = np.arange(n)
+        log.flags.writeable = False
+        return log
 
     def _powers_char2(self, out: np.ndarray):
         """Fill out with g^0, g^1, ... by doubling on byte tables."""

@@ -104,27 +104,32 @@ def constant_one(curve: NormTraceCurve) -> FunctionElem:
 # Weierstrass semigroup and monomial bases
 # ----------------------------------------------------------------------
 
-def _nongaps(curve: NormTraceCurve, bound: int) -> np.ndarray:
-    """The non-gaps <= bound of <h, c>, ascending: as gcd(h, c) = 1, the
-    progressions j*c + h*i for j < h, marked on 0..bound."""
+def _marked(curve: NormTraceCurve, bound: int) -> np.ndarray:
+    """Entry v of the bool array is True iff v <= bound is a non-gap of
+    <h, c>: as gcd(h, c) = 1, the progressions j*c + h*i for j < h."""
     if bound < 0:
         raise ValueError(f"bound {bound} must be >= 0")
     h, c = curve.h, curve.c
     marked = np.zeros(bound + 1, dtype=bool)
     for j in range(min(h - 1, bound // c) + 1):
         marked[j * c::h] = True
-    return np.flatnonzero(marked)
+    return marked
+
+
+def nongaps(curve: NormTraceCurve, bound: int) -> np.ndarray:
+    """The non-gaps <= bound of <h, c>, ascending."""
+    return np.flatnonzero(_marked(curve, bound))
 
 
 def semigroup_nongaps(curve: NormTraceCurve, bound: int) -> list[int]:
     """Non-gaps a*h + b*c <= bound of the semigroup <h, c>, ascending."""
-    return _nongaps(curve, bound).tolist()
+    return nongaps(curve, bound).tolist()
 
 
 def semigroup_gaps(curve: NormTraceCurve) -> list[int]:
     """Gaps of <h, c>; there are exactly genus of them, all < 2g."""
     top = 2 * curve.genus
-    return np.setdiff1d(np.arange(top), _nongaps(curve, top)).tolist()
+    return np.flatnonzero(~_marked(curve, top)[:top]).tolist()
 
 
 def basis_one_point(curve: NormTraceCurve, s: int) -> np.ndarray:
@@ -132,7 +137,7 @@ def basis_one_point(curve: NormTraceCurve, s: int) -> np.ndarray:
     and pole order v = i*h + j*c <= s: a read-only (2, k) int64 array
     [i; j] in the order of v, the non-gaps <= s; j is v / c mod h."""
     h, c = curve.h, curve.c
-    v = _nongaps(curve, s)
+    v = nongaps(curve, s)
     j = v * pow(c, -1, h) % h
     basis = np.stack([(v - j * c) // h, j])
     basis.flags.writeable = False

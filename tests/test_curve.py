@@ -84,10 +84,14 @@ def test_trace_zero_and_affine_xy_are_lazy():
 def test_places_equal_brute_force_search(q, r):
     cv = build_curve(q, r)
     want = places_by_search(cv)
-    assert list(cv.places) == want
+    # the count and the fibres come from the O(Q) trace fibres alone
+    assert cv.n_places == len(want)
+    assert list(cv.omega) == [P for P in want[1:] if P.x == 0]
+    assert cv.trace_zero == {P.y for P in want[1:] if P.x == 0}
     for x in cv.ctx.elements():
         assert cv.x_fiber(x) == [P for P in want[1:] if P.x == x]
-    assert cv.trace_zero == {P.y for P in want[1:] if P.x == 0}
+    assert "affine_xy" not in vars(cv)
+    assert list(cv.places) == want
     xs, ys = cv.affine_xy
     assert xs.tolist() == [P.x for P in want[1:]]
     assert ys.tolist() == [P.y for P in want[1:]]

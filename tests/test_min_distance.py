@@ -242,3 +242,24 @@ def test_benchmark_codes_fit_the_table_limit(q, r, ell, monkeypatch):
     # jobs enumerate
     code = build_code(build_curve(q, r), ell)
     assert table_estimate(code, monkeypatch) < codes.TABLE_MAX_BYTES
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pk=st.sampled_from([(3, 1), (3, 2), (5, 1), (7, 2), (3, 5)]),
+       n=st.one_of(st.integers(1, 300),
+                   st.sampled_from([255, 256, 257, 65535, 65536, 65537])),
+       rows=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_odd_distance_equals_count_nonzero(pk, n, rows, seed):
+    # the sweep sums the bytes of the bool comparison in the narrowest
+    # dtype that holds n: at n = 255 and 65535 a word that differs
+    # everywhere fills it, one past those needs the next dtype
+    ctx = field(*pk)
+    encode, _, distance = codes._word_kernel(ctx, n)
+    rng = np.random.default_rng(seed)
+    word = rng.integers(0, ctx.order, size=n)
+    words = rng.integers(0, ctx.order, size=(rows, n))
+    words[0] = (word + 1) % ctx.order  # distance n
+    words[1] = word  # distance 0
+    got = distance(encode(words), encode(word[None]))
+    assert got.tolist() == np.count_nonzero(words != word, axis=-1).tolist()
+    assert got[0] == n

@@ -1,7 +1,9 @@
 """The generator-matrix writer of `code-build` (cli._matrix_text)
 against the printers it replaced: json.dumps(indent=2) of the whole
 report and csv.writer of the matrix rows, byte for byte, over random
-matrices with entries of every width in fields p^k <= 2^12."""
+matrices with entries of every width in fields p^k <= 2^12.  Likewise
+the non-gap writer of `curve-info` (cli._int_list) against str(list)
+and json.dumps, over ascending arrays of every decimal width."""
 
 import csv
 import hashlib
@@ -136,3 +138,64 @@ def test_code_build_memory_is_bounded():
         tracemalloc.stop()
     assert status == 0 and len(data) == 5_910_659
     assert peak < 30 << 20
+
+
+# 794,976 = 2g of N_{3,7}, the largest 2g that curve-info admits
+NONGAP_TOP = 794_976
+POWERS_OF_TEN = [v for w in range(1, 7) for v in (10 ** w - 1, 10 ** w)]
+
+
+@st.composite
+def ascending_arrays(draw):
+    """Ascending arrays of distinct values in 0..NONGAP_TOP, as the
+    non-gaps are, drawn to hold the empty array, single values and the
+    values on both sides of every power of ten."""
+    picks = st.one_of(st.integers(0, NONGAP_TOP),
+                      st.sampled_from([0, NONGAP_TOP] + POWERS_OF_TEN))
+    values = draw(st.sets(picks, max_size=40))
+    dtype = draw(st.sampled_from([np.int64, np.intp, np.uint32]))
+    return np.array(sorted(values), dtype=dtype)
+
+
+@SETTINGS
+@given(ascending_arrays())
+def test_int_list_equals_str_and_json_dumps(values):
+    as_list = values.tolist()
+    assert cli._int_list(values) == str(as_list)
+    assert cli._int_list(values, depth=0) == json.dumps(as_list, indent=2)
+    # nested one level, as the last key of curve-info's record
+    nested = json.dumps({"a": 1, "b": as_list}, indent=2)
+    assert nested == ('{\n  "a": 1,\n  "b": '
+                      + cli._int_list(values, depth=1) + "\n}")
+
+
+def test_int_list_covers_every_uint32_width():
+    values = np.array([0] + [10 ** w for w in range(1, 10)] + [2 ** 32 - 1])
+    assert cli._int_list(values) == str(values.tolist())
+    assert cli._joined_digits(values, "") == "".join(map(str, values.tolist()))
+
+
+@pytest.mark.parametrize("values", [[2, 1], [-1, 3], [0, 2 ** 32]])
+def test_int_list_refuses_what_it_cannot_write(values):
+    # a descending pair would be written in the wrong run; -1 and 2^32
+    # would wrap round in uint32
+    with pytest.raises(ValueError, match="ascending"):
+        cli._int_list(np.array(values))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # recorded before the non-gaps were written from their array
+    ("--q 2 --r 10",
+     "561b0f2fd9b5f1d51ff387287226de5d2f42d4a80232e1f50b4820858c52301c"),
+    ("--q 2 --r 10 --format json",
+     "e96066f4321d72247d7c3bc3af0098bd14bed47fa1dd8c68cdc4c5fc55d38ca3"),
+    ("--q 3 --r 7",
+     "224caead01b0e65b418eb1fa0594b3272ab9c99e9b4b354974335656e4292cab"),
+    ("--q 3 --r 7 --format json",
+     "f814be69fd35d25b3855faf49aa45111e715cc843b53d2f172c3f497d6265244"),
+])
+def test_curve_info_stdout_is_pinned(capsys, argv, digest):
+    rc = cli.main(["curve-info", *argv.split()])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
