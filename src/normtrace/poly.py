@@ -1,7 +1,7 @@
-"""Dense polynomials over a FieldCtx: little-endian lists of element
-indices with a nonzero last entry ([] is zero).  Over FieldCtx(p, 1) an
-index is the coefficient itself, so GF(p) moduli pass in directly.
-Only the context's methods are used, so this module never imports gf.
+"""Dense polynomials over a FieldCtx, for sepcurve: little-endian lists
+of element indices with a nonzero last entry ([] is zero).  Only the
+context's methods are used, so this module never imports gf, whose
+modulus search has its own kernel on plain integers.
 """
 
 from __future__ import annotations

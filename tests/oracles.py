@@ -41,14 +41,14 @@ pass has checked the split, where the library proves it from the basis
 keys alone; and the matrix's entries by scalar evaluation at each
 place, where the library gathers them from the exp table.
 
-Some helpers live here because only the tests use them: the local
-parameter at P_inf and the extended evaluation through it, which the
-library replaces by a valuation rule, and the images of one place under
-a curve automorphism and under the Frobenius, which the library forms
-for whole arrays of places or maps.
+Some helpers live here because only the tests use them: the prime
+powers up to a bound, the local parameter at P_inf and the extended
+evaluation through it, which the library replaces by a valuation rule,
+and the images of one place under a curve automorphism and under the
+Frobenius, which the library forms for whole arrays of places or maps.
 """
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -209,6 +209,24 @@ def irreducible_by_trial(coeffs, p: int) -> bool:
             if _poly_divides(factor, coeffs, p):
                 return False
     return True
+
+
+@cache
+def prime_powers(limit: int) -> tuple[tuple[int, int], ...]:
+    """(p, k) for every prime power p^k <= limit, ascending in p^k; the
+    primes by a sieve, not by the library's trial division."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(limit ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    out = []
+    for p in np.flatnonzero(sieve).tolist():
+        q, k = p, 1
+        while q <= limit:
+            out.append((q, p, k))
+            q, k = q * p, k + 1
+    return tuple((p, k) for _, p, k in sorted(out))
 
 
 def _poly_divides(g, f, p):

@@ -14,7 +14,8 @@ import pytest
 from normtrace import autgroup, cli, codes, sepcurve
 from normtrace.cli import main
 from normtrace.curve import build_curve
-from normtrace.gf import field_from_dict
+from normtrace.gf import MAX_ORDER, field_from_dict
+from oracles import prime_powers
 
 CASE_II_SPEC = {"p": 2, "field": {"p": 2, "k": 1},
                 "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1},
@@ -173,6 +174,21 @@ def test_large_field_and_curve_stdout_is_pinned(capsys, argv, digest):
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_field_info_json_over_every_extension_order_is_pinned(capsys):
+    # the canonical modulus and generator of all 242 fields GF(p^k),
+    # k >= 2, of order <= 2^20, ascending (digest recorded before the
+    # modulus search moved to plain integers)
+    digest = hashlib.sha256()
+    orders = [p ** k for p, k in prime_powers(MAX_ORDER) if k >= 2]
+    assert len(orders) == 242
+    for q in orders:
+        rc, out, _ = run(capsys, "field-info", "--q", str(q), "--format", "json")
+        assert rc == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "ed31800bf4cedb68b6e8e2d48ce4c2c768d10ad174166a051fa54a5fc21e7f82")
 
 
 def test_curve_info_memory_is_bounded(capsys):
@@ -531,6 +547,18 @@ def test_malformed_spec_is_an_error(capsys, tmp_path, spec):
     rc, out, err = run(capsys, "classify", "--spec", str(path))
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("modulus", [[1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1, 1]],
+                         ids=["refused-at-step-2", "refused-at-step-3"])
+def test_reducible_spec_modulus_is_an_error(capsys, tmp_path, modulus):
+    # (X^2 + X + 1)^2 and (X^3 + X + 1)(X^3 + X^2 + 1) over GF(2)
+    path = tmp_path / "spec.json"
+    field = {"p": 2, "k": len(modulus) - 1, "modulus": modulus}
+    path.write_text(json.dumps({**CASE_II_SPEC, "field": field}))
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"error: modulus {modulus} is reducible over GF(2)\n"
 
 
 def test_classify_refuses_a_b_without_splitting_field_at_once(capsys, tmp_path):

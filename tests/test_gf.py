@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,59 @@ def test_build_field_rejects_bad_inputs():
         build_field(3, 2, modulus=[1, 0, 2])  # not monic
     with pytest.raises(ValueError):
         build_field(2, 21)  # order above the table limit
+
+
+# reducible over GF(2) with no factor of degree < i, so only step i of
+# Ben-Or's test refuses them: (X^2 + X + 1)^2 at i = 2, and
+# (X^3 + X + 1)(X^3 + X^2 + 1) = X^6 + ... + 1 at i = 3
+REDUCIBLE_AT_STEP = {2: [1, 0, 1, 0, 1], 3: [1, 1, 1, 1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("step", sorted(REDUCIBLE_AT_STEP))
+def test_reducible_modulus_refused_at_its_step(step):
+    modulus = REDUCIBLE_AT_STEP[step]
+    k = len(modulus) - 1
+    with pytest.raises(ValueError, match="reducible"):
+        build_field(2, k, modulus=modulus)
+    with pytest.raises(ValueError, match="reducible"):
+        field_from_dict({"p": 2, "k": k, "modulus": modulus})
+
+
+def _mobius(n):
+    primes = gf.prime_factors(n)
+    return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
+
+
+@pytest.mark.parametrize("p, max_k", [(2, 12), (3, 7), (5, 5), (7, 4)])
+def test_irreducible_counts_follow_gauss(p, max_k):
+    # k N_k = sum over d | k of mu(d) p^(k/d) monic irreducibles of degree k
+    for k in range(1, max_k + 1):
+        count = sum(gf.poly_is_irreducible(list(low) + [1], p)
+                    for low in itertools.product(range(p), repeat=k))
+        assert k * count == sum(_mobius(d) * p ** (k // d)
+                                for d in range(1, k + 1) if k % d == 0)
+
+
+def test_modulus_search_and_check_build_no_field(monkeypatch):
+    # both compute on plain integers
+    def refuse(*args):
+        raise AssertionError("FieldCtx built")
+    monkeypatch.setattr(gf.FieldCtx, "__init__", refuse)
+    assert gf.smallest_irreducible(2, 16) == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+    assert gf.smallest_irreducible(3, 9) == (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)
+    assert not gf.poly_is_irreducible(REDUCIBLE_AT_STEP[3], 2)
+
+
+def test_gf_imports_no_normtrace_module():
+    # the field layer stands alone: its modulus search has its own
+    # kernel and does not go through poly
+    tree = ast.parse(Path(gf.__file__).read_text())
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names]
+    imported += [("." * node.level) + (node.module or "")
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported
+                if m.startswith(".") or m.startswith("normtrace")], imported
 
 
 def test_additive_identity_all_elements(f8):

@@ -7,11 +7,15 @@ import random
 import pytest
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
 from normtrace import poly  # noqa: E402
-from normtrace.gf import (build_field, poly_is_irreducible,  # noqa: E402
-                          prime_power, smallest_irreducible)
+from normtrace.gf import (MAX_ORDER, build_field, is_prime,  # noqa: E402
+                          poly_is_irreducible, smallest_irreducible)
+from oracles import prime_powers  # noqa: E402
 
 
 def big_endian(f):
@@ -23,11 +27,7 @@ def sympy_irreducible(f, p):
 
 
 def test_smallest_irreducible_is_first_sympy_irreducible():
-    for n in range(2, 2 ** 12 + 1):
-        try:
-            p, k = prime_power(n)
-        except ValueError:
-            continue
+    for p, k in prime_powers(MAX_ORDER):
         for t in range(p ** k):
             cand = [t // p ** i % p for i in range(k)] + [1]
             if sympy_irreducible(cand, p):
@@ -41,6 +41,26 @@ def test_irreducibility_matches_sympy(p, max_k):
         for low in itertools.product(range(p), repeat=k):
             f = list(low) + [1]
             assert poly_is_irreducible(f, p) == sympy_irreducible(f, p), f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([p for p in range(2, 252) if is_prime(p)]),
+       data=st.data())
+def test_irreducibility_matches_sympy_on_random_monic(p, data):
+    # a random monic f of degree <= 10, or a product of two monic factors
+    # of degree >= 2, which only a later step of Ben-Or's test can refuse
+    def monic(lo, hi):
+        k = data.draw(st.integers(lo, hi))
+        return data.draw(st.lists(st.integers(0, p - 1), min_size=k,
+                                  max_size=k)) + [1]
+    if data.draw(st.booleans()):
+        f = monic(1, 10)
+    else:
+        g = monic(2, 5)
+        f = big_endian(galoistools.gf_mul(big_endian(g),
+                                          big_endian(monic(2, 10 - len(g) + 1)),
+                                          p, ZZ))
+    assert poly_is_irreducible(f, p) == sympy_irreducible(f, p), f
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 251])
