@@ -26,7 +26,7 @@ print("\nshort orbits:", [len(o) for o in short_orbits(curve)],
       "(P_inf alone, then the zeros of x)")
 P = curve.theta[3]
 print("a Theta place has full orbit:",
-      len(next(orb for orb in orbits(curve, group) if P in orb)))
+      len(next(orb for orb in orbits(curve) if P in orb)))
 
 # Every combination (curve automorphism, Frobenius power, scalar)
 # preserves the code: 28 * 3 * 7 = 588 code automorphisms.

@@ -77,32 +77,44 @@ def inverse(s: CurveAut) -> CurveAut:
     return CurveAut(curve, a_inv, b_inv)
 
 
+def group_arrays(curve: NormTraceCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The whole group as (a, b) index arrays, sorted by (a, b): the h
+    sorted y over x = 0, each repeated Q - 1 times, paired with
+    b = 1, ..., Q - 1 tiled h times."""
+    n1 = curve.ctx.order - 1
+    return (np.repeat(curve.affine_xy[1][:curve.h], n1),
+            np.tile(np.arange(1, n1 + 1), curve.h))
+
+
 def enumerate_group(curve: NormTraceCurve) -> list[CurveAut]:
     """All q^{r-1} (q^r - 1) automorphisms, sorted by (a, b)."""
-    return [CurveAut(curve, a, b) for a in sorted(curve.trace_zero)
-            for b in curve.ctx.nonzero()]
+    a, b = group_arrays(curve)
+    return [CurveAut(curve, u, v) for u, v in zip(a.tolist(), b.tolist())]
 
 
-def orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
-    """Orbit decomposition of the rational places under the group
-    (default: the full automorphism group), in canonical order."""
-    return _orbits(curve, group, 1)
+def orbits(curve: NormTraceCurve) -> list[list[Place]]:
+    """The orbits of the places under the whole group, in canonical order."""
+    return _orbits(curve, *group_arrays(curve), 1)
 
 
-def short_orbits(curve: NormTraceCurve, group=None) -> list[list[Place]]:
-    """Orbits strictly smaller than the group (default: the full
-    automorphism group): the fixed place at infinity and the q^{r-1}
-    zeros of x."""
-    return _orbits(curve, group, 0)
+def short_orbits(curve: NormTraceCurve) -> list[list[Place]]:
+    """Orbits strictly smaller than the full automorphism group: the
+    fixed place at infinity and the q^{r-1} zeros of x."""
+    return _orbits(curve, *group_arrays(curve), 0)
 
 
-def _orbits(curve: NormTraceCurve, group, slack: int) -> list[list[Place]]:
-    """The orbits of fewer than |group| + slack places, in canonical
-    order: each unseen affine place (x, y) goes to (b x, b^c y + a) under
-    every (a, b) at once, looked up among the keys x Q + y of affine_xy."""
-    group = enumerate_group(curve) if group is None else group
-    ctx, Q, below = curve.ctx, curve.ctx.order, len(group) + slack
-    a, b = np.array([[s.a, s.b] for s in group], np.int64).reshape(-1, 2).T
+def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray | None:
+    """The positions of key in the sorted keys, or None if one is missing."""
+    at = np.searchsorted(keys, key)
+    return at if np.array_equal(keys.take(at, mode="clip"), key) else None
+
+
+def _orbits(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray, slack: int
+            ) -> list[list[Place]]:
+    """The orbits of fewer than len(a) + slack places under the pairs
+    (a, b), in canonical order: each unseen affine place (x, y) goes to
+    (b x, b^c y + a) under every pair at once, found by its key x Q + y."""
+    ctx, Q, below = curve.ctx, curve.ctx.order, len(a) + slack
     xs, ys = curve.affine_xy
     keys, bc = xs * Q + ys, ctx.vpow(b, curve.c)
     seen = np.zeros(len(keys) + 1, dtype=bool)  # a last False stops argmin
@@ -110,9 +122,8 @@ def _orbits(curve: NormTraceCurve, group, slack: int) -> list[list[Place]]:
     while i < len(keys):
         img = np.sort(ctx.vscale(int(xs[i]), b) * Q
                       + ctx.vadd_scalar(ctx.vscale(int(ys[i]), bc), a))
-        img = img[np.diff(img, prepend=-1) != 0]  # distinct keys
-        at = np.searchsorted(keys, img)
-        if not np.array_equal(keys.take(at, mode="clip"), img):
+        at = _find(keys, img[np.diff(img, prepend=-1) != 0])  # distinct keys
+        if at is None:
             raise ValueError("a map sends a place off the curve")
         seen[at] = True
         if len(at) < below:
@@ -120,11 +131,6 @@ def _orbits(curve: NormTraceCurve, group, slack: int) -> list[list[Place]]:
                         in zip(xs[at].tolist(), ys[at].tolist())])
         i += 1 + int(seen[i + 1:].argmin())
     return out
-
-
-def orbit_report(orbit_list: list[list[Place]]) -> list[list[dict]]:
-    """Orbits as JSON-ready lists of place records."""
-    return [[P.to_dict() for P in orb] for orb in orbit_list]
 
 
 def _coordinate_maps(s: CurveAut, frob: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -156,63 +162,56 @@ def fixed_places(s: CurveAut) -> list[Place]:
     return [P_INFINITY] + ([] if s.a else list(curve.omega))
 
 
-def group_checks(curve: NormTraceCurve, group: list[CurveAut], seed: int
+def _fixed_counts(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray
+                  ) -> np.ndarray:
+    """len(fixed_places) of each non-identity (a, b), by its cases:
+    2 if b^c != 1, else h + 1 if a = 0, else 1."""
+    return np.where(curve.ctx.vpow(b, curve.c) != 1, 2,
+                    np.where(a == 0, curve.h + 1, 1))
+
+
+def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
+                 seed: int
                  ) -> tuple[list[tuple[str, bool, str]], list[list[Place]]]:
-    """(name, passed, detail) records for the group: its order, closure
-    and associativity (every pair up to 64 elements, else 10,000 triples
-    drawn by numpy.random.default_rng(seed)), inverses, the short
-    orbits and the fixed-place bound.  Also returns the short orbits it
-    computed."""
+    """(name, passed, detail) records for the group as int64 (a, b)
+    arrays, and its short orbits: the order; closure and associativity
+    (every pair up to 64 elements, else 10,000 triples drawn by
+    numpy.random.default_rng(seed)); the inverses (-b^{-c} a, b^{-1});
+    the short orbits; and the fixed-place bound.  Products and inverses
+    are found among the sorted keys a Q + b.  Odd characteristic needs
+    the order in gf.TABLE_MAX_ORDER; a of nonzero trace raises ValueError."""
+    ctx, Q, n = curve.ctx, curve.ctx.order, len(a)
     want = curve.h * (curve.q ** curve.r - 1)
-    checks = [("group order", len(group) == want,
-               f"{len(group)} (expected {want})")]
-    pairs = [(s.a, s.b) for s in group]
-    closed, how = _closure(curve, pairs, seed)
-    checks.append(("closure/associativity", closed, how))
-    elems = set(pairs)
-    checks.append(("inverses", all((t.a, t.b) in elems
-                                   for t in map(inverse, group)), ""))
-    short = short_orbits(curve, group)
-    sizes = sorted(len(o) for o in short)
-    checks.append(("short orbits", sizes == [1, curve.h], f"sizes {sizes}"))
-    bound = curve.h + 1
-    worst = max((len(fixed_places(s)) for s in group if not s.is_identity),
-                default=0)
-    checks.append((f"fixed places <= {bound}", worst <= bound, f"max {worst}"))
-    return checks, short
-
-
-def _closure(curve: NormTraceCurve, pairs: list[tuple[int, int]], seed: int
-             ) -> tuple[bool, str]:
-    """(passed, detail) for the closure of the (a, b) pairs: every
-    product of two up to 64 pairs, else 10,000 triples drawn by
-    numpy.random.default_rng(seed) as one (3, 10000) array, each product
-    in the set and associative.  Pairs are composed as index
-    arrays and looked up among the sorted keys a * Q + b; odd
-    characteristic needs the order within gf.TABLE_MAX_ORDER."""
-    ctx, n = curve.ctx, len(pairs)
-    elems = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    checks = [("group order", n == want, f"{n} (expected {want})")]
     if n <= 64:
         (u, v), w, how = np.divmod(np.arange(n * n), n), None, "exhaustive"
     else:
         u, v, w = np.random.default_rng(seed).integers(n, size=(3, 10_000))
         how = "sampled 10000 triples"
 
-    def law(ab1, ab2):  # _compose_ab on arrays
-        (a1, b1), (a2, b2) = ab1, ab2
+    def law(a1, b1, a2, b2):  # _compose_ab on arrays
         return np.stack([ctx.vadd(a1, ctx.vmul(ctx.vpow(b1, curve.c), a2)),
                          ctx.vmul(b1, b2)]).astype(np.int64)
 
-    x, y = elems[:, u], elems[:, v]
-    xy = law(x, y)
-    keys = np.sort(elems[0] * ctx.order + elems[1])
-    key = xy[0] * ctx.order + xy[1]
-    at = np.minimum(np.searchsorted(keys, key), n - 1)
-    closed = bool((keys[at] == key).all())
+    keys = np.sort(a * Q + b)
+    x, y = (a[u], b[u]), (a[v], b[v])
+    xy = law(*x, *y)
+    closed = _find(keys, xy[0] * Q + xy[1]) is not None
     if closed and w is not None:
-        z = elems[:, w]
-        closed = np.array_equal(law(xy, z), law(x, law(y, z)))
-    return closed, how
+        z = a[w], b[w]
+        closed = np.array_equal(law(*xy, *z), law(*x, *law(*y, *z)))
+    checks.append(("closure/associativity", closed, how))
+    b_inv = ctx.vpow(b, Q - 2)  # b^{-1}, by the negated log; 0 stays 0
+    a_inv = ctx.vneg(ctx.vmul(ctx.vpow(b_inv, curve.c), a)).astype(np.int64)
+    checks.append(("inverses", _find(keys, a_inv * Q + b_inv) is not None, ""))
+    short = _orbits(curve, a, b, 0)
+    sizes = sorted(len(o) for o in short)
+    checks.append(("short orbits", sizes == [1, curve.h], f"sizes {sizes}"))
+    bound = curve.h + 1
+    moved = (a != 0) | (b != 1)
+    worst = int(_fixed_counts(curve, a, b)[moved].max(initial=0))
+    checks.append((f"fixed places <= {bound}", worst <= bound, f"max {worst}"))
+    return checks, short
 
 
 # ----------------------------------------------------------------------
@@ -253,10 +252,9 @@ def _place_permutation(code: AGCode, g: CodeAut) -> np.ndarray:
     order = code.curve.ctx.order
     pos, xs, ys = code.curve.theta_coords
     x_map, y_map = _coordinate_maps(g.aut, g.frob)
-    keys = xs * order + ys  # ascending, as affine_xy is sorted by (x, y)
-    img = x_map[xs] * order + y_map[ys]
-    at = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
-    if not np.array_equal(keys[at], img):
+    # the keys ascend, as affine_xy is sorted by (x, y)
+    at = _find(xs * order + ys, x_map[xs] * order + y_map[ys])
+    if at is None:
         raise ValueError("the map sends a place outside the code's places")
     perm = np.arange(code.n)  # P_inf is fixed
     perm[pos] = pos[at]

@@ -229,21 +229,21 @@ def cmd_aut_verify(args):
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)  # refuses what it cannot build
     code.matrix  # the code checks read it: refuse its gather before the group
-    group = autgroup.enumerate_group(curve)
-    checks, short = autgroup.group_checks(curve, group, args.seed)
+    a, b = autgroup.group_arrays(curve)
+    checks, short = autgroup.group_checks(curve, a, b, args.seed)
     if all(passed for _, passed, _ in checks):  # once the group holds
         checks += autgroup.code_checks(code)
 
     ok = all(passed for _, passed, _ in checks)
     if args.format == "json":
         rec = {"q": args.q, "r": args.r, "ell": args.ell,
-               "group_order": len(group),
+               "group_order": len(a),
                "short_orbit_sizes": sorted(len(o) for o in short),
-               "short_orbits": autgroup.orbit_report(short),
+               "short_orbits": [[P.to_dict() for P in o] for o in short],
                "checks": [{"name": nm, "pass": bool(ps), "detail": dt}
                           for nm, ps, dt in checks]}
         return (0 if ok else 1), json.dumps(rec, indent=2) + "\n"
-    lines = [f"automorphism group of N_{{{args.q},{args.r}}}: order {len(group)}"]
+    lines = [f"automorphism group of N_{{{args.q},{args.r}}}: order {len(a)}"]
     lines += [f"{'PASS' if ps else 'FAIL'}  {nm}" + (f"  [{dt}]" if dt else "")
               for nm, ps, dt in checks]
     return (0 if ok else 1), "\n".join(lines) + "\n"
@@ -366,6 +366,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "budget", 1) <= 0:
             raise ValueError("budget must be positive")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("seed must be >= 0")
         status, data = fn(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ EXTENDED_ONE_POINT = "extended-one-point"
 
 # Largest peak, in bytes, of the matrix gather or the word tables of a code.
 TABLE_MAX_BYTES = 1 << 30
+TABLE_MAX_WORDS = 1 << 16  # most words in min_distance_exhaustive's table
 
 
 def _check_ell(curve: NormTraceCurve, ell: int):
@@ -344,8 +345,7 @@ def witness_codeword(code: AGCode, c_list=None) -> np.ndarray:
 
 
 def min_distance_exhaustive(code: AGCode, budget: int,
-                            stop_at: int | None = None,
-                            table_limit: int = 1 << 16) -> int:
+                            stop_at: int | None = None) -> int:
     """Minimum weight over all nonzero messages, by exhaustive
     enumeration of the projective message space.
 
@@ -360,7 +360,7 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     only those (Q^k - 1)/(Q - 1) messages are enumerated.  All
     combinations of the trailing k2 rows are tabulated, leaving the
     first row out when k > 1; _table_depth chooses k2 (at most
-    table_limit words).  The zero prefix takes the table's leading-one
+    TABLE_MAX_WORDS words).  The zero prefix takes the table's leading-one
     words; every leading-one prefix, in increasing order, sweeps the
     whole table.  Both are read off ranges, one digit length at a
     time.  The table is closed under negation, so the least weight of
@@ -373,7 +373,7 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     if Q ** k > budget:
         raise BudgetExceeded(
             f"message space {Q}^{k} exceeds budget {budget}")
-    k2 = _table_depth(Q, k, n, stop_at is not None, table_limit)
+    k2 = _table_depth(Q, k, n, stop_at is not None, TABLE_MAX_WORDS)
     need = _table_bytes(ctx, k, k2, n)
     if need > TABLE_MAX_BYTES:
         raise BudgetExceeded(f"word tables need about {need} bytes, above "

@@ -114,9 +114,9 @@ def test_c06_automorphism_group():
                 ((2, 3), 28, "exhaustive"),
                 ((3, 3), 234, "sampled 10000 triples")]:
             cv = build_curve(q, r)
-            group = autgroup.enumerate_group(cv)
-            assert len(group) == order
-            checks, short = autgroup.group_checks(cv, group, seed=0)
+            a, b = autgroup.group_arrays(cv)
+            assert len(a) == len(autgroup.enumerate_group(cv)) == order
+            checks, short = autgroup.group_checks(cv, a, b, seed=0)
             bound = cv.h + 1
             assert checks == [
                 ("group order", True, f"{order} (expected {order})"),

@@ -7,9 +7,9 @@ import pytest
 from normtrace import autgroup, linalg
 from normtrace.autgroup import (CodeAut, CurveAut, code_action, code_checks,
                                 compose, enumerate_group, fixed_places,
-                                generates, generators, group_checks,
-                                identity_aut, inverse, is_code_automorphism,
-                                orbits, short_orbits)
+                                generates, generators, group_arrays,
+                                group_checks, identity_aut, inverse,
+                                is_code_automorphism, orbits, short_orbits)
 from normtrace.codes import AGCode, build_code, extended_one_point_code
 from normtrace.curve import P_INFINITY, build_curve
 from oracles import (apply_place, closure_by_compositions,
@@ -141,26 +141,32 @@ SUBGROUPS = {
 }
 
 
+def _arrays(group):
+    """The (a, b) index arrays of a list of CurveAut."""
+    return np.array([[s.a, s.b] for s in group], np.int64).reshape(-1, 2).T
+
+
 @pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4), (3, 2), (5, 2)])
 @pytest.mark.parametrize("subgroup", SUBGROUPS)
 def test_orbits_match_oracle(q, r, subgroup):
     curve = build_curve(q, r)
     group = SUBGROUPS[subgroup](enumerate_group(curve))
     want = orbits_by_places(curve, group)
-    assert orbits(curve, group) == want
-    assert short_orbits(curve, group) == [o for o in want
-                                          if len(o) < len(group)]
+    short = [o for o in want if len(o) < len(group)]
+    assert autgroup._orbits(curve, *_arrays(group), 1) == want
+    assert autgroup._orbits(curve, *_arrays(group), 0) == short
+    if subgroup == "full":
+        assert orbits(curve) == want and short_orbits(curve) == short
 
 
 def test_orbits_reject_a_map_off_the_curve(curve23):
-    # a translation part of nonzero trace, forced past CurveAut's checks,
-    # sends places off the curve: no image key is found
-    group = enumerate_group(curve23)
-    bad_a = next(a for a in curve23.ctx.elements()
-                 if a not in curve23.trace_zero)
-    object.__setattr__(group[3], "a", bad_a)
+    # a translation part of nonzero trace sends places off the curve: no
+    # image key is found
+    a, b = group_arrays(curve23)
+    a[3] = next(v for v in curve23.ctx.elements()
+                if v not in curve23.trace_zero)
     with pytest.raises(ValueError, match="off the curve"):
-        orbits(curve23, group)
+        autgroup._orbits(curve23, a, b, 1)
 
 
 def test_fixed_place_bound(curve23, curve33):
@@ -176,50 +182,67 @@ def _failed(checks):
 
 
 def test_group_checks_have_teeth(curve23, curve33):
+    # one element dropped: the inverse of its inverse is missing
+    a, b = group_arrays(curve23)
     group = enumerate_group(curve23)
-    dropped = next(s for s in group if inverse(s) != s)
-    checks, _ = group_checks(curve23, [s for s in group if s != dropped], 0)
+    dropped = next(i for i, s in enumerate(group) if inverse(s) != s)
+    checks, _ = group_checks(curve23, np.delete(a, dropped),
+                             np.delete(b, dropped), 0)
     assert checks[1][2] == "exhaustive"
     assert _failed(checks) == {"group order", "closure/associativity",
                                "inverses"}
 
-    checks, _ = group_checks(curve33, enumerate_group(curve33)[:-1], 0)
+    a33, b33 = group_arrays(curve33)
+    checks, _ = group_checks(curve33, a33[:-1], b33[:-1], 0)
     assert checks[1][2] == "sampled 10000 triples"
     assert "closure/associativity" in _failed(checks)
 
-    translations = [s for s in group if s.b == 1]
-    checks, short = group_checks(curve23, translations, 0)
+    # one extra pair outside the group: the scaling part 0
+    for cv, (u, v) in [(curve23, (a, b)), (curve33, (a33, b33))]:
+        checks, _ = group_checks(cv, np.append(u, 0), np.append(v, 0), 0)
+        assert {"group order", "closure/associativity"} <= _failed(checks)
+
+    translations = b == 1
+    checks, short = group_checks(curve23, a[translations], b[translations], 0)
     assert sorted(len(o) for o in short) == [1]
     assert _failed(checks) == {"group order", "short orbits"}
 
 
 def test_closure_matches_scalar_oracle(curve23, curve33):
     for cv in (curve23, curve33):
-        pairs = [(s.a, s.b) for s in enumerate_group(cv)]
-        for doctored in (pairs, pairs[:-1], pairs[1:]):
+        a, b = group_arrays(cv)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        for cut in (slice(None), slice(None, -1), slice(1, None)):
             for seed in (0, 1, 7):
-                closed, _ = autgroup._closure(cv, doctored, seed)
-                assert closed == closure_by_compositions(cv, doctored, seed)
+                checks, _ = group_checks(cv, a[cut], b[cut], seed)
+                assert checks[1][1] == closure_by_compositions(
+                    cv, pairs[cut], seed)
 
 
 def test_closure_rejects_a_pair_outside_the_group(curve23, curve33):
-    # a translation part of nonzero trace puts (a, b) outside the group
+    # a scaling part 0 puts (a, 0) outside the group; a translation part
+    # of nonzero trace does too, and sends places off the curve
     for cv, how in [(curve23, "exhaustive"),
                     (curve33, "sampled 10000 triples")]:
-        pairs = [(s.a, s.b) for s in enumerate_group(cv)]
-        outside = next(a for a in cv.ctx.elements()
-                       if a not in cv.trace_zero)
-        assert autgroup._closure(cv, pairs, 0) == (True, how)
-        pairs[5] = (outside, pairs[5][1])
-        assert autgroup._closure(cv, pairs, 0) == (False, how)
-        assert not closure_by_compositions(cv, pairs, 0)
+        a, b = group_arrays(cv)
+        assert group_checks(cv, a, b, 0)[0][1] == (
+            "closure/associativity", True, how)
+        b[5] = 0
+        assert group_checks(cv, a, b, 0)[0][1] == (
+            "closure/associativity", False, how)
+        assert not closure_by_compositions(
+            cv, list(zip(a.tolist(), b.tolist())), 0)
+        b[5] = 1
+        a[5] = next(v for v in cv.ctx.elements() if v not in cv.trace_zero)
+        with pytest.raises(ValueError, match="off the curve"):
+            group_checks(cv, a, b, 0)
 
 
 @pytest.mark.parametrize("group", [[], "identity"])
 def test_group_checks_fail_the_order_of_a_degenerate_group(curve23, group):
     if group == "identity":
         group = [identity_aut(curve23)]
-    checks, short = group_checks(curve23, group, 0)
+    checks, short = group_checks(curve23, *_arrays(group), 0)
     assert [name for name, _, _ in checks] == [
         "group order", "closure/associativity", "inverses", "short orbits",
         "fixed places <= 5"]
@@ -230,11 +253,32 @@ def test_group_checks_fail_the_order_of_a_degenerate_group(curve23, group):
 
 def test_fixed_place_check_has_teeth(curve23, monkeypatch):
     # no map of the (a, b) form fixes more than h + 1 places, so the
-    # bound can only fail through a doctored fixed_places
-    places = curve23.places
-    monkeypatch.setattr(autgroup, "fixed_places", lambda s: list(places))
-    checks, _ = group_checks(curve23, enumerate_group(curve23), 0)
+    # bound can only fail through doctored counts
+    n_places = len(curve23.places)
+    monkeypatch.setattr(autgroup, "_fixed_counts",
+                        lambda curve, a, b: np.full(len(a), n_places))
+    checks, _ = group_checks(curve23, *group_arrays(curve23), 0)
     assert _failed(checks) == {"fixed places <= 5"}
+    assert checks[-1][2] == f"max {n_places}"
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (4, 2), (3, 3), (7, 3)])
+def test_array_counts_and_inverses_match_the_scalar_oracles(q, r,
+                                                            monkeypatch):
+    # GF(343) has a 16-bit element dtype: the inverse keys must not wrap
+    curve = build_curve(q, r)
+    group = enumerate_group(curve)
+    a, b = group_arrays(curve)
+    assert np.array_equal(_arrays(group), np.stack([a, b]))
+    counts = autgroup._fixed_counts(curve, a, b).tolist()
+    assert all(len(fixed_places(s)) == n
+               for s, n in zip(group, counts) if not s.is_identity)
+    looked_up, find = [], autgroup._find
+    monkeypatch.setattr(autgroup, "_find", lambda keys, key:
+                        looked_up.append(key) or find(keys, key))
+    assert group_checks(curve, a, b, 0)[0][2] == ("inverses", True, "")
+    Q = curve.ctx.order
+    assert looked_up[1].tolist() == [t.a * Q + t.b for t in map(inverse, group)]
 
 
 def test_fixed_places_match_oracle():
@@ -540,7 +584,6 @@ def test_serialization(curve23):
     g = CodeAut(s, frob=1, scalar=6)
     assert g.to_dict() == {"a_index": a, "b_index": 5, "frob": 1,
                            "scalar_index": 6}
-    from normtrace.autgroup import orbit_report
-    rep = orbit_report(short_orbits(curve23))
+    rep = [[P.to_dict() for P in o] for o in short_orbits(curve23)]
     assert sorted(len(o) for o in rep) == [1, 4]
     assert rep[0][0] == {"kind": "infinity"} or {"kind": "infinity"} in rep[1]

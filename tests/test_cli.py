@@ -260,9 +260,9 @@ def test_curve_info_counts_places_without_building_them(capsys, monkeypatch):
 
 
 def test_aut_verify_fails_on_a_doctored_group(capsys, monkeypatch):
-    full = autgroup.enumerate_group
-    monkeypatch.setattr(autgroup, "enumerate_group",
-                        lambda curve: full(curve)[:-1])
+    full = autgroup.group_arrays
+    monkeypatch.setattr(autgroup, "group_arrays",
+                        lambda curve: tuple(v[:-1] for v in full(curve)))
     rc, out, _ = run(capsys, "aut-verify", "--q", "2", "--r", "3", "--ell", "2")
     assert rc == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -288,9 +288,16 @@ def test_aut_verify_proves_invariance_without_the_rref(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("q,r", [(7, 3), (2, 8)])
-def test_aut_verify_checks_groups_in_order_of_the_group(capsys, q, r):
-    # |G| n is about 2.8e8 and 2.9e8: fixed places are solved and orbits
-    # walked on the (a, b) arrays, so the whole run takes well under 2 s
+def test_aut_verify_checks_groups_in_order_of_the_group(capsys, monkeypatch,
+                                                        q, r):
+    # |G| n is about 2.8e8 and 2.9e8: the group is checked as its (a, b)
+    # arrays, with no CurveAut per element and fixed places counted in
+    # closed form, so the whole run takes well under 2 s
+    def per_element(*args):
+        raise AssertionError("per-element group work")
+
+    for name in ("enumerate_group", "fixed_places"):
+        monkeypatch.setattr(autgroup, name, per_element)
     start = time.perf_counter()
     rc, out, err = run(capsys, "aut-verify", "--q", str(q), "--r", str(r),
                        "--ell", "1")
@@ -304,7 +311,7 @@ def test_oversized_matrix_gather_is_refused_before_allocating(
         capsys, monkeypatch, command):
     # N_{16,3} at ell = 300: the 42121 x 1048321 matrix would take about
     # 600 GB; refused before the gather, and before any group work
-    monkeypatch.setattr(autgroup, "enumerate_group", None)
+    monkeypatch.setattr(autgroup, "group_arrays", None)
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -588,6 +595,15 @@ def test_budget_must_be_positive(capsys, budget):
                        "--budget", budget)
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "budget must be positive" in err
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_negative_seed_is_refused_on_every_group(capsys, q):
+    # (2,3) checks all pairs and never draws; (3,3) samples with the seed
+    rc, out, err = run(capsys, "aut-verify", "--q", q, "--r", "3",
+                       "--ell", "2", "--seed", "-1")
+    assert rc == 1 and out == ""
+    assert err == "error: seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("command", ["min-dist", "classify"])

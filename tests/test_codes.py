@@ -560,15 +560,17 @@ def test_min_distance_small(curve23):
     assert min_distance_exhaustive(build_code(curve23, 3), 10 ** 6) == 17
 
 
-def test_min_distance_matches_naive_oracle(curve23, curve33):
+def test_min_distance_matches_naive_oracle(curve23, curve33, monkeypatch):
     code = build_code(curve23, 2)  # 8^4 = 4096 messages, characteristic 2
     assert min_distance_exhaustive(code, 10 ** 6) == naive_min_weight(code)
     code33 = build_code(curve33, 1)  # 27^2 = 729 messages, odd characteristic
     naive = naive_min_weight(code33)
     assert min_distance_exhaustive(code33, 10 ** 6) == naive == code33.d_star
     # force the prefix-sweep split in both characteristics
-    assert min_distance_exhaustive(code, 10 ** 6, table_limit=64) == 21
-    assert min_distance_exhaustive(code33, 10 ** 6, table_limit=27) == naive
+    monkeypatch.setattr(codes, "TABLE_MAX_WORDS", 64)
+    assert min_distance_exhaustive(code, 10 ** 6) == 21
+    monkeypatch.setattr(codes, "TABLE_MAX_WORDS", 27)
+    assert min_distance_exhaustive(code33, 10 ** 6) == naive
 
 
 def test_min_distance_budget(curve23):

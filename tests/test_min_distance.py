@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -80,16 +81,15 @@ def test_kernel_matches_full_enumeration(code, data):
     stop_at = data.draw(st.none() | st.integers(0, code.n))
     d = min_distance_full_enumeration(code, budget,
                                       table_limit=table_limit)
-    got = min_distance_exhaustive(code, budget, stop_at=stop_at,
-                                  table_limit=table_limit)
+    with patch.object(codes, "TABLE_MAX_WORDS", table_limit):
+        got = min_distance_exhaustive(code, budget, stop_at=stop_at)
+        with pytest.raises(BudgetExceeded):
+            min_distance_exhaustive(code, budget - 1, stop_at=stop_at)
     if stop_at is None or d > stop_at:
         assert got == d
     else:
         # stopped at the first word of weight <= stop_at, in either order
         assert d <= got <= stop_at
-    with pytest.raises(BudgetExceeded):
-        min_distance_exhaustive(code, budget - 1, stop_at=stop_at,
-                                table_limit=table_limit)
 
 
 @SETTINGS
@@ -119,27 +119,28 @@ def unit(n, i):
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
-def test_minimum_only_under_the_zero_prefix(p, k):
+def test_minimum_only_under_the_zero_prefix(p, k, monkeypatch):
     # Every word with a nonzero digit on row 0 (the prefix) has weight
     # >= 8; the only weight-1 words are the multiples of row 2, the top
     # row of the tail table.
     ctx = field(p, k)
     Q = ctx.order
     code = as_code(ctx, [heavy(20, 0, 8), heavy(20, 8, 16), unit(20, 16)])
-    assert min_distance_exhaustive(code, Q ** 3, table_limit=Q ** 2) == 1
+    monkeypatch.setattr(codes, "TABLE_MAX_WORDS", Q ** 2)
+    assert min_distance_exhaustive(code, Q ** 3) == 1
     assert min_distance_full_enumeration(code, Q ** 3) == 1
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
-def test_minimum_needs_the_last_prefix_row(p, k):
+def test_minimum_needs_the_last_prefix_row(p, k, monkeypatch):
     # A table of one row (row 2) leaves rows 0 and 1 to the prefixes; the
     # only weight-1 words are the multiples of row 1, the highest digit.
     ctx = field(p, k)
     Q = ctx.order
     code = as_code(ctx, [heavy(20, 0, 8), unit(20, 16), heavy(20, 8, 16)])
-    assert min_distance_exhaustive(code, Q ** 3, table_limit=Q) == 1
-    assert min_distance_exhaustive(code, Q ** 3, stop_at=1,
-                                   table_limit=Q) == 1
+    monkeypatch.setattr(codes, "TABLE_MAX_WORDS", Q)
+    assert min_distance_exhaustive(code, Q ** 3) == 1
+    assert min_distance_exhaustive(code, Q ** 3, stop_at=1) == 1
 
 
 @pytest.mark.parametrize("p,k,top", [(2, 3, 4), (2, 6, 32)])
@@ -155,7 +156,7 @@ def test_top_bit_plane_counts(p, k, top):
 
 
 def test_table_leaves_the_first_row_out():
-    # k = 2 over GF(256): Q^2 words fit table_limit, but the Q + 1
+    # k = 2 over GF(256): Q^2 words fit TABLE_MAX_WORDS, but the Q + 1
     # projective messages need a table of Q words, not one of Q^2
     # (42 MB of packed planes at n = 600)
     ctx = field(2, 8)
