@@ -176,34 +176,48 @@ def cmd_code_table(args):
     return status, buf.getvalue()
 
 
-def _matrix_text(matrix, order: int, entry: str, last: str,
-                 row_head: str = "", row_sep: str = "") -> str:
-    """Print a matrix of field-element indices by one gather from a
-    table of order ready-made strings: entry.format(v) within a row and
-    last.format(v) at its end.  Each row's text starts with row_head and
-    the rows are joined by row_sep.  Every entry must lie in 0..order-1;
-    a negative index would otherwise wrap round and print a wrong value."""
+def _matrix_rows(matrix, order: int, entry: str, last: str,
+                 row_head: str = "") -> list[str]:
+    """The text of a matrix of field-element indices, one string per
+    row, each by one gather from a table of order ready-made strings:
+    entry.format(v) within a row and last.format(v) at its end, which
+    holds the row's separator.  Each row starts with row_head.  Every
+    entry must lie in 0..order-1; a negative index would otherwise wrap
+    round and print a wrong value."""
     if not 0 <= matrix.min() <= matrix.max() < order:
         raise ValueError(f"matrix entries must lie in 0..{order - 1}")
     table = np.array([entry.format(v) for v in range(order)], dtype=object)
     ends = [last.format(v) for v in range(order)]
-    return row_sep.join(row_head + "".join(table[row[:-1]].tolist())
-                        + ends[row[-1]] for row in matrix)
+    return [f"{row_head}{''.join(table[row[:-1]].tolist())}{ends[row[-1]]}"
+            for row in matrix]
+
+
+# one basis monomial as json.dumps(indent=2) prints it in the report
+_BASIS_ENTRY = '    {{\n      "i": {},\n      "j": {}\n    }}'
 
 
 def cmd_code_build(args):
     """The code's report as JSON, or its matrix as CSV; both print the
-    matrix byte for byte as json.dumps(indent=2) and csv.writer would."""
+    matrix byte for byte as json.dumps(indent=2) and csv.writer would.
+    The output is joined once: for JSON from the scalar head
+    (json.dumps), the basis (_BASIS_ENTRY), the matrix rows and the
+    closing brackets.  The matrix is freed before the join."""
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)
     order = curve.ctx.order
     if args.format == "csv":
-        return 0, _matrix_text(code.matrix, order, "{},", "{}\r\n")
-    rows = _matrix_text(code.matrix, order, "      {},\n", "      {}\n    ]",
-                        "    [\n", ",\n")
-    # the report without its matrix ends "\n}"; the matrix is its last key
-    head = json.dumps(code.to_report(), indent=2)[:-2]
-    return 0, f'{head},\n  "matrix": [\n{rows}\n  ]\n}}\n'
+        parts = _matrix_rows(code.matrix, order, "{},", "{}\r\n")
+    else:
+        # the parameters as a record end "\n}"; the basis and matrix follow
+        basis = ",\n".join(map(_BASIS_ENTRY.format, *code.basis.tolist()))
+        parts = [json.dumps(code.parameters(), indent=2)[:-2],
+                 ',\n  "basis": [\n', basis, '\n  ],\n  "matrix": [\n',
+                 *_matrix_rows(code.matrix, order, "      {},\n",
+                               "      {}\n    ],\n", "    [\n")]
+        parts[-1] = parts[-1][:-2] + "\n"  # no comma after the last row
+        parts.append("  ]\n}\n")
+    del code
+    return 0, "".join(parts)
 
 
 def cmd_min_dist(args):

@@ -14,7 +14,6 @@ explicit equivalence witness are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -111,8 +110,8 @@ class AGCode:
         R, pivots = self.row_space()
         return not linalg.reduce_vector(self.curve.ctx, R, pivots, word).any()
 
-    def to_report(self) -> dict:
-        """Parameters and basis; code-build prints the matrix after them."""
+    def parameters(self) -> dict:
+        """The report's leading fields, every one a scalar."""
         return {
             "q": self.curve.q,
             "r": self.curve.r,
@@ -122,9 +121,14 @@ class AGCode:
             "k": self.k,
             "d_star": self.d_star,
             "d_exact": None,
-            "basis": [{"i": i, "j": j}
-                      for i, j in zip(*self.basis.tolist())],
         }
+
+    def to_report(self) -> dict:
+        """Parameters and basis, the report that code-build prints
+        before the matrix."""
+        return {**self.parameters(),
+                "basis": [{"i": i, "j": j}
+                          for i, j in zip(*self.basis.tolist())]}
 
 
 def _lowering(p: int, basis) -> tuple | None:
@@ -227,28 +231,43 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     """Evaluate the monomials x^i y^j of basis in the column layout of
     curve.theta_coords, with weight n_inf at P_inf (see _at_infinity).
 
-    The affine entries are one gather from the exp table at
-    i log x + j log y mod Q - 1: x is nonzero on Theta, and so is y,
-    since y = 0 forces norm(x) = trace(y) = 0.  Both terms stay below
-    Q^2 <= 2^24 in absolute value (|i| <= ell < Q, j < h, Q within
-    gf.TABLE_MAX_ORDER), so int32 holds the exponents.  ValueError if they
-    and the int64 matrix, gather and buffers would pass TABLE_MAX_BYTES."""
+    The affine entries are one gather from the exp table of
+    ctx.zero_log at i log x + j log y: x is nonzero on Theta, and so is
+    y, since y = 0 forces norm(x) = trace(y) = 0.  The terms come from
+    two row tables, reduced mod Q - 1 once each: one row per i mod
+    Q - 1 in the range of i (at most Q - 1 rows) and one per j in
+    0..max j.  A code's basis fills both ranges, so the tables hold no
+    row it does not read.  Each term is below Q - 1, so their sum is
+    below 2(Q - 1) <= 8190 and the exponents are uint16; P_inf takes
+    exponent 0 (the entry 1) or 2(Q - 1), the zero slot of the table.
+    numpy casts a uint16 index in buffers as it gathers.  ValueError if
+    the exponents, the int64 matrix, the tables (each formed in int64,
+    then narrowed) and numpy's buffers would pass TABLE_MAX_BYTES."""
     pos, xs, ys = curve.theta_coords
     ctx, k, n = curve.ctx, basis.shape[1], len(pos) + 1
-    need = (k * n * (4 + 8 + ctx.dtype.itemsize)
+    q1 = ctx.order - 1
+    i, j = basis
+    lo = int(i.min())
+    i_rows, j_rows = min(int(i.max()) - lo + 1, q1), int(j.max()) + 1
+    need = (k * n * (2 + 8) + (i_rows + j_rows) * (n - 1) * (8 + 2)
             + 2 * np.getbufsize() * np.dtype(np.intp).itemsize)
     if need > TABLE_MAX_BYTES:
         raise ValueError(f"the {k} x {n} generator matrix needs about {need} "
                          f"bytes, above the limit {TABLE_MAX_BYTES}")
-    logs = ctx.log_np.astype(np.int32)
-    i, j = basis
-    expo = i.astype(np.int32)[:, None] * logs[xs]
-    expo += j.astype(np.int32)[:, None] * logs[ys]
-    expo %= ctx.order - 1
-    matrix = np.empty((k, n), dtype=np.int64)
-    matrix[:, 0] = _at_infinity(curve, i, j, n_inf)
-    matrix[:, pos] = ctx.exp_np.astype(ctx.dtype)[expo]
-    return matrix
+    log, exp = ctx.zero_log
+    expo = np.empty((k, n), dtype=np.uint16)
+    expo[:, 0] = np.where(_at_infinity(curve, i, j, n_inf), 0, 2 * q1)
+    i_table = _exponent_rows(np.arange(lo, lo + i_rows), log[xs], q1)
+    j_table = _exponent_rows(np.arange(j_rows), log[ys], q1)
+    np.add(i_table[(i - lo) % q1], j_table[j], out=expo[:, 1:])
+    return exp[expo]
+
+
+def _exponent_rows(exponents, logs, q1: int) -> np.ndarray:
+    """The uint16 table of e * logs mod q1, one row per exponent e."""
+    rows = exponents[:, None] * logs
+    rows %= q1
+    return rows.astype(np.uint16)
 
 
 def designed_distance(curve: NormTraceCurve, ell: int) -> int:
@@ -264,8 +283,11 @@ def dimension_closed_form(q: int, r: int, ell: int) -> int:
 
     Two regimes: for ell >= c - 2 the divisor degree exceeds 2g - 2 and
     Riemann-Roch gives k = ell*h + 1 - g directly; for ell <= c - 3 the
-    dimension is the semigroup count worked out into a floor-sum with a
-    three-way case split on ell mod q.
+    dimension is the semigroup count worked out into a floor-sum in
+    ell = fl*q + rem.  Its terms are halves of integers, so twice the
+    sum is formed exactly and halved.  The three-way case split on rem
+    in which the sum was worked out is one expression: at rem = 0 and
+    rem = q - 1 the general case takes the special cases' values.
     """
     c = (q ** r - 1) // (q - 1)
     h = q ** (r - 1)
@@ -274,33 +296,13 @@ def dimension_closed_form(q: int, r: int, ell: int) -> int:
     if ell >= c - 2:
         g = (h - 1) * (c - 1) // 2
         return ell * h + 1 - g
-    fl = ell // q
-    total = (Fraction(ell + 1)
-             + Fraction(q - 1, 2) * fl * (fl + 1)
-             + Fraction(q * q - 3 * q + 2, 2)
-             + _dimension_delta(q, ell))
-    assert total.denominator == 1
-    return int(total)
-
-
-def _dimension_delta(q: int, ell: int) -> Fraction:
-    fl = ell // q
-    if ell % q == 0:
-        t = Fraction(ell, q) - 1
-        return (Fraction((q - 1) ** 2, 2) * t * t
-                + Fraction((q - 3) * (q - 1), 2) * t
-                + Fraction(q * (q - 1), 2) * t)
-    if ell % q == q - 1:
-        return (Fraction((q - 1) ** 2, 2) * fl * fl
-                + Fraction((q - 3) * (q - 1), 2) * fl
-                + Fraction(q * (q - 1), 2) * fl)
-    rem = ell - fl * q
-    part_a = Fraction(q - 1, 2) * (rem * fl * fl
-                                   + (q - rem - 1) * (fl - 1) ** 2)
-    part_b = Fraction(q - 3, 2) * (rem * fl + (q - rem - 1) * (fl - 1))
-    part_c = (Fraction(1, 2) * fl * rem * (rem + 1)
-              + Fraction(1, 2) * (fl - 1) * (q - 1 - rem) * (q + rem))
-    return part_a + part_b + part_c
+    fl, rem = divmod(ell, q)
+    twice = (2 * (ell + 1) + (q - 1) * fl * (fl + 1) + (q - 1) * (q - 2)
+             + (q - 1) * (rem * fl * fl + (q - 1 - rem) * (fl - 1) ** 2)
+             + (q - 3) * (rem * fl + (q - 1 - rem) * (fl - 1))
+             + fl * rem * (rem + 1) + (fl - 1) * (q - 1 - rem) * (q + rem))
+    assert twice % 2 == 0
+    return twice // 2
 
 
 # ----------------------------------------------------------------------

@@ -157,8 +157,24 @@ def test_gather_equals_scalar_evaluation_on_the_ladder():
                 curve, code.basis, cols))
 
 
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4)])
+def test_gather_equals_scalar_evaluation_at_every_place(q, r):
+    # the whole matrix at every ell, for both builders: negative i (the
+    # multipoint bases), n_inf > 0 (the extended ones) and ell = Q - 1,
+    # whose multipoint basis shares the key of x^0 and x^{-(Q-1)}; P_inf
+    # is pinned by test_p_inf_column_is_the_extended_value
+    curve = build_curve(q, r)
+    cols = list(range(1, len(curve.theta_coords[0]) + 1))
+    for ell in range(1, q ** r):
+        for build in BUILDS:
+            code = build(curve, ell)
+            assert np.array_equal(code.matrix[:, cols], evaluation_by_places(
+                curve, code.basis, cols))
+
+
 def test_gather_check_has_teeth(monkeypatch):
-    # an exp table read one exponent too far fails the scalar oracle
+    # an exp table read one exponent too far fails the scalar oracle: the
+    # gather reads the exp table of ctx.zero_log, so that one is doctored
     curve = build_curve(2, 3)
     ctx = curve.ctx
     product = ctx.mul(2, 3)  # the scalar path now keeps its own lists
@@ -167,7 +183,10 @@ def test_gather_check_has_teeth(monkeypatch):
     want = evaluation_by_places(curve, basis, cols)
     assert np.array_equal(codes._evaluation_matrix(curve, basis, 0)[:, cols],
                           want)
-    monkeypatch.setattr(ctx, "exp_np", np.roll(ctx.exp_np, -1))
+    log, exp = ctx.zero_log
+    shifted = exp.copy()
+    shifted[:len(ctx.exp_np)] = np.roll(ctx.exp_np, -1)
+    monkeypatch.setattr(ctx, "_zero_log", (log, shifted))
     assert ctx.mul(2, 3) == product
     got = build_code(curve, 3).matrix[:, cols]
     assert (got != want).all()
@@ -185,13 +204,20 @@ def test_lazy_matrix_equals_the_eager_one(curve33):
             assert code.matrix is code.matrix
 
 
+def gather_need_16_2_127():
+    """The gather estimate of the largest code that the tests and the
+    benchmark gather, (16,2) ell = 127: uint16 exponents, the int64
+    matrix, the row tables of the 128 i in -127..0 and the 16 j, each
+    formed in int64, and numpy's buffers."""
+    return (1913 * 4081 * (2 + 8) + (128 + 16) * 4080 * (8 + 2)
+            + 2 * np.getbufsize() * 8)
+
+
 def test_matrix_gather_is_checked_against_the_limit(monkeypatch):
-    # the largest code that the tests and the benchmark gather: its
-    # estimate (exponents, matrix, gathered uint8 entries and numpy's
-    # buffers) is about a tenth of the limit; a limit one byte below
-    # the estimate refuses it before any array is built
+    # the estimate is under a tenth of the limit; a limit one byte below
+    # the estimate refuses the code before any array is built
     code = build_code(build_curve(16, 2), 127)
-    need = 1913 * 4081 * (4 + 8 + 1) + 2 * np.getbufsize() * 8
+    need = gather_need_16_2_127()
     assert need < codes.TABLE_MAX_BYTES // 10
     monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need - 1)
     tracemalloc.start()
@@ -205,6 +231,23 @@ def test_matrix_gather_is_checked_against_the_limit(monkeypatch):
     assert code._matrix is None and peak < need // 10
     monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need)
     assert code.matrix.shape == (1913, 4081)
+
+
+def test_matrix_gather_peaks_within_its_estimate():
+    # the gather peaks at about 10 bytes per entry (its uint16 exponents
+    # and int64 matrix); the bound of 11 rejects int32 exponents with a
+    # uint8 gather (13) and an intp exponent array (24)
+    curve = build_curve(16, 2)
+    code = build_code(curve, 127)
+    curve.theta_coords, curve.ctx.zero_log  # filled before tracing
+    tracemalloc.start()
+    try:
+        matrix = code.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (1913, 4081) and matrix.dtype == np.int64
+    assert peak <= gather_need_16_2_127() and peak <= 11 * matrix.size
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3),
@@ -479,8 +522,17 @@ def test_dimension_matches_lattice_oracle_and_rank():
             assert len(code.row_space()[1]) == want
 
 
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4), (4, 3)])
+def test_dimension_closed_form_equals_the_lattice_count(q, r):
+    # the integer closed form at every ell, against the count of
+    # {(i, j): i >= 0, j < h, i h + j c <= ell h}
+    for ell in range(1, q ** r):
+        assert dimension_closed_form(q, r, ell) == lattice_dimension(q, r, ell)
+
+
 def test_delta_branches_q3():
-    # ell = 3, 2, 4 hit the three q = 3 branches (0, q-1, other mod q)
+    # ell = 3, 2, 4 hit the three residues of ell mod q = 3 (0, q-1,
+    # other), where the floor-sum has its special cases
     for ell in (3, 2, 4):
         assert dimension_closed_form(3, 3, ell) == lattice_dimension(3, 3, ell)
 

@@ -1,4 +1,4 @@
-"""The generator-matrix writer of `code-build` (cli._matrix_text)
+"""The generator-matrix writer of `code-build` (cli._matrix_rows)
 against the printers it replaced: json.dumps(indent=2) of the whole
 report and csv.writer of the matrix rows, byte for byte, over random
 matrices with entries of every width in fields p^k <= 2^12.  Likewise
