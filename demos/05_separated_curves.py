@@ -24,7 +24,7 @@ field = recommended_search_field(spec)
 print("recommended search field: GF(%d)" % field.order)
 maps = brute_force_stabilizer_search(spec, field)
 print("exhaustive search found", len(maps), "maps")
-for s in maps[:4]:
+for s in maps.affine_auts()[:4]:
     print("   a=%d b=%d c0=%d Q=%s" % (s.a, s.b, s.c0, list(s.q_coeffs)))
 
 # Case (i): A = Y^5 + Y, B = X^3 over GF(5)-bar.  Here m = 3 divides

@@ -14,7 +14,7 @@ from .codes import (AGCode, build_code, designed_distance,
 from .autgroup import (CodeAut, CurveAut, code_action, compose,
                        enumerate_group, inverse, is_code_automorphism,
                        short_orbits)
-from .sepcurve import (AffineAut, ClassificationResult, HBound,
+from .sepcurve import (AffineAut, AffineMaps, ClassificationResult, HBound,
                        SeparatedCurveSpec, brute_force_stabilizer_search,
                        classify, h_bound_from_roots, linearization_gcd,
                        norm_trace_spec, spec_from_dict, to_standard_qm,

@@ -98,15 +98,6 @@ class SeparatedCurveSpec:
         return ctx.linear_map([self.a_eval(ctx.p ** j) for j in range(ctx.k)],
                               np.arange(ctx.order))
 
-    def a_apply_poly(self, Q) -> list[int]:
-        """A(Q(X)) as a polynomial, via additivity of A."""
-        ctx = self.ctx
-        out = []
-        for j, c in self.a_coeffs.items():
-            out = poly.add(ctx, out,
-                           poly.scale(ctx, c, poly.frobenius(ctx, Q, j)))
-        return out
-
     def map_coefficients(self, dst: FieldCtx) -> "SeparatedCurveSpec":
         """The spec over dst, its coefficients carried by embed_field;
         the spec itself when dst is already its field."""
@@ -390,104 +381,190 @@ def inverse_affine(s: AffineAut) -> AffineAut:
     return AffineAut(ctx, a, b, c0, tuple(q))
 
 
-def _solve_additive_preimage(spec_f: SeparatedCurveSpec, R, max_qdeg,
-                             a_values) -> list[tuple[int, ...]]:
-    """All polynomials Q with A(Q(X)) = R(X) and deg Q <= max_qdeg.
+@dataclass(frozen=True, eq=False)
+class AffineMaps:
+    """Affine maps x -> b x + c0, y -> a y + Q(x) over a field as rows:
+    int64 columns a, b, c0 and the matrix q of Q's coefficients,
+    little-endian and zero-padded to one width.  A search returns its
+    rows in AffineAut.sort_key order, which is the order of the rows
+    (a, b, c0, q_0, q_1, ...): a trimmed tuple sorts like its padded row."""
 
-    Nonconstant coefficients are forced one by one from the top degree
-    (the leading term of A(q X^e) is a_n q^{p^n} X^{e p^n} and the
-    Frobenius is bijective); the constant term ranges over the
-    A-preimages of what remains in a_values (A at every element).
-    """
-    ctx = spec_f.ctx
-    p, n = ctx.p, spec_f.n
-    pn = p ** n
-    an = spec_f.a_coeffs[n]
-    rest = list(R)
-    coeffs = [0] * (max_qdeg + 1)
-    while len(rest) - 1 >= 1:
-        deg = len(rest) - 1
-        if deg % pn or deg // pn > max_qdeg:
-            return []
-        e = deg // pn
-        # q_e^{p^n} = lead / a_n, inverted through the Frobenius
-        target = ctx.div(rest[-1], an)
-        q_e = ctx.pow(target, p ** ((ctx.k - n) % ctx.k))
-        if ctx.pow(q_e, pn) != target:
-            return []
-        coeffs[e] = q_e
-        mono = [0] * e + [q_e]
-        rest = poly.sub(ctx, rest, spec_f.a_apply_poly(mono))
-        if len(rest) - 1 >= 1 and len(rest) - 1 >= deg:
-            return []
-    r0 = rest[0] if rest else 0
-    out = []
-    for w in np.flatnonzero(a_values == r0).tolist():
-        q = list(coeffs)
-        q[0] = w
-        out.append(tuple(poly.trim(q)))
+    field: FieldCtx
+    a: np.ndarray
+    b: np.ndarray
+    c0: np.ndarray
+    q: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, rows) -> "AffineMaps":
+        """The maps at rows: a slice, an index array or a boolean mask."""
+        return AffineMaps(self.field, self.a[rows], self.b[rows],
+                          self.c0[rows], self.q[rows])
+
+    def affine_auts(self) -> list[AffineAut]:
+        """One AffineAut per row, Q trimmed."""
+        return [AffineAut(self.field, a, b, c0, tuple(poly.trim(q)))
+                for a, b, c0, q in zip(self.a.tolist(), self.b.tolist(),
+                                       self.c0.tolist(), self.q.tolist())]
+
+    def keys(self) -> np.ndarray:
+        """One byte string per row, (a, b, c0, q_0, ...) as big-endian
+        uint32: byte order is row order, and indices stay below 2^20."""
+        rows = np.empty((len(self), 3 + self.q.shape[1]), dtype=">u4")
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:] = (self.a, self.b,
+                                                           self.c0, self.q)
+        return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+
+
+def _times(ctx: FieldCtx, u, v) -> np.ndarray:
+    """u v elementwise, zeros included, for arrays or one element."""
+    log, exp = ctx.zero_log
+    return exp[log[u] + log[v]]
+
+
+def _horner(ctx: FieldCtx, f, x: np.ndarray) -> np.ndarray:
+    """f at every index of x, by Horner with one zero_log product a step."""
+    log, exp = ctx.zero_log
+    log_x, out = log[x], np.zeros_like(x)
+    for a in reversed(f):
+        out = exp[log[out] + log_x]
+        if a:
+            out = ctx.vadd_scalar(out, a)
+    return out
+
+
+def _minus(ctx: FieldCtx, u, v) -> np.ndarray:
+    return ctx.vadd_scalar(u, _times(ctx, ctx.neg(1), v))
+
+
+def _substitute(ctx: FieldCtx, q: np.ndarray, b, c0) -> np.ndarray:
+    """The coefficient rows of Q(b X + c0) for the rows q of Q, by Horner
+    on the columns; b and c0 are one element or one per row."""
+    b, c0 = np.asarray(b)[..., None], np.asarray(c0)[..., None]
+    out = np.zeros_like(q)
+    out[:, 0] = q[:, -1]
+    for col in q.T[-2::-1]:  # out = (b X + c0) out + col
+        x_out = _times(ctx, b, out[:, :-1])
+        out = _times(ctx, c0, out)
+        out[:, 1:] = ctx.vadd_scalar(out[:, 1:], x_out)
+        out[:, 0] = ctx.vadd_scalar(out[:, 0], col)
     return out
 
 
 def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
                                   search_field: FieldCtx,
                                   budget: int | None = None,
-                                  validated: bool = False) -> list[AffineAut]:
+                                  validated: bool = False) -> AffineMaps:
     """All affine maps x -> b x + c0, y -> a y + Q(x) (deg Q * p^n < m)
     whose pullback of A(Y) - B(X) is a constant multiple of itself.
 
     The identity is tested exactly: additivity splits it into
     A(a Y) = k1 A(Y) (forcing k1 = a and a in the p^d-subfield) and
-    B(b X + c0) = a B(X) + A(Q(X)), solved coefficientwise for Q.  Every
-    c0 is first filtered at once: at a degree j that A(Q(X)) cannot
-    reach, the X^j coefficients force b^j H_j(c0) = a b_j, with H_j the
-    j-th Hasse derivative of B evaluated over the whole field.  Only the
-    c0 that pass are solved exactly.  The found set must form a group;
-    if it is not closed, the search field is missing conjugates and
-    SearchFieldTooSmall is raised.  The budget counts the (a, b, c0)
-    triples the filter covers.  validated=True skips validate for a spec
-    the caller has already validated (classify does).
+    B(b X + c0) = a B(X) + A(Q(X)), solved coefficientwise for Q, on
+    every (a, b, c0) at once.  The X^j coefficient of R = B(b X + c0) -
+    a B(X) is b^j H_j(c0) - a b_j, with H_j the j-th Hasse derivative of
+    B.  At a degree j that A(Q(X)) cannot reach it must vanish, which
+    filters the c0 by H_j over the whole field.  On the rows that pass,
+    each q_e is forced from the top, at degree e p^n, and A(q_e X^e) is
+    subtracted; R must then vanish at every j >= 1, and q_0 ranges over
+    the A-preimages of R_0.  The found set must form a group
+    (assert_group); if it is not closed, the search field is missing
+    conjugates and SearchFieldTooSmall is raised.  The budget counts
+    the (a, b, c0) triples the filter covers; the filter's marks take one
+    byte per (b, c0), never more than that count.  validated=True skips
+    validate for a spec the caller has already validated (classify
+    does).
     """
     if not validated:
         validate(spec)
     spec_f = spec.map_coefficients(search_field)
     ctx = search_field
     p, n, m = spec_f.p, spec_f.n, spec_f.m
-    max_qdeg = (m - 1) // (p ** n)
+    pn = p ** n
+    max_qdeg = (m - 1) // pn
     # a must scale every A-term the same way: a^{p^j} = a for all j
     survivors = mu_fixers(spec_f)
     cost = len(survivors) * (ctx.order - 1) * ctx.order
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
-    a_values = spec_f.a_values()
     b_poly = list(spec_f.b_coeffs)
+
+    def hasse_at(j, x):  # the j-th Hasse derivative of B at every x
+        return _horner(ctx, poly.hasse_derivative(ctx, b_poly, j), x)
+
     # A(Q(X)) = sum a_t Q^{p^t} only reaches the degrees e p^t
     reachable = {e * p ** t for t in spec_f.a_coeffs
                  for e in range(max_qdeg + 1)}
-    free = [j for j in range(m - 1, 0, -1) if j not in reachable]
-    elements = np.arange(ctx.order)
-    hasse = [poly.evaluate_array(ctx, poly.hasse_derivative(ctx, b_poly, j),
-                                 elements) for j in free]
-    # the X^m coefficients force b^m = a
+    # the X^m coefficients force b^m = a, read off marks on the field
+    fixes = np.zeros(ctx.order, dtype=bool)
+    fixes[survivors] = True
     bs = np.arange(1, ctx.order)
-    b_pow_m = ctx.vpow(bs, m)
-    keep = np.isin(b_pow_m, survivors)
-    found = []
-    for b, a in zip(bs[keep].tolist(), b_pow_m[keep].tolist()):
-        c0s = elements
-        for j, h in zip(free, hasse):
-            c0s = c0s[h[c0s] == ctx.div(ctx.mul(a, b_poly[j]), ctx.pow(b, j))]
-        a_b = poly.scale(ctx, a, b_poly)
-        for c0 in c0s.tolist():
-            R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
-            for q in _solve_additive_preimage(spec_f, R, max_qdeg, a_values):
-                found.append(AffineAut(ctx, a, b, c0, q))
-    found.sort(key=AffineAut.sort_key)
+    bs = bs[fixes[ctx.vpow(bs, m)]]
+    elements = np.arange(ctx.order)
+    keep = np.ones((len(bs), ctx.order), dtype=bool)  # (b, c0)
+    for j in range(m - 1, 0, -1):
+        if j not in reachable:  # H_j(c0) = a b_j / b^j = b^(m - j) b_j
+            keep &= (hasse_at(j, elements)
+                     == _times(ctx, b_poly[j], ctx.vpow(bs, m - j))[:, None])
+    bi, c0 = np.nonzero(keep)
+    b = bs[bi]
+    a = ctx.vpow(b, m)
+    R = {j: _minus(ctx, _times(ctx, ctx.vpow(b, j), hasse_at(j, c0)),
+                   _times(ctx, a, b_poly[j]))
+         for j in reachable}
+    q = np.zeros((len(b), max_qdeg + 1), dtype=np.int64)
+    an_inv = ctx.inv(spec_f.a_coeffs[n])
+    for e in range(max_qdeg, 0, -1):
+        # q_e^{p^n} = R_{e p^n} / a_n, inverted through the Frobenius
+        q[:, e] = ctx.vpow(_times(ctx, an_inv, R[e * pn]),
+                           p ** ((ctx.k - n) % ctx.k))
+        for t, a_t in spec_f.a_coeffs.items():
+            R[e * p ** t] = _minus(ctx, R[e * p ** t],
+                                   _times(ctx, a_t, ctx.vpow(q[:, e], p ** t)))
+    # A is additive: the A-preimages of R_0 are one of them plus ker A
+    values = spec_f.a_values()
+    preimage = np.full(ctx.order, -1)
+    preimage[values] = elements
+    w = preimage[R[0]]
+    solved = w >= 0
+    for j in reachable - {0}:
+        solved &= R[j] == 0
+    kernel = np.flatnonzero(values == 0)
+    rows = np.repeat(np.flatnonzero(solved), len(kernel))
+    q = q[rows]
+    q[:, 0] = ctx.vadd_scalar(w[rows], np.resize(kernel, len(rows)))
+    a, b, c0 = a[rows], b[rows], c0[rows]
+    order = np.lexsort([*q.T[::-1], c0, b, a])
+    found = AffineMaps(ctx, a, b, c0, q)[order]
     assert_group(found)
     return found
 
 
-def assert_group(maps: list[AffineAut]):
+def _compose(maps: AffineMaps, g: int) -> AffineMaps:
+    """Every map composed with the map at row g, which applies first:
+    b b_g, b c0_g + c0, a a_g and a Q_g + Q(b_g X + c0_g)."""
+    ctx = maps.field
+    b, c0 = maps.b[g], maps.c0[g]
+    return AffineMaps(
+        ctx, _times(ctx, maps.a, maps.a[g]), _times(ctx, maps.b, b),
+        ctx.vadd_scalar(_times(ctx, maps.b, c0), maps.c0),
+        ctx.vadd_scalar(_times(ctx, maps.a[:, None], maps.q[g]),
+                        _substitute(ctx, maps.q, b, c0)))
+
+
+def _inverses(maps: AffineMaps) -> AffineMaps:
+    """Every map's inverse: b^-1, -c0 / b, a^-1 and -Q(b^-1 X - c0 / b) / a."""
+    ctx, minus_one = maps.field, maps.field.neg(1)
+    b, a = ctx.vpow(maps.b, -1), ctx.vpow(maps.a, -1)
+    c0 = _times(ctx, minus_one, _times(ctx, b, maps.c0))
+    q = _substitute(ctx, maps.q, b, c0)
+    return AffineMaps(ctx, a, b, c0,
+                      _times(ctx, _times(ctx, minus_one, a)[:, None], q))
+
+
+def assert_group(maps: AffineMaps):
     """Raise SearchFieldTooSmall unless the maps are closed under
     inversion and composition.
 
@@ -497,38 +574,50 @@ def assert_group(maps: list[AffineAut]):
     generator; a product outside the maps raises.  In the end every map
     is reached, so the maps are the group the generators generate.  Each
     new generator at least doubles the reached subgroup, so there are at
-    most log2 N of them and at most N log2 N compositions, not N^2.
+    most log2 N of them.  Each is composed with all N maps in one array
+    pass (_compose), and every product is looked up among the sorted
+    row keys: at most N log2 N product rows, not N^2.
     """
     def not_closed(under):
         return SearchFieldTooSmall(f"found maps are not closed under {under}")
 
-    elems = set(maps)
-    if any(inverse_affine(s) not in elems for s in maps):
-        raise not_closed("inversion")
-    if not maps:
+    if not len(maps):
         return
-    identity = AffineAut(maps[0].ctx, 1, 1, 0, ())
-    if identity not in elems:  # s composed with its inverse
-        raise not_closed("composition")
-    reached, seen, gens = [identity], {identity}, []
-    for s in maps:
-        if s in seen:
-            continue
-        gens.append(s)
-        # the elements reached before s have met every earlier generator
-        old = len(reached)
-        for i, x in enumerate(reached):  # also visits the y appended below
-            for g in (gens[-1:] if i < old else gens):
-                y = compose_affine(x, g)
-                if y not in seen:
-                    if y not in elems:
-                        raise not_closed("composition")
-                    seen.add(y)
-                    reached.append(y)
+    keys = maps.keys()
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    def rows_of(products, under):
+        """The row of each product among the maps; raises if one is not."""
+        wanted = products.keys()
+        pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
+        if not (sorted_keys[pos] == wanted).all():
+            raise not_closed(under)
+        return order[pos]
+
+    rows_of(_inverses(maps), "inversion")
+    one = np.ones(1, dtype=np.int64)
+    identity = rows_of(AffineMaps(maps.field, one, one, 0 * one,
+                                  np.zeros((1, maps.q.shape[1]), np.int64)),
+                       "composition")  # s composed with its inverse
+    reached = np.zeros(len(maps), dtype=bool)
+    reached[identity] = True
+    generators = []
+    while not reached.all():
+        g = int(np.argmin(reached))  # the first map not yet reached
+        generators.append(rows_of(_compose(maps, g), "composition"))
+        # the maps reached before g have met every earlier generator
+        new = np.append(generators[-1][reached], g)
+        while new.size:
+            mark = np.zeros_like(reached)
+            mark[new] = True
+            new = np.flatnonzero(mark & ~reached)
+            reached[new] = True
+            new = np.concatenate([prod[new] for prod in generators])
 
 
 def checks(spec: SeparatedCurveSpec, result: ClassificationResult,
-           maps: list[AffineAut]) -> list[tuple[str, bool, str]]:
+           maps: AffineMaps) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) records for the maps a stabilizer search
     found, read against classify's result: the p^n translations
     (a, b, c0) = (1, 1, 0); when B has one root, the predicted order and
@@ -538,20 +627,27 @@ def checks(spec: SeparatedCurveSpec, result: ClassificationResult,
     (as the CLI passes it) or over a subfield of it."""
     pn = spec.p ** spec.n
     found = len(maps)
-    t = sum((s.a, s.b, s.c0) == (1, 1, 0) for s in maps)
+    t = int(((maps.a == 1) & (maps.b == 1) & (maps.c0 == 0)).sum())
     records = [("translations", t == pn, f"{t} (expected {pn})")]
     if result.case != NON_MONOMIAL:
         want = result.predicted_stabilizer_order
         records.append(("stabilizer order", found == want,
                         f"{found} (expected {want})"))
-        spec_f = spec.map_coefficients(maps[0].ctx) if maps else spec
-        ctx, b_poly = spec_f.ctx, list(spec_f.b_coeffs)
-        fixers = set(mu_fixers(spec_f))
-        # maps differing only in Q share (a, b, c0): compose B once each
-        law = {(a, b, c0): a in fixers and poly.scale(ctx, a, b_poly)
-               == poly.compose_linear(ctx, b_poly, b, c0)
-               for a, b, c0 in {(s.a, s.b, s.c0) for s in maps}}
-        bad = sum(not law[s.a, s.b, s.c0] for s in maps)
+        spec_f = spec.map_coefficients(maps.field)
+        ctx, b_poly = spec_f.ctx, np.array(spec_f.b_coeffs)
+        # maps differing only in Q share (a, b, c0), in runs of sorted
+        # rows: B(b X + c0) is composed once per run, by Horner on arrays
+        abc = np.column_stack([maps.a, maps.b, maps.c0])
+        start = np.ones(found, dtype=bool)
+        start[1:] = (abc[1:] != abc[:-1]).any(axis=1)
+        a, b, c0 = abc[start].T
+        composed = _substitute(
+            ctx, np.broadcast_to(b_poly, (len(a), len(b_poly))), b, c0)
+        fixes = np.zeros(ctx.order, dtype=bool)
+        fixes[mu_fixers(spec_f)] = True
+        law = fixes[a] & (composed
+                          == _times(ctx, a[:, None], b_poly)).all(axis=1)
+        bad = int((~law[np.cumsum(start) - 1]).sum())
         records.append(("scaling law", not bad, f"{bad} of {found} maps fail"))
         return records
     divisors = result.h_bound.divisors
@@ -578,8 +674,10 @@ def embed_field(src: FieldCtx, dst: FieldCtx) -> list[int]:
     # every root of the modulus lies in the subfield of order p^k
     sub = np.array(dst.subfield_indices(src.k))
     rho = int(sub[poly.evaluate_array(dst, src.modulus, sub) == 0][0])
-    # the embedding is GF(p)-linear: X^j goes to rho^j
-    images = [dst.pow(rho, j) for j in range(src.k)] + [0] * (dst.k - src.k)
+    # the embedding is GF(p)-linear: X^j goes to rho^j, read off exp
+    # (rho = 0 only for k = 1, where j = 0 reads exp[0] = 1)
+    powers = dst.log_np[rho] * np.arange(src.k) % (dst.order - 1)
+    images = dst.exp_np[powers].tolist() + [0] * (dst.k - src.k)
     return dst.linear_map(images, np.arange(src.order)).tolist()
 
 

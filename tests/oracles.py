@@ -20,8 +20,10 @@ separated curve's A is evaluated element by element, and a field is
 embedded digit by digit, where the library applies each as one
 GF(p)-linear map.  The stabilizer search tries every (a, b, c0) with
 the exact identity, where the library filters all c0 at once by the
-Hasse derivatives of B, and the group check composes every pair of
-maps, where the library closes the set from generators.  The curve
+Hasse derivatives of B and solves every survivor's Q at once on index
+arrays, and the group check composes every pair of maps, where the
+library closes the set from generators, one generator with all maps in
+one array pass.  The curve
 group's closure is checked one scalar composition at a time, where the
 library composes every pair or sampled triple as index arrays.  Code
 invariance is decided for every map of a family by row-space
@@ -59,10 +61,9 @@ from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
 from normtrace.rrspace import MonomialTerm, evaluate, monomial
-from normtrace.sepcurve import (AffineAut, SearchFieldTooSmall,
-                                _solve_additive_preimage, compose_affine,
-                                inverse_affine, monomial_shift, mu_fixers,
-                                validate)
+from normtrace.sepcurve import (AffineAut, AffineMaps, SearchFieldTooSmall,
+                                compose_affine, inverse_affine,
+                                monomial_shift, mu_fixers, validate)
 
 
 def lattice_dimension(q: int, r: int, ell: int) -> int:
@@ -624,6 +625,65 @@ def embedding_by_digits(src, dst):
             power = dst.mul(power, rho)
         table.append(acc)
     return table
+
+
+def a_apply_poly(spec, Q):
+    """A(Q(X)) as a polynomial, via additivity of A."""
+    out = []
+    for j, c in spec.a_coeffs.items():
+        out = poly.add(spec.ctx, out, poly.scale(
+            spec.ctx, c, poly.frobenius(spec.ctx, Q, j)))
+    return out
+
+
+def _solve_additive_preimage(spec_f, R, max_qdeg, a_values):
+    """All polynomials Q with A(Q(X)) = R(X) and deg Q <= max_qdeg.
+
+    Nonconstant coefficients are forced one by one from the top degree
+    (the leading term of A(q X^e) is a_n q^{p^n} X^{e p^n} and the
+    Frobenius is bijective); the constant term ranges over the
+    A-preimages of what remains in a_values (A at every element).
+    """
+    ctx = spec_f.ctx
+    p, n = ctx.p, spec_f.n
+    pn = p ** n
+    an = spec_f.a_coeffs[n]
+    rest = list(R)
+    coeffs = [0] * (max_qdeg + 1)
+    while len(rest) - 1 >= 1:
+        deg = len(rest) - 1
+        if deg % pn or deg // pn > max_qdeg:
+            return []
+        e = deg // pn
+        # q_e^{p^n} = lead / a_n, inverted through the Frobenius
+        target = ctx.div(rest[-1], an)
+        q_e = ctx.pow(target, p ** ((ctx.k - n) % ctx.k))
+        if ctx.pow(q_e, pn) != target:
+            return []
+        coeffs[e] = q_e
+        mono = [0] * e + [q_e]
+        rest = poly.sub(ctx, rest, a_apply_poly(spec_f, mono))
+        if len(rest) - 1 >= 1 and len(rest) - 1 >= deg:
+            return []
+    r0 = rest[0] if rest else 0
+    out = []
+    for w in np.flatnonzero(a_values == r0).tolist():
+        q = list(coeffs)
+        q[0] = w
+        out.append(tuple(poly.trim(q)))
+    return out
+
+
+def affine_rows(ctx, maps, width=None):
+    """The AffineMaps rows of a list of AffineAut over ctx, in list
+    order, Q zero-padded to width columns (default: the widest Q)."""
+    width = width or max([len(s.q_coeffs) for s in maps] + [1])
+    q = np.zeros((len(maps), width), dtype=np.int64)
+    for row, s in zip(q, maps):
+        row[:len(s.q_coeffs)] = s.q_coeffs
+    return AffineMaps(ctx, *(np.array([getattr(s, f) for s in maps],
+                                      dtype=np.int64).reshape(-1)
+                             for f in ("a", "b", "c0")), q)
 
 
 def stabilizer_maps_by_loop(spec, search_field, budget=None):

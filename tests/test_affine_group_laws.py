@@ -33,7 +33,8 @@ SPECS = [
 def found(case: int) -> tuple[AffineAut, ...]:
     host, a, b, search = SPECS[case]
     spec = SeparatedCurveSpec(build_field(*host), a, b)
-    return tuple(brute_force_stabilizer_search(spec, build_field(*search)))
+    return tuple(brute_force_stabilizer_search(
+        spec, build_field(*search)).affine_auts())
 
 
 @st.composite

@@ -352,15 +352,50 @@ def test_classify_exits_1_on_a_failing_record(capsys, tmp_path, monkeypatch):
                         "--search-field", "64")
     assert rc == 0 and err == ""
     search = sepcurve.brute_force_stabilizer_search
+
+    def without_identity(*args, **kw):
+        maps = search(*args, **kw)
+        return maps[(maps.a != 1) | (maps.b != 1) | (maps.c0 != 0)
+                    | maps.q.any(axis=1)]
+
     monkeypatch.setattr(sepcurve, "brute_force_stabilizer_search",
-                        lambda *args, **kw: [s for s in search(*args, **kw)
-                                             if not s.is_identity])
+                        without_identity)
     rc, out, err = run(capsys, "classify", "--spec", str(path),
                        "--search-field", "64")
     assert rc == 1
     assert out == want.replace("12 maps found", "11 maps found")
     assert err.splitlines() == ["FAIL  translations  [3 (expected 4)]",
                                 "FAIL  stabilizer order  [11 (expected 12)]"]
+
+
+# p = 2, A = Y^4 + Y^2 + Y, B = X^7 + X^6 + X^5 + X^3 = (X + 1)^7 + A(X) + 1:
+# a B that has one root once normalized, read as several roots as written
+# (ROADMAP item 11)
+UNNORMALIZED_B_SPEC = {**CASE_II_SPEC, "B": [0, 0, 0, 1, 0, 1, 1, 1]}
+
+
+def test_classify_of_an_unnormalized_b_is_pinned(capsys, tmp_path):
+    # the search over GF(8) finds 28 maps, |H| = 7, which the bound read
+    # off the roots of B as written does not admit
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(UNNORMALIZED_B_SPEC))
+    rc, out, err = run(capsys, "classify", "--spec", str(path),
+                       "--search-field", "8")
+    assert "stabilizer search over GF(8): 28 maps found" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ab3fe72ff3656fd1194146fd324109cc742f8e0da12ad87aa31f4e25ca276230")
+    assert err == "FAIL  |H| divides one of [3, 2]  [|H| = 7]\n"
+    assert rc == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: decide one root "
+                   "on the normalized B; B as written gives exit 1")
+def test_classify_of_an_unnormalized_b_passes(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(UNNORMALIZED_B_SPEC))
+    rc, _, _ = run(capsys, "classify", "--spec", str(path),
+                   "--search-field", "8")
+    assert rc == 0
 
 
 def test_classify_refuses_m_1_mod_pn_with_several_roots(capsys, tmp_path):

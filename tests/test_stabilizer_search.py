@@ -1,10 +1,11 @@
 """The stabilizer search and its group check against the scalar loop and
-the pairwise closure of tests/oracles.py, and the records of
-sepcurve.checks on random searches."""
+the pairwise closure of tests/oracles.py, the group check on doctored
+row sets, and the records of sepcurve.checks on random searches."""
 
 import functools
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -19,9 +20,9 @@ from normtrace.gf import (TABLE_MAX_ORDER, BudgetExceeded,  # noqa: E402
 from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
                                 SeparatedCurveSpec, assert_group,
                                 brute_force_stabilizer_search,
-                                inverse_affine)
-from oracles import (closed_by_pairs, stabilizer_maps_by_loop,  # noqa: E402
-                     stabilizer_search_by_loop)
+                                compose_affine, inverse_affine)
+from oracles import (affine_rows, closed_by_pairs,  # noqa: E402
+                     stabilizer_maps_by_loop, stabilizer_search_by_loop)
 
 field = functools.cache(build_field)
 
@@ -37,6 +38,11 @@ def outcome(search, *args):
         return search(*args)
     except SearchFieldTooSmall as exc:
         return str(exc)
+
+
+def searched(spec, F, budget=None):
+    """The search's maps as AffineAut objects."""
+    return brute_force_stabilizer_search(spec, F, budget).affine_auts()
 
 
 @st.composite
@@ -68,7 +74,7 @@ def test_search_equals_scalar_loop(case):
     spec, F = case
     want = stabilizer_maps_by_loop(spec, F)
     assume(len(want) <= MAX_PAIRWISE)
-    assert (outcome(brute_force_stabilizer_search, spec, F)
+    assert (outcome(searched, spec, F)
             == outcome(lambda: closed_by_pairs(want) or want))
 
 
@@ -99,7 +105,7 @@ def test_search_with_quadratic_q_equals_scalar_loop():
     # Y^2 + Y = X^5 over GF(16): deg Q * 2 < 5 lets Q reach degree 2, so
     # the X^2 and X^4 coefficients are matched by A(Q), not filtered
     spec = SeparatedCurveSpec(field(2, 1), {0: 1, 1: 1}, (0, 0, 0, 0, 0, 1))
-    maps = brute_force_stabilizer_search(spec, field(2, 4))
+    maps = searched(spec, field(2, 4))
     assert maps == stabilizer_search_by_loop(spec, field(2, 4))
     assert len(maps) == 160
     assert max(len(s.q_coeffs) for s in maps) == 3
@@ -120,27 +126,117 @@ def test_budget_rule_equals_scalar_loop():
 def test_assert_group_rejects_a_set_missing_one_map_and_its_inverse(seed):
     # case (i) Y^5 + Y = X^3 over GF(25): 60 maps
     spec = SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1))
-    maps = brute_force_stabilizer_search(spec, field(5, 2))
+    maps = searched(spec, field(5, 2))
     assert len(maps) == 60
     drop = random.Random(seed).choice([s for s in maps if not s.is_identity])
     doctored = [s for s in maps if s not in (drop, inverse_affine(drop))]
     assert all(inverse_affine(s) in doctored for s in doctored)
-    for check in (assert_group, closed_by_pairs):
+    for check, arg in ((assert_group, affine_rows(field(5, 2), doctored)),
+                       (closed_by_pairs, doctored)):
         with pytest.raises(SearchFieldTooSmall, match="composition"):
-            check(doctored)
+            check(arg)
 
 
-def test_assert_group_composes_n_log_n_pairs(monkeypatch):
-    # the Hermitian curve Y^4 + Y = X^5 over GF(16): 960 maps
-    calls = []
-    compose = sepcurve.compose_affine
-    monkeypatch.setattr(sepcurve, "compose_affine",
-                        lambda s1, s2: calls.append(1) or compose(s1, s2))
+def hermitian_maps():
+    # the Hermitian curve Y^4 + Y = X^5 over GF(16): 960 maps, Q linear
     spec = SeparatedCurveSpec(field(2, 1), {0: 1, 2: 1}, (0, 0, 0, 0, 0, 1))
-    maps = brute_force_stabilizer_search(spec, field(2, 4))
+    return brute_force_stabilizer_search(spec, field(2, 4))
+
+
+def test_assert_group_forms_n_log_n_product_rows(monkeypatch):
+    maps = hermitian_maps()
     N = len(maps)
     assert N == 960
-    assert 0 < len(calls) <= 2 * N * math.ceil(math.log2(N))
+    rows = []  # the number of product rows each generator forms
+    compose = sepcurve._compose
+    monkeypatch.setattr(sepcurve, "_compose", lambda maps, g: (
+        rows.append(len(maps)) or compose(maps, g)))
+    assert_group(maps)
+    assert 0 < sum(rows) <= N * math.ceil(math.log2(N))
+
+
+def changed_entry(maps, column, seed):
+    """maps with one entry of column (c0, or a column of q) of one
+    non-identity row changed to a value that makes no row repeat."""
+    rng = random.Random(seed)
+    keys = set(maps.keys().tolist())
+    while True:
+        row = rng.randrange(1, len(maps))  # row 0 is the identity
+        doctored = replace(maps, c0=maps.c0.copy(), q=maps.q.copy())
+        target = doctored.c0 if column == "c0" else doctored.q[:, column]
+        target[row] = rng.randrange(maps.field.order)
+        if doctored[row:row + 1].keys()[0] not in keys:
+            return doctored
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["hermitian", "case-i"])
+def test_assert_group_rejects_doctored_rows(case, seed):
+    if case == "hermitian":
+        maps = hermitian_maps()
+    else:  # Y^5 + Y = X^3 over GF(25): 60 maps, Q constant
+        maps = brute_force_stabilizer_search(
+            SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1)),
+            field(5, 2))
+    assert maps[:1].affine_auts()[0].is_identity
+    assert_group(maps)
+    auts = maps.affine_auts()
+    drop = random.Random(seed).randrange(1, len(maps))
+    pair = {drop, auts.index(inverse_affine(auts[drop]))}
+    doctored = [changed_entry(maps, column, seed)
+                for column in ["c0", *range(maps.q.shape[1])]]
+    doctored += [maps[[i not in pair for i in range(len(maps))]], maps[1:]]
+    for rows in doctored:
+        with pytest.raises(SearchFieldTooSmall):
+            assert_group(rows)
+
+
+SMALL_SPECS = [  # (host field, A, B, search field), at most 60 maps each
+    ((2, 1), {0: 1, 1: 1, 2: 1}, (0, 0, 0, 1), (2, 6)),
+    ((5, 1), {0: 1, 1: 1}, (0, 0, 0, 1), (5, 2)),
+    ((3, 1), {0: 1, 1: 1}, (0, 0, 0, 1, 0, 1), (3, 4)),
+    ((2, 1), {0: 1, 2: 1}, (0, 0, 0, 0, 0, 1), (2, 2)),  # Q linear
+]
+
+
+@functools.cache
+def small_found(case):
+    host, a, b, search = SMALL_SPECS[case]
+    spec = SeparatedCurveSpec(field(*host), a, b)
+    return searched(spec, field(*search))
+
+
+def generated(maps):
+    """The group the maps generate, by composing until nothing is new."""
+    group = set(maps)
+    while True:
+        new = {compose_affine(s, t) for s in group for t in maps} - group
+        if not new:
+            return group
+        group |= new
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_assert_group_agrees_with_pairwise_closure(data):
+    found = small_found(data.draw(st.integers(0, len(SMALL_SPECS) - 1)))
+    subset = data.draw(st.lists(st.sampled_from(found), max_size=4))
+    kind = data.draw(st.sampled_from(["subgroup", "less one", "random"]))
+    if kind != "random":  # a subgroup passes; one element less fails,
+        subset = generated(subset or found[:1])
+        if kind == "less one":  # as N - 1 divides N only for N <= 2
+            assume(len(subset) > 2)
+            subset.discard(data.draw(st.sampled_from(sorted(
+                subset, key=lambda s: s.sort_key()))))
+    subset = sorted(set(subset), key=lambda s: s.sort_key())
+    want = outcome(lambda: closed_by_pairs(subset))
+    if kind == "subgroup":
+        assert want is None
+    elif kind == "less one":
+        assert want is not None
+    width = max(len(s.q_coeffs) for s in found)
+    got = outcome(assert_group, affine_rows(found[0].ctx, subset, width or 1))
+    assert got == want
 
 
 def test_search_builds_no_table_above_the_cap():
