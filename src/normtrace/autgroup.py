@@ -202,7 +202,7 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
         closed = np.array_equal(law(*xy, *z), law(*x, *law(*y, *z)))
     checks.append(("closure/associativity", closed, how))
     b_inv = ctx.vpow(b, Q - 2)  # b^{-1}, by the negated log; 0 stays 0
-    a_inv = ctx.vneg(ctx.vmul(ctx.vpow(b_inv, curve.c), a)).astype(np.int64)
+    a_inv = ctx.vneg(ctx.vmul(ctx.vpow(b_inv, curve.c), a))
     checks.append(("inverses", _find(keys, a_inv * Q + b_inv) is not None, ""))
     short = _orbits(curve, a, b, 0)
     sizes = sorted(len(o) for o in short)
@@ -298,7 +298,7 @@ def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
     so row (i, j) of T M is the sum over d <= j of
     s C(j, d) beta^{i + c (j - d)} alpha^d times row (i, j - d) of M:
     one pass of AGCode.lowering per d, scaled in the log domain of
-    FieldCtx.zero_log, where no entry needs a mask."""
+    FieldCtx.log_np and exp_np, where no entry needs a mask."""
     passes = code.lowering()
     if passes is None:
         return None
@@ -306,7 +306,7 @@ def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
     n1 = ctx.order - 1
     inv = inverse(g.aut)
     alpha, beta = (ctx.frobenius(v, g.frob) for v in (inv.a, inv.b))
-    log, exp = ctx.zero_log
+    log, exp = ctx.log_np, ctx.exp_np
     logs = log[code.matrix]
     weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
     out = None

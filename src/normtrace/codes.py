@@ -231,15 +231,14 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     """Evaluate the monomials x^i y^j of basis in the column layout of
     curve.theta_coords, with weight n_inf at P_inf (see _at_infinity).
 
-    The affine entries are one gather from the exp table of
-    ctx.zero_log at i log x + j log y: x is nonzero on Theta, and so is
-    y, since y = 0 forces norm(x) = trace(y) = 0.  The terms come from
-    two row tables, reduced mod Q - 1 once each: one row per i mod
-    Q - 1 in the range of i (at most Q - 1 rows) and one per j in
-    0..max j.  A code's basis fills both ranges, so the tables hold no
+    The affine entries are one gather from ctx.exp_np at i log x +
+    j log y: x is nonzero on Theta, and so is y, since y = 0 forces
+    norm(x) = trace(y) = 0.  The terms come from two row tables,
+    reduced mod Q - 1 once each: one row per i mod Q - 1 in the range
+    of i (at most Q - 1 rows) and one per j in 0..max j.  A code's basis fills both ranges, so the tables hold no
     row it does not read.  Each term is below Q - 1, so their sum is
     below 2(Q - 1) <= 8190 and the exponents are uint16; P_inf takes
-    exponent 0 (the entry 1) or 2(Q - 1), the zero slot of the table.
+    exponent 0 (the entry 1) or log 0, the zero slot of ctx.log_np.
     numpy casts a uint16 index in buffers as it gathers.  ValueError if
     the exponents, the int64 matrix, the tables (each formed in int64,
     then narrowed) and numpy's buffers would pass TABLE_MAX_BYTES."""
@@ -254,13 +253,13 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     if need > TABLE_MAX_BYTES:
         raise ValueError(f"the {k} x {n} generator matrix needs about {need} "
                          f"bytes, above the limit {TABLE_MAX_BYTES}")
-    log, exp = ctx.zero_log
+    log = ctx.log_np
     expo = np.empty((k, n), dtype=np.uint16)
-    expo[:, 0] = np.where(_at_infinity(curve, i, j, n_inf), 0, 2 * q1)
+    expo[:, 0] = np.where(_at_infinity(curve, i, j, n_inf), 0, log[0])
     i_table = _exponent_rows(np.arange(lo, lo + i_rows), log[xs], q1)
     j_table = _exponent_rows(np.arange(j_rows), log[ys], q1)
     np.add(i_table[(i - lo) % q1], j_table[j], out=expo[:, 1:])
-    return exp[expo]
+    return ctx.exp_np[expo]
 
 
 def _exponent_rows(exponents, logs, q1: int) -> np.ndarray:

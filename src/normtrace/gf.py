@@ -15,6 +15,12 @@ tables in characteristic 2, base-p digit matrices otherwise (see
 Python lists the scalar methods index are made from the arrays on the
 first scalar call; a field used only through arrays never holds them.
 
+The two arrays have one layout, which only this module knows: log 0
+is 2(Q - 1), and exp holds g^0 .. g^(Q-2) twice, then zeros up to
+index 4(Q - 1).  So exp[log u + log v] is u v for all u, v, and an
+array product, scaling or negation is one gather with no mask; the
+zero tail is never written and takes no memory.
+
 The vector operations work on numpy arrays of indices.  The Q x Q
 product and sum tables that the elimination kernel gathers from
 (``mul_np``, ``add_np``) are built on first use, in the narrowest
@@ -305,8 +311,6 @@ class FieldCtx:
         self._zech = None
         self._mul_np = None
         self._add_np = None
-        self._neg_np = None
-        self._zero_log = None
 
     # -- construction ---------------------------------------------------
 
@@ -336,35 +340,39 @@ class FieldCtx:
 
     @cached_property
     def exp_np(self) -> np.ndarray:
-        """g^0, g^1, ..., doubled so log sums index directly; filled on
-        first read by doubling: exp[L:2L] is exp[0:L] times g^L, a
-        GF(p)-linear map applied to the whole block at once, and the map
-        of g^2L is the map of g^L applied to itself.  No step does work
-        per element in Python or reads base-p digits out of indices.
+        """g^0, g^1, ..., doubled so log sums index directly, then the
+        zero tail up to index 4(Q - 1) that log 0 = 2(Q - 1) reads (see
+        the module docstring): exp[log u + log v] = u v for every u, v,
+        and exp[log u + t] = u g^t for 0 <= t < Q - 1.
 
-        In characteristic 2 the map is a list of per-byte XOR tables
-        (see _byte_tables), squared by applying it to its own tables.  In
-        odd characteristic exp is kept as a k x n matrix of base-p
-        digits, each block is the one before times the k x k digit
-        matrix of g^L, that matrix is squared each step, and the indices
-        are formed once at the end.  cached_property stores the array on
-        the instance, so later reads are plain attribute loads."""
+        Filled on first read by doubling: exp[L:2L] is exp[0:L] times
+        g^L, a GF(p)-linear map applied to the whole block at once, and
+        the map of g^2L is the map of g^L applied to itself.  No step
+        does work per element in Python or reads base-p digits out of
+        indices.  In characteristic 2 the map is a list of per-byte XOR
+        tables (see _byte_tables), squared by applying it to its own
+        tables.  In odd characteristic exp is kept as a k x n matrix of
+        base-p digits, each block is the one before times the k x k
+        digit matrix of g^L, that matrix is squared each step, and the
+        indices are formed once at the end.  cached_property stores the
+        array on the instance, so later reads are plain attribute loads."""
         n = self.order - 1
-        exp = np.empty(2 * n, dtype=np.int64)
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
         if self.p == 2:
             self._powers_char2(exp[:n])
         else:
             self._powers_odd(exp[:n], self._g_matrix)
-        exp[n:] = exp[:n]
+        exp[n:2 * n] = exp[:n]
         exp.flags.writeable = False
         return exp
 
     @cached_property
     def log_np(self) -> np.ndarray:
-        """The inverse permutation of exp_np, with log 0 = -1; filled on
-        first read."""
+        """The inverse permutation of exp_np[:Q - 1], with the zero slot
+        log 0 = 2(Q - 1); filled on first read."""
         n = self.order - 1
-        log = np.full(self.order, -1, dtype=np.int64)
+        log = np.empty(self.order, dtype=np.int64)
+        log[0] = 2 * n
         log[self.exp_np[:n]] = np.arange(n)
         log.flags.writeable = False
         return log
@@ -489,7 +497,8 @@ class FieldCtx:
         digit."""
         x = self.exp_np[:self.order - 1]
         one_plus = np.where(x % self.p == self.p - 1, x - (self.p - 1), x + 1)
-        self._zech = self.log_np[one_plus].tolist()
+        self._zech = np.where(one_plus == 0, -1,
+                              self.log_np[one_plus]).tolist()
         return self._zech
 
     # -- scalar arithmetic on indices ------------------------------------
@@ -594,7 +603,7 @@ class FieldCtx:
             n = self.order - 1
             # window row i of the doubled exp table holds g^(i + j)
             powers = np.lib.stride_tricks.sliding_window_view(
-                self.exp_np.astype(self.dtype), n)
+                self.exp_np[:2 * n].astype(self.dtype), n)
             lg = self.log_np[1:]
             tbl = np.zeros((self.order, self.order), dtype=self.dtype)
             tbl[1:, 1:] = powers[np.ix_(lg, lg)]
@@ -620,29 +629,6 @@ class FieldCtx:
             self._add_np = tbl
         return self._add_np
 
-    @property
-    def neg_np(self) -> np.ndarray:
-        if self._neg_np is None:
-            tbl = np.zeros(self.order, dtype=self.dtype)
-            tbl[1:] = self.exp_np[self.log_np[1:] + self._neg_shift]
-            self._neg_np = tbl
-        return self._neg_np
-
-    @property
-    def zero_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, exp) that multiply arrays holding zeros with no mask:
-        log 0 is 2(Q - 1), past the doubled exp table, which goes on
-        with zeros up to index 4(Q - 1).  So exp[log u + log v] = u v,
-        and exp[log u + t] = u g^t for 0 <= t < Q - 1."""
-        if self._zero_log is None:
-            n = self.order - 1
-            log = self.log_np.copy()
-            log[0] = 2 * n
-            exp = np.concatenate([self.exp_np, np.zeros(2 * n + 1, np.int64)])
-            log.flags.writeable = exp.flags.writeable = False
-            self._zero_log = log, exp
-        return self._zero_log
-
     def vadd_scalar(self, u: np.ndarray, a: int | np.ndarray) -> np.ndarray:
         """Elementwise u + a, for one element a or an array, by base-p
         digit arithmetic: no table is built, so the cost follows the arrays."""
@@ -666,38 +652,24 @@ class FieldCtx:
         return self.add_np.ravel().take(flat)
 
     def vneg(self, u: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return u
-        return self.neg_np[u]
+        return self.exp_np[self.log_np[u] + self._neg_shift]
 
     def vscale(self, s: int, u: np.ndarray) -> np.ndarray:
         """Scalar times vector of element indices."""
-        if s == 0:
-            return np.zeros_like(u)
-        if s == 1:
-            return u.copy()
-        out = np.zeros_like(u)
-        nz = u != 0
-        out[nz] = self.exp_np[self.log_np[u[nz]] + self.log_np[s]]
-        return out
+        return self.exp_np[self.log_np[u] + self.log_np[s]]
 
     def vmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape, dtype=np.int64)
-        nz = (u != 0) & (v != 0)
-        out[nz] = self.exp_np[self.log_np[u[nz]] + self.log_np[v[nz]]]
-        return out
+        """Elementwise u v, for arrays or one element, zeros included."""
+        return self.exp_np[self.log_np[u] + self.log_np[v]]
 
     def vpow(self, u: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise u^e; negative e requires all entries nonzero."""
-        if e == 0:
-            return np.ones_like(u)
-        nz = u != 0
-        if e < 0 and not nz.all():
+        """Elementwise u^e (0^0 = 1); negative e requires all entries
+        nonzero."""
+        zero = u == 0
+        if e < 0 and zero.any():
             raise ZeroDivisionError("negative power of zero entry")
-        out = np.zeros_like(u)
-        out[nz] = self.exp_np[(self.log_np[u[nz]] * e) % (self.order - 1)]
-        return out
+        out = self.exp_np[self.log_np[u] * e % (self.order - 1)]
+        return np.where(zero, 0, out) if e else out
 
     def vmul_outer(self, col: np.ndarray, row: np.ndarray) -> np.ndarray:
         """Outer product col[:, None] * row[None, :] over the field, in

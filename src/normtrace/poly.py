@@ -68,11 +68,13 @@ def evaluate(ctx, f, x):
 
 def evaluate_array(ctx, f, xs):
     """f at every index of the array xs, by Horner on arrays: ctx.vmul
-    for the products and ctx.vadd_scalar for each coefficient, so no
-    table over the field is built and the cost follows len(xs)."""
+    for the products and ctx.vadd_scalar for each nonzero coefficient,
+    so no table over the field is built and the cost follows len(xs)."""
     out = ctx.vscale(0, xs)
     for a in reversed(f):
-        out = ctx.vadd_scalar(ctx.vmul(out, xs), a)
+        out = ctx.vmul(out, xs)
+        if a:
+            out = ctx.vadd_scalar(out, a)
     return out
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from itertools import count
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -93,10 +93,15 @@ class SeparatedCurveSpec:
 
     def a_values(self) -> np.ndarray:
         """A at every element of the field: A is GF(p)-linear, so this is
-        one linear map of its values at the basis X^j."""
+        one linear map of its values at the basis X^j, which are formed
+        on arrays, so that no scalar method runs on the field."""
         ctx = self.ctx
-        return ctx.linear_map([self.a_eval(ctx.p ** j) for j in range(ctx.k)],
-                              np.arange(ctx.order))
+        basis = ctx.p ** np.arange(ctx.k)
+        images = np.zeros_like(basis)
+        for j, c in self.a_coeffs.items():
+            images = ctx.vadd_scalar(
+                images, ctx.vmul(c, ctx.vpow(basis, ctx.p ** j)))
+        return ctx.linear_map(images.tolist(), np.arange(ctx.order))
 
     def map_coefficients(self, dst: FieldCtx) -> "SeparatedCurveSpec":
         """The spec over dst, its coefficients carried by embed_field;
@@ -418,27 +423,6 @@ class AffineMaps:
         return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
 
 
-def _times(ctx: FieldCtx, u, v) -> np.ndarray:
-    """u v elementwise, zeros included, for arrays or one element."""
-    log, exp = ctx.zero_log
-    return exp[log[u] + log[v]]
-
-
-def _horner(ctx: FieldCtx, f, x: np.ndarray) -> np.ndarray:
-    """f at every index of x, by Horner with one zero_log product a step."""
-    log, exp = ctx.zero_log
-    log_x, out = log[x], np.zeros_like(x)
-    for a in reversed(f):
-        out = exp[log[out] + log_x]
-        if a:
-            out = ctx.vadd_scalar(out, a)
-    return out
-
-
-def _minus(ctx: FieldCtx, u, v) -> np.ndarray:
-    return ctx.vadd_scalar(u, _times(ctx, ctx.neg(1), v))
-
-
 def _substitute(ctx: FieldCtx, q: np.ndarray, b, c0) -> np.ndarray:
     """The coefficient rows of Q(b X + c0) for the rows q of Q, by Horner
     on the columns; b and c0 are one element or one per row."""
@@ -446,8 +430,8 @@ def _substitute(ctx: FieldCtx, q: np.ndarray, b, c0) -> np.ndarray:
     out = np.zeros_like(q)
     out[:, 0] = q[:, -1]
     for col in q.T[-2::-1]:  # out = (b X + c0) out + col
-        x_out = _times(ctx, b, out[:, :-1])
-        out = _times(ctx, c0, out)
+        x_out = ctx.vmul(b, out[:, :-1])
+        out = ctx.vmul(c0, out)
         out[:, 1:] = ctx.vadd_scalar(out[:, 1:], x_out)
         out[:, 0] = ctx.vadd_scalar(out[:, 0], col)
     return out
@@ -489,10 +473,11 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     cost = len(survivors) * (ctx.order - 1) * ctx.order
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
-    b_poly = list(spec_f.b_coeffs)
+    b_poly = np.array(spec_f.b_coeffs)
 
     def hasse_at(j, x):  # the j-th Hasse derivative of B at every x
-        return _horner(ctx, poly.hasse_derivative(ctx, b_poly, j), x)
+        binoms = np.array([comb(i, j) % p for i in range(j, m + 1)])
+        return poly.evaluate_array(ctx, ctx.vmul(binoms, b_poly[j:]), x)
 
     # A(Q(X)) = sum a_t Q^{p^t} only reaches the degrees e p^t
     reachable = {e * p ** t for t in spec_f.a_coeffs
@@ -507,22 +492,22 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     for j in range(m - 1, 0, -1):
         if j not in reachable:  # H_j(c0) = a b_j / b^j = b^(m - j) b_j
             keep &= (hasse_at(j, elements)
-                     == _times(ctx, b_poly[j], ctx.vpow(bs, m - j))[:, None])
+                     == ctx.vmul(b_poly[j], ctx.vpow(bs, m - j))[:, None])
     bi, c0 = np.nonzero(keep)
     b = bs[bi]
     a = ctx.vpow(b, m)
-    R = {j: _minus(ctx, _times(ctx, ctx.vpow(b, j), hasse_at(j, c0)),
-                   _times(ctx, a, b_poly[j]))
+    R = {j: ctx.vadd_scalar(ctx.vmul(ctx.vpow(b, j), hasse_at(j, c0)),
+                            ctx.vneg(ctx.vmul(a, b_poly[j])))
          for j in reachable}
     q = np.zeros((len(b), max_qdeg + 1), dtype=np.int64)
-    an_inv = ctx.inv(spec_f.a_coeffs[n])
+    an_inv = ctx.vpow(np.array([spec_f.a_coeffs[n]]), -1)
     for e in range(max_qdeg, 0, -1):
         # q_e^{p^n} = R_{e p^n} / a_n, inverted through the Frobenius
-        q[:, e] = ctx.vpow(_times(ctx, an_inv, R[e * pn]),
+        q[:, e] = ctx.vpow(ctx.vmul(an_inv, R[e * pn]),
                            p ** ((ctx.k - n) % ctx.k))
         for t, a_t in spec_f.a_coeffs.items():
-            R[e * p ** t] = _minus(ctx, R[e * p ** t],
-                                   _times(ctx, a_t, ctx.vpow(q[:, e], p ** t)))
+            R[e * p ** t] = ctx.vadd_scalar(
+                R[e * p ** t], ctx.vneg(ctx.vmul(a_t, ctx.vpow(q[:, e], p ** t))))
     # A is additive: the A-preimages of R_0 are one of them plus ker A
     values = spec_f.a_values()
     preimage = np.full(ctx.order, -1)
@@ -548,20 +533,19 @@ def _compose(maps: AffineMaps, g: int) -> AffineMaps:
     ctx = maps.field
     b, c0 = maps.b[g], maps.c0[g]
     return AffineMaps(
-        ctx, _times(ctx, maps.a, maps.a[g]), _times(ctx, maps.b, b),
-        ctx.vadd_scalar(_times(ctx, maps.b, c0), maps.c0),
-        ctx.vadd_scalar(_times(ctx, maps.a[:, None], maps.q[g]),
+        ctx, ctx.vmul(maps.a, maps.a[g]), ctx.vmul(maps.b, b),
+        ctx.vadd_scalar(ctx.vmul(maps.b, c0), maps.c0),
+        ctx.vadd_scalar(ctx.vmul(maps.a[:, None], maps.q[g]),
                         _substitute(ctx, maps.q, b, c0)))
 
 
 def _inverses(maps: AffineMaps) -> AffineMaps:
     """Every map's inverse: b^-1, -c0 / b, a^-1 and -Q(b^-1 X - c0 / b) / a."""
-    ctx, minus_one = maps.field, maps.field.neg(1)
+    ctx = maps.field
     b, a = ctx.vpow(maps.b, -1), ctx.vpow(maps.a, -1)
-    c0 = _times(ctx, minus_one, _times(ctx, b, maps.c0))
+    c0 = ctx.vneg(ctx.vmul(b, maps.c0))
     q = _substitute(ctx, maps.q, b, c0)
-    return AffineMaps(ctx, a, b, c0,
-                      _times(ctx, _times(ctx, minus_one, a)[:, None], q))
+    return AffineMaps(ctx, a, b, c0, ctx.vneg(ctx.vmul(a[:, None], q)))
 
 
 def assert_group(maps: AffineMaps):
@@ -646,7 +630,7 @@ def checks(spec: SeparatedCurveSpec, result: ClassificationResult,
         fixes = np.zeros(ctx.order, dtype=bool)
         fixes[mu_fixers(spec_f)] = True
         law = fixes[a] & (composed
-                          == _times(ctx, a[:, None], b_poly)).all(axis=1)
+                          == ctx.vmul(a[:, None], b_poly)).all(axis=1)
         bad = int((~law[np.cumsum(start) - 1]).sum())
         records.append(("scaling law", not bad, f"{bad} of {found} maps fail"))
         return records

@@ -439,8 +439,8 @@ def ranks(ctx, stack):
     free = R.any(axis=2)  # nonzero and not yet a pivot row
     out = np.zeros(count, dtype=np.int64)
     at = np.arange(count)
-    log, exp = ctx.zero_log
-    inv = ctx.exp_np[-ctx.log_np % (ctx.order - 1)]  # 1/a by index
+    log, exp = ctx.log_np, ctx.exp_np
+    inv = exp[-log % (ctx.order - 1)]  # 1/a by index
     for col in range(n):
         if not free.any():
             break
@@ -470,8 +470,8 @@ def theta_orbits(curve):
     _, xs, ys = curve.theta_coords
     ctx, q1 = curve.ctx, curve.ctx.order - 1
     lx, ly = ctx.log_np[xs], ctx.log_np[ys]
-    if min(lx.min(), ly.min()) < 0:
-        return None  # a zero coordinate
+    if max(lx.max(), ly.max()) >= q1:
+        return None  # a zero coordinate, at the zero slot of log_np
     fibre = np.flatnonzero(xs == 1)
     slot = np.full(ctx.order, -1)
     slot[ys[fibre]] = np.arange(len(fibre))
@@ -509,13 +509,13 @@ def rank_by_classes(curve, basis, matrix):
         return None
     # (Q - 1, h) matrix columns: row l is the fibre x = g^l
     cols = curve.theta_coords[0][orbits.T]
-    logs = ctx.log_np.astype(np.int32)  # log 0 = -1
+    logs = ctx.log_np.astype(np.int32)  # log 0 is past Q - 2
     step = max(1, SPLIT_CHUNK // cols.size)
     for lo in range(0, len(e), step):
         log_m = logs[matrix[lo:lo + step].take(cols, axis=1)]
         steps = np.diff(log_m, axis=1)
         e_r = e[lo:lo + step, None, None].astype(np.int32)
-        if log_m.min() < 0 or not ((steps == e_r) | (steps == e_r - q1)).all():
+        if log_m.max() >= q1 or not ((steps == e_r) | (steps == e_r - q1)).all():
             return None
     cols = np.append(cols[0], 0)  # the fibre, then P_inf
     order = np.argsort(e, kind="stable")

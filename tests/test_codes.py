@@ -173,8 +173,7 @@ def test_gather_equals_scalar_evaluation_at_every_place(q, r):
 
 
 def test_gather_check_has_teeth(monkeypatch):
-    # an exp table read one exponent too far fails the scalar oracle: the
-    # gather reads the exp table of ctx.zero_log, so that one is doctored
+    # an exp table read one exponent too far fails the scalar oracle
     curve = build_curve(2, 3)
     ctx = curve.ctx
     product = ctx.mul(2, 3)  # the scalar path now keeps its own lists
@@ -183,10 +182,10 @@ def test_gather_check_has_teeth(monkeypatch):
     want = evaluation_by_places(curve, basis, cols)
     assert np.array_equal(codes._evaluation_matrix(curve, basis, 0)[:, cols],
                           want)
-    log, exp = ctx.zero_log
-    shifted = exp.copy()
-    shifted[:len(ctx.exp_np)] = np.roll(ctx.exp_np, -1)
-    monkeypatch.setattr(ctx, "_zero_log", (log, shifted))
+    n = ctx.order - 1
+    shifted = ctx.exp_np.copy()
+    shifted[:2 * n] = np.roll(ctx.exp_np[:2 * n], -1)
+    monkeypatch.setattr(ctx, "exp_np", shifted)
     assert ctx.mul(2, 3) == product
     got = build_code(curve, 3).matrix[:, cols]
     assert (got != want).all()
@@ -239,7 +238,7 @@ def test_matrix_gather_peaks_within_its_estimate():
     # uint8 gather (13) and an intp exponent array (24)
     curve = build_curve(16, 2)
     code = build_code(curve, 127)
-    curve.theta_coords, curve.ctx.zero_log  # filled before tracing
+    curve.theta_coords, curve.ctx.log_np  # filled before tracing
     tracemalloc.start()
     try:
         matrix = code.matrix
@@ -383,8 +382,8 @@ def test_key_proof_refuses_p_inf_in_two_classes(curve33, monkeypatch):
 @pytest.mark.parametrize("value", ["zero", "scaled"])
 @pytest.mark.parametrize("on_fibre", [True, False])
 def test_class_proof_refuses_one_changed_entry(curve33, value, on_fibre):
-    # a zeroed entry of value g^{-1} has log -1 = Q - 2 mod Q - 1, so
-    # its steps along the orbit still read e_r: only its sign tells
+    # an entry of value g^{-1} zeroed or scaled by g: a zero reads the
+    # zero slot of log_np, past every unit's log, and the proof refuses it
     ctx = curve33.ctx
     g_inv = ctx.inv(ctx.generator)
     code = build_code(curve33, 4)

@@ -159,7 +159,11 @@ def test_exp_log_equal_sequential_powers(p, k):
     ctx = build_field(p, k)
     assert ctx.generator == generator_by_search(ctx)
     exp, log = exp_log_by_powers(ctx)
-    assert ctx.exp_np.tolist() == exp * 2 and ctx.log_np.tolist() == log
+    # the doubled powers, then the zero tail; log 0 is the zero slot
+    n = ctx.order - 1
+    log[0] = 2 * n
+    assert ctx.exp_np.tolist() == exp * 2 + [0] * (2 * n + 1)
+    assert ctx.log_np.tolist() == log
     # the scalar methods' lists exist once a scalar op has run
     assert ctx.mul(1, 1) == 1
     assert ctx._exp == exp and ctx._log == log
@@ -174,9 +178,10 @@ def test_largest_fields_match_oracle_powers(p, k):
     ctx = build_field(p, k)
     n = ctx.order - 1
     assert ctx.generator == generator_by_search(ctx)
-    assert ctx.log_np[0] == -1
+    assert ctx.log_np[0] == 2 * n and len(ctx.exp_np) == 4 * n + 1
     assert np.array_equal(ctx.log_np[ctx.exp_np[:n]], np.arange(n))
-    assert np.array_equal(ctx.exp_np[n:], ctx.exp_np[:n])
+    assert np.array_equal(ctx.exp_np[n:2 * n], ctx.exp_np[:n])
+    assert not ctx.exp_np[2 * n:].any()
     squares = [ctx.generator]  # g^(2^i)
     while len(squares) < n.bit_length():
         squares.append(mul_by_digits(ctx, squares[-1], squares[-1]))
@@ -282,6 +287,25 @@ def test_zech_add_matches_digit_oracle_on_random_pairs():
     assert ctx.add(2, 1) == 0  # the Zech sentinel: 1 + (-1) = 0
 
 
+def assert_vector_ops_match_scalar(ctx):
+    """vmul on every pair and vscale by every scalar, zeros included,
+    vneg on every element and vpow at e = 0, 1, p, Q - 2 on every
+    element and at e = -1 on the units equal the scalar ops."""
+    elems = np.arange(ctx.order)
+    table = [[ctx.mul(a, b) for b in elems.tolist()] for a in elems.tolist()]
+    assert ctx.vmul(elems[:, None], elems[None, :]).tolist() == table
+    for s in elems.tolist():
+        assert ctx.vscale(s, elems).tolist() == table[s]
+    assert ctx.vneg(elems).tolist() == [ctx.neg(a) for a in elems.tolist()]
+    for e in (0, 1, ctx.p, ctx.order - 2):
+        assert ctx.vpow(elems, e).tolist() == [ctx.pow(a, e)
+                                               for a in elems.tolist()]
+    assert ctx.vpow(elems[1:], -1).tolist() == [ctx.pow(a, -1)
+                                                for a in elems[1:].tolist()]
+    with pytest.raises(ZeroDivisionError):
+        ctx.vpow(elems, -1)
+
+
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (3, 3), (2, 8), (7, 3)])
 def test_vector_tables_match_scalar_ops(p, k):
     ctx = build_field(p, k)
@@ -289,7 +313,22 @@ def test_vector_tables_match_scalar_ops(p, k):
     assert ctx.mul_np.tolist() == [[ctx.mul(a, b) for b in elems] for a in elems]
     assert ctx.add_np.tolist() == [[add_by_digits(ctx, a, b) for b in elems]
                                    for a in elems]
-    assert ctx.neg_np.tolist() == [neg_by_digits(ctx, a) for a in elems]
+    assert_vector_ops_match_scalar(ctx)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (5, 2)])
+@pytest.mark.parametrize("t", [0, 1, -1, None])
+def test_vector_ops_check_has_teeth(monkeypatch, p, k, t):
+    # one nonzero entry written into the zero tail of a copy of exp_np,
+    # at the slot that 0 times g^t reads (0 times 0 for None), fails
+    ctx = build_field(p, k)
+    assert_vector_ops_match_scalar(ctx)  # builds the scalar lists first
+    zero = int(ctx.log_np[0])
+    doctored = ctx.exp_np.copy()
+    doctored[zero + (zero if t is None else t % (ctx.order - 1))] = 1
+    monkeypatch.setattr(ctx, "exp_np", doctored)
+    with pytest.raises(AssertionError):
+        assert_vector_ops_match_scalar(ctx)
 
 
 def test_norm_values(f8, f27):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import poly, sepcurve  # noqa: E402
 from normtrace.gf import (TABLE_MAX_ORDER, BudgetExceeded,  # noqa: E402
-                          build_field)
+                          _ListOnFirstUse, build_field)
 from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
                                 SeparatedCurveSpec, assert_group,
                                 brute_force_stabilizer_search,
@@ -247,3 +247,17 @@ def test_search_builds_no_table_above_the_cap():
     maps = brute_force_stabilizer_search(spec, F, budget=10 ** 9)
     assert len(maps) == 60
     assert F._add_np is None and F._mul_np is None
+
+
+@pytest.mark.parametrize("p, k, a, found", [(2, 12, {0: 1, 1: 1, 2: 1}, 12),
+                                            (5, 4, {0: 1, 1: 2}, 60)])
+def test_search_runs_no_scalar_method_on_its_field(p, k, a, found):
+    # B = X^3 with A = Y^4 + Y^2 + Y over a fresh GF(4096) and A = 2 Y^5 + Y
+    # over a fresh GF(625): A's values, the Hasse coefficients, a_n^-1 and
+    # the -1 of the inverses are formed on arrays, so the scalar exp and
+    # log lists (80 MB at GF(2^20)) are never built
+    F = build_field(p, k)
+    spec = SeparatedCurveSpec(field(p, 1), a, (0, 0, 0, 1))
+    assert len(brute_force_stabilizer_search(spec, F)) == found
+    assert isinstance(F._exp, _ListOnFirstUse)
+    assert isinstance(F._log, _ListOnFirstUse)
