@@ -21,7 +21,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -40,7 +42,8 @@ def _field_of_order(order: int):
 
 # ----------------------------------------------------------------------
 # Commands: each takes the parsed arguments (with --format resolved to
-# the command's default) and returns (exit_code, data_string)
+# the command's default) and returns (exit_code, data): a string, or
+# for code-build an iterator of strings that main writes as they come
 # ----------------------------------------------------------------------
 
 def cmd_field_info(args):
@@ -176,20 +179,36 @@ def cmd_code_table(args):
     return status, buf.getvalue()
 
 
-def _matrix_rows(matrix, order: int, entry: str, last: str,
-                 row_head: str = "") -> list[str]:
-    """The text of a matrix of field-element indices, one string per
-    row, each by one gather from a table of order ready-made strings:
-    entry.format(v) within a row and last.format(v) at its end, which
-    holds the row's separator.  Each row starts with row_head.  Every
-    entry must lie in 0..order-1; a negative index would otherwise wrap
-    round and print a wrong value."""
-    if not 0 <= matrix.min() <= matrix.max() < order:
-        raise ValueError(f"matrix entries must lie in 0..{order - 1}")
-    table = np.array([entry.format(v) for v in range(order)], dtype=object)
-    ends = [last.format(v) for v in range(order)]
-    return [f"{row_head}{''.join(table[row[:-1]].tolist())}{ends[row[-1]]}"
-            for row in matrix]
+def _matrix_text(ctx, exponents, entry: str, last: str, row_head: str = "",
+                 sep: str = ""):
+    """The text of a code's matrix, one string per row, from the
+    exponent tables of codes._exponent_tables: each row's exponents are
+    formed by one np.add into a reused buffer, and its text by one
+    gather from a table of ready-made strings indexed by exponent,
+    entry.format(v) within a row and last.format(v) at its end, for v
+    = ctx.exp_np[e], the zero slot included.  Each row starts with
+    row_head, and rows after the first with sep before it.  The tables
+    are checked and the strings made before the first row: an exponent
+    outside the string table would print a wrong value (numpy reads a
+    negative one from the end) or fail mid-output."""
+    inf, i_table, i_rows, j_table, j_rows = exponents
+    size = 2 * (ctx.order - 1) + 1
+    if not (0 <= min(inf.min(), i_table.min(), j_table.min()) and max(
+            int(inf.max()), int(i_table.max()) + int(j_table.max())) < size):
+        raise ValueError(f"exponents must lie in 0..{size - 1}")
+    values = ctx.exp_np[:size].tolist()
+    strings = np.array([entry.format(v) for v in values], dtype=object)
+    ends = [last.format(v) for v in values]
+    row = np.empty(i_table.shape[1] + 1, dtype=np.uint16)
+
+    def rows():
+        for r, (e, i, j) in enumerate(zip(inf.tolist(), i_rows.tolist(),
+                                          j_rows.tolist())):
+            row[0] = e
+            np.add(i_table[i], j_table[j], out=row[1:])
+            yield (f"{sep if r else ''}{row_head}"
+                   f"{''.join(strings[row[:-1]].tolist())}{ends[row[-1]]}")
+    return rows()
 
 
 # one basis monomial as json.dumps(indent=2) prints it in the report
@@ -199,25 +218,23 @@ _BASIS_ENTRY = '    {{\n      "i": {},\n      "j": {}\n    }}'
 def cmd_code_build(args):
     """The code's report as JSON, or its matrix as CSV; both print the
     matrix byte for byte as json.dumps(indent=2) and csv.writer would.
-    The output is joined once: for JSON from the scalar head
-    (json.dumps), the basis (_BASIS_ENTRY), the matrix rows and the
-    closing brackets.  The matrix is freed before the join."""
+    The data is an iterator of strings: for JSON the scalar head
+    (json.dumps) and the basis (_BASIS_ENTRY), then the matrix a row at
+    a time (_matrix_text), then the closing brackets.  No matrix is
+    built: every check, and the exponent tables, come before the
+    return, so a refused code prints nothing."""
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)
-    order = curve.ctx.order
+    exponents = codes._exponent_tables(curve, code.basis, code.n_inf)
     if args.format == "csv":
-        parts = _matrix_rows(code.matrix, order, "{},", "{}\r\n")
-    else:
-        # the parameters as a record end "\n}"; the basis and matrix follow
-        basis = ",\n".join(map(_BASIS_ENTRY.format, *code.basis.tolist()))
-        parts = [json.dumps(code.parameters(), indent=2)[:-2],
-                 ',\n  "basis": [\n', basis, '\n  ],\n  "matrix": [\n',
-                 *_matrix_rows(code.matrix, order, "      {},\n",
-                               "      {}\n    ],\n", "    [\n")]
-        parts[-1] = parts[-1][:-2] + "\n"  # no comma after the last row
-        parts.append("  ]\n}\n")
-    del code
-    return 0, "".join(parts)
+        return 0, _matrix_text(curve.ctx, exponents, "{},", "{}\r\n")
+    # the parameters as a record end "\n}"; the basis and matrix follow
+    basis = ",\n".join(map(_BASIS_ENTRY.format, *code.basis.tolist()))
+    head = (f'{json.dumps(code.parameters(), indent=2)[:-2]},\n'
+            f'  "basis": [\n{basis}\n  ],\n  "matrix": [\n')
+    rows = _matrix_text(curve.ctx, exponents, "      {},\n",
+                        "      {}\n    ]", "    [\n", ",\n")
+    return 0, itertools.chain([head], rows, ["\n  ]\n}\n"])
 
 
 def cmd_min_dist(args):
@@ -386,16 +403,23 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        try:
+    if isinstance(data, str):
+        data = [data]
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
-                fh.write(data)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(data)
+                fh.writelines(data)
+        else:
+            sys.stdout.writelines(data)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # a closed pipe: the flush at exit must not fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
     return status
 
 

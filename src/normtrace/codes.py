@@ -229,18 +229,35 @@ def _at_infinity(curve: NormTraceCurve, i, j, n_inf: int) -> np.ndarray:
 
 def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
     """Evaluate the monomials x^i y^j of basis in the column layout of
-    curve.theta_coords, with weight n_inf at P_inf (see _at_infinity).
+    curve.theta_coords, with weight n_inf at P_inf: one gather from
+    ctx.exp_np at the exponents of _exponent_tables, formed in one
+    (k, n) uint16 array (numpy casts a uint16 index in buffers as it
+    gathers)."""
+    inf, i_table, i_rows, j_table, j_rows = _exponent_tables(curve, basis,
+                                                             n_inf)
+    expo = np.empty((len(inf), i_table.shape[1] + 1), dtype=np.uint16)
+    expo[:, 0] = inf
+    np.add(i_table[i_rows], j_table[j_rows], out=expo[:, 1:])
+    return curve.ctx.exp_np[expo]
 
-    The affine entries are one gather from ctx.exp_np at i log x +
-    j log y: x is nonzero on Theta, and so is y, since y = 0 forces
-    norm(x) = trace(y) = 0.  The terms come from two row tables,
-    reduced mod Q - 1 once each: one row per i mod Q - 1 in the range
-    of i (at most Q - 1 rows) and one per j in 0..max j.  A code's basis fills both ranges, so the tables hold no
-    row it does not read.  Each term is below Q - 1, so their sum is
-    below 2(Q - 1) <= 8190 and the exponents are uint16; P_inf takes
-    exponent 0 (the entry 1) or log 0, the zero slot of ctx.log_np.
-    numpy casts a uint16 index in buffers as it gathers.  ValueError if
-    the exponents, the int64 matrix, the tables (each formed in int64,
+
+def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
+    """The exponents, indices into ctx.exp_np, of the matrix of the
+    monomials x^i y^j of basis (see _evaluation_matrix), as tables
+    (inf, i_table, i_rows, j_table, j_rows): row r has exponent inf[r]
+    at P_inf and i_table[i_rows[r]] + j_table[j_rows[r]] at the affine
+    columns.
+
+    An affine entry is exp at i log x + j log y: x is nonzero on Theta,
+    and so is y, since y = 0 forces norm(x) = trace(y) = 0.  The terms
+    come from two uint16 row tables, reduced mod Q - 1 once each: one
+    row per i mod Q - 1 in the range of i (at most Q - 1 rows) and one
+    per j in 0..max j.  A code's basis fills both ranges, so the tables
+    hold no row it does not read.  Each term is below Q - 1, so their
+    sum is below 2(Q - 1) <= 8190; P_inf takes exponent 0 (the entry 1)
+    or log 0, the zero slot 2(Q - 1) of ctx.log_np (see _at_infinity).
+    ValueError, before any table is formed, if the k x n exponents and
+    int64 matrix of the whole gather, the tables (each formed in int64,
     then narrowed) and numpy's buffers would pass TABLE_MAX_BYTES."""
     pos, xs, ys = curve.theta_coords
     ctx, k, n = curve.ctx, basis.shape[1], len(pos) + 1
@@ -254,12 +271,10 @@ def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
         raise ValueError(f"the {k} x {n} generator matrix needs about {need} "
                          f"bytes, above the limit {TABLE_MAX_BYTES}")
     log = ctx.log_np
-    expo = np.empty((k, n), dtype=np.uint16)
-    expo[:, 0] = np.where(_at_infinity(curve, i, j, n_inf), 0, log[0])
-    i_table = _exponent_rows(np.arange(lo, lo + i_rows), log[xs], q1)
-    j_table = _exponent_rows(np.arange(j_rows), log[ys], q1)
-    np.add(i_table[(i - lo) % q1], j_table[j], out=expo[:, 1:])
-    return ctx.exp_np[expo]
+    return (np.where(_at_infinity(curve, i, j, n_inf), 0, log[0]),
+            _exponent_rows(np.arange(lo, lo + i_rows), log[xs], q1),
+            (i - lo) % q1,
+            _exponent_rows(np.arange(j_rows), log[ys], q1), j)
 
 
 def _exponent_rows(exponents, logs, q1: int) -> np.ndarray:

@@ -763,6 +763,24 @@ def test_python_m_entry_point_prints_what_main_prints(capsys, tmp_path):
     assert bad.returncode == 2 and bad.stdout == ""
 
 
+def test_code_build_into_a_closed_pipe_is_one_error_line():
+    # as `code-build ... | head -c 100`: the 5.9 MB of rows overrun the
+    # pipe once the reader has gone, and neither the write nor the flush
+    # at exit may print a traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "normtrace", "code-build", "--q", "16",
+         "--r", "2", "--ell", "16"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=src_env())
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{\n  "q": 16,')
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
 def test_no_command_imports_numpy_ma(tmp_path):
     # the first np.unique or np.setdiff1d in a process imports numpy.ma,
     # about 30 ms of CPU that no command needs

@@ -1,14 +1,16 @@
-"""The generator-matrix writer of `code-build` (cli._matrix_rows)
+"""The generator-matrix writer of `code-build` (cli._matrix_text)
 against the printers it replaced: json.dumps(indent=2) of the whole
-report and csv.writer of the matrix rows, byte for byte, over random
-matrices with entries of every width in fields p^k <= 2^12.  Likewise
-the non-gap writer of `curve-info` (cli._int_list) against str(list)
-and json.dumps, over ascending arrays of every decimal width."""
+report and csv.writer of the matrix rows, byte for byte, on real codes
+and over random exponent tables and value tables with entries of every
+width in fields p^k <= 2^12.  Likewise the non-gap writer of
+`curve-info` (cli._int_list) against str(list) and json.dumps, over
+ascending arrays of every decimal width."""
 
 import csv
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 from argparse import Namespace
 from types import SimpleNamespace
@@ -22,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import cli, codes  # noqa: E402
 from normtrace.codes import AGCode  # noqa: E402
+from normtrace.curve import build_curve  # noqa: E402
 from normtrace.gf import is_prime  # noqa: E402
 
 ORDERS = sorted({p ** k for p in range(2, 4097) if is_prime(p)
@@ -33,7 +36,7 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
 def random_entries(rng, order, shape):
     """Entries in 0..order-1 whose decimal widths are spread evenly over
     every width up to that of order - 1; 0 and order - 1 are placed when
-    the matrix has room for them."""
+    the array has room for them."""
     top = len(str(order - 1))
     widths = rng.integers(1, top + 1, size=shape)
     lo = np.where(widths == 1, 0, 10 ** (widths - 1))
@@ -46,31 +49,53 @@ def random_entries(rng, order, shape):
 
 @st.composite
 def fake_codes(draw):
-    """An AGCode over a stand-in curve of field order Q whose matrix is
-    random: the writer reads only the matrix, Q and the report fields."""
+    """(code, exponents, matrix): an AGCode over a stand-in curve of
+    field order Q whose exp table is a random value table of length
+    2(Q - 1) + 1, random exponent tables in the layout of
+    codes._exponent_tables, and the matrix they stand for.  The writer
+    reads only the tables, the value table, Q and the report fields."""
     order = draw(st.sampled_from(ORDERS))
-    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    k, n = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+    i_count, j_count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dtype = draw(st.sampled_from([np.int64, np.uint16]))
-    matrix = random_entries(rng, order, (k, n)).astype(dtype)
+    size = 2 * (order - 1) + 1
+    values = random_entries(rng, order, size)
+    exponents = (rng.integers(0, size, size=k),
+                 rng.integers(0, order - 1, (i_count, n - 1), np.uint16),
+                 rng.integers(0, i_count, size=k),
+                 rng.integers(0, order - 1, (j_count, n - 1), np.uint16),
+                 rng.integers(0, j_count, size=k))
+    inf, i_table, i_rows, j_table, j_rows = exponents
+    matrix = values[np.column_stack(
+        [inf, i_table[i_rows].astype(np.int64) + j_table[j_rows]])]
     basis = rng.integers(-9, 10, size=(2, k))
     r = draw(st.integers(2, 5))
     curve = SimpleNamespace(q=order, r=r, h=order ** (r - 1),
-                            ctx=SimpleNamespace(order=order))
-    return AGCode(curve, draw(st.integers(1, 40)), basis,
-                  n_inf=draw(st.sampled_from([0, 1])), _matrix=matrix)
+                            ctx=SimpleNamespace(order=order, exp_np=values))
+    code = AGCode(curve, draw(st.integers(1, 40)), basis,
+                  n_inf=draw(st.sampled_from([0, 1])))
+    return code, exponents, matrix
 
 
-def code_build(code, fmt):
-    """cmd_code_build's data output with the curve and code stubbed."""
+def code_build(code, fmt, exponents=None):
+    """cmd_code_build's data output, a row at a time, joined; with
+    exponents given, the curve, the code and its tables are stubbed."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "build_curve", lambda q, r: code.curve)
-        mp.setattr(codes, "build_code", lambda curve, ell: code)
+        if exponents is not None:
+            mp.setattr(cli, "build_curve", lambda q, r: code.curve)
+            mp.setattr(codes, "build_code", lambda curve, ell: code)
+            mp.setattr(codes, "_exponent_tables",
+                       lambda curve, basis, n_inf: exponents)
         status, data = cli.cmd_code_build(
             Namespace(q=code.curve.q, r=code.curve.r, ell=code.ell,
                       format=fmt))
     assert status == 0
-    return data
+    return "".join(data)
+
+
+def report_json(code, matrix):
+    report = {**code.to_report(), "matrix": matrix.tolist()}
+    return json.dumps(report, indent=2) + "\n"
 
 
 def csv_writer_rows(matrix):
@@ -83,11 +108,21 @@ def csv_writer_rows(matrix):
 
 @SETTINGS
 @given(fake_codes())
-def test_writer_equals_json_dumps_and_csv_writer(code):
-    report = {**code.to_report(), "matrix": code.matrix.tolist()}
-    assert code_build(code, "json") == json.dumps(report, indent=2) + "\n"
-    assert code_build(code, "text") == code_build(code, "json")
-    assert code_build(code, "csv") == csv_writer_rows(code.matrix)
+def test_writer_equals_json_dumps_and_csv_writer(fake):
+    code, exponents, matrix = fake
+    assert code_build(code, "json", exponents) == report_json(code, matrix)
+    assert code_build(code, "text", exponents) == report_json(code, matrix)
+    assert code_build(code, "csv", exponents) == csv_writer_rows(matrix)
+
+
+@pytest.mark.parametrize("q, r, ells", [(2, 3, range(1, 8)),
+                                        (3, 3, (1, 13, 26)), (4, 3, (31,))])
+def test_streamed_code_equals_json_dumps_and_csv_writer(q, r, ells):
+    curve = build_curve(q, r)
+    for ell in ells:
+        code = codes.build_code(curve, ell)
+        assert code_build(code, "json") == report_json(code, code.matrix)
+        assert code_build(code, "csv") == csv_writer_rows(code.matrix)
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -107,37 +142,68 @@ def test_code_build_stdout_is_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("bad", [-1, "order"])
+@pytest.mark.parametrize("bad", [-1, "size"])
 def test_out_of_range_entry_is_an_error_not_output(capsys, monkeypatch,
                                                    fmt, bad):
-    # numpy would read -1 as the last table string and print Q - 1
-    build = codes.build_code
+    # numpy would read -1 as the last table string and print the zero
+    # slot's value; an exponent sum of 2(Q - 1) + 1 = 15 would read past
+    # the string table mid-output
+    tables = codes._exponent_tables
 
-    def doctored(curve, ell):
-        code = build(curve, ell)
-        code.matrix[-1, -1] = curve.ctx.order if bad == "order" else bad
-        return code
+    def doctored(curve, basis, n_inf):
+        inf, i_table, i_rows, j_table, j_rows = tables(curve, basis, n_inf)
+        j_table = j_table.astype(np.int64)
+        j_table[-1, -1] = -1 if bad == -1 else 15 - i_table.max()
+        return inf, i_table, i_rows, j_table, j_rows
 
-    monkeypatch.setattr(codes, "build_code", doctored)
+    monkeypatch.setattr(codes, "_exponent_tables", doctored)
     rc = cli.main(["code-build", "--q", "2", "--r", "3", "--ell", "2",
                    "--format", fmt])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == "error: matrix entries must lie in 0..7\n"
+    assert captured.err == "error: exponents must lie in 0..14\n"
+
+
+def test_refused_code_build_writes_nothing(capsys, monkeypatch, tmp_path):
+    # one byte under the estimate: no stdout and no --out file, as the
+    # refusal comes before the first row
+    argv = ["code-build", "--q", "2", "--r", "3", "--ell", "2"]
+    monkeypatch.setattr(codes, "TABLE_MAX_BYTES", 0)
+    assert cli.main(argv) == 1
+    need = int(re.search(r"needs about (\d+) bytes",
+                         capsys.readouterr().err)[1])
+    monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need - 1)
+    path = tmp_path / "code.json"
+    for extra in ([], ["--out", str(path)]):
+        assert cli.main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            f"error: the 4 x 29 generator matrix needs about {need} bytes")
+    assert not path.exists()
+    monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need)
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert json.loads(path.read_text())["k"] == 4
 
 
 def test_code_build_memory_is_bounded():
-    # json.dumps(indent=2) of the 137 x 4081 matrix alone peaks at over
-    # 45 MB; the writer's report, code included, stays near 20 MB
-    args = Namespace(q=16, r=2, ell=16, format="json")
-    tracemalloc.start()
-    try:
-        status, data = cli.cmd_code_build(args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert status == 0 and len(data) == 5_910_659
-    assert peak < 30 << 20
+    # the (16,2) ell = 255 matrix (3961 x 4081) takes 129 MB as int64
+    # and 171 MB as JSON text; read a row at a time, the command holds
+    # its exponent tables and one row's text, and peaks at about 10 MB,
+    # mostly the int64 i-table before it is narrowed
+    for ell, fmt, length in [(16, "json", 5_910_659),
+                             (255, "json", 171_030_053),
+                             (255, "csv", 57_662_172)]:
+        tracemalloc.start()
+        try:
+            status, rows = cli.cmd_code_build(
+                Namespace(q=16, r=2, ell=ell, format=fmt))
+            total = sum(map(len, rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and total == length
+        assert peak < 16 << 20, (ell, fmt, peak)
 
 
 # 794,976 = 2g of N_{3,7}, the largest 2g that curve-info admits
