@@ -28,10 +28,9 @@ import sys
 
 import numpy as np
 
-from . import autgroup, codes, sepcurve
+from . import autgroup, codes, rrspace, sepcurve
 from .curve import build_curve
 from .gf import build_field, prime_power
-from .rrspace import nongaps
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -43,7 +42,8 @@ def _field_of_order(order: int):
 # ----------------------------------------------------------------------
 # Commands: each takes the parsed arguments (with --format resolved to
 # the command's default) and returns (exit_code, data): a string, or
-# for code-build an iterator of strings that main writes as they come
+# for curve-info and code-build an iterator of strings that main writes
+# as they come
 # ----------------------------------------------------------------------
 
 def cmd_field_info(args):
@@ -58,9 +58,15 @@ def cmd_field_info(args):
 
 
 def cmd_curve_info(args):
+    """The curve's record, its non-gaps up to 2g last.  The data is an
+    iterator of strings: the head, then the non-gaps a block at a time
+    from the semigroup's sieve (_int_list), then the closing bracket.
+    |Omega| is h, the fibre x = 0, so no place is built but JSON's
+    divisor records; every check and the sieve come before the return,
+    so a refused curve prints nothing."""
     curve = build_curve(args.q, args.r)
-    n_places, n_omega = curve.n_places, len(curve.omega)
-    semigroup = nongaps(curve, 2 * curve.genus)
+    n_places, n_omega = curve.n_places, curve.h
+    marked = rrspace._marked(curve, 2 * curve.genus)
     if args.format == "json":
         info = {
             "q": curve.q,
@@ -73,9 +79,9 @@ def cmd_curve_info(args):
             "div_y": curve.principal_divisor_y().to_dict(),
         }
         # the record without its last key, the non-gaps, ends "\n}"
-        head = json.dumps(info, indent=2)[:-2]
-        return 0, (f'{head},\n  "nongaps_up_to_2g": '
-                   f'{_int_list(semigroup, depth=1)}\n}}\n')
+        head = f'{json.dumps(info, indent=2)[:-2]},\n  "nongaps_up_to_2g": '
+        return 0, itertools.chain([head], _int_list(marked, depth=1),
+                                  ["\n}\n"])
     lines = [
         f"norm-trace curve q={curve.q} r={curve.r} over GF({curve.q ** curve.r})",
         f"genus: {curve.genus}",
@@ -84,21 +90,41 @@ def cmd_curve_info(args):
         f"|Theta|: {n_places - n_omega}",
         f"(x) = sum(Omega) - {curve.h} * P_inf",
         f"(y) = {curve.c} * P(0,0) - {curve.c} * P_inf",
-        f"semigroup non-gaps up to 2g: {_int_list(semigroup)}",
+        "semigroup non-gaps up to 2g: ",
     ]
-    return 0, "\n".join(lines) + "\n"
+    return 0, itertools.chain(["\n".join(lines)], _int_list(marked), ["\n"])
 
 
-def _int_list(values: np.ndarray, depth: int | None = None) -> str:
-    """The ascending values, each below 2^32, as str(list) prints them,
-    or with depth as json.dumps(indent=2) prints a list nested depth
-    levels deep.  No Python int is made per value (_joined_digits)."""
-    if depth is None:
-        return f"[{_joined_digits(values, ', ')}]"
-    if not len(values):
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return f"[{pad}{_joined_digits(values, ',' + pad)}\n{'  ' * depth}]"
+# the sieve entries whose non-gaps _int_list writes as one string: a few
+# large writes, and one block of digits held at a time
+NONGAP_BLOCK = 1 << 16
+
+
+def _int_list(marked: np.ndarray, depth: int | None = None):
+    """The v with marked[v] set, ascending, as str(list) prints them, or
+    with depth as json.dumps(indent=2) prints a list nested depth levels
+    deep: an iterator of strings, the values of NONGAP_BLOCK entries of
+    marked at a time (_joined_digits).  No Python int per value and no
+    array of all the values is made.  ValueError before the first
+    string if a value could pass 2^32 - 1."""
+    if len(marked) > 2 ** 32:
+        raise ValueError("values must lie in 0..2^32-1")
+    if not marked.any():
+        return iter(["[]"])
+    pad = "" if depth is None else "\n" + "  " * (depth + 1)
+    sep = ", " if depth is None else "," + pad
+
+    def pieces():
+        yield f"[{pad}"
+        lead = False
+        for lo in range(0, len(marked), NONGAP_BLOCK):
+            values = np.flatnonzero(marked[lo:lo + NONGAP_BLOCK])
+            if len(values):
+                values += lo
+                yield _joined_digits(values, sep, lead)
+                lead = True
+        yield "]" if depth is None else f"\n{'  ' * depth}]"
+    return pieces()
 
 
 # the largest value of each decimal width 1..10 that uint32 holds
@@ -106,12 +132,14 @@ _WIDTH_TOPS = np.array([10 ** w - 1 for w in range(1, 10)] + [2 ** 32 - 1],
                        dtype=np.uint32)
 
 
-def _joined_digits(values: np.ndarray, sep: str) -> str:
-    """The decimal digits of the ascending values joined by sep.  In an
-    ascending array the values of one decimal width are a run, and each
-    run is written as one fixed-width uint8 block of the output, its
-    digits then sep, a column at a time in unsigned 32-bit arithmetic
-    (into reused buffers: a fresh array per step costs page faults)."""
+def _joined_digits(values: np.ndarray, sep: str, lead: bool = False) -> str:
+    """The decimal digits of the ascending values joined by sep, with sep
+    before the first too if lead.  In an ascending array the values of
+    one decimal width are a run, and each run is written as one
+    fixed-width uint8 block of the output, sep then its digits, a column
+    at a time in unsigned 32-bit arithmetic (into reused buffers: a
+    fresh array per step costs page faults); the text is decoded from
+    that buffer, past the first sep unless lead."""
     values = np.asarray(values)
     if len(values) and not (0 <= values[0] and values[-1] < 2 ** 32
                             and (values[1:] >= values[:-1]).all()):
@@ -127,18 +155,18 @@ def _joined_digits(values: np.ndarray, sep: str) -> str:
         block = text[at:at + (hi - lo) * (width + len(sep_bytes))].reshape(
             hi - lo, -1)
         at += block.size
+        for col, byte in enumerate(sep_bytes):
+            block[:, col] = byte
         rest = values[lo:hi].astype(np.uint32)
         quot, digit = np.empty_like(rest), np.empty_like(rest)
-        for col in range(width - 1, -1, -1):
+        for col in range(block.shape[1] - 1, len(sep_bytes) - 1, -1):
             np.floor_divide(rest, ten, out=quot)
             np.multiply(quot, ten, out=digit)
             np.subtract(rest, digit, out=digit)
             digit += ord("0")
             block[:, col] = digit
             rest, quot = quot, rest
-        for col, byte in enumerate(sep_bytes, start=width):
-            block[:, col] = byte
-    return text[:max(0, len(text) - len(sep_bytes))].tobytes().decode("ascii")
+    return str(text.data[0 if lead else len(sep_bytes):], "ascii")
 
 
 def _table_rows(args):

@@ -257,7 +257,7 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
     sum is below 2(Q - 1) <= 8190; P_inf takes exponent 0 (the entry 1)
     or log 0, the zero slot 2(Q - 1) of ctx.log_np (see _at_infinity).
     ValueError, before any table is formed, if the k x n exponents and
-    int64 matrix of the whole gather, the tables (each formed in int64,
+    int64 matrix of the whole gather, the tables (each formed in uint32,
     then narrowed) and numpy's buffers would pass TABLE_MAX_BYTES."""
     pos, xs, ys = curve.theta_coords
     ctx, k, n = curve.ctx, basis.shape[1], len(pos) + 1
@@ -265,7 +265,7 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
     i, j = basis
     lo = int(i.min())
     i_rows, j_rows = min(int(i.max()) - lo + 1, q1), int(j.max()) + 1
-    need = (k * n * (2 + 8) + (i_rows + j_rows) * (n - 1) * (8 + 2)
+    need = (k * n * (2 + 8) + (i_rows + j_rows) * (n - 1) * (4 + 2)
             + 2 * np.getbufsize() * np.dtype(np.intp).itemsize)
     if need > TABLE_MAX_BYTES:
         raise ValueError(f"the {k} x {n} generator matrix needs about {need} "
@@ -278,8 +278,10 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
 
 
 def _exponent_rows(exponents, logs, q1: int) -> np.ndarray:
-    """The uint16 table of e * logs mod q1, one row per exponent e."""
-    rows = exponents[:, None] * logs
+    """The uint16 table of e * logs mod q1, one row per exponent e (of
+    any sign), formed in uint32: e is reduced mod q1 first and each log
+    is below q1, so every product is below q1^2 < 2^24."""
+    rows = (exponents % q1).astype(np.uint32)[:, None] * logs.astype(np.uint32)
     rows %= q1
     return rows.astype(np.uint16)
 

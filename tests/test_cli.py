@@ -255,8 +255,11 @@ def test_curve_info_counts_places_without_building_them(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_curve", record)
     rc, out, _ = run(capsys, "curve-info", "--q", "16", "--r", "3")
     assert rc == 0 and "rational places: 1048577" in out
-    # the count is read off the trace fibres: no 1,048,576-entry arrays
-    assert "places" not in vars(built[0]) and "affine_xy" not in vars(built[0])
+    assert "|Omega| (zeros of x): 256" in out
+    # the count is read off the trace fibres: no 1,048,576-entry arrays;
+    # |Omega| is h, so text builds no Place either (JSON builds the h
+    # places of its div_x record)
+    assert not {"places", "affine_xy", "omega"} & set(vars(built[0]))
 
 
 def test_aut_verify_fails_on_a_doctored_group(capsys, monkeypatch):
@@ -763,20 +766,39 @@ def test_python_m_entry_point_prints_what_main_prints(capsys, tmp_path):
     assert bad.returncode == 2 and bad.stdout == ""
 
 
-def test_code_build_into_a_closed_pipe_is_one_error_line():
-    # as `code-build ... | head -c 100`: the 5.9 MB of rows overrun the
-    # pipe once the reader has gone, and neither the write nor the flush
-    # at exit may print a traceback
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "normtrace", "code-build", "--q", "16",
-         "--r", "2", "--ell", "16"], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env=src_env())
+def read_100_bytes_and_close(*argv):
+    """(exit status, first 100 bytes, stderr) of python -m normtrace
+    argv when its reader closes the pipe after 100 bytes."""
+    proc = subprocess.Popen([sys.executable, "-m", "normtrace", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=src_env())
     head = proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    return proc.wait(timeout=60), head, err
+
+
+def test_code_build_into_a_closed_pipe_is_one_error_line():
+    # as `code-build ... | head -c 100`: the 5.9 MB of rows overrun the
+    # pipe once the reader has gone, and neither the write nor the flush
+    # at exit may print a traceback
+    status, head, err = read_100_bytes_and_close(
+        "code-build", "--q", "16", "--r", "2", "--ell", "16")
+    assert status == 1
     assert head.startswith(b'{\n  "q": 16,')
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_curve_info_into_a_closed_pipe_is_one_error_line():
+    # the 2 MB of non-gaps of N_{2,10} come a block at a time, as
+    # code-build's rows do; the single write of the whole text ended
+    # with exit 0 and no word that the rest was lost
+    status, head, err = read_100_bytes_and_close("curve-info", "--q", "2",
+                                                 "--r", "10")
+    assert status == 1
+    assert head.startswith(b"norm-trace curve q=2 r=10 over GF(1024)\n")
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err == "error: cannot write stdout: Broken pipe\n"
 

@@ -207,8 +207,8 @@ def gather_need_16_2_127():
     """The gather estimate of the largest code that the tests and the
     benchmark gather, (16,2) ell = 127: uint16 exponents, the int64
     matrix, the row tables of the 128 i in -127..0 and the 16 j, each
-    formed in int64, and numpy's buffers."""
-    return (1913 * 4081 * (2 + 8) + (128 + 16) * 4080 * (8 + 2)
+    formed in uint32 and narrowed to uint16, and numpy's buffers."""
+    return (1913 * 4081 * (2 + 8) + (128 + 16) * 4080 * (4 + 2)
             + 2 * np.getbufsize() * 8)
 
 
@@ -247,6 +247,23 @@ def test_matrix_gather_peaks_within_its_estimate():
         tracemalloc.stop()
     assert matrix.shape == (1913, 4081) and matrix.dtype == np.int64
     assert peak <= gather_need_16_2_127() and peak <= 11 * matrix.size
+
+
+def test_exponent_tables_peak_within_their_share_of_the_estimate():
+    # (16,2) ell = 255: the 255 i rows and 16 j rows of 4080 columns,
+    # each formed in uint32 and narrowed to uint16, 6 bytes per entry
+    # (6.3 MB measured); formed in int64 they peaked at 10.5 MB
+    curve = build_curve(16, 2)
+    code = build_code(curve, 255)
+    curve.theta_coords, curve.ctx.log_np  # filled before tracing
+    tracemalloc.start()
+    try:
+        tables = codes._exponent_tables(curve, code.basis, code.n_inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables[1].shape == (255, 4080) and tables[3].shape == (16, 4080)
+    assert peak <= (255 + 16) * 4080 * (4 + 2) + 2 * np.getbufsize() * 8
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3),

@@ -3,8 +3,9 @@ against the printers it replaced: json.dumps(indent=2) of the whole
 report and csv.writer of the matrix rows, byte for byte, on real codes
 and over random exponent tables and value tables with entries of every
 width in fields p^k <= 2^12.  Likewise the non-gap writer of
-`curve-info` (cli._int_list) against str(list) and json.dumps, over
-ascending arrays of every decimal width."""
+`curve-info` (cli._int_list), a block of the semigroup's sieve at a
+time, against str(list) and json.dumps, over sieves marking values of
+every decimal width, with blocks small enough to split them anywhere."""
 
 import csv
 import hashlib
@@ -22,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace import cli, codes  # noqa: E402
+from normtrace import cli, codes, rrspace  # noqa: E402
 from normtrace.codes import AGCode  # noqa: E402
 from normtrace.curve import build_curve  # noqa: E402
 from normtrace.gf import is_prime  # noqa: E402
@@ -189,8 +190,8 @@ def test_refused_code_build_writes_nothing(capsys, monkeypatch, tmp_path):
 def test_code_build_memory_is_bounded():
     # the (16,2) ell = 255 matrix (3961 x 4081) takes 129 MB as int64
     # and 171 MB as JSON text; read a row at a time, the command holds
-    # its exponent tables and one row's text, and peaks at about 10 MB,
-    # mostly the int64 i-table before it is narrowed
+    # its exponent tables and one row's text, and peaks at about 6 MiB,
+    # mostly the uint32 i-table before it is narrowed (10 MB in int64)
     for ell, fmt, length in [(16, "json", 5_910_659),
                              (255, "json", 171_030_053),
                              (255, "csv", 57_662_172)]:
@@ -209,44 +210,123 @@ def test_code_build_memory_is_bounded():
 # 794,976 = 2g of N_{3,7}, the largest 2g that curve-info admits
 NONGAP_TOP = 794_976
 POWERS_OF_TEN = [v for w in range(1, 7) for v in (10 ** w - 1, 10 ** w)]
+# NONGAP_BLOCK, and blocks small enough for the drawn values to straddle
+BLOCKS = [1, 2, 3, 7, 10, 100, 1000, 10_000, cli.NONGAP_BLOCK]
 
 
 @st.composite
-def ascending_arrays(draw):
-    """Ascending arrays of distinct values in 0..NONGAP_TOP, as the
-    non-gaps are, drawn to hold the empty array, single values and the
-    values on both sides of every power of ten."""
-    picks = st.one_of(st.integers(0, NONGAP_TOP),
-                      st.sampled_from([0, NONGAP_TOP] + POWERS_OF_TEN))
-    values = draw(st.sets(picks, max_size=40))
-    dtype = draw(st.sampled_from([np.int64, np.intp, np.uint32]))
-    return np.array(sorted(values), dtype=dtype)
+def ascending_sieves(draw):
+    """(values, marked, block): ascending distinct values in
+    0..NONGAP_TOP, the sieve that marks them, as rrspace._marked marks
+    the non-gaps, with up to 20 unmarked entries past the last value,
+    and a block size that splits it into at most about 200 blocks.  The
+    draws hold the empty array, single values and the values on both
+    sides of every power of ten within reach of the block."""
+    block = draw(st.sampled_from(BLOCKS))
+    top = min(NONGAP_TOP, 200 * block)
+    picks = st.one_of(st.integers(0, top), st.sampled_from(
+        [v for v in [0, NONGAP_TOP] + POWERS_OF_TEN if v <= top]))
+    values = sorted(draw(st.sets(picks, max_size=40)))
+    marked = np.zeros((values[-1] + 1 if values else 0)
+                      + draw(st.integers(0, 20)), dtype=bool)
+    marked[values] = True
+    return values, marked, block
+
+
+def int_list(marked, depth=None, block=None):
+    """The streamed non-gap writer's text, its blocks of the given size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(cli, "NONGAP_BLOCK", block)
+        return "".join(cli._int_list(marked, depth))
+
+
+def assert_prints_as_list(values, marked, block=None):
+    assert int_list(marked, block=block) == str(values)
+    assert int_list(marked, 0, block) == json.dumps(values, indent=2)
+    # nested one level, as the last key of curve-info's record
+    nested = json.dumps({"a": 1, "b": values}, indent=2)
+    assert nested == ('{\n  "a": 1,\n  "b": '
+                      + int_list(marked, 1, block) + "\n}")
 
 
 @SETTINGS
-@given(ascending_arrays())
-def test_int_list_equals_str_and_json_dumps(values):
-    as_list = values.tolist()
-    assert cli._int_list(values) == str(as_list)
-    assert cli._int_list(values, depth=0) == json.dumps(as_list, indent=2)
-    # nested one level, as the last key of curve-info's record
-    nested = json.dumps({"a": 1, "b": as_list}, indent=2)
-    assert nested == ('{\n  "a": 1,\n  "b": '
-                      + cli._int_list(values, depth=1) + "\n}")
+@given(ascending_sieves())
+def test_int_list_equals_str_and_json_dumps(sieve):
+    assert_prints_as_list(*sieve)
+
+
+@pytest.mark.parametrize("values, length, block", [
+    ([0, 1, 9], 10, 4),        # entries 4..7 are an empty block
+    ([0, 1, 2, 3, 9], 12, 4),  # 9 is a block of one value, 8..11
+    ([0, 3, 9, 10, 11], 12, 10),  # width 2 starts the block at 10
+    ([5, 99, 100], 101, 100),  # width 3 alone in the last block
+    ([], 5, 2),                # no value: "[]" from blocks of nothing
+    ([7], 8, 1),               # one-entry blocks, one value among them
+])
+def test_int_list_blocks_join_at_their_boundaries(values, length, block):
+    marked = np.zeros(length, dtype=bool)
+    marked[values] = True
+    assert_prints_as_list(values, marked, block)
 
 
 def test_int_list_covers_every_uint32_width():
+    # the sieve writer reaches width 6 (2g <= NONGAP_TOP); its digits
+    # routine writes every width that uint32 holds, sep before each value
+    # but the first, or before the first too with lead
     values = np.array([0] + [10 ** w for w in range(1, 10)] + [2 ** 32 - 1])
-    assert cli._int_list(values) == str(values.tolist())
+    assert f"[{cli._joined_digits(values, ', ')}]" == str(values.tolist())
     assert cli._joined_digits(values, "") == "".join(map(str, values.tolist()))
+    assert cli._joined_digits(values, ", ", lead=True) == "".join(
+        f", {v}" for v in values.tolist())
+    marked = np.zeros(NONGAP_TOP + 1, dtype=bool)
+    marked[[0, 9, 10, 99, 100, 9999, 10 ** 5, NONGAP_TOP]] = True
+    assert int_list(marked) == str(np.flatnonzero(marked).tolist())
 
 
 @pytest.mark.parametrize("values", [[2, 1], [-1, 3], [0, 2 ** 32]])
 def test_int_list_refuses_what_it_cannot_write(values):
     # a descending pair would be written in the wrong run; -1 and 2^32
-    # would wrap round in uint32
+    # would wrap round in uint32.  A sieve gives its writer no such
+    # values, but one past 2^32 entries would wrap: it is refused before
+    # the first string (a read-only view of 2^32 + 1 entries of one byte)
     with pytest.raises(ValueError, match="ascending"):
-        cli._int_list(np.array(values))
+        cli._joined_digits(np.array(values), ", ")
+    huge = np.broadcast_to(np.zeros(1, dtype=bool), (2 ** 32 + 1,))
+    with pytest.raises(ValueError, match="0..2\\^32-1"):
+        cli._int_list(huge)
+
+
+def test_refused_non_gap_list_writes_nothing(capsys, monkeypatch, tmp_path):
+    # the writer's check runs in cmd_curve_info, before the head: no
+    # stdout, no --out file and one error line
+    huge = np.broadcast_to(np.zeros(1, dtype=bool), (2 ** 32 + 1,))
+    monkeypatch.setattr(rrspace, "_marked", lambda curve, bound: huge)
+    path = tmp_path / "curve.txt"
+    for fmt in ("text", "json"):
+        for extra in ([], ["--out", str(path)]):
+            assert cli.main(["curve-info", "--q", "2", "--r", "3",
+                             "--format", fmt, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: values must lie in 0..2^32-1\n"
+    assert not path.exists()
+
+
+def test_curve_info_memory_is_a_block():
+    # N_{3,7} has 397,489 non-gaps up to 2g, 4.8 MB of JSON; whole, the
+    # text and its copies peaked at 22 MiB.  Streamed, the command holds
+    # the sieve (0.8 MB), the divisor records and one block of digits,
+    # and peaks at about 3.5 MiB
+    tracemalloc.start()
+    try:
+        status, data = cli.cmd_curve_info(Namespace(q=3, r=7, format="json"))
+        total = sum(map(len, data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and total == 4_848_044
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("argv, digest", [
