@@ -20,14 +20,17 @@ print("first few:", list(places[:6]))
 print("\nOmega:", list(curve.omega))
 print("|Theta| =", len(curve.theta), "(includes P_inf)")
 
-print("\n(x) =", curve.principal_divisor_x())
-print("(y) =", curve.principal_divisor_y())
+# x has a pole of order h at infinity and a simple zero at each place of
+# Omega; y has a pole of order c at infinity and a zero of order c at
+# the origin.  Both divisors have degree 0.
+print("\n(x) = Divisor(%d*P_inf + %s)"
+      % (-curve.h, " + ".join("1*%s" % P for P in curve.omega)))
+print("(y) = Divisor(%d*P_inf + %d*P(0,0))" % (-curve.c, curve.c))
 
-# The code divisors: G puts weight ell on every zero of x.
-G = curve.divisor_G(2)
-D = curve.divisor_D()
-print("\ndeg G =", G.degree, " deg D =", D.degree,
-      " supports disjoint:", set(G.support()).isdisjoint(D.support()))
+# The code divisors: G = 2 Omega puts weight ell = 2 on every zero of x,
+# and D is the sum of the places of Theta.
+print("\ndeg G =", 2 * len(curve.omega), " deg D =", len(curve.theta),
+      " supports disjoint:", set(curve.omega).isdisjoint(curve.theta))
 
 # The gap structure at infinity drives every dimension formula: the
 # semigroup is generated by h = q^{r-1} and c = (q^r-1)/(q-1).

@@ -3,9 +3,11 @@
 # orbit structure on the rational places, and how the full group,
 # Frobenius twists, and scalars act on the ell = 2 code.
 
+import numpy as np
+
 from normtrace import (build_code, build_curve, enumerate_group,
                        is_code_automorphism, short_orbits)
-from normtrace.autgroup import CodeAut, compose, identity_aut, inverse, orbits
+from normtrace.autgroup import CodeAut, ab_inverse, ab_product, fixed_places
 
 curve = build_curve(2, 3)
 group = enumerate_group(curve)
@@ -17,21 +19,25 @@ scalings = [s for s in group if s.a == 0]
 print("translations (normal subgroup):", len(translations))
 print("scalings (cyclic complement):", len(scalings))
 
+# The group law on (a, b) arrays: (a1, b1) after (a2, b2) is
+# (a1 + b1^c a2, b1 b2), and (a, b) has the inverse (-b^-c a, b^-1).
 s = group[5]
+ab = np.array([[s.a], [s.b]])
+one = ab_product(curve, *ab, *ab_inverse(curve, *ab))
 print("\nsample element a=%d b=%d; inverse composes to identity:" % (s.a, s.b),
-      compose(s, inverse(s)).is_identity)
+      one.ravel().tolist() == [0, 1])
 
 # Exactly two short orbits: the fixed place at infinity and Omega.
 print("\nshort orbits:", [len(o) for o in short_orbits(curve)],
       "(P_inf alone, then the zeros of x)")
+# By orbit-stabilizer, a place's orbit has |G| / |stabilizer| places.
 P = curve.theta[3]
 print("a Theta place has full orbit:",
-      len(next(orb for orb in orbits(curve) if P in orb)))
+      len(group) // sum(P in fixed_places(s) for s in group))
 
 # Every combination (curve automorphism, Frobenius power, scalar)
 # preserves the code: 28 * 3 * 7 = 588 code automorphisms.
 code = build_code(curve, 2)
-ident = identity_aut(curve)
 count = sum(is_code_automorphism(code, CodeAut(s, frob=e, scalar=sc))
             for s in group for e in range(3) for sc in curve.ctx.nonzero())
 print("\ncode automorphisms verified:", count, "of", 28 * 3 * 7)

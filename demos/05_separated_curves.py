@@ -6,7 +6,7 @@
 
 from normtrace import (brute_force_stabilizer_search, build_field, classify,
                        h_bound_from_roots, linearization_gcd,
-                       norm_trace_spec, to_standard_qm)
+                       norm_trace_spec, poly, to_standard_qm)
 from normtrace.sepcurve import SeparatedCurveSpec, recommended_search_field
 
 F2 = build_field(2, 1)
@@ -24,8 +24,11 @@ field = recommended_search_field(spec)
 print("recommended search field: GF(%d)" % field.order)
 maps = brute_force_stabilizer_search(spec, field)
 print("exhaustive search found", len(maps), "maps")
-for s in maps.affine_auts()[:4]:
-    print("   a=%d b=%d c0=%d Q=%s" % (s.a, s.b, s.c0, list(s.q_coeffs)))
+# Each map is a row of arrays: x -> b x + c0, y -> a y + Q(x), with Q's
+# coefficients low to high in a zero-padded row of maps.q.
+for a, b, c0, q in zip(*(col[:4].tolist() for col in
+                         (maps.a, maps.b, maps.c0, maps.q))):
+    print("   a=%d b=%d c0=%d Q=%s" % (a, b, c0, poly.trim(q)))
 
 # Case (i): A = Y^5 + Y, B = X^3 over GF(5)-bar.  Here m = 3 divides
 # p^n + 1 = 6 and A is two-term, so the curve is the small exceptional

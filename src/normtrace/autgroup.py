@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,32 +50,21 @@ class CurveAut:
         return {"a_index": self.a, "b_index": self.b}
 
 
-def identity_aut(curve: NormTraceCurve) -> CurveAut:
-    return CurveAut(curve, 0, 1)
-
-
-def _compose_ab(curve: NormTraceCurve, ab1: tuple[int, int],
-                ab2: tuple[int, int]) -> tuple[int, int]:
-    """The (a, b) pair of ab1 after ab2: b = b1 b2, a = a1 + b1^c a2."""
+def ab_product(curve: NormTraceCurve, a1, b1, a2, b2) -> np.ndarray:
+    """The (a, b) rows of each (a1, b1) after (a2, b2), as int64 arrays:
+    b = b1 b2, a = a1 + b1^c a2."""
     ctx = curve.ctx
-    (a1, b1), (a2, b2) = ab1, ab2
-    return ctx.add(a1, ctx.mul(ctx.pow(b1, curve.c), a2)), ctx.mul(b1, b2)
+    return np.stack([ctx.vadd(a1, ctx.vmul(ctx.vpow(b1, curve.c), a2)),
+                     ctx.vmul(b1, b2)]).astype(np.int64)
 
 
-def compose(s1: CurveAut, s2: CurveAut) -> CurveAut:
-    """Apply s2 first, then s1."""
-    if s1.curve != s2.curve:
-        raise ValueError("automorphisms of different curves")
-    return CurveAut(s1.curve, *_compose_ab(s1.curve, (s1.a, s1.b),
-                                           (s2.a, s2.b)))
-
-
-def inverse(s: CurveAut) -> CurveAut:
-    curve = s.curve
+def ab_inverse(curve: NormTraceCurve, a, b) -> np.ndarray:
+    """The (a, b) rows of each inverse, (-b^{-c} a, b^{-1}), as int64
+    arrays; b^{-1} is b^{Q-2}, by the negated log, so 0 stays 0."""
     ctx = curve.ctx
-    b_inv = ctx.inv(s.b)
-    a_inv = ctx.neg(ctx.mul(ctx.pow(b_inv, curve.c), s.a))
-    return CurveAut(curve, a_inv, b_inv)
+    b_inv = ctx.vpow(b, ctx.order - 2)
+    return np.stack([ctx.vneg(ctx.vmul(ctx.vpow(b_inv, curve.c), a)),
+                     b_inv]).astype(np.int64)
 
 
 def group_arrays(curve: NormTraceCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -92,15 +82,10 @@ def enumerate_group(curve: NormTraceCurve) -> list[CurveAut]:
     return [CurveAut(curve, u, v) for u, v in zip(a.tolist(), b.tolist())]
 
 
-def orbits(curve: NormTraceCurve) -> list[list[Place]]:
-    """The orbits of the places under the whole group, in canonical order."""
-    return _orbits(curve, *group_arrays(curve), 1)
-
-
 def short_orbits(curve: NormTraceCurve) -> list[list[Place]]:
     """Orbits strictly smaller than the full automorphism group: the
     fixed place at infinity and the q^{r-1} zeros of x."""
-    return _orbits(curve, *group_arrays(curve), 0)
+    return _orbits(curve, *group_arrays(curve))
 
 
 def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray | None:
@@ -109,12 +94,12 @@ def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray | None:
     return at if np.array_equal(keys.take(at, mode="clip"), key) else None
 
 
-def _orbits(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray, slack: int
+def _orbits(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray
             ) -> list[list[Place]]:
-    """The orbits of fewer than len(a) + slack places under the pairs
-    (a, b), in canonical order: each unseen affine place (x, y) goes to
+    """The orbits of fewer than len(a) places under the pairs (a, b), in
+    canonical order: each unseen affine place (x, y) goes to
     (b x, b^c y + a) under every pair at once, found by its key x Q + y."""
-    ctx, Q, below = curve.ctx, curve.ctx.order, len(a) + slack
+    ctx, Q, below = curve.ctx, curve.ctx.order, len(a)
     xs, ys = curve.affine_xy
     keys, bc = xs * Q + ys, ctx.vpow(b, curve.c)
     seen = np.zeros(len(keys) + 1, dtype=bool)  # a last False stops argmin
@@ -180,7 +165,7 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
     the short orbits; and the fixed-place bound.  Products and inverses
     are found among the sorted keys a Q + b.  Odd characteristic needs
     the order in gf.TABLE_MAX_ORDER; a of nonzero trace raises ValueError."""
-    ctx, Q, n = curve.ctx, curve.ctx.order, len(a)
+    Q, n = curve.ctx.order, len(a)
     want = curve.h * (curve.q ** curve.r - 1)
     checks = [("group order", n == want, f"{n} (expected {want})")]
     if n <= 64:
@@ -188,11 +173,7 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
     else:
         u, v, w = np.random.default_rng(seed).integers(n, size=(3, 10_000))
         how = "sampled 10000 triples"
-
-    def law(a1, b1, a2, b2):  # _compose_ab on arrays
-        return np.stack([ctx.vadd(a1, ctx.vmul(ctx.vpow(b1, curve.c), a2)),
-                         ctx.vmul(b1, b2)]).astype(np.int64)
-
+    law = partial(ab_product, curve)
     keys = np.sort(a * Q + b)
     x, y = (a[u], b[u]), (a[v], b[v])
     xy = law(*x, *y)
@@ -201,10 +182,9 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
         z = a[w], b[w]
         closed = np.array_equal(law(*xy, *z), law(*x, *law(*y, *z)))
     checks.append(("closure/associativity", closed, how))
-    b_inv = ctx.vpow(b, Q - 2)  # b^{-1}, by the negated log; 0 stays 0
-    a_inv = ctx.vneg(ctx.vmul(ctx.vpow(b_inv, curve.c), a))
+    a_inv, b_inv = ab_inverse(curve, a, b)
     checks.append(("inverses", _find(keys, a_inv * Q + b_inv) is not None, ""))
-    short = _orbits(curve, a, b, 0)
+    short = _orbits(curve, a, b)
     sizes = sorted(len(o) for o in short)
     checks.append(("short orbits", sizes == [1, curve.h], f"sizes {sizes}"))
     bound = curve.h + 1
@@ -302,10 +282,11 @@ def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
     passes = code.lowering()
     if passes is None:
         return None
-    ctx, c = code.curve.ctx, code.curve.c
+    curve = code.curve
+    ctx, c = curve.ctx, curve.c
     n1 = ctx.order - 1
-    inv = inverse(g.aut)
-    alpha, beta = (ctx.frobenius(v, g.frob) for v in (inv.a, inv.b))
+    inv = ab_inverse(curve, np.array([g.aut.a]), np.array([g.aut.b]))
+    alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inv[:, 0])
     log, exp = ctx.log_np, ctx.exp_np
     logs = log[code.matrix]
     weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
@@ -373,7 +354,7 @@ def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:
     they generate it (generates, and the scalar's order)."""
     curve, ctx = code.curve, code.curve.ctx
     gens = generators(curve)
-    ident = identity_aut(curve)
+    ident = CurveAut(curve, 0, 1)
     families = [
         (f"code invariance: {curve.h * (ctx.order - 1)} curve automorphisms",
          generates(curve, gens), [CodeAut(s) for s in gens],

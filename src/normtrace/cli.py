@@ -61,8 +61,9 @@ def cmd_curve_info(args):
     """The curve's record, its non-gaps up to 2g last.  The data is an
     iterator of strings: the head, then the non-gaps a block at a time
     from the semigroup's sieve (_int_list), then the closing bracket.
-    |Omega| is h, the fibre x = 0, so no place is built but JSON's
-    divisor records; every check and the sieve come before the return,
+    |Omega| is h, and JSON's divisor records (x) = Omega - h P_inf and
+    (y) = c P(0,0) - c P_inf are written from the fibre x = 0, so no
+    place is built; every check and the sieve come before the return,
     so a refused curve prints nothing."""
     curve = build_curve(args.q, args.r)
     n_places, n_omega = curve.n_places, curve.h
@@ -75,8 +76,11 @@ def cmd_curve_info(args):
             "n_places": n_places,
             "n_omega": n_omega,
             "n_theta": n_places - n_omega,
-            "div_x": curve.principal_divisor_x().to_dict(),
-            "div_y": curve.principal_divisor_y().to_dict(),
+            "div_x": [{"place": INF_RECORD, "coeff": -curve.h}] + [
+                {"place": {**ORIGIN_RECORD, "y": y}, "coeff": 1}
+                for y in curve._fibre(0).tolist()],
+            "div_y": [{"place": INF_RECORD, "coeff": -curve.c},
+                      {"place": ORIGIN_RECORD, "coeff": curve.c}],
         }
         # the record without its last key, the non-gaps, ends "\n}"
         head = f'{json.dumps(info, indent=2)[:-2]},\n  "nongaps_up_to_2g": '
@@ -93,6 +97,11 @@ def cmd_curve_info(args):
         "semigroup non-gaps up to 2g: ",
     ]
     return 0, itertools.chain(["\n".join(lines)], _int_list(marked), ["\n"])
+
+
+# the places of the divisor records, as Place.to_dict writes them
+INF_RECORD = {"kind": "infinity"}
+ORIGIN_RECORD = {"kind": "affine", "x": 0, "y": 0}
 
 
 # the sieve entries whose non-gaps _int_list writes as one string: a few

@@ -1,4 +1,4 @@
-"""The norm-trace curve, its rational places, and divisor bookkeeping.
+"""The norm-trace curve and its rational places.
 
 The curve N_{q,r} over GF(q^r) is the plane curve
 
@@ -44,9 +44,6 @@ class Place:
     def is_infinity(self) -> bool:
         return self.kind == INFINITY
 
-    def sort_key(self):
-        return (0, 0, 0) if self.is_infinity else (1, self.x, self.y)
-
     def __repr__(self):
         return "P_inf" if self.is_infinity else f"P({self.x},{self.y})"
 
@@ -57,66 +54,6 @@ class Place:
 
 
 P_INFINITY = Place(INFINITY)
-
-
-def place_from_dict(d: dict) -> Place:
-    if d["kind"] == INFINITY:
-        return P_INFINITY
-    return Place(AFFINE, d["x"], d["y"])
-
-
-class Divisor:
-    """Formal integer combination of places.  Zero-coefficient entries
-    are dropped on construction."""
-
-    def __init__(self, coeffs=None):
-        self._coeffs = {}
-        if coeffs:
-            for place, c in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
-                if c:
-                    self._coeffs[place] = self._coeffs.get(place, 0) + c
-            self._coeffs = {P: c for P, c in self._coeffs.items() if c}
-
-    def coeff(self, place: Place) -> int:
-        return self._coeffs.get(place, 0)
-
-    @property
-    def degree(self) -> int:
-        return sum(self._coeffs.values())
-
-    def support(self) -> list[Place]:
-        return sorted(self._coeffs, key=Place.sort_key)
-
-    def items(self):
-        return [(P, self._coeffs[P]) for P in self.support()]
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        out = dict(self._coeffs)
-        for P, c in other._coeffs.items():
-            out[P] = out.get(P, 0) + c
-        return Divisor(out)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor({P: -c for P, c in self._coeffs.items()})
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
-
-    def scale(self, n: int) -> "Divisor":
-        return Divisor({P: n * c for P, c in self._coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Divisor) and self._coeffs == other._coeffs
-
-    def __len__(self):
-        return len(self._coeffs)
-
-    def __repr__(self):
-        parts = [f"{c}*{P}" for P, c in self.items()]
-        return "Divisor(" + " + ".join(parts) + ")" if parts else "Divisor(0)"
-
-    def to_dict(self) -> list:
-        return [{"place": P.to_dict(), "coeff": c} for P, c in self.items()]
 
 
 class NormTraceCurve:
@@ -153,12 +90,6 @@ class NormTraceCurve:
     def on_curve(self, x: int, y: int) -> bool:
         return (self.ctx.norm_rel(x, self.q, self.r)
                 == self.ctx.trace_rel(y, self.q, self.r))
-
-    def affine_place(self, x: int, y: int) -> Place:
-        """Validated affine place; raises if (x, y) is not on the curve."""
-        if not self.on_curve(x, y):
-            raise ValueError(f"({x}, {y}) is not on N_{{{self.q},{self.r}}}")
-        return Place(AFFINE, x, y)
 
     @cached_property
     def _fibres(self) -> tuple[np.ndarray, ...]:
@@ -241,23 +172,7 @@ class NormTraceCurve:
         xs, ys = self.affine_xy
         return np.arange(1, len(xs) - self.h + 1), xs[self.h:], ys[self.h:]
 
-    # -- divisors ----------------------------------------------------------
-
-    def principal_divisor_x(self) -> Divisor:
-        d = {P: 1 for P in self.omega}
-        d[P_INFINITY] = -self.h
-        return Divisor(d)
-
-    def principal_divisor_y(self) -> Divisor:
-        return Divisor({Place(AFFINE, 0, 0): self.c, P_INFINITY: -self.c})
-
-    def divisor_G(self, ell: int) -> Divisor:
-        if ell < 1:
-            raise ValueError(f"ell = {ell} must be >= 1")
-        return Divisor({P: ell for P in self.omega})
-
-    def divisor_D(self) -> Divisor:
-        return Divisor({P: 1 for P in self.theta})
+    # -- valuations --------------------------------------------------------
 
     def val_infinity(self, i: int, j: int) -> int:
         """Valuation at P_inf of the monomial x^i y^j."""

@@ -338,61 +338,12 @@ def classify(spec: SeparatedCurveSpec) -> ClassificationResult:
 # Stabilizer search
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineAut:
-    """An affine map x -> b x + c0, y -> a y + Q(x) over a search field;
-    q_coeffs lists Q little-endian."""
-
-    ctx: FieldCtx
-    a: int
-    b: int
-    c0: int
-    q_coeffs: tuple[int, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c0) == (1, 1, 0) and not self.q_coeffs
-
-    def apply_xy(self, x: int, y: int) -> tuple[int, int]:
-        ctx = self.ctx
-        return (ctx.add(ctx.mul(self.b, x), self.c0),
-                ctx.add(ctx.mul(self.a, y),
-                        poly.evaluate(ctx, list(self.q_coeffs), x)))
-
-    def sort_key(self):
-        return (self.a, self.b, self.c0, self.q_coeffs)
-
-
-def compose_affine(s1: AffineAut, s2: AffineAut) -> AffineAut:
-    """Apply s2 first, then s1."""
-    if s1.ctx != s2.ctx:
-        raise ValueError("maps over different fields")
-    ctx = s1.ctx
-    b = ctx.mul(s1.b, s2.b)
-    c0 = ctx.add(ctx.mul(s1.b, s2.c0), s1.c0)
-    a = ctx.mul(s1.a, s2.a)
-    q = poly.add(ctx, poly.scale(ctx, s1.a, list(s2.q_coeffs)),
-                 poly.compose_linear(ctx, list(s1.q_coeffs), s2.b, s2.c0))
-    return AffineAut(ctx, a, b, c0, tuple(q))
-
-
-def inverse_affine(s: AffineAut) -> AffineAut:
-    ctx = s.ctx
-    b = ctx.inv(s.b)
-    c0 = ctx.neg(ctx.mul(b, s.c0))
-    a = ctx.inv(s.a)
-    q = poly.scale(ctx, ctx.neg(a),
-                   poly.compose_linear(ctx, list(s.q_coeffs), b, c0))
-    return AffineAut(ctx, a, b, c0, tuple(q))
-
-
 @dataclass(frozen=True, eq=False)
 class AffineMaps:
     """Affine maps x -> b x + c0, y -> a y + Q(x) over a field as rows:
     int64 columns a, b, c0 and the matrix q of Q's coefficients,
     little-endian and zero-padded to one width.  A search returns its
-    rows in AffineAut.sort_key order, which is the order of the rows
-    (a, b, c0, q_0, q_1, ...): a trimmed tuple sorts like its padded row."""
+    rows sorted by (a, b, c0, q_0, q_1, ...)."""
 
     field: FieldCtx
     a: np.ndarray
@@ -407,12 +358,6 @@ class AffineMaps:
         """The maps at rows: a slice, an index array or a boolean mask."""
         return AffineMaps(self.field, self.a[rows], self.b[rows],
                           self.c0[rows], self.q[rows])
-
-    def affine_auts(self) -> list[AffineAut]:
-        """One AffineAut per row, Q trimmed."""
-        return [AffineAut(self.field, a, b, c0, tuple(poly.trim(q)))
-                for a, b, c0, q in zip(self.a.tolist(), self.b.tolist(),
-                                       self.c0.tolist(), self.q.tolist())]
 
     def keys(self) -> np.ndarray:
         """One byte string per row, (a, b, c0, q_0, ...) as big-endian

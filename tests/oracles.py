@@ -25,7 +25,14 @@ arrays, and the group check composes every pair of maps, where the
 library closes the set from generators, one generator with all maps in
 one array pass.  The curve
 group's closure is checked one scalar composition at a time, where the
-library composes every pair or sampled triple as index arrays.  Code
+library composes every pair or sampled triple as index arrays.  Both
+groups' laws are kept here only as scalar references on plain tuples:
+(a, b) pairs for the curve group and (a, b, c0, Q) for the stabilizer
+maps, composed and inverted by the scalar field operations and the
+polynomial helpers, where the library's one law per group runs on index
+arrays (autgroup.ab_product and ab_inverse, sepcurve._compose and
+_inverses), and each map acts on one point (apply_place,
+affine_apply).  Code
 invariance is decided for every map of a family by row-space
 membership, where the library checks generators by transfer matrices,
 and a curve automorphism's inverse is found by scanning, where the
@@ -55,14 +62,12 @@ from functools import cache, partial
 import numpy as np
 
 from normtrace import poly
-from normtrace.autgroup import (CodeAut, CurveAut, _compose_ab, code_action,
-                                identity_aut)
+from normtrace.autgroup import CodeAut, CurveAut, code_action
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
 from normtrace.rrspace import MonomialTerm, evaluate, monomial
-from normtrace.sepcurve import (AffineAut, AffineMaps, SearchFieldTooSmall,
-                                compose_affine, inverse_affine,
+from normtrace.sepcurve import (AffineMaps, SearchFieldTooSmall,
                                 monomial_shift, mu_fixers, validate)
 
 
@@ -286,7 +291,7 @@ def code_checks_by_elements(code, group):
     membership, where the library tests generators by their transfer
     matrices."""
     ctx = code.curve.ctx
-    ident = identity_aut(code.curve)
+    ident = CurveAut(code.curve, 0, 1)
     families = [
         (f"code invariance: {len(group)} curve automorphisms",
          (CodeAut(s) for s in group), f"ell={code.ell}"),
@@ -328,15 +333,32 @@ def orbits_by_places(curve, group):
             continue
         orb = {apply_place(s, P) for s in group}
         seen |= orb
-        out.append(sorted(orb, key=Place.sort_key))
+        out.append(sorted(orb, key=lambda img: (img.x, img.y)))
     return out
+
+
+def compose_pair(curve, u, v):
+    """The (a, b) pair of u after v, by the scalar field operations:
+    (x, y) goes to (b2 x, b2^c y + a2), then to (b1 b2 x,
+    b1^c (b2^c y + a2) + a1)."""
+    ctx = curve.ctx
+    (a1, b1), (a2, b2) = u, v
+    return ctx.add(ctx.mul(ctx.pow(b1, curve.c), a2), a1), ctx.mul(b1, b2)
+
+
+def inverse_pair(curve, u):
+    """The (a, b) pair of u's inverse, by the scalar field operations:
+    (x, y) = (b x', b^c y' + a) gives x' = x / b, y' = (y - a) / b^c."""
+    ctx = curve.ctx
+    a, b = u
+    return ctx.neg(ctx.div(a, ctx.pow(b, curve.c))), ctx.inv(b)
 
 
 def closure_by_compositions(curve, pairs, seed):
     """group_checks' closure verdict with the scalar law: every product
     of two (a, b) pairs up to 64 of them, else the 10,000 triples that
     group_checks draws, each product in the set and associative."""
-    law = partial(_compose_ab, curve)
+    law = partial(compose_pair, curve)
     elems = set(pairs)
     if len(pairs) <= 64:
         return all(law(u, v) in elems for u in pairs for v in pairs)
@@ -674,16 +696,55 @@ def _solve_additive_preimage(spec_f, R, max_qdeg, a_values):
     return out
 
 
+# An affine map x -> b x + c0, y -> a y + Q(x) of a stabilizer search, as
+# the plain tuple (a, b, c0, Q) with Q's coefficients little-endian and
+# trimmed: tuples sort like the rows of AffineMaps.
+AFFINE_IDENTITY = (1, 1, 0, ())
+
+
+def affine_tuples(maps):
+    """The rows of an AffineMaps as (a, b, c0, Q) tuples, in row order."""
+    return [(a, b, c0, tuple(poly.trim(q))) for a, b, c0, q in zip(
+        maps.a.tolist(), maps.b.tolist(), maps.c0.tolist(), maps.q.tolist())]
+
+
 def affine_rows(ctx, maps, width=None):
-    """The AffineMaps rows of a list of AffineAut over ctx, in list
-    order, Q zero-padded to width columns (default: the widest Q)."""
-    width = width or max([len(s.q_coeffs) for s in maps] + [1])
+    """The AffineMaps rows of a list of (a, b, c0, Q) tuples over ctx, in
+    list order, Q zero-padded to width columns (default: the widest Q)."""
+    width = width or max([len(s[3]) for s in maps] + [1])
     q = np.zeros((len(maps), width), dtype=np.int64)
     for row, s in zip(q, maps):
-        row[:len(s.q_coeffs)] = s.q_coeffs
-    return AffineMaps(ctx, *(np.array([getattr(s, f) for s in maps],
-                                      dtype=np.int64).reshape(-1)
-                             for f in ("a", "b", "c0")), q)
+        row[:len(s[3])] = s[3]
+    abc = np.array([s[:3] for s in maps], dtype=np.int64).reshape(-1, 3)
+    return AffineMaps(ctx, *abc.T, q)
+
+
+def affine_apply(ctx, s, x, y):
+    """The image of the point (x, y) under the map s."""
+    a, b, c0, q = s
+    return (ctx.add(ctx.mul(b, x), c0),
+            ctx.add(ctx.mul(a, y), poly.evaluate(ctx, list(q), x)))
+
+
+def affine_compose(ctx, s1, s2):
+    """s1 after s2, by substitution: y -> a2 y + Q2(x) then
+    a1 (a2 y + Q2(x)) + Q1(b2 x + c02)."""
+    (a1, b1, c01, q1), (a2, b2, c02, q2) = s1, s2
+    q = poly.add(ctx, poly.scale(ctx, a1, list(q2)),
+                 poly.compose_linear(ctx, list(q1), b2, c02))
+    return (ctx.mul(a1, a2), ctx.mul(b1, b2),
+            ctx.add(ctx.mul(b1, c02), c01), tuple(q))
+
+
+def affine_inverse(ctx, s):
+    """The inverse of s, solving x = b x' + c0 and y = a y' + Q(x') for
+    x' = (x - c0) / b and y' = (y - Q(x')) / a."""
+    a, b, c0, q = s
+    b_inv, a_inv = ctx.inv(b), ctx.inv(a)
+    c0_inv = ctx.neg(ctx.div(c0, b))
+    q_inv = poly.scale(ctx, ctx.neg(a_inv),
+                       poly.compose_linear(ctx, list(q), b_inv, c0_inv))
+    return a_inv, b_inv, c0_inv, tuple(q_inv)
 
 
 def stabilizer_maps_by_loop(spec, search_field, budget=None):
@@ -711,28 +772,28 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
                 R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
                 for q in _solve_additive_preimage(spec_f, R, max_qdeg,
                                                   a_values):
-                    found.append(AffineAut(ctx, a, b, c0, q))
-    return sorted(found, key=AffineAut.sort_key)
+                    found.append((a, b, c0, q))
+    return sorted(found)
 
 
 def stabilizer_search_by_loop(spec, search_field, budget=None):
     """The scalar loop's maps, checked by composing every pair."""
     found = stabilizer_maps_by_loop(spec, search_field, budget)
-    closed_by_pairs(found)
+    closed_by_pairs(search_field, found)
     return found
 
 
-def closed_by_pairs(maps):
-    """Raise SearchFieldTooSmall unless the maps are closed under
-    inversion and under the composition of every pair."""
+def closed_by_pairs(ctx, maps):
+    """Raise SearchFieldTooSmall unless the (a, b, c0, Q) maps over ctx
+    are closed under inversion and under the composition of every pair."""
     elems = set(maps)
     for s in maps:
-        if inverse_affine(s) not in elems:
+        if affine_inverse(ctx, s) not in elems:
             raise SearchFieldTooSmall(
                 "found maps are not closed under inversion")
     for s1 in maps:
         for s2 in maps:
-            if compose_affine(s1, s2) not in elems:
+            if affine_compose(ctx, s1, s2) not in elems:
                 raise SearchFieldTooSmall(
                     "found maps are not closed under composition")
 

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from normtrace import autgroup, linalg
-from normtrace.autgroup import (CodeAut, CurveAut, code_action, code_checks,
-                                compose, enumerate_group, fixed_places,
-                                generates, generators, group_arrays,
-                                group_checks, identity_aut, inverse,
-                                is_code_automorphism, orbits, short_orbits)
+from normtrace.autgroup import (CodeAut, CurveAut, ab_inverse, ab_product,
+                                code_action, code_checks, enumerate_group,
+                                fixed_places, generates, generators,
+                                group_arrays, group_checks,
+                                is_code_automorphism, short_orbits)
 from normtrace.codes import AGCode, build_code, extended_one_point_code
 from normtrace.curve import P_INFINITY, build_curve
 from oracles import (apply_place, closure_by_compositions,
                      code_action_by_places, code_checks_by_elements,
                      fixed_places_by_places, frobenius_place,
+                     inverse_by_search, inverse_pair,
                      is_code_automorphism_by_membership, orbits_by_places)
 
 
@@ -25,7 +26,7 @@ def test_group_order(curve23, curve33):
 
 def test_identity_present(curve23):
     group = enumerate_group(curve23)
-    assert identity_aut(curve23) in group
+    assert CurveAut(curve23, 0, 1) in group
 
 
 def test_constructor_validates(curve23):
@@ -41,13 +42,21 @@ def test_constructor_validates(curve23):
             CurveAut(curve23, 0, b)
 
 
+def _pairs(ab):
+    """The (a, b) arrays as a set of pairs."""
+    return set(zip(*ab.tolist()))
+
+
 def test_closure_and_inverses_exhaustive(curve23):
-    group = enumerate_group(curve23)
-    elems = set(group)
-    assert all(compose(s1, s2) in elems for s1 in group for s2 in group)
-    assert all(inverse(s) in elems for s in group)
-    for s in group:
-        assert compose(s, inverse(s)).is_identity
+    a, b = group_arrays(curve23)
+    u, v = np.divmod(np.arange(len(a) ** 2), len(a))
+    elems = _pairs(np.stack([a, b]))
+    assert _pairs(ab_product(curve23, a[u], b[u], a[v], b[v])) == elems
+    inv = ab_inverse(curve23, a, b)
+    assert _pairs(inv) == elems
+    assert inv.T.tolist() == [list(inverse_pair(curve23, s))
+                              for s in zip(a.tolist(), b.tolist())]
+    assert _pairs(ab_product(curve23, a, b, *inv)) == {(0, 1)}
 
 
 def test_compose_matches_pointwise_action(curve23):
@@ -57,26 +66,30 @@ def test_compose_matches_pointwise_action(curve23):
     for _ in range(100):
         s1, s2 = rng.choice(group), rng.choice(group)
         P = rng.choice(places)
-        assert apply_place(compose(s1, s2), P) == apply_place(s1, apply_place(s2, P))
+        (a,), (b,) = ab_product(curve23, [s1.a], [s1.b], [s2.a], [s2.b])
+        assert (apply_place(CurveAut(curve23, int(a), int(b)), P)
+                == apply_place(s1, apply_place(s2, P)))
 
 
 def test_conjugation_identity(curve23):
     # scaling b conjugates translation a to translation b^c a, trace-zero
     ctx = curve23.ctx
     zeros = [a for a in ctx.elements() if ctx.trace_rel(a, 2, 3) == 0]
-    for b in ctx.nonzero():
-        sc = CurveAut(curve23, 0, b)
-        for a in zeros:
-            conj = compose(compose(sc, CurveAut(curve23, a, 1)), inverse(sc))
-            assert conj.b == 1
-            assert conj.a == ctx.mul(ctx.pow(b, curve23.c), a)
-            assert ctx.trace_rel(conj.a, 2, 3) == 0
+    b, a = (col.ravel() for col in np.meshgrid(list(ctx.nonzero()), zeros))
+    sc = np.zeros_like(b), b
+    conj = ab_product(curve23, *ab_product(curve23, *sc, a, np.ones_like(b)),
+                      *ab_inverse(curve23, *sc))
+    assert conj[1].tolist() == [1] * len(b)
+    assert conj[0].tolist() == [ctx.mul(ctx.pow(v, curve23.c), u)
+                                for u, v in zip(a.tolist(), b.tolist())]
+    assert all(ctx.trace_rel(u, 2, 3) == 0 for u in conj[0].tolist())
 
 
 def test_translations_have_order_p(curve23):
-    for s in enumerate_group(curve23):
-        if s.b == 1 and s.a != 0:
-            assert compose(s, s).is_identity  # characteristic 2
+    a, b = group_arrays(curve23)
+    moved = (b == 1) & (a != 0)
+    square = ab_product(curve23, a[moved], b[moved], a[moved], b[moved])
+    assert _pairs(square) == {(0, 1)}  # characteristic 2
 
 
 def test_semidirect_structure(curve23):
@@ -84,9 +97,13 @@ def test_semidirect_structure(curve23):
     group = enumerate_group(curve23)
     translations = {s for s in group if s.b == 1}
     assert len(translations) == curve23.h
-    for s in group:
-        for t in translations:
-            assert compose(compose(s, t), inverse(s)) in translations
+    a, b = group_arrays(curve23)
+    t = a[b == 1]
+    u, v = np.divmod(np.arange(len(a) * len(t)), len(t))
+    g = a[u], b[u]
+    conj = ab_product(curve23, *ab_product(curve23, *g, t[v], np.ones_like(v)),
+                      *ab_inverse(curve23, *g))
+    assert _pairs(conj) == {(s.a, s.b) for s in translations}
     # scalings alone form a cyclic complement of order q^r - 1
     scalings = [s for s in group if s.a == 0]
     assert len(scalings) == 2 ** 3 - 1
@@ -128,9 +145,9 @@ def test_short_orbits(curve23, curve33):
     assert so23 == [1, 4]
     so33 = sorted(len(o) for o in short_orbits(curve33))
     assert so33 == [1, 9]
-    # orbit decomposition covers all places
-    total = sum(len(o) for o in orbits(curve23))
-    assert total == 33
+    # the fixed place at infinity, then the zeros of x
+    for cv in (curve23, curve33):
+        assert short_orbits(cv) == [[P_INFINITY], list(cv.omega)]
 
 
 SUBGROUPS = {
@@ -153,10 +170,9 @@ def test_orbits_match_oracle(q, r, subgroup):
     group = SUBGROUPS[subgroup](enumerate_group(curve))
     want = orbits_by_places(curve, group)
     short = [o for o in want if len(o) < len(group)]
-    assert autgroup._orbits(curve, *_arrays(group), 1) == want
-    assert autgroup._orbits(curve, *_arrays(group), 0) == short
+    assert autgroup._orbits(curve, *_arrays(group)) == short
     if subgroup == "full":
-        assert orbits(curve) == want and short_orbits(curve) == short
+        assert short_orbits(curve) == short
 
 
 def test_orbits_reject_a_map_off_the_curve(curve23):
@@ -166,7 +182,7 @@ def test_orbits_reject_a_map_off_the_curve(curve23):
     a[3] = next(v for v in curve23.ctx.elements()
                 if v not in curve23.trace_zero)
     with pytest.raises(ValueError, match="off the curve"):
-        autgroup._orbits(curve23, a, b, 1)
+        autgroup._orbits(curve23, a, b)
 
 
 def test_fixed_place_bound(curve23, curve33):
@@ -185,7 +201,8 @@ def test_group_checks_have_teeth(curve23, curve33):
     # one element dropped: the inverse of its inverse is missing
     a, b = group_arrays(curve23)
     group = enumerate_group(curve23)
-    dropped = next(i for i, s in enumerate(group) if inverse(s) != s)
+    dropped = next(i for i, s in enumerate(group)
+                   if inverse_by_search(s) != s)
     checks, _ = group_checks(curve23, np.delete(a, dropped),
                              np.delete(b, dropped), 0)
     assert checks[1][2] == "exhaustive"
@@ -241,7 +258,7 @@ def test_closure_rejects_a_pair_outside_the_group(curve23, curve33):
 @pytest.mark.parametrize("group", [[], "identity"])
 def test_group_checks_fail_the_order_of_a_degenerate_group(curve23, group):
     if group == "identity":
-        group = [identity_aut(curve23)]
+        group = [CurveAut(curve23, 0, 1)]
     checks, short = group_checks(curve23, *_arrays(group), 0)
     assert [name for name, _, _ in checks] == [
         "group order", "closure/associativity", "inverses", "short orbits",
@@ -278,7 +295,8 @@ def test_array_counts_and_inverses_match_the_scalar_oracles(q, r,
                         looked_up.append(key) or find(keys, key))
     assert group_checks(curve, a, b, 0)[0][2] == ("inverses", True, "")
     Q = curve.ctx.order
-    assert looked_up[1].tolist() == [t.a * Q + t.b for t in map(inverse, group)]
+    assert looked_up[1].tolist() == [
+        u * Q + v for u, v in (inverse_pair(curve, (s.a, s.b)) for s in group)]
 
 
 def test_fixed_places_match_oracle():
@@ -295,19 +313,19 @@ def test_fixed_places_leave_places_unbuilt():
                      for s in enumerate_group(cv)[:64]]
 
 
-def test_divisor_invariance(curve23):
-    # sigma(G) = G and sigma(D) = D for every group element
-    from normtrace.curve import Divisor
-    G = curve23.divisor_G(3)
-    D = curve23.divisor_D()
-    for s in enumerate_group(curve23):
-        for div in (G, D):
-            moved = Divisor({apply_place(s, P): c for P, c in div.items()})
-            assert moved == div
+def test_divisor_invariance(curve23, curve33):
+    # sigma(G) = G and sigma(D) = D for every group element: G = ell Omega
+    # and D = the sum of Theta, so sigma maps Omega onto Omega and Theta
+    # onto Theta
+    for cv in (curve23, curve33):
+        omega, theta = set(cv.omega), set(cv.theta)
+        for s in enumerate_group(cv):
+            assert {apply_place(s, P) for P in omega} == omega
+            assert {apply_place(s, P) for P in theta} == theta
 
 
 def test_code_aut_validation(curve23):
-    ident = identity_aut(curve23)
+    ident = CurveAut(curve23, 0, 1)
     with pytest.raises(ValueError):
         CodeAut(ident, frob=3)
     with pytest.raises(ValueError):
@@ -319,7 +337,7 @@ def test_code_aut_validation(curve23):
 
 def test_identity_code_aut(curve23):
     code = build_code(curve23, 2)
-    g = CodeAut(identity_aut(curve23))
+    g = CodeAut(CurveAut(curve23, 0, 1))
     word = code.matrix[1]
     assert np.array_equal(code_action(code, g, word), word)
     assert is_code_automorphism(code, g)
@@ -333,7 +351,7 @@ def test_all_curve_automorphisms_preserve_code(curve23):
 
 def test_frobenius_and_scalar_action(curve23):
     code = build_code(curve23, 2)
-    ident = identity_aut(curve23)
+    ident = CurveAut(curve23, 0, 1)
     # entrywise squaring combined with the Frobenius place permutation
     assert is_code_automorphism(code, CodeAut(ident, frob=1))
     for e in range(3):
@@ -572,7 +590,7 @@ def test_doctored_translation_is_rejected(curve23):
 
 def test_curve_mismatch(curve23, curve33):
     code = build_code(curve33, 1)
-    g = CodeAut(identity_aut(curve23))
+    g = CodeAut(CurveAut(curve23, 0, 1))
     with pytest.raises(ValueError):
         code_action(code, g, code.matrix[0])
 

@@ -256,10 +256,14 @@ def test_curve_info_counts_places_without_building_them(capsys, monkeypatch):
     rc, out, _ = run(capsys, "curve-info", "--q", "16", "--r", "3")
     assert rc == 0 and "rational places: 1048577" in out
     assert "|Omega| (zeros of x): 256" in out
+    rc, out, _ = run(capsys, "curve-info", "--q", "16", "--r", "3",
+                     "--format", "json")
+    assert rc == 0 and len(json.loads(out)["div_x"]) == 257
     # the count is read off the trace fibres: no 1,048,576-entry arrays;
-    # |Omega| is h, so text builds no Place either (JSON builds the h
-    # places of its div_x record)
-    assert not {"places", "affine_xy", "omega"} & set(vars(built[0]))
+    # |Omega| is h, and JSON's div_x record is written from the fibre
+    # x = 0, so neither format builds a Place
+    for curve in built:
+        assert not {"places", "affine_xy", "omega"} & set(vars(curve))
 
 
 def test_aut_verify_fails_on_a_doctored_group(capsys, monkeypatch):

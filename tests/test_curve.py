@@ -1,9 +1,10 @@
+import json
 from math import gcd
 
 import pytest
 
-from normtrace.curve import (P_INFINITY, Divisor, Place, build_curve,
-                             place_from_dict)
+from normtrace.cli import main
+from normtrace.curve import P_INFINITY, Place, build_curve
 from oracles import places_by_search
 
 
@@ -45,19 +46,16 @@ def test_canonical_order_and_membership(curve23):
     assert places[0] is P_INFINITY
     affine = places[1:]
     assert all(not P.is_infinity for P in affine)
-    assert sorted(affine, key=Place.sort_key) == list(affine)
-    for P in affine:
-        assert curve23.on_curve(P.x, P.y)
-    # membership is validated eagerly
-    bad = next((x, y) for x in curve23.ctx.elements()
-               for y in curve23.ctx.elements() if not curve23.on_curve(x, y))
-    with pytest.raises(ValueError):
-        curve23.affine_place(*bad)
+    assert sorted(affine, key=lambda P: (P.x, P.y)) == list(affine)
+    # on_curve holds exactly on the affine places
+    on = {(x, y) for x in curve23.ctx.elements()
+          for y in curve23.ctx.elements() if curve23.on_curve(x, y)}
+    assert on == {(P.x, P.y) for P in affine}
 
 
 def test_serialization_roundtrip_is_stable(curve23):
     places = curve23.places
-    again = [place_from_dict(P.to_dict()) for P in places]
+    again = [Place(**P.to_dict()) for P in places]
     assert list(places) == again
 
 
@@ -115,38 +113,27 @@ def test_omega_theta(curve23, curve33):
         assert curve23.ctx.trace_rel(P.y, 2, 3) == 0
 
 
-def test_principal_divisors(curve23):
-    dx = curve23.principal_divisor_x()
-    dy = curve23.principal_divisor_y()
-    assert dx.degree == 0 and dy.degree == 0
-    assert dx.coeff(P_INFINITY) == -4
-    assert sorted(dx.coeff(P) for P in curve23.omega) == [1, 1, 1, 1]
-    assert len(dx) == 5
-    origin = Place("affine", 0, 0)
-    assert dy.coeff(origin) == 7 and dy.coeff(P_INFINITY) == -7
-    assert len(dy) == 2
-
-
-def test_code_divisors(curve23):
-    for ell, deg in [(1, 4), (4, 16)]:
-        G = curve23.divisor_G(ell)
-        assert G.degree == deg
-    D = curve23.divisor_D()
-    assert D.degree == 29
-    for ell in range(1, 8):
-        assert set(curve23.divisor_G(ell).support()).isdisjoint(D.support())
-    with pytest.raises(ValueError):
-        curve23.divisor_G(0)
-
-
-def test_divisor_algebra(curve23):
-    G = curve23.divisor_G(2)
-    D = curve23.divisor_D()
-    assert (G + D).degree == G.degree + D.degree
-    assert (G - G).degree == 0 and len(G - G) == 0
-    assert G.scale(3) == curve23.divisor_G(6)
-    assert (-G).degree == -G.degree
-    assert Divisor() == Divisor({P_INFINITY: 0})
+def test_principal_divisors(capsys):
+    # curve-info's div_x and div_y records against the brute-force
+    # places: (x) = Omega - h P_inf and (y) = c P(0,0) - c P_inf, each
+    # of degree 0, their supports in canonical order
+    for q, r in [(2, 3), (3, 3), (4, 2), (5, 2)]:
+        assert main(["curve-info", "--q", str(q), "--r", str(r),
+                     "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        cv = build_curve(q, r)
+        places = places_by_search(cv)
+        omega = [P for P in places[1:] if P.x == 0]
+        for div in (rec["div_x"], rec["div_y"]):
+            assert sum(term["coeff"] for term in div) == 0
+        assert [Place(**t["place"]) for t in rec["div_x"]] == (
+            [P_INFINITY] + omega)
+        assert [t["coeff"] for t in rec["div_x"]] == [-cv.h] + [1] * cv.h
+        origin = Place("affine", 0, 0)
+        assert origin in omega
+        assert rec["div_y"] == [
+            {"place": P_INFINITY.to_dict(), "coeff": -cv.c},
+            {"place": origin.to_dict(), "coeff": cv.c}]
 
 
 def test_curve_serialization(curve23):

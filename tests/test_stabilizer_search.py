@@ -19,10 +19,11 @@ from normtrace.gf import (TABLE_MAX_ORDER, BudgetExceeded,  # noqa: E402
                           _ListOnFirstUse, build_field)
 from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
                                 SeparatedCurveSpec, assert_group,
-                                brute_force_stabilizer_search,
-                                compose_affine, inverse_affine)
-from oracles import (affine_rows, closed_by_pairs,  # noqa: E402
-                     stabilizer_maps_by_loop, stabilizer_search_by_loop)
+                                brute_force_stabilizer_search)
+from oracles import (AFFINE_IDENTITY, affine_compose,  # noqa: E402
+                     affine_inverse, affine_rows, affine_tuples,
+                     closed_by_pairs, stabilizer_maps_by_loop,
+                     stabilizer_search_by_loop)
 
 field = functools.cache(build_field)
 
@@ -41,8 +42,8 @@ def outcome(search, *args):
 
 
 def searched(spec, F, budget=None):
-    """The search's maps as AffineAut objects."""
-    return brute_force_stabilizer_search(spec, F, budget).affine_auts()
+    """The search's maps as (a, b, c0, Q) tuples."""
+    return affine_tuples(brute_force_stabilizer_search(spec, F, budget))
 
 
 @st.composite
@@ -75,7 +76,7 @@ def test_search_equals_scalar_loop(case):
     want = stabilizer_maps_by_loop(spec, F)
     assume(len(want) <= MAX_PAIRWISE)
     assert (outcome(searched, spec, F)
-            == outcome(lambda: closed_by_pairs(want) or want))
+            == outcome(lambda: closed_by_pairs(F, want) or want))
 
 
 def small_field(p, k):
@@ -108,7 +109,7 @@ def test_search_with_quadratic_q_equals_scalar_loop():
     maps = searched(spec, field(2, 4))
     assert maps == stabilizer_search_by_loop(spec, field(2, 4))
     assert len(maps) == 160
-    assert max(len(s.q_coeffs) for s in maps) == 3
+    assert max(len(q) for *_, q in maps) == 3
 
 
 def test_budget_rule_equals_scalar_loop():
@@ -126,15 +127,17 @@ def test_budget_rule_equals_scalar_loop():
 def test_assert_group_rejects_a_set_missing_one_map_and_its_inverse(seed):
     # case (i) Y^5 + Y = X^3 over GF(25): 60 maps
     spec = SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1))
-    maps = searched(spec, field(5, 2))
+    F = field(5, 2)
+    maps = searched(spec, F)
     assert len(maps) == 60
-    drop = random.Random(seed).choice([s for s in maps if not s.is_identity])
-    doctored = [s for s in maps if s not in (drop, inverse_affine(drop))]
-    assert all(inverse_affine(s) in doctored for s in doctored)
-    for check, arg in ((assert_group, affine_rows(field(5, 2), doctored)),
-                       (closed_by_pairs, doctored)):
+    drop = random.Random(seed).choice([s for s in maps
+                                       if s != AFFINE_IDENTITY])
+    doctored = [s for s in maps if s not in (drop, affine_inverse(F, drop))]
+    assert all(affine_inverse(F, s) in doctored for s in doctored)
+    for check in (lambda: assert_group(affine_rows(F, doctored)),
+                  lambda: closed_by_pairs(F, doctored)):
         with pytest.raises(SearchFieldTooSmall, match="composition"):
-            check(arg)
+            check()
 
 
 def hermitian_maps():
@@ -178,11 +181,11 @@ def test_assert_group_rejects_doctored_rows(case, seed):
         maps = brute_force_stabilizer_search(
             SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1)),
             field(5, 2))
-    assert maps[:1].affine_auts()[0].is_identity
+    auts = affine_tuples(maps)
+    assert auts[0] == AFFINE_IDENTITY
     assert_group(maps)
-    auts = maps.affine_auts()
     drop = random.Random(seed).randrange(1, len(maps))
-    pair = {drop, auts.index(inverse_affine(auts[drop]))}
+    pair = {drop, auts.index(affine_inverse(maps.field, auts[drop]))}
     doctored = [changed_entry(maps, column, seed)
                 for column in ["c0", *range(maps.q.shape[1])]]
     doctored += [maps[[i not in pair for i in range(len(maps))]], maps[1:]]
@@ -201,16 +204,17 @@ SMALL_SPECS = [  # (host field, A, B, search field), at most 60 maps each
 
 @functools.cache
 def small_found(case):
+    """The search field of a small spec, and its maps as tuples."""
     host, a, b, search = SMALL_SPECS[case]
     spec = SeparatedCurveSpec(field(*host), a, b)
-    return searched(spec, field(*search))
+    return field(*search), searched(spec, field(*search))
 
 
-def generated(maps):
+def generated(ctx, maps):
     """The group the maps generate, by composing until nothing is new."""
     group = set(maps)
     while True:
-        new = {compose_affine(s, t) for s in group for t in maps} - group
+        new = {affine_compose(ctx, s, t) for s in group for t in maps} - group
         if not new:
             return group
         group |= new
@@ -219,23 +223,22 @@ def generated(maps):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_assert_group_agrees_with_pairwise_closure(data):
-    found = small_found(data.draw(st.integers(0, len(SMALL_SPECS) - 1)))
+    F, found = small_found(data.draw(st.integers(0, len(SMALL_SPECS) - 1)))
     subset = data.draw(st.lists(st.sampled_from(found), max_size=4))
     kind = data.draw(st.sampled_from(["subgroup", "less one", "random"]))
     if kind != "random":  # a subgroup passes; one element less fails,
-        subset = generated(subset or found[:1])
+        subset = generated(F, subset or found[:1])
         if kind == "less one":  # as N - 1 divides N only for N <= 2
             assume(len(subset) > 2)
-            subset.discard(data.draw(st.sampled_from(sorted(
-                subset, key=lambda s: s.sort_key()))))
-    subset = sorted(set(subset), key=lambda s: s.sort_key())
-    want = outcome(lambda: closed_by_pairs(subset))
+            subset.discard(data.draw(st.sampled_from(sorted(subset))))
+    subset = sorted(set(subset))
+    want = outcome(lambda: closed_by_pairs(F, subset))
     if kind == "subgroup":
         assert want is None
     elif kind == "less one":
         assert want is not None
-    width = max(len(s.q_coeffs) for s in found)
-    got = outcome(assert_group, affine_rows(found[0].ctx, subset, width or 1))
+    width = max(len(q) for *_, q in found)
+    got = outcome(assert_group, affine_rows(F, subset, width or 1))
     assert got == want
 
 
