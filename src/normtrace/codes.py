@@ -123,13 +123,6 @@ class AGCode:
             "d_exact": None,
         }
 
-    def to_report(self) -> dict:
-        """Parameters and basis, the report that code-build prints
-        before the matrix."""
-        return {**self.parameters(),
-                "basis": [{"i": i, "j": j}
-                          for i, j in zip(*self.basis.tolist())]}
-
 
 def _lowering(p: int, basis) -> tuple | None:
     """AGCode.lowering's passes, from Pascal's triangle mod p."""

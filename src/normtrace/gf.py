@@ -4,22 +4,23 @@ An element of GF(p^k) is encoded as an integer index in [0, p^k): the
 base-p digits of the index, little-endian, are the coefficients of the
 residue polynomial modulo a fixed monic irreducible polynomial.  A
 :class:`FieldCtx` holds the modulus together with precomputed exp/log
-tables, so multiplication, inversion and powering are table lookups;
-odd-characteristic addition and negation go through Zech logarithms.
+tables, so multiplication, inversion, powering and negation are table
+lookups; odd-characteristic addition goes through Zech logarithms.
 
 Building a field finds only its modulus and generator.  The exp and
 log tables (``exp_np``, ``log_np``) are filled on first read, by
 doubling whole blocks with integer array operations: per-byte XOR
 tables in characteristic 2, base-p digit matrices otherwise (see
-``FieldCtx.exp_np``), so GF(2^20) takes tens of milliseconds.  The
-Python lists the scalar methods index are made from the arrays on the
-first scalar call; a field used only through arrays never holds them.
+``FieldCtx.exp_np``), so GF(2^20) takes tens of milliseconds.
 
 The two arrays have one layout, which only this module knows: log 0
 is 2(Q - 1), and exp holds g^0 .. g^(Q-2) twice, then zeros up to
-index 4(Q - 1).  So exp[log u + log v] is u v for all u, v, and an
-array product, scaling or negation is one gather with no mask; the
-zero tail is never written and takes no memory.
+index 4(Q - 1).  So exp[log u + log v] is u v for all u, v, and a
+product or negation is one lookup with no zero branch, for one
+element (``ndarray.item``, which returns a Python int) or a whole
+array (one gather with no mask); the zero tail is never written and
+takes no memory.  The scalar and array methods read the same two
+arrays: no other copy of the tables is made.
 
 The vector operations work on numpy arrays of indices.  The Q x Q
 product and sum tables that the elimination kernel gathers from
@@ -43,7 +44,6 @@ desk-scale any more).
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 
 import numpy as np
@@ -247,27 +247,6 @@ def _xor_images(tables: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ListOnFirstUse:
-    """Stands for FieldCtx._exp or _log until a scalar method first
-    indexes it; then both Python lists are built from the arrays and put
-    on the field in place of both stand-ins.  A field used only through
-    its arrays never holds the lists (80 MB for GF(2^20)).  A plain
-    attribute replaced once keeps CPython's attribute loads specialized
-    in the scalar methods, which a property or __getattr__ would not."""
-
-    __slots__ = ("field", "name")
-
-    def __init__(self, field: "FieldCtx", name: str):
-        self.field = weakref.ref(field)  # no cycle: the field frees at once
-        self.name = name
-
-    def __getitem__(self, i):
-        field = self.field()
-        field._exp = field.exp_np[:field.order - 1].tolist()
-        field._log = field.log_np.tolist()
-        return getattr(field, self.name)[i]
-
-
 class FieldCtx:
     """The finite field GF(p^k), operating on integer-encoded elements.
 
@@ -303,12 +282,9 @@ class FieldCtx:
         # narrowest unsigned dtype holding every element index
         self.dtype = np.min_scalar_type(order - 1)
         self._find_generator()
-        self._exp = _ListOnFirstUse(self, "_exp")
-        self._log = _ListOnFirstUse(self, "_log")
         # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
         self._neg_shift = (order - 1) // 2 if p > 2 else 0
         # lazy tables
-        self._zech = None
         self._mul_np = None
         self._add_np = None
 
@@ -491,48 +467,43 @@ class FieldCtx:
                                        np.empty_like(src))
         return self._read_digits(out).reshape(v.shape)
 
-    def _zech_table(self) -> list[int]:
-        """Build the Zech logarithms: entry d is log(1 + g^d), or -1
-        where 1 + g^d = 0.  Adding 1 to an index adds 1 to its lowest
-        digit."""
-        x = self.exp_np[:self.order - 1]
-        one_plus = np.where(x % self.p == self.p - 1, x - (self.p - 1), x + 1)
-        self._zech = np.where(one_plus == 0, -1,
-                              self.log_np[one_plus]).tolist()
-        return self._zech
+    @cached_property
+    def _zech_np(self) -> np.ndarray:
+        """The Zech logarithms: entry d is log(1 + g^d), the zero slot
+        2(Q - 1) where 1 + g^d = 0.  Adding 1 to an index adds 1 to its
+        lowest digit, which wraps from p to 0."""
+        one_plus = self.exp_np[:self.order - 1] + 1
+        one_plus[one_plus % self.p == 0] -= self.p
+        return self.log_np[one_plus]
 
     # -- scalar arithmetic on indices ------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        """a + b; in odd characteristic g^i + g^j = g^(i + Z(j - i))."""
+        """a + b; in odd characteristic g^i + g^j = g^(i + Z(j - i)),
+        where a Zech zero slot reads exp's zero tail."""
         if self.p == 2:
             return a ^ b
         if a == 0:
             return b
         if b == 0:
             return a
-        n = self.order - 1
-        la = self._log[a]
-        z = (self._zech or self._zech_table())[(self._log[b] - la) % n]
-        return 0 if z < 0 else self._exp[(la + z) % n]
+        la = self.log_np.item(a)
+        z = self._zech_np.item((self.log_np.item(b) - la) % (self.order - 1))
+        return self.exp_np.item(la + z)
 
     def neg(self, a: int) -> int:
-        if self.p == 2 or a == 0:
-            return a
-        return self._exp[(self._log[a] + self._neg_shift) % (self.order - 1)]
+        return self.exp_np.item(self.log_np.item(a) + self._neg_shift)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+        return self.exp_np.item(self.log_np.item(a) + self.log_np.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.order - 1)]
+        return self.exp_np.item(self.order - 1 - self.log_np.item(a))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -545,7 +516,7 @@ class FieldCtx:
             if e == 0:
                 return 1
             raise ZeroDivisionError("negative power of zero")
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
+        return self.exp_np.item(self.log_np.item(a) * e % (self.order - 1))
 
     def frobenius(self, a: int, e: int = 1) -> int:
         """a^(p^e); e is taken mod k, so e = k (or 0) is the identity."""

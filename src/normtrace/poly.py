@@ -1,7 +1,8 @@
 """Dense polynomials over a FieldCtx, for sepcurve: little-endian lists
-of element indices with a nonzero last entry ([] is zero).  Only the
-context's methods are used, so this module never imports gf, whose
-modulus search has its own kernel on plain integers.
+of element indices with a nonzero last entry ([] is zero), and their
+values at a whole array of points (evaluate_array).  Only the context's
+methods are used, so this module never imports gf, whose modulus search
+has its own kernel on plain integers.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ def power(ctx, f, e):
     return out
 
 
-def evaluate(ctx, f, x):
-    out = 0
-    for a in reversed(f):
-        out = ctx.add(ctx.mul(out, x), a)
-    return out
-
-
 def evaluate_array(ctx, f, xs):
     """f at every index of the array xs, by Horner on arrays: ctx.vmul
     for the products and ctx.vadd_scalar for each nonzero coefficient,
@@ -83,25 +77,6 @@ def hasse_derivative(ctx, f, j):
     the integer C(i, j) read as a prime-field element: the coefficient of
     X^j in f(b X + t) is b^j times its value at t."""
     return trim([ctx.mul(comb(i, j) % ctx.p, f[i]) for i in range(j, len(f))])
-
-
-def compose_linear(ctx, f, b, c0):
-    """f(b*X + c0) by Horner."""
-    out = []
-    lin = [c0, b]
-    for a in reversed(f):
-        out = add(ctx, mul(ctx, out, lin), [a])
-    return trim(out)
-
-
-def frobenius(ctx, f, e):
-    """f(X)^{p^e} = sum a_i^{p^e} X^{i p^e} (freshman's dream)."""
-    pe = ctx.p ** e
-    out = [0] * (pe * (len(f) - 1) + 1) if f else []
-    for i, a in enumerate(f):
-        if a:
-            out[i * pe] = ctx.pow(a, pe)
-    return trim(out)
 
 
 def div_rem(ctx, f, g):

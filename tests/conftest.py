@@ -3,6 +3,21 @@ import pytest
 from normtrace.curve import build_curve
 from normtrace.gf import build_field
 
+SCALAR_METHODS = ("add", "neg", "sub", "mul", "inv", "div", "pow",
+                  "frobenius", "trace_rel", "norm_rel")
+
+
+@pytest.fixture
+def refuse_scalar_methods(monkeypatch):
+    """Make every scalar method of a field raise, for the tests that a
+    code path reads the field only through its arrays."""
+    def refuse(ctx):
+        def scalar_method(*args):
+            raise AssertionError(f"a scalar method ran on {ctx!r}")
+        for name in SCALAR_METHODS:
+            monkeypatch.setattr(ctx, name, scalar_method)
+    return refuse
+
 
 @pytest.fixture(scope="session")
 def f8():

@@ -53,8 +53,12 @@ place, where the library gathers them from the exp table.
 Some helpers live here because only the tests use them: the prime
 powers up to a bound, the local parameter at P_inf and the extended
 evaluation through it, which the library replaces by a valuation rule,
-and the images of one place under a curve automorphism and under the
-Frobenius, which the library forms for whole arrays of places or maps.
+the images of one place under a curve automorphism and under the
+Frobenius, which the library forms for whole arrays of places or maps,
+and a polynomial's value at one point and its composition with b X + c0
+by scalar Horner, where the library evaluates at whole arrays of points
+(poly.evaluate_array) and reads the Taylor coefficients off the Hasse
+derivatives.
 """
 
 from functools import cache, partial
@@ -649,12 +653,32 @@ def embedding_by_digits(src, dst):
     return table
 
 
-def a_apply_poly(spec, Q):
-    """A(Q(X)) as a polynomial, via additivity of A."""
+def evaluate_poly(ctx, f, x):
+    """f(x) by scalar Horner."""
+    out = 0
+    for a in reversed(f):
+        out = ctx.add(ctx.mul(out, x), a)
+    return out
+
+
+def compose_linear(ctx, f, b, c0):
+    """f(b X + c0) by Horner on polynomials."""
     out = []
+    for a in reversed(f):
+        out = poly.add(ctx, poly.mul(ctx, out, [c0, b]), [a])
+    return out
+
+
+def a_apply_poly(spec, Q):
+    """A(Q(X)) as a polynomial, via additivity of A: the term c Y^(p^j)
+    sends Q to c sum_i Q_i^(p^j) X^(i p^j) (freshman's dream)."""
+    ctx, out = spec.ctx, []
     for j, c in spec.a_coeffs.items():
-        out = poly.add(spec.ctx, out, poly.scale(
-            spec.ctx, c, poly.frobenius(spec.ctx, Q, j)))
+        pj = ctx.p ** j
+        term = [0] * (pj * (len(Q) - 1) + 1)
+        for i, a in enumerate(Q):
+            term[i * pj] = ctx.mul(c, ctx.pow(a, pj))
+        out = poly.add(ctx, out, term)
     return out
 
 
@@ -723,7 +747,7 @@ def affine_apply(ctx, s, x, y):
     """The image of the point (x, y) under the map s."""
     a, b, c0, q = s
     return (ctx.add(ctx.mul(b, x), c0),
-            ctx.add(ctx.mul(a, y), poly.evaluate(ctx, list(q), x)))
+            ctx.add(ctx.mul(a, y), evaluate_poly(ctx, list(q), x)))
 
 
 def affine_compose(ctx, s1, s2):
@@ -731,7 +755,7 @@ def affine_compose(ctx, s1, s2):
     a1 (a2 y + Q2(x)) + Q1(b2 x + c02)."""
     (a1, b1, c01, q1), (a2, b2, c02, q2) = s1, s2
     q = poly.add(ctx, poly.scale(ctx, a1, list(q2)),
-                 poly.compose_linear(ctx, list(q1), b2, c02))
+                 compose_linear(ctx, list(q1), b2, c02))
     return (ctx.mul(a1, a2), ctx.mul(b1, b2),
             ctx.add(ctx.mul(b1, c02), c01), tuple(q))
 
@@ -743,7 +767,7 @@ def affine_inverse(ctx, s):
     b_inv, a_inv = ctx.inv(b), ctx.inv(a)
     c0_inv = ctx.neg(ctx.div(c0, b))
     q_inv = poly.scale(ctx, ctx.neg(a_inv),
-                       poly.compose_linear(ctx, list(q), b_inv, c0_inv))
+                       compose_linear(ctx, list(q), b_inv, c0_inv))
     return a_inv, b_inv, c0_inv, tuple(q_inv)
 
 
@@ -769,7 +793,7 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
             if ctx.pow(b, m) != a:
                 continue
             for c0 in ctx.elements():
-                R = poly.sub(ctx, poly.compose_linear(ctx, b_poly, b, c0), a_b)
+                R = poly.sub(ctx, compose_linear(ctx, b_poly, b, c0), a_b)
                 for q in _solve_additive_preimage(spec_f, R, max_qdeg,
                                                   a_values):
                     found.append((a, b, c0, q))
@@ -818,7 +842,7 @@ def b_roots_by_division(spec, max_order=1 << 12):
         roots = []
         for e in E.elements():
             mult, rest = 0, b_poly
-            while poly.evaluate(E, rest, e) == 0:
+            while evaluate_poly(E, rest, e) == 0:
                 rest = poly.div_rem(E, rest, [E.neg(e), 1])[0]
                 mult += 1
             if mult:

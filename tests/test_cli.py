@@ -237,12 +237,13 @@ def test_field_info_keeps_no_list_copies(capsys, monkeypatch):
     assert rc == 0 and "GF(1048576) = GF(2^20)" in out
     assert kept < 2 << 20 and peak < 2 << 20
     ctx = built[0]
-    assert "exp_np" not in vars(ctx) and "log_np" not in vars(ctx)
-    assert not isinstance(ctx._exp, list) and not isinstance(ctx._log, list)
-    # the first scalar op fills both arrays and puts both lists on the field
-    assert ctx.mul(2, 3) == 6
-    assert ctx._exp == ctx.exp_np[:ctx.order - 1].tolist()
-    assert ctx._log == ctx.log_np.tolist()
+    before = set(vars(ctx))
+    assert "exp_np" not in before and "log_np" not in before
+    # the first scalar ops fill both arrays, read them and put nothing
+    # else on the field: no list copy of either table
+    assert ctx.mul(2, 3) == 6 and ctx.div(6, 3) == 2 and ctx.neg(5) == 5
+    assert ctx.inv(1) == 1 and ctx.pow(2, 3) == 8 and ctx.add(6, 3) == 5
+    assert set(vars(ctx)) - before == {"exp_np", "log_np"}
 
 
 def test_curve_info_counts_places_without_building_them(capsys, monkeypatch):

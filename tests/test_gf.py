@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from normtrace import gf
 from normtrace.gf import build_field, field_from_dict
 from oracles import (add_by_digits, exp_log_by_powers, generator_by_search,
-                     irreducible_by_trial, mul_by_digits, neg_by_digits)
+                     irreducible_by_trial, mul_by_digits, neg_by_digits,
+                     pow_by_digits)
 
 # every p^k <= 2^12 with k >= 2, a sample of prime fields, and two
 # fields past the product-table limit
@@ -149,9 +151,9 @@ def test_field_axioms_gf27(f27):
 
 def test_exp_log_roundtrip(f27):
     for a in f27.nonzero():
-        assert f27._exp[f27._log[a]] == a
+        assert f27.exp_np[f27.log_np[a]] == a
     # log is a bijection onto 0..order-2
-    assert sorted(f27._log[a] for a in f27.nonzero()) == list(range(26))
+    assert sorted(f27.log_np[1:].tolist()) == list(range(26))
 
 
 @pytest.mark.parametrize("p, k", BOOTSTRAP_FIELDS)
@@ -164,9 +166,6 @@ def test_exp_log_equal_sequential_powers(p, k):
     log[0] = 2 * n
     assert ctx.exp_np.tolist() == exp * 2 + [0] * (2 * n + 1)
     assert ctx.log_np.tolist() == log
-    # the scalar methods' lists exist once a scalar op has run
-    assert ctx.mul(1, 1) == 1
-    assert ctx._exp == exp and ctx._log == log
 
 
 @pytest.mark.parametrize("p, k", [(2, 18), (3, 10), (3, 12), (5, 8), (7, 7),
@@ -287,21 +286,29 @@ def test_zech_add_matches_digit_oracle_on_random_pairs():
     assert ctx.add(2, 1) == 0  # the Zech sentinel: 1 + (-1) = 0
 
 
-def assert_vector_ops_match_scalar(ctx):
-    """vmul on every pair and vscale by every scalar, zeros included,
-    vneg on every element and vpow at e = 0, 1, p, Q - 2 on every
-    element and at e = -1 on the units equal the scalar ops."""
+def scalar_op_values(ctx):
+    """mul on every pair, zeros included, neg on every element, and pow
+    at e = 0, 1, p, Q - 2 on every element and at e = -1 on the units,
+    by the scalar ops."""
+    elems = list(ctx.elements())
+    return {"mul": [[ctx.mul(a, b) for b in elems] for a in elems],
+            "neg": [ctx.neg(a) for a in elems],
+            "pow": {e: [ctx.pow(a, e) for a in elems]
+                    for e in (0, 1, ctx.p, ctx.order - 2)},
+            "inv": [ctx.pow(a, -1) for a in elems[1:]]}
+
+
+def assert_vector_ops_match(ctx, want):
+    """vmul on every pair, vscale by every scalar, vneg and vpow equal
+    the values of scalar_op_values."""
     elems = np.arange(ctx.order)
-    table = [[ctx.mul(a, b) for b in elems.tolist()] for a in elems.tolist()]
-    assert ctx.vmul(elems[:, None], elems[None, :]).tolist() == table
+    assert ctx.vmul(elems[:, None], elems[None, :]).tolist() == want["mul"]
     for s in elems.tolist():
-        assert ctx.vscale(s, elems).tolist() == table[s]
-    assert ctx.vneg(elems).tolist() == [ctx.neg(a) for a in elems.tolist()]
-    for e in (0, 1, ctx.p, ctx.order - 2):
-        assert ctx.vpow(elems, e).tolist() == [ctx.pow(a, e)
-                                               for a in elems.tolist()]
-    assert ctx.vpow(elems[1:], -1).tolist() == [ctx.pow(a, -1)
-                                                for a in elems[1:].tolist()]
+        assert ctx.vscale(s, elems).tolist() == want["mul"][s]
+    assert ctx.vneg(elems).tolist() == want["neg"]
+    for e, values in want["pow"].items():
+        assert ctx.vpow(elems, e).tolist() == values
+    assert ctx.vpow(elems[1:], -1).tolist() == want["inv"]
     with pytest.raises(ZeroDivisionError):
         ctx.vpow(elems, -1)
 
@@ -313,22 +320,74 @@ def test_vector_tables_match_scalar_ops(p, k):
     assert ctx.mul_np.tolist() == [[ctx.mul(a, b) for b in elems] for a in elems]
     assert ctx.add_np.tolist() == [[add_by_digits(ctx, a, b) for b in elems]
                                    for a in elems]
-    assert_vector_ops_match_scalar(ctx)
+    assert_vector_ops_match(ctx, scalar_op_values(ctx))
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2)])
 @pytest.mark.parametrize("t", [0, 1, -1, None])
 def test_vector_ops_check_has_teeth(monkeypatch, p, k, t):
     # one nonzero entry written into the zero tail of a copy of exp_np,
-    # at the slot that 0 times g^t reads (0 times 0 for None), fails
+    # at the slot that 0 times g^t reads (0 times 0 for None), fails.
+    # The scalar ops read the same table, so the values are taken before
+    # doctoring, and checked against the table-free digit oracles.
     ctx = build_field(p, k)
-    assert_vector_ops_match_scalar(ctx)  # builds the scalar lists first
+    want = scalar_op_values(ctx)
+    elems = list(ctx.elements())
+    assert want["mul"] == [[mul_by_digits(ctx, a, b) for b in elems]
+                           for a in elems]
+    assert want["neg"] == [neg_by_digits(ctx, a) for a in elems]
+    assert want["pow"] == {e: [pow_by_digits(ctx, a, e) for a in elems]
+                           for e in want["pow"]}
+    assert_vector_ops_match(ctx, want)
     zero = int(ctx.log_np[0])
     doctored = ctx.exp_np.copy()
     doctored[zero + (zero if t is None else t % (ctx.order - 1))] = 1
     monkeypatch.setattr(ctx, "exp_np", doctored)
     with pytest.raises(AssertionError):
-        assert_vector_ops_match_scalar(ctx)
+        assert_vector_ops_match(ctx, want)
+
+
+@pytest.mark.parametrize("p, k, max_bytes", [(2, 20, 1 << 20),
+                                             (1048573, 1, 20 << 20)])
+def test_first_scalar_ops_copy_no_table(p, k, max_bytes):
+    # once exp_np and log_np are filled, one call of each scalar op adds
+    # at most the Zech array of odd-p add and its temporaries (8 MB and
+    # 9 MB at GF(1048573), a 17 MB peak); a Python list copy of the
+    # tables takes about 80 MB at either field
+    ctx = build_field(p, k)
+    ctx.exp_np, ctx.log_np
+    rng = random.Random(p)
+    a, b = (rng.randrange(1, ctx.order) for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = [ctx.add(a, b), ctx.neg(a), ctx.sub(a, b), ctx.mul(a, b),
+               ctx.inv(a), ctx.div(a, b), ctx.pow(a, 5), ctx.frobenius(a),
+               ctx.trace_rel(a, p, k), ctx.norm_rel(a, p, k)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max_bytes
+    trace = 0
+    for i in range(k):
+        trace = add_by_digits(ctx, trace, pow_by_digits(ctx, a, p ** i))
+    assert got == [add_by_digits(ctx, a, b), neg_by_digits(ctx, a),
+                   add_by_digits(ctx, a, neg_by_digits(ctx, b)),
+                   mul_by_digits(ctx, a, b),
+                   pow_by_digits(ctx, a, ctx.order - 2),
+                   mul_by_digits(ctx, a, pow_by_digits(ctx, b, ctx.order - 2)),
+                   pow_by_digits(ctx, a, 5), pow_by_digits(ctx, a, p), trace,
+                   pow_by_digits(ctx, a, (ctx.order - 1) // (p - 1))]
+    assert all(type(v) is int for v in got)
+    # sampled pairs, zeros included, against the digit oracles
+    for a, b in [(0, 0), (0, 1), (1, 0)] + [
+            (rng.randrange(ctx.order), rng.randrange(ctx.order))
+            for _ in range(200)]:
+        assert ctx.mul(a, b) == mul_by_digits(ctx, a, b)
+        assert ctx.add(a, b) == add_by_digits(ctx, a, b)
+        assert ctx.neg(a) == neg_by_digits(ctx, a)
+        if b:
+            assert ctx.div(a, b) == mul_by_digits(
+                ctx, a, pow_by_digits(ctx, b, ctx.order - 2))
 
 
 def test_norm_values(f8, f27):

@@ -1,5 +1,6 @@
 """Property tests for normtrace.poly over random small fields GF(p^k),
-p^k <= 2^8."""
+p^k <= 2^8, with the scalar Horner oracles evaluate_poly and
+compose_linear of tests/oracles.py."""
 
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import poly  # noqa: E402
 from normtrace.gf import build_field, is_prime  # noqa: E402
+from oracles import compose_linear, evaluate_poly  # noqa: E402
 
 FIELDS = [(p, k) for p in range(2, 257) if is_prime(p)
           for k in range(1, 9) if p ** k <= 256]
@@ -67,11 +69,11 @@ def test_gcd_is_monic_common_divisor(case):
 @given(ctx_polys(2))
 def test_evaluation_is_a_ring_map(case):
     ctx, (f, g), x = case
-    fx, gx = poly.evaluate(ctx, f, x), poly.evaluate(ctx, g, x)
-    assert poly.evaluate(ctx, poly.mul(ctx, f, g), x) == ctx.mul(fx, gx)
-    assert poly.evaluate(ctx, poly.add(ctx, f, g), x) == ctx.add(fx, gx)
-    assert poly.evaluate(ctx, poly.sub(ctx, f, g), x) == ctx.sub(fx, gx)
-    assert poly.evaluate(ctx, poly.power(ctx, f, 3), x) == ctx.pow(fx, 3)
+    fx, gx = evaluate_poly(ctx, f, x), evaluate_poly(ctx, g, x)
+    assert evaluate_poly(ctx, poly.mul(ctx, f, g), x) == ctx.mul(fx, gx)
+    assert evaluate_poly(ctx, poly.add(ctx, f, g), x) == ctx.add(fx, gx)
+    assert evaluate_poly(ctx, poly.sub(ctx, f, g), x) == ctx.sub(fx, gx)
+    assert evaluate_poly(ctx, poly.power(ctx, f, 3), x) == ctx.pow(fx, 3)
 
 
 @SETTINGS
@@ -79,24 +81,9 @@ def test_evaluation_is_a_ring_map(case):
 def test_compose_linear(case, data):
     ctx, (f,), x = case
     b, c = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(2))
-    composed = poly.compose_linear(ctx, f, b, c)
-    assert (poly.evaluate(ctx, composed, x)
-            == poly.evaluate(ctx, f, ctx.add(ctx.mul(b, x), c)))
-
-
-@SETTINGS
-@given(ctx_polys(1), st.data())
-def test_frobenius(case, data):
-    ctx, (f,), x = case
-    e = data.draw(st.integers(0, ctx.k))
-    pe = ctx.p ** e
-    image = poly.frobenius(ctx, f, e)
-    assert poly.evaluate(ctx, image, x) == ctx.pow(poly.evaluate(ctx, f, x), pe)
-    # over the prime field the coefficients are fixed: f(X)^{p^e} = f(X^{p^e})
-    prime = ctx.subfield_indices(1)
-    g = poly.trim(prime[a % len(prime)] for a in f)
-    assert (poly.evaluate(ctx, poly.frobenius(ctx, g, e), x)
-            == poly.evaluate(ctx, g, ctx.pow(x, pe)))
+    composed = compose_linear(ctx, f, b, c)
+    assert (evaluate_poly(ctx, composed, x)
+            == evaluate_poly(ctx, f, ctx.add(ctx.mul(b, x), c)))
 
 
 @SETTINGS
@@ -126,7 +113,7 @@ def test_derivative_is_a_derivation(case):
 def test_evaluate_array_equals_scalar_evaluation(case):
     ctx, (f,), _ = case
     values = poly.evaluate_array(ctx, f, np.arange(ctx.order))
-    assert values.tolist() == [poly.evaluate(ctx, f, x) for x in ctx.elements()]
+    assert values.tolist() == [evaluate_poly(ctx, f, x) for x in ctx.elements()]
 
 
 @pytest.mark.parametrize("p, k", [(2, 20), (3, 12)])
@@ -146,7 +133,7 @@ def test_evaluate_array_at_a_few_points_of_a_large_field(p, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.tolist() == [poly.evaluate(ctx, f, x) for x in xs.tolist()]
+    assert values.tolist() == [evaluate_poly(ctx, f, x) for x in xs.tolist()]
     assert peak < 2 << 20
 
 
@@ -156,10 +143,10 @@ def test_hasse_derivatives_are_the_taylor_coefficients(case, data):
     # the X^j coefficient of f(b X + t) is b^j H_j(t)
     ctx, (f,), t = case
     b = data.draw(st.integers(0, ctx.order - 1))
-    composed = poly.compose_linear(ctx, f, b, t)
+    composed = compose_linear(ctx, f, b, t)
     composed += [0] * (len(f) - len(composed))
     hasse = [poly.hasse_derivative(ctx, f, j) for j in range(len(f))]
-    assert composed == [ctx.mul(ctx.pow(b, j), poly.evaluate(ctx, h, t))
+    assert composed == [ctx.mul(ctx.pow(b, j), evaluate_poly(ctx, h, t))
                         for j, h in enumerate(hasse)]
 
 

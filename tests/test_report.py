@@ -95,7 +95,8 @@ def code_build(code, fmt, exponents=None):
 
 
 def report_json(code, matrix):
-    report = {**code.to_report(), "matrix": matrix.tolist()}
+    basis = [{"i": i, "j": j} for i, j in zip(*code.basis.tolist())]
+    report = {**code.parameters(), "basis": basis, "matrix": matrix.tolist()}
     return json.dumps(report, indent=2) + "\n"
 
 

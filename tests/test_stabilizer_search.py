@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import poly, sepcurve  # noqa: E402
 from normtrace.gf import (TABLE_MAX_ORDER, BudgetExceeded,  # noqa: E402
-                          _ListOnFirstUse, build_field)
+                          build_field)
 from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
                                 SeparatedCurveSpec, assert_group,
                                 brute_force_stabilizer_search)
@@ -254,13 +254,13 @@ def test_search_builds_no_table_above_the_cap():
 
 @pytest.mark.parametrize("p, k, a, found", [(2, 12, {0: 1, 1: 1, 2: 1}, 12),
                                             (5, 4, {0: 1, 1: 2}, 60)])
-def test_search_runs_no_scalar_method_on_its_field(p, k, a, found):
+def test_search_runs_no_scalar_method_on_its_field(refuse_scalar_methods, p,
+                                                    k, a, found):
     # B = X^3 with A = Y^4 + Y^2 + Y over a fresh GF(4096) and A = 2 Y^5 + Y
     # over a fresh GF(625): A's values, the Hasse coefficients, a_n^-1 and
-    # the -1 of the inverses are formed on arrays, so the scalar exp and
-    # log lists (80 MB at GF(2^20)) are never built
+    # the -1 of the inverses are formed on arrays, so no scalar method of
+    # the search field may run
     F = build_field(p, k)
+    refuse_scalar_methods(F)
     spec = SeparatedCurveSpec(field(p, 1), a, (0, 0, 0, 1))
     assert len(brute_force_stabilizer_search(spec, F)) == found
-    assert isinstance(F._exp, _ListOnFirstUse)
-    assert isinstance(F._log, _ListOnFirstUse)
