@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .codes import AGCode
+from .codes import BLOCK_ENTRIES, AGCode
 from .curve import AFFINE, NormTraceCurve, P_INFINITY, Place
 
 
@@ -52,9 +52,10 @@ class CurveAut:
 
 def ab_product(curve: NormTraceCurve, a1, b1, a2, b2) -> np.ndarray:
     """The (a, b) rows of each (a1, b1) after (a2, b2), as int64 arrays:
-    b = b1 b2, a = a1 + b1^c a2."""
+    b = b1 b2, a = a1 + b1^c a2, with b1^c read from the curve's table
+    of the norms x^c."""
     ctx = curve.ctx
-    return np.stack([ctx.vadd(a1, ctx.vmul(ctx.vpow(b1, curve.c), a2)),
+    return np.stack([ctx.vadd(a1, ctx.vmul(curve.norms[b1], a2)),
                      ctx.vmul(b1, b2)]).astype(np.int64)
 
 
@@ -63,14 +64,14 @@ def ab_inverse(curve: NormTraceCurve, a, b) -> np.ndarray:
     arrays; b^{-1} is b^{Q-2}, by the negated log, so 0 stays 0."""
     ctx = curve.ctx
     b_inv = ctx.vpow(b, ctx.order - 2)
-    return np.stack([ctx.vneg(ctx.vmul(ctx.vpow(b_inv, curve.c), a)),
+    return np.stack([ctx.vneg(ctx.vmul(curve.norms[b_inv], a)),
                      b_inv]).astype(np.int64)
 
 
 def group_arrays(curve: NormTraceCurve) -> tuple[np.ndarray, np.ndarray]:
     """The whole group as (a, b) index arrays, sorted by (a, b): the h
     sorted y over x = 0, each repeated Q - 1 times, paired with
-    b = 1, ..., Q - 1 tiled h times."""
+    b = 1, ..., Q - 1 tiled h times.  Pair i has _slots i."""
     n1 = curve.ctx.order - 1
     return (np.repeat(curve.affine_xy[1][:curve.h], n1),
             np.tile(np.arange(1, n1 + 1), curve.h))
@@ -88,28 +89,54 @@ def short_orbits(curve: NormTraceCurve) -> list[list[Place]]:
     return _orbits(curve, *group_arrays(curve))
 
 
-def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray | None:
-    """The positions of key in the sorted keys, or None if one is missing."""
-    at = np.searchsorted(keys, key)
-    return at if np.array_equal(keys.take(at, mode="clip"), key) else None
+def _slots(curve: NormTraceCurve, a, b) -> np.ndarray:
+    """The dense slot of each pair (a, b) in a table of h (Q - 1) + 1
+    entries: rank(a) (Q - 1) + b - 1, where rank(a) is the position of
+    a among the trace-zero elements (curve._fibre(0)), read from
+    NormTraceCurve.fibre_offsets over x = 0.  A pair outside the group,
+    with b = 0 or a of nonzero trace, takes the last slot."""
+    n1, h = curve.ctx.order - 1, curve.h
+    rank = curve.fibre_offsets(0, a)
+    return np.where((rank < h) & (b > 0), rank * n1 + b - 1, h * n1)
+
+
+def _members(curve: NormTraceCurve, a, b) -> np.ndarray:
+    """The table over _slots marking the pairs (a, b); the last slot,
+    that of every pair outside the group, stays False."""
+    marked = np.zeros(curve.h * (curve.ctx.order - 1) + 1, dtype=bool)
+    marked[_slots(curve, a, b)] = True
+    marked[-1] = False
+    return marked
+
+
+def _positions(curve: NormTraceCurve, x, y) -> np.ndarray | None:
+    """The positions in curve.affine_xy of the points (x, y), index
+    arrays, or None if one is off the curve, read from their offsets in
+    the fibres (NormTraceCurve.fibre_offsets)."""
+    offset = curve.fibre_offsets(x, y)
+    if not ((0 <= offset) & (offset < curve.h)).all():
+        return None
+    return x * curve.h + offset
 
 
 def _orbits(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray
             ) -> list[list[Place]]:
     """The orbits of fewer than len(a) places under the pairs (a, b), in
     canonical order: each unseen affine place (x, y) goes to
-    (b x, b^c y + a) under every pair at once, found by its key x Q + y."""
-    ctx, Q, below = curve.ctx, curve.ctx.order, len(a)
+    (b x, b^c y + a) under every pair at once, each image found at its
+    position in affine_xy by _positions."""
+    ctx, below = curve.ctx, len(a)
     xs, ys = curve.affine_xy
-    keys, bc = xs * Q + ys, ctx.vpow(b, curve.c)
-    seen = np.zeros(len(keys) + 1, dtype=bool)  # a last False stops argmin
+    bc = curve.norms[b]
+    seen = np.zeros(len(xs) + 1, dtype=bool)  # a last False stops argmin
     out, i = [[P_INFINITY]] if below > 1 else [], 0
-    while i < len(keys):
-        img = np.sort(ctx.vscale(int(xs[i]), b) * Q
-                      + ctx.vadd_scalar(ctx.vscale(int(ys[i]), bc), a))
-        at = _find(keys, img[np.diff(img, prepend=-1) != 0])  # distinct keys
+    while i < len(xs):
+        at = _positions(curve, ctx.vscale(int(xs[i]), b),
+                        ctx.vadd_scalar(ctx.vscale(int(ys[i]), bc), a))
         if at is None:
             raise ValueError("a map sends a place off the curve")
+        at = np.sort(at)
+        at = at[np.diff(at, prepend=-1) != 0]  # distinct places
         seen[at] = True
         if len(at) < below:
             out.append([Place(AFFINE, u, v) for u, v
@@ -163,9 +190,11 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
     (every pair up to 64 elements, else 10,000 triples drawn by
     numpy.random.default_rng(seed)); the inverses (-b^{-c} a, b^{-1});
     the short orbits; and the fixed-place bound.  Products and inverses
-    are found among the sorted keys a Q + b.  Odd characteristic needs
-    the order in gf.TABLE_MAX_ORDER; a of nonzero trace raises ValueError."""
-    Q, n = curve.ctx.order, len(a)
+    are looked up by their _slots in the table of the given pairs
+    (_members), where a pair outside the group is never found.  Odd
+    characteristic needs the order in gf.TABLE_MAX_ORDER; a of nonzero
+    trace raises ValueError."""
+    n = len(a)
     want = curve.h * (curve.q ** curve.r - 1)
     checks = [("group order", n == want, f"{n} (expected {want})")]
     if n <= 64:
@@ -174,16 +203,16 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
         u, v, w = np.random.default_rng(seed).integers(n, size=(3, 10_000))
         how = "sampled 10000 triples"
     law = partial(ab_product, curve)
-    keys = np.sort(a * Q + b)
+    members = _members(curve, a, b)
     x, y = (a[u], b[u]), (a[v], b[v])
     xy = law(*x, *y)
-    closed = _find(keys, xy[0] * Q + xy[1]) is not None
+    closed = bool(members[_slots(curve, *xy)].all())
     if closed and w is not None:
         z = a[w], b[w]
         closed = np.array_equal(law(*xy, *z), law(*x, *law(*y, *z)))
     checks.append(("closure/associativity", closed, how))
-    a_inv, b_inv = ab_inverse(curve, a, b)
-    checks.append(("inverses", _find(keys, a_inv * Q + b_inv) is not None, ""))
+    inverses = members[_slots(curve, *ab_inverse(curve, a, b))].all()
+    checks.append(("inverses", bool(inverses), ""))
     short = _orbits(curve, a, b)
     sizes = sorted(len(o) for o in short)
     checks.append(("short orbits", sizes == [1, curve.h], f"sizes {sizes}"))
@@ -222,22 +251,22 @@ class CodeAut:
 
 def _place_permutation(code: AGCode, g: CodeAut) -> np.ndarray:
     """perm[i] is the column of the image of the code's i-th place
-    under the curve automorphism then the coordinate Frobenius.
+    under the curve automorphism then the coordinate Frobenius, read by
+    _positions: affine place h - 1 + j is column j.
 
     Raises ValueError if an image is not a place of the code (only a
     map doctored past CurveAut's checks can do that).
     """
-    if g.aut.curve != code.curve:
+    curve = code.curve
+    if g.aut.curve != curve:
         raise ValueError("automorphism curve does not match the code")
-    order = code.curve.ctx.order
-    pos, xs, ys = code.curve.theta_coords
+    _, xs, ys = curve.theta_coords
     x_map, y_map = _coordinate_maps(g.aut, g.frob)
-    # the keys ascend, as affine_xy is sorted by (x, y)
-    at = _find(xs * order + ys, x_map[xs] * order + y_map[ys])
-    if at is None:
+    at = _positions(curve, x_map[xs], y_map[ys])
+    if at is None or at.min() < curve.h:  # off the curve, or x = 0
         raise ValueError("the map sends a place outside the code's places")
-    perm = np.arange(code.n)  # P_inf is fixed
-    perm[pos] = pos[at]
+    perm = np.zeros(code.n, dtype=np.int64)  # P_inf is fixed
+    perm[1:] = at - (curve.h - 1)
     return perm
 
 
@@ -256,51 +285,79 @@ def code_action(code: AGCode, g: CodeAut, word: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_code_automorphism(code: AGCode, g: CodeAut) -> bool:
-    """True iff the transform maps the code onto itself.  The whole
-    generator matrix M is transformed at once.  If its image equals
-    T M for the transfer matrix T of _transfer_image, each image row is
-    a combination of rows of M, so the map sends the code into itself,
-    and onto it, being a bijective semilinear monomial map.  Otherwise
-    membership of the image stack decides."""
-    image = code_action(code, g, code.matrix)
-    moved = _transfer_image(code, g)
-    return ((moved is not None and np.array_equal(moved, image))
-            or code.contains(image))
+def is_code_automorphism(code: AGCode, g: CodeAut, inverse=None) -> bool:
+    """True iff the transform maps the code onto itself.  inverse is the
+    (a, b) pair of g's curve automorphism's inverse, from ab_inverse
+    when None.
+
+    The image of the generator matrix M is compared with T M, for the
+    transfer matrix T of _transfer_blocks, one block of at most
+    BLOCK_ENTRIES entries (at least one column) at a time, reading only
+    the code's log matrix: image column j is entry[L[:, src[j]]], for
+    the log matrix L, the inverse src of the place permutation and the
+    image entry of each log (_image_entries).  If every block agrees,
+    each image row is a combination of rows of M, so the map sends the
+    code into itself, and onto it, being a bijective semilinear
+    monomial map.  Otherwise membership of the whole image stack
+    decides."""
+    perm = _place_permutation(code, g)
+    if inverse is None:
+        inverse = ab_inverse(code.curve, np.array([g.aut.a]),
+                             np.array([g.aut.b]))[:, 0]
+    src = np.empty_like(perm)
+    src[perm] = np.arange(len(perm))
+    entry, logs = _image_entries(code.curve.ctx, g), code.log_matrix
+    if code.lowering() is not None and all(
+            np.array_equal(entry.take(logs.take(src[cols], axis=1)), moved)
+            for cols, moved in _transfer_blocks(code, g, inverse)):
+        return True
+    return code.contains(entry[logs.take(src, axis=1)])
 
 
-def _transfer_image(code: AGCode, g: CodeAut) -> np.ndarray | None:
-    """T M, where T sends the row of x^i y^j to its image under g read
-    in the basis, or None if the code has no lowering table.
+def _image_entries(ctx, g: CodeAut) -> np.ndarray:
+    """The entry map x -> s x^{p^frob} of g at the element exp_np[e] of
+    each log e in 0..2(Q - 1), the zero slot last, in the element dtype:
+    2Q - 1 entries, so a log matrix indexes it directly."""
+    elems = ctx.exp_np[:2 * ctx.order - 1]
+    return ctx.vscale(g.scalar, ctx.vpow(elems, ctx.p ** g.frob)).astype(
+        ctx.dtype)
 
-    With (alpha, beta) the inverse map's (a, b) raised to p^frob and s
-    the scalar, g turns x^i y^j into s (beta x)^i (beta^c y + alpha)^j,
-    so row (i, j) of T M is the sum over d <= j of
-    s C(j, d) beta^{i + c (j - d)} alpha^d times row (i, j - d) of M:
-    one pass of AGCode.lowering per d, scaled in the log domain of
-    FieldCtx.log_np and exp_np, where no entry needs a mask."""
-    passes = code.lowering()
-    if passes is None:
-        return None
+
+def _transfer_blocks(code: AGCode, g: CodeAut, inverse):
+    """T M one block of columns at a time, as (cols, block) pairs, where
+    T sends the row of x^i y^j to its image under g read in the basis;
+    the code must have a lowering table.  inverse is the (a, b) pair of
+    the inverse of g's curve automorphism.
+
+    With (alpha, beta) that pair raised to p^frob and s the scalar, g
+    turns x^i y^j into s (beta x)^i (beta^c y + alpha)^j, so row (i, j)
+    of T M is the sum over d <= j of s C(j, d) beta^{i + c (j - d)}
+    alpha^d times row (i, j - d) of M: one pass of AGCode.lowering per
+    d, each a uint16 log scale added to the block of the code's log
+    matrix, where no entry needs a mask (a zero's slot plus a scale
+    reads exp_np's zero tail).  The blocks are gathered in the element
+    dtype, a quarter of int64's bytes or less."""
     curve = code.curve
     ctx, c = curve.ctx, curve.c
     n1 = ctx.order - 1
-    inv = ab_inverse(curve, np.array([g.aut.a]), np.array([g.aut.b]))
-    alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inv[:, 0])
-    log, exp = ctx.log_np, ctx.exp_np
-    logs = log[code.matrix]
+    alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inverse)
+    log, exp = ctx.log_np, ctx.exp_np.astype(ctx.dtype)
     weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
-    out = None
-    for d, rows, src, binom in passes:
-        if d and not alpha:
-            break
-        scale = (weights[src] + log[binom] + d * log[alpha]) % n1
-        term = exp[logs[src] + scale[:, None]]
-        if out is None:
-            out = term
-        else:
-            out[rows] = ctx.vadd(out[rows], term)
-    return out
+    terms = [(rows, src, ((weights[src] + log[binom] + d * log[alpha])
+                          % n1).astype(np.uint16)[:, None])
+             for d, rows, src, binom in code.lowering() if alpha or not d]
+    logs = code.log_matrix
+    width = max(1, BLOCK_ENTRIES // code.k)
+    for lo in range(0, code.n, width):
+        block = logs[:, lo:lo + width]
+        out = None
+        for rows, src, scale in terms:
+            term = exp.take(block.take(src, axis=0) + scale)
+            if out is None:
+                out = term
+            else:
+                out[rows] = ctx.vadd(out[rows], term)
+        yield slice(lo, lo + width), out
 
 
 def generators(curve: NormTraceCurve) -> list[CurveAut]:
@@ -351,7 +408,9 @@ def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:
     generators: the maps of generators(curve); Frobenius^1, whose e-th
     power is Frobenius^e by the definition of code_action; and the
     primitive scalar.  A family passes only if its generators pass and
-    they generate it (generates, and the scalar's order)."""
+    they generate it (generates, and the scalar's order).  One
+    ab_inverse call inverts every map's curve automorphism, and each
+    check is handed its inverse."""
     curve, ctx = code.curve, code.curve.ctx
     gens = generators(curve)
     ident = CurveAut(curve, 0, 1)
@@ -365,5 +424,10 @@ def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:
          _primitive(ctx, ctx.generator),
          [CodeAut(ident, scalar=ctx.generator)], ""),
     ]
-    return [(name, proof and all(is_code_automorphism(code, g) for g in maps),
-             detail) for name, proof, maps, detail in families]
+    a, b = np.array([(g.aut.a, g.aut.b) for _, _, maps, _ in families
+                     for g in maps]).T
+    inverse = dict(zip(zip(a.tolist(), b.tolist()),
+                       ab_inverse(curve, a, b).T.tolist()))
+    return [(name, proof and all(
+        is_code_automorphism(code, g, inverse[g.aut.a, g.aut.b])
+        for g in maps), detail) for name, proof, maps, detail in families]

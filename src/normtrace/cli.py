@@ -296,7 +296,7 @@ def cmd_min_dist(args):
 def cmd_aut_verify(args):
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)  # refuses what it cannot build
-    code.matrix  # the code checks read it: refuse its gather before the group
+    code.log_matrix  # the code checks read it: refuse it before the group
     a, b = autgroup.group_arrays(curve)
     checks, short = autgroup.group_checks(curve, a, b, args.seed)
     if all(passed for _, passed, _ in checks):  # once the group holds

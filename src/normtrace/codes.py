@@ -30,6 +30,9 @@ EXTENDED_ONE_POINT = "extended-one-point"
 # Largest peak, in bytes, of the matrix gather or the word tables of a code.
 TABLE_MAX_BYTES = 1 << 30
 TABLE_MAX_WORDS = 1 << 16  # most words in min_distance_exhaustive's table
+# Most entries in one block of an array formed or checked a block at a
+# time (the log matrix, the code check): 2 MiB as int64.
+BLOCK_ENTRIES = 1 << 18
 
 
 def _check_ell(curve: NormTraceCurve, ell: int):
@@ -48,20 +51,21 @@ def _check_code(curve: NormTraceCurve, ell: int):
 
 @dataclass(eq=False)
 class AGCode:
-    """An evaluation code; its generator matrix is built on first read.
+    """An evaluation code; its generator matrix is kept as its logs,
+    built on first read.
 
     basis is the (2, k) array [i; j] of the monomials x^i y^j, laid out
     as by rrspace.basis_one_point.  The matrix rows are their evaluation
     vectors over Theta, in the column layout of curve.theta_coords, with
-    weight n_inf at P_inf (see _evaluation_matrix).  kind, n, k and
-    d_star are read from these fields, so none can go stale.  The
-    report's d_exact is None: min_distance_exhaustive returns it."""
+    weight n_inf at P_inf (see _log_matrix).  kind, n, k and d_star are
+    read from these fields, so none can go stale.  The report's d_exact
+    is None: min_distance_exhaustive returns it."""
 
     curve: NormTraceCurve
     ell: int
     basis: np.ndarray
     n_inf: int
-    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _log_matrix: np.ndarray | None = field(default=None, repr=False)
     _rref: tuple | None = field(default=None, repr=False)
     _lowering: tuple | None = field(default=None, repr=False)
 
@@ -82,12 +86,21 @@ class AGCode:
         return designed_distance(self.curve, self.ell)
 
     @property
+    def log_matrix(self) -> np.ndarray:
+        """The k x n uint16 logs of the generator matrix, built on first
+        read and kept: each entry's exponent in ctx.exp_np, below Q - 1,
+        or the zero slot of ctx.log_np for a zero entry."""
+        if self._log_matrix is None:
+            self._log_matrix = _log_matrix(self.curve, self.basis,
+                                           self.n_inf)
+        return self._log_matrix
+
+    @property
     def matrix(self) -> np.ndarray:
-        """The k x n generator matrix, built on first read."""
-        if self._matrix is None:
-            self._matrix = _evaluation_matrix(self.curve, self.basis,
-                                              self.n_inf)
-        return self._matrix
+        """The k x n generator matrix, gathered from log_matrix at each
+        read (by indexing, which casts the uint16 logs in numpy's
+        buffers, where take would hold an intp copy of them)."""
+        return self.curve.ctx.exp_np[self.log_matrix]
 
     def row_space(self):
         """The canonical RREF of the matrix, computed on first use."""
@@ -165,7 +178,7 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
 def _evaluation_code(curve: NormTraceCurve, ell: int, basis: np.ndarray,
                      n_inf: int) -> AGCode:
     """The code of the monomials x^i y^j of basis over Theta, with
-    weight n_inf at P_inf (see _evaluation_matrix and AGCode).
+    weight n_inf at P_inf (see _log_matrix and AGCode).
 
     The evaluation map is injective, so the matrix M has rank k, the
     basis size; this is proved from the basis alone, by its keys.
@@ -220,23 +233,32 @@ def _at_infinity(curve: NormTraceCurve, i, j, n_inf: int) -> np.ndarray:
     return n_inf + curve.val_infinity(i, j) == 0
 
 
-def _evaluation_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
-    """Evaluate the monomials x^i y^j of basis in the column layout of
-    curve.theta_coords, with weight n_inf at P_inf: one gather from
-    ctx.exp_np at the exponents of _exponent_tables, formed in one
-    (k, n) uint16 array (numpy casts a uint16 index in buffers as it
-    gathers)."""
+def _log_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
+    """The logs of the monomials x^i y^j of basis in the column layout
+    of curve.theta_coords, with weight n_inf at P_inf: the exponents of
+    _exponent_tables in one (k, n) uint16 array, each affine sum
+    reduced below Q - 1, formed a block of at most BLOCK_ENTRIES
+    entries (at least one row) at a time, so that no temporary is the
+    size of the matrix.  exp_np gathers the matrix from it (numpy casts
+    a uint16 index in buffers as it gathers)."""
     inf, i_table, i_rows, j_table, j_rows = _exponent_tables(curve, basis,
                                                              n_inf)
-    expo = np.empty((len(inf), i_table.shape[1] + 1), dtype=np.uint16)
-    expo[:, 0] = inf
-    np.add(i_table[i_rows], j_table[j_rows], out=expo[:, 1:])
-    return curve.ctx.exp_np[expo]
+    q1 = curve.ctx.order - 1
+    logs = np.empty((len(inf), i_table.shape[1] + 1), dtype=np.uint16)
+    logs[:, 0] = inf
+    step = max(1, BLOCK_ENTRIES // logs.shape[1])
+    for lo in range(0, len(inf), step):
+        block = logs[lo:lo + step, 1:]
+        np.add(i_table.take(i_rows[lo:lo + step], axis=0),
+               j_table.take(j_rows[lo:lo + step], axis=0), out=block)
+        # a sum below q1 wraps past 2^16 - q1 when q1 is taken off
+        np.minimum(block, block - q1, out=block)
+    return logs
 
 
 def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
     """The exponents, indices into ctx.exp_np, of the matrix of the
-    monomials x^i y^j of basis (see _evaluation_matrix), as tables
+    monomials x^i y^j of basis (see _log_matrix), as tables
     (inf, i_table, i_rows, j_table, j_rows): row r has exponent inf[r]
     at P_inf and i_table[i_rows[r]] + j_table[j_rows[r]] at the affine
     columns.
@@ -542,14 +564,15 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     if code_a.k != code_b.k:
         return None
     ctx = code_a.curve.ctx
-    diag = _entrywise_diagonal(ctx, code_a.matrix, code_b.matrix)
+    A, B = code_a.matrix, code_b.matrix
+    diag = _entrywise_diagonal(ctx, A, B)
     entrywise = diag is not None
     if not entrywise:
         diag = _rref_diagonal(ctx, code_a, code_b)
     if diag is None or not diag.all():
         return None
-    scaled = ctx.vmul(code_a.matrix, diag[None, :])
-    if not (np.array_equal(scaled, code_b.matrix) if entrywise
+    scaled = ctx.vmul(A, diag[None, :])
+    if not (np.array_equal(scaled, B) if entrywise
             else code_b.contains(scaled)):
         return None
     return EquivalenceWitness(diagonal=diag)
@@ -559,12 +582,14 @@ def _entrywise_diagonal(ctx, A: np.ndarray, B: np.ndarray):
     """The column scaling that carries A onto B entry by entry, or None.
     A and B must share their zero pattern, and every nonzero ratio
     B / A in a column must equal the column's first one; a column of
-    zeros takes 1."""
+    zeros takes 1.  The ratios are formed at every entry from the logs,
+    with no mask: where A and B are both zero, the ratio read is never
+    used."""
     nz = A != 0
     if not np.array_equal(nz, B != 0):
         return None
-    ratios = np.zeros(A.shape, dtype=np.int64)
-    ratios[nz] = ctx.vmul(B[nz], ctx.vpow(A[nz], -1))
+    log = ctx.log_np
+    ratios = ctx.exp_np.take((log.take(B) - log.take(A)) % (ctx.order - 1))
     diag = ratios[nz.argmax(axis=0), np.arange(A.shape[1])]
     if not ((ratios == diag) | ~nz).all():
         return None

@@ -119,6 +119,28 @@ class NormTraceCurve:
         return by_trace[start:start + self.h]
 
     @cached_property
+    def _by_trace_at(self) -> np.ndarray:
+        """The position of each element in _fibres' by_trace."""
+        by_trace = self._fibres[3]
+        at = np.empty_like(by_trace)
+        at[by_trace] = np.arange(len(by_trace))
+        return at
+
+    @property
+    def norms(self) -> np.ndarray:
+        """The norm x^c of every element x, from _fibres."""
+        return self._fibres[0]
+
+    def fibre_offsets(self, x, y) -> np.ndarray:
+        """The offset of each y in the run of norm(x) in _fibres'
+        by_trace, for index arrays x and y: it lies in 0..h-1 iff
+        trace(y) = norm(x), and then (x, y) is place x h + offset of
+        affine_xy, and the offset of y in _fibre(x).  Each lookup reads
+        tables of Q entries."""
+        norms, _, starts, _ = self._fibres
+        return self._by_trace_at[y] - starts[norms[x]]
+
+    @cached_property
     def affine_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """x and y indices of the affine places, sorted by (x, y): each
         x's fibre expanded from _fibres."""

@@ -18,7 +18,7 @@ and the rational places by testing every (x, y) with the scalar norm and
 trace, where the library forms all traces and norms as arrays.  A
 separated curve's A is evaluated element by element, and a field is
 embedded digit by digit, where the library applies each as one
-GF(p)-linear map.  The stabilizer search tries every (a, b, c0) with
+GF(p)-linear map or evaluates A on whole arrays.  The stabilizer search tries every (a, b, c0) with
 the exact identity, where the library filters all c0 at once by the
 Hasse derivatives of B and solves every survivor's Q at once on index
 arrays, and the group check composes every pair of maps, where the
@@ -36,7 +36,9 @@ affine_apply).  Code
 invariance is decided for every map of a family by row-space
 membership, where the library checks generators by transfer matrices,
 and a curve automorphism's inverse is found by scanning, where the
-library solves for it.  The group's orbits are walked one image place
+library solves for it.  The transfer-matrix check itself is formed
+here on the whole int64 matrix and its whole image, where the library
+streams it a column block of the code's log matrix at a time.  The group's orbits are walked one image place
 at a time, where the library moves each place by every element at once
 on the (a, b) arrays.  The
 roots of B are found element by element and their multiplicities by
@@ -61,12 +63,13 @@ by scalar Horner, where the library evaluates at whole arrays of points
 derivatives.
 """
 
+import dataclasses
 from functools import cache, partial
 
 import numpy as np
 
-from normtrace import poly
-from normtrace.autgroup import CodeAut, CurveAut, code_action
+from normtrace import codes, poly
+from normtrace.autgroup import CodeAut, CurveAut, ab_inverse, code_action
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
@@ -288,6 +291,65 @@ def is_code_automorphism_by_membership(code, g):
     """The code-automorphism verdict by row-space membership of the
     whole transformed generator matrix, with no transfer matrix."""
     return code.contains(code_action(code, g, code.matrix))
+
+
+def transfer_image_whole(code, g):
+    """T M on the whole int64 matrix, for the transfer matrix T that
+    sends the row of x^i y^j to its image under g read in the basis, or
+    None if the code has no lowering table: one scaled pass of
+    AGCode.lowering per d, as autgroup._transfer_blocks forms each
+    column block."""
+    passes = code.lowering()
+    if passes is None:
+        return None
+    curve = code.curve
+    ctx, c = curve.ctx, curve.c
+    n1 = ctx.order - 1
+    inv = ab_inverse(curve, np.array([g.aut.a]), np.array([g.aut.b]))
+    alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inv[:, 0])
+    log, exp = ctx.log_np, ctx.exp_np
+    logs = log[code.matrix]
+    weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
+    out = None
+    for d, rows, src, binom in passes:
+        if d and not alpha:
+            break
+        scale = (weights[src] + log[binom] + d * log[alpha]) % n1
+        term = exp[logs[src] + scale[:, None]]
+        if out is None:
+            out = term
+        else:
+            out[rows] = ctx.vadd(out[rows], term)
+    return out
+
+
+def certified_whole(code, g):
+    """True iff T M equals the whole image of the matrix under g."""
+    moved = transfer_image_whole(code, g)
+    return moved is not None and np.array_equal(
+        moved, code_action(code, g, code.matrix))
+
+
+def is_code_automorphism_whole(code, g):
+    """The code-automorphism verdict of the whole-matrix check: T M
+    equals the image of the whole matrix, or else the image stack lies
+    in the row space."""
+    return certified_whole(code, g) or code.contains(
+        code_action(code, g, code.matrix))
+
+
+def evaluation_matrix(curve, basis, n_inf):
+    """The generator matrix of the monomials of basis over Theta,
+    gathered from codes._log_matrix as AGCode.matrix gathers it."""
+    return curve.ctx.exp_np[codes._log_matrix(curve, basis, n_inf)]
+
+
+def with_matrix(code, matrix, **changes):
+    """The code with the given generator matrix (and any other fields
+    changed), stored as its one cached form, the log matrix, with no
+    cached RREF."""
+    logs = code.curve.ctx.log_np[matrix].astype(np.uint16)
+    return dataclasses.replace(code, _log_matrix=logs, _rref=None, **changes)
 
 
 def code_checks_by_elements(code, group):
@@ -625,10 +687,20 @@ def naive_min_weight(code):
     return best
 
 
+def a_eval(spec, v):
+    """A(v) for one element v of the spec's field, by the scalar field
+    operations: the sum of a_j v^{p^j}."""
+    ctx = spec.ctx
+    out = 0
+    for j, c in spec.a_coeffs.items():
+        out = ctx.add(out, ctx.mul(c, ctx.pow(v, ctx.p ** j)))
+    return out
+
+
 def a_values_by_eval(spec):
     """A at every element of the spec's field, one scalar evaluation
     each."""
-    return [spec.a_eval(w) for w in spec.ctx.elements()]
+    return [a_eval(spec, w) for w in spec.ctx.elements()]
 
 
 def embedding_by_digits(src, dst):
@@ -784,7 +856,7 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
     cost = len(survivors) * (ctx.order - 1) * ctx.order
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
-    a_values = np.array([spec_f.a_eval(w) for w in ctx.elements()])
+    a_values = np.array(a_values_by_eval(spec_f))
     b_poly = list(spec_f.b_coeffs)
     found = []
     for a in survivors:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -12,11 +11,13 @@ from normtrace.autgroup import (CodeAut, CurveAut, ab_inverse, ab_product,
                                 is_code_automorphism, short_orbits)
 from normtrace.codes import AGCode, build_code, extended_one_point_code
 from normtrace.curve import P_INFINITY, build_curve
-from oracles import (apply_place, closure_by_compositions,
+from oracles import (apply_place, certified_whole, closure_by_compositions,
                      code_action_by_places, code_checks_by_elements,
                      fixed_places_by_places, frobenius_place,
                      inverse_by_search, inverse_pair,
-                     is_code_automorphism_by_membership, orbits_by_places)
+                     is_code_automorphism_by_membership,
+                     is_code_automorphism_whole, orbits_by_places,
+                     with_matrix)
 
 
 def test_group_order(curve23, curve33):
@@ -290,13 +291,40 @@ def test_array_counts_and_inverses_match_the_scalar_oracles(q, r,
     counts = autgroup._fixed_counts(curve, a, b).tolist()
     assert all(len(fixed_places(s)) == n
                for s, n in zip(group, counts) if not s.is_identity)
-    looked_up, find = [], autgroup._find
-    monkeypatch.setattr(autgroup, "_find", lambda keys, key:
-                        looked_up.append(key) or find(keys, key))
+    looked_up, slots = [], autgroup._slots
+    monkeypatch.setattr(autgroup, "_slots", lambda curve, a, b:
+                        looked_up.append(slots(curve, a, b)) or looked_up[-1])
     assert group_checks(curve, a, b, 0)[0][2] == ("inverses", True, "")
-    Q = curve.ctx.order
-    assert looked_up[1].tolist() == [
-        u * Q + v for u, v in (inverse_pair(curve, (s.a, s.b)) for s in group)]
+    # the given pairs, their products, then the inverses, each at slot
+    # rank(a) (Q - 1) + b - 1 among the sorted trace-zero a
+    rank = {u: i for i, u in enumerate(sorted(curve.trace_zero))}
+    n1 = curve.ctx.order - 1
+    assert looked_up[0].tolist() == list(range(len(group)))
+    assert looked_up[2].tolist() == [
+        rank[u] * n1 + v - 1
+        for u, v in (inverse_pair(curve, (s.a, s.b)) for s in group)]
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (3, 2)])
+def test_slots_are_dense_and_put_outside_pairs_last(q, r):
+    # every (a, b) of GF(Q)^2: a group pair at its index in group_arrays,
+    # b = 0 or a of nonzero trace at the last slot; and an affine point
+    # has a position only on the curve
+    curve = build_curve(q, r)
+    Q, last = curve.ctx.order, curve.h * (curve.ctx.order - 1)
+    a, b = np.divmod(np.arange(Q * Q), Q)
+    index = {pair: i for i, pair in enumerate(zip(*(
+        v.tolist() for v in group_arrays(curve))))}
+    assert autgroup._slots(curve, a, b).tolist() == [
+        index.get(pair, last) for pair in zip(a.tolist(), b.tolist())]
+    members = autgroup._members(curve, a, b)
+    assert members.sum() == last and not members[-1]
+    xs, ys = curve.affine_xy
+    for x, y in zip(a.tolist(), b.tolist()):
+        at = autgroup._positions(curve, np.array([x]), np.array([y]))
+        assert (at is not None) == curve.on_curve(x, y)
+        if at is not None:
+            assert (xs[at[0]], ys[at[0]]) == (x, y)
 
 
 def test_fixed_places_match_oracle():
@@ -410,7 +438,17 @@ def _swapped(code):
     """The code with Theta columns 1 and 2 exchanged in its matrix."""
     swapped = code.matrix.copy()
     swapped[:, [1, 2]] = swapped[:, [2, 1]]
-    return dataclasses.replace(code, _matrix=swapped, _rref=None)
+    return with_matrix(code, swapped)
+
+
+def _streamed(code, g):
+    """T M joined from the column blocks of autgroup._transfer_blocks,
+    or None if the code has no lowering table."""
+    if code.lowering() is None:
+        return None
+    inv = ab_inverse(code.curve, np.array([g.aut.a]), np.array([g.aut.b]))
+    return np.hstack([block for _, block
+                      in autgroup._transfer_blocks(code, g, inv[:, 0])])
 
 
 def test_certificate_decides_every_curve_automorphism_of_23(curve23,
@@ -444,8 +482,7 @@ def test_certificate_matches_membership_with_frobenius_and_scalars(q, r):
             g = CodeAut(rng.choice(group), frob=rng.randrange(1, ctx.k),
                         scalar=rng.randrange(2, ctx.order))
             images.append(code_action(code, g, code.matrix))
-            assert np.array_equal(autgroup._transfer_image(code, g),
-                                  images[-1])
+            assert np.array_equal(_streamed(code, g), images[-1])
             assert is_code_automorphism(code, g)
         # the membership verdict on all three images at once
         assert code.contains(np.vstack(images))
@@ -464,25 +501,107 @@ def test_membership_decides_where_the_certificate_fails(curve23):
             g = CodeAut(s, frob=1, scalar=3)
             assert (is_code_automorphism(code, g)
                     == is_code_automorphism_by_membership(code, g))
-            failed += not np.array_equal(autgroup._transfer_image(code, g),
+            failed += not np.array_equal(_streamed(code, g),
                                          code_action(code, g, code.matrix))
         assert failed >= len(group) // 2
     assert not all(is_code_automorphism(swapped, CodeAut(s)) for s in group)
 
 
 def test_transfer_image_with_one_entry_changed_fails(curve23, monkeypatch):
+    # blocks of 2 columns; one entry of T M doctored in a later block
     code = build_code(curve23, 3)
     s = enumerate_group(curve23)[9]
     g = CodeAut(s, frob=2, scalar=5)
-    moved = autgroup._transfer_image(code, g)
+    monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", 2 * code.k)
+    moved = _streamed(code, g)
     image = code_action(code, g, code.matrix)
     assert np.array_equal(moved, image)
-    moved[2, 7] ^= 1
-    assert not np.array_equal(moved, image)
+    blocks = autgroup._transfer_blocks
+
+    def doctored(code, g, inverse):
+        for cols, block in blocks(code, g, inverse):
+            if cols.start == 6:
+                block[2, 1] ^= 1
+            yield cols, block
+
+    monkeypatch.setattr(autgroup, "_transfer_blocks", doctored)
+    assert not np.array_equal(_streamed(code, g), image)
     # the doctored certificate fails, and membership gives the verdict
-    monkeypatch.setattr(autgroup, "_transfer_image", lambda code, g: moved)
     assert is_code_automorphism(code, g)
     assert code._rref is not None
+
+
+def _decided(code, g, monkeypatch):
+    """(verdict, certified) of is_code_automorphism: certified is True
+    iff the streamed certificate held, so that membership never ran."""
+    ran, contains = [], AGCode.contains
+    monkeypatch.setattr(AGCode, "contains", lambda code, word:
+                        ran.append(1) or contains(code, word))
+    verdict = is_code_automorphism(code, g)
+    monkeypatch.setattr(AGCode, "contains", contains)
+    return verdict, not ran
+
+
+def _block_sizes(code):
+    """Blocks of one column, of three columns of code (at least one of
+    a larger code), and the default size."""
+    return [1, 3 * code.k, autgroup.BLOCK_ENTRIES]
+
+
+def test_streamed_check_equals_the_whole_matrix_oracle_on_23(curve23,
+                                                             monkeypatch):
+    # every map of the group, on a code, the swapped code and the
+    # extended one-point code, whose certificates fail for some maps
+    code = build_code(curve23, 2)
+    cases = [(c, CodeAut(s)) for c in (code, _swapped(code),
+                                       extended_one_point_code(curve23, 2))
+             for s in enumerate_group(curve23)]
+    for block in _block_sizes(code):
+        monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", block)
+        assert [_decided(c, g, monkeypatch) for c, g in cases] == [
+            (is_code_automorphism_whole(c, g), certified_whole(c, g))
+            for c, g in cases]
+
+
+@pytest.mark.parametrize("q, r, ells", [(3, 3, (1, 13, 26)),
+                                        (2, 4, (2, 9, 15)),
+                                        (3, 2, (2, 5, 8))])
+def test_streamed_check_equals_the_whole_matrix_oracle_on_sampled_maps(
+        q, r, ells, monkeypatch):
+    curve = build_curve(q, r)
+    ctx = curve.ctx
+    group = enumerate_group(curve)
+    rng = random.Random(q * 10 + r)
+    cases = [(build_code(curve, ell),
+              CodeAut(rng.choice(group), frob=rng.randrange(ctx.k),
+                      scalar=rng.randrange(1, ctx.order)))
+             for ell in ells for _ in range(3)]
+    cases += [(extended_one_point_code(curve, ells[0]), g) for _, g in cases]
+    for block in _block_sizes(cases[0][0]):
+        monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", block)
+        assert [_decided(c, g, monkeypatch) for c, g in cases] == [
+            (is_code_automorphism_whole(c, g), certified_whole(c, g))
+            for c, g in cases]
+
+
+@pytest.mark.parametrize("where", ["first block", "later block", "P_inf"])
+def test_doctored_log_matrix_entry_fails_the_certificate(curve33, where,
+                                                         monkeypatch):
+    # blocks of 2 columns: one log-matrix entry changed by one exponent
+    # fails the certificate, and membership gives the verdict
+    code = build_code(curve33, 4)
+    g = CodeAut(enumerate_group(curve33)[40], frob=1, scalar=5)
+    monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", 2 * code.k)
+    assert _decided(code, g, monkeypatch) == (True, True)
+    col = {"first block": 1, "later block": code.n - 3, "P_inf": 0}[where]
+    row = int(np.flatnonzero(code.matrix[:, col])[-1])
+    logs = code.log_matrix.copy()
+    logs[row, col] = (int(logs[row, col]) + 1) % (curve33.ctx.order - 1)
+    doctored = with_matrix(code, curve33.ctx.exp_np[logs])
+    assert np.array_equal(doctored.log_matrix, logs)
+    verdict, certified = _decided(doctored, g, monkeypatch)
+    assert not certified and not certified_whole(doctored, g)
+    assert verdict == is_code_automorphism_by_membership(doctored, g)
 
 
 def test_lowering_missing_a_term_leaves_membership(curve23):
@@ -491,12 +610,11 @@ def test_lowering_missing_a_term_leaves_membership(curve23):
     code = build_code(curve23, 2)
     keep = (code.basis[0] != -2) | (code.basis[1] != 0)
     assert not keep.all()
-    part = dataclasses.replace(code, basis=code.basis[:, keep],
-                               _matrix=code.matrix[keep], _rref=None)
+    part = with_matrix(code, code.matrix[keep], basis=code.basis[:, keep])
     assert part.k == keep.sum() == code.k - 1
     assert part.lowering() is None
     g = CodeAut(enumerate_group(curve23)[5])
-    assert autgroup._transfer_image(part, g) is None
+    assert _streamed(part, g) is None
     assert is_code_automorphism(part, g) == \
         is_code_automorphism_by_membership(part, g)
 
@@ -540,13 +658,20 @@ def test_code_checks_match_the_per_element_oracle(q, r):
 
 
 def test_code_checks_test_only_generators(curve33, monkeypatch):
+    # each map is handed its inverse, from one ab_inverse call
     code = build_code(curve33, 2)
-    seen = []
-    check = autgroup.is_code_automorphism
+    seen, inverted = [], []
+    check, invert = autgroup.is_code_automorphism, autgroup.ab_inverse
     monkeypatch.setattr(autgroup, "is_code_automorphism",
-                        lambda code, g: seen.append(g) or check(code, g))
+                        lambda code, g, inverse=None: seen.append(
+                            (g, inverse)) or check(code, g, inverse))
+    monkeypatch.setattr(autgroup, "ab_inverse", lambda curve, a, b:
+                        inverted.append(len(a)) or invert(curve, a, b))
     assert all(ok for _, ok, _ in code_checks(code))
     assert len(seen) == 5 and code._rref is None
+    assert inverted == [5]
+    assert [tuple(inv) for _, inv in seen] == [
+        inverse_pair(curve33, (g.aut.a, g.aut.b)) for g, _ in seen]
 
 
 def test_code_checks_list_no_group(monkeypatch):

@@ -4,7 +4,7 @@ over random fields and curves of order at most 2^8.
 oracles.ranks, which eliminates a stack of class blocks in lockstep,
 against oracles.rank on each matrix: blocks with zero rows, repeated
 rows, multiples of other rows and zero padding.  And
-codes._evaluation_matrix, which no code build reads any more, against
+codes._log_matrix, gathered as AGCode.matrix gathers it, against
 scalar rrspace.evaluate on random codes of random curves."""
 
 from functools import lru_cache
@@ -16,11 +16,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace import codes  # noqa: E402
 from normtrace.curve import build_curve  # noqa: E402
 from normtrace.gf import build_field, is_prime, prime_factors  # noqa: E402
 from normtrace.rrspace import basis_multipoint, basis_one_point  # noqa: E402
-from oracles import evaluation_by_places, rank, ranks  # noqa: E402
+from oracles import (evaluation_by_places, evaluation_matrix, rank,  # noqa: E402
+                     ranks)
 
 FIELDS = [(p, k) for p in range(2, 257) if is_prime(p)
           for k in range(1, 9) if p ** k <= 256]
@@ -109,5 +109,5 @@ def test_gather_equals_scalar_evaluation(data):
     n = len(cv.theta_coords[0]) + 1
     cols = data.draw(st.lists(st.integers(1, n - 1), min_size=1,
                               max_size=12))
-    matrix = codes._evaluation_matrix(cv, rows, n_inf)
+    matrix = evaluation_matrix(cv, rows, n_inf)
     assert np.array_equal(matrix[:, cols], evaluation_by_places(cv, rows, cols))

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -16,9 +15,9 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
 from normtrace.curve import P_INFINITY, build_curve
 from normtrace.rrspace import evaluate, monomial
 from oracles import (entrywise_diagonal_by_columns, evaluation_by_places,
-                     extended_evaluate, lattice_dimension,
+                     evaluation_matrix, extended_evaluate, lattice_dimension,
                      local_parameter_at_infinity, naive_min_weight, rank,
-                     rank_by_classes, theta_orbits)
+                     rank_by_classes, theta_orbits, with_matrix)
 
 
 def test_build_code_23(curve23):
@@ -110,14 +109,14 @@ LADDER = ([(2, 3, ell) for ell in range(1, 8)]
 
 
 def _spy_matrix(monkeypatch):
-    """Record the basis size of every _evaluation_matrix call."""
-    calls, matrix = [], codes._evaluation_matrix
+    """Record the basis size of every _log_matrix call."""
+    calls, matrix = [], codes._log_matrix
 
     def spy(curve, basis, n_inf):
         calls.append(basis.shape[1])
         return matrix(curve, basis, n_inf)
 
-    monkeypatch.setattr(codes, "_evaluation_matrix", spy)
+    monkeypatch.setattr(codes, "_log_matrix", spy)
     return calls
 
 
@@ -179,7 +178,7 @@ def test_gather_check_has_teeth(monkeypatch):
     basis = codes.basis_multipoint(curve, 3)
     cols = list(range(1, len(curve.theta_coords[0]) + 1))
     want = evaluation_by_places(curve, basis, cols)
-    assert np.array_equal(codes._evaluation_matrix(curve, basis, 0)[:, cols],
+    assert np.array_equal(evaluation_matrix(curve, basis, 0)[:, cols],
                           want)
     n = ctx.order - 1
     shifted = ctx.exp_np.copy()
@@ -190,15 +189,16 @@ def test_gather_check_has_teeth(monkeypatch):
 
 
 def test_lazy_matrix_equals_the_eager_one(curve33):
-    # a matrix read after other work equals one gathered at once
+    # a matrix read after other work equals one gathered at once, and
+    # its logs are kept
     for ell in (1, 13, 26):
         for build in BUILDS:
             code = build(curve33, ell)
-            assert code._matrix is None
+            assert code._log_matrix is None
             code.row_space()
-            assert np.array_equal(code.matrix, codes._evaluation_matrix(
+            assert np.array_equal(code.matrix, evaluation_matrix(
                 curve33, code.basis, code.n_inf))
-            assert code.matrix is code.matrix
+            assert code.log_matrix is code.log_matrix
 
 
 def gather_need_16_2_127():
@@ -225,7 +225,7 @@ def test_matrix_gather_is_checked_against_the_limit(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code._matrix is None and peak < need // 10
+    assert code._log_matrix is None and peak < need // 10
     monkeypatch.setattr(codes, "TABLE_MAX_BYTES", need)
     assert code.matrix.shape == (1913, 4081)
 
@@ -311,8 +311,7 @@ def test_parameters_follow_the_basis(curve33):
     # k is the basis size, and no other field can go stale
     code = build_code(curve33, 4)
     keep = np.arange(code.k) % 3 != 0
-    part = dataclasses.replace(code, basis=code.basis[:, keep],
-                               _matrix=code.matrix[keep])
+    part = with_matrix(code, code.matrix[keep], basis=code.basis[:, keep])
     assert part.k == keep.sum() == part.parameters()["k"] < code.k
     assert part.basis.shape == (2, part.k)
     assert (part.n, part.d_star, part.kind) == (code.n, code.d_star,
@@ -349,7 +348,7 @@ def _refused(curve, ell):
     with pytest.raises(AssertionError, match="basis keys"):
         build_code(curve, ell)
     basis = codes.basis_multipoint(curve, ell)
-    matrix = codes._evaluation_matrix(curve, basis, 0)
+    matrix = evaluation_matrix(curve, basis, 0)
     return basis.shape[1], rank(curve.ctx, matrix)
 
 
@@ -439,7 +438,7 @@ def test_class_proof_rejects_a_repeated_monomial(curve33, monkeypatch):
     k, got = _refused(curve33, 4)
     assert (k, got) == (basis.shape[1] + 1, basis.shape[1])
     repeated = codes.basis_multipoint(curve33, 4)
-    matrix = codes._evaluation_matrix(curve33, repeated, 0)
+    matrix = evaluation_matrix(curve33, repeated, 0)
     assert rank_by_classes(curve33, repeated, matrix) is False  # a class falls short
 
 
@@ -458,7 +457,7 @@ def test_class_proof_falls_back_without_the_unit_fibre():
     kept = np.flatnonzero(build_curve(3, 3).theta_coords[1] != 1)
     curve = _relaid(3, 3, kept)
     assert theta_orbits(curve) is None
-    matrix = codes._evaluation_matrix(curve, want.basis, 0)
+    matrix = evaluation_matrix(curve, want.basis, 0)
     assert rank_by_classes(curve, want.basis, matrix) is None
     assert rank(curve.ctx, matrix) == want.k
     assert np.array_equal(matrix[:, 0], want.matrix[:, 0])
@@ -481,7 +480,7 @@ def test_class_proof_finds_the_fibre_anywhere():
     order = np.random.default_rng(3).permutation(want.n - 1)
     curve = _relaid(3, 3, order)
     assert theta_orbits(curve) is not None
-    matrix = codes._evaluation_matrix(curve, want.basis, 0)
+    matrix = evaluation_matrix(curve, want.basis, 0)
     assert rank_by_classes(curve, want.basis, matrix) is True
     assert np.array_equal(matrix[:, 1:], want.matrix[:, 1 + order])
 
@@ -743,7 +742,7 @@ def test_monomial_equivalence_rref_fallback(curve23):
     for i in range(1, mixed.shape[0]):
         mixed[i] = ctx.vadd(mixed[i], ctx.vscale(5, mixed[i - 1]))
     diag = np.array([ctx.pow(3, i % 5) for i in range(29)], dtype=np.int64)
-    other = dataclasses.replace(other, _matrix=ctx.vmul(mixed, diag[None, :]))
+    other = with_matrix(other, ctx.vmul(mixed, diag[None, :]))
     wit = monomial_equivalence_check(code, other)
     assert wit is not None
     scaled = ctx.vmul(code.matrix, wit.diagonal[None, :])
@@ -782,7 +781,7 @@ def test_monomial_equivalence_refuses_a_zero_entry_under_a_zero_column(
     code = build_code(curve23, 2)
     matrix = code.matrix.copy()
     matrix[:, 3] = 0
-    zeroed = dataclasses.replace(code, _matrix=matrix, _rref=None)
+    zeroed = with_matrix(code, matrix)
     diag = np.ones(code.n, dtype=np.int64)
     diag[3] = 0
     monkeypatch.setattr(codes, "_entrywise_diagonal", lambda *args: diag.copy())

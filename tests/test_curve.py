@@ -1,6 +1,7 @@
 import json
 from math import gcd
 
+import numpy as np
 import pytest
 
 from normtrace.cli import main
@@ -100,6 +101,26 @@ def test_places_equal_brute_force_search(q, r):
     assert xs.tolist() == [P.x for P in theta[1:]]
     assert ys.tolist() == [P.y for P in theta[1:]]
     assert cv.n_places == len(want) == q ** (2 * r - 1) + 1
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (4, 2), (5, 2)])
+def test_fibre_offsets_place_every_point(q, r):
+    # over all of GF(Q)^2: the offset lies in 0..h-1 exactly at the
+    # places found by search, each at position x h + offset of
+    # affine_xy, and norms holds x^c
+    cv = build_curve(q, r)
+    ctx = cv.ctx
+    x, y = (v.ravel() for v in np.meshgrid(np.arange(ctx.order),
+                                           np.arange(ctx.order),
+                                           indexing="ij"))
+    offsets = cv.fibre_offsets(x, y)
+    on = (0 <= offsets) & (offsets < cv.h)
+    want = places_by_search(cv)[1:]
+    assert [(u, v) for u, v in zip(x[on].tolist(), y[on].tolist())] == [
+        (P.x, P.y) for P in want]
+    at = x[on] * cv.h + offsets[on]
+    assert at.tolist() == list(range(len(want)))
+    assert cv.norms.tolist() == [ctx.pow(u, cv.c) for u in ctx.elements()]
 
 
 def test_omega_theta(curve23, curve33):

@@ -22,7 +22,7 @@ from normtrace.sepcurve import (HBound, MONOMIAL_CASE_I,
                                 monomial_shift, mu_fixers, norm_trace_spec,
                                 recommended_search_field, spec_from_dict,
                                 to_standard_qm, validate)
-from oracles import (AFFINE_IDENTITY, a_values_by_eval, affine_apply,
+from oracles import (AFFINE_IDENTITY, a_eval, a_values_by_eval, affine_apply,
                      affine_compose, affine_inverse, affine_tuples,
                      embedding_by_digits)
 
@@ -118,8 +118,30 @@ def test_additivity_holds_by_construction():
     ctx = spec.ctx
     for u in range(0, 64, 7):
         for v in range(0, 64, 5):
-            assert spec.a_eval(ctx.add(u, v)) == ctx.add(spec.a_eval(u),
-                                                         spec.a_eval(v))
+            assert a_eval(spec, ctx.add(u, v)) == ctx.add(a_eval(spec, u),
+                                                          a_eval(spec, v))
+
+
+@pytest.mark.parametrize("p, k, a, b", [(2, 6, {0: 1, 2: 1}, (0, 0, 0, 1)),
+                                        (3, 3, {0: 2, 1: 1}, (0, 0, 0, 0, 1)),
+                                        (3, 8, {0: 1, 1: 1}, (1, 0, 0, 0, 1)),
+                                        (2, 13, {0: 1, 2: 1}, (0, 0, 0, 1))])
+def test_additivity_check_reads_arrays_and_has_teeth(p, k, a, b,
+                                                     monkeypatch):
+    # validate evaluates A on arrays: a_at equals the scalar oracle, a
+    # host field above 2^12 needs no Q x Q table, and A + 1, which is
+    # not additive, fails the check
+    ctx = build_field(p, k)
+    spec = SeparatedCurveSpec(ctx, a, b)
+    assert validate(spec) is spec
+    sample = np.random.default_rng(k).integers(ctx.order, size=64)
+    assert spec.a_at(sample).tolist() == [a_eval(spec, int(w))
+                                          for w in sample]
+    at = SeparatedCurveSpec.a_at
+    monkeypatch.setattr(SeparatedCurveSpec, "a_at",
+                        lambda self, v: ctx.vadd_scalar(at(self, v), 1))
+    with pytest.raises(AssertionError, match="additivity"):
+        validate(spec)
 
 
 def test_genus():
