@@ -218,33 +218,38 @@ def cmd_code_table(args):
 
 def _matrix_text(ctx, exponents, entry: str, last: str, row_head: str = "",
                  sep: str = ""):
-    """The text of a code's matrix, one string per row, from the
+    """The text of a code's matrix, three strings per row, from the
     exponent tables of codes._exponent_tables: each row's exponents are
-    formed by one np.add into a reused buffer, and its text by one
-    gather from a table of ready-made strings indexed by exponent,
-    entry.format(v) within a row and last.format(v) at its end, for v
-    = ctx.exp_np[e], the zero slot included.  Each row starts with
-    row_head, and rows after the first with sep before it.  The tables
-    are checked and the strings made before the first row: an exponent
-    outside the string table would print a wrong value (numpy reads a
-    negative one from the end) or fail mid-output."""
+    formed by one np.add into a reused buffer, and its text by one take
+    from a byte table indexed by exponent, entry.format(v) for v =
+    ctx.exp_np[e], the zero slot included, padded to one width with
+    0xFF, which UTF-8 never holds and the decode drops.  Each row starts
+    with row_head, rows after the first with sep before it, and ends
+    with last.format(v).  The tables are checked, and the entries
+    encoded as ASCII, before the first row: an exponent outside the
+    table would print a wrong value (numpy reads a negative one from
+    the end) or fail mid-output."""
     inf, i_table, i_rows, j_table, j_rows = exponents
     size = 2 * (ctx.order - 1) + 1
     if not (0 <= min(inf.min(), i_table.min(), j_table.min()) and max(
             int(inf.max()), int(i_table.max()) + int(j_table.max())) < size):
         raise ValueError(f"exponents must lie in 0..{size - 1}")
     values = ctx.exp_np[:size].tolist()
-    strings = np.array([entry.format(v) for v in values], dtype=object)
+    cells = [entry.format(v).encode("ascii") for v in values]
+    width = max(map(len, cells))
+    table = np.array([c.ljust(width, b"\xff") for c in cells], f"S{width}")
     ends = [last.format(v) for v in values]
     row = np.empty(i_table.shape[1] + 1, dtype=np.uint16)
+    heads = (row_head, sep + row_head)
 
     def rows():
         for r, (e, i, j) in enumerate(zip(inf.tolist(), i_rows.tolist(),
                                           j_rows.tolist())):
             row[0] = e
             np.add(i_table[i], j_table[j], out=row[1:])
-            yield (f"{sep if r else ''}{row_head}"
-                   f"{''.join(strings[row[:-1]].tolist())}{ends[row[-1]]}")
+            yield heads[r > 0]
+            yield str(table.take(row[:-1]), "utf-8", "ignore")
+            yield ends[row[-1]]
     return rows()
 
 

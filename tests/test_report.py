@@ -117,8 +117,10 @@ def test_writer_equals_json_dumps_and_csv_writer(fake):
     assert code_build(code, "csv", exponents) == csv_writer_rows(matrix)
 
 
-@pytest.mark.parametrize("q, r, ells", [(2, 3, range(1, 8)),
-                                        (3, 3, (1, 13, 26)), (4, 3, (31,))])
+@pytest.mark.parametrize("q, r, ells", [
+    (2, 3, range(1, 8)), (3, 3, (1, 13, 26)), (4, 3, (31,)),
+    # Q = 256: entries of 1, 2 and 3 digits; Q = 4096: of 4 digits
+    (16, 2, (1, 3, 16)), (64, 2, (1,))])
 def test_streamed_code_equals_json_dumps_and_csv_writer(q, r, ells):
     curve = build_curve(q, r)
     for ell in ells:
@@ -164,6 +166,30 @@ def test_out_of_range_entry_is_an_error_not_output(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "error: exponents must lie in 0..14\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_ascii_entry_template_is_an_error_not_output(capsys, monkeypatch,
+                                                        fmt):
+    # the decode drops every byte that is not valid UTF-8, so the entry
+    # table must hold ASCII and its 0xFF pad only: a template outside
+    # ASCII is refused as the table is made, before the first row
+    curve = build_curve(2, 3)
+    code = codes.build_code(curve, 2)
+    exponents = codes._exponent_tables(curve, code.basis, code.n_inf)
+    with pytest.raises(ValueError, match="ascii"):
+        cli._matrix_text(curve.ctx, exponents, "{}\u00e9,", "{}\n")
+    matrix_text = cli._matrix_text
+
+    def doctored(ctx, exponents, entry, *rest):
+        return matrix_text(ctx, exponents, "\u00e9" + entry, *rest)
+
+    monkeypatch.setattr(cli, "_matrix_text", doctored)
+    rc = cli.main(["code-build", "--q", "2", "--r", "3", "--ell", "2",
+                   "--format", fmt])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: 'ascii' codec can't encode")
 
 
 def test_refused_code_build_writes_nothing(capsys, monkeypatch, tmp_path):
