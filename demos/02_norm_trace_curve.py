@@ -4,7 +4,7 @@
 # at the place at infinity.
 
 from normtrace import build_curve, semigroup_gaps, semigroup_nongaps
-from normtrace.rrspace import MonomialTerm, basis_multipoint, basis_one_point
+from normtrace.rrspace import basis_multipoint, basis_one_point
 
 curve = build_curve(2, 3)
 print(curve)
@@ -43,7 +43,10 @@ print("gap count equals genus:", len(gaps) == curve.genus)
 # Monomial bases of the one-point and multi-point Riemann-Roch spaces: a
 # basis is the array [i; j] of the exponents of x^i y^j, in pole order.
 def monomials(basis):
-    return [MonomialTerm(i, j) for i, j in basis.T.tolist()]
+    def power(sym, e):
+        return "" if e == 0 else sym if e == 1 else f"{sym}^{e}"
+    names = (power("x", i) + power("y", j) for i, j in basis.T.tolist())
+    return "[" + ", ".join(name or "1" for name in names) + "]"
 
 
 print("\nbasis of L(16 P_inf):", monomials(basis_one_point(curve, 16)))

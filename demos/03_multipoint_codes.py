@@ -36,8 +36,8 @@ for ell in range(1, 8):
 ell = 3
 ca = build_code(curve, ell)
 cb = extended_one_point_code(curve, ell)
-wit = monomial_equivalence_check(ca, cb)
+found = monomial_equivalence_check(ca, cb)
 diag = equivalence_diagonal(curve, ell)
-print(f"\nell={ell}: monomial equivalence found:", wit is not None)
-print("diagonal is x(P)^ell at affine places:", np.array_equal(wit.diagonal, diag))
-print("diagonal entries:", wit.diagonal.tolist())
+print(f"\nell={ell}: monomial equivalence found:", found is not None)
+print("diagonal is x(P)^ell at affine places:", np.array_equal(found, diag))
+print("diagonal entries:", found.tolist())

@@ -4,9 +4,8 @@ separated-polynomial curve classification machinery."""
 
 from .gf import BudgetExceeded, FieldCtx, build_field, field_from_dict
 from .curve import NormTraceCurve, P_INFINITY, Place, build_curve
-from .rrspace import (FunctionElem, MonomialTerm, PoleError, basis_multipoint,
-                      basis_one_point, evaluate, semigroup_gaps,
-                      semigroup_nongaps)
+from .rrspace import (basis_multipoint, basis_one_point, evaluate,
+                      semigroup_gaps, semigroup_nongaps)
 from .codes import (AGCode, build_code, designed_distance,
                     dimension_closed_form, extended_one_point_code,
                     min_distance_exhaustive, monomial_equivalence_check,

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .curve import P_INFINITY, NormTraceCurve
+from . import linalg, poly
+from .curve import NormTraceCurve
 from .gf import BudgetExceeded
-from .rrspace import (FunctionElem, MonomialTerm, basis_multipoint,
-                      basis_one_point, constant_one, evaluate)
+from .rrspace import at_infinity, basis_multipoint, basis_one_point, evaluate
 
 MULTIPOINT = "multipoint"
 EXTENDED_ONE_POINT = "extended-one-point"
@@ -215,7 +214,7 @@ def _rank_by_keys(curve: NormTraceCurve, basis, n_inf: int) -> bool:
     P_inf, has full row rank by the key proof of _evaluation_code."""
     q1, h = curve.ctx.order - 1, curve.h
     i, j = basis
-    at_inf = _at_infinity(curve, i, j, n_inf)
+    at_inf = at_infinity(curve, i, j, n_inf)
     classes = (i + curve.c * j)[at_inf] % q1
     if not ((0 <= j) & (j < h)).all() or (classes != classes[:1]).any():
         return False
@@ -224,13 +223,6 @@ def _rank_by_keys(curve: NormTraceCurve, basis, n_inf: int) -> bool:
     shared = np.flatnonzero(np.diff(keys[order]) == 0)  # pairs in order
     return len(shared) <= 1 and bool(
         (at_inf[order[shared]] != at_inf[order[shared + 1]]).all())
-
-
-def _at_infinity(curve: NormTraceCurve, i, j, n_inf: int) -> np.ndarray:
-    """The P_inf column of the code of the monomials x^i y^j: t^{n_inf}
-    x^i y^j has valuation n_inf - (i*h + j*c) >= 0 there, and the entry
-    is 1 at valuation 0 and 0 above, as in rrspace.evaluate."""
-    return n_inf + curve.val_infinity(i, j) == 0
 
 
 def _log_matrix(curve: NormTraceCurve, basis, n_inf: int) -> np.ndarray:
@@ -270,7 +262,8 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
     per j in 0..max j.  A code's basis fills both ranges, so the tables
     hold no row it does not read.  Each term is below Q - 1, so their
     sum is below 2(Q - 1) <= 8190; P_inf takes exponent 0 (the entry 1)
-    or log 0, the zero slot 2(Q - 1) of ctx.log_np (see _at_infinity).
+    or log 0, the zero slot 2(Q - 1) of ctx.log_np (see
+    rrspace.at_infinity).
     ValueError, before any table is formed, if the k x n exponents and
     int64 matrix of the whole gather, the tables (each formed in uint32,
     then narrowed) and numpy's buffers would pass TABLE_MAX_BYTES."""
@@ -286,7 +279,7 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
         raise ValueError(f"the {k} x {n} generator matrix needs about {need} "
                          f"bytes, above the limit {TABLE_MAX_BYTES}")
     log = ctx.log_np
-    return (np.where(_at_infinity(curve, i, j, n_inf), 0, log[0]),
+    return (np.where(at_infinity(curve, i, j, n_inf), 0, log[0]),
             _exponent_rows(np.arange(lo, lo + i_rows), log[xs], q1),
             (i - lo) % q1,
             _exponent_rows(np.arange(j_rows), log[ys], q1), j)
@@ -341,9 +334,11 @@ def dimension_closed_form(q: int, r: int, ell: int) -> int:
 # ----------------------------------------------------------------------
 
 def witness_function(curve: NormTraceCurve, ell: int,
-                     c_list=None) -> FunctionElem:
-    """The function prod_i (x - c_i)/x whose evaluation vector has
-    weight exactly d*.  Defaults to the first ell nonzero elements."""
+                     c_list=None) -> np.ndarray:
+    """The function prod_i (x - c_i)/x = prod_i (1 - c_i t), t = x^{-1},
+    whose evaluation vector has weight exactly d*: the int64 array of
+    its coefficients in t, from t^0 to t^ell.  Defaults to the first
+    ell nonzero elements."""
     _check_ell(curve, ell)
     if c_list is None:
         c_list = list(range(1, ell + 1))
@@ -353,28 +348,19 @@ def witness_function(curve: NormTraceCurve, ell: int,
     if not all(0 < ci < ctx.order for ci in c_list) or len(set(c_list)) != ell:
         raise ValueError(f"witness elements must be distinct nonzero "
                          f"elements of GF({ctx.order})")
-    f = constant_one(curve)
+    f = [1]
     for ci in c_list:
-        # multiply by (1 - ci * x^{-1})
-        f = f + f.mul_term(MonomialTerm(-1, 0), ctx.neg(ci))
-    return f
+        f = poly.mul(ctx, f, [1, ctx.neg(ci)])
+    return np.array(f, dtype=np.int64)
 
 
 def witness_codeword(code: AGCode, c_list=None) -> np.ndarray:
     """Evaluation vector of the witness function in the column layout
-    of curve.theta_coords; its Hamming weight equals d* exactly.  Its
-    terms are powers of x, which is nonzero on Theta, so each term is
-    one array power; P_inf takes the valuation rule of rrspace.evaluate."""
-    curve = code.curve
-    ctx = curve.ctx
-    f = witness_function(curve, code.ell, c_list)
-    pos, xs, ys = curve.theta_coords
-    word = np.zeros(code.n, dtype=np.int64)
-    word[0] = evaluate(f, P_INFINITY)
-    for coeff, t in f.terms:
-        term = ctx.vmul(ctx.vpow(xs, t.i), ctx.vpow(ys, t.j))
-        word[pos] = ctx.vadd(word[pos], ctx.vscale(coeff, term))
-    return word
+    of curve.theta_coords, by evaluate on its terms x^{-e}; its Hamming
+    weight equals d* exactly."""
+    coeffs = witness_function(code.curve, code.ell, c_list)
+    e = np.arange(len(coeffs))
+    return evaluate(code.curve, coeffs, np.stack([-e, np.zeros_like(e)]))
 
 
 def min_distance_exhaustive(code: AGCode, budget: int,
@@ -528,14 +514,6 @@ def _word_kernel(ctx, n: int):
 # Monomial equivalence
 # ----------------------------------------------------------------------
 
-@dataclass
-class EquivalenceWitness:
-    """Witness of a monomial equivalence with identity permutation:
-    scaling column p of code_a by diagonal[p] yields code_b's row space."""
-
-    diagonal: np.ndarray
-
-
 def equivalence_diagonal(curve: NormTraceCurve, ell: int) -> np.ndarray:
     """The explicit diagonal tying the multi-point code to the extended
     one-point code, in the column layout of curve.theta_coords: x(P)^ell
@@ -549,7 +527,8 @@ def equivalence_diagonal(curve: NormTraceCurve, ell: int) -> np.ndarray:
 
 def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     """Search for a diagonal scaling (identity permutation) carrying
-    code_a onto code_b; returns an EquivalenceWitness or None.
+    code_a onto code_b; returns the diagonal or None: scaling column p
+    of code_a by diagonal[p] yields code_b's row space.
 
     The diagonal D comes from entrywise column ratios of the generator
     matrices, which recover the explicit x(P)^ell diagonal of the
@@ -575,7 +554,7 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     if not (np.array_equal(scaled, B) if entrywise
             else code_b.contains(scaled)):
         return None
-    return EquivalenceWitness(diagonal=diag)
+    return diag
 
 
 def _entrywise_diagonal(ctx, A: np.ndarray, B: np.ndarray):

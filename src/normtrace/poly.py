@@ -1,8 +1,9 @@
-"""Dense polynomials over a FieldCtx, for sepcurve: little-endian lists
-of element indices with a nonzero last entry ([] is zero), and their
-values at a whole array of points (evaluate_array).  Only the context's
-methods are used, so this module never imports gf, whose modulus search
-has its own kernel on plain integers.
+"""Dense polynomials over a FieldCtx, for sepcurve and the witness
+function of codes: little-endian lists of element indices with a
+nonzero last entry ([] is zero), and their values at a whole array of
+points (evaluate_array).  Only the context's methods are used, so this
+module never imports gf, whose modulus search has its own kernel on
+plain integers.
 """
 
 from __future__ import annotations

@@ -9,95 +9,19 @@ zeros of x.  A basis is the read-only (2, k) int64 array [i; j] of its
 exponents in pole order (basis_one_point, basis_multipoint), read off
 the semigroup's non-gaps; the codes gather, prove and report from it.
 
-Evaluation at P_inf uses a closed valuation rule: a monomial x^i y^j
-with i*h + j*c = 0 is an integer power of x^c y^{-h}, which equals
-1 + (terms of positive valuation) on the curve, hence takes the value 1
-at P_inf; monomials of positive valuation vanish there.  No formal
-local expansions are needed.
+Evaluation at P_inf uses a closed valuation rule (at_infinity): a
+monomial x^i y^j with i*h + j*c = 0 is an integer power of x^c y^{-h},
+which equals 1 + (terms of positive valuation) on the curve, hence
+takes the value 1 at P_inf; monomials of positive valuation vanish
+there.  No formal local expansions are needed.  evaluate forms the
+word of a linear combination of monomials over Theta on arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .curve import NormTraceCurve, Place
-
-
-class PoleError(ValueError):
-    """Raised when a function is evaluated at one of its poles."""
-
-
-@dataclass(frozen=True)
-class MonomialTerm:
-    """The monomial x^i y^j, a term of a FunctionElem; formal products
-    (local-parameter powers) may carry any integer exponents."""
-
-    i: int
-    j: int
-
-    def __repr__(self):
-        def fmt(sym, e):
-            if e == 0:
-                return ""
-            return sym if e == 1 else f"{sym}^{e}"
-        body = fmt("x", self.i) + fmt("y", self.j)
-        return body if body else "1"
-
-
-def mul_terms(a: MonomialTerm, b: MonomialTerm) -> MonomialTerm:
-    return MonomialTerm(a.i + b.i, a.j + b.j)
-
-
-class FunctionElem:
-    """A linear combination of monomials x^i y^j with nonzero field
-    coefficients, terms pairwise distinct and sorted by pole order."""
-
-    def __init__(self, curve: NormTraceCurve, terms):
-        self.curve = curve
-        merged: dict[MonomialTerm, int] = {}
-        for coeff, term in terms:
-            if coeff:
-                prev = merged.get(term, 0)
-                s = curve.ctx.add(prev, coeff)
-                if s:
-                    merged[term] = s
-                elif term in merged:
-                    del merged[term]
-        self.terms = tuple(sorted(
-            ((c, t) for t, c in merged.items()),
-            key=lambda ct: (-curve.val_infinity(ct[1].i, ct[1].j),
-                            ct[1].i, ct[1].j)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def mul_term(self, term: MonomialTerm, coeff: int = 1) -> "FunctionElem":
-        ctx = self.curve.ctx
-        return FunctionElem(self.curve,
-                            [(ctx.mul(coeff, c), mul_terms(t, term))
-                             for c, t in self.terms])
-
-    def __add__(self, other: "FunctionElem") -> "FunctionElem":
-        return FunctionElem(self.curve, list(self.terms) + list(other.terms))
-
-    def __repr__(self):
-        if not self.terms:
-            return "f(0)"
-        return "f(" + " + ".join(f"{c}*{t}" for c, t in self.terms) + ")"
-
-    def to_dict(self) -> list:
-        return [{"coefficient_index": c, "i": t.i, "j": t.j}
-                for c, t in self.terms]
-
-
-def monomial(curve: NormTraceCurve, coeff: int, i: int, j: int) -> FunctionElem:
-    return FunctionElem(curve, [(coeff, MonomialTerm(i, j))])
-
-
-def constant_one(curve: NormTraceCurve) -> FunctionElem:
-    return monomial(curve, 1, 0, 0)
+from .curve import NormTraceCurve
 
 
 # ----------------------------------------------------------------------
@@ -158,35 +82,38 @@ def basis_multipoint(curve: NormTraceCurve, ell: int) -> np.ndarray:
 # Evaluation
 # ----------------------------------------------------------------------
 
-def _eval_term_affine(curve: NormTraceCurve, term: MonomialTerm, P: Place) -> int:
+def at_infinity(curve: NormTraceCurve, i, j, n_inf: int = 0) -> np.ndarray:
+    """The P_inf entries of the monomials t^{n_inf} x^i y^j, t a local
+    parameter there, as a bool array: True for the entry 1, at valuation
+    n_inf - (i*h + j*c) = 0, and False for 0, at positive valuation.  It
+    reads False at a pole (negative valuation), which evaluate refuses
+    and no code basis holds."""
+    return n_inf + curve.val_infinity(i, j) == 0
+
+
+def evaluate(curve: NormTraceCurve, coeffs, terms) -> np.ndarray:
+    """The int64 word of sum_r coeffs[r] x^i y^j, (i, j) = terms[:, r],
+    over Theta in the column layout of curve.theta_coords.
+
+    terms is a (2, t) exponent array [i; j] laid out as by
+    basis_one_point, with any signs; coeffs holds t element indices.
+    P_inf takes the valuation rule of at_infinity: the sum of the
+    coefficients of the terms of valuation 0.  ValueError if a term has
+    a pole at P_inf.  x and y are nonzero on Theta (y = 0 forces
+    norm(x) = trace(y) = 0), so no affine place is a pole: each term is
+    one array power of each coordinate."""
+    i, j = np.asarray(terms)
+    pole = np.flatnonzero(curve.val_infinity(i, j) < 0)
+    if pole.size:
+        r = pole[0]
+        raise ValueError(f"x^{i[r]} y^{j[r]} has a pole at P_inf")
     ctx = curve.ctx
-    if P.x == 0 and term.i < 0:
-        raise PoleError(f"{term} has a pole at {P}")
-    if P.y == 0 and term.j < 0:
-        raise PoleError(f"{term} has a pole at {P}")
-    return ctx.mul(ctx.pow(P.x, term.i), ctx.pow(P.y, term.j))
-
-
-def evaluate(f: FunctionElem, P: Place) -> int:
-    """Value of f at the place P (an element index).
-
-    At an affine place the coordinates are substituted term by term; a
-    negative exponent at a vanishing coordinate is a pole.  At P_inf,
-    terms of valuation 0 contribute their coefficient (they are powers
-    of x^c y^{-h}, equal to 1 on the curve) and terms of positive
-    valuation contribute 0; any term of negative valuation is a pole.
-    """
-    curve = f.curve
-    ctx = curve.ctx
-    out = 0
-    if P.is_infinity:
-        for coeff, term in f.terms:
-            v = curve.val_infinity(term.i, term.j)
-            if v < 0:
-                raise PoleError(f"{term} has a pole at P_inf")
-            if v == 0:
-                out = ctx.add(out, coeff)
-        return out
-    for coeff, term in f.terms:
-        out = ctx.add(out, ctx.mul(coeff, _eval_term_affine(curve, term, P)))
-    return out
+    _, xs, ys = curve.theta_coords
+    word = np.zeros(len(xs) + 1, dtype=np.int64)
+    for coeff, ti, tj, one in zip(np.asarray(coeffs).tolist(), i.tolist(),
+                                  j.tolist(), at_infinity(curve, i, j)):
+        if one:
+            word[0] = ctx.add(int(word[0]), coeff)
+        term = ctx.vmul(ctx.vpow(xs, ti), ctx.vpow(ys, tj))
+        word[1:] = ctx.vadd(word[1:], ctx.vscale(coeff, term))
+    return word

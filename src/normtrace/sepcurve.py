@@ -617,6 +617,13 @@ def _extension_degrees(ctx: FieldCtx):
         yield t
 
 
+# Largest deg B whose roots b_roots finds.  Its polynomial steps run
+# in pure Python and are quadratic in deg B: at p = 2 up to 20 powmod
+# steps before the field limit refuses, about 2.3 s at deg B = 511
+# (2-core x86-64, Python 3.11), where 3,003 took 57 s.
+MAX_B_DEGREE = 512
+
+
 def b_roots(spec: SeparatedCurveSpec):
     """Roots of B with multiplicities over its splitting field.
 
@@ -627,7 +634,12 @@ def b_roots(spec: SeparatedCurveSpec):
     B is evaluated over the whole field at once; a root's multiplicity is
     the number of leading Hasse derivatives H_0, H_1, .. of B vanishing
     there, each H_j evaluated only where H_0 .. H_{j-1} vanish.
+    ValueError, before any polynomial step, if deg B passes
+    MAX_B_DEGREE.
     """
+    if spec.m > MAX_B_DEGREE:
+        raise ValueError(f"deg B = {spec.m} exceeds the limit "
+                         f"{MAX_B_DEGREE} of the root analysis")
     ctx = spec.ctx
     rad = poly.radical(ctx, spec.b_coeffs)
     x_power = x = poly.rem(ctx, [0, 1], rad)  # X^{Q^t} mod rad, at t = 0

@@ -50,7 +50,10 @@ forms every ratio as one array.  A code's rank is found by eliminating
 its whole matrix, or its class blocks in lockstep once one log-domain
 pass has checked the split, where the library proves it from the basis
 keys alone; and the matrix's entries by scalar evaluation at each
-place, where the library gathers them from the exp table.
+place, where the library gathers them from the exp table.  A function,
+a list of (coeff, i, j) terms of sum coeff x^i y^j, is evaluated one
+place and one term at a time (evaluate_at), where rrspace.evaluate
+forms its whole word over Theta on arrays.
 
 Some helpers live here because only the tests use them: the prime
 powers up to a bound, the local parameter at P_inf and the extended
@@ -73,7 +76,6 @@ from normtrace.autgroup import CodeAut, CurveAut, ab_inverse, code_action
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
-from normtrace.rrspace import MonomialTerm, evaluate, monomial
 from normtrace.sepcurve import (AffineMaps, SearchFieldTooSmall,
                                 monomial_shift, mu_fixers, validate)
 
@@ -618,12 +620,37 @@ def rank_by_classes(curve, basis, matrix):
 
 def evaluation_by_places(curve, basis, cols):
     """The affine columns cols of the code of basis (column layout of
-    curve.theta_coords), by scalar rrspace.evaluate at each place."""
+    curve.theta_coords), by scalar evaluate_at at each place."""
     _, xs, ys = curve.theta_coords
     places = [Place(AFFINE, int(xs[c - 1]), int(ys[c - 1])) for c in cols]
-    funcs = [monomial(curve, 1, i, j) for i, j in basis.T.tolist()]
-    return np.array([[evaluate(f, P) for P in places] for f in funcs],
-                    dtype=np.int64).reshape(len(funcs), len(cols))
+    monomials = basis.T.tolist()
+    return np.array([[evaluate_at(curve, [(1, i, j)], P) for P in places]
+                     for i, j in monomials],
+                    dtype=np.int64).reshape(len(monomials), len(cols))
+
+
+def evaluate_at(curve, terms, P):
+    """Value at the place P of sum coeff x^i y^j over the (coeff, i, j)
+    of terms, in scalar arithmetic.  At an affine place the coordinates
+    are substituted term by term; a negative exponent at a vanishing
+    coordinate is a pole.  At P_inf a term of valuation 0 contributes
+    its coefficient (it is a power of x^c y^{-h}, equal to 1 on the
+    curve), one of positive valuation 0, and one of negative valuation
+    is a pole.  ValueError at a pole."""
+    ctx = curve.ctx
+    out = 0
+    for coeff, i, j in terms:
+        if P.is_infinity:
+            v = curve.val_infinity(i, j)
+            if v < 0:
+                raise ValueError(f"x^{i} y^{j} has a pole at P_inf")
+            value = int(v == 0)
+        elif (P.x == 0 and i < 0) or (P.y == 0 and j < 0):
+            raise ValueError(f"x^{i} y^{j} has a pole at {P}")
+        else:
+            value = ctx.mul(ctx.pow(P.x, i), ctx.pow(P.y, j))
+        out = ctx.add(out, ctx.mul(coeff, value))
+    return out
 
 
 def min_distance_full_enumeration(code, budget, stop_at=None,
@@ -964,10 +991,6 @@ def entrywise_diagonal_by_columns(ctx, A, B):
     return diag
 
 
-def pow_term(t, e):
-    return MonomialTerm(t.i * e, t.j * e)
-
-
 def _ext_gcd(a, b):
     if b == 0:
         return a, 1, 0
@@ -976,9 +999,9 @@ def _ext_gcd(a, b):
 
 
 def local_parameter_at_infinity(curve):
-    """A monomial x^u y^v with valuation exactly 1 at P_inf, from the
-    extended Euclid relation u*h + v*c = -1; the (u, v) with minimal
-    |u| + |v| is chosen, ties broken by smaller u."""
+    """The exponents (u, v) of a monomial x^u y^v with valuation exactly
+    1 at P_inf, from the extended Euclid relation u*h + v*c = -1; the
+    (u, v) with minimal |u| + |v| is chosen, ties broken by smaller u."""
     h, c = curve.h, curve.c
     g, u0, v0 = _ext_gcd(h, c)
     assert g == 1
@@ -992,15 +1015,18 @@ def local_parameter_at_infinity(curve):
         u, v = u0 + t * c, v0 - t * h
         key = (abs(u) + abs(v), u)
         if best is None or key < best[0]:
-            best = (key, MonomialTerm(u, v))
+            best = (key, (u, v))
     return best[1]
 
 
-def extended_evaluate(f, P, n_P, t):
-    """Value of t^{n_P} * f at P, where t is a local parameter at P.
+def extended_evaluate(curve, terms, P, n_P, t):
+    """Value of t^{n_P} * f at P, f the (coeff, i, j) terms of
+    evaluate_at and t = x^u y^v, (u, v) = t, a local parameter at P.
 
     This realizes evaluation codes whose divisor has weight n_P at an
     evaluation place: multiplying by t^{n_P} cancels the pole there.
     The product is formed exactly by exponent addition (the y exponent
     is kept unreduced) and evaluated with the same valuation rule."""
-    return evaluate(f.mul_term(pow_term(t, n_P)), P)
+    u, v = t
+    return evaluate_at(curve, [(c, i + n_P * u, j + n_P * v)
+                               for c, i, j in terms], P)

@@ -4,8 +4,9 @@ over random fields and curves of order at most 2^8.
 oracles.ranks, which eliminates a stack of class blocks in lockstep,
 against oracles.rank on each matrix: blocks with zero rows, repeated
 rows, multiples of other rows and zero padding.  And
-codes._log_matrix, gathered as AGCode.matrix gathers it, against
-scalar rrspace.evaluate on random codes of random curves."""
+codes._log_matrix, gathered as AGCode.matrix gathers it, against the
+scalar evaluator oracles.evaluate_at on random codes of random
+curves."""
 
 from functools import lru_cache
 

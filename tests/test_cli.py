@@ -623,6 +623,37 @@ def test_classify_refuses_a_b_without_splitting_field_at_once(capsys, tmp_path):
     assert err == "error: field order 2^21 exceeds limit 1048576\n"
 
 
+def test_classify_refuses_a_b_of_large_degree_at_once(capsys, tmp_path):
+    # B = X^3003 + X^3002 + X over GF(2): the root analysis's polynomial
+    # steps, quadratic in deg B, took 57 s before the field limit refused;
+    # the degree is refused before the first of them
+    b = [0] * 3004
+    b[1] = b[3002] = b[3003] = 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**CASE_II_SPEC, "B": b}))
+    start = time.process_time()
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert time.process_time() - start < 0.1
+    assert rc == 1 and out == ""
+    assert err == (f"error: deg B = 3003 exceeds the limit "
+                   f"{sepcurve.MAX_B_DEGREE} of the root analysis\n")
+
+
+def test_classify_at_the_b_degree_limit(capsys, tmp_path):
+    # Y^3 + 2 Y = X^m + 2 X^(m-1) = X^(m-1) (X - 1) over GF(3), with m
+    # the limit: the root analysis runs
+    m = sepcurve.MAX_B_DEGREE
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "p": 3, "field": {"p": 3, "k": 1},
+        "A": [{"j": 0, "a_j_index": 2}, {"j": 1, "a_j_index": 1}],
+        "B": [0] * (m - 1) + [2, 1]}))
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert rc == 0 and err == ""
+    assert (f"|H| divides one of [{m - 1}, {m - 2}] (unique-multiple-root)"
+            in out.splitlines())
+
+
 @pytest.mark.parametrize("bounds", [["--ell", "0"], ["--ell-max", "0"],
                                     ["--ell", "3", "--ell-max", "0"],
                                     ["--ell", "8"], ["--ell-max", "8"]])

@@ -13,9 +13,9 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
 from normtrace.curve import P_INFINITY, build_curve
-from normtrace.rrspace import evaluate, monomial
-from oracles import (entrywise_diagonal_by_columns, evaluation_by_places,
-                     evaluation_matrix, extended_evaluate, lattice_dimension,
+from oracles import (entrywise_diagonal_by_columns, evaluate_at,
+                     evaluation_by_places, evaluation_matrix,
+                     extended_evaluate, lattice_dimension,
                      local_parameter_at_infinity, naive_min_weight, rank,
                      rank_by_classes, theta_orbits, with_matrix)
 
@@ -46,9 +46,10 @@ def test_rows_are_basis_evaluations(curve23, curve33):
                             (extended_one_point_code(curve, ell),
                              ell * curve.h)]:
             for row, (i, j) in zip(code.matrix, code.basis.T.tolist()):
-                f = monomial(curve, 1, i, j)
-                want = [extended_evaluate(f, P, n_inf, t_loc)
-                        if P.is_infinity and n_inf else evaluate(f, P)
+                f = [(1, i, j)]
+                want = [extended_evaluate(curve, f, P, n_inf, t_loc)
+                        if P.is_infinity and n_inf
+                        else evaluate_at(curve, f, P)
                         for P in code.curve.theta]
                 assert row.tolist() == want
 
@@ -62,7 +63,7 @@ def test_p_inf_column_is_the_extended_value(curve23, curve33, curve24):
             for code, n_inf in [(build_code(curve, ell), 0),
                                 (extended_one_point_code(curve, ell),
                                  ell * curve.h)]:
-                want = [extended_evaluate(monomial(curve, 1, i, j),
+                want = [extended_evaluate(curve, [(1, i, j)],
                                           P_INFINITY, n_inf, t_loc)
                         for i, j in code.basis.T.tolist()]
                 assert code.matrix[:, 0].tolist() == want
@@ -294,19 +295,6 @@ def test_code_table_builds_the_matrices_it_enumerates(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 81
 
 
-def test_code_table_builds_no_monomial_term(monkeypatch, capsys):
-    # every basis is an exponent array read off the semigroup
-    from normtrace import cli, rrspace
-    made = []
-    init = rrspace.MonomialTerm.__init__
-    monkeypatch.setattr(rrspace.MonomialTerm, "__init__",
-                        lambda self, i, j: made.append(1) or init(self, i, j))
-    assert cli.main(["code-table", "--q", "3", "--r", "4"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 81
-    assert made == []
-    assert repr(rrspace.MonomialTerm(2, 1)) == "x^2y" and made == [1]
-
-
 def test_parameters_follow_the_basis(curve33):
     # k is the basis size, and no other field can go stale
     code = build_code(curve33, 4)
@@ -330,8 +318,9 @@ def _with_basis(monkeypatch, *extra):
 
 
 def _at_infinity_one(monkeypatch, *terms):
-    """Make the P_inf entry of the given exponents (i, j) read 1."""
-    at_infinity = codes._at_infinity
+    """Make the P_inf entry of the given exponents (i, j) read 1 in
+    codes' binding of the valuation rule."""
+    at_infinity = codes.at_infinity
 
     def doctored(curve, i, j, n_inf):
         out = at_infinity(curve, i, j, n_inf)
@@ -339,7 +328,7 @@ def _at_infinity_one(monkeypatch, *terms):
             out |= (i == ti) & (j == tj)
         return out
 
-    monkeypatch.setattr(codes, "_at_infinity", doctored)
+    monkeypatch.setattr(codes, "at_infinity", doctored)
 
 
 def _refused(curve, ell):
@@ -571,8 +560,9 @@ def test_witness_codeword(curve23):
         assert int((w != 0).sum()) == c.d_star
         assert c.contains(w)
         assert w[0] == 1 and c.curve.theta[0] is P_INFINITY
-    f = witness_function(curve23, 3)
-    assert evaluate(f, P_INFINITY) == 1
+    # prod (1 - c t) over c = 1, 2, 3 in t = x^{-1}: the constant term 1,
+    # the only one of valuation 0, is the value at P_inf
+    assert witness_function(curve23, 3).tolist() == [1, 0, 7, 6]
 
 
 @pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4)])
@@ -582,8 +572,9 @@ def test_witness_codeword_matches_scalar_evaluation(q, r):
         code = build_code(curve, ell)
         c_list = random.Random(ell).sample(range(1, curve.ctx.order), ell)
         for cs in (None, c_list):
-            f = witness_function(curve, ell, cs)
-            want = [evaluate(f, P) for P in code.curve.theta]
+            f = [(c, -e, 0) for e, c in
+                 enumerate(witness_function(curve, ell, cs).tolist())]
+            want = [evaluate_at(curve, f, P) for P in code.curve.theta]
             assert witness_codeword(code, cs).tolist() == want
 
 
@@ -683,10 +674,10 @@ def test_monomial_equivalence_canonical_pairs(curve23):
     for ell in range(1, 6):
         ca = build_code(curve23, ell)
         cb = extended_one_point_code(curve23, ell)
-        wit = monomial_equivalence_check(ca, cb)
-        assert wit is not None
+        found = monomial_equivalence_check(ca, cb)
+        assert found is not None
         proof = equivalence_diagonal(curve23, ell)
-        assert np.array_equal(wit.diagonal, proof)
+        assert np.array_equal(found, proof)
         # proof diagonal: x(P)^ell at affine places, extended value at P_inf
         ctx = curve23.ctx
         for pos, P in enumerate(ca.curve.theta):
@@ -702,9 +693,9 @@ def test_monomial_equivalence_other_curves(curve33, curve24):
     for cv, ell in [(curve33, 1), (curve33, 3), (curve24, 2)]:
         ca = build_code(cv, ell)
         cb = extended_one_point_code(cv, ell)
-        wit = monomial_equivalence_check(ca, cb)
-        assert wit is not None
-        assert np.array_equal(wit.diagonal, equivalence_diagonal(cv, ell))
+        found = monomial_equivalence_check(ca, cb)
+        assert found is not None
+        assert np.array_equal(found, equivalence_diagonal(cv, ell))
 
 
 @pytest.mark.parametrize("q, r", [(2, 3), (3, 3), (2, 4)])
@@ -721,14 +712,13 @@ def test_equivalence_diagonal_is_x_to_the_ell(q, r):
                                  for P in ca.curve.theta]
         assert np.array_equal(
             entrywise_diagonal_by_columns(ctx, ca.matrix, cb.matrix), diag)
-        assert np.array_equal(monomial_equivalence_check(ca, cb).diagonal,
-                              diag)
+        assert np.array_equal(monomial_equivalence_check(ca, cb), diag)
 
 
 def test_monomial_equivalence_self_and_failure(curve23):
     code2 = build_code(curve23, 2)
-    wit = monomial_equivalence_check(code2, code2)
-    assert np.array_equal(wit.diagonal, np.ones(29, dtype=np.int64))
+    assert np.array_equal(monomial_equivalence_check(code2, code2),
+                          np.ones(29, dtype=np.int64))
     assert monomial_equivalence_check(code2, build_code(curve23, 3)) is None
 
 
@@ -743,9 +733,9 @@ def test_monomial_equivalence_rref_fallback(curve23):
         mixed[i] = ctx.vadd(mixed[i], ctx.vscale(5, mixed[i - 1]))
     diag = np.array([ctx.pow(3, i % 5) for i in range(29)], dtype=np.int64)
     other = with_matrix(other, ctx.vmul(mixed, diag[None, :]))
-    wit = monomial_equivalence_check(code, other)
-    assert wit is not None
-    scaled = ctx.vmul(code.matrix, wit.diagonal[None, :])
+    found = monomial_equivalence_check(code, other)
+    assert found is not None
+    scaled = ctx.vmul(code.matrix, found[None, :])
     assert np.array_equal(linalg.rref(ctx, scaled)[0],
                           linalg.rref(ctx, other.matrix)[0])
 

@@ -1,15 +1,12 @@
-import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from normtrace.curve import P_INFINITY, Place, build_curve
-from normtrace.rrspace import (FunctionElem, MonomialTerm, PoleError,
-                               basis_multipoint, basis_one_point,
-                               constant_one, evaluate, monomial,
-                               mul_terms, semigroup_gaps, semigroup_nongaps)
-from oracles import (basis_by_box, extended_evaluate,
+from normtrace.rrspace import (basis_multipoint, basis_one_point, evaluate,
+                               semigroup_gaps, semigroup_nongaps)
+from oracles import (basis_by_box, evaluate_at, extended_evaluate,
                      local_parameter_at_infinity, semigroup_by_force)
 
 
@@ -116,42 +113,28 @@ def test_bases_are_read_only(curve23):
 
 
 def test_evaluate_constant(curve23):
-    one = constant_one(curve23)
+    assert evaluate(curve23, [1], [[0], [0]]).tolist() == [1] * 29
     for P in curve23.places:
-        assert evaluate(one, P) == 1
+        assert evaluate_at(curve23, [(1, 0, 0)], P) == 1
 
 
 def test_evaluate_at_infinity(curve23):
-    assert evaluate(monomial(curve23, 1, -1, 0), P_INFINITY) == 0
-    assert evaluate(monomial(curve23, 1, 7, -4), P_INFINITY) == 1
-    with pytest.raises(PoleError):
-        evaluate(monomial(curve23, 1, 1, 0), P_INFINITY)
+    # the array evaluator and the scalar oracle read one valuation rule
+    for i, j, want in [(-1, 0, 0), (7, -4, 1)]:
+        assert evaluate(curve23, [1], [[i], [j]])[0] == want
+        assert evaluate_at(curve23, [(1, i, j)], P_INFINITY) == want
+    with pytest.raises(ValueError, match="pole at P_inf"):
+        evaluate(curve23, [1, 1], [[-1, 1], [0, 0]])
+    with pytest.raises(ValueError, match="pole at P_inf"):
+        evaluate_at(curve23, [(1, 1, 0)], P_INFINITY)
 
 
 def test_evaluate_pole_at_affine(curve23):
+    # no place of Theta is a pole of x^{-1}; the zeros of x in Omega are
     P0 = curve23.omega[0]
-    with pytest.raises(PoleError):
-        evaluate(monomial(curve23, 1, -1, 0), P0)
-
-
-def test_evaluate_is_multiplicative(curve23):
-    ctx = curve23.ctx
-    rng = random.Random(7)
-    places = [P for P in curve23.theta if not P.is_infinity]
-    for _ in range(25):
-        f = FunctionElem(curve23, [(rng.randrange(1, 8),
-                                    MonomialTerm(rng.randrange(0, 3),
-                                                 rng.randrange(0, 3)))
-                                   for _ in range(2)])
-        g = FunctionElem(curve23, [(rng.randrange(1, 8),
-                                    MonomialTerm(rng.randrange(0, 3),
-                                                 rng.randrange(0, 3)))
-                                   for _ in range(2)])
-        prod = FunctionElem(curve23,
-                            [(ctx.mul(c1, c2), mul_terms(t1, t2))
-                             for c1, t1 in f.terms for c2, t2 in g.terms])
-        P = rng.choice(places)
-        assert evaluate(prod, P) == ctx.mul(evaluate(f, P), evaluate(g, P))
+    with pytest.raises(ValueError, match="pole at"):
+        evaluate_at(curve23, [(1, -1, 0)], P0)
+    assert evaluate(curve23, [1], [[-1], [0]])[1:].all()
 
 
 def _local_param_oracle(h, c):
@@ -169,32 +152,23 @@ def _local_param_oracle(h, c):
 
 
 def test_local_parameter(curve23, curve33, curve24):
-    assert local_parameter_at_infinity(curve23) == MonomialTerm(-2, 1)
+    assert local_parameter_at_infinity(curve23) == (-2, 1)
     for cv in (curve23, curve33, curve24):
         t = local_parameter_at_infinity(cv)
-        assert cv.val_infinity(t.i, t.j) == 1
-        assert (t.i, t.j) == _local_param_oracle(cv.h, cv.c)
+        assert cv.val_infinity(*t) == 1
+        assert t == _local_param_oracle(cv.h, cv.c)
 
 
 def test_extended_evaluate(curve23):
     t = local_parameter_at_infinity(curve23)
-    fx = monomial(curve23, 1, 1, 0)
-    one = constant_one(curve23)
+    fx, one = [(1, 1, 0)], [(1, 0, 0)]
     # n_P = 0 is the ordinary evaluation (at affine places; x has its
     # pole at P_inf)
     for P in curve23.theta[1:6]:
-        assert extended_evaluate(fx, P, 0, t) == evaluate(fx, P)
-    assert extended_evaluate(fx, P_INFINITY, 4, t) == 1
-    assert extended_evaluate(one, P_INFINITY, 4, t) == 0
-
-
-def test_function_normal_form(curve23):
-    f = FunctionElem(curve23, [(1, MonomialTerm(1, 0)), (1, MonomialTerm(1, 0))])
-    assert f.is_zero()  # coefficients cancel in characteristic 2
-    g = monomial(curve23, 3, 2, 1) + monomial(curve23, 1, 0, 0)
-    assert [t for _, t in g.terms] == [MonomialTerm(0, 0), MonomialTerm(2, 1)]
-    assert g.to_dict() == [{"coefficient_index": 1, "i": 0, "j": 0},
-                           {"coefficient_index": 3, "i": 2, "j": 1}]
+        assert extended_evaluate(curve23, fx, P, 0, t) == evaluate_at(
+            curve23, fx, P)
+    assert extended_evaluate(curve23, fx, P_INFINITY, 4, t) == 1
+    assert extended_evaluate(curve23, one, P_INFINITY, 4, t) == 0
 
 
 def test_multipoint_rejects_zero(curve23):
