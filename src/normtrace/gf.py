@@ -7,9 +7,9 @@ residue polynomial modulo a fixed monic irreducible polynomial.  A
 tables, so multiplication, inversion, powering and negation are table
 lookups; odd-characteristic addition goes through Zech logarithms.
 
-Building a field finds only its modulus and generator.  The exp and
-log tables (``exp_np``, ``log_np``) are filled on first read, by
-doubling whole blocks with integer array operations: per-byte XOR
+Building a field only sets its modulus and generator (see below).
+The exp and log tables (``exp_np``, ``log_np``) are filled on first
+read, by doubling whole blocks with integer array operations: per-byte XOR
 tables in characteristic 2, base-p digit matrices otherwise (see
 ``FieldCtx.exp_np``), so GF(2^20) takes tens of milliseconds.
 
@@ -31,12 +31,17 @@ to order TABLE_MAX_ORDER.
 When no modulus is supplied, the monic irreducible polynomial of degree
 k with the smallest integer encoding is chosen, and the generator is
 the nonzero element of smallest index with full multiplicative order.
-This makes every element index reproducible across runs.  The modulus
-search tries the encodings in order with Ben-Or's test
-(``poly_is_irreducible``, which also checks a supplied modulus) on
-plain integers: bit masks in characteristic 2, lists of residues mod p
-otherwise.  It builds no field and takes about 0.1 ms on GF(2^16) and
-1 ms on GF(3^9).
+This makes every element index reproducible across runs.  Both are a
+function of (p, k) alone, so for every k >= 2 they are read from one
+table, _CANONICAL_FIELDS (242 entries), parsed on first lookup; a
+supplied modulus equal to the table's reads its generator too.  The
+searches define the table and stay the only path for prime fields and
+for any other modulus: the modulus search tries the encodings in order
+(``smallest_irreducible``) with Ben-Or's test (``poly_is_irreducible``,
+which also checks a supplied modulus) on plain integers: bit masks in
+characteristic 2, lists of residues mod p otherwise.  The generator
+search (``FieldCtx._search_generator``) tries the indices in order.
+tests/test_gf.py recomputes every table entry with both searches.
 
 Fields of order above 2^20 are rejected (the tables would not be
 desk-scale any more).
@@ -44,7 +49,7 @@ desk-scale any more).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -53,6 +58,55 @@ MAX_ORDER = 1 << 20
 # Largest order whose Q x Q tables are built: 2^24 entries, 32 MB in
 # uint16.  It caps rref, reduce_vector and odd-characteristic vadd.
 TABLE_MAX_ORDER = 1 << 12
+
+# The canonical field of every order p^k <= MAX_ORDER with k >= 2, as
+# "p,k,t,g": t encodes the low coefficients of the modulus (the digits
+# of t, lowest first, then the leading 1; see smallest_irreducible) and
+# g is the generator's index.  Every entry is what the searches return
+# (smallest_irreducible, FieldCtx._search_generator), and
+# tests/test_gf.py recomputes them all.  Parsed on first lookup
+# (_canonical_fields): a string compiles in microseconds, where a dict
+# literal of the same entries takes about a millisecond at import.
+_CANONICAL_FIELDS = """
+2,2,3,2 2,3,3,2 2,4,3,2 2,5,5,2 2,6,3,2 2,7,3,2 2,8,27,3 2,9,3,7
+2,10,9,2 2,11,5,2 2,12,9,3 2,13,27,2 2,14,33,7 2,15,3,2 2,16,43,3
+2,17,9,2 2,18,9,10 2,19,39,2 2,20,9,2 3,2,1,4 3,3,7,3 3,4,5,3 3,5,7,3
+3,6,5,3 3,7,11,5 3,8,11,38 3,9,64,3 3,10,19,34 3,11,11,5 3,12,11,14
+5,2,2,6 5,3,6,9 5,4,2,6 5,5,21,10 5,6,7,5 5,7,6,9 5,8,2,6 7,2,1,9
+7,3,2,22 7,4,8,12 7,5,10,9 7,6,2,8 7,7,43,14 11,2,1,15 11,3,15,11
+11,4,13,11 11,5,2,13 13,2,2,15 13,3,2,15 13,4,2,17 13,5,54,13 17,2,3,19
+17,3,20,17 17,4,3,307 19,2,1,22 19,3,2,29 19,4,27,21 23,2,1,25
+23,3,26,23 23,4,25,31 29,2,2,30 29,3,33,30 29,4,2,30 31,2,1,35 31,3,3,34
+31,4,32,34 37,2,2,41 37,3,2,75 41,2,3,43 41,3,42,44 43,2,1,45 43,3,3,45
+47,2,1,49 47,3,51,47 53,2,2,54 53,3,58,53 59,2,1,62 59,3,60,63 61,2,2,63
+61,3,2,67 67,2,1,74 67,3,2,73 71,2,1,79 71,3,72,75 73,2,5,76 73,3,2,77
+79,2,1,85 79,3,2,81 83,2,1,93 83,3,88,84 89,2,3,91 89,3,93,91 97,2,5,101
+97,3,2,102 101,2,2,102 101,3,102,104 103,2,1,105 107,2,1,109 109,2,2,111
+113,2,3,117 127,2,1,135 131,2,1,134 137,2,3,145 139,2,1,143 149,2,2,152
+151,2,1,160 157,2,2,159 163,2,1,170 167,2,1,169 173,2,2,174 179,2,1,182
+181,2,2,185 191,2,1,201 193,2,5,198 197,2,2,200 199,2,1,212 211,2,1,215
+223,2,1,225 227,2,1,229 229,2,2,231 233,2,3,241 239,2,1,247 241,2,7,248
+251,2,1,256 257,2,3,259 263,2,1,265 269,2,2,278 271,2,1,276 277,2,2,279
+281,2,3,285 283,2,1,285 293,2,2,294 307,2,1,316 311,2,1,315 313,2,5,316
+317,2,2,327 331,2,1,337 337,2,5,356 347,2,1,351 349,2,2,353 353,2,3,360
+359,2,1,370 367,2,1,370 373,2,2,375 379,2,1,382 383,2,1,385 389,2,2,390
+397,2,2,399 401,2,3,405 409,2,7,419 419,2,1,423 421,2,2,425 431,2,1,435
+433,2,5,436 439,2,1,448 443,2,1,445 449,2,3,465 457,2,5,462 461,2,2,469
+463,2,1,465 467,2,1,469 479,2,1,483 487,2,1,490 491,2,1,496 499,2,1,502
+503,2,1,509 509,2,2,510 521,2,3,523 523,2,1,525 541,2,2,545 547,2,1,549
+557,2,2,560 563,2,1,565 569,2,3,573 571,2,1,574 577,2,5,581 587,2,1,593
+593,2,3,595 599,2,1,610 601,2,7,603 607,2,1,609 613,2,2,615 617,2,3,629
+619,2,1,622 631,2,1,636 641,2,3,647 643,2,1,647 647,2,1,649 653,2,2,659
+659,2,1,669 661,2,2,663 673,2,5,678 677,2,2,678 683,2,1,685 691,2,1,695
+701,2,2,704 709,2,2,711 719,2,1,723 727,2,1,729 733,2,2,735 739,2,1,748
+743,2,1,745 751,2,1,755 757,2,2,759 761,2,3,763 769,2,7,771 773,2,2,774
+787,2,1,789 797,2,2,798 809,2,3,815 811,2,1,814 821,2,2,822 823,2,1,826
+827,2,1,831 829,2,2,831 839,2,1,843 853,2,2,855 857,2,3,859 859,2,1,865
+863,2,1,868 877,2,2,881 881,2,3,887 883,2,1,888 887,2,1,889 907,2,1,909
+911,2,1,915 919,2,1,925 929,2,3,934 937,2,5,941 941,2,2,942 947,2,1,953
+953,2,3,957 967,2,1,969 971,2,1,974 977,2,3,981 983,2,1,985 991,2,1,1004
+997,2,2,1000 1009,2,11,1018 1013,2,2,1019 1019,2,1,1025 1021,2,2,1035
+"""
 
 
 def is_prime(n: int) -> bool:
@@ -226,6 +280,16 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     return tuple(_index_to_coeffs(t, p, k)) + (1,)
 
 
+@cache
+def _canonical_fields() -> dict[tuple[int, int], tuple[int, int]]:
+    """(p, k) -> (t, g) for every entry of _CANONICAL_FIELDS."""
+    fields = {}
+    for entry in _CANONICAL_FIELDS.split():
+        p, k, t, g = map(int, entry.split(","))
+        fields[p, k] = t, g
+    return fields
+
+
 def _byte_tables(images) -> list[np.ndarray]:
     """XOR tables of the GF(2)-linear map sending bit j to images[j]:
     entry x of table b is the XOR of the images of the bits set in
@@ -262,14 +326,21 @@ class FieldCtx:
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         order = p ** k
+        # the table's (t, g), or the searches for a prime field or a
+        # modulus other than the canonical one
+        t, generator = _canonical_fields().get((p, k), (None, None))
         if modulus is None:
-            modulus = smallest_irreducible(p, k)
+            modulus = (smallest_irreducible(p, k) if t is None
+                       else tuple(_index_to_coeffs(t, p, k)) + (1,))
         else:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if not poly_is_irreducible(modulus, p):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
+            if _coeffs_to_index(modulus[:k], p) != t:
+                generator = None
+                if not poly_is_irreducible(modulus, p):
+                    raise ValueError(
+                        f"modulus {list(modulus)} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.order = order
@@ -281,7 +352,8 @@ class FieldCtx:
         self._digit_dtype = np.min_scalar_type(k * (p - 1) ** 2)
         # narrowest unsigned dtype holding every element index
         self.dtype = np.min_scalar_type(order - 1)
-        self._find_generator()
+        self.generator = (self._search_generator() if generator is None
+                          else generator)
         # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
         self._neg_shift = (order - 1) // 2 if p > 2 else 0
         # lazy tables
@@ -300,19 +372,19 @@ class FieldCtx:
             e >>= 1
         return r
 
-    def _find_generator(self):
-        """The canonical generator g: the smallest index of full order.
-        In characteristic 2 it is found by scalar search on bit masks;
-        in odd characteristic by batched square-and-multiply on digit
-        matrices (_odd_generator), whose matrix of g the exp fill keeps."""
+    def _search_generator(self) -> int:
+        """The canonical generator g: the smallest index of full order,
+        searched for where _CANONICAL_FIELDS has no entry.  In
+        characteristic 2 by scalar search on bit masks; in odd
+        characteristic by batched square-and-multiply on digit
+        matrices (_odd_generator)."""
         n = self.order - 1
         primes = prime_factors(n) if n > 1 else []
         if self.p == 2:
-            self.generator = next(
-                c for c in range(1, self.order)
-                if all(self._pow_raw(c, n // ell) != 1 for ell in primes))
-        else:
-            self.generator, self._g_matrix = self._odd_generator(primes)
+            return next(c for c in range(1, self.order)
+                        if all(self._pow_raw(c, n // ell) != 1
+                               for ell in primes))
+        return self._odd_generator(primes)
 
     @cached_property
     def exp_np(self) -> np.ndarray:
@@ -337,7 +409,7 @@ class FieldCtx:
         if self.p == 2:
             self._powers_char2(exp[:n])
         else:
-            self._powers_odd(exp[:n], self._g_matrix)
+            self._powers_odd(exp[:n])
         exp[n:2 * n] = exp[:n]
         exp.flags.writeable = False
         return exp
@@ -388,8 +460,8 @@ class FieldCtx:
         digits = (elems[:, None] // self._powers % p).astype(self._digit_dtype)
         return np.einsum("bi,jic->bjc", digits, windows) % p
 
-    def _odd_generator(self, primes) -> tuple[int, np.ndarray]:
-        """The smallest index of full order, and its digit matrix.
+    def _odd_generator(self, primes) -> int:
+        """The smallest index of full order.
         Candidates are tried in batches of doubling size: for each prime
         l of n = Q - 1, c^(n / l) comes from square-and-multiply on the
         batch's digit matrices, and c has full order if none is 1."""
@@ -398,8 +470,8 @@ class FieldCtx:
         start, size = 1, 8
         while True:
             cands = np.arange(start, min(start + size, self.order))
-            square = mats = self._mul_matrices(cands)
-            one = np.zeros_like(mats[:, :1])
+            square = self._mul_matrices(cands)
+            one = np.zeros_like(square[:, :1])
             one[..., 0] = 1
             # digit rows of c^e, one per exponent e, bit by bit
             rows = [one] * len(exps)
@@ -411,18 +483,18 @@ class FieldCtx:
             full = np.logical_and.reduce(
                 [(row != one).any(axis=(1, 2)) for row in rows])
             if full.any():
-                i = int(np.argmax(full))
-                return int(cands[i]), mats[i]
+                return int(cands[np.argmax(full)])
             start, size = start + size, 2 * size
 
-    def _powers_odd(self, out: np.ndarray, g_matrix: np.ndarray):
+    def _powers_odd(self, out: np.ndarray):
         """Fill out with g^0, g^1, ... by doubling on digit matrices:
         column i of the k x n digit matrix holds the digits of g^i, and
         each block is the one before times the digit matrix of g^L."""
         n = len(out)
         digits = np.zeros((self.k, n), dtype=self._digit_dtype)
         digits[0, 0] = 1
-        step = g_matrix  # the digit matrix of g^size
+        # the digit matrix of g^size
+        step = self._mul_matrices(np.array([self.generator]))[0]
         size = 1
         while size < n:
             end = min(2 * size, n)

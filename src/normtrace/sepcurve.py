@@ -39,8 +39,11 @@ from .gf import (BudgetExceeded, FieldCtx, build_field, check_order,
 
 
 class SearchFieldTooSmall(ValueError):
-    """The found map set is not closed under composition, so the search
-    field misses roots of unity or kernel elements."""
+    """The found map set is not closed under inversion or composition:
+    a self-check of the search failed.  Over every search field the
+    affine maps that keep A(Y) - B(X) up to a constant are closed under
+    composition, so a correct search never raises it, whatever the
+    field's size."""
 
 
 # ----------------------------------------------------------------------
@@ -397,9 +400,10 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     filters the c0 by H_j over the whole field.  On the rows that pass,
     each q_e is forced from the top, at degree e p^n, and A(q_e X^e) is
     subtracted; R must then vanish at every j >= 1, and q_0 ranges over
-    the A-preimages of R_0.  The found set must form a group
-    (assert_group); if it is not closed, the search field is missing
-    conjugates and SearchFieldTooSmall is raised.  The budget counts
+    the A-preimages of R_0.  The found set is checked to be a group
+    (assert_group), a self-check of the search: the maps over any field
+    that keep A(Y) - B(X) up to a constant compose to another such map,
+    so only a faulty search raises SearchFieldTooSmall.  The budget counts
     the (a, b, c0) triples the filter covers; the filter's marks take one
     byte per (b, c0), never more than that count.  validated=True skips
     validate for a spec the caller has already validated (classify

@@ -102,6 +102,73 @@ def test_modulus_search_and_check_build_no_field(monkeypatch):
     assert not gf.poly_is_irreducible(REDUCIBLE_AT_STEP[3], 2)
 
 
+def table_mismatches():
+    """The (p, k) whose entry (t, g) in the canonical table is not what
+    the searches find: t the encoding of smallest_irreducible's modulus,
+    g the generator search's result on that modulus."""
+    wrong = []
+    for (p, k), entry in gf._canonical_fields().items():
+        modulus = gf.smallest_irreducible(p, k)
+        ctx = build_field(p, k, modulus)
+        if entry != (gf._coeffs_to_index(modulus[:k], p),
+                     ctx._search_generator()):
+            wrong.append((p, k))
+    return wrong
+
+
+def test_canonical_table_is_what_the_searches_find():
+    admitted = {(p, k) for p in range(2, 1025) if gf.is_prime(p)
+                for k in range(2, 21) if p ** k <= gf.MAX_ORDER}
+    assert set(gf._canonical_fields()) == admitted
+    assert len(admitted) == 242
+    assert table_mismatches() == []
+
+
+def _doctor_modulus(p, k, t, g):
+    # the next irreducible modulus: a valid field, but not the canonical one
+    t = next(s for s in range(t + 1, p ** k)
+             if gf.poly_is_irreducible(gf._index_to_coeffs(s, p, k) + [1], p))
+    return t, g
+
+
+def _doctor_generator(p, k, t, g):
+    # g^-1, of full order like g but of another index
+    return t, build_field(p, k).inv(g)
+
+
+@pytest.mark.parametrize("key, doctor", [((3, 9), _doctor_modulus),
+                                         ((2, 16), _doctor_generator)],
+                         ids=["modulus", "generator"])
+def test_doctored_table_entry_fails_the_search_check(monkeypatch, key, doctor):
+    table = gf._canonical_fields()
+    monkeypatch.setitem(table, key, doctor(*key, *table[key]))
+    assert table_mismatches() == [key]
+
+
+def test_canonical_fields_build_without_searching(monkeypatch):
+    calls = []
+    for owner, name in [(gf, "smallest_irreducible"),
+                        (gf, "poly_is_irreducible"),
+                        (gf.FieldCtx, "_search_generator")]:
+        def spy(*args, real=getattr(owner, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, spy)
+    for p, k in gf._canonical_fields():
+        ctx = build_field(p, k)
+        assert field_from_dict(ctx.to_dict()) == ctx  # the table's modulus
+    assert calls == []
+    # a modulus the table does not hold is checked and searched: here
+    # X^4 + X^3 + 1, where the canonical GF(16) has X^4 + X + 1
+    ctx = build_field(2, 4, modulus=[1, 0, 0, 1, 1])
+    assert calls == ["poly_is_irreducible", "_search_generator"]
+    assert ctx.generator == generator_by_search(ctx)
+    # prime fields are not in the table
+    calls.clear()
+    assert build_field(7, 1).generator == 3
+    assert calls == ["smallest_irreducible", "_search_generator"]
+
+
 def test_gf_imports_no_normtrace_module():
     # the field layer stands alone: its modulus search has its own
     # kernel and does not go through poly
