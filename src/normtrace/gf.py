@@ -62,11 +62,10 @@ TABLE_MAX_ORDER = 1 << 12
 # The canonical field of every order p^k <= MAX_ORDER with k >= 2, as
 # "p,k,t,g": t encodes the low coefficients of the modulus (the digits
 # of t, lowest first, then the leading 1; see smallest_irreducible) and
-# g is the generator's index.  Every entry is what the searches return
-# (smallest_irreducible, FieldCtx._search_generator), and
-# tests/test_gf.py recomputes them all.  Parsed on first lookup
-# (_canonical_fields): a string compiles in microseconds, where a dict
-# literal of the same entries takes about a millisecond at import.
+# g is the generator's index, as the searches find them (see the module
+# docstring).  Parsed on first lookup (_canonical_fields): a string
+# compiles in microseconds, where a dict literal of the same entries
+# takes about a millisecond at import.
 _CANONICAL_FIELDS = """
 2,2,3,2 2,3,3,2 2,4,3,2 2,5,5,2 2,6,3,2 2,7,3,2 2,8,27,3 2,9,3,7
 2,10,9,2 2,11,5,2 2,12,9,3 2,13,27,2 2,14,33,7 2,15,3,2 2,16,43,3

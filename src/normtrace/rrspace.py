@@ -122,10 +122,11 @@ def evaluate(curve: NormTraceCurve, coeffs, terms) -> np.ndarray:
     logs = np.arange(n)
     log_xs = ctx.log_np[xs]
     for tj in np.unique(j).tolist():
+        share = j == tj
         f = np.zeros(n, dtype=np.int64)
-        for coeff, ti in zip(ctx.log_np[coeffs[j == tj]].tolist(),
-                             i[j == tj].tolist()):
-            # coeff g^(l ti); a zero coeff's slot reads exp's zero tail
-            f = ctx.vadd(f, ctx.exp_np[logs * ti % n + coeff])
+        for log_c, ti in zip(ctx.log_np[coeffs[share]].tolist(),
+                             i[share].tolist()):
+            # c g^(l ti); a zero c's slot reads exp's zero tail
+            f = ctx.vadd(f, ctx.exp_np[logs * ti % n + log_c])
         word[1:] = ctx.vadd(word[1:], ctx.vmul(f[log_xs], ctx.vpow(ys, tj)))
     return word
