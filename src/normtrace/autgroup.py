@@ -330,33 +330,38 @@ def _transfer_blocks(code: AGCode, g: CodeAut, inverse):
     the inverse of g's curve automorphism.
 
     With (alpha, beta) that pair raised to p^frob and s the scalar, g
-    turns x^i y^j into s (beta x)^i (beta^c y + alpha)^j, so row (i, j)
-    of T M is the sum over d <= j of s C(j, d) beta^{i + c (j - d)}
-    alpha^d times row (i, j - d) of M: one pass of AGCode.lowering per
-    d, each a uint16 log scale added to the block of the code's log
-    matrix, where no entry needs a mask (a zero's slot plus a scale
-    reads exp_np's zero tail).  The blocks are gathered in the element
-    dtype, a quarter of int64's bytes or less."""
+    turns x^i y^j into s (beta x)^i (beta^c y + alpha)^j, so
+    T = s diag(beta^i) L diag(beta^{c m}) for the Pascal matrix
+    L[j, m] = C(j, m) alpha^{j - m} in y, within each i.  A block is
+    first the code's log matrix scaled by s beta^{i + c j} in one gather
+    (a uint16 log scale, with no mask: a zero's slot plus a scale reads
+    exp_np's zero tail), then multiplied by L.  By Lucas' theorem L is
+    the Kronecker product over the base-p digits t of j of the Pascal
+    matrices of alpha^{p^t}, each the product of p - 1 unit bidiagonal
+    steps (the Taylor shift of von zur Gathen and Gerhard): the steps
+    of AGCode.lowering, in order, where step (w, rows, src) adds
+    alpha^w times rows src, as they were before the step, to rows rows.
+    A step's product is the log-domain product exp[log e + w log alpha],
+    tabulated once over the Q elements e, so that a block pays one
+    gather for it.  A pure scaling (alpha = 0) takes no step.  The
+    blocks are gathered in the element dtype, a quarter of int64's
+    bytes or less."""
     curve = code.curve
     ctx, c = curve.ctx, curve.c
     n1 = ctx.order - 1
     alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inverse)
     log, exp = ctx.log_np, ctx.exp_np.astype(ctx.dtype)
-    weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
-    terms = [(rows, src, ((weights[src] + log[binom] + d * log[alpha])
-                          % n1).astype(np.uint16)[:, None])
-             for d, rows, src, binom in code.lowering() if alpha or not d]
+    i, j = code.basis
+    scale = ((i + c * j) * log[beta] + log[g.scalar]) % n1
+    scale = scale.astype(np.uint16)[:, None]
+    steps = [(rows, src, exp.take(log + w * log[alpha] % n1))
+             for w, rows, src in code.lowering()] if alpha else []
     logs = code.log_matrix
     width = max(1, BLOCK_ENTRIES // code.k)
     for lo in range(0, code.n, width):
-        block = logs[:, lo:lo + width]
-        out = None
-        for rows, src, scale in terms:
-            term = exp.take(block.take(src, axis=0) + scale)
-            if out is None:
-                out = term
-            else:
-                out[rows] = ctx.vadd(out[rows], term)
+        out = exp.take(logs[:, lo:lo + width] + scale)
+        for rows, src, times in steps:
+            out[rows] = ctx.vadd(out[rows], times.take(out[src]))
         yield slice(lo, lo + width), out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, poly
+from . import linalg
 from .curve import NormTraceCurve
 from .gf import BudgetExceeded
 from .rrspace import at_infinity, basis_multipoint, basis_one_point, evaluate
@@ -108,14 +108,15 @@ class AGCode:
         return self._rref
 
     def lowering(self):
-        """The basis lowered in y, computed on first use: for each d, a
-        pass (d, rows, src, binom) naming the rows x^i y^j with C(j, d)
-        nonzero mod p, the rows src of x^i y^{j-d}, and C(j, d) mod p.
-        Pass d = 0 covers every row in order.  None if some such
-        x^i y^{j-d} is not in the basis."""
+        """The basis lowered in y by base-p digits, computed on first
+        use: for each digit weight w = p^t <= max j and each
+        s = 1, ..., p - 1 in turn, a step (w, rows, src) naming the rows
+        x^i y^j whose digit t of j is at least s and the rows src of
+        x^i y^{j-w}.  None if some such x^i y^{j-w} is not in the basis
+        (see autgroup._transfer_blocks)."""
         if self._lowering is None:
-            self._lowering = _lowering(self.curve.p, self.basis) or ()
-        return self._lowering or None
+            self._lowering = (_lowering(self.curve.p, self.basis),)
+        return self._lowering[0]
 
     def contains(self, word: np.ndarray) -> bool:
         """True iff word, one vector or a stack of rows, is in the code."""
@@ -137,24 +138,27 @@ class AGCode:
 
 
 def _lowering(p: int, basis) -> tuple | None:
-    """AGCode.lowering's passes, from Pascal's triangle mod p."""
+    """AGCode.lowering's steps; each source row is found by its key
+    i * top + j (top = max j + 1) among the sorted keys of the basis."""
     i, j = basis
-    index = {key: row for row, key in enumerate(zip(i.tolist(), j.tolist()))}
     top = int(j.max(initial=0)) + 1
-    binom = np.zeros((top, top), dtype=np.int64)
-    binom[:, 0] = 1
-    for jj in range(1, top):
-        binom[jj, 1:] = (binom[jj - 1, 1:] + binom[jj - 1, :-1]) % p
-    passes = []
-    for d in range(top):
-        rows = np.flatnonzero(binom[j, d])
-        src = [index.get(key) for key in zip(i[rows].tolist(),
-                                             (j[rows] - d).tolist())]
-        if None in src:
-            return None
-        passes.append((d, rows, np.array(src, dtype=np.int64),
-                       binom[j[rows], d]))
-    return tuple(passes)
+    keys = i * top + j
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    steps, w = [], 1
+    while w < top:
+        digit = j // w % p
+        for s in range(1, p):
+            rows = np.flatnonzero(digit >= s)
+            if not len(rows):
+                break
+            want = keys[rows] - w
+            at = np.searchsorted(ranked, want).clip(max=len(ranked) - 1)
+            if (ranked[at] != want).any():
+                return None
+            steps.append((w, rows, order[at]))
+        w *= p
+    return tuple(steps)
 
 
 def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
@@ -348,10 +352,14 @@ def witness_function(curve: NormTraceCurve, ell: int,
     if not all(0 < ci < ctx.order for ci in c_list) or len(set(c_list)) != ell:
         raise ValueError(f"witness elements must be distinct nonzero "
                          f"elements of GF({ctx.order})")
-    f = [1]
-    for ci in c_list:
-        f = poly.mul(ctx, f, [1, ctx.neg(ci)])
-    return np.array(f, dtype=np.int64)
+    # times (1 - c t): coefficient m gains -c times coefficient m - 1,
+    # one array step per factor, by digit addition (no table is built)
+    f = np.zeros(ell + 1, dtype=np.int64)
+    f[0] = 1
+    for n, ci in enumerate(c_list, 1):
+        f[1:n + 1] = ctx.vadd_scalar(f[1:n + 1],
+                                     ctx.vscale(ctx.neg(ci), f[:n]))
+    return f
 
 
 def witness_codeword(code: AGCode, c_list=None) -> np.ndarray:

@@ -37,8 +37,10 @@ invariance is decided for every map of a family by row-space
 membership, where the library checks generators by transfer matrices,
 and a curve automorphism's inverse is found by scanning, where the
 library solves for it.  The transfer-matrix check itself is formed
-here on the whole int64 matrix and its whole image, where the library
-streams it a column block of the code's log matrix at a time.  The group's orbits are walked one image place
+here on the whole int64 matrix and its whole image, by one scaled pass
+per binomial term from Pascal's triangle mod p, where the library
+streams it a column block of the code's log matrix at a time in base-p
+digit steps.  The group's orbits are walked one image place
 at a time, where the library moves each place by every element at once
 on the (a, b) arrays.  The
 roots of B are found element by element and their multiplicities by
@@ -295,13 +297,40 @@ def is_code_automorphism_by_membership(code, g):
     return code.contains(code_action(code, g, code.matrix))
 
 
+def pascal_passes(p, basis):
+    """For each d, the pass (d, rows, src, binom) naming the rows
+    x^i y^j of basis with C(j, d) nonzero mod p, the rows src of
+    x^i y^{j-d} and C(j, d) mod p, from Pascal's triangle mod p; pass
+    d = 0 covers every row in order.  None if some such x^i y^{j-d} is
+    not in the basis."""
+    i, j = basis
+    index = {key: row for row, key in enumerate(zip(i.tolist(), j.tolist()))}
+    top = int(j.max(initial=0)) + 1
+    binom = np.zeros((top, top), dtype=np.int64)
+    binom[:, 0] = 1
+    for jj in range(1, top):
+        binom[jj, 1:] = (binom[jj - 1, 1:] + binom[jj - 1, :-1]) % p
+    passes = []
+    for d in range(top):
+        rows = np.flatnonzero(binom[j, d])
+        src = [index.get(key) for key in zip(i[rows].tolist(),
+                                             (j[rows] - d).tolist())]
+        if None in src:
+            return None
+        passes.append((d, rows, np.array(src, dtype=np.int64),
+                       binom[j[rows], d]))
+    return passes
+
+
 def transfer_image_whole(code, g):
     """T M on the whole int64 matrix, for the transfer matrix T that
     sends the row of x^i y^j to its image under g read in the basis, or
-    None if the code has no lowering table: one scaled pass of
-    AGCode.lowering per d, as autgroup._transfer_blocks forms each
-    column block."""
-    passes = code.lowering()
+    None if some lowered monomial is missing from the basis: row (i, j)
+    is the sum over d of s C(j, d) beta^{i + c (j - d)} alpha^d times
+    row (i, j - d), one scaled pass of pascal_passes per d, where
+    autgroup._transfer_blocks takes digit steps.  Only the basis and
+    the matrix are read from the code."""
+    passes = pascal_passes(code.curve.p, code.basis)
     if passes is None:
         return None
     curve = code.curve

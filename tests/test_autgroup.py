@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from oracles import (apply_place, certified_whole, closure_by_compositions,
                      inverse_by_search, inverse_pair,
                      is_code_automorphism_by_membership,
                      is_code_automorphism_whole, orbits_by_places,
-                     with_matrix)
+                     transfer_image_whole, with_matrix)
 
 
 def test_group_order(curve23, curve33):
@@ -615,8 +616,115 @@ def test_lowering_missing_a_term_leaves_membership(curve23):
     assert part.lowering() is None
     g = CodeAut(enumerate_group(curve23)[5])
     assert _streamed(part, g) is None
+    assert transfer_image_whole(part, g) is None
     assert is_code_automorphism(part, g) == \
         is_code_automorphism_by_membership(part, g)
+
+
+def _steps_agree(cases, oracle, monkeypatch):
+    """For each block size of _block_sizes, the list of whether T M by
+    digit steps, joined from the column blocks, equals the oracle's T M
+    by Pascal's triangle on each (code, g) of cases."""
+    sizes = _block_sizes(cases[0][0])
+    out = []
+    for block in sizes:
+        monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", block)
+        out.append([np.array_equal(_streamed(c, g), want)
+                    for (c, g), want in zip(cases, oracle)])
+    monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", sizes[-1])
+    return out
+
+
+def _translating(cases):
+    """True iff some map of cases has a nonzero translation part, so
+    that its digit steps run."""
+    return any(g.aut.a for _, g in cases)
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 2)])
+def test_digit_steps_equal_the_pascal_oracle_on_every_map(q, r,
+                                                          monkeypatch):
+    # every curve automorphism under every Frobenius power, the scalars
+    # taken in turn, on every code
+    curve = build_curve(q, r)
+    ctx = curve.ctx
+    pairs = itertools.product(enumerate_group(curve), range(ctx.k))
+    maps = [CodeAut(s, frob=f, scalar=1 + n % (ctx.order - 1))
+            for n, (s, f) in enumerate(pairs)]
+    cases = [(build_code(curve, ell), g) for ell in range(1, ctx.order)
+             for g in maps]
+    oracle = [transfer_image_whole(c, g) for c, g in cases]
+    assert all(want is not None for want in oracle) and _translating(cases)
+    assert all(all(agree) for agree in _steps_agree(cases, oracle,
+                                                    monkeypatch))
+
+
+@pytest.mark.parametrize("q, r, weights", [(3, 3, [1, 1, 3, 3]),
+                                           (2, 4, [1, 2, 4]),
+                                           (4, 2, [1, 2]),
+                                           (5, 2, [1, 1, 1, 1]),
+                                           (9, 2, [1, 1, 3, 3])])
+def test_digit_steps_equal_the_pascal_oracle_on_sampled_maps(
+        q, r, weights, monkeypatch):
+    # random Frobenius and scalar; (5,2) takes p - 1 = 4 steps on its
+    # one digit, (9,2) two steps on each of two base-3 digits
+    curve = build_curve(q, r)
+    ctx = curve.ctx
+    group = enumerate_group(curve)
+    rng = random.Random(q * 10 + r)
+    top = ctx.order - 1
+    cases = [(code, CodeAut(rng.choice(group), frob=rng.randrange(ctx.k),
+                            scalar=rng.randrange(1, ctx.order)))
+             for code in [build_code(curve, ell) for ell in (1, top // 2, top)]
+             for _ in range(4)]
+    assert [w for w, _, _ in cases[-1][0].lowering()] == weights
+    oracle = [transfer_image_whole(c, g) for c, g in cases]
+    assert all(want is not None for want in oracle) and _translating(cases)
+    assert all(all(agree) for agree in _steps_agree(cases, oracle,
+                                                    monkeypatch))
+
+
+def _dropped(steps):
+    """The step lists with one step left out, one for each step."""
+    return [steps[:n] + steps[n + 1:] for n in range(len(steps))]
+
+
+def _base_alpha(steps):
+    """The step list with alpha in place of alpha^w: each weight 1."""
+    return [tuple((1, rows, src) for _, rows, src in steps)]
+
+
+def _in_place(steps, j):
+    """The step list with each step split into one step per row, in
+    ascending j: a row then reads a source row this step already wrote."""
+    return [tuple((w, rows[[n]], src[[n]]) for w, rows, src in steps
+                  for n in np.argsort(j[rows], kind="stable"))]
+
+
+@pytest.mark.parametrize("doctor", [_dropped, _base_alpha, _in_place])
+def test_doctored_digit_steps_fail_the_pascal_oracle(doctor, monkeypatch):
+    # on (9,2), p = 3 with two base-3 digits: every doctored step list
+    # disagrees with the oracle on some sampled translation
+    curve = build_curve(9, 2)
+    ctx = curve.ctx
+    rng = random.Random(92)
+    moves = [s for s in enumerate_group(curve) if s.a]
+    code = build_code(curve, 8)
+    cases = [(code, CodeAut(rng.choice(moves), frob=rng.randrange(ctx.k),
+                            scalar=rng.randrange(1, ctx.order)))
+             for _ in range(3)]
+    oracle = [transfer_image_whole(c, g) for c, g in cases]
+    steps = code.lowering()
+    assert [w for w, _, _ in steps] == [1, 1, 3, 3]
+    assert all(all(agree) for agree in _steps_agree(cases, oracle,
+                                                    monkeypatch))
+    doctored = (doctor(steps, code.basis[1]) if doctor is _in_place
+                else doctor(steps))
+    for wrong in doctored:
+        monkeypatch.setattr(AGCode, "lowering", lambda self, wrong=wrong:
+                            wrong)
+        assert not any(all(agree) for agree in _steps_agree(
+            cases, oracle, monkeypatch))
 
 
 @pytest.mark.parametrize("q, r, count", [(2, 3, 3), (3, 3, 3), (2, 4, 4),
