@@ -114,7 +114,7 @@ class AGCode:
         x^i y^j whose digit t of j is at least s and the rows src of
         x^i y^{j-w}.  None if some such x^i y^{j-w} is not in the basis
         (see autgroup._transfer_blocks)."""
-        if self._lowering is None:
+        if self._lowering is None:  # a 1-tuple, so that None is kept too
             self._lowering = (_lowering(self.curve.p, self.basis),)
         return self._lowering[0]
 

@@ -684,12 +684,12 @@ def test_digit_steps_equal_the_pascal_oracle_on_sampled_maps(
                                                     monkeypatch))
 
 
-def _dropped(steps):
+def _dropped(steps, j):
     """The step lists with one step left out, one for each step."""
     return [steps[:n] + steps[n + 1:] for n in range(len(steps))]
 
 
-def _base_alpha(steps):
+def _base_alpha(steps, j):
     """The step list with alpha in place of alpha^w: each weight 1."""
     return [tuple((1, rows, src) for _, rows, src in steps)]
 
@@ -718,9 +718,7 @@ def test_doctored_digit_steps_fail_the_pascal_oracle(doctor, monkeypatch):
     assert [w for w, _, _ in steps] == [1, 1, 3, 3]
     assert all(all(agree) for agree in _steps_agree(cases, oracle,
                                                     monkeypatch))
-    doctored = (doctor(steps, code.basis[1]) if doctor is _in_place
-                else doctor(steps))
-    for wrong in doctored:
+    for wrong in doctor(steps, code.basis[1]):
         monkeypatch.setattr(AGCode, "lowering", lambda self, wrong=wrong:
                             wrong)
         assert not any(all(agree) for agree in _steps_agree(
