@@ -625,13 +625,11 @@ def _steps_agree(cases, oracle, monkeypatch):
     """For each block size of _block_sizes, the list of whether T M by
     digit steps, joined from the column blocks, equals the oracle's T M
     by Pascal's triangle on each (code, g) of cases."""
-    sizes = _block_sizes(cases[0][0])
     out = []
-    for block in sizes:
+    for block in _block_sizes(cases[0][0]):
         monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", block)
         out.append([np.array_equal(_streamed(c, g), want)
                     for (c, g), want in zip(cases, oracle)])
-    monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", sizes[-1])
     return out
 
 
