@@ -36,11 +36,12 @@ function of (p, k) alone, so for every k >= 2 they are read from one
 table, _CANONICAL_FIELDS (242 entries), parsed on first lookup; a
 supplied modulus equal to the table's reads its generator too.  The
 searches define the table and stay the only path for prime fields and
-for any other modulus: the modulus search tries the encodings in order
+for any other modulus.  Each has one kernel in every characteristic.
+The modulus search tries the encodings in order
 (``smallest_irreducible``) with Ben-Or's test (``poly_is_irreducible``,
-which also checks a supplied modulus) on plain integers: bit masks in
-characteristic 2, lists of residues mod p otherwise.  The generator
-search (``FieldCtx._search_generator``) tries the indices in order.
+which also checks a supplied modulus) on lists of residues mod p.  The
+generator search (``FieldCtx._search_generator``) tries the indices in
+order, a batch at a time, by square-and-multiply on digit matrices.
 tests/test_gf.py recomputes every table entry with both searches.
 
 Fields of order above 2^20 are rejected (the tables would not be
@@ -152,38 +153,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _mul_bits(a: int, b: int, m: int, k: int) -> int:
-    """a b modulo m over GF(2), all as bit masks (bit i is the
-    coefficient of X^i), for a monic m of degree k and deg a < k: shift
-    and add, reducing X^k by m."""
-    r = 0
-    top = 1 << k
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        if a & top:
-            a ^= m
-        b >>= 1
-    return r
-
-
-def _irreducible_bits(f: int, k: int) -> bool:
-    """Ben-Or's test over GF(2) on the bit mask f of degree k: X^(2^i)
-    mod f is one squaring of the last, and the gcd is shifts and XOR."""
-    xp = 2  # X
-    for _ in range(k // 2):
-        xp = _mul_bits(xp, xp, f, k)
-        a, b = f, xp ^ 2  # gcd(f, X^(2^i) - X)
-        while b:
-            while a.bit_length() >= b.bit_length():
-                a ^= b << (a.bit_length() - b.bit_length())
-            a, b = b, a
-        if a != 1:
-            return False
-    return True
-
-
 def _mulmod_residues(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     """a b modulo the monic f of degree k over GF(p), on lists of k
     residues: the product, then X^d for d >= k cleared from the top."""
@@ -202,8 +171,8 @@ def _mulmod_residues(a: list[int], b: list[int], f: list[int], p: int) -> list[i
 
 
 def _irreducible_residues(f: list[int], p: int) -> bool:
-    """Ben-Or's test over GF(p), p odd, on the residue list f of degree
-    k: X^(p^i) mod f by square-and-multiply, and a monic Euclid.  When
+    """Ben-Or's test over GF(p) on the residue list f of degree k:
+    X^(p^i) mod f by square-and-multiply, and a monic Euclid.  When
     p <= k, looking for a root in GF(p) costs less than the gcd of step
     i = 1, which finds the same factors, so it replaces that gcd."""
     k = len(f) - 1
@@ -246,10 +215,7 @@ def poly_is_irreducible(f, p: int) -> bool:
     """A monic f (little-endian coefficients) of degree k >= 1 is
     irreducible over GF(p) iff it has no factor of degree <= k/2, that
     is iff gcd(X^(p^i) - X, f) = 1 for i <= k/2 (Ben-Or)."""
-    f = [c % p for c in f]
-    if p == 2:
-        return _irreducible_bits(_coeffs_to_index(f, 2), len(f) - 1)
-    return _irreducible_residues(f, p)
+    return _irreducible_residues([c % p for c in f], p)
 
 
 def _index_to_coeffs(idx: int, p: int, k: int) -> list[int]:
@@ -271,11 +237,8 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible polynomial of degree k over GF(p) with the
     smallest integer encoding (coefficients read as a base-p integer),
     found by trying the encodings t = 0, 1, ... in order."""
-    if p == 2:
-        t = next(t for t in range(1 << k) if _irreducible_bits(t | 1 << k, k))
-    else:
-        t = next(t for t in range(p ** k)
-                 if _irreducible_residues(_index_to_coeffs(t, p, k) + [1], p))
+    t = next(t for t in range(p ** k)
+             if _irreducible_residues(_index_to_coeffs(t, p, k) + [1], p))
     return tuple(_index_to_coeffs(t, p, k)) + (1,)
 
 
@@ -344,8 +307,6 @@ class FieldCtx:
         self.k = k
         self.order = order
         self.modulus = modulus
-        # the modulus as a bit mask, for the characteristic-2 _mul_bits
-        self._modulus_bits = _coeffs_to_index(modulus, 2) if p == 2 else None
         self._powers = p ** np.arange(k, dtype=np.int64)
         # holds a sum of k products of digits: see _mul_matrices
         self._digit_dtype = np.min_scalar_type(k * (p - 1) ** 2)
@@ -361,29 +322,35 @@ class FieldCtx:
 
     # -- construction ---------------------------------------------------
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        m, k = self._modulus_bits, self.k
-        r = 1
-        while e:
-            if e & 1:
-                r = _mul_bits(r, a, m, k)
-            a = _mul_bits(a, a, m, k)
-            e >>= 1
-        return r
-
     def _search_generator(self) -> int:
         """The canonical generator g: the smallest index of full order,
-        searched for where _CANONICAL_FIELDS has no entry.  In
-        characteristic 2 by scalar search on bit masks; in odd
-        characteristic by batched square-and-multiply on digit
-        matrices (_odd_generator)."""
-        n = self.order - 1
-        primes = prime_factors(n) if n > 1 else []
-        if self.p == 2:
-            return next(c for c in range(1, self.order)
-                        if all(self._pow_raw(c, n // ell) != 1
-                               for ell in primes))
-        return self._odd_generator(primes)
+        searched for where _CANONICAL_FIELDS has no entry.  Candidates
+        are tried in batches of doubling size: for each prime l of
+        n = Q - 1, c^(n / l) comes from square-and-multiply on the
+        batch's digit matrices (_mul_matrices), and c has full order if
+        none is 1.  GF(2) has n = 1 and generator 1."""
+        p, n = self.p, self.order - 1
+        if n == 1:
+            return 1
+        exps = [n // ell for ell in prime_factors(n)]
+        start, size = 1, 8
+        while True:
+            cands = np.arange(start, min(start + size, self.order))
+            square = self._mul_matrices(cands)
+            one = np.zeros_like(square[:, :1])
+            one[..., 0] = 1
+            # digit rows of c^e, one per exponent e, bit by bit
+            rows = [one] * len(exps)
+            for bit in range(max(exps).bit_length()):
+                if bit:
+                    square = square @ square % p
+                rows = [row @ square % p if e >> bit & 1 else row
+                        for row, e in zip(rows, exps)]
+            full = np.logical_and.reduce(
+                [(row != one).any(axis=(1, 2)) for row in rows])
+            if full.any():
+                return int(cands[np.argmax(full)])
+            start, size = start + size, 2 * size
 
     @cached_property
     def exp_np(self) -> np.ndarray:
@@ -427,9 +394,15 @@ class FieldCtx:
     def _powers_char2(self, out: np.ndarray):
         """Fill out with g^0, g^1, ... by doubling on byte tables."""
         n = len(out)
-        tables = _byte_tables([_mul_bits(1 << j, self.generator,
-                                         self._modulus_bits, self.k)
-                               for j in range(self.k)])
+        # the bit masks of g X^j: shift, then reduce X^k by the modulus
+        modulus = _coeffs_to_index(self.modulus, 2)
+        images, image = [], self.generator
+        for _ in range(self.k):
+            images.append(image)
+            image <<= 1
+            if image >> self.k:
+                image ^= modulus
+        tables = _byte_tables(images)
         out[0] = 1
         size = 1
         while size < n:
@@ -440,9 +413,9 @@ class FieldCtx:
             size = end
 
     def _mul_matrices(self, elems: np.ndarray) -> np.ndarray:
-        """Digit matrices of x -> c x for the odd-characteristic elements
-        c: row j of the matrix of c is the base-p digits of c X^j, so a
-        row of digits times it is the digits of the product, mod p.
+        """Digit matrices of x -> c x for the elements c: row j of the
+        matrix of c is the base-p digits of c X^j, so a row of digits
+        times it is the digits of the product, mod p.
         Entries have _digit_dtype, which holds k (p - 1)^2, so a product
         of two of these matrices sums exactly."""
         p, k = self.p, self.k
@@ -458,32 +431,6 @@ class FieldCtx:
                            dtype=self._digit_dtype)
         digits = (elems[:, None] // self._powers % p).astype(self._digit_dtype)
         return np.einsum("bi,jic->bjc", digits, windows) % p
-
-    def _odd_generator(self, primes) -> int:
-        """The smallest index of full order.
-        Candidates are tried in batches of doubling size: for each prime
-        l of n = Q - 1, c^(n / l) comes from square-and-multiply on the
-        batch's digit matrices, and c has full order if none is 1."""
-        p, n = self.p, self.order - 1
-        exps = [n // ell for ell in primes]
-        start, size = 1, 8
-        while True:
-            cands = np.arange(start, min(start + size, self.order))
-            square = self._mul_matrices(cands)
-            one = np.zeros_like(square[:, :1])
-            one[..., 0] = 1
-            # digit rows of c^e, one per exponent e, bit by bit
-            rows = [one] * len(exps)
-            for bit in range(max(exps).bit_length()):
-                if bit:
-                    square = square @ square % p
-                rows = [row @ square % p if e >> bit & 1 else row
-                        for row, e in zip(rows, exps)]
-            full = np.logical_and.reduce(
-                [(row != one).any(axis=(1, 2)) for row in rows])
-            if full.any():
-                return int(cands[np.argmax(full)])
-            start, size = start + size, 2 * size
 
     def _powers_odd(self, out: np.ndarray):
         """Fill out with g^0, g^1, ... by doubling on digit matrices:

@@ -1,14 +1,15 @@
-"""Dense polynomials over a FieldCtx, for sepcurve and the witness
-function of codes: little-endian lists of element indices with a
-nonzero last entry ([] is zero), and their values at a whole array of
-points (evaluate_array).  Only the context's methods are used, so this
-module never imports gf, whose modulus search has its own kernel on
-plain integers.
+"""Dense polynomials over a FieldCtx, for sepcurve: little-endian
+lists of element indices with a nonzero last entry ([] is zero), and
+their values at a whole array of points (evaluate_array).  Only the
+context's methods and tables are used, so this module never imports
+gf, whose modulus search has its own kernel on plain integers.
 """
 
 from __future__ import annotations
 
 from math import comb
+
+import numpy as np
 
 
 def trim(c):
@@ -61,6 +62,31 @@ def power(ctx, f, e):
     return out
 
 
+def shifted_power(ctx, c, s, m):
+    """The coefficients of c (X + s)^m for a nonzero c, by the binomial
+    theorem on arrays: the X^i coefficient is c C(m, i) s^(m - i).  By
+    Lucas' theorem C(m, i) mod p is the product over the base-p digits t
+    of C(m_t, i_t), zero where some i_t > m_t; each digit's row
+    C(m_t, 0..m_t) is a running sum of the logs of (m_t - e) / (e + 1),
+    and s^(m - i) is one log product.  Linear in m, where power is
+    quadratic."""
+    if s == 0:
+        return [0] * m + [c]
+    n, log = ctx.order - 1, ctx.log_np
+    i = np.arange(m + 1)
+    logs = log[c] + log[s] * (m - i)
+    zero = np.zeros(m + 1, dtype=bool)
+    digits, rest = i, m
+    while rest:
+        rest, top = divmod(rest, ctx.p)
+        digits, d = np.divmod(digits, ctx.p)
+        e = np.arange(top)
+        row = np.cumsum(np.concatenate([[0], log[top - e] - log[e + 1]]))
+        zero |= d > top
+        logs += row[np.minimum(d, top)]
+    return ctx.exp_np[np.where(zero, 2 * n, logs % n)].tolist()
+
+
 def evaluate_array(ctx, f, xs):
     """f at every index of the array xs, by Horner on arrays: ctx.vmul
     for the products and ctx.vadd_scalar for each nonzero coefficient,
@@ -76,8 +102,11 @@ def evaluate_array(ctx, f, xs):
 def hasse_derivative(ctx, f, j):
     """The j-th Hasse derivative sum_{i >= j} C(i, j) f_i X^{i - j}, with
     the integer C(i, j) read as a prime-field element: the coefficient of
-    X^j in f(b X + t) is b^j times its value at t."""
-    return trim([ctx.mul(comb(i, j) % ctx.p, f[i]) for i in range(j, len(f))])
+    X^j in f(b X + t) is b^j times its value at t.  One array product,
+    so no scalar method of the field runs."""
+    binoms = [comb(i, j) % ctx.p for i in range(j, len(f))]
+    return trim(ctx.vmul(np.array(binoms, dtype=np.int64),
+                         np.array(f[j:], dtype=np.int64)).tolist())
 
 
 def div_rem(ctx, f, g):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from itertools import count
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -284,13 +284,13 @@ class ClassificationResult:
 
 def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
     """If B(X) = b_m (X + s)^m for s = b_{m-1} / (m b_m), return the
-    index of s; otherwise None.  Checked by binomial expansion."""
+    index of s; otherwise None.  Checked by binomial expansion
+    (poly.shifted_power), linear in m."""
     ctx = spec.ctx
     m = spec.m
     bm = spec.b_coeffs[-1]
     s = ctx.div(spec.b_coeffs[-2], ctx.mul(m % ctx.p, bm))
-    expanded = poly.scale(ctx, bm, poly.power(ctx, [s, 1], m))
-    expanded += [0] * (m + 1 - len(expanded))
+    expanded = poly.shifted_power(ctx, bm, s, m)
     return s if tuple(expanded) == spec.b_coeffs else None
 
 
@@ -422,11 +422,6 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     if budget is not None and cost > budget:
         raise BudgetExceeded(f"search loop size {cost} exceeds budget {budget}")
     b_poly = np.array(spec_f.b_coeffs)
-
-    def hasse_at(j, x):  # the j-th Hasse derivative of B at every x
-        binoms = np.array([comb(i, j) % p for i in range(j, m + 1)])
-        return poly.evaluate_array(ctx, ctx.vmul(binoms, b_poly[j:]), x)
-
     # A(Q(X)) = sum a_t Q^{p^t} only reaches the degrees e p^t
     reachable = {e * p ** t for t in spec_f.a_coeffs
                  for e in range(max_qdeg + 1)}
@@ -439,14 +434,18 @@ def brute_force_stabilizer_search(spec: SeparatedCurveSpec,
     keep = np.ones((len(bs), ctx.order), dtype=bool)  # (b, c0)
     for j in range(m - 1, 0, -1):
         if j not in reachable:  # H_j(c0) = a b_j / b^j = b^(m - j) b_j
-            keep &= (hasse_at(j, elements)
+            h_j = poly.hasse_derivative(ctx, spec_f.b_coeffs, j)
+            keep &= (poly.evaluate_array(ctx, h_j, elements)
                      == ctx.vmul(b_poly[j], ctx.vpow(bs, m - j))[:, None])
     bi, c0 = np.nonzero(keep)
     b = bs[bi]
     a = ctx.vpow(b, m)
-    R = {j: ctx.vadd_scalar(ctx.vmul(ctx.vpow(b, j), hasse_at(j, c0)),
-                            ctx.vneg(ctx.vmul(a, b_poly[j])))
-         for j in reachable}
+    R = {}
+    for j in reachable:
+        h_j = poly.hasse_derivative(ctx, spec_f.b_coeffs, j)
+        R[j] = ctx.vadd_scalar(
+            ctx.vmul(ctx.vpow(b, j), poly.evaluate_array(ctx, h_j, c0)),
+            ctx.vneg(ctx.vmul(a, b_poly[j])))
     q = np.zeros((len(b), max_qdeg + 1), dtype=np.int64)
     an_inv = ctx.vpow(np.array([spec_f.a_coeffs[n]]), -1)
     for e in range(max_qdeg, 0, -1):
@@ -765,7 +764,7 @@ def _verify_standardization(spec, gamma, delta, shift):
     a0, an = spec.a_coeffs[0], spec.a_coeffs[n]
     bm = spec.b_coeffs[-1]
     k = E.div(E.pow(gamma, m), bm)
-    lhs_x = poly.scale(E, E.pow(gamma, m), poly.power(E, [shift, 1], m))
+    lhs_x = poly.shifted_power(E, E.pow(gamma, m), shift, m)
     rhs_x = poly.scale(E, k, list(spec.b_coeffs))
     if lhs_x != rhs_x:
         raise AssertionError("x-side of the standardization failed")

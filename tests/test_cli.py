@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -623,14 +624,30 @@ def test_classify_refuses_a_b_without_splitting_field_at_once(capsys, tmp_path):
     assert err == "error: field order 2^21 exceeds limit 1048576\n"
 
 
-def test_classify_refuses_a_b_of_large_degree_at_once(capsys, tmp_path):
-    # B = X^3003 + X^3002 + X over GF(2): the root analysis's polynomial
-    # steps, quadratic in deg B, took 57 s before the field limit refused;
-    # the degree is refused before the first of them
+def _large_b_spec(p):
+    """B of degree 3003: X^3003 + X^3002 + X under CASE_II_SPEC over
+    GF(2), where the root analysis's polynomial steps, quadratic in
+    deg B, took 57 s before the field limit refused; a random monic B
+    under Y^p + Y over GF(10007), where the monomial test's expansion by
+    poly.power took about 5 s of CPU before b_roots refused."""
     b = [0] * 3004
-    b[1] = b[3002] = b[3003] = 1
+    if p == 2:
+        b[1] = b[3002] = b[3003] = 1
+        return {**CASE_II_SPEC, "B": b}
+    rng = random.Random(3003)
+    b = [rng.randrange(p) for _ in range(3003)] + [1]
+    return {"p": p, "field": {"p": p, "k": 1},
+            "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1}],
+            "B": b}
+
+
+@pytest.mark.parametrize("p", [2, 10007], ids=["gf2", "gf10007"])
+def test_classify_refuses_a_b_of_large_degree_at_once(capsys, tmp_path, p):
+    # the degree is refused before the first polynomial step, and the
+    # monomial test before it is linear in deg B
+    spec = _large_b_spec(p)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({**CASE_II_SPEC, "B": b}))
+    path.write_text(json.dumps(spec))
     start = time.process_time()
     rc, out, err = run(capsys, "classify", "--spec", str(path))
     assert time.process_time() - start < 0.1

@@ -137,6 +137,40 @@ def test_evaluate_array_at_a_few_points_of_a_large_field(p, k):
     assert peak < 2 << 20
 
 
+def _power_oracle(ctx, c, s, m):
+    """c (X + s)^m by square-and-multiply on lists."""
+    return poly.scale(ctx, c, poly.power(ctx, [s, 1], m))
+
+
+@SETTINGS
+@given(st.data())
+def test_shifted_power_equals_square_and_multiply(data):
+    # Lucas' theorem on arrays against poly.power: m ranges past p, over
+    # powers of p and their neighbours, and s may be 0
+    ctx = field(*data.draw(st.sampled_from(FIELDS)))
+    p = ctx.p
+    powers = [p ** e for e in range(1, 9) if p ** e <= 300]
+    m = data.draw(st.one_of(st.integers(1, min(3 * p + 3, 300)),
+                            st.sampled_from(powers),
+                            st.sampled_from(powers).map(lambda q: q + 1)))
+    s = data.draw(st.one_of(st.just(0), st.integers(0, ctx.order - 1)))
+    c = data.draw(st.integers(1, ctx.order - 1))
+    assert poly.shifted_power(ctx, c, s, m) == _power_oracle(ctx, c, s, m)
+
+
+@pytest.mark.parametrize("p, k, m", [(2, 1, 256), (2, 4, 255), (3, 2, 81),
+                                     (3, 1, 242), (5, 2, 126), (7, 1, 50),
+                                     (251, 1, 252)])
+def test_shifted_power_at_digit_edges(p, k, m):
+    # m a power of p, all digits p - 1, and two digits in a large prime,
+    # each at s = 0, s = 1 and a random s
+    ctx = field(p, k)
+    rng = random.Random(m)
+    for s in (0, 1, rng.randrange(ctx.order)):
+        c = rng.randrange(1, ctx.order)
+        assert poly.shifted_power(ctx, c, s, m) == _power_oracle(ctx, c, s, m)
+
+
 @SETTINGS
 @given(ctx_polys(1), st.data())
 def test_hasse_derivatives_are_the_taylor_coefficients(case, data):
