@@ -392,7 +392,9 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     whole table.  Both are read off ranges, one digit length at a
     time.  The table is closed under negation, so the least weight of
     prefix + table equals the least Hamming distance from the prefix
-    word to the table.
+    word to the table.  Every row's Q multiples are formed from
+    code.log_matrix by _word_kernel's multiples, so the search builds
+    no Q x Q product table and never gathers the int64 matrix.
     """
     ctx = code.curve.ctx
     Q = ctx.order
@@ -406,10 +408,9 @@ def min_distance_exhaustive(code: AGCode, budget: int,
         raise BudgetExceeded(f"word tables need about {need} bytes, above "
                              f"the limit {TABLE_MAX_BYTES}")
     k1 = k - k2
-    encode, add, distance = _word_kernel(ctx, n)
+    _, row_multiples, add, distance = _word_kernel(ctx, n)
     # multiples[i][:, s] is the word s * (row i), encoded
-    digits = np.arange(Q)
-    multiples = [encode(ctx.vmul_outer(digits, row)) for row in code.matrix]
+    multiples = row_multiples(code.log_matrix)
     zero = multiples[0][:, :1]
     table = zero
     for mult in multiples[k1:]:
@@ -469,20 +470,34 @@ def _table_depth(Q: int, k: int, n: int, early_stop: bool,
 
 def _table_bytes(ctx, k: int, k2: int, n: int) -> int:
     """Upper estimate of min_distance_exhaustive's peak bytes at table
-    depth k2: k * Q row multiples, the Q^k2 table and two more of its
-    size (the level before it and the sweep temporaries), plus encode's
-    input and one bit plane (p = 2) or FieldCtx.vadd's intp flat index
-    of the last two levels (p odd), plus numpy's casting buffers."""
+    depth k2: k * Q row multiples, plus the larger of what is held
+    while they are built and while the tables are, plus numpy's casting
+    buffers.  _word_kernel's multiples gathers by take, which holds the
+    log sums and an intp copy of them beside the words it gathers, and
+    then lays the multiples out a second time: for p = 2 it gathers the
+    k words X^j * row of each row and holds one bit plane of them and
+    their encoded words; for p odd it gathers the multiples themselves,
+    a block of rows at a time.  The tables are the Q^k2 table and two
+    more of its size (the level before it and the sweep temporaries),
+    plus FieldCtx.vadd's intp flat index of the last two levels (p odd)."""
     Q, size, intp = ctx.order, ctx.dtype.itemsize, np.dtype(np.intp).itemsize
+    index = np.min_scalar_type(4 * (Q - 1)).itemsize + intp
     if ctx.p == 2:  # k bit planes of packed uint64 words
-        word, temp = ctx.k * -(-n // 64) * 8, Q * (2 * n * size + -(-n // 8))
+        word, gathered = ctx.k * -(-n // 64) * 8, k * ctx.k
+        build = (word * (k * Q + gathered)
+                 + gathered * (n * (index + 2 * size) + -(-n // 8)))
+        adds = 0
     else:  # one plane of element indices
-        word, temp = n * size, (Q ** k2 + Q ** (k2 - 1) + Q) * n * intp
-    return word * (k * Q + 3 * Q ** k2) + temp + 2 * np.getbufsize() * intp
+        word = n * size
+        block = min(k, max(1, BLOCK_ENTRIES // (Q * n))) * Q * n
+        build = word * k * Q + block * index
+        adds = (Q ** k2 + Q ** (k2 - 1) + Q) * n * intp
+    return (word * k * Q + max(build, word * 3 * Q ** k2 + adds)
+            + 2 * np.getbufsize() * intp)
 
 
 def _word_kernel(ctx, n: int):
-    """(encode, add, distance) for words of length n over ctx.
+    """(encode, multiples, add, distance) for words of length n over ctx.
 
     A stack of words is a (planes, words, length) array.  In
     characteristic 2 a word is its k bit planes, each packed into
@@ -490,10 +505,27 @@ def _word_kernel(ctx, n: int):
     of element indices in the field's narrow dtype, added by
     FieldCtx.vadd.  encode packs a (words, n) array of element indices;
     distance gives the Hamming distance of each word of a stack to one
-    word.
+    word.  multiples takes a (rows, n) log matrix (AGCode.log_matrix)
+    and gives, for each row, the stack of its Q multiples in the order
+    of s, encoded: the word s * row is the product exp[log s + log row],
+    read from exp_np and log_np alone, with no Q x Q table.  The zero
+    slot of the logs, 2(Q - 1), reads zero for s = 0 and for zero
+    entries, and a sum of two logs is at most 4(Q - 1), the last index
+    of exp_np, so the sums are formed in the narrowest unsigned dtype
+    that holds it and gather a copy of exp_np in the element dtype.
     """
+    exp = ctx.exp_np.astype(ctx.dtype)
+    log = ctx.log_np.astype(np.min_scalar_type(len(exp) - 1))
     if ctx.p != 2:
         count = np.min_scalar_type(n)  # holds every distance exactly
+
+        def multiples(logs):
+            # a block of rows at a time, so that take's intp copy of the
+            # log sums holds at most BLOCK_ENTRIES entries (one row or more)
+            step = max(1, BLOCK_ENTRIES // (ctx.order * n))
+            return np.concatenate([
+                exp.take(log[:, None] + logs[lo:lo + step, None])
+                for lo in range(0, len(logs), step)])[:, None]
 
         def distance(words, word):
             # summing the bool array's bytes in the narrowest dtype:
@@ -501,21 +533,40 @@ def _word_kernel(ctx, n: int):
             return (words[0] != word[0]).view(np.uint8).sum(axis=-1,
                                                              dtype=count)
         return ((lambda idx: np.ascontiguousarray(idx[None], ctx.dtype)),
-                ctx.vadd, distance)
+                multiples, ctx.vadd, distance)
 
     def encode(idx):
         idx = np.ascontiguousarray(idx, ctx.dtype)
         out = np.zeros((ctx.k, len(idx), -(-n // 64) * 8), np.uint8)
-        for j, plane in enumerate(out):  # one (Q, n) bit plane at a time
+        for j, plane in enumerate(out):  # one (words, n) bit plane at a time
             plane[:, :-(-n // 8)] = np.packbits(idx & (1 << j), axis=-1,
                                                 bitorder="little")
         return out.view(np.uint64)
+
+    def multiples(logs):
+        # The index of s has the bits of s's coefficients, so s * row is
+        # the XOR of the words X^j * row over the bits j of s.  Those k
+        # words of every row come from one gather (log X^j is
+        # log[1 << j]) and one encode; then the multiples of s < 2^(j+1)
+        # are those of s < 2^j, each XORed with X^j * row.  The doublings
+        # fill a stack with s leading, so that each writes a block apart
+        # from the one it reads (numpy copies an operand it cannot prove
+        # apart); it is then laid out as (rows, planes, Q, words), as the
+        # sweeps run several times slower on a strided view.
+        rows = len(logs)
+        shifts = log[1 << np.arange(ctx.k)]
+        basis = encode(exp.take(shifts[:, None, None] + logs).reshape(-1, n))
+        basis = basis.reshape(ctx.k, ctx.k, rows, -1).transpose(1, 2, 0, 3)
+        out = np.zeros((ctx.order,) + basis.shape[1:], np.uint64)
+        for j, word in enumerate(basis):
+            np.bitwise_xor(out[:1 << j], word, out=out[1 << j:2 << j])
+        return np.ascontiguousarray(out.transpose(1, 2, 0, 3))
 
     def distance(words, word):
         return np.bitwise_count(
             np.bitwise_or.reduce(words ^ word, axis=0)).sum(axis=-1)
 
-    return encode, np.bitwise_xor, distance
+    return encode, multiples, np.bitwise_xor, distance
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,10 @@ entry at a time with the scalar field operations, where the library
 works on whole arrays; field addition and negation digit by digit, where
 the library uses Zech logarithms.  The minimum distance is found over
 every nonzero message, where the library enumerates one message per
-line through 0 in packed words.  The exp table is built one product per
+line through 0 in packed words, and each row's multiples are formed one
+scalar product at a time and packed by np.packbits, where the library
+gathers them from the log matrix and, in characteristic 2, XORs packed
+words by doubling.  The exp table is built one product per
 element and the generator by a scalar search, both with a table-free
 product on bit masks or digit lists, where the library doubles whole
 blocks by a GF(p)-linear map and searches batches of digit matrices,
@@ -723,6 +726,24 @@ def min_distance_full_enumeration(code, budget, stop_at=None,
             if stop_at is not None and best <= stop_at:
                 break
     return best
+
+
+def multiples_by_entries(ctx, row):
+    """The words s * row for s = 0 .. Q - 1, as codes._word_kernel's
+    multiples lays out one row: each entry by the scalar ctx.mul; in
+    characteristic 2 the (k, Q, words) stack of bit plane j of every
+    word, packed little-endian by np.packbits into uint64 words, in odd
+    characteristic the (1, Q, n) element indices in the field's dtype."""
+    n = len(row)
+    words = np.array([[ctx.mul(s, a) for a in row.tolist()]
+                      for s in range(ctx.order)], dtype=np.int64)
+    if ctx.p != 2:
+        return words[None].astype(ctx.dtype)
+    planes = np.zeros((ctx.k, ctx.order, -(-n // 64) * 8), np.uint8)
+    for j, plane in enumerate(planes):
+        plane[:, :-(-n // 8)] = np.packbits(words >> j & 1, axis=-1,
+                                            bitorder="little")
+    return planes.view(np.uint64)
 
 
 def naive_min_weight(code):

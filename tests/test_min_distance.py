@@ -17,11 +17,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import codes  # noqa: E402
-from normtrace.codes import (BudgetExceeded, build_code,  # noqa: E402
+from normtrace.cli import main  # noqa: E402
+from normtrace.codes import (AGCode, BudgetExceeded, build_code,  # noqa: E402
                              min_distance_exhaustive)
 from normtrace.curve import build_curve  # noqa: E402
-from normtrace.gf import build_field, is_prime  # noqa: E402
-from oracles import min_distance_full_enumeration  # noqa: E402
+from normtrace.gf import FieldCtx, build_field, is_prime  # noqa: E402
+from oracles import (min_distance_full_enumeration,  # noqa: E402
+                     multiples_by_entries)
 
 FIELDS = [(p, k) for p in range(2, 64) if is_prime(p)
           for k in range(1, 7) if p ** k <= 64]
@@ -36,10 +38,13 @@ def field(p, k):
 
 
 def as_code(ctx, rows):
-    """The attributes min_distance_exhaustive reads from an AGCode."""
+    """The attributes min_distance_exhaustive reads from an AGCode, and
+    the matrix the oracles read: the uint16 log matrix is read off the
+    matrix by log_np, zero entries at the zero slot."""
     matrix = np.array(rows, dtype=np.int64)
     k, n = matrix.shape
     return SimpleNamespace(curve=SimpleNamespace(ctx=ctx), matrix=matrix,
+                           log_matrix=ctx.log_np[matrix].astype(np.uint16),
                            k=k, n=n)
 
 
@@ -105,6 +110,29 @@ def test_table_depth_stays_within_its_caps(Q, k, n, table_limit):
     # below the early depth a sweep is mostly overhead, so a full sweep
     # never takes a shallower table than a search that may stop early
     assert early <= full
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 257) if is_prime(p)
+                                 for k in range(1, 9) if p ** k <= 256])
+def test_row_multiples_match_scalar_products(p, k):
+    # every field of order <= 256; n = 1 and the uint64 word edges 63,
+    # 64, 65 and 129; rows with zero entries, a zero row, and two
+    # distinct nonzero rows, so that rows or planes swapped in the layout
+    # show.  The rows are drawn from a generator seeded by the field.
+    ctx = field(p, k)
+    rng = np.random.default_rng([p, k])
+    rows = rng.integers(0, ctx.order, size=(3, 129))
+    rows[0, rng.random(129) < 0.25] = 0
+    rows[1] = 0
+    for n in (1, 63, 64, 65, 129):
+        code = as_code(ctx, rows[:, :n])
+        _, multiples, _, _ = codes._word_kernel(ctx, n)
+        got = multiples(code.log_matrix)
+        assert got.shape[0] == 3
+        for row, words in zip(code.matrix, got):
+            want = multiples_by_entries(ctx, row)
+            assert words.dtype == want.dtype
+            assert np.array_equal(words, want)
 
 
 def heavy(n, lo, hi):
@@ -212,11 +240,13 @@ def traced_search(code, stop_at=None):
 
 
 @pytest.mark.parametrize("q,r,ell", [(3, 3, 2), (4, 3, 2), (2, 7, 1),
-                                     (16, 2, 1), (5, 2, 2), (4, 3, 3)])
+                                     (16, 2, 1), (5, 2, 2), (4, 3, 3),
+                                     (2, 3, 4)])
 def test_table_estimate_bounds_the_measured_peak(q, r, ell, monkeypatch):
     # a full sweep and a stop_at = d* search build tables of different
     # depths; the estimate must follow the depth each search uses.
-    # (4,3) ell=3 (64^7 messages) is searched only up to d*.
+    # (4,3) ell=3 (64^7 messages) is searched only up to d*; (2,3)
+    # ell=4 is the benchmark's largest early-stop code in characteristic 2.
     code = build_code(build_curve(q, r), ell)
     full = code.curve.ctx.order ** code.k <= 1 << 24
     for stop_at in [None] * full + [code.d_star]:
@@ -224,6 +254,36 @@ def test_table_estimate_bounds_the_measured_peak(q, r, ell, monkeypatch):
         d, peak = traced_search(code, stop_at)
         assert d == code.d_star
         assert peak <= estimate < codes.TABLE_MAX_BYTES
+
+
+@pytest.mark.parametrize("q,r", [(4, 3), (3, 3)])
+def test_min_dist_builds_no_product_table(q, r, monkeypatch, capsys):
+    # the row multiples come from the log matrix: min-dist reads neither
+    # FieldCtx.vmul_outer nor AGCode.matrix, and builds no mul_np
+    calls, searched = [], []
+    vmul_outer, matrix = FieldCtx.vmul_outer, AGCode.matrix
+    search = codes.min_distance_exhaustive
+
+    def spy_vmul_outer(self, col, row):
+        calls.append("vmul_outer")
+        return vmul_outer(self, col, row)
+
+    def spy_matrix(self):
+        calls.append("matrix")
+        return matrix.fget(self)
+
+    def spy_search(code, *args, **kwargs):
+        searched.append(code)
+        return search(code, *args, **kwargs)
+
+    monkeypatch.setattr(FieldCtx, "vmul_outer", spy_vmul_outer)
+    monkeypatch.setattr(AGCode, "matrix", property(spy_matrix))
+    monkeypatch.setattr(codes, "min_distance_exhaustive", spy_search)
+    assert main(["min-dist", "--q", str(q), "--r", str(r), "--ell", "2",
+                 "--budget", str(1 << 30)]) == 0
+    assert "exhaustive d = " in capsys.readouterr().out
+    assert calls == []
+    assert len(searched) == 1 and searched[0].curve.ctx._mul_np is None
 
 
 def test_early_stop_iterates_prefixes_lazily():
@@ -255,7 +315,7 @@ def test_odd_distance_equals_count_nonzero(pk, n, rows, seed):
     # dtype that holds n: at n = 255 and 65535 a word that differs
     # everywhere fills it, one past those needs the next dtype
     ctx = field(*pk)
-    encode, _, distance = codes._word_kernel(ctx, n)
+    encode, _, _, distance = codes._word_kernel(ctx, n)
     rng = np.random.default_rng(seed)
     word = rng.integers(0, ctx.order, size=n)
     words = rng.integers(0, ctx.order, size=(rows, n))
