@@ -408,9 +408,9 @@ def min_distance_exhaustive(code: AGCode, budget: int,
         raise BudgetExceeded(f"word tables need about {need} bytes, above "
                              f"the limit {TABLE_MAX_BYTES}")
     k1 = k - k2
-    _, row_multiples, add, distance = _word_kernel(ctx, n)
+    row_multiples, add, distance = _word_kernel(ctx, n)
     # multiples[i][:, s] is the word s * (row i), encoded
-    multiples = row_multiples(code.log_matrix)
+    multiples = list(row_multiples(code.log_matrix))
     zero = multiples[0][:, :1]
     table = zero
     for mult in multiples[k1:]:
@@ -497,22 +497,22 @@ def _table_bytes(ctx, k: int, k2: int, n: int) -> int:
 
 
 def _word_kernel(ctx, n: int):
-    """(encode, multiples, add, distance) for words of length n over ctx.
+    """(multiples, add, distance) for words of length n over ctx.
 
     A stack of words is a (planes, words, length) array.  In
     characteristic 2 a word is its k bit planes, each packed into
     uint64, and words add by XOR; in odd characteristic it is one plane
     of element indices in the field's narrow dtype, added by
-    FieldCtx.vadd.  encode packs a (words, n) array of element indices;
-    distance gives the Hamming distance of each word of a stack to one
-    word.  multiples takes a (rows, n) log matrix (AGCode.log_matrix)
-    and gives, for each row, the stack of its Q multiples in the order
-    of s, encoded: the word s * row is the product exp[log s + log row],
-    read from exp_np and log_np alone, with no Q x Q table.  The zero
-    slot of the logs, 2(Q - 1), reads zero for s = 0 and for zero
-    entries, and a sum of two logs is at most 4(Q - 1), the last index
-    of exp_np, so the sums are formed in the narrowest unsigned dtype
-    that holds it and gather a copy of exp_np in the element dtype.
+    FieldCtx.vadd.  multiples takes a (rows, n) log matrix
+    (AGCode.log_matrix) and gives the (rows, planes, Q, length) stack
+    whose [i, :, s] is the word s * (row i), the product
+    exp[log s + log row] read from exp_np and log_np alone, with no
+    Q x Q table.  The zero slot of the logs, 2(Q - 1), reads zero for
+    s = 0 and for zero entries, and a sum of two logs is at most
+    4(Q - 1), the last index of exp_np, so the sums are formed in the
+    narrowest unsigned dtype that holds it and gather a copy of exp_np
+    in the element dtype.  distance gives the Hamming distance of each
+    word of a stack to one word.
     """
     exp = ctx.exp_np.astype(ctx.dtype)
     log = ctx.log_np.astype(np.min_scalar_type(len(exp) - 1))
@@ -532,11 +532,11 @@ def _word_kernel(ctx, n: int):
             # count_nonzero with an axis casts it to intp first
             return (words[0] != word[0]).view(np.uint8).sum(axis=-1,
                                                              dtype=count)
-        return ((lambda idx: np.ascontiguousarray(idx[None], ctx.dtype)),
-                multiples, ctx.vadd, distance)
+        return multiples, ctx.vadd, distance
 
     def encode(idx):
-        idx = np.ascontiguousarray(idx, ctx.dtype)
+        """The (k, words, length) packed planes of a (words, n) array
+        of element indices in the element dtype."""
         out = np.zeros((ctx.k, len(idx), -(-n // 64) * 8), np.uint8)
         for j, plane in enumerate(out):  # one (words, n) bit plane at a time
             plane[:, :-(-n // 8)] = np.packbits(idx & (1 << j), axis=-1,
@@ -556,6 +556,7 @@ def _word_kernel(ctx, n: int):
         rows = len(logs)
         shifts = log[1 << np.arange(ctx.k)]
         basis = encode(exp.take(shifts[:, None, None] + logs).reshape(-1, n))
+        # (planes, j, rows, words) -> (j, rows, planes, words)
         basis = basis.reshape(ctx.k, ctx.k, rows, -1).transpose(1, 2, 0, 3)
         out = np.zeros((ctx.order,) + basis.shape[1:], np.uint64)
         for j, word in enumerate(basis):
@@ -566,7 +567,7 @@ def _word_kernel(ctx, n: int):
         return np.bitwise_count(
             np.bitwise_or.reduce(words ^ word, axis=0)).sum(axis=-1)
 
-    return encode, multiples, np.bitwise_xor, distance
+    return multiples, np.bitwise_xor, distance
 
 
 # ----------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_row_multiples_match_scalar_products(p, k):
     rows[1] = 0
     for n in (1, 63, 64, 65, 129):
         code = as_code(ctx, rows[:, :n])
-        _, multiples, _, _ = codes._word_kernel(ctx, n)
+        multiples, _, _ = codes._word_kernel(ctx, n)
         got = multiples(code.log_matrix)
         assert got.shape[0] == 3
         for row, words in zip(code.matrix, got):
@@ -315,12 +315,14 @@ def test_odd_distance_equals_count_nonzero(pk, n, rows, seed):
     # dtype that holds n: at n = 255 and 65535 a word that differs
     # everywhere fills it, one past those needs the next dtype
     ctx = field(*pk)
-    encode, _, _, distance = codes._word_kernel(ctx, n)
+    _, _, distance = codes._word_kernel(ctx, n)
     rng = np.random.default_rng(seed)
     word = rng.integers(0, ctx.order, size=n)
     words = rng.integers(0, ctx.order, size=(rows, n))
     words[0] = (word + 1) % ctx.order  # distance n
     words[1] = word  # distance 0
-    got = distance(encode(words), encode(word[None]))
+    # a stack of words in odd characteristic: one plane of indices
+    got = distance(words[None].astype(ctx.dtype),
+                   word[None, None].astype(ctx.dtype))
     assert got.tolist() == np.count_nonzero(words != word, axis=-1).tolist()
     assert got[0] == n
