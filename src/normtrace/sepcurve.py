@@ -621,9 +621,12 @@ def _extension_degrees(ctx: FieldCtx):
 
 
 # Largest deg B whose roots b_roots finds.  Its polynomial steps run
-# in pure Python and are quadratic in deg B: at p = 2 up to 20 powmod
-# steps before the field limit refuses, about 2.3 s at deg B = 511
-# (2-core x86-64, Python 3.11), where 3,003 took 57 s.
+# in pure Python and are quadratic in deg B.  A random monic B near the
+# limit is refused at the field limit after seconds of CPU: about 3 s
+# over GF(2^10) (deg B = 511) and 7 s over GF(3^6) (deg B = 509) on a
+# 2-core x86-64 VM (Python 3.11), and up to 8 and 16 s on a slower run
+# of one; deg B = 3,003 took 57 s at p = 2.  ROADMAP item 22 moves
+# these steps onto arrays.
 MAX_B_DEGREE = 512
 
 
