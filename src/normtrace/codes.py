@@ -503,16 +503,13 @@ def _word_kernel(ctx, n: int):
     characteristic 2 a word is its k bit planes, each packed into
     uint64, and words add by XOR; in odd characteristic it is one plane
     of element indices in the field's narrow dtype, added by
-    FieldCtx.vadd.  multiples takes a (rows, n) log matrix
-    (AGCode.log_matrix) and gives the (rows, planes, Q, length) stack
-    whose [i, :, s] is the word s * (row i), the product
-    exp[log s + log row] read from exp_np and log_np alone, with no
-    Q x Q table.  The zero slot of the logs, 2(Q - 1), reads zero for
-    s = 0 and for zero entries, and a sum of two logs is at most
-    4(Q - 1), the last index of exp_np, so the sums are formed in the
-    narrowest unsigned dtype that holds it and gather a copy of exp_np
-    in the element dtype.  distance gives the Hamming distance of each
-    word of a stack to one word.
+    FieldCtx.vadd.  multiples maps a (rows, n) log matrix
+    (AGCode.log_matrix) to the (rows, planes, Q, length) stack whose
+    [i, :, s] is the word s * (row i) = exp[log s + log row], with no
+    Q x Q table; the zero slot 2(Q - 1) reads zero for s = 0 and for
+    zero entries, and a sum of two logs is at most 4(Q - 1), the last
+    index of exp_np.  distance gives the Hamming distance of each word
+    of a stack to one word.
     """
     exp = ctx.exp_np.astype(ctx.dtype)
     log = ctx.log_np.astype(np.min_scalar_type(len(exp) - 1))
@@ -544,15 +541,14 @@ def _word_kernel(ctx, n: int):
         return out.view(np.uint64)
 
     def multiples(logs):
-        # The index of s has the bits of s's coefficients, so s * row is
-        # the XOR of the words X^j * row over the bits j of s.  Those k
-        # words of every row come from one gather (log X^j is
-        # log[1 << j]) and one encode; then the multiples of s < 2^(j+1)
-        # are those of s < 2^j, each XORed with X^j * row.  The doublings
-        # fill a stack with s leading, so that each writes a block apart
-        # from the one it reads (numpy copies an operand it cannot prove
-        # apart); it is then laid out as (rows, planes, Q, words), as the
-        # sweeps run several times slower on a strided view.
+        # The index of s holds the bits of its coefficients, so s * row
+        # is the XOR of the words X^j * row (log X^j = log[1 << j]) over
+        # the bits j of s: the multiples of s < 2^(j+1) are those of
+        # s < 2^j XORed with X^j * row.  s leads the stack the doublings
+        # fill, so that each writes a block apart from the one it reads
+        # (numpy copies an operand it cannot prove apart); the sweeps
+        # run several times slower on a strided view, so it is copied
+        # to (rows, planes, Q, words).
         rows = len(logs)
         shifts = log[1 << np.arange(ctx.k)]
         basis = encode(exp.take(shifts[:, None, None] + logs).reshape(-1, n))
