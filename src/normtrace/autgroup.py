@@ -46,9 +46,6 @@ class CurveAut:
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 1
 
-    def to_dict(self) -> dict:
-        return {"a_index": self.a, "b_index": self.b}
-
 
 def ab_product(curve: NormTraceCurve, a1, b1, a2, b2) -> np.ndarray:
     """The (a, b) rows of each (a1, b1) after (a2, b2), as int64 arrays:
@@ -243,10 +240,6 @@ class CodeAut:
         if not 0 < self.scalar < ctx.order:
             raise ValueError(f"scalar {self.scalar} is not a nonzero "
                              f"element of GF({ctx.order})")
-
-    def to_dict(self) -> dict:
-        return {"a_index": self.aut.a, "b_index": self.aut.b,
-                "frob": self.frob, "scalar_index": self.scalar}
 
 
 def _place_permutation(code: AGCode, g: CodeAut) -> np.ndarray:

@@ -85,11 +85,7 @@ class NormTraceCurve:
         self.genus = (self.h - 1) * (self.c - 1) // 2
         assert gcd(self.h, self.c) == 1
 
-    # -- membership and place construction --------------------------------
-
-    def on_curve(self, x: int, y: int) -> bool:
-        return (self.ctx.norm_rel(x, self.q, self.r)
-                == self.ctx.trace_rel(y, self.q, self.r))
+    # -- place construction ------------------------------------------------
 
     @cached_property
     def _fibres(self) -> tuple[np.ndarray, ...]:
@@ -200,7 +196,7 @@ class NormTraceCurve:
         """Valuation at P_inf of the monomial x^i y^j."""
         return -(i * self.h + j * self.c)
 
-    # -- identity / serialization ------------------------------------------
+    # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, NormTraceCurve)
@@ -211,9 +207,6 @@ class NormTraceCurve:
 
     def __repr__(self):
         return f"NormTraceCurve(q={self.q}, r={self.r}, genus={self.genus})"
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "r": self.r, "field": self.ctx.to_dict()}
 
 
 def build_curve(q: int, r: int) -> NormTraceCurve:

@@ -19,23 +19,6 @@ def trim(c):
     return c
 
 
-def add(ctx, f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] = ctx.add(out[i], b)
-    return trim(out)
-
-
-def neg(ctx, f):
-    return [ctx.neg(a) for a in f]
-
-
-def sub(ctx, f, g):
-    return add(ctx, f, neg(ctx, g))
-
-
 def scale(ctx, s, f):
     return trim([ctx.mul(s, a) for a in f])
 
@@ -52,24 +35,14 @@ def mul(ctx, f, g):
     return trim(out)
 
 
-def power(ctx, f, e):
-    out = [1]
-    while e:
-        if e & 1:
-            out = mul(ctx, out, f)
-        f = mul(ctx, f, f)
-        e >>= 1
-    return out
-
-
 def shifted_power(ctx, c, s, m):
     """The coefficients of c (X + s)^m for a nonzero c, by the binomial
     theorem on arrays: the X^i coefficient is c C(m, i) s^(m - i).  By
     Lucas' theorem C(m, i) mod p is the product over the base-p digits t
     of C(m_t, i_t), zero where some i_t > m_t; each digit's row
     C(m_t, 0..m_t) is a running sum of the logs of (m_t - e) / (e + 1),
-    and s^(m - i) is one log product.  Linear in m, where power is
-    quadratic."""
+    and s^(m - i) is one log product.  Linear in m, where
+    square-and-multiply (tests/oracles.py's poly_power) is quadratic."""
     if s == 0:
         return [0] * m + [c]
     n, log = ctx.order - 1, ctx.log_np

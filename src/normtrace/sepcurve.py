@@ -114,15 +114,6 @@ class SeparatedCurveSpec:
                                   {j: emb[c] for j, c in self.a_coeffs.items()},
                                   tuple(emb[c] for c in self.b_coeffs))
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "field": self.ctx.to_dict(),
-            "A": [{"j": j, "a_j_index": c}
-                  for j, c in sorted(self.a_coeffs.items())],
-            "B": list(self.b_coeffs),
-        }
-
 
 _JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
 
@@ -152,9 +143,10 @@ def _element(ctx: FieldCtx, v, where: str) -> int:
 
 
 def spec_from_dict(d) -> SeparatedCurveSpec:
-    """The spec of a record in the form to_dict writes.  Every malformed
-    record raises ValueError: not an object, a missing key, a value of
-    the wrong type, an index outside the field, or a repeated A term j."""
+    """The spec of a record in the spec-file format of README's classify
+    section.  Every malformed record raises ValueError: not an object, a
+    missing key, a value of the wrong type, an index outside the field,
+    or a repeated A term j."""
     field = _entry(d, "field", dict)
     _entry(field, "p", int, "field")
     _entry(field, "k", int, "field")

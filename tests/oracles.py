@@ -202,6 +202,13 @@ def places_by_search(curve):
                            for y in ctx.elements() if norms[x] == traces[y]]
 
 
+def on_curve(curve, x, y):
+    """Whether norm(x) = trace(y), by the scalar relative norm and
+    trace."""
+    return (curve.ctx.norm_rel(x, curve.q, curve.r)
+            == curve.ctx.trace_rel(y, curve.q, curve.r))
+
+
 def poly_eval_mod(coeffs, x, p):
     out = 0
     for a in reversed(coeffs):
@@ -764,6 +771,15 @@ def naive_min_weight(code):
     return best
 
 
+def spec_to_dict(spec):
+    """The record of a spec in the spec-file format that
+    sepcurve.spec_from_dict reads, for the tests' spec files."""
+    return {"p": spec.p, "field": spec.ctx.to_dict(),
+            "A": [{"j": j, "a_j_index": c}
+                  for j, c in sorted(spec.a_coeffs.items())],
+            "B": list(spec.b_coeffs)}
+
+
 def a_eval(spec, v):
     """A(v) for one element v of the spec's field, by the scalar field
     operations: the sum of a_j v^{p^j}."""
@@ -802,6 +818,35 @@ def embedding_by_digits(src, dst):
     return table
 
 
+def poly_add(ctx, f, g):
+    """f + g on coefficient lists."""
+    out = [0] * max(len(f), len(g))
+    for i, a in enumerate(f):
+        out[i] = a
+    for i, b in enumerate(g):
+        out[i] = ctx.add(out[i], b)
+    return poly.trim(out)
+
+
+def poly_neg(ctx, f):
+    return [ctx.neg(a) for a in f]
+
+
+def poly_sub(ctx, f, g):
+    return poly_add(ctx, f, poly_neg(ctx, g))
+
+
+def poly_power(ctx, f, e):
+    """f^e by square-and-multiply, the oracle of poly.shifted_power."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = poly.mul(ctx, out, f)
+        f = poly.mul(ctx, f, f)
+        e >>= 1
+    return out
+
+
 def evaluate_poly(ctx, f, x):
     """f(x) by scalar Horner."""
     out = 0
@@ -814,7 +859,7 @@ def compose_linear(ctx, f, b, c0):
     """f(b X + c0) by Horner on polynomials."""
     out = []
     for a in reversed(f):
-        out = poly.add(ctx, poly.mul(ctx, out, [c0, b]), [a])
+        out = poly_add(ctx, poly.mul(ctx, out, [c0, b]), [a])
     return out
 
 
@@ -827,7 +872,7 @@ def a_apply_poly(spec, Q):
         term = [0] * (pj * (len(Q) - 1) + 1)
         for i, a in enumerate(Q):
             term[i * pj] = ctx.mul(c, ctx.pow(a, pj))
-        out = poly.add(ctx, out, term)
+        out = poly_add(ctx, out, term)
     return out
 
 
@@ -857,7 +902,7 @@ def _solve_additive_preimage(spec_f, R, max_qdeg, a_values):
             return []
         coeffs[e] = q_e
         mono = [0] * e + [q_e]
-        rest = poly.sub(ctx, rest, a_apply_poly(spec_f, mono))
+        rest = poly_sub(ctx, rest, a_apply_poly(spec_f, mono))
         if len(rest) - 1 >= 1 and len(rest) - 1 >= deg:
             return []
     r0 = rest[0] if rest else 0
@@ -903,7 +948,7 @@ def affine_compose(ctx, s1, s2):
     """s1 after s2, by substitution: y -> a2 y + Q2(x) then
     a1 (a2 y + Q2(x)) + Q1(b2 x + c02)."""
     (a1, b1, c01, q1), (a2, b2, c02, q2) = s1, s2
-    q = poly.add(ctx, poly.scale(ctx, a1, list(q2)),
+    q = poly_add(ctx, poly.scale(ctx, a1, list(q2)),
                  compose_linear(ctx, list(q1), b2, c02))
     return (ctx.mul(a1, a2), ctx.mul(b1, b2),
             ctx.add(ctx.mul(b1, c02), c01), tuple(q))
@@ -942,7 +987,7 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
             if ctx.pow(b, m) != a:
                 continue
             for c0 in ctx.elements():
-                R = poly.sub(ctx, compose_linear(ctx, b_poly, b, c0), a_b)
+                R = poly_sub(ctx, compose_linear(ctx, b_poly, b, c0), a_b)
                 for q in _solve_additive_preimage(spec_f, R, max_qdeg,
                                                   a_values):
                     found.append((a, b, c0, q))

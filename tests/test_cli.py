@@ -629,7 +629,8 @@ def _large_b_spec(p):
     GF(2), where the root analysis's polynomial steps, quadratic in
     deg B, took 57 s before the field limit refused; a random monic B
     under Y^p + Y over GF(10007), where the monomial test's expansion by
-    poly.power took about 5 s of CPU before b_roots refused."""
+    square-and-multiply (now the oracle oracles.poly_power) took about
+    5 s of CPU before b_roots refused."""
     b = [0] * 3004
     if p == 2:
         b[1] = b[3002] = b[3003] = 1

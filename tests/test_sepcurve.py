@@ -24,7 +24,7 @@ from normtrace.sepcurve import (HBound, MONOMIAL_CASE_I,
                                 to_standard_qm, validate)
 from oracles import (AFFINE_IDENTITY, a_eval, a_values_by_eval, affine_apply,
                      affine_compose, affine_inverse, affine_tuples,
-                     embedding_by_digits)
+                     embedding_by_digits, spec_to_dict)
 
 F2 = build_field(2, 1)
 F5 = build_field(5, 1)
@@ -100,7 +100,7 @@ def test_classify_validates_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "spec.json"
     for spec, field in ((spec_a422_b3(), 64), (spec_a51_b3(), 25),
                         (non_monomial, 64)):
-        path.write_text(json.dumps(spec.to_dict()))
+        path.write_text(json.dumps(spec_to_dict(spec)))
         calls.clear()
         assert main(["classify", "--spec", str(path),
                      "--search-field", str(field)]) == 0
@@ -512,7 +512,7 @@ def test_to_standard_qm_rejections():
 
 def test_spec_serialization_roundtrip():
     spec = spec_a422_b3()
-    rec = spec.to_dict()
+    rec = spec_to_dict(spec)
     assert rec["A"] == [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1},
                         {"j": 2, "a_j_index": 1}]
     again = spec_from_dict(rec)

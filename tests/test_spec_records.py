@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from normtrace.sepcurve import norm_trace_spec, spec_from_dict  # noqa: E402
+from oracles import spec_to_dict  # noqa: E402
 
-GOOD_RECORD = norm_trace_spec(2, 3).to_dict()  # over GF(8), with a modulus
+GOOD_RECORD = spec_to_dict(norm_trace_spec(2, 3))  # over GF(8), with a modulus
 INT_PATHS = [("p",), ("field", "p"), ("field", "k"), ("field", "modulus", 1),
              ("field", "generator_index"), ("A", 1, "j"),
              ("A", 1, "a_j_index"), ("B", 7)]
