@@ -68,7 +68,12 @@ Frobenius, which the library forms for whole arrays of places or maps,
 and a polynomial's value at one point and its composition with b X + c0
 by scalar Horner, where the library evaluates at whole arrays of points
 (poly.evaluate_array) and reads the Taylor coefficients off the Hasse
-derivatives.
+derivatives.  So do the sum, difference and power of polynomials on
+coefficient lists (poly_add, poly_sub, poly_power, the last by
+square-and-multiply, where poly.shifted_power expands c (X + s)^m by
+Lucas' theorem), the scalar test that a point lies on the curve
+(on_curve), and the record of a spec that the tests write as a spec
+file (spec_to_dict).
 """
 
 import dataclasses

@@ -19,7 +19,6 @@ of src/ as JSON lines of [module, first line, name].
 import ast
 import contextlib
 import functools
-import importlib
 import importlib.util
 import io
 import json
@@ -59,20 +58,20 @@ CASE_II = {"p": 2, "field": {"p": 2, "k": 1},
            "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1},
                  {"j": 2, "a_j_index": 1}],
            "B": [0, 0, 0, 1]}
-SPECS = {
-    "case-ii": CASE_II,
+# (name, spec, stabilizer search field)
+SPECS = [
+    ("case-ii", CASE_II, "64"),
     # Y^5 + Y = X^3 over GF(5): case (i)
-    "case-i": {"p": 5, "field": {"p": 5, "k": 1},
-               "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1}],
-               "B": [0, 0, 0, 1]},
+    ("case-i", {"p": 5, "field": {"p": 5, "k": 1},
+                "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1}],
+                "B": [0, 0, 0, 1]}, "25"),
     # B = X^3 + X has several roots
-    "non-monomial": {**CASE_II, "B": [0, 1, 0, 1]},
+    ("non-monomial", {**CASE_II, "B": [0, 1, 0, 1]}, "64"),
     # GF(8) under X^3 + X^2 + 1, where the canonical modulus is
     # X^3 + X + 1: Ben-Or's test and the generator search run
-    "modulus": {**CASE_II, "field": {"p": 2, "k": 3, "modulus": [1, 0, 1, 1]}},
-}
-SEARCH_FIELDS = {"case-ii": "64", "case-i": "25", "non-monomial": "64",
-                 "modulus": "64"}
+    ("modulus", {**CASE_II, "field": {"p": 2, "k": 3,
+                                      "modulus": [1, 0, 1, 1]}}, "64"),
+]
 
 
 def corpus(tmp: Path) -> list[list[str]]:
@@ -86,12 +85,11 @@ def corpus(tmp: Path) -> list[list[str]]:
              ["min-dist", *curve, "--ell", "2"],
              ["min-dist", "--q", "3", "--r", "2", "--ell", "2"],
              ["aut-verify", *curve, "--ell", "2"]]
-    for name, spec in SPECS.items():
+    for name, spec, field in SPECS:
         path = tmp / f"{name}.json"
         path.write_text(json.dumps(spec))
         argvs += [["classify", "--spec", str(path)],
-                  ["classify", "--spec", str(path),
-                   "--search-field", SEARCH_FIELDS[name]]]
+                  ["classify", "--spec", str(path), "--search-field", field]]
     return [argv + ["--format", fmt] for argv in argvs
             for fmt in ("csv", "json", "text")]
 
@@ -115,8 +113,6 @@ def run_corpus() -> list[tuple[str, int, str]]:
                 runpy.run_path(str(path), run_name="__main__")
             for argv in corpus(Path(tmp)):
                 main(argv)
-                sink.seek(0)
-                sink.truncate()
         finally:
             sys.setprofile(None)
     return sorted({(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)
