@@ -28,7 +28,7 @@ print("exhaustive search found", len(maps), "maps")
 # coefficients low to high in a zero-padded row of maps.q.
 for a, b, c0, q in zip(*(col[:4].tolist() for col in
                          (maps.a, maps.b, maps.c0, maps.q))):
-    print("   a=%d b=%d c0=%d Q=%s" % (a, b, c0, poly.trim(q)))
+    print("   a=%d b=%d c0=%d Q=%s" % (a, b, c0, poly.trim(q).tolist()))
 
 # Case (i): A = Y^5 + Y, B = X^3 over GF(5)-bar.  Here m = 3 divides
 # p^n + 1 = 6 and A is two-term, so the curve is the small exceptional

@@ -1,8 +1,9 @@
-"""Dense polynomials over a FieldCtx, for sepcurve: little-endian
-lists of element indices with a nonzero last entry ([] is zero), and
-their values at a whole array of points (evaluate_array).  Only the
-context's methods and tables are used, so this module never imports
-gf, whose modulus search has its own kernel on plain integers.
+"""Dense polynomials over a FieldCtx, for sepcurve: little-endian int64
+arrays of element indices with a nonzero last entry (an empty array is
+zero).  Each function takes any sequence of indices and returns such a
+trimmed array.  Only the context's tables and array operations are
+used, so no scalar method of the field runs, and this module never
+imports gf, whose modulus search has its own kernel on plain integers.
 """
 
 from __future__ import annotations
@@ -13,26 +14,57 @@ import numpy as np
 
 
 def trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def scale(ctx, s, f):
-    return trim([ctx.mul(s, a) for a in f])
+    c = np.asarray(c, dtype=np.int64)
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if nonzero.size else c[:0]
 
 
 def mul(ctx, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    """f g from one array of the products f_i g_j (ctx.vmul): each
+    anti-diagonal i + j is summed one base-p digit at a time with
+    np.bincount and taken mod p, the same code for every p."""
+    f, g = np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64)
+    if not (f.size and g.size):
+        return f[:0]
+    rest = ctx.vmul(f[:, None], g).ravel()
+    diagonals = (np.arange(f.size)[:, None] + np.arange(g.size)).ravel()
+    out = np.zeros(f.size + g.size - 1, dtype=np.int64)
+    power = 1
+    for _ in range(ctx.k):
+        rest, digits = np.divmod(rest, ctx.p)
+        sums = np.bincount(diagonals, digits, out.size).astype(np.int64)
+        out += sums % ctx.p * power
+        power *= ctx.p
     return trim(out)
+
+
+def rem(ctx, f, g):
+    """f mod a nonzero g, by long division on one array.  -g / lead(g) is
+    formed once; each quotient coefficient c, the top entry of the
+    remainder so far, then clears that entry with one vadd_scalar of c
+    times its low terms, so no Q x Q table is built."""
+    g = trim(g)
+    if not g.size:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead_inv = ctx.exp_np[ctx.order - 1 - ctx.log_np[g[-1]]]
+    low = ctx.vneg(ctx.vscale(lead_inv, g[:-1]))
+    r, d = np.array(f, dtype=np.int64), low.size
+    for top in range(r.size - 1, d - 1, -1):
+        if r[top]:
+            r[top - d:top] = ctx.vadd_scalar(r[top - d:top],
+                                             ctx.vscale(r[top], low))
+    return trim(r[:d])
+
+
+def powmod(ctx, f, e, m):
+    """f^e mod m by square-and-multiply, from the top bit of e down."""
+    f = rem(ctx, f, m)
+    out = f if e else rem(ctx, [1], m)
+    for bit in bin(e)[3:]:
+        out = rem(ctx, mul(ctx, out, out), m)
+        if bit == "1":
+            out = rem(ctx, mul(ctx, out, f), m)
+    return out
 
 
 def shifted_power(ctx, c, s, m):
@@ -44,7 +76,7 @@ def shifted_power(ctx, c, s, m):
     and s^(m - i) is one log product.  Linear in m, where
     square-and-multiply (tests/oracles.py's poly_power) is quadratic."""
     if s == 0:
-        return [0] * m + [c]
+        return np.array([0] * m + [c], dtype=np.int64)
     n, log = ctx.order - 1, ctx.log_np
     i = np.arange(m + 1)
     logs = log[c] + log[s] * (m - i)
@@ -57,7 +89,7 @@ def shifted_power(ctx, c, s, m):
         row = np.cumsum(np.concatenate([[0], log[top - e] - log[e + 1]]))
         zero |= d > top
         logs += row[np.minimum(d, top)]
-    return ctx.exp_np[np.where(zero, 2 * n, logs % n)].tolist()
+    return ctx.exp_np[np.where(zero, 2 * n, logs % n)]
 
 
 def evaluate_array(ctx, f, xs):
@@ -79,63 +111,4 @@ def hasse_derivative(ctx, f, j):
     so no scalar method of the field runs."""
     binoms = [comb(i, j) % ctx.p for i in range(j, len(f))]
     return trim(ctx.vmul(np.array(binoms, dtype=np.int64),
-                         np.array(f[j:], dtype=np.int64)).tolist())
-
-
-def div_rem(ctx, f, g):
-    """Quotient and remainder of f by a nonzero g."""
-    g = trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    dg = len(g) - 1
-    lead_inv = ctx.inv(g[-1])
-    r = trim(f)
-    q = [0] * max(len(r) - dg, 0)
-    while len(r) > dg:
-        c = ctx.mul(r[-1], lead_inv)
-        if c:
-            shift = len(r) - 1 - dg
-            q[shift] = c
-            for i in range(dg):
-                r[shift + i] = ctx.sub(r[shift + i], ctx.mul(c, g[i]))
-        r.pop()
-    return q, trim(r)
-
-
-def rem(ctx, f, g):
-    return div_rem(ctx, f, g)[1]
-
-
-def gcd(ctx, f, g):
-    """Monic greatest common divisor; [] when f and g are both zero."""
-    f, g = trim(f), trim(g)
-    while g:
-        f, g = g, rem(ctx, f, g)
-    return scale(ctx, ctx.inv(f[-1]), f) if f else []
-
-
-def radical(ctx, f):
-    """The product of the distinct irreducible factors of a nonzero f, up
-    to a unit.  f / gcd(f, f') has those whose multiplicity p does not
-    divide and gcd(f, f') the others; if f' = 0, f is a p-th power."""
-    f = trim(f)
-    if len(f) < 2:
-        return [1]
-    d = hasse_derivative(ctx, f, 1)
-    if not d:
-        return radical(ctx, [ctx.pow(a, ctx.order // ctx.p) for a in f[::ctx.p]])
-    g = gcd(ctx, f, d)
-    s, r = div_rem(ctx, f, g)[0], radical(ctx, g)
-    return div_rem(ctx, mul(ctx, s, r), gcd(ctx, s, r))[0]  # their lcm
-
-
-def powmod(ctx, f, e, m):
-    """f^e mod m by square-and-multiply."""
-    out = rem(ctx, [1], m)
-    f = rem(ctx, f, m)
-    while e:
-        if e & 1:
-            out = rem(ctx, mul(ctx, out, f), m)
-        f = rem(ctx, mul(ctx, f, f), m)
-        e >>= 1
-    return out
+                         np.asarray(f[j:], dtype=np.int64)))

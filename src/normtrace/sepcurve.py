@@ -283,7 +283,7 @@ def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
     bm = spec.b_coeffs[-1]
     s = ctx.div(spec.b_coeffs[-2], ctx.mul(m % ctx.p, bm))
     expanded = poly.shifted_power(ctx, bm, s, m)
-    return s if tuple(expanded) == spec.b_coeffs else None
+    return s if np.array_equal(expanded, spec.b_coeffs) else None
 
 
 def classify(spec: SeparatedCurveSpec) -> ClassificationResult:
@@ -612,13 +612,16 @@ def _extension_degrees(ctx: FieldCtx):
         yield t
 
 
-# Largest deg B whose roots b_roots finds.  Its polynomial steps run
-# in pure Python and are quadratic in deg B.  A random monic B near the
-# limit is refused at the field limit after seconds of CPU: about 3 s
-# over GF(2^10) (deg B = 511) and 7 s over GF(3^6) (deg B = 509) on a
-# 2-core x86-64 VM (Python 3.11), and up to 8 and 16 s on a slower run
-# of one; deg B = 3,003 took 57 s at p = 2.  ROADMAP item 22 moves
-# these steps onto arrays.
+# Largest deg B whose roots b_roots finds; its polynomial steps are array
+# passes whose count is quadratic in deg B.  A random monic B of degree
+# 511 at p = 2, 509 over GF(3^6) and 512 otherwise (random.Random(1)) is
+# refused at the field limit after these seconds of CPU on a 2-core x86-64
+# VM, the slower of two runs, the radical test on lists in brackets: GF(2)
+# 0.20 [3.5], GF(2^5) 0.42 [4.2], GF(2^10) 0.62 [5.7], GF(2^20) 1.23 [6.7],
+# GF(3) 0.45 [6.8], GF(3^4) 1.19 [9.5], GF(3^6) 1.48 [13.4], GF(3^12) 2.46
+# [16.2] (median of 5 runs, 2.31-3.60), GF(5^4) 1.28 [11.5], GF(7^3) 0.88
+# [9.4], GF(1048573) 1.46 [25.6].  GF(3^12) is bound by the 12 digit passes
+# of each vadd_scalar in poly.rem; raising the limit waits (ROADMAP item 22).
 MAX_B_DEGREE = 512
 
 
@@ -626,9 +629,13 @@ def b_roots(spec: SeparatedCurveSpec):
     """Roots of B with multiplicities over its splitting field.
 
     Returns (field, [(root_index, multiplicity), ...]); the field is the
-    smallest extension of the host field where B splits completely:
-    the first t where poly.radical(B) divides X^{Q^t} - X, decided in
-    the host field, so only that one GF(Q^t) is built and scanned.
+    smallest extension GF(Q^t) of the host field where B splits, the
+    only one built.  With p^e the least power of p >= m, B splits there
+    iff B | (X^{Q^t} - X)^{p^e} = X^{p^e Q^t} - X^{p^e}, as X^{Q^t} - X
+    is the product of the X - a over GF(Q^t) and no root of B has
+    multiplicity above m.  So x_0 = X^{p^e} mod B and x_t = x_{t-1}^Q
+    mod B are formed in the host field, and B splits over GF(Q^t)
+    exactly when x_t = x_0.
     B is evaluated over the whole field at once; a root's multiplicity is
     the number of leading Hasse derivatives H_0, H_1, .. of B vanishing
     there, each H_j evaluated only where H_0 .. H_{j-1} vanish.
@@ -639,11 +646,11 @@ def b_roots(spec: SeparatedCurveSpec):
         raise ValueError(f"deg B = {spec.m} exceeds the limit "
                          f"{MAX_B_DEGREE} of the root analysis")
     ctx = spec.ctx
-    rad = poly.radical(ctx, spec.b_coeffs)
-    x_power = x = poly.rem(ctx, [0, 1], rad)  # X^{Q^t} mod rad, at t = 0
+    p_e = next(ctx.p ** e for e in count() if ctx.p ** e >= spec.m)
+    x_power = x_0 = poly.powmod(ctx, [0, 1], p_e, spec.b_coeffs)
     for t in _extension_degrees(ctx):
-        x_power = poly.powmod(ctx, x_power, ctx.order, rad)
-        if x_power != x:
+        x_power = poly.powmod(ctx, x_power, ctx.order, spec.b_coeffs)
+        if not np.array_equal(x_power, x_0):
             continue
         E = build_field(ctx.p, ctx.k * t)
         b_poly = list(spec.map_coefficients(E).b_coeffs)
@@ -655,7 +662,7 @@ def b_roots(spec: SeparatedCurveSpec):
             mult[alive] += 1
             j += 1
         if mult.sum() != spec.m:
-            raise AssertionError("B does not split where its radical does")
+            raise AssertionError("B does not split where the test says")
         roots = np.flatnonzero(mult)
         return E, list(zip(roots.tolist(), mult[roots].tolist()))
 
@@ -760,8 +767,7 @@ def _verify_standardization(spec, gamma, delta, shift):
     bm = spec.b_coeffs[-1]
     k = E.div(E.pow(gamma, m), bm)
     lhs_x = poly.shifted_power(E, E.pow(gamma, m), shift, m)
-    rhs_x = poly.scale(E, k, list(spec.b_coeffs))
-    if lhs_x != rhs_x:
+    if not np.array_equal(lhs_x, E.vscale(k, np.array(spec.b_coeffs))):
         raise AssertionError("x-side of the standardization failed")
     if E.pow(delta, p ** n) != E.mul(k, an) or delta != E.mul(k, a0):
         raise AssertionError("y-side of the standardization failed")

@@ -68,12 +68,13 @@ Frobenius, which the library forms for whole arrays of places or maps,
 and a polynomial's value at one point and its composition with b X + c0
 by scalar Horner, where the library evaluates at whole arrays of points
 (poly.evaluate_array) and reads the Taylor coefficients off the Hasse
-derivatives.  So do the sum, difference and power of polynomials on
-coefficient lists (poly_add, poly_sub, poly_power, the last by
-square-and-multiply, where poly.shifted_power expands c (X + s)^m by
-Lucas' theorem), the scalar test that a point lies on the curve
-(on_curve), and the record of a spec that the tests write as a spec
-file (spec_to_dict).
+derivatives.  So do the polynomial kernels on coefficient lists through
+scalar methods, where poly works on index arrays: trim, scale, sum,
+difference, product, division with remainder, power and power mod m
+(poly_trim .. poly_powmod; poly_power by square-and-multiply, where
+poly.shifted_power expands c (X + s)^m by Lucas' theorem), the scalar
+test that a point lies on the curve (on_curve), and the record of a
+spec that the tests write as a spec file (spec_to_dict).
 """
 
 import dataclasses
@@ -81,7 +82,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from normtrace import codes, poly
+from normtrace import codes
 from normtrace.autgroup import CodeAut, CurveAut, ab_inverse, code_action
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
@@ -823,6 +824,18 @@ def embedding_by_digits(src, dst):
     return table
 
 
+def poly_trim(c):
+    """The coefficient list c without its zero top entries ([] is zero)."""
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def poly_scale(ctx, s, f):
+    return poly_trim([ctx.mul(s, a) for a in f])
+
+
 def poly_add(ctx, f, g):
     """f + g on coefficient lists."""
     out = [0] * max(len(f), len(g))
@@ -830,7 +843,55 @@ def poly_add(ctx, f, g):
         out[i] = a
     for i, b in enumerate(g):
         out[i] = ctx.add(out[i], b)
-    return poly.trim(out)
+    return poly_trim(out)
+
+
+def poly_mul(ctx, f, g):
+    """f g by the schoolbook double loop on scalars, the oracle of
+    poly.mul."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    return poly_trim(out)
+
+
+def poly_div_rem(ctx, f, g):
+    """Quotient and remainder of f by a nonzero g, by scalar long
+    division; the remainder is the oracle of poly.rem."""
+    g = poly_trim(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    lead_inv = ctx.inv(g[-1])
+    r = poly_trim(f)
+    q = [0] * max(len(r) - dg, 0)
+    while len(r) > dg:
+        c = ctx.mul(r[-1], lead_inv)
+        if c:
+            shift = len(r) - 1 - dg
+            q[shift] = c
+            for i in range(dg):
+                r[shift + i] = ctx.sub(r[shift + i], ctx.mul(c, g[i]))
+        r.pop()
+    return q, poly_trim(r)
+
+
+def poly_powmod(ctx, f, e, m):
+    """f^e mod m by square-and-multiply on lists, the oracle of
+    poly.powmod."""
+    out = poly_div_rem(ctx, [1], m)[1]
+    f = poly_div_rem(ctx, f, m)[1]
+    while e:
+        if e & 1:
+            out = poly_div_rem(ctx, poly_mul(ctx, out, f), m)[1]
+        f = poly_div_rem(ctx, poly_mul(ctx, f, f), m)[1]
+        e >>= 1
+    return out
 
 
 def poly_neg(ctx, f):
@@ -846,8 +907,8 @@ def poly_power(ctx, f, e):
     out = [1]
     while e:
         if e & 1:
-            out = poly.mul(ctx, out, f)
-        f = poly.mul(ctx, f, f)
+            out = poly_mul(ctx, out, f)
+        f = poly_mul(ctx, f, f)
         e >>= 1
     return out
 
@@ -864,7 +925,7 @@ def compose_linear(ctx, f, b, c0):
     """f(b X + c0) by Horner on polynomials."""
     out = []
     for a in reversed(f):
-        out = poly_add(ctx, poly.mul(ctx, out, [c0, b]), [a])
+        out = poly_add(ctx, poly_mul(ctx, out, [c0, b]), [a])
     return out
 
 
@@ -915,7 +976,7 @@ def _solve_additive_preimage(spec_f, R, max_qdeg, a_values):
     for w in np.flatnonzero(a_values == r0).tolist():
         q = list(coeffs)
         q[0] = w
-        out.append(tuple(poly.trim(q)))
+        out.append(tuple(poly_trim(q)))
     return out
 
 
@@ -927,7 +988,7 @@ AFFINE_IDENTITY = (1, 1, 0, ())
 
 def affine_tuples(maps):
     """The rows of an AffineMaps as (a, b, c0, Q) tuples, in row order."""
-    return [(a, b, c0, tuple(poly.trim(q))) for a, b, c0, q in zip(
+    return [(a, b, c0, tuple(poly_trim(q))) for a, b, c0, q in zip(
         maps.a.tolist(), maps.b.tolist(), maps.c0.tolist(), maps.q.tolist())]
 
 
@@ -953,7 +1014,7 @@ def affine_compose(ctx, s1, s2):
     """s1 after s2, by substitution: y -> a2 y + Q2(x) then
     a1 (a2 y + Q2(x)) + Q1(b2 x + c02)."""
     (a1, b1, c01, q1), (a2, b2, c02, q2) = s1, s2
-    q = poly_add(ctx, poly.scale(ctx, a1, list(q2)),
+    q = poly_add(ctx, poly_scale(ctx, a1, list(q2)),
                  compose_linear(ctx, list(q1), b2, c02))
     return (ctx.mul(a1, a2), ctx.mul(b1, b2),
             ctx.add(ctx.mul(b1, c02), c01), tuple(q))
@@ -965,7 +1026,7 @@ def affine_inverse(ctx, s):
     a, b, c0, q = s
     b_inv, a_inv = ctx.inv(b), ctx.inv(a)
     c0_inv = ctx.neg(ctx.div(c0, b))
-    q_inv = poly.scale(ctx, ctx.neg(a_inv),
+    q_inv = poly_scale(ctx, ctx.neg(a_inv),
                        compose_linear(ctx, list(q), b_inv, c0_inv))
     return a_inv, b_inv, c0_inv, tuple(q_inv)
 
@@ -987,7 +1048,7 @@ def stabilizer_maps_by_loop(spec, search_field, budget=None):
     b_poly = list(spec_f.b_coeffs)
     found = []
     for a in survivors:
-        a_b = poly.scale(ctx, a, b_poly)
+        a_b = poly_scale(ctx, a, b_poly)
         for b in ctx.nonzero():
             if ctx.pow(b, m) != a:
                 continue
@@ -1042,7 +1103,7 @@ def b_roots_by_division(spec, max_order=1 << 12):
         for e in E.elements():
             mult, rest = 0, b_poly
             while evaluate_poly(E, rest, e) == 0:
-                rest = poly.div_rem(E, rest, [E.neg(e), 1])[0]
+                rest = poly_div_rem(E, rest, [E.neg(e), 1])[0]
                 mult += 1
             if mult:
                 roots.append((e, mult))

@@ -614,7 +614,8 @@ def test_reducible_spec_modulus_is_an_error(capsys, tmp_path, modulus):
 
 def test_classify_refuses_a_b_without_splitting_field_at_once(capsys, tmp_path):
     # B = X^59 + X = X (X^29 + 1)^2 over GF(2) splits first over GF(2^28);
-    # the radical of B rules out each smaller extension without building it
+    # B divides no X^(64 2^t) - X^64 below t = 28, which rules out each
+    # smaller extension without building it
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**CASE_II_SPEC, "B": [0, 1] + [0] * 57 + [1]}))
     start = time.process_time()

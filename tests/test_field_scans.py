@@ -10,12 +10,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace import poly, sepcurve  # noqa: E402
+from normtrace import sepcurve  # noqa: E402
 from normtrace.gf import build_field  # noqa: E402
 from normtrace.sepcurve import (SeparatedCurveSpec, b_roots,  # noqa: E402
                                 to_standard_qm)
-from oracles import (b_roots_by_division, poly_power,  # noqa: E402
-                     standardization_by_scan)
+from oracles import (b_roots_by_division, poly_mul,  # noqa: E402
+                     poly_power, poly_scale, standardization_by_scan)
 
 field = functools.cache(build_field)
 
@@ -41,7 +41,7 @@ def root_specs(draw):
         room = 9 - len(b)
         d = draw(st.integers(1, min(D, room)))
         f = [draw(element) for _ in range(d)] + [1]
-        b = poly.mul(host, b, poly_power(host, f, draw(st.integers(1, room // d))))
+        b = poly_mul(host, b, poly_power(host, f, draw(st.integers(1, room // d))))
     assume(len(b) >= 3 and (len(b) - 1) % p)
     return SeparatedCurveSpec(host, {0: 1, 1: 1}, tuple(b))
 
@@ -63,11 +63,12 @@ def _count_builds(monkeypatch):
 
 def test_b_roots_finds_a_factor_of_multiplicity_p(monkeypatch):
     # B = X (X^2 + 1)^3 over GF(3): B' = (X^2 + 1)^3, so B / gcd(B, B') = X
-    # alone would pass GF(3); the radical X (X^2 + 1) keeps the factor of
-    # multiplicity 3, so GF(9), where the roots +-i lie, is the one built
+    # alone would pass GF(3); with p^e = 9 >= deg B, B divides
+    # X^(9 Q^t) - X^9 first at t = 2, so GF(9), where the roots +-i lie,
+    # is the one built
     built = _count_builds(monkeypatch)
     f3 = field(3, 1)
-    b = poly.mul(f3, [0, 1], poly_power(f3, [1, 0, 1], 3))
+    b = poly_mul(f3, [0, 1], poly_power(f3, [1, 0, 1], 3))
     spec = SeparatedCurveSpec(f3, {0: 1, 1: 1}, tuple(b))
     E, roots = b_roots(spec)
     assert built == [(3, 2)]
@@ -75,9 +76,24 @@ def test_b_roots_finds_a_factor_of_multiplicity_p(monkeypatch):
     assert (E, roots) == b_roots_by_division(spec)
 
 
+def test_b_roots_runs_no_scalar_method_on_its_host_field(
+        refuse_scalar_methods):
+    # B = X (X^3 + 2 X + 1)^2 over GF(9), whose cubic factor splits only
+    # over GF(3^6): every step of the divisibility test in GF(9)[X] reads
+    # the host field through its arrays
+    host = field(3, 2)
+    b = poly_mul(host, [0, 1], poly_power(host, [1, 2, 0, 1], 2))
+    spec = SeparatedCurveSpec(host, {0: 1, 1: 1}, tuple(b))
+    want = b_roots_by_division(spec)
+    refuse_scalar_methods(host)
+    E, roots = b_roots(spec)
+    assert E.order == 729 and (E, roots) == want
+
+
 def test_b_roots_builds_no_field_when_b_splits_beyond_the_limit(monkeypatch):
     # B = X^59 + X = X (X^29 + 1)^2 over GF(2) splits first over GF(2^28):
-    # the radical rules out GF(2^t) up to the order limit, none is built
+    # B divides no X^(64 2^t) - X^64 with 2^t up to the order limit, so
+    # no field is built
     built = _count_builds(monkeypatch)
     spec = SeparatedCurveSpec(field(2, 1), {0: 1, 1: 1, 2: 1},
                               tuple([0, 1] + [0] * 57 + [1]))
@@ -96,7 +112,7 @@ def two_term_specs(draw):
                               if m % p and max(p ** n, m) >= 4]))
     unit = st.integers(1, host.order - 1)
     s = draw(st.integers(0, host.order - 1))
-    b = poly.scale(host, draw(unit), poly_power(host, [s, 1], m))
+    b = poly_scale(host, draw(unit), poly_power(host, [s, 1], m))
     return SeparatedCurveSpec(host, {0: draw(unit), n: draw(unit)}, tuple(b))
 
 

@@ -253,9 +253,9 @@ def test_an_uncalled_private_function_fails():
 
 
 def test_a_listed_name_that_the_corpus_enters_fails():
-    table = {**UNREACHED, "poly.scale": (("dunder",),)}
+    table = {**UNREACHED, "poly.mul": (("dunder",),)}
     assert reach_problems(src_defs(), entered(), table) == [
-        "poly.scale is listed in UNREACHED, but the corpus enters it"]
+        "poly.mul is listed in UNREACHED, but the corpus enters it"]
 
 
 def test_a_stale_reason_fails():
@@ -263,13 +263,13 @@ def test_a_stale_reason_fails():
     # export, so its first reason holds
     table = {"autgroup.code_action": (("export",), ("waits", 2)),
              "codes._rref_diagonal": (("perfbench",), ("export",)),
-             "poly.scale": (("dunder",), ("teeth", "tests/test_poly.py::no"))}
+             "poly.mul": (("dunder",), ("teeth", "tests/test_poly.py::no"))}
     assert reason_problems(table) == [
         "autgroup.code_action: reason ('waits', 2) does not hold",
         "codes._rref_diagonal: reason ('perfbench',) does not hold",
         "codes._rref_diagonal: reason ('export',) does not hold",
-        "poly.scale: reason ('dunder',) does not hold",
-        "poly.scale: reason ('teeth', 'tests/test_poly.py::no') does not hold"]
+        "poly.mul: reason ('dunder',) does not hold",
+        "poly.mul: reason ('teeth', 'tests/test_poly.py::no') does not hold"]
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from normtrace import poly, sepcurve  # noqa: E402
+from normtrace import sepcurve  # noqa: E402
 from normtrace.gf import (TABLE_MAX_ORDER, BudgetExceeded,  # noqa: E402
                           build_field)
 from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
@@ -22,8 +22,8 @@ from normtrace.sepcurve import (SearchFieldTooSmall,  # noqa: E402
                                 brute_force_stabilizer_search)
 from oracles import (AFFINE_IDENTITY, affine_compose,  # noqa: E402
                      affine_inverse, affine_rows, affine_tuples,
-                     closed_by_pairs, stabilizer_maps_by_loop,
-                     poly_power, stabilizer_search_by_loop)
+                     closed_by_pairs, poly_power, poly_scale,
+                     stabilizer_maps_by_loop, stabilizer_search_by_loop)
 
 field = functools.cache(build_field)
 
@@ -63,7 +63,7 @@ def searches(draw):
     a = {j: draw(element) for j in range(1, n)}
     a[0], a[n] = draw(unit), draw(unit)
     if draw(st.booleans()):
-        b = poly.scale(host, draw(unit), poly_power(host, [draw(element), 1], m))
+        b = poly_scale(host, draw(unit), poly_power(host, [draw(element), 1], m))
     else:
         b = [draw(element) for _ in range(m)] + [draw(unit)]
     return SeparatedCurveSpec(host, a, tuple(b)), field(p, K)
