@@ -105,23 +105,28 @@ ORIGIN_RECORD = {"kind": "affine", "x": 0, "y": 0}
 
 
 # the sieve entries whose non-gaps _int_list writes as one string: a few
-# large writes, and one block of digits held at a time
-NONGAP_BLOCK = 1 << 16
+# large writes through buffers made once per call, as fresh arrays per
+# block cost page faults; each block's values and text are still new, so
+# blocks stay small (at 2^13 the per-block calls cost more CPU)
+NONGAP_BLOCK = 1 << 14
 
 
 def _int_list(marked: np.ndarray, depth: int | None = None):
     """The v with marked[v] set, ascending, as str(list) prints them, or
     with depth as json.dumps(indent=2) prints a list nested depth levels
     deep: an iterator of strings, the values of NONGAP_BLOCK entries of
-    marked at a time (_joined_digits).  No Python int per value and no
-    array of all the values is made.  ValueError before the first
-    string if a value could pass 2^32 - 1."""
+    marked at a time (_joined_digits, through buffers made once).  No
+    Python int per value and no array of all the values is made.
+    ValueError before the first string if a value could pass 2^32 - 1."""
     if len(marked) > 2 ** 32:
         raise ValueError("values must lie in 0..2^32-1")
     if not marked.any():
         return iter(["[]"])
     pad = "" if depth is None else "\n" + "  " * (depth + 1)
     sep = ", " if depth is None else "," + pad
+    count = min(NONGAP_BLOCK, len(marked))
+    text = np.empty(count * (len(str(len(marked) - 1)) + len(sep)), np.uint8)
+    columns = np.empty((3, count), dtype=np.uint32)
 
     def pieces():
         yield f"[{pad}"
@@ -130,7 +135,7 @@ def _int_list(marked: np.ndarray, depth: int | None = None):
             values = np.flatnonzero(marked[lo:lo + NONGAP_BLOCK])
             if len(values):
                 values += lo
-                yield _joined_digits(values, sep, lead)
+                yield _joined_digits(values, sep, text, columns, lead)
                 lead = True
         yield "]" if depth is None else f"\n{'  ' * depth}]"
     return pieces()
@@ -141,33 +146,32 @@ _WIDTH_TOPS = np.array([10 ** w - 1 for w in range(1, 10)] + [2 ** 32 - 1],
                        dtype=np.uint32)
 
 
-def _joined_digits(values: np.ndarray, sep: str, lead: bool = False) -> str:
+def _joined_digits(values: np.ndarray, sep: str, text: np.ndarray,
+                   columns: np.ndarray, lead: bool = False) -> str:
     """The decimal digits of the ascending values joined by sep, with sep
     before the first too if lead.  In an ascending array the values of
     one decimal width are a run, and each run is written as one
-    fixed-width uint8 block of the output, sep then its digits, a column
-    at a time in unsigned 32-bit arithmetic (into reused buffers: a
-    fresh array per step costs page faults); the text is decoded from
-    that buffer, past the first sep unless lead."""
+    fixed-width block of the caller's uint8 buffer text, sep then its
+    digits, a column at a time in uint32 arithmetic in the caller's
+    (3, >= len(values)) buffer columns; the written text is decoded to a
+    new str, past the first sep unless lead."""
     values = np.asarray(values)
     if len(values) and not (0 <= values[0] and values[-1] < 2 ** 32
                             and (values[1:] >= values[:-1]).all()):
         raise ValueError("values must be ascending and lie in 0..2^32-1")
     sep_bytes = sep.encode()
     ends = np.searchsorted(values, _WIDTH_TOPS, side="right").tolist()
-    runs = [(width, lo, hi) for width, lo, hi
-            in zip(range(1, 11), [0] + ends, ends) if hi > lo]
-    text = np.empty(sum((hi - lo) * (width + len(sep_bytes))
-                        for width, lo, hi in runs), dtype=np.uint8)
     ten, at = np.uint32(10), 0
-    for width, lo, hi in runs:
+    for width, lo, hi in zip(range(1, 11), [0] + ends, ends):
+        if hi == lo:
+            continue
         block = text[at:at + (hi - lo) * (width + len(sep_bytes))].reshape(
             hi - lo, -1)
         at += block.size
         for col, byte in enumerate(sep_bytes):
             block[:, col] = byte
-        rest = values[lo:hi].astype(np.uint32)
-        quot, digit = np.empty_like(rest), np.empty_like(rest)
+        rest, quot, digit = columns[:, :hi - lo]
+        rest[:] = values[lo:hi]
         for col in range(block.shape[1] - 1, len(sep_bytes) - 1, -1):
             np.floor_divide(rest, ten, out=quot)
             np.multiply(quot, ten, out=digit)
@@ -175,7 +179,7 @@ def _joined_digits(values: np.ndarray, sep: str, lead: bool = False) -> str:
             digit += ord("0")
             block[:, col] = digit
             rest, quot = quot, rest
-    return str(text.data[0 if lead else len(sep_bytes):], "ascii")
+    return str(text.data[0 if lead else len(sep_bytes):at], "ascii")
 
 
 def _table_rows(args):

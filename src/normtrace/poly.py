@@ -76,7 +76,9 @@ def shifted_power(ctx, c, s, m):
     and s^(m - i) is one log product.  Linear in m, where
     square-and-multiply (tests/oracles.py's poly_power) is quadratic."""
     if s == 0:
-        return np.array([0] * m + [c], dtype=np.int64)
+        out = np.zeros(m + 1, dtype=np.int64)
+        out[m] = c
+        return out
     n, log = ctx.order - 1, ctx.log_np
     i = np.arange(m + 1)
     logs = log[c] + log[s] * (m - i)

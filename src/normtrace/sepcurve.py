@@ -283,7 +283,7 @@ def monomial_shift(spec: SeparatedCurveSpec) -> int | None:
     bm = spec.b_coeffs[-1]
     s = ctx.div(spec.b_coeffs[-2], ctx.mul(m % ctx.p, bm))
     expanded = poly.shifted_power(ctx, bm, s, m)
-    return s if np.array_equal(expanded, spec.b_coeffs) else None
+    return s if expanded.tolist() == list(spec.b_coeffs) else None
 
 
 def classify(spec: SeparatedCurveSpec) -> ClassificationResult:
@@ -622,6 +622,9 @@ def _extension_degrees(ctx: FieldCtx):
 # [16.2] (median of 5 runs, 2.31-3.60), GF(5^4) 1.28 [11.5], GF(7^3) 0.88
 # [9.4], GF(1048573) 1.46 [25.6].  GF(3^12) is bound by the 12 digit passes
 # of each vadd_scalar in poly.rem; raising the limit waits (ROADMAP item 22).
+# A B that splits costs more, as its Hasse derivatives are evaluated on all
+# of E: 511 distinct linear factors over GF(2^20) took 45.3 s in classify,
+# 512 over GF(3^12) 28.7 s (random.Random(1) roots; item 22 again).
 MAX_B_DEGREE = 512
 
 

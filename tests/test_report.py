@@ -5,7 +5,8 @@ and over random exponent tables and value tables with entries of every
 width in fields p^k <= 2^12.  Likewise the non-gap writer of
 `curve-info` (cli._int_list), a block of the semigroup's sieve at a
 time, against str(list) and json.dumps, over sieves marking values of
-every decimal width, with blocks small enough to split them anywhere."""
+every decimal width, with blocks small enough to split them anywhere,
+and its digit writer (cli._joined_digits) through reused buffers."""
 
 import csv
 import hashlib
@@ -283,6 +284,68 @@ def test_int_list_equals_str_and_json_dumps(sieve):
     assert_prints_as_list(*sieve)
 
 
+def text_of(piece):
+    """A writer's piece as text: a str, or the bytes of a buffer view."""
+    return piece if isinstance(piece, str) else bytes(piece).decode("ascii")
+
+
+@SETTINGS
+@given(ascending_sieves(), st.sampled_from([None, 0, 1]))
+def test_int_list_pieces_outlive_its_buffers(sieve, depth):
+    # every block is written through the same buffers: collected before
+    # any is read, the pieces read as when each is read as it comes, so
+    # none is a view of a buffer that the next block overwrites
+    _, marked, block = sieve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "NONGAP_BLOCK", block)
+        eager = list(cli._int_list(marked, depth))
+        lazy = "".join(map(text_of, cli._int_list(marked, depth)))
+    assert "".join(map(text_of, eager)) == lazy
+
+
+def digit_buffers(count, sep, slack=0):
+    """The text and digit-column buffers of count values of any uint32
+    width and slack more, filled with what the writer must overwrite or
+    leave out of its text: 0xFF, which ASCII never holds, and 2^32 - 1."""
+    size = count + slack
+    return (np.full(size * (10 + len(sep)), 0xFF, dtype=np.uint8),
+            np.full((3, size), 2 ** 32 - 1, dtype=np.uint32))
+
+
+@st.composite
+def uint32_arrays(draw):
+    """Ascending values, repeats allowed, of decimal widths 1..10 drawn
+    evenly, 0 and 2^32 - 1 among the bounds of the widths drawn."""
+    widths = draw(st.lists(st.integers(1, 10), max_size=40))
+    return sorted(draw(st.integers(0 if w == 1 else 10 ** (w - 1),
+                                   min(10 ** w - 1, 2 ** 32 - 1)))
+                  for w in widths)
+
+
+# each separator with the brackets that its printer puts round the list
+PRINTERS = {", ": ("[", "]", str),
+            ",\n  ": ("[\n  ", "\n]", lambda v: json.dumps(v, indent=2))}
+
+
+@SETTINGS
+@given(st.lists(uint32_arrays(), min_size=1, max_size=3),
+       st.sampled_from(sorted(PRINTERS)), st.booleans(), st.integers(0, 30))
+def test_joined_digits_through_reused_buffers(arrays, sep, lead, slack):
+    # one set of buffers, larger than needed, takes every array in turn,
+    # as _int_list's blocks take theirs
+    buffers = digit_buffers(max(map(len, arrays)), sep, slack)
+    opening, closing, printer = PRINTERS[sep]
+    for values in arrays:
+        joined = cli._joined_digits(np.array(values, dtype=np.int64), sep,
+                                    *buffers, lead)
+        if lead:
+            assert joined == "".join(sep + str(v) for v in values)
+        elif values:
+            assert opening + joined + closing == printer(values)
+        else:
+            assert joined == ""
+
+
 @pytest.mark.parametrize("values, length, block", [
     ([0, 1, 9], 10, 4),        # entries 4..7 are an empty block
     ([0, 1, 2, 3, 9], 12, 4),  # 9 is a block of one value, 8..11
@@ -302,9 +365,12 @@ def test_int_list_covers_every_uint32_width():
     # routine writes every width that uint32 holds, sep before each value
     # but the first, or before the first too with lead
     values = np.array([0] + [10 ** w for w in range(1, 10)] + [2 ** 32 - 1])
-    assert f"[{cli._joined_digits(values, ', ')}]" == str(values.tolist())
-    assert cli._joined_digits(values, "") == "".join(map(str, values.tolist()))
-    assert cli._joined_digits(values, ", ", lead=True) == "".join(
+    buffers = digit_buffers(len(values), ", ")
+    assert f"[{cli._joined_digits(values, ', ', *buffers)}]" == str(
+        values.tolist())
+    assert cli._joined_digits(values, "", *buffers) == "".join(
+        map(str, values.tolist()))
+    assert cli._joined_digits(values, ", ", *buffers, lead=True) == "".join(
         f", {v}" for v in values.tolist())
     marked = np.zeros(NONGAP_TOP + 1, dtype=bool)
     marked[[0, 9, 10, 99, 100, 9999, 10 ** 5, NONGAP_TOP]] = True
@@ -318,7 +384,7 @@ def test_int_list_refuses_what_it_cannot_write(values):
     # values, but one past 2^32 entries would wrap: it is refused before
     # the first string (a read-only view of 2^32 + 1 entries of one byte)
     with pytest.raises(ValueError, match="ascending"):
-        cli._joined_digits(np.array(values), ", ")
+        cli._joined_digits(np.array(values), ", ", *digit_buffers(2, ", "))
     huge = np.broadcast_to(np.zeros(1, dtype=bool), (2 ** 32 + 1,))
     with pytest.raises(ValueError, match="0..2\\^32-1"):
         cli._int_list(huge)
@@ -343,17 +409,24 @@ def test_refused_non_gap_list_writes_nothing(capsys, monkeypatch, tmp_path):
 def test_curve_info_memory_is_a_block():
     # N_{3,7} has 397,489 non-gaps up to 2g, 4.8 MB of JSON; whole, the
     # text and its copies peaked at 22 MiB.  Streamed, the command holds
-    # the sieve (0.8 MB), the divisor records and one block of digits,
-    # and peaks at about 3.5 MiB
-    tracemalloc.start()
-    try:
-        status, data = cli.cmd_curve_info(Namespace(q=3, r=7, format="json"))
-        total = sum(map(len, data))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert status == 0 and total == 4_848_044
-    assert peak < 8 << 20, peak
+    # the sieve (0.8 MB), the divisor records, one block's values and
+    # text, and the buffers made once per call that the block's digits
+    # are written through: 1.08 / 1.35 / 1.34 / 2.03 MiB below, where
+    # blocks of 2^16 values formed as fresh arrays peaked at 2.57 / 3.10 /
+    # 2.92 / 3.49 MiB
+    for q, r, fmt, length in [(2, 10, "text", 2_079_376),
+                              (2, 10, "json", 3_182_873),
+                              (3, 7, "text", 3_173_656),
+                              (3, 7, "json", 4_848_044)]:
+        tracemalloc.start()
+        try:
+            status, data = cli.cmd_curve_info(Namespace(q=q, r=r, format=fmt))
+            total = sum(map(len, data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and total == length, (q, r, fmt)
+        assert peak <= 2.25 * (1 << 20), (q, r, fmt, peak)
 
 
 @pytest.mark.parametrize("argv, digest", [
