@@ -311,7 +311,7 @@ def _image_entries(ctx, g: CodeAut) -> np.ndarray:
     """The entry map x -> s x^{p^frob} of g at the element exp_np[e] of
     each log e in 0..2(Q - 1), the zero slot last, in the element dtype:
     2Q - 1 entries, so a log matrix indexes it directly."""
-    elems = ctx.exp_np[:2 * ctx.order - 1]
+    elems = ctx.exp_np[:ctx.log_np.item(0) + 1]
     return ctx.vscale(g.scalar, ctx.vpow(elems, ctx.p ** g.frob)).astype(
         ctx.dtype)
 

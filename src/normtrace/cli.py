@@ -234,7 +234,7 @@ def _matrix_text(ctx, exponents, entry: str, last: str, row_head: str = "",
     table would print a wrong value (numpy reads a negative one from
     the end) or fail mid-output."""
     inf, i_table, i_rows, j_table, j_rows = exponents
-    size = 2 * (ctx.order - 1) + 1
+    size = ctx.log_np.item(0) + 1
     if not (0 <= min(inf.min(), i_table.min(), j_table.min()) and max(
             int(inf.max()), int(i_table.max()) + int(j_table.max())) < size):
         raise ValueError(f"exponents must lie in 0..{size - 1}")
@@ -320,7 +320,12 @@ def cmd_aut_verify(args):
                "checks": [{"name": nm, "pass": bool(ps), "detail": dt}
                           for nm, ps, dt in checks]}
         return (0 if ok else 1), json.dumps(rec, indent=2) + "\n"
-    lines = [f"automorphism group of N_{{{args.q},{args.r}}}: order {len(a)}"]
+    # for r = 2 the curve is Hermitian, outside the paper's theorem: its
+    # full group is PGU(3, q), and the group checked is G alone
+    name = f"N_{{{args.q},{args.r}}}"
+    head = (f"automorphism group of {name}" if args.r >= 3 else
+            f"group G of the maps (x, y) -> (bx, b^c y + a) on {name}")
+    lines = [f"{head}: order {len(a)}"]
     lines += [f"{'PASS' if ps else 'FAIL'}  {nm}" + (f"  [{dt}]" if dt else "")
               for nm, ps, dt in checks]
     return (0 if ok else 1), "\n".join(lines) + "\n"

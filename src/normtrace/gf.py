@@ -5,7 +5,7 @@ base-p digits of the index, little-endian, are the coefficients of the
 residue polynomial modulo a fixed monic irreducible polynomial.  A
 :class:`FieldCtx` holds the modulus together with precomputed exp/log
 tables, so multiplication, inversion, powering and negation are table
-lookups; odd-characteristic addition goes through Zech logarithms.
+lookups; odd-characteristic scalar addition goes through Zech logarithms.
 
 Building a field only sets its modulus and generator (see below).
 The exp and log tables (``exp_np``, ``log_np``) are filled on first
@@ -22,11 +22,12 @@ array (one gather with no mask); the zero tail is never written and
 takes no memory.  The scalar and array methods read the same two
 arrays: no other copy of the tables is made.
 
-The vector operations work on numpy arrays of indices.  The Q x Q
-product and sum tables that the elimination kernel gathers from
-(``mul_np``, ``add_np``) are built on first use, in the narrowest
+The vector operations work on numpy arrays of indices, products
+included (``vmul_outer`` too is one gather from exp).  The one Q x Q
+table is the sum table ``add_np`` of odd characteristic, which
+``vadd`` gathers from: it is built on first use, in the narrowest
 unsigned dtype that holds every index (``FieldCtx.dtype``), and only up
-to order TABLE_MAX_ORDER.
+to order TABLE_MAX_ORDER.  Characteristic 2 adds by XOR and builds none.
 
 When no modulus is supplied, the monic irreducible polynomial of degree
 k with the smallest integer encoding is chosen, and the generator is
@@ -56,8 +57,9 @@ import numpy as np
 
 MAX_ORDER = 1 << 20
 
-# Largest order whose Q x Q tables are built: 2^24 entries, 32 MB in
-# uint16.  It caps rref, reduce_vector and odd-characteristic vadd.
+# Largest order whose Q x Q sum table is built: 2^24 entries, 32 MB in
+# uint16.  It caps odd-characteristic vadd, hence rref and reduce_vector
+# there, and the code commands in every characteristic.
 TABLE_MAX_ORDER = 1 << 12
 
 # The canonical field of every order p^k <= MAX_ORDER with k >= 2, as
@@ -316,8 +318,7 @@ class FieldCtx:
                           else generator)
         # -1 = generator^(n/2) in odd characteristic; -1 = 1 for p = 2
         self._neg_shift = (order - 1) // 2 if p > 2 else 0
-        # lazy tables
-        self._mul_np = None
+        # the lazy sum table (odd characteristic)
         self._add_np = None
 
     # -- construction ---------------------------------------------------
@@ -578,26 +579,11 @@ class FieldCtx:
 
     def check_table_order(self):
         """Raise ValueError if the order is above TABLE_MAX_ORDER, the
-        limit of the Q x Q tables under the exact linear algebra."""
+        limit of the Q x Q sum table under the exact linear algebra."""
         if self.order > TABLE_MAX_ORDER:
             raise ValueError(
                 f"field order {self.order} exceeds the table limit "
                 f"{TABLE_MAX_ORDER} of the exact linear algebra")
-
-    @property
-    def mul_np(self) -> np.ndarray:
-        """Q x Q product table in the element dtype."""
-        if self._mul_np is None:
-            self.check_table_order()
-            n = self.order - 1
-            # window row i of the doubled exp table holds g^(i + j)
-            powers = np.lib.stride_tricks.sliding_window_view(
-                self.exp_np[:2 * n].astype(self.dtype), n)
-            lg = self.log_np[1:]
-            tbl = np.zeros((self.order, self.order), dtype=self.dtype)
-            tbl[1:, 1:] = powers[np.ix_(lg, lg)]
-            self._mul_np = tbl
-        return self._mul_np
 
     @property
     def add_np(self) -> np.ndarray:
@@ -662,9 +648,15 @@ class FieldCtx:
 
     def vmul_outer(self, col: np.ndarray, row: np.ndarray) -> np.ndarray:
         """Outer product col[:, None] * row[None, :] over the field, in
-        the element dtype: the rows of mul_np for col, then the
-        entries for row."""
-        return self.mul_np[col][:, row]
+        the element dtype: one gather exp[log col + log row], as vmul
+        forms it, with the log sums in the narrowest dtype that holds
+        4(Q - 1), the last index of exp_np.  It reads a per-call copy of
+        exp_np in the element dtype: take into a narrow out from the
+        int64 table is 2-4x slower."""
+        narrow = np.min_scalar_type(4 * (self.order - 1))
+        logs = (self.log_np[col].astype(narrow)[:, None]
+                + self.log_np[row].astype(narrow))
+        return self.exp_np.astype(self.dtype).take(logs)
 
     # -- equality, serialization ------------------------------------------
 

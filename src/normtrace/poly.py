@@ -91,7 +91,7 @@ def shifted_power(ctx, c, s, m):
         row = np.cumsum(np.concatenate([[0], log[top - e] - log[e + 1]]))
         zero |= d > top
         logs += row[np.minimum(d, top)]
-    return ctx.exp_np[np.where(zero, 2 * n, logs % n)]
+    return ctx.exp_np[np.where(zero, log[0], logs % n)]
 
 
 def evaluate_array(ctx, f, xs):

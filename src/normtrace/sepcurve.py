@@ -26,7 +26,6 @@ All coefficients are integer-encoded field elements of a FieldCtx.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 from itertools import count
 from math import gcd, lcm
@@ -208,9 +207,7 @@ def validate(spec: SeparatedCurveSpec) -> SeparatedCurveSpec:
     if ctx.order <= 64:
         u, v = np.divmod(np.arange(ctx.order ** 2), ctx.order)
     else:
-        rng = random.Random(0)
-        u, v = np.array([(rng.randrange(ctx.order), rng.randrange(ctx.order))
-                         for _ in range(200)]).T
+        u, v = np.random.default_rng(0).integers(ctx.order, size=(2, 200))
     total, a_u, a_v = spec.a_at(
         np.concatenate([ctx.vadd_scalar(u, v), u, v])).reshape(3, -1)
     if not np.array_equal(total, ctx.vadd_scalar(a_u, a_v)):

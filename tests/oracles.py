@@ -73,11 +73,14 @@ scalar methods, where poly works on index arrays: trim, scale, sum,
 difference, product, division with remainder, power and power mod m
 (poly_trim .. poly_powmod; poly_power by square-and-multiply, where
 poly.shifted_power expands c (X + s)^m by Lucas' theorem), the scalar
-test that a point lies on the curve (on_curve), and the record of a
-spec that the tests write as a spec file (spec_to_dict).
+test that a point lies on the curve (on_curve), the record of a
+spec that the tests write as a spec file (spec_to_dict), and the order
+of the affine P_inf stabilizer of a Hermitian curve N_{q,2}
+(hermitian_stabilizer_order), which no library routine computes.
 """
 
 import dataclasses
+import itertools
 from functools import cache, partial
 
 import numpy as np
@@ -206,6 +209,27 @@ def places_by_search(curve):
     traces = [ctx.trace_rel(y, q, r) for y in ctx.elements()]
     return [P_INFINITY] + [Place(AFFINE, x, y) for x in ctx.elements()
                            for y in ctx.elements() if norms[x] == traces[y]]
+
+
+def hermitian_stabilizer_order(curve):
+    """The number of maps (x, y) -> (a x + b, a^(q+1) y + d x + e), a
+    nonzero, that keep the affine rational places of the Hermitian curve
+    N_{q,2}, by testing every map on every place with the scalar
+    operations.  It counts more than the group G of maps
+    (x, y) -> (bx, b^c y + a) that autgroup enumerates: the full group
+    of N_{q,2} is PGU(3, q)."""
+    ctx, q = curve.ctx, curve.q
+    assert curve.r == 2
+    points = {(P.x, P.y) for P in places_by_search(curve)[1:]}
+    count = 0
+    for a in ctx.nonzero():
+        norm = ctx.pow(a, q + 1)
+        for b, d, e in itertools.product(ctx.elements(), repeat=3):
+            count += all(
+                (ctx.add(ctx.mul(a, x), b),
+                 ctx.add(ctx.add(ctx.mul(norm, y), ctx.mul(d, x)), e))
+                in points for x, y in points)
+    return count
 
 
 def on_curve(curve, x, y):

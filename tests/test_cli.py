@@ -16,7 +16,7 @@ from normtrace import autgroup, cli, codes, sepcurve
 from normtrace.cli import main
 from normtrace.curve import build_curve
 from normtrace.gf import MAX_ORDER, field_from_dict
-from oracles import prime_powers
+from oracles import hermitian_stabilizer_order, prime_powers
 
 CASE_II_SPEC = {"p": 2, "field": {"p": 2, "k": 1},
                 "A": [{"j": 0, "a_j_index": 1}, {"j": 1, "a_j_index": 1},
@@ -124,6 +124,29 @@ def test_aut_verify_json_orbits(capsys):
     assert rec["short_orbit_sizes"] == [1, 4]
     assert sorted(len(o) for o in rec["short_orbits"]) == [1, 4]
     assert all(c["pass"] for c in rec["checks"])
+
+
+@pytest.mark.parametrize("q, order, stabilizer", [(2, 6, 24), (3, 24, 216)])
+def test_aut_verify_names_the_group_it_checks_on_r_2(capsys, q, order,
+                                                     stabilizer):
+    # N_{q,2} is Hermitian (m = q + 1 = 1 mod q), outside the paper's
+    # theorem: its full group PGU(3, q) is larger than the group G that
+    # aut-verify checks, and already the maps that keep P_inf and the
+    # affine places outnumber G.  The r = 3 header keeps the paper's name.
+    rc, out, _ = run(capsys, "aut-verify", "--q", str(q), "--r", "2",
+                     "--ell", "1")
+    assert rc == 0 and "FAIL" not in out
+    assert out.splitlines()[0] == ("group G of the maps (x, y) -> "
+                                   f"(bx, b^c y + a) on N_{{{q},2}}: "
+                                   f"order {order}")
+    assert hermitian_stabilizer_order(build_curve(q, 2)) == stabilizer
+    assert stabilizer > order
+    rc, out, _ = run(capsys, "aut-verify", "--q", str(q), "--r", "2",
+                     "--ell", "1", "--format", "json")
+    assert rc == 0 and json.loads(out)["group_order"] == order
+    rc, out, _ = run(capsys, "aut-verify", "--q", str(q), "--r", "3",
+                     "--ell", "1")
+    assert out.startswith(f"automorphism group of N_{{{q},3}}: order ")
 
 
 @pytest.mark.parametrize("q, r, fmt, digest", [

@@ -16,8 +16,8 @@ from normtrace.gf import build_field, is_prime  # noqa: E402
 # every (p, k) with p^k <= 2^12: 564 prime fields and 40 others
 FIELDS = [(p, k) for p in range(2, 1 << 12) if is_prime(p)
           for k in range(1, 13) if p ** k <= 1 << 12]
-# the fields whose Q x Q tables (vadd in odd characteristic and
-# vmul_outer) take a few milliseconds to build
+# the fields whose Q x Q sum table (vadd in odd characteristic) takes a
+# few milliseconds to build
 SMALL_FIELDS = [(p, k) for p, k in FIELDS if p ** k <= 1 << 10]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)

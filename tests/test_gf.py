@@ -384,10 +384,36 @@ def assert_vector_ops_match(ctx, want):
 def test_vector_tables_match_scalar_ops(p, k):
     ctx = build_field(p, k)
     elems = list(ctx.elements())
-    assert ctx.mul_np.tolist() == [[ctx.mul(a, b) for b in elems] for a in elems]
     assert ctx.add_np.tolist() == [[add_by_digits(ctx, a, b) for b in elems]
                                    for a in elems]
     assert_vector_ops_match(ctx, scalar_op_values(ctx))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 257)
+                                 if gf.is_prime(p) for k in range(1, 9)
+                                 if p ** k <= 256])
+def test_vmul_outer_matches_scalar_mul_on_every_pair(p, k):
+    # every field of order at most 2^8: one log-domain gather per call
+    ctx = build_field(p, k)
+    elems = np.arange(ctx.order)
+    got = ctx.vmul_outer(elems, elems)
+    assert got.dtype == ctx.dtype
+    assert got.tolist() == [[ctx.mul(a, b) for b in ctx.elements()]
+                            for a in ctx.elements()]
+
+
+@pytest.mark.parametrize("p,k", [(2, 13), (3, 8)])
+def test_vmul_outer_matches_scalar_mul_above_the_table_cap(p, k):
+    ctx = build_field(p, k)
+    assert ctx.order > gf.TABLE_MAX_ORDER
+    rng = np.random.default_rng(p * k)
+    col = np.concatenate([[0, 1, ctx.order - 1],
+                          rng.integers(ctx.order, size=37)])
+    row = np.concatenate([rng.integers(ctx.order, size=50), [1, 0]])
+    for c, r in ((col, row), (col.astype(ctx.dtype), row.astype(ctx.dtype))):
+        assert ctx.vmul_outer(c, r).tolist() == [
+            [ctx.mul(a, b) for b in row.tolist()] for a in col.tolist()]
+    assert ctx._add_np is None
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2)])

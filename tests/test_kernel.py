@@ -1,6 +1,8 @@
-"""The product-table elimination kernel (FieldCtx.mul_np, add_np and
-vmul_outer under linalg.rref, rank and reduce_vector) against the
-scalar oracles, over random fields of order at most 2^12."""
+"""The elimination kernel (FieldCtx.vmul_outer, one gather from the exp
+table, and the sum table add_np under linalg.rref, rank and
+reduce_vector) against the scalar oracles, over random fields of order
+at most 2^12, and over GF(2^13), where characteristic 2 builds no
+Q x Q table."""
 
 import tracemalloc
 from functools import lru_cache
@@ -13,7 +15,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from normtrace import linalg  # noqa: E402
-from normtrace.gf import build_field, is_prime  # noqa: E402
+from normtrace.cli import main  # noqa: E402
+from normtrace.gf import FieldCtx, build_field, is_prime  # noqa: E402
 from oracles import rank, reduce_row_by_entries, rref_by_entries  # noqa: E402
 
 FIELDS = [(p, k) for p in range(2, 4097) if is_prime(p)
@@ -23,7 +26,7 @@ SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
 
 
-@lru_cache(maxsize=4)  # a field's tables reach 32 MB each near the cap
+@lru_cache(maxsize=4)  # a field's sum table reaches 32 MB near the cap
 def field(p, k):
     return build_field(p, k)
 
@@ -163,20 +166,25 @@ def test_rref_is_canonical_under_random_row_operations(data):
     assert np.array_equal(R2, R)
 
 
-@pytest.mark.parametrize("table", ["_mul_np", "_add_np"])
-def test_oracle_comparison_has_teeth(table, monkeypatch):
-    """One wrong entry in a product or sum table must show."""
-    ctx = build_field(3, 3)  # a fresh context: its tables are patched
+@pytest.mark.parametrize("doctored", ["vmul_outer", "_add_np"])
+def test_oracle_comparison_has_teeth(doctored, monkeypatch):
+    """One log sum off by one in a product, or one wrong entry in the
+    sum table, must show."""
+    ctx = build_field(3, 3)  # a fresh context: it is patched
     x, c, y = 5, 7, 11
     M = np.array([[1, x, 3], [c, y, 2]])  # RREF entry (2 - 3c)/(y - cx)
-    bad = getattr(ctx, table[1:]).copy()
-    if table == "_mul_np":
-        a, b = ctx.neg(c), x        # eliminating c uses (-c) * x
+    a, b = ctx.neg(c), x  # eliminating c uses (-c) * x ...
+    assert_kernel_matches_oracles(ctx, M, M)  # the true kernel passes
+    if doctored == "vmul_outer":
+        def bad(col, row):
+            logs = ctx.log_np[col][:, None] + ctx.log_np[row]
+            logs[(col[:, None] == a) & (row == b)] += 1
+            return ctx.exp_np[logs].astype(ctx.dtype)
     else:
-        a, b = y, ctx.mul(ctx.neg(c), x)  # ... and y + (-c) * x
-    bad[a, b] = ctx.add(int(bad[a, b]), 1)
-    assert_kernel_matches_oracles(ctx, M, M)  # the true tables pass
-    monkeypatch.setattr(ctx, table, bad)
+        bad = ctx.add_np.copy()
+        a, b = y, ctx.mul(a, b)  # ... and y + (-c) * x
+        bad[a, b] = ctx.add(int(bad[a, b]), 1)
+    monkeypatch.setattr(ctx, doctored, bad)
     with pytest.raises(AssertionError):
         assert_kernel_matches_oracles(ctx, M, M)
 
@@ -185,22 +193,45 @@ def test_tables_are_narrow_and_capped():
     for (p, k), dtype in [((2, 8), np.uint8), ((7, 3), np.uint16),
                           ((3, 7), np.uint16), ((2, 12), np.uint16)]:
         ctx = build_field(p, k)
-        assert ctx.dtype == dtype
-        for tbl in (ctx.mul_np, ctx.add_np):
-            assert tbl.dtype == dtype
+        assert ctx.dtype == ctx.add_np.dtype == dtype
     # no Q x Q int64 temporary while building: it alone would take 8 Q^2
     ctx = build_field(3, 7)
-    for name in ("mul_np", "add_np"):
-        tracemalloc.start()
-        getattr(ctx, name)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 5 * ctx.order ** 2, name
+    tracemalloc.start()
+    ctx.add_np
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 5 * ctx.order ** 2
     big = build_field(3, 8)
     with pytest.raises(ValueError, match="table limit 4096"):
-        big.mul_np
+        big.add_np
     with pytest.raises(ValueError, match="table limit 4096"):
         linalg.rref(big, np.array([[1, 2], [3, 4]]))
-    char2 = build_field(2, 13)  # the cap holds in characteristic 2 as well
-    with pytest.raises(ValueError, match="table limit 4096"):
-        linalg.rref(char2, np.array([[1, 2], [3, 4]]))
+
+
+def test_characteristic_2_builds_no_square_table(monkeypatch, capsys):
+    # products are exp/log gathers and sums XORs, so elimination over
+    # GF(2^13), above the table cap, matches the oracles, and min-dist
+    # and aut-verify build no Q x Q table on any field they make
+    made = []
+    init = FieldCtx.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(FieldCtx, "__init__", record)
+    ctx = build_field(2, 13)
+    rng = np.random.default_rng(13)
+    M = rng.integers(ctx.order, size=(5, 8))
+    M[3] = ctx.vadd(ctx.vscale(int(M[4, 0]), M[0]), M[1])  # rank below 5
+    V = np.vstack([M, rng.integers(ctx.order, size=(2, 8))])
+    assert_kernel_matches_oracles(ctx, M, V)
+    for q in ("2", "4"):
+        for argv in (["min-dist", "--q", q, "--r", "3", "--ell", "2",
+                      "--budget", str(1 << 30)],
+                     ["aut-verify", "--q", q, "--r", "3", "--ell", "2"]):
+            assert main(argv) == 0
+            assert "FAIL" not in capsys.readouterr().out
+    assert {F.p for F in made} == {2} and len(made) >= 5
+    assert all(F._add_np is None for F in made)
+    assert not hasattr(FieldCtx, "mul_np")

@@ -55,7 +55,8 @@ def fake_codes(draw):
     field order Q whose exp table is a random value table of length
     2(Q - 1) + 1, random exponent tables in the layout of
     codes._exponent_tables, and the matrix they stand for.  The writer
-    reads only the tables, the value table, Q and the report fields."""
+    reads only the tables, the value table, the zero slot log_np[0],
+    Q and the report fields."""
     order = draw(st.sampled_from(ORDERS))
     k, n = draw(st.integers(1, 6)), draw(st.integers(2, 12))
     i_count, j_count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -73,7 +74,8 @@ def fake_codes(draw):
     basis = rng.integers(-9, 10, size=(2, k))
     r = draw(st.integers(2, 5))
     curve = SimpleNamespace(q=order, r=r, h=order ** (r - 1),
-                            ctx=SimpleNamespace(order=order, exp_np=values))
+                            ctx=SimpleNamespace(order=order, exp_np=values,
+                                                log_np=np.array([size - 1])))
     code = AGCode(curve, draw(st.integers(1, 40)), basis,
                   n_inf=draw(st.sampled_from([0, 1])))
     return code, exponents, matrix

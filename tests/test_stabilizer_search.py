@@ -243,13 +243,13 @@ def test_assert_group_agrees_with_pairwise_closure(data):
 
 
 def test_search_builds_no_table_above_the_cap():
-    # Y^5 + Y = X^3 over GF(5^6), an order the Q x Q tables refuse
+    # Y^5 + Y = X^3 over GF(5^6), an order the Q x Q sum table refuses
     F = build_field(5, 6)
     assert F.order > TABLE_MAX_ORDER
     spec = SeparatedCurveSpec(field(5, 1), {0: 1, 1: 1}, (0, 0, 0, 1))
     maps = brute_force_stabilizer_search(spec, F, budget=10 ** 9)
     assert len(maps) == 60
-    assert F._add_np is None and F._mul_np is None
+    assert F._add_np is None
 
 
 @pytest.mark.parametrize("p, k, a, found", [(2, 12, {0: 1, 1: 1, 2: 1}, 12),
