@@ -278,77 +278,74 @@ def code_action(code: AGCode, g: CodeAut, word: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_code_automorphism(code: AGCode, g: CodeAut, inverse=None) -> bool:
-    """True iff the transform maps the code onto itself.  inverse is the
-    (a, b) pair of g's curve automorphism's inverse, from ab_inverse
-    when None.
+def is_code_automorphism(code: AGCode, g: CodeAut) -> bool:
+    """True iff g's transform (code_action) maps the code onto itself.
 
-    The image of the generator matrix M is compared with T M, for the
+    That transform is bijective and semilinear, so it maps C onto C iff
+    its inverse psi maps C into C: psi(w)[i] = s' w[perm[i]]^{p^{-frob}}
+    for the place permutation perm and the scalar s' with
+    s'^{p^frob} = 1 / s.  On monomials psi reads g's own (a, b), with no
+    inverse formed: the row of x^i y^j goes to s' (b x)^i (b^c y + a)^j,
+    as the coefficients 1 are fixed by every Frobenius.  The image of
+    the generator matrix M under psi is compared with T M, for the
     transfer matrix T of _transfer_blocks, one block of at most
     BLOCK_ENTRIES entries (at least one column) at a time, reading only
-    the code's log matrix: image column j is entry[L[:, src[j]]], for
-    the log matrix L, the inverse src of the place permutation and the
-    image entry of each log (_image_entries).  If every block agrees,
-    each image row is a combination of rows of M, so the map sends the
-    code into itself, and onto it, being a bijective semilinear
-    monomial map.  Otherwise membership of the whole image stack
-    decides."""
+    the code's log matrix: image column j is entry[L[:, perm[j]]], for
+    the log matrix L and the image entry of each log (_image_entries).
+    If every block agrees, each image row is a combination of rows of
+    M, so psi sends the code into itself.  Otherwise membership of the
+    whole image stack decides."""
     perm = _place_permutation(code, g)
-    if inverse is None:
-        inverse = ab_inverse(code.curve, np.array([g.aut.a]),
-                             np.array([g.aut.b]))[:, 0]
-    src = np.empty_like(perm)
-    src[perm] = np.arange(len(perm))
-    entry, logs = _image_entries(code.curve.ctx, g), code.log_matrix
+    ctx = code.curve.ctx
+    undo = -g.frob % ctx.k
+    scalar = ctx.frobenius(ctx.inv(g.scalar), undo)
+    entry, logs = _image_entries(ctx, scalar, undo), code.log_matrix
     if code.lowering() is not None and all(
-            np.array_equal(entry.take(logs.take(src[cols], axis=1)), moved)
-            for cols, moved in _transfer_blocks(code, g, inverse)):
+            np.array_equal(entry.take(logs.take(perm[cols], axis=1)), moved)
+            for cols, moved in _transfer_blocks(code, g.aut.a, g.aut.b,
+                                                scalar)):
         return True
-    return code.contains(entry[logs.take(src, axis=1)])
+    return code.contains(entry[logs.take(perm, axis=1)])
 
 
-def _image_entries(ctx, g: CodeAut) -> np.ndarray:
-    """The entry map x -> s x^{p^frob} of g at the element exp_np[e] of
+def _image_entries(ctx, scalar: int, frob: int) -> np.ndarray:
+    """The entry map x -> scalar x^{p^frob} at the element exp_np[e] of
     each log e in 0..2(Q - 1), the zero slot last, in the element dtype:
     2Q - 1 entries, so a log matrix indexes it directly."""
     elems = ctx.exp_np[:ctx.log_np.item(0) + 1]
-    return ctx.vscale(g.scalar, ctx.vpow(elems, ctx.p ** g.frob)).astype(
+    return ctx.vscale(scalar, ctx.vpow(elems, ctx.p ** frob)).astype(
         ctx.dtype)
 
 
-def _transfer_blocks(code: AGCode, g: CodeAut, inverse):
+def _transfer_blocks(code: AGCode, a: int, b: int, scalar: int):
     """T M one block of columns at a time, as (cols, block) pairs, where
-    T sends the row of x^i y^j to its image under g read in the basis;
-    the code must have a lowering table.  inverse is the (a, b) pair of
-    the inverse of g's curve automorphism.
+    T sends the row of x^i y^j to scalar (b x)^i (b^c y + a)^j read in
+    the basis; the code must have a lowering table.
 
-    With (alpha, beta) that pair raised to p^frob and s the scalar, g
-    turns x^i y^j into s (beta x)^i (beta^c y + alpha)^j, so
-    T = s diag(beta^i) L diag(beta^{c m}) for the Pascal matrix
-    L[j, m] = C(j, m) alpha^{j - m} in y, within each i.  A block is
-    first the code's log matrix scaled by s beta^{i + c j} in one gather
-    (a uint16 log scale, with no mask: a zero's slot plus a scale reads
+    T = scalar diag(b^i) L diag(b^{c m}) for the Pascal matrix
+    L[j, m] = C(j, m) a^{j - m} in y, within each i.  A block is first
+    the code's log matrix scaled by scalar b^{i + c j} in one gather (a
+    uint16 log scale, with no mask: a zero's slot plus a scale reads
     exp_np's zero tail), then multiplied by L.  By Lucas' theorem L is
     the Kronecker product over the base-p digits t of j of the Pascal
-    matrices of alpha^{p^t}, each the product of p - 1 unit bidiagonal
+    matrices of a^{p^t}, each the product of p - 1 unit bidiagonal
     steps (the Taylor shift of von zur Gathen and Gerhard): the steps
     of AGCode.lowering, in order, where step (w, rows, src) adds
-    alpha^w times rows src, as they were before the step, to rows rows.
-    A step's product is the log-domain product exp[log e + w log alpha],
+    a^w times rows src, as they were before the step, to rows rows.
+    A step's product is the log-domain product exp[log e + w log a],
     tabulated once over the Q elements e, so that a block pays one
-    gather for it.  A pure scaling (alpha = 0) takes no step.  The
-    blocks are gathered in the element dtype, a quarter of int64's
-    bytes or less."""
+    gather for it.  A pure scaling (a = 0) takes no step.  The blocks
+    are gathered in the element dtype, a quarter of int64's bytes or
+    less."""
     curve = code.curve
     ctx, c = curve.ctx, curve.c
     n1 = ctx.order - 1
-    alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inverse)
     log, exp = ctx.log_np, ctx.exp_np.astype(ctx.dtype)
     i, j = code.basis
-    scale = ((i + c * j) * log[beta] + log[g.scalar]) % n1
+    scale = ((i + c * j) * log[b] + log[scalar]) % n1
     scale = scale.astype(np.uint16)[:, None]
-    steps = [(rows, src, exp.take(log + w * log[alpha] % n1))
-             for w, rows, src in code.lowering()] if alpha else []
+    steps = [(rows, src, exp.take(log + w * log[a] % n1))
+             for w, rows, src in code.lowering()] if a else []
     logs = code.log_matrix
     width = max(1, BLOCK_ENTRIES // code.k)
     for lo in range(0, code.n, width):
@@ -406,9 +403,9 @@ def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:
     generators: the maps of generators(curve); Frobenius^1, whose e-th
     power is Frobenius^e by the definition of code_action; and the
     primitive scalar.  A family passes only if its generators pass and
-    they generate it (generates, and the scalar's order).  One
-    ab_inverse call inverts every map's curve automorphism, and each
-    check is handed its inverse."""
+    they generate it (generates, and the scalar's order).  Each map
+    is decided by its own (a, b) (is_code_automorphism): no inverse is
+    formed."""
     curve, ctx = code.curve, code.curve.ctx
     gens = generators(curve)
     ident = CurveAut(curve, 0, 1)
@@ -422,10 +419,5 @@ def code_checks(code: AGCode) -> list[tuple[str, bool, str]]:
          _primitive(ctx, ctx.generator),
          [CodeAut(ident, scalar=ctx.generator)], ""),
     ]
-    a, b = np.array([(g.aut.a, g.aut.b) for _, _, maps, _ in families
-                     for g in maps]).T
-    inverse = dict(zip(zip(a.tolist(), b.tolist()),
-                       ab_inverse(curve, a, b).T.tolist()))
-    return [(name, proof and all(
-        is_code_automorphism(code, g, inverse[g.aut.a, g.aut.b])
-        for g in maps), detail) for name, proof, maps, detail in families]
+    return [(name, proof and all(is_code_automorphism(code, g) for g in maps),
+             detail) for name, proof, maps, detail in families]

@@ -98,7 +98,9 @@ class AGCode:
     def matrix(self) -> np.ndarray:
         """The k x n generator matrix, gathered from log_matrix at each
         read (by indexing, which casts the uint16 logs in numpy's
-        buffers, where take would hold an intp copy of them)."""
+        buffers, where take would hold an intp copy of them).  Only the
+        RREF path reads it: row_space, and the fallback of
+        monomial_equivalence_check."""
         return self.curve.ctx.exp_np[self.log_matrix]
 
     def row_space(self):
@@ -587,49 +589,55 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     of code_a by diagonal[p] yields code_b's row space.
 
     The diagonal D comes from entrywise column ratios of the generator
-    matrices, which recover the explicit x(P)^ell diagonal of the
-    canonical multi-point / extended one-point pair and give A D = B
-    entry by entry, so no RREF is computed; else from column ratios of
-    the reduced echelon forms, with equal pivot lists.  D must have no
-    zero entry, and then the fallback's A D must lie in B's cached row
-    space: a nonzero column scaling keeps the rank, so that is equality.
+    matrices, read off their log matrices alone, which recover the
+    explicit x(P)^ell diagonal of the canonical multi-point / extended
+    one-point pair; else from column ratios of the reduced echelon
+    forms, with equal pivot lists.  D must have no zero entry.  The
+    entrywise D is then proved by A D = B entry by entry, as
+    exp[L_A + log D] == exp[L_B] on the logs L_A and L_B in the element
+    dtype (a zero's slot plus log D reads exp_np's zero tail), so no
+    RREF is computed and no matrix is gathered; the fallback's A D,
+    gathered from code_a.matrix, must lie in B's cached row space: a
+    nonzero column scaling keeps the rank, so that is equality.
     """
     if code_a.n != code_b.n:
         raise ValueError("codes have different lengths")
     if code_a.k != code_b.k:
         return None
     ctx = code_a.curve.ctx
-    A, B = code_a.matrix, code_b.matrix
-    diag = _entrywise_diagonal(ctx, A, B)
+    logs_a, logs_b = code_a.log_matrix, code_b.log_matrix
+    diag = _entrywise_diagonal(ctx, logs_a, logs_b)
     entrywise = diag is not None
     if not entrywise:
         diag = _rref_diagonal(ctx, code_a, code_b)
     if diag is None or not diag.all():
         return None
-    scaled = ctx.vmul(A, diag[None, :])
-    if not (np.array_equal(scaled, B) if entrywise
-            else code_b.contains(scaled)):
-        return None
-    return diag
+    if entrywise:  # indexing casts the uint16 logs in numpy's buffers
+        exp = ctx.exp_np.astype(ctx.dtype)
+        proved = np.array_equal(
+            exp[logs_a + ctx.log_np[diag].astype(np.uint16)], exp[logs_b])
+    else:
+        proved = code_b.contains(ctx.vmul(code_a.matrix, diag[None, :]))
+    return diag if proved else None
 
 
-def _entrywise_diagonal(ctx, A: np.ndarray, B: np.ndarray):
-    """The column scaling that carries A onto B entry by entry, or None.
-    A and B must share their zero pattern, and every nonzero ratio
-    B / A in a column must equal the column's first one; a column of
-    zeros takes 1.  The ratios are formed at every entry from the logs,
-    with no mask: where A and B are both zero, the ratio read is never
-    used."""
-    nz = A != 0
-    if not np.array_equal(nz, B != 0):
+def _entrywise_diagonal(ctx, logs_a: np.ndarray, logs_b: np.ndarray):
+    """The int64 column scaling that carries A onto B entry by entry, or
+    None, from their uint16 log matrices (AGCode.log_matrix).  A and B
+    must share their zero slots, and every nonzero log ratio
+    L_B - L_A mod Q - 1 in a column must equal the column's first one.
+    The ratios are formed at every entry with no mask, in uint16 (a sum
+    below 3(Q - 1)): where A and B are both zero the ratio is 0, so a
+    column of zeros takes exp 0 = 1."""
+    zero, n1 = ctx.log_np.item(0), ctx.order - 1
+    nz = logs_a != zero
+    if not np.array_equal(nz, logs_b != zero):
         return None
-    log = ctx.log_np
-    ratios = ctx.exp_np.take((log.take(B) - log.take(A)) % (ctx.order - 1))
-    diag = ratios[nz.argmax(axis=0), np.arange(A.shape[1])]
-    if not ((ratios == diag) | ~nz).all():
+    ratios = (logs_b + n1 - logs_a) % n1
+    first = ratios[nz.argmax(axis=0), np.arange(ratios.shape[1])]
+    if not ((ratios == first) | ~nz).all():
         return None
-    diag[~nz.any(axis=0)] = 1
-    return diag
+    return ctx.exp_np[first]
 
 
 def _rref_diagonal(ctx, code_a: AGCode, code_b: AGCode):

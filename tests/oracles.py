@@ -40,10 +40,11 @@ invariance is decided for every map of a family by row-space
 membership, where the library checks generators by transfer matrices,
 and a curve automorphism's inverse is found by scanning, where the
 library solves for it.  The transfer-matrix check itself is formed
-here on the whole int64 matrix and its whole image, by one scaled pass
-per binomial term from Pascal's triangle mod p, where the library
-streams it a column block of the code's log matrix at a time in base-p
-digit steps.  The group's orbits are walked one image place
+here on the whole int64 matrix and its whole pulled-back image, each
+place's image found one place at a time and the entry map inverted by
+a scan over the field, by one scaled pass per binomial term from
+Pascal's triangle mod p, where the library streams it a column block
+of the code's log matrix at a time in base-p digit steps.  The group's orbits are walked one image place
 at a time, where the library moves each place by every element at once
 on the (a, b) arrays.  The
 roots of B are found element by element and their multiplicities by
@@ -86,7 +87,7 @@ from functools import cache, partial
 import numpy as np
 
 from normtrace import codes
-from normtrace.autgroup import CodeAut, CurveAut, ab_inverse, code_action
+from normtrace.autgroup import CodeAut, CurveAut, code_action
 from normtrace.codes import BudgetExceeded
 from normtrace.curve import AFFINE, P_INFINITY, Place
 from normtrace.gf import build_field
@@ -362,25 +363,51 @@ def pascal_passes(p, basis):
     return passes
 
 
+def pullback_scalar(g):
+    """The scalar s' of g's pulled-back image, found by scanning: the
+    nonzero element with s s'^{p^frob} = 1."""
+    ctx = g.aut.curve.ctx
+    return next(v for v in ctx.nonzero()
+                if ctx.mul(g.scalar, ctx.frobenius(v, g.frob)) == 1)
+
+
+def pullback_action(code, g, words):
+    """The inverse of code_action on a word or a stack of rows, place by
+    place: column i takes the entries of the column of the image of
+    place i under g, each sent back through the entry map
+    x -> s x^{p^frob}, inverted by a scan over the field."""
+    curve = code.curve
+    ctx = curve.ctx
+    pos = {P: i for i, P in enumerate(curve.theta)}
+    cols = [pos[frobenius_place(curve, apply_place(g.aut, P), g.frob)]
+            for P in curve.theta]
+    undo = np.zeros(ctx.order, dtype=np.int64)
+    for x in ctx.elements():
+        undo[ctx.mul(g.scalar, ctx.frobenius(x, g.frob))] = x
+    return undo[np.asarray(words)[..., cols]]
+
+
 def transfer_image_whole(code, g):
     """T M on the whole int64 matrix, for the transfer matrix T that
-    sends the row of x^i y^j to its image under g read in the basis, or
-    None if some lowered monomial is missing from the basis: row (i, j)
-    is the sum over d of s C(j, d) beta^{i + c (j - d)} alpha^d times
-    row (i, j - d), one scaled pass of pascal_passes per d, where
-    autgroup._transfer_blocks takes digit steps.  Only the basis and
-    the matrix are read from the code."""
+    sends the row of x^i y^j to its pulled-back image under g,
+    s' (b x)^i (b^c y + a)^j for g's own (a, b) and s' of
+    pullback_scalar, read in the basis, or None if some lowered
+    monomial is missing from the basis: row (i, j) is the sum over d of
+    s' C(j, d) b^{i + c (j - d)} a^d times row (i, j - d), one scaled
+    pass of pascal_passes per d, where autgroup._transfer_blocks takes
+    digit steps.  Only the basis and the matrix are read from the
+    code."""
     passes = pascal_passes(code.curve.p, code.basis)
     if passes is None:
         return None
     curve = code.curve
     ctx, c = curve.ctx, curve.c
     n1 = ctx.order - 1
-    inv = ab_inverse(curve, np.array([g.aut.a]), np.array([g.aut.b]))
-    alpha, beta = (ctx.frobenius(int(v), g.frob) for v in inv[:, 0])
+    alpha, beta = g.aut.a, g.aut.b
     log, exp = ctx.log_np, ctx.exp_np
     logs = log[code.matrix]
-    weights = (code.basis[0] + c * code.basis[1]) * log[beta] + log[g.scalar]
+    weights = ((code.basis[0] + c * code.basis[1]) * log[beta]
+               + log[pullback_scalar(g)])
     out = None
     for d, rows, src, binom in passes:
         if d and not alpha:
@@ -395,16 +422,17 @@ def transfer_image_whole(code, g):
 
 
 def certified_whole(code, g):
-    """True iff T M equals the whole image of the matrix under g."""
+    """True iff T M equals the whole pulled-back image of the matrix
+    under g."""
     moved = transfer_image_whole(code, g)
     return moved is not None and np.array_equal(
-        moved, code_action(code, g, code.matrix))
+        moved, pullback_action(code, g, code.matrix))
 
 
 def is_code_automorphism_whole(code, g):
     """The code-automorphism verdict of the whole-matrix check: T M
-    equals the image of the whole matrix, or else the image stack lies
-    in the row space."""
+    equals the pulled-back image of the whole matrix, or else the image
+    stack lies in the row space."""
     return certified_whole(code, g) or code.contains(
         code_action(code, g, code.matrix))
 

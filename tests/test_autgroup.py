@@ -18,7 +18,8 @@ from oracles import (apply_place, certified_whole, closure_by_compositions,
                      inverse_by_search, inverse_pair,
                      is_code_automorphism_by_membership,
                      is_code_automorphism_whole, on_curve,
-                     orbits_by_places, transfer_image_whole, with_matrix)
+                     orbits_by_places, pullback_action, pullback_scalar,
+                     transfer_image_whole, with_matrix)
 
 
 def test_group_order(curve23, curve33):
@@ -443,13 +444,13 @@ def _swapped(code):
 
 
 def _streamed(code, g):
-    """T M joined from the column blocks of autgroup._transfer_blocks,
-    or None if the code has no lowering table."""
+    """T M joined from the column blocks of autgroup._transfer_blocks
+    for g's own (a, b) and the scalar of its pulled-back image, or None
+    if the code has no lowering table."""
     if code.lowering() is None:
         return None
-    inv = ab_inverse(code.curve, np.array([g.aut.a]), np.array([g.aut.b]))
-    return np.hstack([block for _, block
-                      in autgroup._transfer_blocks(code, g, inv[:, 0])])
+    return np.hstack([block for _, block in autgroup._transfer_blocks(
+        code, g.aut.a, g.aut.b, pullback_scalar(g))])
 
 
 def test_certificate_decides_every_curve_automorphism_of_23(curve23,
@@ -483,10 +484,65 @@ def test_certificate_matches_membership_with_frobenius_and_scalars(q, r):
             g = CodeAut(rng.choice(group), frob=rng.randrange(1, ctx.k),
                         scalar=rng.randrange(2, ctx.order))
             images.append(code_action(code, g, code.matrix))
-            assert np.array_equal(_streamed(code, g), images[-1])
+            assert np.array_equal(_streamed(code, g),
+                                  pullback_action(code, g, code.matrix))
             assert is_code_automorphism(code, g)
         # the membership verdict on all three images at once
         assert code.contains(np.vstack(images))
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
+                                  (2, 4)])
+def test_certificate_decides_every_seeded_map(q, r, monkeypatch):
+    # ten maps with random Frobenius and scalar at each ell: the
+    # pulled-back certificate decides all of them, so membership never
+    # runs, and every verdict is the membership verdict
+    curve = build_curve(q, r)
+    ctx = curve.ctx
+    group = enumerate_group(curve)
+    rng = random.Random(q * 10 + r)
+    cases = [(build_code(curve, ell),
+              CodeAut(rng.choice(group), frob=rng.randrange(ctx.k),
+                      scalar=rng.randrange(1, ctx.order)))
+             for ell in sorted({1, 2, ctx.order // 2, ctx.order - 1})
+             for _ in range(10)]
+    assert [_decided(c, g, monkeypatch) for c, g in cases] == [
+        (is_code_automorphism_by_membership(c, g), True) for c, g in cases]
+
+
+def test_certificate_and_code_checks_form_no_inverse(curve33, monkeypatch):
+    # g's own (a, b) pulls the code back: ab_inverse is never called
+    monkeypatch.setattr(autgroup, "ab_inverse", _no_inverse)
+    rng = random.Random(33)
+    group = enumerate_group(curve33)
+    for ell in (2, 13):
+        code = build_code(curve33, ell)
+        assert all(is_code_automorphism(
+            code, CodeAut(rng.choice(group), frob=rng.randrange(3),
+                          scalar=rng.randrange(1, 27))) for _ in range(8))
+        assert all(ok for _, ok, _ in code_checks(code))
+        assert code._rref is None
+
+
+def test_blocks_of_the_inverse_convention_fail_the_pullback():
+    # blocks built from the inverse pair twisted by p^frob with the
+    # scalar s give the image T M under g, not its pull-back: on (3,2)
+    # they differ from the pulled-back image on some map with frob = 1
+    curve = build_curve(3, 2)
+    ctx = curve.ctx
+    code = build_code(curve, 4)
+    rng = random.Random(32)
+    differ = 0
+    for s in enumerate_group(curve):
+        g = CodeAut(s, frob=1, scalar=rng.randrange(1, ctx.order))
+        a, b = (ctx.frobenius(v, g.frob) for v in inverse_pair(
+            curve, (s.a, s.b)))
+        blocks = np.hstack([block for _, block in autgroup._transfer_blocks(
+            code, a, b, g.scalar)])
+        assert np.array_equal(blocks, code_action(code, g, code.matrix))
+        differ += not np.array_equal(blocks, pullback_action(
+            code, g, code.matrix))
+    assert differ
 
 
 def test_membership_decides_where_the_certificate_fails(curve23):
@@ -502,8 +558,8 @@ def test_membership_decides_where_the_certificate_fails(curve23):
             g = CodeAut(s, frob=1, scalar=3)
             assert (is_code_automorphism(code, g)
                     == is_code_automorphism_by_membership(code, g))
-            failed += not np.array_equal(_streamed(code, g),
-                                         code_action(code, g, code.matrix))
+            failed += not np.array_equal(_streamed(code, g), pullback_action(
+                code, g, code.matrix))
         assert failed >= len(group) // 2
     assert not all(is_code_automorphism(swapped, CodeAut(s)) for s in group)
 
@@ -515,12 +571,12 @@ def test_transfer_image_with_one_entry_changed_fails(curve23, monkeypatch):
     g = CodeAut(s, frob=2, scalar=5)
     monkeypatch.setattr(autgroup, "BLOCK_ENTRIES", 2 * code.k)
     moved = _streamed(code, g)
-    image = code_action(code, g, code.matrix)
+    image = pullback_action(code, g, code.matrix)
     assert np.array_equal(moved, image)
     blocks = autgroup._transfer_blocks
 
-    def doctored(code, g, inverse):
-        for cols, block in blocks(code, g, inverse):
+    def doctored(code, a, b, scalar):
+        for cols, block in blocks(code, a, b, scalar):
             if cols.start == 6:
                 block[2, 1] ^= 1
             yield cols, block
@@ -762,20 +818,20 @@ def test_code_checks_match_the_per_element_oracle(q, r):
 
 
 def test_code_checks_test_only_generators(curve33, monkeypatch):
-    # each map is handed its inverse, from one ab_inverse call
+    # each map is decided by its own (a, b): no inverse is formed
     code = build_code(curve33, 2)
-    seen, inverted = [], []
-    check, invert = autgroup.is_code_automorphism, autgroup.ab_inverse
+    seen, check = [], autgroup.is_code_automorphism
     monkeypatch.setattr(autgroup, "is_code_automorphism",
-                        lambda code, g, inverse=None: seen.append(
-                            (g, inverse)) or check(code, g, inverse))
-    monkeypatch.setattr(autgroup, "ab_inverse", lambda curve, a, b:
-                        inverted.append(len(a)) or invert(curve, a, b))
+                        lambda code, g: seen.append(g) or check(code, g))
+    monkeypatch.setattr(autgroup, "ab_inverse", _no_inverse)
     assert all(ok for _, ok, _ in code_checks(code))
     assert len(seen) == 5 and code._rref is None
-    assert inverted == [5]
-    assert [tuple(inv) for _, inv in seen] == [
-        inverse_pair(curve33, (g.aut.a, g.aut.b)) for g, _ in seen]
+    assert [g.aut for g in seen] == generators(curve33) + [
+        CurveAut(curve33, 0, 1)] * 2
+
+
+def _no_inverse(*args):
+    raise AssertionError("ab_inverse was called")
 
 
 def test_code_checks_list_no_group(monkeypatch):

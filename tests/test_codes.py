@@ -794,6 +794,62 @@ def test_monomial_equivalence_of_canonical_pairs_eliminates_nothing(
     assert calls == []
 
 
+# every ell of (2,3) and (2,4), and four of (3,3)
+CANONICAL_ELLS = [(2, 3, range(1, 8)), (2, 4, range(1, 16)),
+                  (3, 3, (1, 2, 13, 26))]
+
+
+def _canonical_pairs(q, r, ells):
+    curve = build_curve(q, r)
+    return [(curve, ell, build_code(curve, ell),
+             extended_one_point_code(curve, ell)) for ell in ells]
+
+
+@pytest.mark.parametrize("q, r, ells", CANONICAL_ELLS)
+def test_entrywise_diagonal_on_logs_equals_the_column_oracle(q, r, ells):
+    # the diagonal read off the two log matrices is the scalar column
+    # oracle's on the int64 matrices, and the explicit x(P)^ell
+    for curve, ell, ca, cb in _canonical_pairs(q, r, ells):
+        ctx = curve.ctx
+        got = codes._entrywise_diagonal(ctx, ca.log_matrix, cb.log_matrix)
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, entrywise_diagonal_by_columns(ctx, ca.matrix, cb.matrix))
+        assert np.array_equal(got, equivalence_diagonal(curve, ell))
+
+
+@pytest.mark.parametrize("q, r, ells", CANONICAL_ELLS)
+def test_entrywise_diagonal_on_logs_has_teeth(q, r, ells):
+    # one entry of B zeroed, or one nonzero ratio changed in a column
+    # with two nonzero entries: no diagonal, as by the column oracle
+    for curve, ell, ca, cb in _canonical_pairs(q, r, ells):
+        ctx = curve.ctx
+        zero, n1 = ctx.log_np.item(0), ctx.order - 1
+        nonzero = ca.log_matrix != zero
+        col = int(np.flatnonzero(nonzero.sum(axis=0) >= 2)[-1])
+        row = int(np.flatnonzero(nonzero[:, col])[-1])
+        for value in (zero, (int(cb.log_matrix[row, col]) + 1) % n1):
+            logs = cb.log_matrix.copy()
+            logs[row, col] = value
+            assert codes._entrywise_diagonal(ctx, ca.log_matrix, logs) is None
+            assert entrywise_diagonal_by_columns(
+                ctx, ca.matrix, ctx.exp_np[logs]) is None
+
+
+def _no_matrix(code):
+    raise AssertionError("AGCode.matrix was gathered")
+
+
+@pytest.mark.parametrize("q, r, ells", CANONICAL_ELLS)
+def test_monomial_equivalence_of_canonical_pairs_gathers_no_matrix(
+        q, r, ells, monkeypatch):
+    # the entrywise path reads the log matrices alone
+    monkeypatch.setattr(codes.AGCode, "matrix", property(_no_matrix))
+    for curve, ell, ca, cb in _canonical_pairs(q, r, ells):
+        assert np.array_equal(monomial_equivalence_check(ca, cb),
+                              equivalence_diagonal(curve, ell))
+
+
 def test_length_mismatch_raises(curve23, curve33):
     with pytest.raises(ValueError):
         monomial_equivalence_check(build_code(curve23, 1), build_code(curve33, 1))

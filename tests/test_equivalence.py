@@ -1,5 +1,6 @@
 """The entrywise stage of monomial_equivalence_check, which forms every
-column ratio as one array, against the column-by-column scalar oracle,
+column's log ratio as one array from the two uint16 log matrices,
+against the column-by-column scalar oracle on the element matrices,
 over random fields of order at most 2^8."""
 
 from functools import lru_cache
@@ -64,7 +65,8 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_entrywise_diagonal_equals_column_oracle(case):
     ctx, A, B, diag, kind = case
-    got = _entrywise_diagonal(ctx, A, B)
+    log = ctx.log_np.astype(np.uint16)
+    got = _entrywise_diagonal(ctx, log[A], log[B])
     want = entrywise_diagonal_by_columns(ctx, A, B)
     if want is None:
         assert got is None
