@@ -355,7 +355,7 @@ def witness_function(curve: NormTraceCurve, ell: int,
         raise ValueError(f"witness elements must be distinct nonzero "
                          f"elements of GF({ctx.order})")
     # times (1 - c t): coefficient m gains -c times coefficient m - 1,
-    # one array step per factor, by digit addition (no table is built)
+    # one array step per factor, by the Zech sum (no Q x Q table is built)
     f = np.zeros(ell + 1, dtype=np.int64)
     f[0] = 1
     for n, ci in enumerate(c_list, 1):

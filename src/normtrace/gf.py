@@ -5,7 +5,7 @@ base-p digits of the index, little-endian, are the coefficients of the
 residue polynomial modulo a fixed monic irreducible polynomial.  A
 :class:`FieldCtx` holds the modulus together with precomputed exp/log
 tables, so multiplication, inversion, powering and negation are table
-lookups; odd-characteristic scalar addition goes through Zech logarithms.
+lookups; odd-characteristic addition goes through Zech logarithms.
 
 Building a field only sets its modulus and generator (see below).
 The exp and log tables (``exp_np``, ``log_np``) are filled on first
@@ -23,11 +23,12 @@ takes no memory.  The scalar and array methods read the same two
 arrays: no other copy of the tables is made.
 
 The vector operations work on numpy arrays of indices, products
-included (``vmul_outer`` too is one gather from exp).  The one Q x Q
-table is the sum table ``add_np`` of odd characteristic, which
-``vadd`` gathers from: it is built on first use, in the narrowest
-unsigned dtype that holds every index (``FieldCtx.dtype``), and only up
-to order TABLE_MAX_ORDER.  Characteristic 2 adds by XOR and builds none.
+included (``vmul_outer`` too is one gather from exp).  Odd-p ``add``
+and ``vadd_scalar`` are one Zech sum at any order (``_zech_np``).  The
+one Q x Q table is the odd-p sum table ``add_np``, which ``vadd``
+gathers from: it is built on first use, in the narrowest unsigned dtype
+that holds every index (``FieldCtx.dtype``), and only up to order
+TABLE_MAX_ORDER.  Characteristic 2 adds by XOR and builds none.
 
 When no modulus is supplied, the monic irreducible polynomial of degree
 k with the smallest integer encoding is chosen, and the generator is
@@ -488,27 +489,29 @@ class FieldCtx:
 
     @cached_property
     def _zech_np(self) -> np.ndarray:
-        """The Zech logarithms: entry d is log(1 + g^d), the zero slot
-        2(Q - 1) where 1 + g^d = 0.  Adding 1 to an index adds 1 to its
-        lowest digit, which wraps from p to 0."""
-        one_plus = self.exp_np[:self.order - 1] + 1
+        """Zech logarithms in the zero-safe layout: entry d < Q - 1 is
+        log(1 + g^d), the zero slot where 1 + g^d = 0, and entry Q - 1 is
+        0, so exp[lo + zech[min(hi - lo, Q - 1)]] is u + v for the logs
+        lo <= hi of any u, v: one zero clips to entry Q - 1 and reads the
+        other's log, two read exp's zero tail at lo = 2(Q - 1).
+        Adding 1 to an index adds 1 to its lowest digit, mod p."""
+        one_plus = self.exp_np[:self.order] + 1  # exp[Q - 1] = 1
         one_plus[one_plus % self.p == 0] -= self.p
+        one_plus[-1] = 1  # entry Q - 1 is log 1
         return self.log_np[one_plus]
 
     # -- scalar arithmetic on indices ------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        """a + b; in odd characteristic g^i + g^j = g^(i + Z(j - i)),
-        where a Zech zero slot reads exp's zero tail."""
+        """a + b; in odd characteristic g^i + g^j = g^(i + Z(j - i)) for
+        i <= j, zeros included (see _zech_np)."""
         if self.p == 2:
             return a ^ b
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la = self.log_np.item(a)
-        z = self._zech_np.item((self.log_np.item(b) - la) % (self.order - 1))
-        return self.exp_np.item(la + z)
+        lo, hi = self.log_np.item(a), self.log_np.item(b)
+        if lo > hi:
+            lo, hi = hi, lo
+        d, n = hi - lo, self.order - 1  # min(d, n) without a builtin call
+        return self.exp_np.item(lo + self._zech_np.item(d if d < n else n))
 
     def neg(self, a: int) -> int:
         return self.exp_np.item(self.log_np.item(a) + self._neg_shift)
@@ -605,17 +608,13 @@ class FieldCtx:
         return self._add_np
 
     def vadd_scalar(self, u: np.ndarray, a: int | np.ndarray) -> np.ndarray:
-        """Elementwise u + a, for one element a or an array, by base-p
-        digit arithmetic: no table is built, so the cost follows the arrays."""
-        u = np.asarray(u, dtype=np.int64)
+        """Elementwise u + a, for one element a or an array, as int64: at
+        odd p add's Zech sum, so no Q x Q table is built."""
         if self.p == 2:
-            return u ^ a
-        out = np.zeros_like(u)
-        mult = 1
-        for _ in range(self.k):
-            out += (u // mult + a // mult) % self.p * mult
-            mult *= self.p
-        return out
+            return np.asarray(u, dtype=np.int64) ^ a
+        lu, la = self.log_np[u], self.log_np[a]
+        lo, d = np.minimum(lu, la), np.abs(lu - la)
+        return self.exp_np[lo + self._zech_np[np.minimum(d, self.order - 1)]]
 
     def vadd(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Elementwise u + v; in odd characteristic the result has the

@@ -41,8 +41,8 @@ def mul(ctx, f, g):
 def rem(ctx, f, g):
     """f mod a nonzero g, by long division on one array.  -g / lead(g) is
     formed once; each quotient coefficient c, the top entry of the
-    remainder so far, then clears that entry with one vadd_scalar of c
-    times its low terms, so no Q x Q table is built."""
+    remainder so far, then clears that entry with one vadd_scalar (a
+    Zech sum at odd p) of c times its low terms: no Q x Q table."""
     g = trim(g)
     if not g.size:
         raise ZeroDivisionError("polynomial division by zero")
@@ -96,8 +96,8 @@ def shifted_power(ctx, c, s, m):
 
 def evaluate_array(ctx, f, xs):
     """f at every index of the array xs, by Horner on arrays: ctx.vmul
-    for the products and ctx.vadd_scalar for each nonzero coefficient,
-    so no table over the field is built and the cost follows len(xs)."""
+    for the products and ctx.vadd_scalar (log gathers) for each nonzero
+    coefficient, so no Q x Q table is built and the cost follows len(xs)."""
     out = ctx.vscale(0, xs)
     for a in reversed(f):
         out = ctx.vmul(out, xs)

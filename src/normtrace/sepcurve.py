@@ -613,12 +613,13 @@ def _extension_degrees(ctx: FieldCtx):
 # passes whose count is quadratic in deg B.  A random monic B of degree
 # 511 at p = 2, 509 over GF(3^6) and 512 otherwise (random.Random(1)) is
 # refused at the field limit after these seconds of CPU on a 2-core x86-64
-# VM, the slower of two runs, the radical test on lists in brackets: GF(2)
-# 0.20 [3.5], GF(2^5) 0.42 [4.2], GF(2^10) 0.62 [5.7], GF(2^20) 1.23 [6.7],
-# GF(3) 0.45 [6.8], GF(3^4) 1.19 [9.5], GF(3^6) 1.48 [13.4], GF(3^12) 2.46
-# [16.2] (median of 5 runs, 2.31-3.60), GF(5^4) 1.28 [11.5], GF(7^3) 0.88
-# [9.4], GF(1048573) 1.46 [25.6].  GF(3^12) is bound by the 12 digit passes
-# of each vadd_scalar in poly.rem; raising the limit waits (ROADMAP item 22).
+# VM, the slower of two runs [base-p digit sums run alongside; radical test
+# on lists]: GF(2) 0.20 [0.20; 3.5], GF(2^5) 0.38 [0.40; 4.2], GF(2^10)
+# 0.57 [0.57; 5.7], GF(2^20) 0.92 [0.94; 6.7], GF(3) 0.29 [0.33; 6.8],
+# GF(3^4) 0.50 [0.82; 9.5], GF(3^6) 0.73 [1.30; 13.4], GF(3^12) 1.23 [2.29;
+# 16.2] (median of 5, 1.22-1.58 [2.24-2.52]), GF(5^4) 0.55 [0.89; 11.5],
+# GF(7^3) 0.53 [0.83; 9.4], GF(1048573) 1.91 [1.24; 25.6] (Zech gathers on
+# 8 MB tables miss the cache).  Next: poly.mul's digit passes (ROADMAP 22).
 # A B that splits costs more, as its Hasse derivatives are evaluated on all
 # of E: 511 distinct linear factors over GF(2^20) took 45.3 s in classify,
 # 512 over GF(3^12) 28.7 s (random.Random(1) roots; item 22 again).

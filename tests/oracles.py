@@ -556,6 +556,17 @@ def add_by_digits(ctx, a, b):
     return out
 
 
+def vadd_by_digits(ctx, u, a):
+    """Elementwise u + a on index arrays, a one element or an array, by
+    base-p digit arithmetic: one pass per digit, so no table is read."""
+    u = np.asarray(u, dtype=np.int64)
+    out, mult = 0, 1
+    for _ in range(ctx.k):
+        out = out + (u // mult + a // mult) % ctx.p * mult
+        mult *= ctx.p
+    return np.asarray(out, dtype=np.int64)
+
+
 def neg_by_digits(ctx, a):
     """-a in GF(p^k), negating the base-p digits of the index mod p."""
     p = ctx.p

@@ -11,7 +11,7 @@ from normtrace import gf
 from normtrace.gf import build_field, field_from_dict
 from oracles import (add_by_digits, exp_log_by_powers, generator_by_search,
                      irreducible_by_trial, mul_by_digits, neg_by_digits,
-                     pow_by_digits)
+                     pow_by_digits, vadd_by_digits)
 
 # every p^k <= 2^12 with k >= 2, a sample of prime fields, and two
 # fields past the product-table limit
@@ -351,6 +351,83 @@ def test_zech_add_matches_digit_oracle_on_random_pairs():
         assert ctx.sub(a, b) == add_by_digits(ctx, a, neg_by_digits(ctx, b))
     assert ctx.add(1, ctx.order - 1) == add_by_digits(ctx, 1, ctx.order - 1)
     assert ctx.add(2, 1) == 0  # the Zech sentinel: 1 + (-1) = 0
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(3, 257)
+                                 if gf.is_prime(p) for k in range(1, 6)
+                                 if p ** k <= 256])
+def test_zech_sum_matches_add_table_on_every_pair(p, k):
+    # vadd_scalar and scalar add are one Zech sum on the zero-safe logs:
+    # every pair of every odd field of order at most 2^8, zeros included
+    ctx = build_field(p, k)
+    elems = np.arange(ctx.order)
+    want = ctx.add_np.tolist()
+    assert ctx.vadd_scalar(elems[:, None], elems[None, :]).tolist() == want
+    pairs = list(itertools.product(range(ctx.order), repeat=2))
+    assert list(itertools.starmap(ctx.add, pairs)) == sum(want, [])
+
+
+def zech_sum_draws(ctx, seed):
+    """Random index arrays u, v with 0 + 0, 0 + v, u + 0 and u + (-u)
+    drawn in."""
+    u, v = np.random.default_rng(seed).integers(ctx.order, size=(2, 300))
+    u[:2] = v[0] = v[2] = 0
+    v[3:50] = ctx.vneg(u[3:50])
+    return u, v
+
+
+def assert_zech_sums_match_digits(ctx, u, v, vsum=None):
+    """vsum (by default vadd_scalar) on the arrays and with one element,
+    and scalar add on each pair, equal oracles.vadd_by_digits."""
+    vsum = vsum or ctx.vadd_scalar
+    want = vadd_by_digits(ctx, u, v)
+    assert vsum(u, v).tolist() == want.tolist()
+    for a in (0, int(v[-1])):
+        assert vsum(u, a).tolist() == vadd_by_digits(ctx, u, a).tolist()
+    assert ([ctx.add(a, b) for a, b in zip(u.tolist(), v.tolist())]
+            == want.tolist())
+
+
+@pytest.mark.parametrize("p,k", [(3, 12), (5, 8), (7, 7), (1048573, 1)])
+def test_zech_sum_matches_digit_oracle_on_large_fields(p, k):
+    ctx = build_field(p, k)
+    assert ctx.order > gf.TABLE_MAX_ORDER  # no Q x Q table here
+    u, v = zech_sum_draws(ctx, p)
+    assert_zech_sums_match_digits(ctx, u, v)
+    assert ctx._add_np is None
+
+
+def unordered_zech_sum(ctx, u, v):
+    """The Zech sum of two units, log u + Z(log v - log u), taken at
+    every pair without ordering the logs: wrong at a zero operand."""
+    lu, lv = ctx.log_np[u], ctx.log_np[v]
+    return ctx.exp_np[lu + ctx._zech_np[(lv - lu) % (ctx.order - 1)]]
+
+
+@pytest.mark.parametrize("doctor", ["last_entry", "rolled", "unordered"])
+def test_zech_sum_check_has_teeth(monkeypatch, doctor):
+    ctx = build_field(3, 7)
+    u, v = zech_sum_draws(ctx, 7)
+    assert_zech_sums_match_digits(ctx, u, v)
+    vsum = None
+    if doctor == "unordered":
+        vsum = lambda u, a: unordered_zech_sum(ctx, u, a)  # noqa: E731
+        units = (u != 0) & (v != 0)
+        assert (vsum(u[units], v[units]).tolist()
+                == vadd_by_digits(ctx, u[units], v[units]).tolist())
+    else:
+        zech = ctx._zech_np.copy()
+        if doctor == "last_entry":
+            zech[ctx.order - 1] = 1
+        else:
+            zech = np.roll(zech, 1)
+        monkeypatch.setattr(ctx, "_zech_np", zech)
+        # each of the two sums reads the doctored table
+        with pytest.raises(AssertionError):
+            assert ([ctx.add(a, b) for a, b in zip(u.tolist(), v.tolist())]
+                    == vadd_by_digits(ctx, u, v).tolist())
+    with pytest.raises(AssertionError):
+        assert_zech_sums_match_digits(ctx, u, v, vsum)
 
 
 def scalar_op_values(ctx):

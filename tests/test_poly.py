@@ -136,10 +136,10 @@ def test_evaluate_array_equals_scalar_evaluation(case):
 @pytest.mark.parametrize("p, k", [(2, 20), (3, 12)])
 def test_evaluate_array_at_a_few_points_of_a_large_field(p, k):
     # the cost follows the points: one int64 array over GF(2^20) alone
-    # takes 8 MB.  The field's exp and log tables are filled on first
-    # read, before the window, so that it counts only the evaluation.
+    # takes 8 MB.  The field's exp, log and Zech tables are filled on
+    # first read, before the window, so that it counts only the evaluation.
     ctx = build_field(p, k)
-    ctx.exp_np, ctx.log_np
+    ctx.exp_np, ctx.log_np, ctx._zech_np
     rng = random.Random(k)
     f = [rng.randrange(ctx.order) for _ in range(9)]
     xs = np.array([0, 1, ctx.order - 1]
