@@ -188,9 +188,8 @@ def group_checks(curve: NormTraceCurve, a: np.ndarray, b: np.ndarray,
     numpy.random.default_rng(seed)); the inverses (-b^{-c} a, b^{-1});
     the short orbits; and the fixed-place bound.  Products and inverses
     are looked up by their _slots in the table of the given pairs
-    (_members), where a pair outside the group is never found.  Odd
-    characteristic needs the order in gf.TABLE_MAX_ORDER; a of nonzero
-    trace raises ValueError."""
+    (_members), where a pair outside the group is never found.  An a
+    of nonzero trace raises ValueError."""
     n = len(a)
     want = curve.h * (curve.q ** curve.r - 1)
     checks = [("group order", n == want, f"{n} (expected {want})")]

@@ -198,7 +198,7 @@ def _table_rows(args):
         try:
             d_exact = codes.min_distance_exhaustive(code, args.budget,
                                                     stop_at=code.d_star)
-        except codes.BudgetExceeded:  # over budget or the table limit
+        except codes.BudgetExceeded:  # over budget or the word-table limit
             d_exact = ""
         agree = code.k == k_formula
         all_agree = all_agree and agree
@@ -286,6 +286,7 @@ def cmd_code_build(args):
 def cmd_min_dist(args):
     curve = build_curve(args.q, args.r)
     code = codes.build_code(curve, args.ell)
+    codes.search_depth(code, args.budget, True)  # refuses before the notice
     Q = curve.ctx.order
     messages = (Q ** code.k - 1) // (Q - 1)  # one per line through 0
     if messages > 1 << 22:

@@ -40,14 +40,6 @@ def _check_ell(curve: NormTraceCurve, ell: int):
         raise ValueError(f"ell = {ell} out of range 1..{top}")
 
 
-def _check_code(curve: NormTraceCurve, ell: int):
-    """Refuse a code before any place is enumerated: ell out of range,
-    or a field too large for the table arithmetic that builds the matrix
-    and eliminates on it."""
-    _check_ell(curve, ell)
-    curve.ctx.check_table_order()
-
-
 @dataclass(eq=False)
 class AGCode:
     """An evaluation code; its generator matrix is kept as its logs,
@@ -167,7 +159,7 @@ def build_code(curve: NormTraceCurve, ell: int) -> AGCode:
     """The multi-point code: evaluate the L(ell * Omega) monomial basis
     over Theta.  The evaluation map is injective (n > deg G), so the
     matrix rank equals the basis size; this is proved from the basis."""
-    _check_code(curve, ell)
+    _check_ell(curve, ell)
     return _evaluation_code(curve, ell, basis_multipoint(curve, ell), 0)
 
 
@@ -175,7 +167,7 @@ def extended_one_point_code(curve: NormTraceCurve, ell: int) -> AGCode:
     """The extended one-point code: evaluate the L(ell*h * P_inf) basis
     over Theta, with the P_inf entry taken through t^{ell*h} for the
     canonical local parameter t."""
-    _check_code(curve, ell)
+    _check_ell(curve, ell)
     return _evaluation_code(curve, ell, basis_one_point(curve, ell * curve.h),
                             ell * curve.h)
 
@@ -267,9 +259,10 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
     row per i mod Q - 1 in the range of i (at most Q - 1 rows) and one
     per j in 0..max j.  A code's basis fills both ranges, so the tables
     hold no row it does not read.  Each term is below Q - 1, so their
-    sum is below 2(Q - 1) <= 8190; P_inf takes exponent 0 (the entry 1)
-    or log 0, the zero slot 2(Q - 1) of ctx.log_np (see
-    rrspace.at_infinity).
+    sum is below 2(Q - 1); P_inf takes exponent 0 (the entry 1) or log
+    0, the zero slot 2(Q - 1) of ctx.log_np (see rrspace.at_infinity).
+    uint16 holds every log and every sum of two: a curve within
+    curve.MAX_PLACES has Q <= 127^2 = 16129, so 4(Q - 1) < 2^16.
     ValueError, before any table is formed, if the k x n exponents and
     int64 matrix of the whole gather, the tables (each formed in uint32,
     then narrowed) and numpy's buffers would pass TABLE_MAX_BYTES."""
@@ -294,7 +287,7 @@ def _exponent_tables(curve: NormTraceCurve, basis, n_inf: int) -> tuple:
 def _exponent_rows(exponents, logs, q1: int) -> np.ndarray:
     """The uint16 table of e * logs mod q1, one row per exponent e (of
     any sign), formed in uint32: e is reduced mod q1 first and each log
-    is below q1, so every product is below q1^2 < 2^24."""
+    is below q1, so every product is below q1^2 < 2^32."""
     rows = (exponents % q1).astype(np.uint32)[:, None] * logs.astype(np.uint32)
     rows %= q1
     return rows.astype(np.uint16)
@@ -378,11 +371,9 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     """Minimum weight over all nonzero messages, by exhaustive
     enumeration of the projective message space.
 
-    Raises BudgetExceeded when the field-order^k message count exceeds
-    the budget, or when the word tables would need more than
-    TABLE_MAX_BYTES at their peak, estimated before any is built.  If
-    stop_at is given (a proven lower bound such as d*), the search
-    stops as soon as a word of that weight has been found.
+    Raises BudgetExceeded before anything is built, as search_depth
+    decides.  If stop_at is given (a proven lower bound such as d*), the
+    search stops as soon as a word of that weight has been found.
 
     Every nonzero message is a scalar multiple of exactly one message
     whose highest nonzero digit is 1, and scaling keeps the weight, so
@@ -399,16 +390,8 @@ def min_distance_exhaustive(code: AGCode, budget: int,
     no Q x Q product table and never gathers the int64 matrix.
     """
     ctx = code.curve.ctx
-    Q = ctx.order
-    k, n = code.k, code.n
-    if Q ** k > budget:
-        raise BudgetExceeded(
-            f"message space {Q}^{k} exceeds budget {budget}")
-    k2 = _table_depth(Q, k, n, stop_at is not None, TABLE_MAX_WORDS)
-    need = _table_bytes(ctx, k, k2, n)
-    if need > TABLE_MAX_BYTES:
-        raise BudgetExceeded(f"word tables need about {need} bytes, above "
-                             f"the limit {TABLE_MAX_BYTES}")
+    Q, k, n = ctx.order, code.k, code.n
+    k2 = search_depth(code, budget, stop_at is not None)
     k1 = k - k2
     row_multiples, add, distance = _word_kernel(ctx, n)
     # multiples[i][:, s] is the word s * (row i), encoded
@@ -439,6 +422,24 @@ def min_distance_exhaustive(code: AGCode, budget: int,
             if stop_at is not None and best <= stop_at:
                 break
     return best
+
+
+def search_depth(code: AGCode, budget: int, early_stop: bool) -> int:
+    """The table depth k2 (_table_depth) of min_distance_exhaustive on
+    code, or BudgetExceeded if the Q^k messages exceed budget or the word
+    tables would need more than TABLE_MAX_BYTES at their peak
+    (_table_bytes).  Q^k is not formed once k reaches budget's bit
+    length, since Q^k >= 2^k exceeds budget then."""
+    ctx, k, n = code.curve.ctx, code.k, code.n
+    Q = ctx.order
+    if k >= budget.bit_length() or Q ** k > budget:
+        raise BudgetExceeded(f"message space {Q}^{k} exceeds budget {budget}")
+    k2 = _table_depth(Q, k, n, early_stop, TABLE_MAX_WORDS)
+    need = _table_bytes(ctx, k, k2, n)
+    if need > TABLE_MAX_BYTES:
+        raise BudgetExceeded(f"word tables need about {need} bytes, above "
+                             f"the limit {TABLE_MAX_BYTES}")
+    return k2
 
 
 # One sweep's fixed cost, in table entries built: about 25 us of Python
@@ -588,56 +589,57 @@ def monomial_equivalence_check(code_a: AGCode, code_b: AGCode):
     code_a onto code_b; returns the diagonal or None: scaling column p
     of code_a by diagonal[p] yields code_b's row space.
 
-    The diagonal D comes from entrywise column ratios of the generator
-    matrices, read off their log matrices alone, which recover the
-    explicit x(P)^ell diagonal of the canonical multi-point / extended
-    one-point pair; else from column ratios of the reduced echelon
-    forms, with equal pivot lists.  D must have no zero entry.  The
-    entrywise D is then proved by A D = B entry by entry, as
-    exp[L_A + log D] == exp[L_B] on the logs L_A and L_B in the element
-    dtype (a zero's slot plus log D reads exp_np's zero tail), so no
-    RREF is computed and no matrix is gathered; the fallback's A D,
+    The diagonal D comes from the log matrices alone, proved by A D = B
+    entry by entry (_entrywise_diagonal), which recovers the explicit
+    x(P)^ell diagonal of the canonical multi-point / extended one-point
+    pair with no RREF and no gathered matrix; else from column ratios of
+    the reduced echelon forms, with equal pivot lists, and then A D,
     gathered from code_a.matrix, must lie in B's cached row space: a
-    nonzero column scaling keeps the rank, so that is equality.
+    nonzero column scaling keeps the rank, so that is equality.  D must
+    have no zero entry.
     """
     if code_a.n != code_b.n:
         raise ValueError("codes have different lengths")
     if code_a.k != code_b.k:
         return None
     ctx = code_a.curve.ctx
-    logs_a, logs_b = code_a.log_matrix, code_b.log_matrix
-    diag = _entrywise_diagonal(ctx, logs_a, logs_b)
-    entrywise = diag is not None
-    if not entrywise:
+    diag = _entrywise_diagonal(ctx, code_a.log_matrix, code_b.log_matrix)
+    if diag is None:
         diag = _rref_diagonal(ctx, code_a, code_b)
-    if diag is None or not diag.all():
-        return None
-    if entrywise:  # indexing casts the uint16 logs in numpy's buffers
-        exp = ctx.exp_np.astype(ctx.dtype)
-        proved = np.array_equal(
-            exp[logs_a + ctx.log_np[diag].astype(np.uint16)], exp[logs_b])
-    else:
-        proved = code_b.contains(ctx.vmul(code_a.matrix, diag[None, :]))
-    return diag if proved else None
+        if diag is None or not diag.all() or not code_b.contains(
+                ctx.vmul(code_a.matrix, diag[None, :])):
+            return None
+    return diag if diag.all() else None
 
 
 def _entrywise_diagonal(ctx, logs_a: np.ndarray, logs_b: np.ndarray):
-    """The int64 column scaling that carries A onto B entry by entry, or
-    None, from their uint16 log matrices (AGCode.log_matrix).  A and B
-    must share their zero slots, and every nonzero log ratio
-    L_B - L_A mod Q - 1 in a column must equal the column's first one.
-    The ratios are formed at every entry with no mask, in uint16 (a sum
-    below 3(Q - 1)): where A and B are both zero the ratio is 0, so a
-    column of zeros takes exp 0 = 1."""
-    zero, n1 = ctx.log_np.item(0), ctx.order - 1
-    nz = logs_a != zero
-    if not np.array_equal(nz, logs_b != zero):
-        return None
-    ratios = (logs_b + n1 - logs_a) % n1
-    first = ratios[nz.argmax(axis=0), np.arange(ratios.shape[1])]
-    if not ((ratios == first) | ~nz).all():
-        return None
-    return ctx.exp_np[first]
+    """The int64 column scaling D that carries A onto B entry by entry,
+    or None, from their uint16 log matrices (AGCode.log_matrix): D is
+    read off one log ratio per column (_column_ratios), then proved in
+    the one pass over every entry, exp[L_A + log D] == exp[L_B] in the
+    element dtype.  A zero's slot plus log D reads exp_np's zero tail,
+    so a zero of A against a nonzero of B fails the proof, as does any
+    other ratio in a column."""
+    diag = _column_ratios(ctx, logs_a, logs_b)
+    exp = ctx.exp_np.astype(ctx.dtype)
+    # indexing casts the uint16 logs in numpy's buffers
+    proved = np.array_equal(
+        exp[logs_a + ctx.log_np[diag].astype(np.uint16)], exp[logs_b])
+    return diag if proved else None
+
+
+def _column_ratios(ctx, logs_a: np.ndarray, logs_b: np.ndarray):
+    """The int64 diagonal of one ratio B / A per column, as exp of
+    L_B - L_A mod Q - 1 at the column's first nonzero entry of A: in
+    row 0 except where row 0 of A is zero (on a code of monomials, at
+    most at P_inf); 1 on a column of zeros."""
+    zero = ctx.log_np.item(0)
+    rows = np.zeros(logs_a.shape[1], dtype=np.intp)
+    gaps = np.flatnonzero(logs_a[0] == zero)
+    rows[gaps] = (logs_a[:, gaps] != zero).argmax(axis=0)
+    cols = np.arange(len(rows))
+    la, lb = logs_a[rows, cols].astype(np.int64), logs_b[rows, cols]
+    return ctx.exp_np[np.where(la == zero, 0, (lb - la) % (ctx.order - 1))]
 
 
 def _rref_diagonal(ctx, code_a: AGCode, code_b: AGCode):

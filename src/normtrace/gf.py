@@ -24,11 +24,11 @@ arrays: no other copy of the tables is made.
 
 The vector operations work on numpy arrays of indices, products
 included (``vmul_outer`` too is one gather from exp).  Odd-p ``add``
-and ``vadd_scalar`` are one Zech sum at any order (``_zech_np``).  The
-one Q x Q table is the odd-p sum table ``add_np``, which ``vadd``
-gathers from: it is built on first use, in the narrowest unsigned dtype
-that holds every index (``FieldCtx.dtype``), and only up to order
-TABLE_MAX_ORDER.  Characteristic 2 adds by XOR and builds none.
+and ``vadd_scalar`` are one Zech sum at any order (``_zech_np``), and
+so is ``vadd`` above TABLE_MAX_ORDER; up to it, ``vadd`` gathers from
+the one Q x Q table, the odd-p sum table ``add_np``, built on first use
+in the narrowest unsigned dtype that holds every index
+(``FieldCtx.dtype``).  Characteristic 2 adds by XOR and builds none.
 
 When no modulus is supplied, the monic irreducible polynomial of degree
 k with the smallest integer encoding is chosen, and the generator is
@@ -59,8 +59,7 @@ import numpy as np
 MAX_ORDER = 1 << 20
 
 # Largest order whose Q x Q sum table is built: 2^24 entries, 32 MB in
-# uint16.  It caps odd-characteristic vadd, hence rref and reduce_vector
-# there, and the code commands in every characteristic.
+# uint16.  Above it odd-characteristic vadd takes the Zech sum.
 TABLE_MAX_ORDER = 1 << 12
 
 # The canonical field of every order p^k <= MAX_ORDER with k >= 2, as
@@ -580,21 +579,16 @@ class FieldCtx:
 
     # -- vectorized arithmetic on numpy index arrays ----------------------
 
-    def check_table_order(self):
-        """Raise ValueError if the order is above TABLE_MAX_ORDER, the
-        limit of the Q x Q sum table under the exact linear algebra."""
-        if self.order > TABLE_MAX_ORDER:
-            raise ValueError(
-                f"field order {self.order} exceeds the table limit "
-                f"{TABLE_MAX_ORDER} of the exact linear algebra")
-
     @property
     def add_np(self) -> np.ndarray:
         """Q x Q sum table in the element dtype.  With index
         a = p a' + a0, the sum is p (a' + b') + (a0 + b0) mod p, so the
-        table for k digits is built from the one for k - 1."""
+        table for k digits is built from the one for k - 1.  ValueError
+        above order TABLE_MAX_ORDER, before anything is allocated."""
         if self._add_np is None:
-            self.check_table_order()
+            if self.order > TABLE_MAX_ORDER:
+                raise ValueError(f"field order {self.order} exceeds the "
+                                 f"table limit {TABLE_MAX_ORDER}")
             p = self.p
             # digit[a0, b0] = (a0 + b0) mod p, a window view of 0..p-1 twice
             digit = np.lib.stride_tricks.sliding_window_view(
@@ -618,9 +612,12 @@ class FieldCtx:
 
     def vadd(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Elementwise u + v; in odd characteristic the result has the
-        element dtype."""
+        element dtype, from add_np up to order TABLE_MAX_ORDER and from
+        vadd_scalar's Zech sum above it."""
         if self.p == 2:
             return u ^ v
+        if self.order > TABLE_MAX_ORDER:
+            return self.vadd_scalar(u, v).astype(self.dtype)
         # one flat gather: 2-3x faster than add_np[u, v] on narrow indices
         flat = np.asarray(u, dtype=np.intp) * self.order + v
         return self.add_np.ravel().take(flat)

@@ -4,9 +4,7 @@ Matrices are numpy arrays of element indices; every array this module
 returns is int64.  Inside, rref and reduce_vector work on a copy in the
 field's narrow element dtype, and each row update is one call of
 FieldCtx.vmul_outer (one gather from the exp table) plus vadd/vneg, so
-everything is exact.  In odd characteristic vadd gathers from the Q x Q
-sum table, so the field order must be at most gf.TABLE_MAX_ORDER there;
-characteristic 2 adds by XOR and builds no Q x Q table at any order.
+everything is exact, at any field order.
 
 The reduced row echelon form is fully normalized (unit pivots,
 eliminated above and below, pivot search in index order), hence

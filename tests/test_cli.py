@@ -15,7 +15,7 @@ import pytest
 from normtrace import autgroup, cli, codes, sepcurve
 from normtrace.cli import main
 from normtrace.curve import build_curve
-from normtrace.gf import MAX_ORDER, field_from_dict
+from normtrace.gf import MAX_ORDER, FieldCtx, field_from_dict
 from oracles import hermitian_stabilizer_order, prime_powers
 
 CASE_II_SPEC = {"p": 2, "field": {"p": 2, "k": 1},
@@ -593,16 +593,60 @@ def test_oversized_curves_refused_before_building(capsys, argv):
 @pytest.mark.parametrize("command", ["code-build", "code-table", "min-dist",
                                      "aut-verify"])
 @pytest.mark.parametrize("q,r", [(81, 2), (17, 3)])
-def test_fields_above_the_table_limit_refused_before_places(capsys, command,
-                                                            q, r):
-    # within the place limit, but GF(q^r) is above the 4096 limit of the
-    # linear algebra: refused before 531,441 (or 1,419,857) places
-    start = time.perf_counter()
-    rc, out, err = run(capsys, command, "--q", str(q), "--r", str(r),
-                       "--ell", "1")
-    assert time.perf_counter() - start < 1.0
+def test_fields_above_the_table_cap(capsys, monkeypatch, tmp_path, command,
+                                    q, r):
+    # GF(q^r) is above the 4096 cap of the Q x Q sum table, where odd-p
+    # vadd takes the Zech sum: each code command runs on the 531,441 (or
+    # 1,419,857) places at ell = 1, min-dist is refused by its budget
+    # alone, and no field builds the table
+    made = []
+    init = FieldCtx.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(FieldCtx, "__init__", record)
+    path = tmp_path / "out.txt"
+    argv = [command, "--q", str(q), "--r", str(r), "--ell", "1"]
+    if command == "code-build":
+        argv += ["--format", "csv"]
+    start = time.process_time()
+    rc, out, err = run(capsys, *argv, "--out", str(path))
+    seconds = time.process_time() - start
+    n = q ** (2 * r - 1) + 1 - q ** (r - 1)
+    if command == "min-dist":
+        assert seconds < 1.0 and rc == 1 and not path.exists()
+        assert err == (f"error: message space {q ** r}^2 exceeds budget "
+                       f"{cli.DEFAULT_BUDGET}\n")
+    else:
+        assert rc == 0 and err == ""
+        text = path.read_text()
+    if command == "code-build":  # k = 2 rows of n entries
+        assert [row.count(",") for row in text.splitlines()] == [n - 1] * 2
+    elif command == "code-table":
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(row["n"], row["k_rank"], row["d_exact"],
+                 row["formulas_agree"]) for row in rows] == [
+            (str(n), "2", "", "True")]
+    elif command == "aut-verify":
+        lines = text.splitlines()[1:]
+        assert len(lines) == 8 and all(ln.startswith("PASS") for ln in lines)
+    assert made and all(F._add_np is None for F in made)
+
+
+@pytest.mark.parametrize("q,r,ell,k", [(16, 2, 255, 3961), (16, 2, 128, 1929),
+                                       (4, 3, 31, 347)])
+def test_min_dist_refuses_a_huge_message_space_at_once(capsys, q, r, ell, k):
+    # Q^k is never formed: 256^3961 has 9,539 digits, past int's string
+    # conversion limit, and no "enumerating" notice precedes the refusal
+    start = time.process_time()
+    rc, out, err = run(capsys, "min-dist", "--q", str(q), "--r", str(r),
+                       "--ell", str(ell))
+    assert time.process_time() - start < 1.0
     assert rc == 1 and out == ""
-    assert err.startswith("error:") and "table limit 4096" in err
+    assert err == (f"error: message space {q ** r}^{k} exceeds budget "
+                   f"{cli.DEFAULT_BUDGET}\n")
 
 
 @pytest.mark.parametrize("spec", [

@@ -12,11 +12,12 @@ from normtrace.codes import (BudgetExceeded, build_code, designed_distance,
                              min_distance_exhaustive,
                              monomial_equivalence_check, witness_codeword,
                              witness_function)
-from normtrace.curve import P_INFINITY, build_curve
+from normtrace.curve import P_INFINITY, NormTraceCurve, build_curve
 from oracles import (entrywise_diagonal_by_columns, evaluate_at,
                      evaluation_by_places, evaluation_matrix,
                      extended_evaluate, lattice_dimension,
-                     local_parameter_at_infinity, naive_min_weight, rank,
+                     local_parameter_at_infinity, naive_min_weight,
+                     prime_powers, rank,
                      rank_by_classes, theta_orbits, with_matrix)
 
 
@@ -263,6 +264,23 @@ def test_exponent_tables_peak_within_their_share_of_the_estimate():
         tracemalloc.stop()
     assert tables[1].shape == (255, 4080) and tables[3].shape == (16, 4080)
     assert peak <= (255 + 16) * 4080 * (4 + 2) + 2 * np.getbufsize() * 8
+
+
+def test_every_admitted_curve_has_uint16_logs():
+    # the log matrix, the code checks and the matrix writer hold logs,
+    # and sums of two of them, in uint16: 4(Q - 1), the last index of
+    # exp_np, stays below 2^16 on every curve within MAX_PLACES
+    admitted = []
+    for p, e in prime_powers(128):  # q^3 + 1 <= MAX_PLACES = 2^21
+        for r in range(2, 22):
+            try:
+                admitted.append(NormTraceCurve(p ** e, r).ctx.order)
+            except ValueError:
+                break
+    assert len(admitted) == 70 and max(admitted) == 127 ** 2
+    # 17 of them odd above the sum table's cap, built with the Zech sum
+    assert sum(Q > 4096 and Q % 2 == 1 for Q in admitted) == 17
+    assert all(4 * (Q - 1) < 2 ** 16 for Q in admitted)
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3),
@@ -744,7 +762,9 @@ def test_monomial_equivalence_rref_fallback(curve23):
 def test_monomial_equivalence_rejects_a_doctored_diagonal(curve23, monkeypatch,
                                                          stage):
     # the witness is proved, not trusted: the right diagonal passes, one
-    # with an entry changed or zeroed under a nonzero column does not
+    # with an entry changed or zeroed under a nonzero column does not.
+    # A column ratio that fails the entrywise proof leaves the decision
+    # to the echelon forms, which find a true diagonal
     ctx = curve23.ctx
     ca, cb = build_code(curve23, 2), extended_one_point_code(curve23, 2)
     good = equivalence_diagonal(curve23, 2)
@@ -755,12 +775,15 @@ def test_monomial_equivalence_rejects_a_doctored_diagonal(curve23, monkeypatch,
         diag = good.copy()
         diag[col] = value
         if stage == "entrywise":
-            monkeypatch.setattr(codes, "_entrywise_diagonal",
+            monkeypatch.setattr(codes, "_column_ratios",
                                 lambda *args, d=diag: d.copy())
-        else:
-            monkeypatch.setattr(codes, "_entrywise_diagonal", lambda *args: None)
-            monkeypatch.setattr(codes, "_rref_diagonal",
-                                lambda *args, d=diag: d.copy())
+            got = monomial_equivalence_check(ca, cb)
+            assert np.array_equal(got, diag) == verdict
+            assert cb.contains(ctx.vmul(ca.matrix, got[None, :]))
+            continue
+        monkeypatch.setattr(codes, "_entrywise_diagonal", lambda *args: None)
+        monkeypatch.setattr(codes, "_rref_diagonal",
+                            lambda *args, d=diag: d.copy())
         assert (monomial_equivalence_check(ca, cb) is not None) == verdict
 
 

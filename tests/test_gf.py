@@ -397,6 +397,20 @@ def test_zech_sum_matches_digit_oracle_on_large_fields(p, k):
     assert ctx._add_np is None
 
 
+@pytest.mark.parametrize("p,k", [(3, 8), (67, 2), (4099, 1), (1048573, 1)])
+def test_vadd_above_the_table_cap_is_the_zech_sum(p, k):
+    # odd-p vadd above TABLE_MAX_ORDER: the digit oracle's sums, in the
+    # element dtype, with no Q x Q table
+    ctx = build_field(p, k)
+    assert ctx.order > gf.TABLE_MAX_ORDER
+    u, v = (w.astype(ctx.dtype) for w in zech_sum_draws(ctx, p))
+    assert ctx.vadd(u, v).dtype == ctx.vadd(u[:, None], v).dtype == ctx.dtype
+    assert_zech_sums_match_digits(ctx, u.astype(np.int64), v, ctx.vadd)
+    assert (ctx.vadd(u[:, None], v[:7]).tolist()
+            == vadd_by_digits(ctx, u[:, None], v[:7]).tolist())
+    assert ctx._add_np is None
+
+
 def unordered_zech_sum(ctx, u, v):
     """The Zech sum of two units, log u + Z(log v - log u), taken at
     every pair without ordering the logs: wrong at a zero operand."""

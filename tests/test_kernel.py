@@ -1,8 +1,8 @@
 """The elimination kernel (FieldCtx.vmul_outer, one gather from the exp
 table, and the sum table add_np under linalg.rref, rank and
 reduce_vector) against the scalar oracles, over random fields of order
-at most 2^12, and over GF(2^13), where characteristic 2 builds no
-Q x Q table."""
+at most 2^12, and over GF(2^13) and GF(3^8), above the table cap, where
+characteristic 2 adds by XOR and odd characteristic by the Zech sum."""
 
 import tracemalloc
 from functools import lru_cache
@@ -83,8 +83,8 @@ def test_kernel_matches_oracles(case):
 @SETTINGS
 @given(data=st.data())
 def test_vadd_scalar_matches_vadd(data):
-    # the table-free digit add, for one element and for an array of
-    # them, against the add table of FieldCtx.vadd
+    # the Zech sum, for one element and for an array of them, against
+    # the add table of FieldCtx.vadd
     ctx = field(*data.draw(st.sampled_from(FIELDS)))
     elems = st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=20)
     u = np.array(data.draw(elems), dtype=np.int64)
@@ -204,8 +204,14 @@ def test_tables_are_narrow_and_capped():
     big = build_field(3, 8)
     with pytest.raises(ValueError, match="table limit 4096"):
         big.add_np
-    with pytest.raises(ValueError, match="table limit 4096"):
-        linalg.rref(big, np.array([[1, 2], [3, 4]]))
+    # above the cap elimination adds by the Zech sum and matches the
+    # oracles, as over GF(2^13) below
+    rng = np.random.default_rng(38)
+    M = rng.integers(big.order, size=(5, 8))
+    M[3] = big.vadd(big.vscale(int(M[4, 0]), M[0]), M[1])  # rank below 5
+    V = np.vstack([M, rng.integers(big.order, size=(2, 8))])
+    assert_kernel_matches_oracles(big, M, V)
+    assert big._add_np is None
 
 
 def test_characteristic_2_builds_no_square_table(monkeypatch, capsys):

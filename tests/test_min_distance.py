@@ -256,6 +256,21 @@ def test_table_estimate_bounds_the_measured_peak(q, r, ell, monkeypatch):
         assert peak <= estimate < codes.TABLE_MAX_BYTES
 
 
+def test_word_tables_refused_before_anything_is_built():
+    # (67,2) ell=1 under a budget of 2^60: each of the two rows has 4489
+    # multiples of 300,697 entries, about 35 GB of word tables, refused
+    # on the estimate before the log matrix is built
+    code = build_code(build_curve(67, 2), 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="word tables need about"):
+            min_distance_exhaustive(code, 1 << 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16 and code._log_matrix is None
+
+
 @pytest.mark.parametrize("q,r", [(4, 3), (3, 3)])
 def test_min_dist_builds_no_product_table(q, r, monkeypatch, capsys):
     # the row multiples come from the log matrix: min-dist reads neither
